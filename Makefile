@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke fmt vet smoke-cluster smoke-store smoke-serve smoke-tools ci
+.PHONY: build test race bench bench-smoke bench-check fmt vet smoke-cluster smoke-store smoke-serve smoke-tools ci
 
 build:
 	$(GO) build ./...
@@ -11,8 +11,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line repeats the frontier peek's randomized equivalence
+# test (bounded merge against the old per-shard top-n, both tiers): its
+# histories are seeded, but map order and goroutine timing are not.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=5 -run 'TestPeekMatchesOldPeek|TestApplyRoundBesideConcurrentUse' ./internal/frontier/
 
 # Engine benchmarks, written machine-readable to BENCH_engine.json
 # (benchmark name, iterations, ns/op, pages/s, B/op, allocs/op) so the
@@ -32,6 +36,9 @@ bench:
 	$(GO) test -bench 'BenchmarkServeHotGet' -benchtime 2000x \
 		-benchmem -run '^$$' ./internal/serve/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
+	$(GO) test -bench 'BenchmarkFrontierApplyRound' -benchtime 20000x \
+		-benchmem -run '^$$' ./internal/frontier/ >> bench_engine.txt || \
+		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkFrontierScale' -benchtime 1x \
 		-benchmem -run '^$$' ./internal/frontier/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
@@ -45,6 +52,15 @@ bench:
 # 10M frontier-scale case, which `bench` measures for real.
 bench-smoke:
 	$(GO) test -short -bench . -benchtime=1x -run '^$$' ./...
+
+# The repository's benchmark (bench/, its own module) compiles against
+# the packages' public APIs and is what the perf gate runs: vet it, run
+# its tests and a ~2 s-per-run smoke set here, so a PR that breaks an API
+# it uses fails CI rather than the gate. Leaves bench/out/ (ignored).
+bench-check:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
+	$(GO) run -C bench . -smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -84,4 +100,4 @@ smoke-tools:
 	$(GO) run ./cmd/freshsim >/dev/null
 	$(GO) run ./cmd/webevo -pages 60 -days 30 >/dev/null
 
-ci: build vet fmt race bench-smoke bench smoke-cluster smoke-store smoke-serve smoke-tools
+ci: build vet fmt race bench-smoke bench-check bench smoke-cluster smoke-store smoke-serve smoke-tools

@@ -242,11 +242,22 @@ func EPIrregular(h *History) (Estimate, error) {
 			break
 		}
 	}
+	// Bisect to the float64 fixpoint. An iteration that moves neither
+	// end (mid has rounded onto the end it replaces) would repeat
+	// unchanged forever, so stopping there returns the same bits as
+	// running out the 200-iteration cap — after about 52 + log2(hi/rate)
+	// iterations, each of which costs an Exp per changed interval.
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
 		if deriv(mid) > 0 {
+			if mid == lo {
+				break
+			}
 			lo = mid
 		} else {
+			if mid == hi {
+				break
+			}
 			hi = mid
 		}
 	}

@@ -277,3 +277,84 @@ func TestSiteAggregateEmpty(t *testing.T) {
 		t.Fatalf("empty aggregate: %v", err)
 	}
 }
+
+// epIrregularRate200 is EPIrregular's rate with the bisection run for
+// all 200 iterations, as it was before the fixpoint exit.
+func epIrregularRate200(h *History) float64 {
+	deriv := func(r float64) float64 {
+		var d float64
+		for i, dt := range h.intervals {
+			if dt <= 0 {
+				continue
+			}
+			if h.changed[i] {
+				e := math.Exp(-r * dt)
+				d += dt * e / (1 - e)
+			} else {
+				d -= dt
+			}
+		}
+		return d
+	}
+	lo, hi := 1e-12, 1.0
+	for deriv(hi) > 0 {
+		hi *= 2
+		if hi > 1e15 {
+			break
+		}
+	}
+	for i := 0; i < 200; i++ {
+		mid := (lo + hi) / 2
+		if deriv(mid) > 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestEPIrregularFixpointExitIsExact: stopping the bisection at its
+// float64 fixpoint must return the very same rate as running all 200
+// iterations, over irregular histories of every shape the crawler
+// produces — short and long, slow and fast pages, gaps spanning six
+// orders of magnitude, repeated and zero-length intervals.
+func TestEPIrregularFixpointExitIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	checked := 0
+	for trial := 0; trial < 3000; trial++ {
+		h := &History{}
+		_ = h.Record(Observation{Time: 0})
+		rate := math.Pow(10, -4+6*rng.Float64()) // 1e-4 .. 1e2 changes/day
+		scale := math.Pow(10, -3+5*rng.Float64())
+		tt := 0.0
+		for n := 1 + rng.Intn(400); n > 0; n-- {
+			var dt float64
+			switch rng.Intn(4) {
+			case 0:
+				dt = scale // a regular stretch
+			case 1:
+				dt = scale * rng.ExpFloat64()
+			case 2:
+				dt = scale * math.Pow(10, 3*rng.Float64())
+			}
+			tt += dt
+			_ = h.Record(Observation{Time: tt, Changed: rng.Float64() < 1-math.Exp(-rate*dt)})
+		}
+		if h.Detected() == 0 || h.Detected() == h.Accesses() {
+			continue // EPIrregular does not bisect these
+		}
+		est, err := EPIrregular(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := epIrregularRate200(h); est.Rate != want {
+			t.Fatalf("trial %d (%d accesses, %d changed): rate %v (%#x), 200-step reference %v (%#x)",
+				trial, h.Accesses(), h.Detected(), est.Rate, math.Float64bits(est.Rate), want, math.Float64bits(want))
+		}
+		checked++
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d histories reached the bisection", checked)
+	}
+}

@@ -37,7 +37,8 @@ import (
 // Ordering. head/popHead/topN must match memStore bit for bit. The
 // resident set is not required to be a prefix of the pop order; instead
 // every read promotes spilled entries until the spill minimum orders
-// strictly after the resident entry it competes with. Spill items carry
+// strictly after the entry it competes with — the resident head for
+// head/popHead, the peek window's cut-off for topN. Spill items carry
 // (due, priority) but not the URL that breaks exact ties, so a tie on
 // both keys conservatively promotes the whole tie group and lets the
 // resident queue's full comparator decide — a transient overshoot of
@@ -64,8 +65,8 @@ type diskStore struct {
 	index map[uint64]*idxEnt
 	spill spillHeap
 	// resident is the in-RAM head; budget caps its steady-state size
-	// (tie-group promotion and large topN requests may transiently
-	// exceed it — correctness outranks the cap).
+	// (tie-group promotion and a peek longer than the budget may
+	// transiently exceed it — correctness outranks the cap).
 	resident *memQueue
 	budget   int
 
@@ -410,12 +411,14 @@ func (d *diskStore) spillMin() (spillItem, bool) {
 }
 
 // promoteMin loads the spill heap's top entry (which spillMin just
-// validated) into the resident queue.
-func (d *diskStore) promoteMin() {
+// validated) into the resident queue and returns it.
+func (d *diskStore) promoteMin() Entry {
 	it := heap.Pop(&d.spill).(spillItem)
 	ie := d.index[it.fp]
 	ie.resident = true
-	d.resident.put(d.readEntry(ie.off, ie.size))
+	e := d.readEntry(ie.off, ie.size)
+	d.resident.put(e)
+	return e
 }
 
 // spillAfter reports whether the spill item orders strictly after the
@@ -467,31 +470,26 @@ func (d *diskStore) popHead() Entry {
 	return e
 }
 
-func (d *diskStore) topN(n int) []Entry {
-	if n <= 0 || len(d.index) == 0 {
-		return nil
-	}
-	// Make the resident set contain the true first n: fill to n off the
-	// spill minimum, then pull everything that could order at or before
-	// the resident n-th entry. Promotions only lower that boundary, so
-	// one pass against the initial boundary is conservative-correct.
-	for d.resident.size() < n {
-		if _, ok := d.spillMin(); !ok {
-			break
+// topN offers the resident entries first, then promotes and offers
+// spill items for as long as one could still make w's list: until the
+// list is full and the spill minimum orders strictly after its cut-off
+// on (due, priority). Later spill items order no earlier and the cut-off
+// only tightens, so none of them can make the list either; a tie still
+// promotes, because the URL that breaks it is only on disk. Promotion is
+// therefore bounded by what this shard contributes to the list plus its
+// tie group — not by n per shard.
+func (d *diskStore) topN(w *peekWindow) {
+	d.resident.topN(w)
+	for {
+		it, ok := d.spillMin()
+		if !ok {
+			return
 		}
-		d.promoteMin()
-	}
-	if top := d.resident.topN(n); len(top) > 0 {
-		bound := top[len(top)-1]
-		for {
-			it, ok := d.spillMin()
-			if !ok || (d.resident.size() >= n && spillAfter(it, bound)) {
-				break
-			}
-			d.promoteMin()
+		if c, full := w.cutoff(); full && spillAfter(it, c) {
+			return
 		}
+		w.offer(d.promoteMin())
 	}
-	return d.resident.topN(n)
 }
 
 // each visits every entry in log-offset order — deterministic for a

@@ -81,8 +81,8 @@ func TestCandidatesExcludesCollectionAndSorts(t *testing.T) {
 	}
 }
 
-func TestCollUrlsPopOrder(t *testing.T) {
-	q := NewCollUrls()
+func TestQueuePopOrder(t *testing.T) {
+	q := NewSharded(1)
 	q.Push("http://b.com/", 5, 0)
 	q.Push("http://a.com/", 1, 0)
 	q.Push("http://c.com/", 3, 0)
@@ -102,8 +102,8 @@ func TestCollUrlsPopOrder(t *testing.T) {
 	}
 }
 
-func TestCollUrlsTieBreaks(t *testing.T) {
-	q := NewCollUrls()
+func TestQueueTieBreaks(t *testing.T) {
+	q := NewSharded(1)
 	q.Push("http://low.com/", 1, 0.1)
 	q.Push("http://high.com/", 1, 0.9)
 	e, _ := q.Pop()
@@ -111,7 +111,7 @@ func TestCollUrlsTieBreaks(t *testing.T) {
 		t.Fatalf("priority tie-break failed: %v", e.URL)
 	}
 	// Equal due and priority: lexicographic.
-	q = NewCollUrls()
+	q = NewSharded(1)
 	q.Push("http://b.com/", 2, 0)
 	q.Push("http://a.com/", 2, 0)
 	e, _ = q.Pop()
@@ -120,8 +120,8 @@ func TestCollUrlsTieBreaks(t *testing.T) {
 	}
 }
 
-func TestCollUrlsPushReschedules(t *testing.T) {
-	q := NewCollUrls()
+func TestQueuePushReschedules(t *testing.T) {
+	q := NewSharded(1)
 	q.Push("http://x.com/", 10, 0)
 	q.Push("http://x.com/", 1, 0.5) // reschedule earlier
 	if q.Len() != 1 {
@@ -133,8 +133,8 @@ func TestCollUrlsPushReschedules(t *testing.T) {
 	}
 }
 
-func TestCollUrlsPopDue(t *testing.T) {
-	q := NewCollUrls()
+func TestQueuePopDue(t *testing.T) {
+	q := NewSharded(1)
 	q.Push("http://later.com/", 10, 0)
 	if _, ok := q.PopDue(5); ok {
 		t.Fatal("future entry popped")
@@ -149,8 +149,8 @@ func TestCollUrlsPopDue(t *testing.T) {
 	}
 }
 
-func TestCollUrlsPeekAndRemove(t *testing.T) {
-	q := NewCollUrls()
+func TestQueuePeekAndRemove(t *testing.T) {
+	q := NewSharded(1)
 	if _, ok := q.Peek(); ok {
 		t.Fatal("peek on empty succeeded")
 	}
@@ -175,15 +175,15 @@ func TestCollUrlsPeekAndRemove(t *testing.T) {
 	}
 }
 
-func TestCollUrlsPopEmpty(t *testing.T) {
-	q := NewCollUrls()
+func TestQueuePopEmpty(t *testing.T) {
+	q := NewSharded(1)
 	if _, err := q.Pop(); err != ErrEmpty {
 		t.Fatalf("pop empty: %v", err)
 	}
 }
 
-func TestCollUrlsURLsSorted(t *testing.T) {
-	q := NewCollUrls()
+func TestQueueURLsSorted(t *testing.T) {
+	q := NewSharded(1)
 	q.Push("http://z.com/", 1, 0)
 	q.Push("http://a.com/", 9, 0)
 	urls := q.URLs()
@@ -195,7 +195,7 @@ func TestCollUrlsURLsSorted(t *testing.T) {
 // TestHeapProperty: random pushes pop in nondecreasing due order.
 func TestHeapProperty(t *testing.T) {
 	if err := quick.Check(func(dues []float64) bool {
-		q := NewCollUrls()
+		q := NewSharded(1)
 		for i, d := range dues {
 			if math.IsNaN(d) {
 				d = 0

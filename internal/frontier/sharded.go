@@ -13,10 +13,10 @@ import (
 	"webevolve/internal/webgraph"
 )
 
-// Sharded is CollUrls partitioned into per-site shards: every URL is
-// assigned to a shard by a hash of its host, so all pages of one site
-// live in one shard. The partitioning serves the concurrent crawl
-// engine two ways:
+// Sharded is the revisit priority queue of the paper's Figure 12
+// (CollUrls), partitioned into per-site shards: every URL is assigned to
+// a shard by a hash of its host, so all pages of one site live in one
+// shard. The partitioning serves the concurrent crawl engine two ways:
 //
 //   - Politeness is enforced per shard: consecutive pops from one shard
 //     are spaced by the configured minimum gap, and a worker can claim a
@@ -24,10 +24,10 @@ import (
 //     hit the same site at once.
 //
 //   - Pop order stays globally deterministic: PopDue and Pop always
-//     return the earliest-due entry across all ready shards, using the
-//     same (due, priority, URL) order as CollUrls. With a zero politeness
-//     gap the pop sequence is identical to a single CollUrls regardless
-//     of the shard count, which keeps simulated experiments reproducible.
+//     return the earliest-due entry across all ready shards in (due,
+//     priority, URL) order. With a zero politeness gap the pop sequence
+//     is that of one unpartitioned queue regardless of the shard count,
+//     which keeps simulated experiments reproducible.
 //
 // Each shard's entries live behind a shardStore: fully in RAM by
 // default (NewSharded), or spilled to an append-only record log with
@@ -42,6 +42,9 @@ type Sharded struct {
 	// float64 bits so a shard server can apply a client-requested gap
 	// while pops are in flight.
 	minGap atomic.Uint64
+	// roundMu serializes ApplyRound and guards its reused buffers.
+	roundMu sync.Mutex
+	round   roundOps
 }
 
 type shard struct {
@@ -314,29 +317,95 @@ func (q *Sharded) PopDueMatch(now float64, url string, claim bool) (Entry, int, 
 // politeness gap and no claim users (see ApplyRound). complete reports
 // that the returned entries are the entire queue.
 func (q *Sharded) PeekN(n int) ([]Entry, bool) {
-	total := 0
-	var out []Entry
-	for _, s := range q.shards {
+	if n <= 0 {
+		return nil, q.Len() == 0
+	}
+	var r roundOps
+	r.group(q, nil, nil, nil)
+	r.win.reset(n)
+	total := q.applyAndPeek(&r)
+	return r.win.sorted(), total <= n
+}
+
+// roundOps is one ApplyRound's mutations grouped by shard, so a round
+// locks each shard once instead of once per URL, and the window its
+// peek fills. The buffers are reused from round to round.
+type roundOps struct {
+	// Op number k removes removes[k] (the round's pops, then its
+	// removes) or, past those, puts pushes[k-len(removes)] — the
+	// caller's slice, held only for the duration of the round.
+	removes []string
+	pushes  []Entry
+	// order lists op numbers grouped by shard, in op order within a
+	// shard; shard i's ops are order[start[i]:start[i+1]].
+	order []int32
+	start []int32
+	sid   []int32 // shard of each op
+	win   peekWindow
+}
+
+// group counting-sorts the round's ops by shard. The sort is stable, so
+// within a shard removals still precede pushes — and ops on one URL
+// always share a shard — which keeps the outcome (and a disk tier's log)
+// what applying the ops one by one would produce.
+func (r *roundOps) group(q *Sharded, pops, removes []string, pushes []Entry) {
+	r.removes = append(append(r.removes[:0], pops...), removes...)
+	r.pushes = pushes
+	r.sid = r.sid[:0]
+	for _, u := range r.removes {
+		r.sid = append(r.sid, int32(q.ShardOf(u)))
+	}
+	for _, e := range pushes {
+		r.sid = append(r.sid, int32(q.ShardOf(e.URL)))
+	}
+	r.start = append(r.start[:0], make([]int32, len(q.shards)+1)...)
+	for _, s := range r.sid {
+		r.start[s+1]++
+	}
+	for i := 1; i < len(r.start); i++ {
+		r.start[i] += r.start[i-1]
+	}
+	r.order = append(r.order[:0], r.sid...) // sized; every slot is overwritten
+	// Fill each shard's run front to back, then shift start back: after
+	// the fill start[i] has advanced to the run's end, i.e. start[i+1].
+	for k, s := range r.sid {
+		r.order[r.start[s]] = int32(k)
+		r.start[s]++
+	}
+	copy(r.start[1:], r.start)
+	r.start[0] = 0
+}
+
+// applyAndPeek walks the shards one lock at a time: each applies its
+// share of r's round, then is merged into r.win, which hands the store
+// the list's current n-th entry as the cut-off its walk stops at. It
+// returns the queue length. With win.n == 0 no peek is wanted and shards
+// without round work are not touched.
+func (q *Sharded) applyAndPeek(r *roundOps) (total int) {
+	for i, s := range q.shards {
+		ops := r.order[r.start[i]:r.start[i+1]]
+		if len(ops) == 0 && r.win.n == 0 {
+			continue
+		}
 		s.mu.Lock()
-		total += s.st.size()
-		out = append(out, s.st.topN(n)...)
+		for _, k := range ops {
+			if k := int(k); k < len(r.removes) {
+				s.st.remove(r.removes[k])
+			} else {
+				s.st.put(r.pushes[k-len(r.removes)])
+			}
+		}
+		if r.win.n > 0 {
+			total += s.st.size()
+			s.st.topN(&r.win)
+		}
 		s.mu.Unlock()
 	}
-	// Per-shard top-n suffices: the global first n entries draw at most
-	// n from any one shard.
-	sort.Slice(out, func(i, j int) bool { return entryBefore(out[i], out[j]) })
-	complete := total <= n
-	if n < 0 {
-		n = 0
-	}
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out, complete
+	return total
 }
 
 // ApplyRound applies one crawl-engine dispatch round in a single call:
-// pops (entries the engine already consumed from a previous PeekN
+// pops (entries the engine already consumed from a previous candidate
 // prefix), removes (dropped pages; absent URLs are fine), then pushes —
 // and returns the next peekMax pop candidates. With a zero politeness
 // gap a pop is exactly a removal, so the round folds into plain queue
@@ -346,6 +415,11 @@ func (q *Sharded) PeekN(n int) ([]Entry, bool) {
 // candidates: entries not returned order strictly after bound (boundOK
 // false means cands is the whole queue).
 //
+// Rounds are serialized, and cands aliases a buffer the next ApplyRound
+// overwrites: the round protocol has one driver per queue (the engine
+// goroutine, or the shard server under its WAL lock), which consumes or
+// encodes the candidates before committing its next round.
+//
 // It is the server-side half of the cluster's opRound op, and the
 // in-process frontier serves it too, so the engine drives local and
 // remote shards through one code path (core's frontierRounds).
@@ -353,18 +427,18 @@ func (q *Sharded) ApplyRound(pops, removes []string, pushes []Entry, peekMax int
 	if q.Politeness() > 0 {
 		return nil, Entry{}, false, false
 	}
-	for _, u := range pops {
-		q.Remove(u)
-	}
-	for _, u := range removes {
-		q.Remove(u)
-	}
-	q.PushBatch(pushes)
+	q.roundMu.Lock()
+	defer q.roundMu.Unlock()
+	r := &q.round
+	r.group(q, pops, removes, pushes)
+	r.win.reset(max(peekMax, 0))
+	total := q.applyAndPeek(r)
+	r.pushes = nil
 	if peekMax <= 0 {
 		return nil, Entry{}, false, true
 	}
-	cands, complete := q.PeekN(peekMax)
-	if !complete && len(cands) > 0 {
+	cands = r.win.sorted()
+	if total > peekMax && len(cands) > 0 {
 		bound, boundOK = cands[len(cands)-1], true
 	}
 	return cands, bound, boundOK, true

@@ -25,9 +25,11 @@ type shardStore interface {
 	// popHead removes and returns the first entry in pop order. It must
 	// only be called when head reported ok.
 	popHead() Entry
-	// topN returns the first n entries in pop order without mutating
-	// the store.
-	topN(n int) []Entry
+	// topN offers w every stored entry that can still make its list. A
+	// walk in pop order stops at the first entry w refuses: the rest
+	// order after it, and w's cut-off only tightens. The entry set is
+	// unchanged; a disk tier promotes what it offers.
+	topN(w *peekWindow)
 	// each calls fn for every stored entry, in a deterministic order of
 	// the implementation's choosing, stopping at the first error.
 	each(fn func(Entry) error) error
@@ -132,70 +134,68 @@ func (m *memQueue) popHead() Entry {
 	return *e
 }
 
-// topN returns the queue's first n entries in pop order without
-// mutating the heap: a best-first walk over the heap array driven by a
-// small index heap (O(n log n), no per-entry allocation beyond the
-// result).
-func (m *memQueue) topN(n int) []Entry {
-	if n <= 0 || len(m.h) == 0 {
-		return nil
-	}
-	if n > len(m.h) {
-		n = len(m.h)
+// topN offers the queue's entries to w in pop order without mutating
+// the heap: a best-first walk over the heap array driven by w's index
+// heap, which stops at the first refusal — so a shard whose head cannot
+// make the list costs one comparison.
+func (m *memQueue) topN(w *peekWindow) {
+	if len(m.h) == 0 {
+		return
 	}
 	// idxs is a min-heap of positions into m.h, ordered by the entry
 	// comparator; the heap-array children of a popped position are the
 	// only new candidates for the next-smallest entry.
-	idxs := make([]int, 1, 2*n+1)
-	idxs[0] = 0
-	less := func(a, b int) bool { return m.h.Less(idxs[a], idxs[b]) }
-	down := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			sm := i
-			if l < len(idxs) && less(l, sm) {
-				sm = l
-			}
-			if r < len(idxs) && less(r, sm) {
-				sm = r
-			}
-			if sm == i {
-				return
-			}
-			idxs[i], idxs[sm] = idxs[sm], idxs[i]
-			i = sm
-		}
-	}
-	up := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(i, p) {
-				return
-			}
-			idxs[i], idxs[p] = idxs[p], idxs[i]
-			i = p
-		}
-	}
-	out := make([]Entry, 0, n)
-	for len(out) < n && len(idxs) > 0 {
+	idxs := append(w.idxs[:0], 0)
+	for len(idxs) > 0 {
 		head := idxs[0]
-		ent := *m.h[head]
-		ent.index = 0 // the heap position is meaningless in a copy
-		out = append(out, ent)
+		if !w.offer(*m.h[head]) {
+			break
+		}
 		last := len(idxs) - 1
 		idxs[0] = idxs[last]
 		idxs = idxs[:last]
-		down(0)
+		m.h.idxDown(idxs)
 		if l := 2*head + 1; l < len(m.h) {
-			idxs = append(idxs, l)
-			up(len(idxs) - 1)
+			idxs = m.h.idxPush(idxs, l)
 		}
 		if r := 2*head + 2; r < len(m.h) {
-			idxs = append(idxs, r)
-			up(len(idxs) - 1)
+			idxs = m.h.idxPush(idxs, r)
 		}
 	}
-	return out
+	w.idxs = idxs[:0]
+}
+
+// idxPush adds heap-array position p to the index heap idxs.
+func (h entryHeap) idxPush(idxs []int, p int) []int {
+	idxs = append(idxs, p)
+	for i := len(idxs) - 1; i > 0; {
+		par := (i - 1) / 2
+		if !h.Less(idxs[i], idxs[par]) {
+			break
+		}
+		idxs[i], idxs[par] = idxs[par], idxs[i]
+		i = par
+	}
+	return idxs
+}
+
+// idxDown restores the index heap after its root was replaced.
+func (h entryHeap) idxDown(idxs []int) {
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		sm := i
+		if l < len(idxs) && h.Less(idxs[l], idxs[sm]) {
+			sm = l
+		}
+		if r < len(idxs) && h.Less(idxs[r], idxs[sm]) {
+			sm = r
+		}
+		if sm == i {
+			return
+		}
+		idxs[i], idxs[sm] = idxs[sm], idxs[i]
+		i = sm
+	}
 }
 
 // each visits every entry in heap-array order — deterministic for a

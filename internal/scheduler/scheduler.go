@@ -8,7 +8,8 @@
 //
 // Policies consume change-rate estimates (from package changefreq) and
 // produce per-page revisit intervals; the crawler's UpdateModule turns
-// those into CollUrls due-times.
+// those into due times on the revisit queue (frontier.Sharded, the
+// paper's CollUrls).
 package scheduler
 
 import (
