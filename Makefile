@@ -11,12 +11,19 @@ build:
 test:
 	$(GO) test ./...
 
-# The second line repeats the frontier peek's randomized equivalence
-# test (bounded merge against the old per-shard top-n, both tiers): its
-# histories are seeded, but map order and goroutine timing are not.
+# The lines after the first repeat the tests whose outcome depends on
+# goroutine timing or map order, not only on their seeds: the frontier
+# peek's randomized equivalence test (bounded merge against the old
+# per-shard top-n, both tiers); the serve/swap gate (readers across
+# live swaps: no request may see a closed store); and the store's
+# ordered index and record codec beside concurrent writers, compaction
+# and swaps.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run 'TestPeekMatchesOldPeek|TestApplyRoundBesideConcurrentUse' ./internal/frontier/
+	$(GO) test -race -count=20 -run 'TestServeAcrossLiveCrawl' ./internal/serve/
+	$(GO) test -race -count=5 -run 'TestStragglersAcrossSwaps' ./internal/serve/
+	$(GO) test -race -count=5 -run 'TestScanBesideWrites|TestModelCheck|TestShadowedPin|TestDiskConcurrentStress' ./internal/store/
 
 # Engine benchmarks, written machine-readable to BENCH_engine.json
 # (benchmark name, iterations, ns/op, pages/s, B/op, allocs/op) so the
@@ -29,6 +36,9 @@ bench:
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkStore|BenchmarkEncodeEntries' -benchtime 5x \
 		-benchmem -run '^$$' ./internal/cluster/ >> bench_engine.txt || \
+		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
+	$(GO) test -bench 'BenchmarkStoreDisk' -benchtime 2000x -cpu 2 \
+		-benchmem -run '^$$' ./internal/store/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkServeQPS' -benchtime 5x \
 		-benchmem -run '^$$' ./internal/serve/ >> bench_engine.txt || \

@@ -340,8 +340,9 @@ func (s *StoreServer) handle(ver, op byte, body []byte) (status byte, resp []byt
 			chunkBytes += 4 + len(u)
 			return true
 		}
-		// Resume lazily when the backend offers it (both built-in ones
-		// do) — no full sort of the tail per chunk.
+		// Resume by key when the backend offers it (both built-in ones
+		// do: a binary search in their ordered index) — no copy of the
+		// whole URL list per chunk.
 		if uf, ok := c.(interface {
 			URLsFrom(after string, fn func(string) bool)
 		}); ok {
@@ -394,8 +395,8 @@ func (s *StoreServer) handle(ver, op byte, body []byte) (status byte, resp []byt
 			chunkBytes += sz
 			return true
 		}
-		// ScanFrom is part of store.Reader, so a chunked scan of N
-		// records costs O(N), not a prefix re-walk per chunk.
+		// ScanFrom is part of store.Reader and O(log n + chunk) on the
+		// built-in backends, so a chunked scan of N records costs O(N).
 		err = c.ScanFrom(after, collect)
 		if err != nil {
 			return statusError, []byte(err.Error())

@@ -115,6 +115,11 @@ func benchServeQPS(b *testing.B, src Source, crawl func(stop <-chan struct{})) {
 		b.Fatalf("%d reader errors", n)
 	}
 	b.ReportMetric(float64(b.N*benchReaders)/elapsed.Seconds(), "req/s")
+	// How hard the background crawl republishes: every swap flushes the
+	// hot-set cache, so this rate, not the backend, sets the hit ratio.
+	if sh, ok := src.(*store.Shadowed); ok {
+		b.ReportMetric(float64(sh.Swaps())/elapsed.Seconds(), "swaps/s")
+	}
 }
 
 // shadowCrawl is the background mutator for the QPS benchmarks: write a

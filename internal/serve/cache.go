@@ -12,8 +12,9 @@ import (
 // bodies dominate), and stamped with the source generation it was
 // filled under. A lookup presenting a newer generation — the shadow
 // swap just published a fresh collection — flushes the whole cache
-// before proceeding, so no reader is ever served a record from a
-// retired generation.
+// before proceeding, and one presenting an older generation bypasses
+// it, so no reader is ever served a record from another generation
+// than its own and a swap costs exactly one flush.
 //
 // Misses are not cached: a negative entry would pin "absent" across
 // writes on backends that never swap (in-place crawls), and the
@@ -67,27 +68,34 @@ func recordSize(rec store.PageRecord) int64 {
 	return int64(n)
 }
 
-// syncGenLocked flushes the cache when the source generation moved.
-func (c *pageCache) syncGenLocked(gen uint64) {
-	if gen == c.gen {
-		return
+// syncGenLocked reports whether a request of generation gen may use
+// the cache, flushing it first when gen is newer than what it holds. An
+// older generation — a straggler that resolved its reader before a swap
+// and got here after the new generation's first request — may not: it
+// reads as a miss and inserts nothing, so it can neither be served nor
+// file a retired record, and it does not flush its successors' entries.
+func (c *pageCache) syncGenLocked(gen uint64) bool {
+	if gen > c.gen {
+		c.gen = gen
+		if c.ll.Len() > 0 {
+			c.m.cacheInvalidations.Inc()
+			c.entries = make(map[string]*list.Element)
+			c.ll.Init()
+			c.bytes = 0
+		}
 	}
-	c.gen = gen
-	if c.ll.Len() > 0 {
-		c.m.cacheInvalidations.Inc()
-		c.entries = make(map[string]*list.Element)
-		c.ll.Init()
-		c.bytes = 0
-	}
+	return gen == c.gen
 }
 
 // get returns the cached record for url under the given generation.
 func (c *pageCache) get(gen uint64, url string) (store.PageRecord, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncGenLocked(gen)
-	el, ok := c.entries[url]
-	if !ok {
+	var el *list.Element
+	if c.syncGenLocked(gen) {
+		el = c.entries[url]
+	}
+	if el == nil {
 		c.m.cacheMisses.Inc()
 		return store.PageRecord{}, false
 	}
@@ -107,7 +115,9 @@ func (c *pageCache) put(gen uint64, url string, rec store.PageRecord) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncGenLocked(gen)
+	if !c.syncGenLocked(gen) {
+		return
+	}
 	if el, ok := c.entries[url]; ok {
 		ent := el.Value.(*cacheEntry)
 		c.bytes += size - ent.size

@@ -8,10 +8,10 @@
 // storage interface: the compiler proves the serving plane cannot
 // write, delete, or close the repository it fronts. Swap-safety
 // against a live shadow crawl comes from the Source abstraction — each
-// request resolves the current reader and its generation, the bundled
-// hot-set cache drops its entries whenever the generation moves, and a
-// read in flight across a swap completes against the collection it
-// started on (store.Shadowed's op-refcount guard).
+// request resolves the current reader and its generation once, pins
+// that generation for as long as it reads the store when the Source can
+// (store.Shadowed.Pin), and the bundled hot-set cache drops its entries
+// whenever a newer generation shows up.
 //
 // Endpoints:
 //
@@ -47,13 +47,24 @@ import (
 )
 
 // Source yields the reader a request is served from, plus the
-// generation it belongs to. The generation must change whenever the
+// generation it belongs to. The generation must increase whenever the
 // underlying collection is atomically replaced (a shadow swap): it
 // keys the hot-set cache and invalidates conditional-request state.
 // *store.Shadowed implements Source directly (its View method); fixed
 // collections wrap in Static.
+//
+// A Source that also has *store.Shadowed's Pin method is served through
+// it: the request holds its generation open until it has finished
+// reading, so a swap under it cannot close the collection it resolved.
+// A View-only Source over a swapping collection keeps the window in
+// which a swap fails the request with 500 "store: closed".
 type Source interface {
 	View() (store.Reader, uint64)
+}
+
+// pinner is the optional Source method, resolved once in New.
+type pinner interface {
+	Pin() (r store.Reader, gen uint64, release func())
 }
 
 // SourceFunc adapts a function to a Source.
@@ -121,7 +132,9 @@ type Config struct {
 // redirect the double slash in /v1/pages/http://host/… before the
 // handler ever saw it.
 type Server struct {
-	src   Source
+	// view resolves a request's reader and generation; the request calls
+	// release once it has finished reading the store.
+	view  func() (r store.Reader, gen uint64, release func())
 	est   EstimateSource
 	epoch time.Time
 	cache *pageCache // nil: caching disabled
@@ -141,8 +154,15 @@ func New(cfg Config) *Server {
 	if reg == nil {
 		reg = obs.Default
 	}
+	view := func() (store.Reader, uint64, func()) {
+		r, gen := cfg.Source.View()
+		return r, gen, func() {}
+	}
+	if p, ok := cfg.Source.(pinner); ok {
+		view = p.Pin
+	}
 	s := &Server{
-		src:   cfg.Source,
+		view:  view,
 		est:   cfg.Estimates,
 		epoch: cfg.Epoch,
 		start: time.Now(),
@@ -285,8 +305,9 @@ func (s *Server) getPage(w http.ResponseWriter, r *http.Request, pathRest string
 		s.error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	reader, gen := s.src.View()
+	reader, gen, release := s.view()
 	rec, ok, err := s.lookup(reader, gen, u)
+	release()
 	if err != nil {
 		s.error(w, http.StatusInternalServerError, err.Error())
 		return
@@ -392,8 +413,9 @@ type PageList struct {
 
 // listPages serves GET /v1/pages?prefix=&after=&limit=: a page of the
 // sorted URL space, resumable with the returned cursor. The scan rides
-// ScanFrom, so each page costs one lazy suffix visit — the unconsumed
-// tail is never sorted, read, or decoded.
+// ScanFrom — a binary search for the cursor and one record read per row
+// on both built-in backends — so a page costs what it returns, whatever
+// the collection's size.
 func (s *Server) listPages(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	prefix, after := q.Get("prefix"), q.Get("after")
@@ -407,7 +429,8 @@ func (s *Server) listPages(w http.ResponseWriter, r *http.Request) {
 		limit = min(n, maxListLimit)
 	}
 
-	reader, gen := s.src.View()
+	reader, gen, release := s.view()
+	defer release()
 	out := PageList{Pages: make([]PageMeta, 0, min(limit, 64)), Generation: gen}
 	more := false
 	add := func(rec store.PageRecord) bool {
@@ -612,9 +635,11 @@ type Stats struct {
 
 // stats serves GET /v1/stats.
 func (s *Server) stats(w http.ResponseWriter) {
-	reader, gen := s.src.View()
+	reader, gen, release := s.view()
+	pages := reader.Len()
+	release()
 	st := Stats{
-		Pages:         reader.Len(),
+		Pages:         pages,
 		Generation:    gen,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      s.m.requests.Value(),

@@ -461,8 +461,8 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 // TestServeAcrossLiveCrawl is the serving-plane stress test (run under
 // -race by make ci): concurrent readers hammer every endpoint while a
 // writer crawls into the shadow and swaps repeatedly. No request may
-// ever observe a closed-collection error (500) — the op-refcount guard
-// plus generation-keyed cache must make swaps invisible to readers.
+// ever observe a closed-collection error (500) — each request pins its
+// generation (store.Shadowed.Pin), so swaps are invisible to readers.
 func TestServeAcrossLiveCrawl(t *testing.T) {
 	sh := store.NewShadowedMem()
 	defer sh.Close()
@@ -546,6 +546,112 @@ func TestServeAcrossLiveCrawl(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// heldSource is a Shadowed whose requests can be held between resolving
+// their generation and reading anything: a request that pins a
+// generation with a gate set parks until the test opens the gate.
+type heldSource struct {
+	*store.Shadowed
+	mu      sync.Mutex
+	gates   map[uint64]chan struct{}
+	arrived chan struct{}
+}
+
+func (h *heldSource) Pin() (store.Reader, uint64, func()) {
+	r, gen, release := h.Shadowed.Pin()
+	h.mu.Lock()
+	gate := h.gates[gen]
+	h.mu.Unlock()
+	if gate != nil {
+		h.arrived <- struct{}{}
+		<-gate
+	}
+	return r, gen, release
+}
+
+func (h *heldSource) setGate(gen uint64) chan struct{} {
+	gate := make(chan struct{})
+	h.mu.Lock()
+	h.gates[gen] = gate
+	h.mu.Unlock()
+	return gate
+}
+
+// TestStragglersAcrossSwaps paces requests against swaps: in each of N
+// rounds a group of readers resolves generation g and is held while the
+// crawler publishes g+1 and a fresh request fills the cache under it;
+// only then do the stragglers reach the cache and the store. Each must
+// still be answered — 200, from generation g, whose collection its pin
+// kept open — and must leave g+1's cache entry alone: the next g+1
+// request hits, and N swaps cost at most N flushes.
+func TestStragglersAcrossSwaps(t *testing.T) {
+	const rounds, stragglers = 6, 4
+	const page = "http://a.com/p1"
+	src := &heldSource{Shadowed: store.NewShadowedMem(), gates: make(map[uint64]chan struct{}), arrived: make(chan struct{})}
+	defer src.Close()
+	content := func(gen uint64) string { return fmt.Sprintf("generation %d", gen) }
+	fill := func(c store.Collection, gen uint64) {
+		if err := c.Put(store.PageRecord{URL: page, Checksum: gen + 1, Content: []byte(content(gen))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill(src.Current(), 0)
+	ts := httptest.NewServer(New(Config{Source: src, Metrics: obs.NewRegistry()}))
+	defer ts.Close()
+	stats := func() CacheStats {
+		_, body := get(t, ts.URL+"/v1/stats", nil)
+		var st Stats
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		return *st.Cache
+	}
+	expect := func(resp *http.Response, body []byte, gen uint64) {
+		t.Helper()
+		if resp.StatusCode != 200 || resp.Header.Get("X-Webevolve-Generation") != fmt.Sprint(gen) || string(body) != content(gen) {
+			t.Errorf("got %d, generation %s, %q; want 200 from generation %d", resp.StatusCode, resp.Header.Get("X-Webevolve-Generation"), body, gen)
+		}
+	}
+
+	for gen := uint64(0); gen < rounds; gen++ {
+		gate := src.setGate(gen)
+		var wg sync.WaitGroup
+		for i := 0; i < stragglers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Get(ts.URL + "/v1/pages/" + page)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				expect(resp, body, gen)
+			}()
+		}
+		for i := 0; i < stragglers; i++ {
+			<-src.arrived // every straggler holds its pin on gen
+		}
+		fill(src.Shadow(), gen+1)
+		if _, err := src.Swap(); err != nil {
+			t.Fatal(err)
+		}
+		resp, body := get(t, ts.URL+"/v1/pages/"+page, nil) // fills the cache under gen+1
+		expect(resp, body, gen+1)
+		close(gate)
+		wg.Wait()
+		before := stats()
+		resp, body = get(t, ts.URL+"/v1/pages/"+page, nil)
+		expect(resp, body, gen+1)
+		if after := stats(); after.Hits != before.Hits+1 {
+			t.Errorf("round %d: the stragglers cost generation %d its cache entry (hits %d -> %d)", gen, gen+1, before.Hits, after.Hits)
+		}
+	}
+	if st := stats(); st.Invalidations > rounds {
+		t.Errorf("%d swaps flushed the cache %d times", rounds, st.Invalidations)
+	}
 }
 
 // TestStatsMatchesRegistry is the regression test for the /v1/stats

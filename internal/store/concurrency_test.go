@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -686,4 +687,202 @@ func TestShadowedCloseWaitsForReaders(t *testing.T) {
 	if _, _, err := cur.Get("http://a.com/p0"); err != ErrClosed {
 		t.Fatalf("get after close: %v", err)
 	}
+}
+
+// TestScanBesideWrites runs ScanFrom on both backends beside PutBatch
+// overwrites, deletes and re-adds, and (disk) back-to-back compactions
+// over small, rolling, evictable segments. Every scan must return
+// strictly ascending keys strictly after its cursor; each record must
+// be the version committed when the scan started or a later one, with
+// the body that version of that key was written with — never another
+// key's bytes, never bytes of a segment compaction retired, whose file
+// a reader may still have had open; and the keys nobody deletes must
+// all be seen.
+func TestScanBesideWrites(t *testing.T) {
+	for name, c := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			defer c.Close()
+			d, _ := c.(*Disk)
+			if d != nil {
+				d.maxSegmentBytes, d.maxOpenSegments = 8<<10, 3
+			}
+			const keys, stable = 120, 80 // keys >= stable come and go
+			url := func(i int) string { return fmt.Sprintf("http://scan.com/p%03d", i) }
+			index := make(map[string]int, keys)
+			for i := 0; i < keys; i++ {
+				index[url(i)] = i
+			}
+			body := func(i, version int) []byte {
+				return []byte(fmt.Sprintf("%s v%d %0200d", url(i), version, i*version))
+			}
+			mk := func(i, version int) PageRecord {
+				b := body(i, version)
+				return PageRecord{URL: url(i), Version: version, Checksum: uint64(len(b)), Links: []string{url((i + 1) % keys)}, Content: b}
+			}
+			var committed [keys]atomic.Int64 // highest version whose PutBatch returned
+			var batch []PageRecord
+			for i := 0; i < keys; i++ {
+				batch = append(batch, mk(i, 1))
+				committed[i].Store(1)
+			}
+			if err := c.PutBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			run := func(fn func(rng *rand.Rand, round int) error) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(keys)))
+					for round := 2; ; round++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := fn(rng, round); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			// Overwrites of the stable keys, a run of them per batch.
+			run(func(rng *rand.Rand, round int) error {
+				lo := rng.Intn(stable - 10)
+				batch := make([]PageRecord, 0, 10)
+				for i := lo; i < lo+10; i++ {
+					batch = append(batch, mk(i, round))
+				}
+				if err := c.PutBatch(batch); err != nil {
+					return err
+				}
+				for i := lo; i < lo+10; i++ {
+					committed[i].Store(int64(round))
+				}
+				return nil
+			})
+			// The volatile keys are deleted and put back: key-set changes the
+			// ordered index must fold in between scans.
+			run(func(rng *rand.Rand, round int) error {
+				i := stable + rng.Intn(keys-stable)
+				if rng.Intn(2) == 0 {
+					return c.Delete(url(i))
+				}
+				return c.Put(mk(i, round))
+			})
+			if d != nil {
+				run(func(*rand.Rand, int) error { return d.Compact() })
+			}
+
+			rng := rand.New(rand.NewSource(7))
+			var floor [keys]int64
+			for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); {
+				after, seen, last := "", 0, ""
+				if rng.Intn(2) == 0 {
+					after = url(rng.Intn(keys))
+				}
+				for i := range floor {
+					floor[i] = committed[i].Load()
+				}
+				err := c.ScanFrom(after, func(r PageRecord) bool {
+					i, ok := index[r.URL]
+					switch {
+					case !ok:
+						t.Errorf("scan returned unknown key %q", r.URL)
+					case r.URL <= after || r.URL <= last:
+						t.Errorf("ScanFrom(%q): %s after %q", after, r.URL, last)
+					case i < stable && int64(r.Version) < floor[i]:
+						t.Errorf("%s: version %d, but %d was committed before the scan started", r.URL, r.Version, floor[i])
+					case !bytes.Equal(r.Content, body(i, r.Version)) || len(r.Links) != 1 || r.Links[0] != url((i+1)%keys):
+						t.Errorf("%s v%d: not the bytes that version was written with: %q %v", r.URL, r.Version, r.Content, r.Links)
+					}
+					if i < stable {
+						seen++
+					}
+					last = r.URL
+					return !t.Failed()
+				})
+				if err != nil {
+					t.Fatalf("ScanFrom(%q): %v", after, err)
+				}
+				want := stable
+				if j, ok := index[after]; ok {
+					want = max(stable-j-1, 0)
+				}
+				if seen != want && !t.Failed() {
+					t.Fatalf("ScanFrom(%q) saw %d of the %d never-deleted keys after it", after, seen, want)
+				}
+			}
+			close(stop)
+			wg.Wait()
+		})
+	}
+}
+
+// TestShadowedPin: a pinned reader keeps answering from its generation
+// across any number of swaps — where an unpinned View answers ErrClosed
+// — and the retired generation is closed by the last release, not
+// before and not never.
+func TestShadowedPin(t *testing.T) {
+	sh := NewShadowedMem()
+	defer sh.Close()
+	if err := sh.Current().Put(rec("http://pin.com/a", 1)); err != nil {
+		t.Fatal(err)
+	}
+	gen0 := sh.current.coll.(*Mem)
+	view, _ := sh.View()
+	r1, g1, release1 := sh.Pin()
+	r2, _, release2 := sh.Pin()
+	for i := 0; i < 2; i++ {
+		if err := sh.Shadow().Put(rec("http://pin.com/a", uint64(10+i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.Swap(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := view.Get("http://pin.com/a"); err != ErrClosed {
+		t.Fatalf("unpinned view after swap: err=%v, want ErrClosed", err)
+	}
+	for _, r := range []Reader{r1, r2} {
+		got, ok, err := r.Get("http://pin.com/a")
+		if err != nil || !ok || got.Checksum != 1 || g1 != 0 {
+			t.Fatalf("pinned read after two swaps: %+v ok=%v err=%v gen=%d, want generation 0's record", got, ok, err, g1)
+		}
+		if n := 0; r.ScanFrom("", func(PageRecord) bool { n++; return true }) != nil || n != 1 || r.Len() != 1 {
+			t.Fatalf("pinned scan after swap saw %d records", n)
+		}
+	}
+	closed := func() bool { _, _, err := gen0.Get("x"); return err == ErrClosed }
+	release1()
+	if closed() {
+		t.Fatal("generation closed while a pin was still held")
+	}
+	release2()
+	if !closed() {
+		t.Fatal("retired generation not closed by the last release")
+	}
+	// A fresh pin is on the current generation.
+	r, g, release := sh.Pin()
+	defer release()
+	if got, _, err := r.Get("http://pin.com/a"); err != nil || got.Checksum != 11 || g != 2 {
+		t.Fatalf("fresh pin: %+v err=%v gen=%d, want generation 2", got, err, g)
+	}
+}
+
+// TestShadowedPinAfterClose: pinning a closed pair is not a panic and
+// not a leak — the reader answers ErrClosed and release is a no-op.
+func TestShadowedPinAfterClose(t *testing.T) {
+	sh := NewShadowedMem()
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, _, release := sh.Pin()
+	if _, _, err := r.Get("x"); err != ErrClosed {
+		t.Fatalf("pinned read on a closed pair: %v, want ErrClosed", err)
+	}
+	release()
 }

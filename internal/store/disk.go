@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -15,44 +14,46 @@ import (
 )
 
 // Disk is a log-structured on-disk Collection: records are appended to
-// segment files with CRC-protected framing, an in-memory index maps URL
-// to (segment, offset), deletes append tombstones, and a compactor
-// rewrites live records when the garbage ratio grows. Opening a directory
-// replays the segments to rebuild the index, so a crawl survives a
-// restart — a property the paper's in-place incremental crawler needs,
-// since it never gets a "start from scratch" moment.
+// segment files with CRC-protected framing (layout in codec.go), an
+// in-memory index maps URL to (segment, offset, frame length), deletes
+// append tombstones, and a compactor rewrites live records when the
+// garbage ratio grows. Opening a directory replays the segments to
+// rebuild the index, so a crawl survives a restart — a property the
+// paper's in-place incremental crawler needs, since it never gets a
+// "start from scratch" moment.
 //
 // Concurrency: every segment keeps one shared read handle, and reads go
 // through positioned ReadAt calls (pread) on it, so they never touch the
 // appender's file offset. A reader pins its segment with a reference
 // count before leaving the lock; compaction retires old segments by
 // marking them, and the file is closed and unlinked only when the last
-// pinned reader releases it — a Get or Scan in flight across a Compact
-// always completes against the bytes it indexed.
+// pinned reader releases it — a Get in flight across a Compact always
+// completes against the bytes it indexed. A Get is one pread of the
+// whole frame, one CRC pass and a decode that slices the body out of the
+// read buffer. Writes are framed into a reused buffer and reach the file
+// in one write per call (per writeChunk of a large batch): nothing is
+// buffered between calls, so there is nothing to flush.
 //
 // Crash tolerance: replay stops at the first invalid frame — torn OR
 // corrupt — and truncates the segment back to the last CRC-valid frame
 // (the same sweep the cluster WAL performs), so a crash that leaves
 // full-length garbage on the tail delays nothing more than the frames
 // that were never acknowledged.
-//
-// Frame layout (little endian):
-//
-//	crc32(keyLen ++ valLen ++ key ++ val) uint32
-//	keyLen uint32 | valLen uint32 (valLen == tombstoneLen means delete)
-//	key bytes | val bytes (JSON-encoded PageRecord)
 type Disk struct {
 	mu      sync.Mutex
 	dir     string
-	segID   int   // active segment, append-only
-	segOff  int64 // flushed+buffered size of the active segment
-	w       *bufio.Writer
+	segID   int              // active segment, append-only
+	segOff  int64            // size of the active segment
 	segs    map[int]*segment // all live segments, the active one included
 	index   map[string]diskPos
-	live    int // live records
 	garbage int // superseded/tombstone frames
-	closed  bool
 	openFDs int // segments currently holding an open handle
+
+	sortedKeys // index's keys in order: URLs, URLsFrom, Scan, ScanFrom; closed
+
+	enc  []byte // frames encoded for the next write; empty between calls
+	ends []int  // PutBatch: end of each frame within enc
+	werr error  // sticky: a failed append leaves the tail untrustworthy
 
 	// MaxSegmentBytes bounds a segment before rolling to a new one.
 	maxSegmentBytes int64
@@ -62,10 +63,17 @@ type Disk struct {
 	maxOpenSegments int
 }
 
+// diskPos locates one record frame: n is the whole frame's length, so a
+// read is a single pread. 16 bytes: there is one per stored page.
 type diskPos struct {
-	seg int
 	off int64
+	seg uint32
+	n   uint32
 }
+
+// writeChunk bounds the encode buffer every open store retains: a batch
+// larger than this reaches the file in several writes.
+const writeChunk = 64 << 10
 
 // segment is one segment file and its shared read handle. refs counts
 // readers using the handle outside d.mu; a retired segment (replaced by
@@ -81,8 +89,6 @@ type segment struct {
 	remove  bool // unlink once released (compacted away)
 }
 
-const tombstoneLen = ^uint32(0)
-
 // OpenDisk opens (or creates) a disk collection in dir. A torn or
 // corrupt tail left by a crash is truncated back to the last CRC-valid
 // frame; it never fails the open.
@@ -96,6 +102,11 @@ func OpenDisk(dir string) (*Disk, error) {
 		index:           make(map[string]diskPos),
 		maxSegmentBytes: 64 << 20,
 		maxOpenSegments: 256,
+	}
+	d.sortedKeys = sortedKeys{
+		mu:   &d.mu,
+		live: func(key string) bool { _, ok := d.index[key]; return ok },
+		get:  d.read,
 	}
 	ids, err := segmentIDs(dir)
 	if err != nil {
@@ -168,7 +179,6 @@ func (d *Disk) openSegment(id int) error {
 	storeSegmentOpens.Inc()
 	d.segID = id
 	d.segOff = st.Size()
-	d.w = bufio.NewWriter(f)
 	d.evictColdLocked()
 	return nil
 }
@@ -190,10 +200,13 @@ func (d *Disk) replay(id int) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	r := bufio.NewReader(f)
+	r := bufio.NewReaderSize(f, 64<<10)
 	var off int64 // end of the last valid frame
+	var body []byte
 	for {
-		key, val, frameLen, err := readFrame(r)
+		var key []byte
+		var tomb bool
+		key, tomb, body, err = readFrame(r, body)
 		if err == io.EOF {
 			break
 		}
@@ -211,22 +224,16 @@ func (d *Disk) replay(id int) error {
 			break
 		}
 		storeReplayedFrames.Inc()
-		if val == nil { // tombstone
-			if _, ok := d.index[key]; ok {
-				delete(d.index, key)
-				d.live--
-				d.garbage++ // the superseded record
-			}
+		n := frameHeader + len(body)
+		if tomb {
 			d.garbage++ // the tombstone itself
-		} else {
-			if _, ok := d.index[key]; ok {
-				d.garbage++
-			} else {
-				d.live++
+			if _, ok := d.index[string(key)]; ok {
+				d.unindexLocked(string(key))
 			}
-			d.index[key] = diskPos{seg: id, off: off}
+		} else {
+			d.indexLocked(string(key), diskPos{off: off, seg: uint32(id), n: uint32(n)})
 		}
-		off += frameLen
+		off += int64(n)
 	}
 	d.segs[id] = &segment{id: id, f: f}
 	d.openFDs++
@@ -250,108 +257,80 @@ func readShort(err error) error {
 	return fmt.Errorf("store: %w", err)
 }
 
-func readFrame(r *bufio.Reader) (key string, val []byte, frameLen int64, err error) {
-	var hdr [12]byte
+// readFrame reads the next frame of a replay into buf (grown as needed
+// and returned for reuse). key aliases buf; the value is only checked,
+// never decoded — the index needs where a record is, not what it says.
+func readFrame(r *bufio.Reader, buf []byte) (key []byte, tomb bool, body []byte, err error) {
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return "", nil, 0, io.EOF
+			return nil, false, buf, io.EOF
 		}
-		return "", nil, 0, readShort(err)
+		return nil, false, buf, readShort(err)
 	}
-	crc := binary.LittleEndian.Uint32(hdr[0:4])
 	keyLen := binary.LittleEndian.Uint32(hdr[4:8])
 	valLen := binary.LittleEndian.Uint32(hdr[8:12])
-	if keyLen > 1<<20 {
-		return "", nil, 0, fmt.Errorf("%w: absurd key length", errCorruptFrame)
-	}
-	kb := make([]byte, keyLen)
-	if _, err := io.ReadFull(r, kb); err != nil {
-		return "", nil, 0, readShort(err)
-	}
-	var vb []byte
-	tomb := valLen == tombstoneLen
-	if !tomb {
-		if valLen > 1<<30 {
-			return "", nil, 0, fmt.Errorf("%w: absurd value length", errCorruptFrame)
-		}
-		vb = make([]byte, valLen)
-		if _, err := io.ReadFull(r, vb); err != nil {
-			return "", nil, 0, readShort(err)
-		}
-	}
-	h := crc32.NewIEEE()
-	_, _ = h.Write(hdr[4:12])
-	_, _ = h.Write(kb)
-	_, _ = h.Write(vb)
-	if h.Sum32() != crc {
-		return "", nil, 0, fmt.Errorf("%w: checksum mismatch", errCorruptFrame)
-	}
-	fl := int64(12) + int64(keyLen)
-	if !tomb {
-		fl += int64(valLen)
-	}
-	return string(kb), vb, fl, nil
-}
-
-// readValueAt reads one record frame's value through the segment's
-// shared handle with positioned reads, verifying the CRC. The offset
-// must be a frame boundary the index produced, so a tombstone or a
-// failed checksum here means corruption (or a reader outliving its
-// pin — a bug).
-func readValueAt(f *os.File, off int64) ([]byte, error) {
-	var hdr [12]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	crc := binary.LittleEndian.Uint32(hdr[0:4])
-	keyLen := binary.LittleEndian.Uint32(hdr[4:8])
-	valLen := binary.LittleEndian.Uint32(hdr[8:12])
-	if keyLen > 1<<20 || valLen == tombstoneLen || valLen > 1<<30 {
-		return nil, errors.New("store: corrupt frame at indexed offset")
-	}
-	buf := make([]byte, int(keyLen)+int(valLen))
-	if _, err := f.ReadAt(buf, off+12); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	h := crc32.NewIEEE()
-	_, _ = h.Write(hdr[4:12])
-	_, _ = h.Write(buf)
-	if h.Sum32() != crc {
-		return nil, errors.New("store: checksum mismatch (corrupt frame)")
-	}
-	return buf[keyLen:], nil
-}
-
-func appendFrame(w io.Writer, key string, val []byte, tomb bool) (int64, error) {
-	var hdr [12]byte
-	valLen := uint32(len(val))
+	tomb = valLen == tombstoneLen
 	if tomb {
-		valLen = tombstoneLen
+		valLen = 0
 	}
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(key)))
-	binary.LittleEndian.PutUint32(hdr[8:12], valLen)
-	h := crc32.NewIEEE()
-	_, _ = h.Write(hdr[4:12])
-	_, _ = h.Write([]byte(key))
-	if !tomb {
-		_, _ = h.Write(val)
+	if keyLen > 1<<20 || valLen > 1<<30 {
+		return nil, false, buf, fmt.Errorf("%w: absurd length", errCorruptFrame)
 	}
-	binary.LittleEndian.PutUint32(hdr[0:4], h.Sum32())
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
+	n := int(keyLen) + int(valLen)
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	if _, err := w.Write([]byte(key)); err != nil {
-		return 0, err
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, false, buf, readShort(err)
 	}
-	n := int64(12 + len(key))
-	if !tomb {
-		if _, err := w.Write(val); err != nil {
-			return 0, err
-		}
-		n += int64(len(val))
+	if crc32.Update(crc32.ChecksumIEEE(hdr[4:]), crc32.IEEETable, buf) != binary.LittleEndian.Uint32(hdr[0:4]) {
+		return nil, false, buf, fmt.Errorf("%w: checksum mismatch", errCorruptFrame)
 	}
-	return n, nil
+	return buf[:keyLen], tomb, buf, nil
 }
+
+// indexLocked points key at the record frame just written or replayed.
+func (d *Disk) indexLocked(key string, pos diskPos) {
+	n := len(d.index)
+	d.index[key] = pos
+	if len(d.index) == n {
+		d.garbage++ // the superseded record
+	} else {
+		d.touch(key)
+	}
+}
+
+// unindexLocked drops a live key whose tombstone was written or replayed.
+func (d *Disk) unindexLocked(key string) {
+	delete(d.index, key)
+	d.touch(key)
+	d.garbage++ // the superseded record
+}
+
+// writeLocked appends the frames encoded in d.enc to the active segment
+// with one write. A failed or short write can leave a partial frame on
+// the tail — the next open sweeps it — but every offset this handle
+// would assign after it is off, and frames appended behind a torn one
+// would be swept with it: the store refuses further writes. Everything
+// already acknowledged stays readable.
+func (d *Disk) writeLocked() error {
+	defer d.resetEncLocked()
+	if d.werr != nil {
+		return d.werr
+	}
+	if _, err := d.segs[d.segID].f.Write(d.enc); err != nil {
+		d.werr = fmt.Errorf("store: %w", err)
+		return d.werr
+	}
+	d.segOff += int64(len(d.enc))
+	return nil
+}
+
+// resetEncLocked empties the encode buffer: every writer starts from
+// offset zero of it.
+func (d *Disk) resetEncLocked() { d.enc, d.ends = d.enc[:0], d.ends[:0] }
 
 // acquireLocked pins the segment against retirement, reopening an
 // evicted handle on demand. Caller holds d.mu. A pinned segment's
@@ -469,55 +448,61 @@ func (d *Disk) Put(rec PageRecord) error {
 }
 
 // PutBatch implements Collection: all records are framed under one lock
-// acquisition and flushed to the segment once, so a crawl engine writing
-// page batches pays one fsync-sized flush per batch instead of per page.
-// Segment rolling and compaction are evaluated once after the batch, so
-// the active segment may briefly overshoot its size bound by one batch.
+// acquisition into the store's reused encode buffer and written to the
+// segment once (once per writeChunk for a very large batch). The index
+// learns of a frame only after its write succeeded. Segment rolling and
+// compaction are evaluated once after the batch, so the active segment
+// may briefly overshoot its size bound by one batch.
 func (d *Disk) PutBatch(recs []PageRecord) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	vals := make([][]byte, len(recs))
-	for i, rec := range recs {
-		if rec.URL == "" {
+	for i := range recs {
+		if recs[i].URL == "" {
 			return errors.New("store: empty URL")
 		}
-		val, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		vals[i] = val
+	}
+	if len(recs) == 0 {
+		return nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	for i, rec := range recs {
-		off := d.segOff
-		n, err := appendFrame(d.w, rec.URL, vals[i], false)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
+	first := 0 // recs[first:i+1] are the frames in d.enc
+	for i := range recs {
+		d.enc = appendFrame(d.enc, recs[i].URL, &recs[i])
+		d.ends = append(d.ends, len(d.enc))
+		if len(d.enc) < writeChunk && i+1 < len(recs) {
+			continue
 		}
-		if _, ok := d.index[rec.URL]; ok {
-			d.garbage++
-		} else {
-			d.live++
+		base, ends := d.segOff, d.ends
+		if err := d.writeLocked(); err != nil {
+			return err
 		}
-		d.index[rec.URL] = diskPos{seg: d.segID, off: off}
-		d.segOff += n
-	}
-	if err := d.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w", err)
+		start := 0
+		for j, end := range ends {
+			d.indexLocked(recs[first+j].URL, diskPos{off: base + int64(start), seg: uint32(d.segID), n: uint32(end - start)})
+			start = end
+		}
+		first = i + 1
 	}
 	storePuts.Add(int64(len(recs)))
 	return d.maybeRollLocked()
 }
 
-// Get implements Collection. The read happens outside the lock against
-// a pinned segment handle, so a concurrent Compact cannot pull the file
-// out from under it.
+// Get implements Collection.
 func (d *Disk) Get(url string) (PageRecord, bool, error) {
+	rec, ok, err := d.read(url)
+	if ok {
+		storeGets.Inc()
+	}
+	return rec, ok, err
+}
+
+// read is Get without the point-read counter (the ordered scans read
+// their records through it): one pread of the whole frame, outside the
+// lock against a pinned segment handle, so a concurrent Compact cannot
+// pull the file out from under it.
+func (d *Disk) read(url string) (PageRecord, bool, error) {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -528,26 +513,19 @@ func (d *Disk) Get(url string) (PageRecord, bool, error) {
 		d.mu.Unlock()
 		return PageRecord{}, false, nil
 	}
-	s, err := d.acquireLocked(pos.seg)
+	s, err := d.acquireLocked(int(pos.seg))
 	d.mu.Unlock()
 	if err != nil {
 		return PageRecord{}, false, err
 	}
-	defer d.release(s)
-	storeGets.Inc()
-	return decodeValueAt(s.f, pos.off)
-}
-
-func decodeValueAt(f *os.File, off int64) (PageRecord, bool, error) {
-	val, err := readValueAt(f, off)
+	frame := make([]byte, pos.n)
+	_, err = s.f.ReadAt(frame, pos.off)
+	d.release(s)
 	if err != nil {
-		return PageRecord{}, false, err
-	}
-	var rec PageRecord
-	if err := json.Unmarshal(val, &rec); err != nil {
 		return PageRecord{}, false, fmt.Errorf("store: %w", err)
 	}
-	return rec, true, nil
+	rec, err := decodeFrame(url, frame)
+	return rec, err == nil, err
 }
 
 // Delete implements Collection.
@@ -560,17 +538,12 @@ func (d *Disk) Delete(url string) error {
 	if _, ok := d.index[url]; !ok {
 		return nil
 	}
-	n, err := appendFrame(d.w, url, nil, true)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+	d.enc = appendFrame(d.enc, url, nil)
+	if err := d.writeLocked(); err != nil {
+		return err
 	}
-	if err := d.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	delete(d.index, url)
-	d.live--
-	d.garbage += 2 // superseded record + tombstone
-	d.segOff += n
+	d.unindexLocked(url)
+	d.garbage++ // the tombstone itself
 	storeDeletes.Inc()
 	return d.maybeRollLocked()
 }
@@ -579,9 +552,6 @@ func (d *Disk) Delete(url string) error {
 // compacts when garbage dominates.
 func (d *Disk) maybeRollLocked() error {
 	if d.segOff >= d.maxSegmentBytes {
-		if err := d.w.Flush(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
 		// The filled segment stays open as a read handle; only the
 		// writer moves on.
 		if err := d.openSegment(d.segID + 1); err != nil {
@@ -589,21 +559,19 @@ func (d *Disk) maybeRollLocked() error {
 		}
 		storeSegmentRolls.Inc()
 	}
-	if d.garbage > 4*(d.live+1) && d.live >= 0 {
+	if d.garbage > 4*(len(d.index)+1) {
 		return d.compactLocked()
 	}
 	return nil
 }
 
-// compactLocked rewrites all live records into a fresh segment and
-// retires the old ones. Raw value bytes are copied frame to frame — no
-// decode/re-encode round trip. Old segments whose handles are pinned by
-// in-flight readers stay readable until those readers release them;
-// their files are unlinked at the last release.
+// compactLocked rewrites all live records into a fresh segment, in key
+// order, and retires the old ones. Whole frames are copied raw — checked,
+// not decoded. Old segments whose handles are pinned by in-flight
+// readers stay readable until those readers release them; their files
+// are unlinked at the last release.
 func (d *Disk) compactLocked() error {
-	if err := d.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	defer d.resetEncLocked() // error returns leave frames behind
 	old := make([]*segment, 0, len(d.segs))
 	for _, s := range d.segs {
 		old = append(old, s)
@@ -611,36 +579,33 @@ func (d *Disk) compactLocked() error {
 	if err := d.openSegment(d.segID + 1); err != nil {
 		return err
 	}
-	newID := d.segID
-	urls := make([]string, 0, len(d.index))
-	for u := range d.index {
-		urls = append(urls, u)
-	}
-	sort.Strings(urls)
+	urls := d.from("")
 	newIndex := make(map[string]diskPos, len(urls))
 	for _, u := range urls {
 		pos := d.index[u]
-		src := d.segs[pos.seg]
+		src := d.segs[int(pos.seg)]
 		if err := d.ensureOpenLocked(src); err != nil {
 			return err
 		}
-		val, err := readValueAt(src.f, pos.off)
-		if err != nil {
-			return err
-		}
-		off := d.segOff
-		n, err := appendFrame(d.w, u, val, false)
-		if err != nil {
+		start := len(d.enc)
+		d.enc = append(d.enc, make([]byte, pos.n)...)
+		if _, err := src.f.ReadAt(d.enc[start:], pos.off); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		d.segOff += n
-		newIndex[u] = diskPos{seg: newID, off: off}
+		if key, _, ok := checkFrame(d.enc[start:]); !ok || string(key) != u {
+			return errCorruptIndex
+		}
+		newIndex[u] = diskPos{off: d.segOff + int64(start), seg: uint32(d.segID), n: pos.n}
+		if len(d.enc) >= writeChunk {
+			if err := d.writeLocked(); err != nil {
+				return err
+			}
+		}
 	}
-	if err := d.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if err := d.writeLocked(); err != nil {
+		return err
 	}
 	d.index = newIndex
-	d.live = len(newIndex)
 	d.garbage = 0
 	var firstErr error
 	for _, s := range old {
@@ -656,102 +621,7 @@ func (d *Disk) compactLocked() error {
 func (d *Disk) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.live
-}
-
-// URLs implements Collection.
-func (d *Disk) URLs() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.index))
-	for u := range d.index {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// URLsFrom visits the stored URLs strictly after the given URL in
-// ascending order — ScanFrom's key-only sibling: one index walk, no
-// record reads, lazy ordering, so a chunked consumer (the store
-// server's wire URL listing) never sorts the unconsumed tail. The
-// index snapshot is taken outside the lock's critical reads.
-func (d *Disk) URLsFrom(after string, fn func(string) bool) {
-	d.mu.Lock()
-	keys := make([]string, 0, len(d.index))
-	for u := range d.index {
-		if after != "" && u <= after {
-			continue
-		}
-		keys = append(keys, u)
-	}
-	d.mu.Unlock()
-	visitAscending(keys, func(a, b string) bool { return a < b }, fn)
-}
-
-// Scan implements Collection: one index snapshot under the lock, then
-// positioned reads through pinned segment handles — no per-record file
-// open, and a concurrent Compact cannot invalidate the snapshot. The
-// scan sees exactly the records indexed at its start (frames are
-// immutable once written).
-func (d *Disk) Scan(fn func(PageRecord) bool) error {
-	return d.ScanFrom("", fn)
-}
-
-// ScanFrom is Scan resuming strictly after the given URL (empty scans
-// everything): records at or before it are excluded from the snapshot,
-// and the suffix is visited lazily in sorted order (heap-select), so a
-// chunked consumer (the store server's wire scan) pays one index walk
-// plus O(k log n) per chunk — it decodes only the records it returns,
-// never sorting or reading the unconsumed tail.
-func (d *Disk) ScanFrom(after string, fn func(PageRecord) bool) error {
-	type item struct {
-		url string
-		pos diskPos
-	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
-	}
-	items := make([]item, 0, len(d.index))
-	pinned := make(map[int]*segment)
-	for u, pos := range d.index {
-		if u <= after && after != "" {
-			continue
-		}
-		items = append(items, item{url: u, pos: pos})
-		if pinned[pos.seg] == nil {
-			s, err := d.acquireLocked(pos.seg)
-			if err != nil {
-				d.mu.Unlock()
-				for _, p := range pinned {
-					d.release(p)
-				}
-				return err
-			}
-			pinned[pos.seg] = s
-		}
-	}
-	d.mu.Unlock()
-	defer func() {
-		for _, s := range pinned {
-			d.release(s)
-		}
-	}()
-	var err error
-	visitAscending(items, func(a, b item) bool { return a.url < b.url }, func(it item) bool {
-		rec, ok, derr := decodeValueAt(pinned[it.pos.seg].f, it.pos.off)
-		if derr != nil {
-			err = derr
-			return false
-		}
-		if !ok {
-			return true
-		}
-		return fn(rec)
-	})
-	return err
+	return len(d.index)
 }
 
 // Compact forces a compaction pass.
@@ -768,10 +638,7 @@ func (d *Disk) Compact() error {
 func (d *Disk) GarbageRatio() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.live == 0 {
-		return float64(d.garbage)
-	}
-	return float64(d.garbage) / float64(d.live)
+	return float64(d.garbage) / float64(max(len(d.index), 1))
 }
 
 // Close implements Collection. Segments pinned by in-flight readers are
@@ -782,11 +649,12 @@ func (d *Disk) Close() error {
 	if d.closed {
 		return nil
 	}
-	d.closed = true
-	err := d.w.Flush()
-	if err != nil {
-		err = fmt.Errorf("store: %w", err)
-	}
+	// A closed store answers ErrClosed (and Len 0, like Mem): drop what
+	// grows with the collection, so a retired generation somebody still
+	// holds a pointer to costs nothing.
+	d.sortedKeys.close()
+	d.index, d.enc = nil, nil
+	var err error
 	for _, s := range d.segs {
 		if rerr := d.retireLocked(s, false); rerr != nil && err == nil {
 			err = rerr

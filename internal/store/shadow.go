@@ -229,11 +229,33 @@ func (s *Shadowed) Shadow() Collection {
 // keys its entries on it and drops them the moment a swap publishes new
 // content. The returned Reader is the op-refcount guard: a read in
 // flight across a Swap completes against the collection it started on
-// instead of surfacing ErrClosed.
+// instead of surfacing ErrClosed — but a read started after the Swap on
+// a Reader obtained before it does answer ErrClosed. A caller that
+// needs one generation across several calls takes Pin instead.
 func (s *Shadowed) View() (Reader, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.current, uint64(s.swaps)
+}
+
+// Pin is View for a reader that wants one generation for a whole
+// request: it enters the current collection once, and every read on the
+// returned Reader runs against that generation with no per-call
+// bookkeeping — a Swap landing between the pin and a read, or between
+// two reads, cannot fail them with ErrClosed, which the unpinned View
+// can. release drops the pin (call it exactly once); a generation
+// retired meanwhile is closed by its last release. Pins delay only that
+// Close, never the Swap itself.
+func (s *Shadowed) Pin() (r Reader, gen uint64, release func()) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	g, gen := s.current, uint64(s.swaps)
+	// Under s.mu no Swap can retire g, so this fails only after Close:
+	// hand back the guard itself, whose reads all answer ErrClosed.
+	if g.enter() != nil {
+		return g, gen, func() {}
+	}
+	return g.coll, gen, g.exit
 }
 
 // Swap publishes the shadow as the current collection, retires the old

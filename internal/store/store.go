@@ -10,7 +10,6 @@ package store
 
 import (
 	"errors"
-	"sort"
 	"sync"
 )
 
@@ -93,13 +92,21 @@ var (
 
 // Mem is the in-memory Collection.
 type Mem struct {
-	mu     sync.RWMutex
-	m      map[string]PageRecord
-	closed bool
+	mu         sync.RWMutex
+	m          map[string]PageRecord
+	sortedKeys // m's keys in order: URLs, URLsFrom, Scan, ScanFrom; closed
 }
 
 // NewMem returns an empty in-memory collection.
-func NewMem() *Mem { return &Mem{m: make(map[string]PageRecord)} }
+func NewMem() *Mem {
+	s := &Mem{m: make(map[string]PageRecord)}
+	s.sortedKeys = sortedKeys{
+		mu:   &s.mu,
+		live: func(key string) bool { _, ok := s.m[key]; return ok },
+		get:  s.Get,
+	}
+	return s
+}
 
 // Put implements Collection.
 func (s *Mem) Put(rec PageRecord) error {
@@ -119,7 +126,11 @@ func (s *Mem) PutBatch(recs []PageRecord) error {
 		}
 	}
 	for _, rec := range recs {
+		n := len(s.m)
 		s.m[rec.URL] = rec
+		if len(s.m) != n {
+			s.touch(rec.URL)
+		}
 	}
 	return nil
 }
@@ -142,7 +153,10 @@ func (s *Mem) Delete(url string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	delete(s.m, url)
+	if _, ok := s.m[url]; ok {
+		delete(s.m, url)
+		s.touch(url)
+	}
 	return nil
 }
 
@@ -153,111 +167,11 @@ func (s *Mem) Len() int {
 	return len(s.m)
 }
 
-// URLs implements Collection.
-func (s *Mem) URLs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.m))
-	for u := range s.m {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// URLsFrom visits the stored URLs strictly after the given URL in
-// ascending order, lazily (see Disk.URLsFrom).
-func (s *Mem) URLsFrom(after string, fn func(string) bool) {
-	s.mu.RLock()
-	keys := make([]string, 0, len(s.m))
-	for u := range s.m {
-		if after != "" && u <= after {
-			continue
-		}
-		keys = append(keys, u)
-	}
-	s.mu.RUnlock()
-	visitAscending(keys, func(a, b string) bool { return a < b }, fn)
-}
-
-// Scan implements Collection.
-func (s *Mem) Scan(fn func(PageRecord) bool) error {
-	return s.ScanFrom("", fn)
-}
-
-// ScanFrom is Scan resuming strictly after the given URL (empty scans
-// everything). The suffix is visited lazily in sorted order, so a
-// chunked consumer stopping after k records pays O(n + k log n), not a
-// full sort per chunk.
-func (s *Mem) ScanFrom(after string, fn func(PageRecord) bool) error {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrClosed
-	}
-	keys := make([]string, 0, len(s.m))
-	for u := range s.m {
-		if after != "" && u <= after {
-			continue
-		}
-		keys = append(keys, u)
-	}
-	s.mu.RUnlock()
-	var err error
-	visitAscending(keys, func(a, b string) bool { return a < b }, func(u string) bool {
-		rec, ok, gerr := s.Get(u)
-		if gerr != nil {
-			err = gerr
-			return false
-		}
-		if !ok {
-			return true // deleted between snapshot and visit
-		}
-		return fn(rec)
-	})
-	return err
-}
-
-// visitAscending visits items in ascending order, lazily: the slice is
-// heapified in linear time and each visited item costs one sift, so a
-// consumer stopping after k of n items pays O(n + k log n) instead of
-// a full O(n log n) sort. The slice is reordered in place.
-func visitAscending[T any](items []T, less func(a, b T) bool, visit func(T) bool) {
-	n := len(items)
-	siftDown := func(i int) {
-		for {
-			l := 2*i + 1
-			if l >= n {
-				return
-			}
-			if r := l + 1; r < n && less(items[r], items[l]) {
-				l = r
-			}
-			if !less(items[l], items[i]) {
-				return
-			}
-			items[i], items[l] = items[l], items[i]
-			i = l
-		}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for n > 0 {
-		if !visit(items[0]) {
-			return
-		}
-		n--
-		items[0], items[n] = items[n], items[0]
-		siftDown(0)
-	}
-}
-
 // Close implements Collection.
 func (s *Mem) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.closed = true
 	s.m = nil
+	s.sortedKeys.close()
 	return nil
 }

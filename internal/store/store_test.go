@@ -2,10 +2,12 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
-	"testing/quick"
 )
 
 // backends returns each Collection implementation under a fresh state.
@@ -313,47 +315,125 @@ func TestDiskAutoCompactionTriggers(t *testing.T) {
 	}
 }
 
-// TestDiskModelCheck drives the disk store with random operations and
-// compares against a plain map after every step.
-func TestDiskModelCheck(t *testing.T) {
-	type op struct {
-		Key    uint8
-		Sum    uint64
-		Delete bool
+// TestModelCheck drives both backends with seeded random histories —
+// put, overwrite, batch, delete, compact and reopen (disk) interleaved
+// with ordered reads — and checks every read against the plainest
+// possible oracle: a map, and sort.Strings over its keys. The ordered
+// index is lazy, so the interesting histories are the ones where reads
+// land between arbitrary runs of key-set changes.
+func TestModelCheck(t *testing.T) {
+	for _, backend := range []string{"mem", "disk"} {
+		for seed := int64(1); seed <= 12; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", backend, seed), func(t *testing.T) {
+				modelCheck(t, backend == "disk", seed)
+			})
+		}
 	}
-	if err := quick.Check(func(ops []op) bool {
-		d, err := OpenDisk(t.TempDir())
+}
+
+func modelCheck(t *testing.T, disk bool, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	dir := t.TempDir()
+	var c Collection = NewMem()
+	if disk {
+		d, err := OpenDisk(dir)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		defer d.Close()
-		model := make(map[string]uint64)
-		for _, o := range ops {
-			url := fmt.Sprintf("http://m.com/p%d", o.Key%8)
-			if o.Delete {
-				if err := d.Delete(url); err != nil {
-					return false
-				}
-				delete(model, url)
-			} else {
-				if err := d.Put(rec(url, o.Sum)); err != nil {
-					return false
-				}
-				model[url] = o.Sum
+		c = d
+	}
+	defer func() { c.Close() }()
+	model := make(map[string]uint64)
+	// A small key space, so deletes and re-adds of the same key between
+	// two ordered reads are common; seeds differ in how many keys.
+	key := func() string { return fmt.Sprintf("http://m.com/p%03d", rng.Intn(8+int(seed)*40)) }
+	sorted := func(after string) []string {
+		var keys []string
+		for u := range model {
+			if u > after {
+				keys = append(keys, u)
 			}
 		}
-		if d.Len() != len(model) {
-			return false
+		sort.Strings(keys)
+		return keys
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for u, sum := range model {
-			got, ok, err := d.Get(u)
-			if err != nil || !ok || got.Checksum != sum {
-				return false
+	}
+	for step := 0; step < 1500; step++ {
+		switch op := rng.Intn(100); {
+		case op < 35:
+			r := rec(key(), rng.Uint64())
+			must(c.Put(r))
+			model[r.URL] = r.Checksum
+		case op < 45:
+			var batch []PageRecord
+			for i := rng.Intn(40); i >= 0; i-- {
+				r := rec(key(), rng.Uint64())
+				batch = append(batch, r)
+				model[r.URL] = r.Checksum
+			}
+			must(c.PutBatch(batch))
+		case op < 70:
+			u := key()
+			must(c.Delete(u))
+			delete(model, u)
+		case op < 80: // one page of a scan from a random cursor, stored or not
+			after, limit := "", 1+rng.Intn(20)
+			if rng.Intn(4) > 0 {
+				after = key()
+			}
+			want := sorted(after)
+			want = want[:min(limit, len(want))]
+			var got []string
+			must(c.ScanFrom(after, func(r PageRecord) bool {
+				if r.Checksum != model[r.URL] {
+					t.Fatalf("step %d: scan read %s checksum %d, model %d", step, r.URL, r.Checksum, model[r.URL])
+				}
+				got = append(got, r.URL)
+				return len(got) < limit
+			}))
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: ScanFrom(%q) limit %d = %v, want %v", step, after, limit, got, want)
+			}
+		case op < 88:
+			after := key()
+			var got []string
+			c.(interface {
+				URLsFrom(string, func(string) bool)
+			}).URLsFrom(after, func(u string) bool { got = append(got, u); return true })
+			if want := sorted(after); !slices.Equal(got, want) {
+				t.Fatalf("step %d: URLsFrom(%q) = %v, want %v", step, after, got, want)
+			}
+		case op < 94:
+			if got, want := c.URLs(), sorted(""); !slices.Equal(got, want) || c.Len() != len(want) {
+				t.Fatalf("step %d: URLs = %v (Len %d), want %v", step, got, c.Len(), want)
+			}
+		case op < 97:
+			if d, ok := c.(*Disk); ok {
+				must(d.Compact())
+			}
+		default:
+			if disk {
+				must(c.Close())
+				d, err := OpenDisk(dir)
+				must(err)
+				c = d
 			}
 		}
-		return true
-	}, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	}
+	for u, sum := range model {
+		if got, ok, err := c.Get(u); err != nil || !ok || got.Checksum != sum {
+			t.Fatalf("final Get(%s) = %+v %v %v, model %d", u, got, ok, err, sum)
+		}
+	}
+	n := 0
+	must(c.Scan(func(PageRecord) bool { n++; return true }))
+	if n != len(model) {
+		t.Fatalf("final scan saw %d records, model holds %d", n, len(model))
 	}
 }
 
