@@ -17,13 +17,17 @@ test:
 # per-shard top-n, both tiers); the serve/swap gate (readers across
 # live swaps: no request may see a closed store); and the store's
 # ordered index and record codec beside concurrent writers, compaction
-# and swaps.
+# and swaps; the engine's content stage behind a slow or failing store
+# (order, buffer ownership, the barrier, the error path); and opRound
+# retries after lost replies, across a WAL compaction and restart.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run 'TestPeekMatchesOldPeek|TestApplyRoundBesideConcurrentUse' ./internal/frontier/
 	$(GO) test -race -count=20 -run 'TestServeAcrossLiveCrawl' ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestStragglersAcrossSwaps' ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestScanBesideWrites|TestModelCheck|TestShadowedPin|TestDiskConcurrentStress' ./internal/store/
+	$(GO) test -race -count=5 -run 'TestContentStageOrderAndIntegrity|TestContentErrorEndsRun|TestContentBarrier' ./internal/core/
+	$(GO) test -race -count=5 -run 'TestRoundRetryRepeeks|TestRoundReplyLostKeepsPopOrder|TestFlakyTransportKeepsRoundPopOrder' ./internal/cluster/
 
 # Engine benchmarks, written machine-readable to BENCH_engine.json
 # (benchmark name, iterations, ns/op, pages/s, B/op, allocs/op) so the

@@ -410,6 +410,29 @@ type enc struct {
 // newEnc returns an encoder producing bodies for frames tagged ver.
 func newEnc(ver byte) enc { return enc{v: ver} }
 
+// encPool recycles the encoders of the crawl's two per-round request
+// bodies (opRound, opStorePutBatch), which are tens of kilobytes grown
+// by append-doubling and dead as soon as writeFrame has copied them
+// into a frame. Oversized buffers are dropped, as in frameBufPool.
+var encPool = sync.Pool{New: func() any { return new(enc) }}
+
+const encPoolMax = 1 << 20
+
+// getEnc returns an empty pooled encoder for frames tagged ver. The
+// caller hands it back with putEnc once nothing reads its bytes: after
+// roundTrip returns, since every retry resends the same body.
+func getEnc(ver byte) *enc {
+	e := encPool.Get().(*enc)
+	e.b, e.v = e.b[:0], ver
+	return e
+}
+
+func putEnc(e *enc) {
+	if cap(e.b) <= encPoolMax {
+		encPool.Put(e)
+	}
+}
+
 func (e *enc) uvarint(v uint64) {
 	var b [binary.MaxVarintLen64]byte
 	e.b = append(e.b, b[:binary.PutUvarint(b[:], v)]...)

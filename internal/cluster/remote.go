@@ -891,13 +891,14 @@ func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Ent
 			defer wg.Done()
 			sc := t.servers[si]
 			ver := sc.wireVer()
-			e := newEnc(ver)
+			e := getEnc(ver)
 			e.fix64(rs.nextReq())
-			encodeStrings(&e, "", r.pops)
-			encodeStrings(&e, "", r.removes)
-			encodeEntries(&e, r.pushes)
+			encodeStrings(e, "", r.pops)
+			encodeStrings(e, "", r.removes)
+			encodeEntries(e, r.pushes)
 			e.u32(uint32(peekMax))
 			resp, err := sc.roundTrip(ver, opRound, e.b)
+			putEnc(e)
 			if err != nil {
 				resps[si].err = err
 				return
@@ -923,12 +924,13 @@ func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Ent
 	if peekMax <= 0 {
 		return nil, frontier.Entry{}, false, true
 	}
+	lists := make([][]frontier.Entry, 0, n)
 	for si := range resps {
 		sr := &resps[si]
 		if !sr.sent {
 			continue
 		}
-		cands = append(cands, sr.cands...)
+		lists = append(lists, sr.cands)
 		if !sr.complete && len(sr.cands) > 0 {
 			last := sr.cands[len(sr.cands)-1]
 			if !boundOK || frontier.EntryBefore(last, bound) {
@@ -936,8 +938,32 @@ func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Ent
 			}
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return frontier.EntryBefore(cands[i], cands[j]) })
-	return cands, bound, boundOK, true
+	return mergeCands(lists), bound, boundOK, true
+}
+
+// mergeCands merges the servers' candidate lists, each already in
+// queue order, into one. A URL lives on one server, so no two entries
+// compare equal and the merge is the sorted concatenation.
+func mergeCands(lists [][]frontier.Entry) []frontier.Entry {
+	if len(lists) == 1 {
+		return lists[0]
+	}
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	out := make([]frontier.Entry, 0, total)
+	for len(out) < total {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || frontier.EntryBefore(l[0], lists[best][0])) {
+				best = i
+			}
+		}
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
+	return out
 }
 
 // fan sends one request to every server of the topology concurrently

@@ -296,6 +296,191 @@ func TestFlakyTransportKeepsRoundPopOrder(t *testing.T) {
 	}
 }
 
+// roundBody encodes an opRound request as the client does.
+func roundBody(reqID uint64, pops, removes []string, pushes []frontier.Entry, peekMax int) []byte {
+	e := newEnc(ProtoVersion)
+	e.fix64(reqID)
+	encodeStrings(&e, "", pops)
+	encodeStrings(&e, "", removes)
+	encodeEntries(&e, pushes)
+	e.u32(uint32(peekMax))
+	return e.b
+}
+
+// TestRoundRetryRepeeks pins what the server keeps of an applied round
+// and what it answers a retry with: the round is remembered as applied,
+// without its candidate list; the retry applies nothing and gets a
+// fresh peek at its own peekMax — equal to the first reply while the
+// queue has not moved, and the queue as it is now if it has.
+func TestRoundRetryRepeeks(t *testing.T) {
+	srv := NewShardServer(frontier.NewSharded(4))
+	t.Cleanup(func() { srv.Close() })
+	var seed []frontier.Entry
+	for i, u := range testURLs(6, 2) {
+		seed = append(seed, frontier.Entry{URL: u, Due: float64(1 + i%5), Priority: float64(i % 2)})
+	}
+	const id, peek = 4242, 3
+	body := roundBody(id, nil, nil, seed, peek)
+	st1, resp1 := srv.handle(ProtoVersion, opRound, body)
+	if st1 != statusOK {
+		t.Fatalf("round: %s", resp1)
+	}
+	if st, kept, ok := srv.dedup.get(id); !ok || st != statusOK || len(kept) != 0 {
+		t.Fatalf("applied round memoized as (%d, %d bytes, %v), want applied with no body", st, len(kept), ok)
+	}
+	decode := func(resp []byte) []frontier.Entry {
+		d := newDec(ProtoVersion, resp)
+		cands := decodeEntries(d)
+		d.bool()
+		if err := d.finish(); err != nil {
+			t.Fatalf("bad round reply: %v", err)
+		}
+		return cands
+	}
+	if n := len(decode(resp1)); n != peek {
+		t.Fatalf("first reply carries %d candidates, want %d", n, peek)
+	}
+	before := srv.Shards().Len()
+	st2, resp2 := srv.handle(ProtoVersion, opRound, body)
+	if st2 != statusOK || string(resp2) != string(resp1) {
+		t.Fatalf("retry over an unmoved queue answered (%d, %q), first reply was %q", st2, resp2, resp1)
+	}
+	// A new global head lands between the lost reply and the retry.
+	pushVia(t, srv, 4243, "http://site900.com/head", 0, 9)
+	st3, resp3 := srv.handle(ProtoVersion, opRound, body)
+	if st3 != statusOK {
+		t.Fatalf("retry: %s", resp3)
+	}
+	cands := decode(resp3)
+	if len(cands) != peek || cands[0].URL != "http://site900.com/head" {
+		t.Fatalf("retry did not peek afresh: %+v", cands)
+	}
+	if got := srv.Shards().Len(); got != before+1 {
+		t.Fatalf("retries re-applied the round: Len %d, want %d", got, before+1)
+	}
+}
+
+// replyDropConn loses one reply on demand: when armed, the next Read —
+// the response to a request the server has already received whole, and
+// applies regardless — closes the connection instead.
+type replyDropConn struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+func (c *replyDropConn) Read(p []byte) (int, error) {
+	if c.armed.CompareAndSwap(true, false) {
+		c.Conn.Close()
+		return 0, errors.New("injected reply loss")
+	}
+	return c.Conn.Read(p)
+}
+
+// TestRoundReplyLostKeepsPopOrder drives engine-shaped rounds against
+// one WAL-backed server and loses the reply of some of them: plainly,
+// and with the server compacting its WAL and restarting before the
+// retry arrives, so the retry is recognised from the snapshot's dedup
+// records. Every round must be logged — applied — exactly once, and
+// the candidates the client sees must equal, round for round, those of
+// the same rounds against an undisturbed local frontier.
+func TestRoundReplyLostKeepsPopOrder(t *testing.T) {
+	dir := t.TempDir()
+	srv := newWALServer(t, dir, 8)
+	t.Cleanup(func() { srv.Close() })
+	var armed, restart atomic.Bool
+	restarts := 0
+	dial := func() (net.Conn, error) {
+		if restart.CompareAndSwap(true, false) {
+			// Close waits for the handler of the lost reply, so the round
+			// is applied and logged; the snapshot then replaces the log.
+			srv.Close()
+			if err := srv.CompactWAL(); err != nil {
+				return nil, err
+			}
+			srv = newWALServer(t, dir, 8)
+			restarts++
+		}
+		conn, err := srv.Pipe()
+		if err != nil {
+			return nil, err
+		}
+		return &replyDropConn{Conn: conn, armed: &armed}, nil
+	}
+	opts := fastRetry
+	opts.ConnsPerServer = 1
+	rs, err := Dial([]Dialer{dial}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+
+	local := frontier.NewSharded(8)
+	var entries []frontier.Entry
+	for i, u := range testURLs(12, 4) {
+		entries = append(entries, frontier.Entry{URL: u, Due: float64((i * 7) % 13), Priority: float64(i % 3)})
+	}
+	const peek = 6
+	appends := walAppends.Value()
+	retries := metricsFor(opRound).clientRetries.Value()
+	lc, lb, lbok, _ := local.ApplyRound(nil, nil, entries, peek)
+	rc, rb, rbok, _ := rs.ApplyRound(nil, nil, entries, peek)
+	rounds := 1
+	for ; len(lc) > 0; rounds++ {
+		if len(lc) != len(rc) || lbok != rbok || (lbok && !sameEntry(lb, rb)) {
+			t.Fatalf("round %d: candidates diverge\nremote: %+v\nlocal:  %+v", rounds, rc, lc)
+		}
+		for i := range lc {
+			if !sameEntry(lc[i], rc[i]) {
+				t.Fatalf("round %d: candidate %d is %+v, want %+v", rounds, i, rc[i], lc[i])
+			}
+		}
+		// One engine round: pop three, reschedule two of them once, drop
+		// the third.
+		n := min(3, len(lc))
+		var pops, removes []string
+		var pushes []frontier.Entry
+		for i := 0; i < n; i++ {
+			pops = append(pops, lc[i].URL)
+			if i < 2 && lc[i].Due < 50 {
+				pushes = append(pushes, frontier.Entry{URL: lc[i].URL, Due: lc[i].Due + 50, Priority: lc[i].Priority})
+			} else {
+				removes = append(removes, lc[i].URL)
+			}
+		}
+		switch rounds % 5 {
+		case 1:
+			armed.Store(true)
+		case 3:
+			armed.Store(true)
+			restart.Store(true)
+		}
+		lc, lb, lbok, _ = local.ApplyRound(pops, removes, pushes, peek)
+		rc, rb, rbok, _ = rs.ApplyRound(pops, removes, pushes, peek)
+		if rounds > 200 {
+			t.Fatal("rounds did not converge")
+		}
+	}
+	if err := rs.Err(); err != nil {
+		t.Fatalf("lost replies became sticky: %v", err)
+	}
+	if len(rc) != 0 {
+		t.Fatalf("remote still has candidates: %+v", rc)
+	}
+	lost := metricsFor(opRound).clientRetries.Value() - retries
+	// Besides the rounds, the log takes one politeness record per
+	// reconnect hello — one per lost reply.
+	if got := walAppends.Value() - appends - lost; got != int64(rounds) {
+		t.Fatalf("%d rounds logged %d times: a retried round was applied again", rounds, got)
+	}
+	if restarts < 2 || lost < int64(2*restarts) {
+		t.Fatalf("only %d replies lost and %d restarts: the test exercised nothing", lost, restarts)
+	}
+	lu, ru := local.URLs(), rs.URLs()
+	if fmt.Sprint(lu) != fmt.Sprint(ru) {
+		t.Fatalf("final state diverges:\nremote %v\nlocal  %v", ru, lu)
+	}
+}
+
 // TestApplyRoundRefusedWithPoliteness: the round protocol is only
 // sound with a zero politeness gap; both halves must refuse it rather
 // than serve politeness-blind candidates.

@@ -382,6 +382,9 @@ func (s *ShardServer) handleMutating(ver, op byte, body []byte) (status byte, re
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	if st, cached, ok := s.dedup.get(reqID); ok {
+		if op == opRound && st == statusOK {
+			return s.repeekRound(d)
+		}
 		return st, cached
 	}
 	if s.wal != nil && s.wal.broken != nil {
@@ -401,8 +404,52 @@ func (s *ShardServer) handleMutating(ver, op byte, body []byte) (status byte, re
 			return statusError, []byte(fmt.Sprintf("wal append: %v", err))
 		}
 	}
-	s.dedup.put(reqID, status, resp)
+	s.remember(reqID, op, status, resp)
 	return status, resp
+}
+
+// remember memoizes a mutating op's outcome for its retries. An applied
+// opRound is remembered as applied only: its response is a candidate
+// list, state a retry can derive again (repeekRound), and at 24 entries
+// per round it would be nearly all of the cache's bytes.
+func (s *ShardServer) remember(reqID uint64, op, status byte, resp []byte) {
+	if op == opRound && status == statusOK {
+		resp = nil
+	}
+	s.dedup.put(reqID, status, resp)
+}
+
+// repeekRound answers the retry of an opRound this server has already
+// applied: nothing is applied again, and the candidates are peeked
+// afresh at the request's own peekMax. The round's client is blocked on
+// this reply, so the queue is as the first application left it; and any
+// exact prefix of the queue is what the client's merge needs.
+func (s *ShardServer) repeekRound(d *dec) (status byte, resp []byte) {
+	decodeStrings(d, "") // pops
+	decodeStrings(d, "") // removes
+	decodeEntries(d)     // pushes
+	peekMax := int(d.u32())
+	if err := d.finish(); err != nil {
+		return statusError, []byte(err.Error())
+	}
+	e := newEnc(d.v)
+	if !s.encodeRound(&e, nil, nil, nil, peekMax) {
+		return statusError, []byte("round ops need a zero politeness gap")
+	}
+	return statusOK, e.b
+}
+
+// encodeRound applies one dispatch round to the frontier and appends
+// the reply — the next pop candidates and whether they are the whole
+// queue. It reports false when the frontier refuses round ops.
+func (s *ShardServer) encodeRound(e *enc, pops, removes []string, pushes []frontier.Entry, peekMax int) bool {
+	cands, _, bounded, ok := s.shards.ApplyRound(pops, removes, pushes, peekMax)
+	if !ok {
+		return false
+	}
+	encodeEntries(e, cands)
+	e.bool(!bounded) // complete: cands are the whole queue
+	return true
 }
 
 // applyMutating applies one mutating op whose request ID has already
@@ -484,12 +531,9 @@ func (s *ShardServer) applyMutating(op byte, d *dec) (status byte, resp []byte, 
 		pushes := decodeEntries(d)
 		peekMax := int(d.u32())
 		if d.finish() == nil {
-			cands, _, bounded, ok := s.shards.ApplyRound(pops, removes, pushes, peekMax)
-			if !ok {
+			if !s.encodeRound(&e, pops, removes, pushes, peekMax) {
 				return statusError, []byte("round ops need a zero politeness gap"), false
 			}
-			encodeEntries(&e, cands)
-			e.bool(!bounded) // complete: cands are the whole queue
 			mutated = len(pops)+len(removes)+len(pushes) > 0
 		}
 	case opShardExport:
@@ -598,16 +642,20 @@ func decodeEntries(d *dec) []frontier.Entry {
 // before the retry lands are bounded by the throughput of the *other*
 // pooled connections: (ConnsPerServer-1) conns x ~30us minimum per
 // loopback round trip x 2.1s ≈ 70k ops per stuck slot. 128k covers
-// that with margin at the default pool size, and the ring only
-// occupies memory for ops actually performed.
+// that with margin at the default pool size. The window is a count of
+// ops, so what it costs in memory is what each entry keeps: the small
+// pop/claim/store replies whole, an applied round only as applied
+// (ShardServer.remember).
 const respCacheSize = 1 << 17
 
 // respCache memoizes the responses of mutating requests by request ID,
-// evicting the oldest entry once full. It is guarded by the server's
-// walMu (replay runs single-threaded before serving).
+// evicting the oldest entry once it holds n. Map and ring grow with
+// the ops actually performed. It is guarded by the server's walMu
+// (replay runs single-threaded before serving).
 type respCache struct {
 	m    map[uint64]cachedResp
-	ring []uint64
+	ring []uint64 // request IDs, oldest at pos once full
+	n    int
 	pos  int
 }
 
@@ -617,7 +665,7 @@ type cachedResp struct {
 }
 
 func newRespCache(n int) *respCache {
-	return &respCache{m: make(map[uint64]cachedResp, n), ring: make([]uint64, n)}
+	return &respCache{m: make(map[uint64]cachedResp), n: n}
 }
 
 func (c *respCache) get(id uint64) (status byte, resp []byte, ok bool) {
@@ -629,11 +677,13 @@ func (c *respCache) put(id uint64, status byte, resp []byte) {
 	if _, ok := c.m[id]; ok {
 		return
 	}
-	if old := c.ring[c.pos]; old != 0 {
-		delete(c.m, old)
+	if len(c.ring) < c.n {
+		c.ring = append(c.ring, id)
+	} else {
+		delete(c.m, c.ring[c.pos])
+		c.ring[c.pos] = id
+		c.pos = (c.pos + 1) % c.n
 	}
-	c.ring[c.pos] = id
-	c.pos = (c.pos + 1) % len(c.ring)
 	c.m[id] = cachedResp{status: status, resp: resp}
 }
 
@@ -644,9 +694,6 @@ func (c *respCache) snapshotEntries() []dedupEntry {
 	out := make([]dedupEntry, 0, len(c.m))
 	for i := 0; i < len(c.ring); i++ {
 		id := c.ring[(c.pos+i)%len(c.ring)]
-		if id == 0 {
-			continue
-		}
 		if r, ok := c.m[id]; ok {
 			out = append(out, dedupEntry{id: id, status: r.status, resp: r.resp})
 		}
@@ -655,8 +702,7 @@ func (c *respCache) snapshotEntries() []dedupEntry {
 }
 
 // exportDedupEntries / exportDedupBytes cap the dedup tail shipped in
-// a shard-export response. Shipping the whole cache is unsafe — 128k
-// memoized opRound responses can exceed maxFrame — and unnecessary:
+// a shard-export response. Shipping the whole cache is unnecessary:
 // only requests still awaiting a retry can arrive at the new owner,
 // and those are the most recent ones.
 const (

@@ -306,16 +306,18 @@ func (c *remoteColl) PutBatch(recs []store.PageRecord) error {
 		chunk := recs[off:end]
 		off = end
 		ver := c.sc.wireVer()
-		e := newEnc(ver)
+		e := getEnc(ver)
 		e.fix64(c.rs.nextReq())
 		e.str(c.name)
 		e.u32(uint32(len(chunk)))
 		prev := ""
 		for _, rec := range chunk {
-			encodeRecord(&e, prev, rec)
+			encodeRecord(e, prev, rec)
 			prev = rec.URL
 		}
-		if _, err := c.sc.roundTrip(ver, opStorePutBatch, e.b); err != nil {
+		_, err := c.sc.roundTrip(ver, opStorePutBatch, e.b)
+		putEnc(e)
+		if err != nil {
 			return c.rs.fail(err)
 		}
 	}

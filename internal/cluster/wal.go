@@ -204,7 +204,7 @@ func (s *ShardServer) replayWALFileLocked(path string) error {
 			if d.finish() == nil {
 				if _, _, ok := s.dedup.get(reqID); !ok {
 					status, resp, _ := s.applyMutating(op, d)
-					s.dedup.put(reqID, status, resp)
+					s.remember(reqID, op, status, resp)
 				}
 			}
 		}

@@ -215,13 +215,6 @@ type Config struct {
 	// per-page revisit intervals already space same-site revisits in
 	// simulation; wall-clock crawls layer HTTP politeness on top.
 	ShardPolitenessDays float64
-	// BatchSync disables the engine's fetch/apply pipelining: each
-	// dispatch round's results are fully applied before the next round
-	// is popped (the pre-pipeline batch-synchronous behavior). Results
-	// are bit-identical either way; the knob exists so benchmarks can
-	// measure the overlap (BenchmarkEngineBatchSync vs
-	// BenchmarkEngine).
-	BatchSync bool
 	// StoreContent keeps page bodies in the collection (off for large
 	// simulations).
 	StoreContent bool

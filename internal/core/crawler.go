@@ -75,11 +75,13 @@ type Crawler struct {
 	batchPerFetch float64
 	nextCycle     float64
 
-	// Dispatch-pipeline state: the worker pool (alive for the duration
-	// of one RunUntil) and the reusable round/apply scratch buffers.
+	// Dispatch-pipeline state: the worker pool and the content stage
+	// (both alive for the duration of one RunUntil) and the reusable
+	// round/apply scratch buffers. recs belongs to the content
+	// goroutine, pushes and removes to the engine's.
 	pool      *dispatchPool
+	content   *contentStage
 	roundBufs []*roundState
-	live      []outcome
 	pushes    []frontier.Entry
 	removes   []string
 	recs      []store.PageRecord
@@ -350,6 +352,7 @@ func (c *Crawler) writeTarget() store.Collection {
 // RunUntil advances the crawl to the given virtual day.
 func (c *Crawler) RunUntil(until float64) error {
 	c.pool = newDispatchPool(c.cfg.Workers, c.fetchJob, nil)
+	c.content = c.startContent()
 	var err error
 	if c.cfg.Mode == Batch {
 		err = c.runBatch(until)
@@ -360,6 +363,12 @@ func (c *Crawler) RunUntil(until float64) error {
 		err = cerr
 	}
 	c.pool = nil
+	// The caller may read the collection, AllUrls and the graph as soon
+	// as this returns: every scheduled round's content lands first.
+	if cerr := c.content.stop(); err == nil {
+		err = cerr
+	}
+	c.content = nil
 	if jerr := c.joinRebuild(); err == nil {
 		err = jerr
 	}
@@ -398,7 +407,6 @@ func (c *Crawler) runSteady(until float64) error {
 			return err
 		}
 		if c.day >= c.nextRank {
-			c.rounds.flush()
 			if err := c.rankingPass(); err != nil {
 				return err
 			}
@@ -406,7 +414,6 @@ func (c *Crawler) runSteady(until float64) error {
 			continue
 		}
 		if c.cfg.Update == Shadow && c.day >= c.nextSwap {
-			c.rounds.flush()
 			if err := c.swap(); err != nil {
 				return err
 			}
@@ -414,9 +421,8 @@ func (c *Crawler) runSteady(until float64) error {
 			continue
 		}
 		horizon := c.steadyHorizon(until)
-		depth, maxJobs := c.steadyRoundCap(perFetch)
-		dispatched, err := c.pipelineRounds(depth, func(r *roundState, windowFloor float64) {
-			c.popSteadyRound(r, horizon, perFetch, maxJobs, windowFloor)
+		dispatched, err := c.pipelineRounds(steadyDepth, func(r *roundState, windowFloor float64) {
+			c.popSteadyRound(r, horizon, perFetch, windowFloor)
 		})
 		if err != nil {
 			return err
@@ -464,7 +470,6 @@ func (c *Crawler) runBatch(until float64) error {
 				continue
 			}
 			// Start a new cycle: refine, then snapshot the crawl list.
-			c.rounds.flush()
 			if err := c.rankingPass(); err != nil {
 				return err
 			}
@@ -482,17 +487,12 @@ func (c *Crawler) runBatch(until float64) error {
 		// the chunked pop sequence matches the sequential one; unlike
 		// the steady loop, pops draw from the snapshot rather than the
 		// frontier, so overlapping rounds need no reschedule window.
-		depth := 2
-		if c.cfg.BatchSync {
-			depth = 1
-		}
-		if _, err := c.pipelineRounds(depth, func(r *roundState, _ float64) {
+		if _, err := c.pipelineRounds(batchDepth, func(r *roundState, _ float64) {
 			c.popBatchRound(r, until)
 		}); err != nil {
 			return err
 		}
 		if len(c.batchQueue) == 0 && c.cfg.Update == Shadow {
-			c.rounds.flush()
 			if err := c.swap(); err != nil {
 				return err
 			}
@@ -538,6 +538,9 @@ func (c *Crawler) popBatchRound(r *roundState, until float64) {
 // not re-crawled this cycle are carried forward from the old current
 // collection, so slow-revisit pages do not vanish at swap time.
 func (c *Crawler) swap() error {
+	if err := c.quiesce(); err != nil {
+		return err
+	}
 	shadow := c.shadowed.Shadow()
 	cur := c.shadowed.Current()
 	// One URLs snapshot instead of a Contains per stored page: same

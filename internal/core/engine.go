@@ -57,13 +57,16 @@ import (
 //     and site aggregate still sees its observations strictly in pop
 //     order.
 //
-//   - What remains of the apply runs on the engine goroutine, split in
-//     two. applySchedule folds the round into everything the next pop
-//     depends on — metrics, checksum table, drops, reschedule
-//     commits — sequentially in pop order. applyContent (store
-//     PutBatch, link extraction into AllUrls, web-graph updates) only
-//     feeds the ranking pass, which never runs mid-round, so it is
-//     deferred to overlap with the younger rounds' in-flight fetches.
+//   - What remains of the apply is split in two stages. applySchedule
+//     runs on the engine goroutine and folds the round into everything
+//     the next pop depends on — metrics, checksum table, drops,
+//     reschedule commits — sequentially in pop order. applyContent
+//     (store PutBatch, link extraction into AllUrls, web-graph updates)
+//     only feeds the ranking pass and readers of the collection, so it
+//     is the pipeline's third stage: one content goroutine (content.go)
+//     takes the scheduled rounds in pop order, and round N's store
+//     exchange overlaps round N+1's frontier exchange instead of
+//     following it.
 
 // crawlJob is one unit of CrawlModule work: a URL with its assigned
 // virtual fetch day, the scheduling state resolved at pop time, and
@@ -95,15 +98,18 @@ type outcome struct {
 }
 
 // roundState is one dispatch round's reusable storage: the jobs in pop
-// order, their site grouping, and the pool completion handle.
-// Depth+1 instances rotate on the Crawler: one round being applied
-// while up to depth more fetch.
+// order, their site grouping, the pool completion handle, and the
+// schedule phase's verdicts for the content phase. roundBuffers
+// instances rotate through the content stage's free list (content.go).
 type roundState struct {
 	jobs   []crawlJob
 	ptrs   []*crawlJob
 	groups []dispatchGroup
 	handle *roundHandle
 	err    error // pop-time failure (estimator construction)
+	// live is applySchedule's output and applyContent's input: the one
+	// buffer both phases share, so it travels with the round.
+	live []outcome
 
 	// id and dispatchedAt identify the round in the process trace and
 	// time its fetch phase; observability only (see metrics.go).
@@ -119,6 +125,7 @@ func (r *roundState) reset() {
 	r.jobs = r.jobs[:0]
 	r.ptrs = r.ptrs[:0]
 	r.groups = r.groups[:0]
+	r.live = r.live[:0]
 	r.handle = nil
 	r.err = nil
 }
@@ -186,24 +193,6 @@ func (c *Crawler) resolveJob(j *crawlJob) error {
 	return nil
 }
 
-// steadyRoundCap returns the pipeline depth and per-round job cap for
-// the steady loop. With BatchSync the engine reverts to the pre-
-// pipelining shape: one round in flight, capped to the reschedule
-// window, no gap jumping.
-func (c *Crawler) steadyRoundCap(perFetch float64) (depth, maxJobs int) {
-	maxJobs = c.cfg.DispatchBatch
-	if c.cfg.BatchSync {
-		if w := int(c.cfg.MinIntervalDays / perFetch); w < maxJobs {
-			maxJobs = w
-		}
-		if maxJobs < 1 {
-			maxJobs = 1
-		}
-		return 1, maxJobs
-	}
-	return 4, maxJobs
-}
-
 // popSteadyRound pops the next dispatch round of due URLs for the
 // steady-mode loop, stamping each with the virtual day the sequential
 // crawler would have fetched it at, and advances virtual time past the
@@ -220,19 +209,16 @@ func (c *Crawler) steadyRoundCap(perFetch float64) (depth, maxJobs int) {
 // past this round's own first job. Within those bounds the pipelined
 // pop sequence is exactly the sequential loop's (see the file
 // comment).
-func (c *Crawler) popSteadyRound(r *roundState, horizon, perFetch float64, maxJobs int, windowFloor float64) {
+func (c *Crawler) popSteadyRound(r *roundState, horizon, perFetch, windowFloor float64) {
 	r.reset()
 	d := c.day
 	limit := horizon
 	if !math.IsInf(windowFloor, 1) {
 		limit = math.Min(limit, windowFloor+c.cfg.MinIntervalDays)
 	}
-	for len(r.jobs) < maxJobs && d < limit {
+	for len(r.jobs) < c.cfg.DispatchBatch && d < limit {
 		e, ok := c.rounds.popDue(d)
 		if !ok {
-			if c.cfg.BatchSync {
-				break // pre-pipelining rounds end at the first gap
-			}
 			// Nothing due at d: jump to the next poppable instant if it
 			// is still inside this round's window; otherwise leave the
 			// remaining idle time to the steady loop.
@@ -307,23 +293,16 @@ func (c *Crawler) dispatchRound(r *roundState) {
 // (empty = stop), receiving the first pop day of the oldest round
 // whose reschedules are still uncommitted (+Inf when none are). Up to
 // depth rounds fetch on the pool while the oldest completed round is
-// applied; the frontier-facing schedule phase runs as soon as a
-// round's fetches land, and the content phase overlaps the younger
-// rounds' in-flight fetches. It reports whether any round was
-// dispatched.
+// scheduled; the frontier-facing schedule phase runs as soon as a
+// round's fetches land, and the round then goes to the content stage,
+// which works through it while the engine commits the next one. It
+// reports whether any round was dispatched.
 //
-// With Config.BatchSync set (depth 1, content applied before the next
-// pop), the loop degenerates to the pre-pipelining batch-synchronous
-// behavior, kept for A/B benchmarking.
+// Rounds may still be in the content stage when this returns; callers
+// that are about to touch AllUrls, the graph or the collection go
+// through quiesce first.
 func (c *Crawler) pipelineRounds(depth int, popNext func(r *roundState, windowFloor float64)) (bool, error) {
-	if depth < 1 {
-		depth = 1
-	}
-	// depth rounds in flight plus the one being applied.
-	for len(c.roundBufs) < depth+1 {
-		c.roundBufs = append(c.roundBufs, &roundState{})
-	}
-	free := append([]*roundState(nil), c.roundBufs[:depth+1]...)
+	st := c.content
 	var inflight []*roundState
 	var popErr error
 	dispatch := func() bool {
@@ -334,13 +313,14 @@ func (c *Crawler) pipelineRounds(depth int, popNext func(r *roundState, windowFl
 		if len(inflight) > 0 {
 			floor = inflight[0].jobs[0].day
 		}
-		r := free[0]
+		r := <-st.free
 		popStart := time.Now()
 		popNext(r, floor)
 		if r.err != nil {
 			popErr = r.err
 		}
 		if len(r.jobs) == 0 {
+			st.free <- r
 			return false
 		}
 		r.id = roundSeq.Add(1)
@@ -348,13 +328,15 @@ func (c *Crawler) pipelineRounds(depth int, popNext func(r *roundState, windowFl
 		engineRoundJobs.Observe(float64(len(r.jobs)))
 		phasePop.Observe(time.Since(popStart).Seconds())
 		obs.DefaultTrace.Span("pop", r.id, len(r.jobs), popStart)
-		free = free[1:]
 		r.dispatchedAt = time.Now()
 		c.dispatchRound(r)
 		inflight = append(inflight, r)
 		engineInflightRounds.Set(int64(len(inflight)))
 		return true
 	}
+	// abort stops the pool and discards the rounds still fetching, on a
+	// fetch, schedule or content error. Rounds already scheduled stay
+	// with the content stage, which skips them once it has failed.
 	abort := func() {
 		handles := make([]*roundHandle, len(inflight))
 		for i, r := range inflight {
@@ -373,34 +355,23 @@ func (c *Crawler) pipelineRounds(depth int, popNext func(r *roundState, windowFl
 		err := c.pool.wait(cur.handle)
 		phaseFetch.Observe(time.Since(cur.dispatchedAt).Seconds())
 		obs.DefaultTrace.Span("fetch", cur.id, len(cur.jobs), cur.dispatchedAt)
-		if err != nil {
-			inflight = inflight[1:]
-			abort()
-			return true, err
-		}
 		inflight = inflight[1:]
 		engineInflightRounds.Set(int64(len(inflight)))
-		if err := c.applySchedule(cur); err != nil {
+		if err == nil {
+			err = c.applySchedule(cur)
+		}
+		if err == nil {
+			// The content stage owns cur from here: its jobs hold the
+			// Links and Content the store records alias, so the buffer
+			// is free again only when the stage says so.
+			err = st.submit(cur)
+		}
+		if err != nil {
 			abort()
 			return true, err
 		}
-		if c.cfg.BatchSync {
-			if err := c.applyContent(cur); err != nil {
-				abort()
-				return true, err
-			}
-		}
-		// Top the pipeline back up, then fold in cur's content while
-		// the younger rounds fetch.
 		for len(inflight) < depth && dispatch() {
 		}
-		if !c.cfg.BatchSync {
-			if err := c.applyContent(cur); err != nil {
-				abort()
-				return true, err
-			}
-		}
-		free = append(free, cur)
 	}
 	return true, popErr
 }
@@ -410,7 +381,7 @@ func (c *Crawler) pipelineRounds(depth int, popNext func(r *roundState, windowFl
 // metrics, folds the workers' change verdicts into the checksum table,
 // turns their rate estimates into reschedule intervals, and commits
 // all frontier mutations (drops and one PushBatch) — everything the
-// next round's pop depends on. Results land in c.live for the content
+// next round's pop depends on. Results land in r.live for the content
 // phase.
 func (c *Crawler) applySchedule(r *roundState) error {
 	start := time.Now()
@@ -423,7 +394,6 @@ func (c *Crawler) applySchedule(r *roundState) error {
 	if err := c.joinRebuild(); err != nil {
 		return err
 	}
-	c.live = c.live[:0]
 	c.pushes = c.pushes[:0]
 	c.removes = c.removes[:0]
 
@@ -434,7 +404,7 @@ func (c *Crawler) applySchedule(r *roundState) error {
 		if j.res.NotFound {
 			c.metrics.NotFound++
 			c.dropSchedule(j.url)
-			c.live = append(c.live, outcome{job: j, dropped: true})
+			r.live = append(r.live, outcome{job: j, dropped: true})
 			continue
 		}
 		if j.changed {
@@ -450,7 +420,7 @@ func (c *Crawler) applySchedule(r *roundState) error {
 		interval := c.policy.Interval(j.url, j.rate, c.importance[j.url])
 		interval = scheduler.Clamp(interval, c.cfg.MinIntervalDays, c.cfg.MaxIntervalDays)
 		c.pushes = append(c.pushes, frontier.Entry{URL: j.url, Due: j.day + interval, Priority: c.importance[j.url]})
-		c.live = append(c.live, outcome{job: j})
+		r.live = append(r.live, outcome{job: j})
 	}
 
 	// Reschedules ship as one batch: the final frontier state is
@@ -478,12 +448,15 @@ func (c *Crawler) dropSchedule(url string) {
 	}
 }
 
-// applyContent is the deferred heavy phase: store writes, link
-// extraction into AllUrls, and web-graph updates for the round's
-// outcomes, still in pop order. Nothing here is read by popping or
-// scheduling, only by the ranking pass and by readers of the
-// collection — which never run mid-round — so this phase overlaps the
-// younger rounds' fetches.
+// applyContent is the heavy phase the content stage runs: store
+// writes, link extraction into AllUrls, and web-graph updates for the
+// round's outcomes, still in pop order. Nothing here is read by popping
+// or scheduling, only by the ranking pass, the swap and readers of the
+// collection — all behind quiesce — so this phase overlaps the next
+// rounds' frontier commits and fetches. It runs on the content
+// goroutine: c.recs is that goroutine's, and everything else it touches
+// (AllUrls, the graph, the collection pair, the importance map) is
+// written elsewhere only while the stage is idle.
 func (c *Crawler) applyContent(r *roundState) error {
 	start := time.Now()
 	defer func() {
@@ -491,7 +464,7 @@ func (c *Crawler) applyContent(r *roundState) error {
 		obs.DefaultTrace.Span("apply_content", r.id, len(r.jobs), start)
 	}()
 	c.recs = c.recs[:0]
-	for _, o := range c.live {
+	for _, o := range r.live {
 		j := o.job
 		if o.dropped {
 			_ = c.shadowed.Current().Delete(j.url)

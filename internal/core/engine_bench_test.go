@@ -30,10 +30,11 @@ func benchWeb(b *testing.B) *simweb.Web {
 // benchmarkEngine measures end-to-end crawl throughput of the engine
 // against a simulated web served through a fixed per-fetch latency
 // (the regime where parallel CrawlModules pay off — real crawls are
-// network-bound). mutate tweaks the canonical config; newFrontier, if
-// non-nil, builds a frontier per iteration (the remote variants).
+// network-bound). newFrontier and newStore, if non-nil, build a remote
+// frontier and a remote store per iteration; with a store the pages
+// carry their bodies, as a crawl that keeps a repository does.
 func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
-	mutate func(*Config), newFrontier func(b *testing.B) frontier.ShardSet) {
+	newFrontier func(b *testing.B) frontier.ShardSet, newStore func(b *testing.B) *cluster.RemoteStore) {
 	b.Helper()
 	var pages int64
 	var wireBytes int64
@@ -52,13 +53,22 @@ func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 			Shards:         shards,
 			DispatchBatch:  8 * workers,
 		}
-		if mutate != nil {
-			mutate(&cfg)
-		}
 		if newFrontier != nil {
 			cfg.Frontier = newFrontier(b)
 		}
-		c, err := New(cfg, fetch.Delayed{Base: fetch.NewSimFetcher(w), Delay: delay})
+		sim := fetch.NewSimFetcher(w)
+		var f fetch.Fetcher = sim
+		if delay > 0 {
+			f = fetch.Delayed{Base: sim, Delay: delay}
+		}
+		var c *Crawler
+		var err error
+		if newStore != nil {
+			sim.WithContent, cfg.StoreContent = true, true
+			c, err = newWithRemoteStore(cfg, f, newStore(b))
+		} else {
+			c, err = New(cfg, f)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,6 +78,9 @@ func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 		}
 		elapsed += time.Since(start)
 		pages += c.Metrics().Fetches
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
 		if wm, ok := cfg.Frontier.(wireMeter); ok {
 			in, out := wm.WireBytes()
 			wireBytes += in + out
@@ -90,22 +103,9 @@ type wireMeter interface {
 }
 
 // BenchmarkEngine is the canonical engine benchmark: 8 workers at a
-// 200µs simulated fetch latency, pipelined dispatch (the default).
-// Compare against BenchmarkEngineBatchSync — the same configuration
-// with the pre-pipelining batch-synchronous dispatch — for the win of
-// overlapping fetch latency with apply CPU; `make bench` records both
-// in BENCH_engine.json.
+// 200µs simulated fetch latency.
 func BenchmarkEngine(b *testing.B) {
 	benchmarkEngine(b, 8, 32, 200*time.Microsecond, nil, nil)
-}
-
-// BenchmarkEngineBatchSync runs BenchmarkEngine's exact configuration
-// with Config.BatchSync set: one round in flight, fully applied before
-// the next pop — the dispatch discipline the engine used before the
-// pipelined dispatcher.
-func BenchmarkEngineBatchSync(b *testing.B) {
-	benchmarkEngine(b, 8, 32, 200*time.Microsecond,
-		func(cfg *Config) { cfg.BatchSync = true }, nil)
 }
 
 // BenchmarkEngineRemote is BenchmarkEngine with the frontier behind
@@ -115,12 +115,32 @@ func BenchmarkEngineBatchSync(b *testing.B) {
 func BenchmarkEngineRemote(b *testing.B) {
 	for _, servers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {
-			benchmarkEngine(b, 8, 32, 200*time.Microsecond, nil,
+			benchmarkEngine(b, 8, 32, 200*time.Microsecond,
 				func(b *testing.B) frontier.ShardSet {
 					return loopbackShards(b, servers, 32/servers)
-				})
+				}, nil)
 		})
 	}
+}
+
+// BenchmarkEngineRemoteStore has both of a cluster round's exchanges in
+// one benchmark: the frontier behind two loopback shard servers and the
+// collection behind a loopback disk store server, with a free fetcher,
+// so the round's cost is the opRound commit plus the PutBatch. Run in
+// series they add; the content stage overlaps them.
+func BenchmarkEngineRemoteStore(b *testing.B) {
+	benchmarkEngine(b, 8, 32, 0,
+		func(b *testing.B) frontier.ShardSet { return loopbackShards(b, 2, 16) },
+		func(b *testing.B) *cluster.RemoteStore {
+			srv := cluster.NewDiskStoreServer(b.TempDir())
+			rs, err := cluster.LoopbackStore(srv, cluster.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The crawler owns and closes the client.
+			b.Cleanup(func() { srv.Close() })
+			return rs
+		})
 }
 
 // loopbackShards builds an in-process shard-server cluster over

@@ -16,10 +16,12 @@ var (
 	engineRoundJobs = obs.Default.Histogram("webevolve_engine_round_jobs",
 		"jobs per dispatch round", obs.ExpBuckets(1, 2, 12))
 	enginePhaseSeconds = obs.Default.HistogramVec("webevolve_engine_phase_seconds",
-		"round phase wall time (pop, fetch, apply_schedule, apply_content)",
+		"round phase wall time (pop, fetch, apply_schedule, push, apply_content, content_wait)",
 		obs.LatencyBuckets, "phase")
 	engineInflightRounds = obs.Default.Gauge("webevolve_engine_inflight_rounds",
 		"rounds currently dispatched and not yet applied")
+	engineContentBacklog = obs.Default.Gauge("webevolve_engine_content_backlog",
+		"rounds scheduled and not yet applied by the content stage (being applied, queued, or blocking the engine's hand-off)")
 
 	dispatchJobs = obs.Default.Counter("webevolve_dispatch_jobs_total",
 		"jobs executed by the worker pool")
@@ -35,4 +37,5 @@ var (
 	phaseApplySchedule = enginePhaseSeconds.With("apply_schedule")
 	phaseApplyContent  = enginePhaseSeconds.With("apply_content")
 	phasePush          = enginePhaseSeconds.With("push")
+	phaseContentWait   = enginePhaseSeconds.With("content_wait")
 )

@@ -19,6 +19,11 @@ import (
 // from the UpdateModule's per-page work; here that cadence is
 // Config.RankEveryDays.
 func (c *Crawler) rankingPass() error {
+	// The pass reads and rewrites what rounds in flight also touch —
+	// the frontier, AllUrls, the graph, the collection: settle them.
+	if err := c.quiesce(); err != nil {
+		return err
+	}
 	// A still-running rebuild from the previous pass reads from the
 	// same plan this pass snapshots and replaces; settle it first.
 	if err := c.joinRebuild(); err != nil {

@@ -162,8 +162,9 @@ func (r *frontierRounds) refresh() bool {
 // flush ships pending pops and invalidates the candidate cache. It
 // must run before any frontier access that bypasses this adapter — the
 // ranking pass's Push/Remove/URLs/Len, the shadow swap, batch-mode
-// URL snapshots — so the server state is caught up and later rounds
-// re-peek fresh candidates.
+// URL snapshots, all of which reach it through Crawler.quiesce — so
+// the server state is caught up and later rounds re-peek fresh
+// candidates.
 func (r *frontierRounds) flush() {
 	if r.ra == nil {
 		return

@@ -8,7 +8,11 @@
 // family is present with a non-zero sample sum — how the smoke
 // scripts pin "the crawl actually moved these counters" rather than
 // just "the endpoint returned something". A histogram family is
-// satisfied by its _count series.
+// satisfied by its _count series, and a name may carry one label as
+// exposed — webevolve_engine_phase_seconds{phase="content_wait"} — to
+// require that child rather than the family's sum. -present takes the
+// same list for families that must be exposed but may legitimately
+// read zero at the instant of the scrape (a queue-depth gauge).
 //
 // Usage:
 //
@@ -34,9 +38,11 @@ var sampleTypes = map[string]bool{
 
 func main() {
 	require := flag.String("require", "", "comma-separated metric families that must be present with a non-zero sum")
+	present := flag.String("present", "", "comma-separated metric families that must be present, zero or not")
 	flag.Parse()
 
-	sums := make(map[string]float64)
+	sums := make(map[string]float64)    // by sample name
+	labeled := make(map[string]float64) // by sample name{labels}, as exposed
 	typed := make(map[string]bool)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -72,7 +78,7 @@ func main() {
 		}
 		// A sample: name{labels} value [timestamp] or name value.
 		rest := line
-		name := rest
+		name, labels := rest, ""
 		if i := strings.IndexAny(rest, "{ "); i >= 0 {
 			name = rest[:i]
 			if rest[i] == '{' {
@@ -80,6 +86,7 @@ func main() {
 				if j < i {
 					fail("unclosed label braces")
 				}
+				labels = rest[i : j+1]
 				rest = rest[j+1:]
 			} else {
 				rest = rest[i:]
@@ -111,6 +118,9 @@ func main() {
 			fail("sample %s before its # TYPE line", name)
 		}
 		sums[name] += v
+		if labels != "" {
+			labeled[name+labels] += v
+		}
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "promcheck: read:", err)
@@ -122,27 +132,34 @@ func main() {
 	}
 
 	ok := true
-	if *require != "" {
-		for _, name := range strings.Split(*require, ",") {
+	check := func(list string, nonZero bool) {
+		for _, name := range strings.Split(list, ",") {
 			name = strings.TrimSpace(name)
 			if name == "" {
 				continue
 			}
-			sum, present := sums[name]
+			by := sums
+			base, labels, _ := strings.Cut(name, "{")
+			if labels != "" {
+				by, labels = labeled, "{"+labels
+			}
+			sum, present := by[name]
 			if !present {
 				// A histogram family is observed through its _count.
-				sum, present = sums[name+"_count"]
+				sum, present = by[base+"_count"+labels]
 			}
 			switch {
 			case !present:
 				fmt.Fprintf(os.Stderr, "promcheck: required family %s absent\n", name)
 				ok = false
-			case sum == 0:
+			case nonZero && sum == 0:
 				fmt.Fprintf(os.Stderr, "promcheck: required family %s present but zero\n", name)
 				ok = false
 			}
 		}
 	}
+	check(*require, true)
+	check(*present, false)
 	if !ok {
 		os.Exit(1)
 	}

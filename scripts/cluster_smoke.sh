@@ -210,8 +210,12 @@ for size in 2000 8000 32000; do
     if ! curl -sS "http://$cm/metrics" >"$tmp/c3.metrics"; then
         escalate "metrics scrape"; continue
     fi
+    # The same scrape gates the engine's content-stage names: the
+    # content_wait phase has observations by now, the backlog gauge is
+    # exposed (it may read zero at this instant).
     "$tmp/promcheck" \
-        -require webevolve_membership_epoch,webevolve_membership_migrations_total \
+        -require 'webevolve_membership_epoch,webevolve_membership_migrations_total,webevolve_engine_phase_seconds{phase="content_wait"}' \
+        -present webevolve_engine_content_backlog \
         <"$tmp/c3.metrics"
     curl -sS "http://$(cat "$tmp/d1.maddr")/metrics" | "$tmp/promcheck" \
         -require webevolve_membership_export_entries_total,webevolve_membership_handoff_bytes

@@ -62,9 +62,18 @@ EOF
 cat >"$tmp/site/b.html" <<'EOF'
 <html><body><a href="/c.html">c</a></body></html>
 EOF
-cat >"$tmp/site/c.html" <<'EOF'
-<html><body>leaf page</body></html>
-EOF
+# c.html fans out to 35 leaves, 40 URLs in all with the seed's two
+# spellings: at the crawl's 150 ms per-host delay that is a ~6 s
+# window, longer than the 5 s the mid-crawl scrape below polls for, so
+# a busy box cannot finish the crawl before the first scrape lands.
+{
+    echo '<html><body>'
+    for i in $(seq -w 1 35); do
+        echo "<html><body>leaf $i</body></html>" >"$tmp/site/p$i.html"
+        echo "<a href=\"/p$i.html\">p$i</a>"
+    done
+    echo '</body></html>'
+} >"$tmp/site/c.html"
 
 "$tmp/smokesite" -root "$tmp/site" -addr-file "$tmp/site.addr" &
 wait_addr "$tmp/site.addr"
@@ -75,7 +84,7 @@ echo "serve-smoke: static site on $site"
 # JSONL trace file: the per-host delay keeps it alive long enough to
 # scrape /metrics mid-crawl, the well-formedness gate that fails
 # `make ci` on malformed exposition.
-"$tmp/webcrawl" -seeds "http://$site/" -pages 10 -delay 150ms -workers 1 \
+"$tmp/webcrawl" -seeds "http://$site/" -pages 40 -delay 150ms -workers 1 \
     -dir "$tmp/crawl" -metrics-listen 127.0.0.1:0 -metrics-addr-file "$tmp/c.maddr" \
     -trace "$tmp/crawl.trace" >"$tmp/crawl.out" &
 crawl_pid=$!
@@ -141,7 +150,7 @@ http "http://$ws/v1/pages/http://$site/" -H 'If-None-Match: "feedface"'
 expect_status 200 "conditional GET with stale ETag"
 echo "serve-smoke: ETag round trip works ($etag -> 304)"
 
-# Paged listing: two pages of 2 with a resume cursor walk all 4 URLs.
+# Paged listing: two pages of 2, the second resumed from the cursor.
 http "http://$ws/v1/pages?limit=2"
 expect_status 200 listing
 next="$(sed -n 's/.*"next":"\([^"]*\)".*/\1/p' "$tmp/body")"
@@ -168,7 +177,7 @@ http "http://$ws/healthz"
 expect_status 200 healthz
 http "http://$ws/v1/stats"
 expect_status 200 stats
-grep -q '"pages":5' "$tmp/body"
+grep -q '"pages":40' "$tmp/body"
 echo "serve-smoke: estimates, freshness, stats and healthz respond"
 
 # The debug listener mirrors the request counters /v1/stats reports,
@@ -194,7 +203,7 @@ store="$(cat "$tmp/s.addr")"
 shttp="$(cat "$tmp/sh.addr")"
 echo "serve-smoke: storerd on $store, embedded HTTP API on $shttp"
 
-"$tmp/webcrawl" -seeds "http://$site/" -pages 10 -delay 20ms -workers 1 \
+"$tmp/webcrawl" -seeds "http://$site/" -pages 40 -delay 20ms -workers 1 \
     -dir "$tmp/crawl2" -store-server "$store" >"$tmp/crawl2.out"
 
 for p in a.html c.html; do
@@ -232,7 +241,7 @@ expect_status 200 "remote-backed GET"
 diff "$tmp/site/b.html" "$tmp/body"
 http "http://$ws2/v1/stats"
 expect_status 200 "remote-backed stats"
-grep -q '"pages":5' "$tmp/body"
+grep -q '"pages":40' "$tmp/body"
 echo "serve-smoke: webservd -store-server serves the same bytes over the wire"
 
 echo "serve-smoke: OK"
