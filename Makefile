@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-check fmt vet smoke-cluster smoke-store smoke-serve smoke-tools ci
+.PHONY: build test race fuzz bench bench-smoke bench-check fmt vet smoke-cluster smoke-store smoke-serve smoke-tools ci
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,10 @@ test:
 # ordered index and record codec beside concurrent writers, compaction
 # and swaps; the engine's content stage behind a slow or failing store
 # (order, buffer ownership, the barrier, the error path); and opRound
-# retries after lost replies, across a WAL compaction and restart.
+# retries after lost replies, across a WAL compaction and restart. The
+# last line is not about timing: it is the revisit optimizer's
+# bit-for-bit equivalence with its reference, repeated because a crawl's
+# digest hangs off it (-short: 60 of the 240 random populations).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run 'TestPeekMatchesOldPeek|TestApplyRoundBesideConcurrentUse' ./internal/frontier/
@@ -28,6 +31,12 @@ race:
 	$(GO) test -race -count=5 -run 'TestScanBesideWrites|TestModelCheck|TestShadowedPin|TestDiskConcurrentStress' ./internal/store/
 	$(GO) test -race -count=5 -run 'TestContentStageOrderAndIntegrity|TestContentErrorEndsRun|TestContentBarrier' ./internal/core/
 	$(GO) test -race -count=5 -run 'TestRoundRetryRepeeks|TestRoundReplyLostKeepsPopOrder|TestFlakyTransportKeepsRoundPopOrder' ./internal/cluster/
+	$(GO) test -race -short -count=5 -run 'TestOptimalAllocationMatchesReference' ./internal/freshness/
+
+# Thirty seconds of fuzzing the optimizer's equivalence property (its
+# seed corpus already runs under plain `go test`).
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzOptimalAllocation -fuzztime 30s ./internal/freshness/
 
 # Engine benchmarks, written machine-readable to BENCH_engine.json
 # (benchmark name, iterations, ns/op, pages/s, B/op, allocs/op) so the
@@ -35,8 +44,11 @@ race:
 # No pipe to tee here: /bin/sh has no pipefail, so a crashing benchmark
 # would exit 0 through the pipe and CI would archive a garbage report.
 bench:
-	$(GO) test -bench 'BenchmarkEngine|BenchmarkCrawlEngine' -benchtime 5x \
+	$(GO) test -bench 'BenchmarkEngine|BenchmarkCrawlEngine|BenchmarkRankingPass' -benchtime 5x \
 		-benchmem -run '^$$' ./internal/core/ > bench_engine.txt || \
+		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
+	$(GO) test -bench 'BenchmarkOptimalAllocation' -benchtime 20x \
+		-benchmem -run '^$$' ./internal/freshness/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkStore|BenchmarkEncodeEntries' -benchtime 5x \
 		-benchmem -run '^$$' ./internal/cluster/ >> bench_engine.txt || \
@@ -114,4 +126,4 @@ smoke-tools:
 	$(GO) run ./cmd/freshsim >/dev/null
 	$(GO) run ./cmd/webevo -pages 60 -days 30 >/dev/null
 
-ci: build vet fmt race bench-smoke bench-check bench smoke-cluster smoke-store smoke-serve smoke-tools
+ci: build vet fmt race fuzz bench-smoke bench-check bench smoke-cluster smoke-store smoke-serve smoke-tools

@@ -20,15 +20,12 @@ import (
 	"webevolve/internal/experiment"
 	"webevolve/internal/fetch"
 	"webevolve/internal/freshness"
-	"webevolve/internal/frontier"
-	"webevolve/internal/scheduler"
 	"webevolve/internal/simweb"
-	"webevolve/internal/store"
 )
 
 // benchWeb builds the shared reduced-scale experiment web: the paper's
 // 270 sites with smaller windows so a full 128-day replay stays fast.
-func benchWeb(b *testing.B, pagesPerSite int) *simweb.Web {
+func benchWeb(b testing.TB, pagesPerSite int) *simweb.Web {
 	b.Helper()
 	w, err := simweb.New(simweb.PaperScaleConfig(1999, pagesPerSite))
 	if err != nil {
@@ -234,16 +231,32 @@ func BenchmarkSensitivityExample(b *testing.B) {
 
 // --- F9: Figure 9 — optimal revisit frequency ---
 
-func BenchmarkFigure9OptimalRevisit(b *testing.B) {
-	// Workload drawn from the calibrated web-like mixture.
-	w := benchWeb(b, 15)
-	var rates []float64
+// figure9Workload is the Figure 9 operating point: the change rates of
+// the calibrated web-like mixture's pages under scarce bandwidth (one
+// visit per page per two months).
+func figure9Workload(tb testing.TB) (rates []float64, budget float64) {
+	w := benchWeb(tb, 15)
 	for _, s := range w.Sites() {
 		for _, p := range s.AlivePages(0) {
 			rates = append(rates, p.Rate())
 		}
 	}
-	budget := float64(len(rates)) / 60 // scarce bandwidth operating point
+	return rates, float64(len(rates)) / 60
+}
+
+// figure9Peak returns the index of the curve's highest frequency.
+func figure9Peak(pts []freshness.Point) int {
+	peak := 0
+	for i, p := range pts {
+		if p.F > pts[peak].F {
+			peak = i
+		}
+	}
+	return peak
+}
+
+func BenchmarkFigure9OptimalRevisit(b *testing.B) {
+	rates, budget := figure9Workload(b)
 	var gain, opt, uni float64
 	var pts []freshness.Point
 	for i := 0; i < b.N; i++ {
@@ -257,46 +270,96 @@ func BenchmarkFigure9OptimalRevisit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// Unimodality check: the peak must be interior.
-	peak := 0
-	for i, p := range pts {
-		if p.F > pts[peak].F {
-			peak = i
-		}
-	}
-	b.ReportMetric(float64(peak)/float64(len(pts)), "peak-position(interior)")
+	b.ReportMetric(float64(figure9Peak(pts))/float64(len(pts)), "peak-position(interior)")
 	b.ReportMetric(opt, "optimal-freshness")
 	b.ReportMetric(uni, "uniform-freshness")
 	b.ReportMetric(100*gain, "gain%(paper:10-23)")
 }
 
-// --- A1: Section 5.3 — UpdateModule throughput (40 pages/s claim) ---
-
-func BenchmarkUpdateModuleThroughput(b *testing.B) {
-	w := benchWeb(b, 30)
-	f := fetch.NewSimFetcher(w)
-	coll := frontier.NewSharded(16)
-	for _, s := range w.Sites() {
-		for _, u := range s.WindowURLs(0) {
-			coll.Push(u, 0, 0)
+// TestFigure9OptimalRevisit asserts what BenchmarkFigure9OptimalRevisit
+// reports: on the web-like workload the optimal revisit frequency rises
+// with the change rate, peaks in the interior and falls to zero for
+// pages that change too fast to keep fresh, and the allocation beats
+// the uniform policy. The size of that gain depends on how scarce
+// bandwidth is: 8.1% at the benchmark's one visit per page per two
+// months — short of the 10-23% the paper quotes from [CGM99b] — and
+// inside that band (11.1%) at one visit per eight months.
+func TestFigure9OptimalRevisit(t *testing.T) {
+	rates, budget := figure9Workload(t)
+	pts, err := freshness.Figure9Curve(rates, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := figure9Peak(pts)
+	if peak == 0 || peak == len(pts)-1 {
+		t.Fatalf("peak at index %d of %d: not interior", peak, len(pts))
+	}
+	for i := 1; i < len(pts); i++ {
+		rising := i <= peak
+		if d := pts[i].F - pts[i-1].F; (rising && d < -1e-9) || (!rising && d > 1e-9) {
+			t.Fatalf("not unimodal at rate %v (index %d, peak %d): %v -> %v",
+				pts[i].T, i, peak, pts[i-1].F, pts[i].F)
 		}
 	}
-	pipe := &core.UpdatePipeline{
-		Fetcher:         f,
-		Coll:            coll,
-		Store:           store.NewMem(),
-		Policy:          scheduler.Fixed{Every: 0}, // immediately due again
-		Workers:         8,
-		MinIntervalDays: 0,
-		MaxIntervalDays: 0, // Clamp maps the zero interval to due-now
+	fastest := pts[len(pts)-1]
+	if fastest.F != 0 {
+		t.Fatalf("fastest page (%.3g changes/day) still gets %v visits/day", fastest.T, fastest.F)
 	}
+	if slowest := pts[0]; !(slowest.F > 0 && slowest.F < pts[peak].F) {
+		t.Fatalf("slowest page gets %v visits/day, peak %v", slowest.F, pts[peak].F)
+	}
+	for _, c := range []struct {
+		daysPerVisit float64
+		lo, hi       float64
+	}{
+		{60, 0.075, 0.087}, // the benchmark's operating point: 8.1%
+		{240, 0.10, 0.23},  // the paper's band
+	} {
+		opt, uni, gain, err := freshness.AllocationGain(rates, float64(len(rates))/c.daysPerVisit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gain < c.lo || gain > c.hi {
+			t.Errorf("one visit per %v days: gain over uniform %.1f%% (optimal %.4f, uniform %.4f), want %.1f-%.1f%%",
+				c.daysPerVisit, 100*gain, opt, uni, 100*c.lo, 100*c.hi)
+		}
+	}
+}
+
+// --- A1: Section 5.3 — UpdateModule throughput (40 pages/s claim) ---
+
+// BenchmarkUpdateModuleThroughput measures the engine's sustained page
+// rate — 8 CrawlModules over the sharded frontier, steady in-place,
+// fixed frequency, a ranking pass per virtual day — against the
+// paper's requirement (100M pages/month needs ~40 pages/s). One op is
+// one page.
+func BenchmarkUpdateModuleThroughput(b *testing.B) {
+	w := benchWeb(b, 30)
+	const pagesPerDay = 2000
+	c, err := core.New(core.Config{
+		Seeds:          w.RootURLs(),
+		CollectionSize: pagesPerDay,
+		PagesPerDay:    pagesPerDay,
+		CycleDays:      1,
+		RankEveryDays:  1,
+		Workers:        8,
+		Shards:         16,
+	}, fetch.NewSimFetcher(w))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const warmupDays = 5 // discovery fills the collection
+	if err := c.RunUntil(warmupDays); err != nil {
+		b.Fatal(err)
+	}
+	before := c.Metrics().Fetches
 	b.ResetTimer()
-	if err := pipe.Run(30, b.N); err != nil {
+	if err := c.RunUntil(warmupDays + float64(b.N)/pagesPerDay); err != nil {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	pagesPerSec := float64(b.N) / b.Elapsed().Seconds()
-	b.ReportMetric(pagesPerSec, "pages/s(paper-needs:40)")
+	pages := c.Metrics().Fetches - before
+	b.ReportMetric(float64(pages)/b.Elapsed().Seconds(), "pages/s(paper-needs:40)")
 }
 
 // --- A2: estimator quality ablation (EP vs EB vs naive) ---

@@ -363,10 +363,10 @@ func (c *crawl) recordErr(err error) {
 }
 
 // loop dispatches due URLs to the worker pool until the fetch budget is
-// spent or nothing more is due, through core.DispatchClaims — the same
-// claim/fetch/release dispatcher the simulated engine and the update
-// pipeline run on. Each dispatched job holds its shard's claim, so one
-// site is never fetched by two workers at once.
+// spent or nothing more is due, through core.DispatchClaims — the
+// claim mode of the worker pool the simulated engine runs on. Each
+// dispatched job holds its shard's claim, so one site is never fetched
+// by two workers at once.
 func (c *crawl) loop() {
 	err := core.DispatchClaims(core.ClaimDispatch{
 		Workers: c.opts.workers,

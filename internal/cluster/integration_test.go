@@ -12,7 +12,6 @@ import (
 	"webevolve/internal/core"
 	"webevolve/internal/fetch"
 	"webevolve/internal/frontier"
-	"webevolve/internal/scheduler"
 	"webevolve/internal/simweb"
 	"webevolve/internal/store"
 )
@@ -351,34 +350,59 @@ func TestDistributedBatchModeInvariance(t *testing.T) {
 	}
 }
 
-// TestDistributedUpdatePipeline drives the wall-clock claim/release
-// pipeline with its frontier behind the wire protocol, workers
-// claiming shards concurrently (the race detector's view of the
-// client's pooled connections).
-func TestDistributedUpdatePipeline(t *testing.T) {
+// TestDistributedClaimDispatch drives the wall-clock claim/release
+// dispatcher the way cmd/webcrawl does, with its frontier behind the
+// wire protocol: six workers claiming shards, pushing reschedules and
+// releasing claims over two shard servers at once (the race detector's
+// view of the client's pooled connections).
+func TestDistributedClaimDispatch(t *testing.T) {
 	w, f := testWeb(t, 23)
 	rs := loopbackCluster(t, 2, 4)
 	for _, u := range w.RootURLs() {
 		rs.Push(u, 0, 0)
 	}
+	const now = 1.0
 	mem := store.NewMem()
-	p := &core.UpdatePipeline{
-		Fetcher:         f,
-		Coll:            rs,
-		Store:           mem,
-		Policy:          scheduler.Fixed{Every: 5},
-		Workers:         6,
-		MinIntervalDays: 0.5,
-		MaxIntervalDays: 30,
-	}
-	if err := p.Run(1.0, 40); err != nil {
+	var processed atomic.Int64
+	err := core.DispatchClaims(core.ClaimDispatch{
+		Workers: 6,
+		Coll:    rs,
+		Now:     func() float64 { return now },
+		Work: func(url string) error {
+			res, err := f.Fetch(url, now)
+			if err != nil {
+				return err
+			}
+			processed.Add(1)
+			rs.Push(url, now+5, 0)
+			for _, l := range res.Links {
+				if !rs.Contains(l) {
+					rs.Push(l, 0, 0)
+				}
+			}
+			return mem.Put(store.PageRecord{URL: url, Checksum: res.Checksum, FetchedAt: now, Links: res.Links})
+		},
+		Release: func(shard int) { rs.Release(shard, now) },
+		Gate:    func(dispatched, _ int64) bool { return dispatched < 40 },
+		Idle: func(inflight int64, _ int) bool {
+			if inflight == 0 {
+				return false // drained
+			}
+			time.Sleep(100 * time.Microsecond)
+			return true
+		},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Processed() == 0 {
-		t.Fatal("pipeline processed nothing")
+	if n := processed.Load(); n == 0 || n > 40 {
+		t.Fatalf("processed %d pages, want 1..40", n)
 	}
-	if mem.Len() == 0 {
-		t.Fatal("no records stored")
+	if int64(mem.Len()) != processed.Load() {
+		t.Fatalf("stored %d records for %d fetches", mem.Len(), processed.Load())
+	}
+	if _, _, ok := rs.ClaimDue(now); ok && processed.Load() < 40 {
+		t.Fatal("dispatch ended with the budget unspent and a shard still claimable")
 	}
 	if err := rs.Err(); err != nil {
 		t.Fatal(err)

@@ -3,10 +3,10 @@
 // CRC-framed, versioned wire protocol for the frontier.ShardSet
 // operations, a ShardServer that hosts a set of in-process shards
 // behind any net.Listener, and a RemoteShards client that implements
-// frontier.ShardSet over one or more servers — so core.Crawler,
-// core.UpdatePipeline and cmd/webcrawl run unchanged whether their
-// shards are local or distributed (the paper's Figure 12 anticipates
-// exactly this: "multiple CrawlModules may run in parallel").
+// frontier.ShardSet over one or more servers — so core.Crawler and
+// cmd/webcrawl run unchanged whether their shards are local or
+// distributed (the paper's Figure 12 anticipates exactly this:
+// "multiple CrawlModules may run in parallel").
 //
 // Distributed pops stay globally deterministic: RemoteShards asks every
 // server for its earliest poppable head (OpHeadDue), picks the global

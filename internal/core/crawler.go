@@ -40,7 +40,7 @@ type Metrics struct {
 // folded in, the next rounds are already fetching. Results are applied
 // in pop order, so any worker count produces the schedule — and, on
 // the deterministic simulator, the results — of the sequential
-// crawler. (The wall-clock pipeline lives in driver.go.)
+// crawler.
 type Crawler struct {
 	cfg     Config
 	fetcher fetch.Fetcher
@@ -351,7 +351,7 @@ func (c *Crawler) writeTarget() store.Collection {
 
 // RunUntil advances the crawl to the given virtual day.
 func (c *Crawler) RunUntil(until float64) error {
-	c.pool = newDispatchPool(c.cfg.Workers, c.fetchJob, nil)
+	c.pool = newDispatchPool(c.cfg.Workers, c.fetchJob)
 	c.content = c.startContent()
 	var err error
 	if c.cfg.Mode == Batch {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,10 +10,9 @@ import (
 )
 
 // This file is the one worker-pool dispatcher behind every concurrent
-// crawl path in the repo. It replaces the three hand-rolled pools that
-// used to live in Crawler.fetchBatch, UpdatePipeline.Run, and
-// cmd/webcrawl's crawl loop with a single engine, parameterized over
-// the per-URL work function, that runs in two modes:
+// crawl path in the repo — the simulated engine and cmd/webcrawl's live
+// crawl loop — parameterized over the per-URL work function. It runs in
+// two modes:
 //
 //   - Round mode (startRound): the simulated engine's path. A dispatch
 //     round is a set of job groups — all jobs of one site, in
@@ -29,15 +27,12 @@ import (
 //     N's results are applied, rounds N+1 and N+2 are already
 //     fetching on the same workers (engine.go).
 //
-//   - Claim mode (dispatchClaims): the wall-clock path shared by
-//     core.UpdatePipeline and cmd/webcrawl. The dispatcher claims due
-//     shards from a frontier.ShardSet and feeds each claimed head to
-//     the pool as a single-job group whose completion hook releases
-//     the shard — so no two workers ever fetch from one site at once,
-//     and per-shard politeness deadlines are honored by the frontier.
-//
-// Work functions receive their worker index so callers can keep
-// per-worker state (e.g. store write buffers) without locking.
+//   - Claim mode (DispatchClaims): cmd/webcrawl's wall-clock path. The
+//     dispatcher claims due shards from a frontier.ShardSet and feeds
+//     each claimed head to the pool as a single-job group whose
+//     completion hook releases the shard — so no two workers ever fetch
+//     from one site at once, and per-shard politeness deadlines are
+//     honored by the frontier.
 
 // dispatchGroup is one unit of pool scheduling: jobs that must run
 // sequentially in order on a single worker (one site's fetches, or one
@@ -64,12 +59,9 @@ type roundHandle struct {
 // dispatchPool is a fixed set of worker goroutines draining groups of
 // per-URL work. The first work-function error stops the pool: later
 // jobs are skipped (their groups still complete, running their done
-// hooks), and the error surfaces from wait/dispatchClaims/close.
+// hooks), and the error surfaces from wait/close.
 type dispatchPool struct {
-	fn func(worker int, j *crawlJob) error
-	// workerExit, if non-nil, runs on each worker as it shuts down
-	// (UpdatePipeline flushes its per-worker write buffer here).
-	workerExit func(worker int) error
+	fn func(j *crawlJob) error
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -88,19 +80,18 @@ type dispatchPool struct {
 }
 
 // newDispatchPool starts workers goroutines running fn.
-func newDispatchPool(workers int, fn func(worker int, j *crawlJob) error, workerExit func(worker int) error) *dispatchPool {
+func newDispatchPool(workers int, fn func(j *crawlJob) error) *dispatchPool {
 	if workers < 1 {
 		workers = 1
 	}
 	p := &dispatchPool{
-		fn:         fn,
-		workerExit: workerExit,
-		lines:      make(map[string][]dispatchGroup),
+		fn:    fn,
+		lines: make(map[string][]dispatchGroup),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go p.worker(w)
+		go p.worker()
 	}
 	return p
 }
@@ -177,7 +168,7 @@ func (p *dispatchPool) groupFinished(g dispatchGroup) {
 	}
 }
 
-func (p *dispatchPool) worker(w int) {
+func (p *dispatchPool) worker() {
 	defer p.wg.Done()
 	for {
 		g, ok := p.next()
@@ -192,7 +183,7 @@ func (p *dispatchPool) worker(w int) {
 			if p.stopFlag.Load() {
 				break
 			}
-			err := p.fn(w, j)
+			err := p.fn(j)
 			dispatchJobs.Inc()
 			if err != nil {
 				p.fail(err)
@@ -201,11 +192,6 @@ func (p *dispatchPool) worker(w int) {
 		}
 		p.groupFinished(g)
 		dispatchBusyWorkers.Add(-1)
-	}
-	if p.workerExit != nil {
-		if err := p.workerExit(w); err != nil {
-			p.fail(err)
-		}
 	}
 }
 
@@ -264,7 +250,7 @@ func (p *dispatchPool) abort(inflight []*roundHandle) {
 }
 
 // close shuts the pool down: no more submissions, workers drain and
-// exit, worker-exit hooks run. Returns the pool's first error.
+// exit. Returns the pool's first error.
 func (p *dispatchPool) close() error {
 	p.mu.Lock()
 	p.closed = true
@@ -274,89 +260,83 @@ func (p *dispatchPool) close() error {
 	return p.err()
 }
 
-// gateDecision is claimSpec.gate's verdict before each claim.
-type gateDecision int
-
-const (
-	gateDispatch gateDecision = iota // claim and dispatch another job
-	gateWait                         // budget exhausted but jobs in flight: wait
-	gateDone                         // stop dispatching
-)
-
-// claimSpec parameterizes the claim/dispatch/release loop shared by
-// UpdatePipeline and webcrawl.
-type claimSpec struct {
-	coll frontier.ShardSet
-	// now is the claim timestamp: a fixed virtual day for the pipeline,
-	// the wall clock for webcrawl.
-	now func() float64
-	// release returns a claimed shard to the frontier with the caller's
-	// politeness deadline. It runs on the worker that processed the
-	// job, after the work function, before the job is counted done.
-	release func(shard int)
-	// gate is consulted before each claim with the counts of jobs
-	// dispatched so far and in flight now (dispatch budget
-	// enforcement).
-	gate func(dispatched, inflight int64) gateDecision
-	// gateWaitFor paces gateWait verdicts (default 10ms).
-	gateWaitFor time.Duration
-	// idle is consulted when nothing is claimable and jobs may still be
+// ClaimDispatch configures DispatchClaims, the claim/fetch/release
+// dispatcher for wall-clock crawlers (cmd/webcrawl).
+type ClaimDispatch struct {
+	Workers int
+	Coll    frontier.ShardSet
+	// Now is the claim timestamp in days (the wall clock for webcrawl).
+	Now func() float64
+	// Work receives each claimed head URL; a returned error stops the
+	// whole dispatch.
+	Work func(url string) error
+	// Release returns a claimed shard to the frontier with the caller's
+	// politeness deadline. It runs on the worker that processed the job,
+	// after Work, before the job is counted done.
+	Release func(shard int)
+	// Gate is consulted before each claim with the counts of jobs
+	// dispatched so far and in flight now, and reports whether the fetch
+	// budget allows another claim: false pauses dispatch, and ends it
+	// once nothing is in flight. A nil Gate always allows.
+	Gate func(dispatched, inflight int64) bool
+	// GateWait paces a closed gate (default 10ms).
+	GateWait time.Duration
+	// Idle is consulted when nothing is claimable and jobs may still be
 	// in flight; scans counts consecutive idle calls. Returning false
-	// ends the loop. The loop has already settled the inflight==0
-	// case: idle(0, ...) means the frontier is truly drained of
-	// claimable work at now() — a politeness deadline or future due
-	// time may remain.
-	idle func(inflight int64, scans int) bool
-	// maxQueue bounds how many claimed jobs may sit unstarted ahead of
-	// the workers (default: no limit beyond gate's own accounting).
-	maxQueue int64
+	// ends the loop. The loop has already settled the inflight==0 case:
+	// Idle(0, ...) means the frontier is truly drained of claimable work
+	// at Now() — a politeness deadline or future due time may remain.
+	Idle func(inflight int64, scans int) bool
 }
 
-// dispatchClaims runs the claim/dispatch/release loop: claim the due
-// head of a shard, hand it to the pool, release the shard when the work
-// function returns. A claimed shard is owned by one worker until
-// released, so no two workers ever fetch from the same site
-// concurrently. Returns the pool's first error, if any; the pool
-// remains usable (callers close it separately).
-func (p *dispatchPool) dispatchClaims(s claimSpec) error {
+// DispatchClaims runs the claim/dispatch/release loop over a private
+// worker pool: claim the due head of a shard, hand it to the pool,
+// release the shard when Work returns. A claimed shard is owned by one
+// worker until released, so no two workers ever fetch from the same site
+// concurrently. Returns the first work error, if any.
+func DispatchClaims(cfg ClaimDispatch) error {
+	p := newDispatchPool(cfg.Workers, func(j *crawlJob) error {
+		// Wall-clock crawls are slow enough (network-bound) that a
+		// per-fetch trace span is cheap; the simulated engine sticks to
+		// per-round spans (engine.go).
+		start := time.Now()
+		err := cfg.Work(j.url)
+		obs.DefaultTrace.Span("fetch_url", 0, 1, start)
+		return err
+	})
+	p.claimLoop(cfg)
+	return p.close()
+}
+
+// claimLoop dispatches until the gate and the frontier have nothing
+// more, or the pool fails; jobs may still be in flight when it returns.
+func (p *dispatchPool) claimLoop(cfg ClaimDispatch) {
 	var inflight atomic.Int64
 	var dispatched int64
-	gateWaitFor := s.gateWaitFor
-	if gateWaitFor <= 0 {
-		gateWaitFor = 10 * time.Millisecond
+	gateWait := cfg.GateWait
+	if gateWait <= 0 {
+		gateWait = 10 * time.Millisecond
 	}
 	scans := 0
-	queueScans := 0
 	for !p.stopped() {
-		switch s.gate(dispatched, inflight.Load()) {
-		case gateDone:
-			return p.err()
-		case gateWait:
+		if cfg.Gate != nil && !cfg.Gate(dispatched, inflight.Load()) {
 			if inflight.Load() == 0 {
-				return p.err()
+				return
 			}
-			time.Sleep(gateWaitFor)
+			time.Sleep(gateWait)
 			continue
 		}
-		if s.maxQueue > 0 && inflight.Load() >= s.maxQueue {
-			// Claim just ahead of the workers; yield rather than sleep,
-			// since simulated fetches drain the queue in microseconds.
-			queueScans++
-			spinThenSleep(queueScans, 64, 100*time.Microsecond)
-			continue
-		}
-		queueScans = 0
-		e, sid, ok := s.coll.ClaimDue(s.now())
+		e, sid, ok := cfg.Coll.ClaimDue(cfg.Now())
 		if !ok && inflight.Load() == 0 {
 			// All workers idle and their releases visible (release
 			// happens before the inflight decrement); one more claim
 			// settles whether the frontier is drained or a release
 			// raced the first claim.
-			e, sid, ok = s.coll.ClaimDue(s.now())
+			e, sid, ok = cfg.Coll.ClaimDue(cfg.Now())
 		}
 		if !ok {
-			if !s.idle(inflight.Load(), scans) {
-				return p.err()
+			if !cfg.Idle(inflight.Load(), scans) {
+				return
 			}
 			scans++
 			continue
@@ -364,80 +344,18 @@ func (p *dispatchPool) dispatchClaims(s claimSpec) error {
 		scans = 0
 		inflight.Add(1)
 		dispatched++
-		j := &crawlJob{url: e.URL, day: s.now()}
+		j := &crawlJob{url: e.URL, day: cfg.Now()}
 		p.submit(dispatchGroup{
 			jobs: []*crawlJob{j},
 			done: func() {
 				// Release before decrementing: once inflight hits zero
 				// the dispatcher trusts the frontier to be fully
 				// visible.
-				if s.release != nil {
-					s.release(sid)
+				if cfg.Release != nil {
+					cfg.Release(sid)
 				}
 				inflight.Add(-1)
 			},
 		})
 	}
-	return p.err()
-}
-
-// spinThenSleep is the idle backoff used against fast (simulated)
-// fetchers: yield the scheduler for the first spins, then back off to
-// brief sleeps instead of burning a core on shard scans.
-func spinThenSleep(scans, spins int, d time.Duration) {
-	if scans < spins {
-		runtime.Gosched()
-	} else {
-		time.Sleep(d)
-	}
-}
-
-// ClaimDispatch configures DispatchClaims, the exported face of the
-// claim/fetch/release dispatcher for wall-clock crawlers outside this
-// package (cmd/webcrawl). Work receives each claimed head URL; a
-// returned error stops the whole dispatch. Gate reports whether the
-// fetch budget allows another claim (false pauses dispatch, and ends
-// it once nothing is in flight). Idle follows claimSpec.idle.
-type ClaimDispatch struct {
-	Workers int
-	Coll    frontier.ShardSet
-	Now     func() float64
-	Work    func(url string) error
-	Release func(shard int)
-	Gate    func(dispatched, inflight int64) bool
-	Idle    func(inflight int64, scans int) bool
-	// GateWait paces a closed gate (default 10ms).
-	GateWait time.Duration
-}
-
-// DispatchClaims runs the claim loop over a private worker pool and
-// returns the first work error, if any.
-func DispatchClaims(cfg ClaimDispatch) error {
-	pool := newDispatchPool(cfg.Workers,
-		func(_ int, j *crawlJob) error {
-			// Wall-clock crawls are slow enough (network-bound) that a
-			// per-fetch trace span is cheap; the simulated engine sticks
-			// to per-round spans (engine.go).
-			start := time.Now()
-			err := cfg.Work(j.url)
-			obs.DefaultTrace.Span("fetch_url", 0, 1, start)
-			return err
-		}, nil)
-	err := pool.dispatchClaims(claimSpec{
-		coll:    cfg.Coll,
-		now:     cfg.Now,
-		release: cfg.Release,
-		gate: func(dispatched, inflight int64) gateDecision {
-			if cfg.Gate == nil || cfg.Gate(dispatched, inflight) {
-				return gateDispatch
-			}
-			return gateWait
-		},
-		gateWaitFor: cfg.GateWait,
-		idle:        cfg.Idle,
-	})
-	if cerr := pool.close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -103,13 +103,13 @@ func TestDispatchPoolSiteLines(t *testing.T) {
 	}
 	mu.ch = make(chan struct{}, 64)
 	var seq atomic.Int64
-	pool := newDispatchPool(4, func(_ int, j *crawlJob) error {
+	pool := newDispatchPool(4, func(j *crawlJob) error {
 		if j.site == "a" {
 			mu.order = append(mu.order, j.idx) // site-serial: no race by contract
 		}
 		seq.Add(1)
 		return nil
-	}, nil)
+	})
 	defer pool.close()
 
 	mk := func(site string, idx int) dispatchGroup {
@@ -140,9 +140,9 @@ func TestDispatchPoolSiteLines(t *testing.T) {
 // hang.
 func TestDispatchPoolErrorRunsDoneHooks(t *testing.T) {
 	var done atomic.Int64
-	pool := newDispatchPool(2, func(_ int, j *crawlJob) error {
+	pool := newDispatchPool(2, func(j *crawlJob) error {
 		return errors.New("boom")
-	}, nil)
+	})
 	groups := make([]dispatchGroup, 8)
 	for i := range groups {
 		groups[i] = dispatchGroup{

@@ -136,7 +136,7 @@ func (r *roundState) reset() {
 // the change-history observation, the site-aggregate pooling, and the
 // working-rate estimate. Everything it touches is either job-local or
 // serialized by the pool's per-site lines.
-func (c *Crawler) fetchJob(_ int, j *crawlJob) error {
+func (c *Crawler) fetchJob(j *crawlJob) error {
 	res, err := c.fetcher.Fetch(j.url, j.day)
 	if err != nil {
 		return fmt.Errorf("core: fetching %s: %w", j.url, err)

@@ -16,10 +16,13 @@ var (
 	engineRoundJobs = obs.Default.Histogram("webevolve_engine_round_jobs",
 		"jobs per dispatch round", obs.ExpBuckets(1, 2, 12))
 	enginePhaseSeconds = obs.Default.HistogramVec("webevolve_engine_phase_seconds",
-		"round phase wall time (pop, fetch, apply_schedule, push, apply_content, content_wait)",
+		"engine wall time by phase (per round: pop, fetch, apply_schedule, push, apply_content, content_wait; per ranking pass: rebuild_wait)",
 		obs.LatencyBuckets, "phase")
 	engineInflightRounds = obs.Default.Gauge("webevolve_engine_inflight_rounds",
 		"rounds currently dispatched and not yet applied")
+	engineRankRebuild = obs.Default.Histogram("webevolve_engine_rank_rebuild_seconds",
+		"revisit-plan rebuild (scheduler.Optimal.Rebuild) wall time, one sample per ranking pass",
+		obs.LatencyBuckets)
 	engineContentBacklog = obs.Default.Gauge("webevolve_engine_content_backlog",
 		"rounds scheduled and not yet applied by the content stage (being applied, queued, or blocking the engine's hand-off)")
 
@@ -38,4 +41,5 @@ var (
 	phaseApplyContent  = enginePhaseSeconds.With("apply_content")
 	phasePush          = enginePhaseSeconds.With("push")
 	phaseContentWait   = enginePhaseSeconds.With("content_wait")
+	phaseRebuildWait   = enginePhaseSeconds.With("rebuild_wait")
 )

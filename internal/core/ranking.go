@@ -2,9 +2,12 @@ package core
 
 import (
 	"sort"
+	"time"
 
 	"webevolve/internal/frontier"
+	"webevolve/internal/obs"
 	"webevolve/internal/pagerank"
+	"webevolve/internal/scheduler"
 )
 
 // rankingPass is the RankingModule of Figure 12: recompute importance
@@ -41,30 +44,36 @@ func (c *Crawler) rankingPass() error {
 	}
 
 	if c.optimal != nil {
-		rates := make(map[string]float64, c.coll.Len())
+		// URLs arrive sorted, so the sort inside Rebuild is one pass.
+		urls := c.coll.URLs()
+		pages := make([]scheduler.PageRate, len(urls))
 		prior := 1 / (4 * c.cfg.CycleDays) // the paper's ~4-month mean
-		for _, u := range c.coll.URLs() {
+		for i, u := range urls {
 			r := prior
 			if e, ok := c.est[u]; ok {
 				if er := c.workingRate(u, e); er > 0 {
 					r = er
 				}
 			}
-			rates[u] = r
+			pages[i] = scheduler.PageRate{URL: u, Rate: r}
 		}
-		if len(rates) > 0 {
-			// The rebuild (a Lagrange-multiplier search, the most
-			// expensive part of the pass) runs concurrently with the
-			// post-rank rounds' fetches: nothing between here and the
-			// next applySchedule reads the revisit plan — the paper's
+		if len(pages) > 0 {
+			// The rebuild (a Lagrange-multiplier search) runs concurrently
+			// with the post-rank rounds' fetches: nothing between here and
+			// the next applySchedule reads the revisit plan — the paper's
 			// point exactly, the UpdateModule never waits for the
-			// RankingModule. joinRebuild synchronizes before the plan
-			// is first consulted, and the result is a pure function of
-			// the rates snapshot taken above, so timing cannot change
-			// it.
+			// RankingModule. joinRebuild synchronizes before the plan is
+			// first consulted, and the result is a pure function of the
+			// rates snapshot taken above, so timing cannot change it.
 			done := make(chan error, 1)
 			c.rebuildDone = done
-			go func() { done <- c.optimal.Rebuild(rates) }()
+			go func() {
+				start := time.Now()
+				err := c.optimal.Rebuild(pages)
+				engineRankRebuild.Observe(time.Since(start).Seconds())
+				obs.DefaultTrace.Span("rank_rebuild", 0, len(pages), start)
+				done <- err
+			}()
 		}
 	}
 
@@ -79,7 +88,9 @@ func (c *Crawler) joinRebuild() error {
 	if c.rebuildDone == nil {
 		return nil
 	}
+	start := time.Now()
 	err := <-c.rebuildDone
+	phaseRebuildWait.Observe(time.Since(start).Seconds())
 	c.rebuildDone = nil
 	return err
 }

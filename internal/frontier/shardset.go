@@ -6,9 +6,9 @@ import "hash/fnv"
 // consume: a revisit queue partitioned into per-site shards with
 // politeness and exclusive-claim semantics. Two implementations exist:
 // the in-process *Sharded, and cluster.RemoteShards, which speaks the
-// same operations to shard servers on other machines — so core.Crawler,
-// core.UpdatePipeline and cmd/webcrawl run unchanged whether their
-// shards are local or distributed.
+// same operations to shard servers on other machines — so core.Crawler
+// and cmd/webcrawl run unchanged whether their shards are local or
+// distributed.
 //
 // Methods deliberately carry no error returns: the in-process queue
 // cannot fail, and remote implementations absorb transport failures

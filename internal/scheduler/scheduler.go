@@ -15,7 +15,8 @@ package scheduler
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"webevolve/internal/freshness"
@@ -122,42 +123,40 @@ func NewOptimal(budgetPerDay, minDays, maxDays, defaultDays float64) (*Optimal, 
 	}, nil
 }
 
-// Rebuild recomputes the allocation for the given per-page rate
-// estimates. URLs map to estimated change rates in changes/day.
-func (o *Optimal) Rebuild(rates map[string]float64) error {
-	if len(rates) == 0 {
+// PageRate is one page's estimated change rate, in changes/day.
+type PageRate struct {
+	URL  string
+	Rate float64
+}
+
+// Rebuild recomputes the allocation for the given pages (distinct URLs;
+// negative or non-finite rates count as 0). It sorts pages by URL in
+// place, so the plan does not depend on the order they arrive in.
+func (o *Optimal) Rebuild(pages []PageRate) error {
+	if len(pages) == 0 {
 		o.mu.Lock()
 		o.plan = make(map[string]float64)
 		o.mu.Unlock()
 		return nil
 	}
-	urls := make([]string, 0, len(rates))
-	for u := range rates {
-		urls = append(urls, u)
-	}
-	sort.Strings(urls)
-	rs := make([]float64, len(urls))
-	for i, u := range urls {
-		r := rates[u]
-		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			r = 0
+	slices.SortFunc(pages, func(a, b PageRate) int { return strings.Compare(a.URL, b.URL) })
+	rs := make([]float64, len(pages))
+	for i, p := range pages {
+		if p.Rate > 0 && !math.IsInf(p.Rate, 1) {
+			rs[i] = p.Rate
 		}
-		rs[i] = r
 	}
 	fs, err := freshness.OptimalAllocation(rs, o.BudgetPerDay)
 	if err != nil {
 		return err
 	}
-	plan := make(map[string]float64, len(urls))
-	for i, u := range urls {
-		f := fs[i]
-		var iv float64
-		if f <= 0 {
-			iv = o.MaxDays
-		} else {
+	plan := make(map[string]float64, len(pages))
+	for i, p := range pages {
+		iv := o.MaxDays
+		if f := fs[i]; f > 0 {
 			iv = Clamp(1/f, o.MinDays, o.MaxDays)
 		}
-		plan[u] = iv
+		plan[p.URL] = iv
 	}
 	o.mu.Lock()
 	o.plan = plan

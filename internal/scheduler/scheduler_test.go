@@ -3,7 +3,10 @@ package scheduler
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
+
+	"webevolve/internal/freshness"
 )
 
 func TestClamp(t *testing.T) {
@@ -71,6 +74,15 @@ func TestNewOptimalValidation(t *testing.T) {
 	}
 }
 
+// pageRates lists a url -> rate map as Rebuild's input, in map order.
+func pageRates(rates map[string]float64) []PageRate {
+	pages := make([]PageRate, 0, len(rates))
+	for u, r := range rates {
+		pages = append(pages, PageRate{URL: u, Rate: r})
+	}
+	return pages
+}
+
 func TestOptimalRebuildAndInterval(t *testing.T) {
 	o, err := NewOptimal(10, 0.1, 1000, 30)
 	if err != nil {
@@ -80,17 +92,33 @@ func TestOptimalRebuildAndInterval(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		rates[fmt.Sprintf("http://s.com/p%02d", i)] = 0.05 * float64(i+1)
 	}
-	if err := o.Rebuild(rates); err != nil {
+	// The plan the map hand-off used to produce: allocate over the rates
+	// in URL order, invert, clamp.
+	urls := make([]string, 0, len(rates))
+	for u := range rates {
+		urls = append(urls, u)
+	}
+	sort.Strings(urls)
+	rs := make([]float64, len(urls))
+	for i, u := range urls {
+		rs[i] = rates[u]
+	}
+	fs, err := freshness.OptimalAllocation(rs, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rebuild gets the pages in map order, i.e. shuffled: the plan must
+	// not depend on it, down to the bit.
+	if err := o.Rebuild(pageRates(rates)); err != nil {
 		t.Fatal(err)
 	}
 	if o.PlanSize() != 20 {
 		t.Fatalf("plan size %d", o.PlanSize())
 	}
-	// Planned intervals must be within clamps.
-	for u := range rates {
-		iv := o.Interval(u, rates[u], 0)
-		if iv < 0.1 || iv > 1000 {
-			t.Fatalf("interval %v out of bounds", iv)
+	for i, u := range urls {
+		want := Clamp(1/fs[i], 0.1, 1000)
+		if got := o.Interval(u, rates[u], 0); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: interval %v, want %v", u, got, want)
 		}
 	}
 	// Unknown page with a rate estimate: 1/rate clamped.
@@ -124,11 +152,11 @@ func TestOptimalSanitizesBadRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Rebuild(map[string]float64{
-		"http://a.com/": math.NaN(),
-		"http://b.com/": math.Inf(1),
-		"http://c.com/": -3,
-		"http://d.com/": 0.2,
+	if err := o.Rebuild([]PageRate{
+		{"http://a.com/", math.NaN()},
+		{"http://b.com/", math.Inf(1)},
+		{"http://c.com/", -3},
+		{"http://d.com/", 0.2},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +176,7 @@ func TestOptimalBudgetReflectedInIntervals(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rates[fmt.Sprintf("http://e.com/p%03d", i)] = 0.1
 	}
-	if err := o.Rebuild(rates); err != nil {
+	if err := o.Rebuild(pageRates(rates)); err != nil {
 		t.Fatal(err)
 	}
 	for u := range rates {

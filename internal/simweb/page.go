@@ -1,9 +1,8 @@
 package simweb
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -121,32 +120,79 @@ func (p *Page) snapshot(day float64, withHTML bool) Snapshot {
 // contaminated (see DESIGN.md; the real experiment's checksums hash page
 // bodies, whose navigation chrome is similarly stable).
 func pageChecksum(url string, version int) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(url))
-	_, _ = h.Write([]byte{'#'})
-	_, _ = fmt.Fprintf(h, "%d", version)
-	return h.Sum64()
+	// FNV-1a over url, '#' and the decimal version.
+	h := uint64(fnv64Offset)
+	for i := 0; i < len(url); i++ {
+		h = (h ^ uint64(url[i])) * fnv64Prime
+	}
+	h = (h ^ '#') * fnv64Prime
+	var num [20]byte
+	for _, c := range strconv.AppendInt(num[:0], int64(version), 10) {
+		h = (h ^ uint64(c)) * fnv64Prime
+	}
+	return h
 }
+
+const (
+	fnv64Offset = 14695981039346656037
+	fnv64Prime  = 1099511628211
+	fnv32Offset = 2166136261
+	fnv32Prime  = 16777619
+)
 
 // renderHTML produces deterministic pseudo-content for a page version,
 // with all links as anchors. The crawler's HTML parser extracts exactly
-// Links back out of it.
+// Links back out of it. It runs once per simulated fetch, on the crawl's
+// worker goroutines, so it appends into one buffer sized up front
+// rather than formatting through fmt.
 func renderHTML(url string, version int, links []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "<html><head><title>%s v%d</title></head><body>\n", url, version)
-	fmt.Fprintf(&b, "<h1>Synthetic page %s</h1>\n", url)
-	fmt.Fprintf(&b, "<p>revision %d; checksum %016x</p>\n", version, pageChecksum(url, version))
+	var num [20]byte
+	ver := strconv.AppendInt(num[:0], int64(version), 10)
 	// A block of version-dependent filler so page size varies with
-	// content, as real pages do.
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(url))
-	para := int(h.Sum32()%5) + 1
+	// content, as real pages do: 1-5 sections by FNV-1a of the URL.
+	h := uint32(fnv32Offset)
+	for i := 0; i < len(url); i++ {
+		h = (h ^ uint32(url[i])) * fnv32Prime
+	}
+	para := int(h%5) + 1
+
+	size := 138 + 2*len(url) + 2*len(ver) + para*(30+len(ver)) // exact
+	for _, l := range links {
+		size += 27 + 2*len(l)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString("<html><head><title>")
+	b.WriteString(url)
+	b.WriteString(" v")
+	b.Write(ver)
+	b.WriteString("</title></head><body>\n<h1>Synthetic page ")
+	b.WriteString(url)
+	b.WriteString("</h1>\n<p>revision ")
+	b.Write(ver)
+	b.WriteString("; checksum ")
+	var hex [16]byte // %016x
+	sum := pageChecksum(url, version)
+	for i := len(hex) - 1; i >= 0; i-- {
+		hex[i] = "0123456789abcdef"[sum&0xf]
+		sum >>= 4
+	}
+	b.Write(hex[:])
+	b.WriteString("</p>\n")
 	for i := 0; i < para; i++ {
-		fmt.Fprintf(&b, "<p>section %d of revision %d</p>\n", i, version)
+		b.WriteString("<p>section ")
+		b.WriteByte(byte('0' + i)) // para <= 5
+		b.WriteString(" of revision ")
+		b.Write(ver)
+		b.WriteString("</p>\n")
 	}
 	b.WriteString("<ul>\n")
 	for _, l := range links {
-		fmt.Fprintf(&b, "  <li><a href=\"%s\">%s</a></li>\n", l, l)
+		b.WriteString("  <li><a href=\"")
+		b.WriteString(l)
+		b.WriteString("\">")
+		b.WriteString(l)
+		b.WriteString("</a></li>\n")
 	}
 	b.WriteString("</ul>\n</body></html>\n")
 	return b.String()

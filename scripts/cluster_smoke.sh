@@ -210,12 +210,14 @@ for size in 2000 8000 32000; do
     if ! curl -sS "http://$cm/metrics" >"$tmp/c3.metrics"; then
         escalate "metrics scrape"; continue
     fi
-    # The same scrape gates the engine's content-stage names: the
-    # content_wait phase has observations by now, the backlog gauge is
-    # exposed (it may read zero at this instant).
+    # The same scrape gates the engine's content-stage and ranking-pass
+    # names: the content_wait phase has observations by now; the backlog
+    # gauge, the rebuild_wait phase and the rank_rebuild histogram are
+    # exposed (the gauge may read zero at this instant, and the other two
+    # count only under the variable-frequency policy).
     "$tmp/promcheck" \
         -require 'webevolve_membership_epoch,webevolve_membership_migrations_total,webevolve_engine_phase_seconds{phase="content_wait"}' \
-        -present webevolve_engine_content_backlog \
+        -present 'webevolve_engine_content_backlog,webevolve_engine_rank_rebuild_seconds,webevolve_engine_phase_seconds{phase="rebuild_wait"}' \
         <"$tmp/c3.metrics"
     curl -sS "http://$(cat "$tmp/d1.maddr")/metrics" | "$tmp/promcheck" \
         -require webevolve_membership_export_entries_total,webevolve_membership_handoff_bytes
