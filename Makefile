@@ -33,10 +33,15 @@ race:
 	$(GO) test -race -count=5 -run 'TestRoundRetryRepeeks|TestRoundReplyLostKeepsPopOrder|TestFlakyTransportKeepsRoundPopOrder' ./internal/cluster/
 	$(GO) test -race -short -count=5 -run 'TestOptimalAllocationMatchesReference' ./internal/freshness/
 
-# Thirty seconds of fuzzing the optimizer's equivalence property (its
-# seed corpus already runs under plain `go test`).
+# Thirty seconds of fuzzing the optimizer's equivalence property, then
+# fifteen each on the cluster's frame reader and request handler: there
+# is one wire decoder and no second version to cross-check it, so
+# arbitrary bytes must keep surfacing as errors, never panics. (The
+# seed corpora already run under plain `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimalAllocation -fuzztime 30s ./internal/freshness/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzHandleBody -fuzztime 15s ./internal/cluster/
 
 # Engine benchmarks, written machine-readable to BENCH_engine.json
 # (benchmark name, iterations, ns/op, pages/s, B/op, allocs/op) so the

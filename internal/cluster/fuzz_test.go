@@ -3,40 +3,40 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"testing"
 
 	"webevolve/internal/frontier"
 )
 
-// validFrame builds a well-formed frame tagged ver for seeding the
-// fuzzers.
-func validFrame(t testing.TB, ver, kind byte, body []byte) []byte {
+// validFrame builds a well-formed frame for seeding the fuzzers.
+func validFrame(t testing.TB, kind byte, body []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, ver, kind, body); err != nil {
+	if _, err := writeFrame(&buf, kind, body); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// prefixLieBody builds a v6 push-batch body whose single front-coded
+// prefixLieBody builds a push-batch body whose single front-coded
 // entry claims a 64-byte shared prefix against an empty previous URL.
 func prefixLieBody(reqID uint64) []byte {
-	e := newEnc(ProtoVersion)
+	var e enc
 	e.fix64(reqID)
-	e.uvarint(1)  // one entry
-	e.uvarint(64) // shared prefix longer than prev ("")
-	e.uvarint(0)  // empty suffix
-	e.fix64(0)    // due
-	e.fix64(0)    // priority
+	e.u64(1)   // one entry
+	e.u64(64)  // shared prefix longer than prev ("")
+	e.u64(0)   // empty suffix
+	e.fix64(0) // due
+	e.fix64(0) // priority
 	return e.b
 }
 
 // rawFrame assembles a frame with a correct length prefix and CRC but
 // arbitrary payload bytes — for corpora whose corruption lives *below*
-// the checksum (bad flags, lying compression headers), which a
-// CRC-valid frame must still reject.
+// the checksum (bad flags, lying compression headers, another build's
+// version tag), which a CRC-valid frame must still reject.
 func rawFrame(payload []byte) []byte {
 	out := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
@@ -45,138 +45,118 @@ func rawFrame(payload []byte) []byte {
 	return out
 }
 
-// FuzzDecodeFrame throws arbitrary byte streams at the frame reader
-// and, when a frame decodes, at the request handler: truncated frames,
-// flipped bits, oversized lengths, truncated varints, front-coding
-// lies, hostile compression headers and unknown ops must all surface
-// as errors (or error responses), never as panics or hangs.
-func FuzzDecodeFrame(f *testing.F) {
-	for _, ver := range []byte{helloProto, ProtoVersion} {
-		push := newEnc(ver)
-		push.fix64(7).str("http://site001.com/a").f64(1).f64(2)
-		f.Add(validFrame(f, ver, opPush, push.b))
-		batch := newEnc(ver)
-		batch.fix64(8)
-		encodeEntries(&batch, []frontier.Entry{
-			{URL: "http://site001.com/a", Due: 1},
-			{URL: "http://site001.com/b", Due: 2, Priority: 1},
-		})
-		f.Add(validFrame(f, ver, opPushBatch, batch.b))
+// seedBodies are well-formed request bodies by opcode, plus bodies
+// whose malformation only the decode layer can catch.
+func seedBodies() map[byte][][]byte {
+	var push, batch, lying, pop enc
+	push.fix64(9).str("http://site001.com/a").f64(1).f64(2)
+	batch.fix64(10)
+	encodeEntries(&batch, []frontier.Entry{
+		{URL: "http://site001.com/a", Due: 1},
+		{URL: "http://site002.com/b", Due: 2, Priority: 1},
+	})
+	// Batch claiming 4 billion entries with a 30-byte body.
+	lying.fix64(11).u32(0xFFFFFFFF).str("http://site001.com/a")
+	pop.fix64(12).f64(3)
+	return map[byte][][]byte{
+		opPush: {push.b},
+		// Truncated uvarint count (0x80 promises a continuation byte that
+		// never comes); a front-coded entry whose shared prefix exceeds
+		// the previous URL.
+		opPushBatch: {batch.b, lying.b, {1, 2, 3, 4, 5, 6, 7, 8, 0x80}, prefixLieBody(13)},
+		opPopDue:    {pop.b},
+		opClaimDue:  {pop.b},
+		// The second: a fixed-width body as builds before version 6
+		// encoded it.
+		opRelease: {{1, 2, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F}},
+		opHello:   {{1}, helloBody(0.5, true)},
+		opRemove:  {{}},
+		opLen:     {nil},
+		0xEE:      {[]byte("unknown op")},
 	}
-	var hello enc
-	hello.bool(true).f64(0.5).bool(true)
-	f.Add(validFrame(f, helloProto, opHello, hello.b))
-	f.Add(validFrame(f, helloProto, opHello, append(hello.b, ProtoVersion)))
-	f.Add(validFrame(f, helloProto, opLen, nil))
-	f.Add(validFrame(f, ProtoVersion, 0xEE, []byte("unknown op")))
+}
 
-	// A compressed frame (body above compressMin so writeFrame deflates).
-	big := newEnc(ProtoVersion)
-	big.fix64(9)
-	var ents []frontier.Entry
-	for i := 0; i < 64; i++ {
-		ents = append(ents, frontier.Entry{URL: "http://site000.com/page/000000000000", Due: float64(i)})
-	}
-	encodeEntries(&big, ents)
-	f.Add(validFrame(f, ProtoVersion, opPushBatch, big.b))
-
-	whole := validFrame(f, ProtoVersion, opPush, []byte("x"))
-	// Truncated frame.
-	f.Add(whole[:len(whole)-3])
-	// Flipped payload byte (CRC must object).
+// corruptFrames are byte streams readFrame must refuse: damaged above
+// the checksum (truncated, bit-flipped, oversized) and, CRC-valid,
+// below it (flags, compression headers).
+func corruptFrames(t testing.TB) map[string][]byte {
+	whole := validFrame(t, opPush, seedBodies()[opPush][0])
 	flipped := append([]byte(nil), whole...)
 	flipped[len(flipped)-1] ^= 0xff
-	f.Add(flipped)
-	// Oversized length prefix.
 	huge := append([]byte(nil), whole...)
 	binary.LittleEndian.PutUint32(huge[0:4], maxFrame+1)
-	f.Add(huge)
-
-	// Truncated varint: a v6 body ending mid-uvarint (0x80 promises a
-	// continuation byte that never comes).
-	f.Add(rawFrame([]byte{ProtoVersion, opLen, 0, 0x80}))
-	// Front-coding lie: shared-prefix-len 200 against an empty previous
-	// URL inside a push-batch entry.
-	f.Add(rawFrame(append([]byte{ProtoVersion, opPushBatch, 0}, prefixLieBody(10)...)))
-	// Unknown flag bits set.
-	f.Add(rawFrame([]byte{ProtoVersion, opLen, 0xFE}))
-	// Compressed body declaring an inflated size past maxFrame.
-	var lying bytes.Buffer
-	lying.Write([]byte{ProtoVersion, opLen, flagCompressed})
-	var hdr [binary.MaxVarintLen64]byte
-	lying.Write(hdr[:binary.PutUvarint(hdr[:], maxFrame+1)])
-	f.Add(rawFrame(lying.Bytes()))
-	// Compressed body whose stream inflates to less than it declares.
+	// A compressed body declaring an inflated size past maxFrame, and one
+	// whose stream inflates to less than it declares.
+	lying := binary.AppendUvarint([]byte{ProtoVersion, opLen, flagCompressed}, maxFrame+1)
 	var short bytes.Buffer
 	short.Write([]byte{ProtoVersion, opLen, flagCompressed})
 	deflateBody(&short, []byte("tiny"))
-	b := short.Bytes()
-	b[3] = 0x60 // declare 96 inflated bytes; the stream holds 4
-	f.Add(rawFrame(b))
-	// Compression flag on a pre-v6 frame (no flags byte exists there —
-	// the byte is body content and must decode as such, not inflate).
-	f.Add(rawFrame([]byte{helloProto, opLen, flagCompressed}))
+	short.Bytes()[3] = 0x60 // declare 96 inflated bytes; the stream holds 4
+	return map[string][]byte{
+		"truncated":                     whole[:len(whole)-3],
+		"flipped payload byte":          flipped,
+		"oversized length":              huge,
+		"unknown flag bits":             rawFrame([]byte{ProtoVersion, opLen, 0xFE}),
+		"compressed size past maxFrame": rawFrame(lying),
+		"compressed size mismatch":      rawFrame(short.Bytes()),
+	}
+}
 
+// FuzzDecodeFrame throws arbitrary byte streams at the frame reader
+// and, when a frame decodes, at the request handler: truncated frames,
+// flipped bits, oversized lengths, truncated varints, front-coding
+// lies, hostile compression headers, other versions' frames and
+// unknown ops must all surface as errors (or error responses), never
+// as panics or hangs.
+func FuzzDecodeFrame(f *testing.F) {
+	for op, bodies := range seedBodies() {
+		for _, body := range bodies {
+			f.Add(validFrame(f, op, body))
+		}
+	}
+	// A compressed frame (body above compressMin so writeFrame deflates).
+	f.Add(validFrame(f, opPushBatch, walBatchBody(9, testURLs(8, 8))))
+	for _, b := range corruptFrames(f) {
+		f.Add(b)
+	}
+	// Other builds' frames, intact: the two-byte-header shapes versions
+	// 2–5 wrote (a v5 hello with its want byte, a v5 body that would read
+	// as a compression flag) and ours tagged one version ahead.
+	f.Add(rawFrame(append([]byte{5, opHello}, append(helloBody(0.5, true), ProtoVersion)...)))
+	f.Add(rawFrame([]byte{2, opLen}))
+	f.Add(rawFrame([]byte{5, opLen, flagCompressed}))
+	f.Add(rawFrame(append([]byte{ProtoVersion + 1, opPush, 0}, seedBodies()[opPush][0]...)))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ver, kind, body, _, err := readFrame(bytes.NewReader(data))
+		kind, body, _, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		if data[8] != ProtoVersion {
+			t.Fatalf("frame tagged version %d decoded", data[8])
+		}
 		srv := NewShardServer(frontier.NewSharded(2))
-		status, resp := srv.handle(ver, kind, body)
+		status, resp := srv.handle(kind, body)
 		if status != statusOK && status != statusError {
 			t.Fatalf("handle returned status %d (resp %q)", status, resp)
 		}
 	})
 }
 
-// FuzzHandleBody drives every opcode with arbitrary bodies directly
-// under both encodings: the decode layer's poisoning must turn any
-// malformed body into an error response, not a panic.
+// FuzzHandleBody drives every opcode with arbitrary bodies directly:
+// the decode layer's poisoning must turn any malformed body into an
+// error response, not a panic.
 func FuzzHandleBody(f *testing.F) {
-	for _, v6 := range []bool{false, true} {
-		ver := byte(helloProto)
-		if v6 {
-			ver = ProtoVersion
+	for op, bodies := range seedBodies() {
+		for _, body := range bodies {
+			f.Add(op, body)
 		}
-		push := newEnc(ver)
-		push.fix64(9).str("http://site001.com/a").f64(1).f64(2)
-		f.Add(v6, opPush, push.b)
-		batch := newEnc(ver)
-		batch.fix64(10)
-		encodeEntries(&batch, []frontier.Entry{
-			{URL: "http://site001.com/a", Due: 1},
-			{URL: "http://site002.com/b", Due: 2, Priority: 1},
-		})
-		f.Add(v6, opPushBatch, batch.b)
-		// Batch claiming 4 billion entries with a 30-byte body.
-		lying := newEnc(ver)
-		lying.fix64(11).u32(0xFFFFFFFF).str("http://site001.com/a")
-		f.Add(v6, opPushBatch, lying.b)
-		pop := newEnc(ver)
-		pop.fix64(12).f64(3)
-		f.Add(v6, opPopDue, pop.b)
-		f.Add(v6, opClaimDue, pop.b)
 	}
-	f.Add(false, opRelease, []byte{1, 2, 3})
-	f.Add(false, opHello, []byte{1})
-	f.Add(true, byte(0xEE), []byte("unknown"))
-	f.Add(true, opRemove, []byte{})
-	// Truncated uvarint count.
-	f.Add(true, opPushBatch, []byte{1, 2, 3, 4, 5, 6, 7, 8, 0x80})
-	// Front-coded entry whose shared prefix exceeds the previous URL.
-	f.Add(true, opPushBatch, prefixLieBody(13))
-
-	f.Fuzz(func(t *testing.T, v6 bool, op byte, body []byte) {
-		ver := byte(helloProto)
-		if v6 {
-			ver = ProtoVersion
-		}
+	f.Fuzz(func(t *testing.T, op byte, body []byte) {
 		srv := NewShardServer(frontier.NewSharded(2))
-		status, resp := srv.handle(ver, op, body)
+		status, resp := srv.handle(op, body)
 		if status != statusOK && status != statusError {
 			t.Fatalf("handle(%d) returned status %d (resp %q)", op, status, resp)
 		}
@@ -186,68 +166,45 @@ func FuzzHandleBody(f *testing.F) {
 // TestCorruptionTable pins the corruption cases the fuzzers seed, so
 // the contract is enforced even in runs that skip fuzzing.
 func TestCorruptionTable(t *testing.T) {
-	var push enc
-	push.fix64(7).str("http://site001.com/a").f64(1).f64(2)
-	whole := validFrame(t, helloProto, opPush, push.b)
-
-	t.Run("truncated", func(t *testing.T) {
-		for cut := 0; cut < len(whole); cut++ {
-			if _, _, _, _, err := readFrame(bytes.NewReader(whole[:cut])); err == nil {
-				t.Fatalf("truncation at %d accepted", cut)
+	for name, b := range corruptFrames(t) {
+		if _, _, _, err := readFrame(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	whole := validFrame(t, opPush, seedBodies()[opPush][0])
+	for cut := 0; cut < len(whole); cut++ {
+		if _, _, _, err := readFrame(bytes.NewReader(whole[:cut])); err == nil {
+			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+	// The version byte admits exactly ProtoVersion. Any other value on an
+	// intact frame — in the two-byte-header shape builds before version 6
+	// wrote, or in ours — is refused with errProtoVersion naming both
+	// versions: never decoded, never mistaken for corruption.
+	for v := 0; v < 256; v++ {
+		for _, payload := range [][]byte{{byte(v), opLen}, {byte(v), opPush, 0, 1, 2}, {byte(v), opLen, 0xFE}} {
+			_, _, _, err := readFrame(bytes.NewReader(rawFrame(payload)))
+			if foreign := errors.Is(err, errProtoVersion); foreign != (v != ProtoVersion) {
+				t.Fatalf("version %d payload %x: err = %v", v, payload, err)
+			} else if foreign && !namesVersions(err.Error(), byte(v)) {
+				t.Fatalf("version error %q does not name both versions", err)
 			}
 		}
-	})
-	t.Run("oversized length", func(t *testing.T) {
-		b := append([]byte(nil), whole...)
-		binary.LittleEndian.PutUint32(b[0:4], maxFrame+1)
-		if _, _, _, _, err := readFrame(bytes.NewReader(b)); err == nil {
-			t.Fatal("oversized length accepted")
+	}
+	srv := NewShardServer(frontier.NewSharded(2))
+	for name, req := range map[string]struct {
+		op   byte
+		body []byte
+	}{
+		"unknown op":                     {0xEE, nil},
+		"mutating op without request id": {opPush, []byte{1, 2}},
+		"front-coding prefix lie":        {opPushBatch, prefixLieBody(13)},
+	} {
+		if status, _ := srv.handle(req.op, req.body); status != statusError {
+			t.Errorf("%s: status %d, want error", name, status)
 		}
-	})
-	t.Run("unknown flag bits", func(t *testing.T) {
-		b := rawFrame([]byte{ProtoVersion, opLen, 0xFE})
-		if _, _, _, _, err := readFrame(bytes.NewReader(b)); err == nil {
-			t.Fatal("unknown flag bits accepted")
-		}
-	})
-	t.Run("compressed size past maxFrame", func(t *testing.T) {
-		var p bytes.Buffer
-		p.Write([]byte{ProtoVersion, opLen, flagCompressed})
-		var hdr [binary.MaxVarintLen64]byte
-		p.Write(hdr[:binary.PutUvarint(hdr[:], maxFrame+1)])
-		if _, _, _, _, err := readFrame(bytes.NewReader(rawFrame(p.Bytes()))); err == nil {
-			t.Fatal("compressed body declaring >maxFrame accepted")
-		}
-	})
-	t.Run("compressed size mismatch", func(t *testing.T) {
-		var p bytes.Buffer
-		p.Write([]byte{ProtoVersion, opLen, flagCompressed})
-		deflateBody(&p, []byte("tiny"))
-		b := p.Bytes()
-		b[3] = 0x60 // declare 96 inflated bytes; the stream holds 4
-		if _, _, _, _, err := readFrame(bytes.NewReader(rawFrame(b))); err == nil {
-			t.Fatal("inflated-size mismatch accepted")
-		}
-	})
-	t.Run("unknown op", func(t *testing.T) {
-		srv := NewShardServer(frontier.NewSharded(2))
-		if status, _ := srv.handle(ProtoVersion, 0xEE, nil); status != statusError {
-			t.Fatalf("unknown op status %d, want error", status)
-		}
-	})
-	t.Run("mutating op without request id", func(t *testing.T) {
-		srv := NewShardServer(frontier.NewSharded(2))
-		if status, _ := srv.handle(helloProto, opPush, []byte{1, 2}); status != statusError {
-			t.Fatalf("short mutating body status %d, want error", status)
-		}
-	})
-	t.Run("front-coding prefix lie", func(t *testing.T) {
-		srv := NewShardServer(frontier.NewSharded(2))
-		if status, _ := srv.handle(ProtoVersion, opPushBatch, prefixLieBody(13)); status != statusError {
-			t.Fatalf("prefix lie status %d, want error", status)
-		}
-		if n := srv.Shards().Len(); n != 0 {
-			t.Fatalf("prefix lie half-applied: %d entries", n)
-		}
-	})
+	}
+	if n := srv.Shards().Len(); n != 0 {
+		t.Fatalf("prefix lie half-applied: %d entries", n)
+	}
 }

@@ -68,10 +68,11 @@ func DialMembership(src MembershipSource, dialFor func(m registry.Member) Dialer
 		reqBase:    randomReqBase(),
 		politeness: opts.PolitenessDays,
 		opts:       opts,
+		rehello:    helloBody(opts.PolitenessDays, false),
 		src:        src,
 		dialFor:    dialFor,
 	}
-	helloInit := helloBody(opts.PolitenessDays, true, opts.maxProto())
+	helloInit := helloBody(opts.PolitenessDays, true)
 	names := make([]string, len(shard))
 	servers := make([]*serverConns, len(shard))
 	sort.Slice(shard, func(i, j int) bool { return shard[i].Addr < shard[j].Addr })
@@ -113,7 +114,7 @@ func DialRegistry(registryAddr string, opts Options) (*RemoteShards, error) {
 // newShardMember builds the (undialed) pool for one registry member.
 func (rs *RemoteShards) newShardMember(m registry.Member) *serverConns {
 	sc := newServerConns("member "+m.Addr, rs.dialFor(m), rs.opts, &rs.closed)
-	sc.hello = helloBody(rs.politeness, false, rs.opts.maxProto())
+	sc.hello = rs.rehello
 	sc.helloOp = opHello
 	sc.checkHello = sc.checkShardHello
 	return sc
@@ -217,10 +218,7 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 		// pushBatchChunk entries per round trip), and each chunk is
 		// grouped by new owner and imported before the next is pulled —
 		// so migrating a spilled frontier never materializes it whole on
-		// either side of the wire. An older server ignores the cursor
-		// and returns everything as one (large) first chunk. The body is
-		// rebuilt per request: each pool may have negotiated a different
-		// protocol version, so one shared encoding is unsound.
+		// either side of the wire.
 		var dedups []dedupEntry
 		// dedupSent tracks how much of the exporters' dedup tails each
 		// importer has received: a retry of migrated work may route
@@ -233,15 +231,14 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 				return fmt.Errorf("cluster: migration: no pool for new owner %s", addr)
 			}
 			pending := dedups[dedupSent[addr]:]
-			ver := sc.wireVer()
-			e := newEnc(ver)
+			var e enc
 			e.fix64(rs.nextReq())
 			encodeEntries(&e, entries)
 			e.u32(uint32(len(pending)))
 			for _, de := range pending {
 				e.fix64(de.id).u8(de.status).bytes(de.resp)
 			}
-			if _, err := sc.roundTrip(ver, opShardImport, e.b); err != nil {
+			if _, err := sc.roundTrip(opShardImport, e.b); err != nil {
 				return err
 			}
 			dedupSent[addr] = len(dedups)
@@ -252,20 +249,19 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 			sc := pools[addr]
 			after := ""
 			for {
-				ver := sc.wireVer()
-				e := newEnc(ver)
+				var e enc
 				e.fix64(rs.nextReq())
 				e.u32(uint32(nextRing.Parts())).u32(uint32(len(moved)))
 				for _, p := range moved {
 					e.u32(uint32(p))
 				}
 				e.str(after).u32(uint32(pushBatchChunk))
-				resp, err := sc.roundTrip(ver, opShardExport, e.b)
+				resp, err := sc.roundTrip(opShardExport, e.b)
 				if err != nil {
 					rs.fail(err)
 					return err
 				}
-				d := newDec(ver, resp)
+				d := newDec(resp)
 				entries := decodeEntries(d)
 				dn := int(d.u32())
 				for i := 0; i < dn && d.finish() == nil; i++ {
@@ -274,10 +270,7 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 						dedups = append(dedups, dedupEntry{id: id, status: st, resp: append([]byte(nil), b...)})
 					}
 				}
-				more := false
-				if d.finish() == nil && d.off < len(d.b) {
-					more = d.bool()
-				}
+				more := d.bool()
 				if d.finish() != nil {
 					err := fmt.Errorf("cluster: %s: bad export response", sc.name)
 					rs.fail(err)

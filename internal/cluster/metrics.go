@@ -64,7 +64,7 @@ var (
 	migrationsTotal = obs.Default.Counter("webevolve_membership_migrations_total",
 		"shard migrations this client completed (epoch flips it drove)")
 
-	// Wire-compression families (protocol v6): how often the per-frame
+	// Wire-compression families: how often the per-frame
 	// deflate flag engaged and what it bought. Both histograms tick only
 	// for frames that actually shipped compressed, so dividing the sums
 	// gives the achieved compression ratio; frames below the threshold

@@ -1,8 +1,8 @@
 // Package cluster gives the sharded frontier a serialization boundary,
 // so shards can live on other machines: a compact length-prefixed,
-// CRC-framed, versioned wire protocol for the frontier.ShardSet
-// operations, a ShardServer that hosts a set of in-process shards
-// behind any net.Listener, and a RemoteShards client that implements
+// CRC-framed wire protocol for the frontier.ShardSet operations, a
+// ShardServer that hosts a set of in-process shards behind any
+// net.Listener, and a RemoteShards client that implements
 // frontier.ShardSet over one or more servers — so core.Crawler and
 // cmd/webcrawl run unchanged whether their shards are local or
 // distributed (the paper's Figure 12 anticipates exactly this:
@@ -30,47 +30,13 @@ import (
 	"sync"
 )
 
-// ProtoVersion is the wire protocol version; frames carrying a newer
-// version, or one older than minProtoVersion, are rejected. Version 2
-// added request IDs on every state-mutating op (exactly-once retry
-// semantics), the batched push op, and the clear-claims bit in hello.
-// Version 3 added the batched dispatch-round op (opRound), which folds
-// a round's pops, drops and reschedules plus the next candidate peek
-// into one frame per server. Version 4 added the repository-store op
-// family (opStore*), served by StoreServer/storerd. Version 5 added
-// the live-migration pair (opShardExport/opShardImport) that moves
-// ring partitions between shard servers on a membership change.
-// Version 6 changed the body encoding — varint u32/u64 fields,
-// front-coded string lists, a per-frame flags byte with an optional
-// deflate-compressed body — and is negotiated at hello, so v5 peers
-// interoperate unchanged (see helloProto).
+// ProtoVersion is the one wire and log format this build speaks: every
+// frame written — on a connection, in a WAL, in a snapshot — carries
+// it, and readFrame rejects a frame carrying anything else with
+// errProtoVersion. There is no negotiation and no older decoder; the
+// byte exists so that a peer or a file of another build is refused by
+// name instead of being misparsed.
 const ProtoVersion = 6
-
-// protoV6 marks the first version with varint fields, front-coded
-// string lists and the compression flag. Frames tagged below it carry
-// the legacy fixed-width encoding and no flags byte.
-const protoV6 = 6
-
-// helloProto is the version every hello frame (request and response) is
-// tagged with, regardless of what the peers end up speaking: the
-// handshake must be decodable before any version has been negotiated.
-// A v6-capable client appends its preferred version as a trailing byte
-// to the hello body (v5 servers ignore trailing hello bytes); a
-// v6-capable server answers with the negotiated version appended to the
-// hello response. Every later frame is tagged with the negotiated
-// version and is self-describing — the server decodes each request per
-// its frame version and answers in kind, so clients pinned to
-// different versions can share one server.
-const helloProto = 5
-
-// minProtoVersion is the oldest version readFrame still accepts.
-// Versions 3 and 4 only added opcodes — every v2 frame body decodes
-// unchanged — and WAL files and snapshots written by a v2 shardd must
-// replay after an upgrade: rejecting them at the frame level would
-// make recovery mistake the whole log for a torn tail and truncate it
-// away. Version 6 frames carry their own encoding, so v2–v6 frames can
-// interleave in one WAL and each decodes by its own tag.
-const minProtoVersion = 2
 
 // maxFrame bounds a frame payload; anything larger is treated as a
 // corrupt or hostile stream. A compressed body must also declare an
@@ -80,8 +46,7 @@ const maxFrame = 64 << 20
 // Frame layout (little endian):
 //
 //	payloadLen uint32 | crc32(payload) uint32 | payload
-//	payload := version uint8 | kind uint8 | body             (v2–v5)
-//	payload := version uint8 | kind uint8 | flags uint8 | body  (v6+)
+//	payload := version uint8 | kind uint8 | flags uint8 | body
 //
 // For requests, kind is the opcode; for responses it is a status
 // (statusOK with an op-specific body, or statusError with a message).
@@ -108,18 +73,18 @@ const (
 	// pushes — and returns the server's next pop candidates, all in a
 	// single round trip (frontier.Sharded.ApplyRound on the wire).
 	opRound
-	// opShardExport (version 5) extracts and returns every queued entry
-	// whose site falls in the requested ring partitions, plus a capped
-	// tail of the server's request-dedup cache — the source half of a
-	// live shard migration. opShardImport installs exported entries and
-	// dedup pairs on the new owner. Both are mutating (WAL-logged,
+	// opShardExport extracts and returns one bounded chunk of the queued
+	// entries whose site falls in the requested ring partitions, plus a
+	// capped tail of the server's request-dedup cache — the source half
+	// of a live shard migration. opShardImport installs exported entries
+	// and dedup pairs on the new owner. Both are mutating (WAL-logged,
 	// request-ID memoized), so a migration survives server restarts and
 	// client retries like any other frontier mutation.
 	opShardExport
 	opShardImport
 )
 
-// The repository-store op family (version 4), served by StoreServer
+// The repository-store op family, served by StoreServer
 // (the storerd daemon): store.Collection over the wire, with named
 // collections so one server hosts a crawler's whole collection pair
 // (shadow generations included). Numbered from 0x20 to leave the
@@ -187,20 +152,13 @@ const (
 var (
 	errBadFrame = errors.New("cluster: corrupt frame")
 	errShort    = errors.New("cluster: truncated body")
+	// errProtoVersion marks an intact (length- and CRC-valid) frame of
+	// another protocol version. It is kept apart from errBadFrame because
+	// the two call for opposite reactions: a corrupt WAL tail is swept
+	// away and a broken connection redialed, but another build's frames
+	// must be left alone and reported.
+	errProtoVersion = errors.New("cluster: unsupported protocol version")
 )
-
-// negotiateVer resolves a client's wanted version against a server's
-// ceiling. 0 means "no negotiation": either side predates v6, and the
-// connection stays on the legacy encoding.
-func negotiateVer(want, max byte) byte {
-	if want < protoV6 || max < protoV6 {
-		return 0
-	}
-	if want < max {
-		return want
-	}
-	return max
-}
 
 // frameBufPool recycles writeFrame's assembly buffers: the hot paths
 // (engine apply rounds, WAL appends, worker claims) write a frame per
@@ -287,20 +245,22 @@ func inflateBody(comp []byte) ([]byte, error) {
 	return out, nil
 }
 
-// flagCompressed marks a deflate-compressed v6 frame body.
+// flagCompressed marks a deflate-compressed frame body.
 const flagCompressed = 0x01
 
-// writeFrame assembles and writes one frame tagged with ver as a single
-// Write call, so synchronous transports (net.Pipe) cannot interleave
-// partial frames. Bodies of v6+ frames at least compressMin long are
-// deflated when that shrinks them. It returns the bytes written to w —
-// the true wire size, which differs from the body length whenever the
-// body compressed.
-func writeFrame(w io.Writer, ver, kind byte, body []byte) (int, error) {
+// frameHdr is the payload's fixed prefix: version, kind, flags.
+const frameHdr = 3
+
+// writeFrame assembles and writes one frame as a single Write call, so
+// synchronous transports (net.Pipe) cannot interleave partial frames.
+// Bodies at least compressMin long are deflated when that shrinks them.
+// It returns the bytes written to w — the true wire size, which differs
+// from the body length whenever the body compressed.
+func writeFrame(w io.Writer, kind byte, body []byte) (int, error) {
 	flags := byte(0)
 	wireBody := body
 	var cbuf *bytes.Buffer
-	if ver >= protoV6 && len(body) >= compressMin {
+	if len(body) >= compressMin {
 		cbuf = compressBufPool.Get().(*bytes.Buffer)
 		cbuf.Reset()
 		if deflateBody(cbuf, body) && cbuf.Len() < len(body) {
@@ -311,11 +271,7 @@ func writeFrame(w io.Writer, ver, kind byte, body []byte) (int, error) {
 			frameCompressedBytes.Observe(float64(len(wireBody)))
 		}
 	}
-	hdrLen := 2
-	if ver >= protoV6 {
-		hdrLen = 3
-	}
-	payload := len(wireBody) + hdrLen
+	payload := len(wireBody) + frameHdr
 	if payload > maxFrame {
 		if cbuf != nil {
 			putCompressBuf(cbuf)
@@ -330,14 +286,10 @@ func writeFrame(w io.Writer, ver, kind byte, body []byte) (int, error) {
 		buf = buf[:8+payload]
 	}
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(payload))
-	buf[8] = ver
+	buf[8] = ProtoVersion
 	buf[9] = kind
-	if ver >= protoV6 {
-		buf[10] = flags
-		copy(buf[11:], wireBody)
-	} else {
-		copy(buf[10:], wireBody)
-	}
+	buf[10] = flags
+	copy(buf[8+frameHdr:], wireBody)
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
 	n, err := w.Write(buf)
 	if cap(buf) <= frameBufPoolMax {
@@ -351,64 +303,53 @@ func writeFrame(w io.Writer, ver, kind byte, body []byte) (int, error) {
 }
 
 // readFrame reads one frame, verifying length, CRC and version, and
-// inflating a compressed body. It returns the frame's version tag (the
-// body must be decoded with a dec of the same version) and the bytes
-// consumed from r — the wire size, which differs from len(body) for
-// compressed frames.
-func readFrame(r io.Reader) (ver, kind byte, body []byte, wire int, err error) {
+// inflating a compressed body. wire is the bytes consumed from r — the
+// wire size, which differs from len(body) for compressed frames. A
+// frame that is intact but of another version fails with an error that
+// Is errProtoVersion and names both versions; the frame has been
+// consumed whole, so the stream stays aligned for a reply.
+func readFrame(r io.Reader) (kind byte, body []byte, wire int, err error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, 0, err
+		return 0, nil, 0, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n < 2 || n > maxFrame {
-		return 0, 0, nil, 0, errBadFrame
+	if n < 2 || n > maxFrame { // every version's payload opens version, kind
+		return 0, nil, 0, errBadFrame
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, 0, fmt.Errorf("cluster: truncated frame: %w", err)
+		return 0, nil, 0, fmt.Errorf("cluster: truncated frame: %w", err)
 	}
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return 0, 0, nil, 0, errBadFrame
+		return 0, nil, 0, errBadFrame
 	}
-	ver = payload[0]
-	if ver < minProtoVersion || ver > ProtoVersion {
-		return 0, 0, nil, 0, fmt.Errorf("cluster: protocol version %d, want %d..%d", ver, minProtoVersion, ProtoVersion)
+	if ver := payload[0]; ver != ProtoVersion {
+		return 0, nil, 0, fmt.Errorf("%w %d (this build speaks only version %d)", errProtoVersion, ver, ProtoVersion)
 	}
-	kind = payload[1]
-	wire = 8 + int(n)
-	if ver < protoV6 {
-		return ver, kind, payload[2:], wire, nil
-	}
-	if n < 3 {
-		return 0, 0, nil, 0, errBadFrame
+	if n < frameHdr {
+		return 0, nil, 0, errBadFrame
 	}
 	flags := payload[2]
 	if flags&^flagCompressed != 0 {
-		return 0, 0, nil, 0, errBadFrame
+		return 0, nil, 0, errBadFrame
 	}
-	body = payload[3:]
+	body = payload[frameHdr:]
 	if flags&flagCompressed != 0 {
 		body, err = inflateBody(body)
 		if err != nil {
-			return 0, 0, nil, 0, err
+			return 0, nil, 0, err
 		}
 	}
-	return ver, kind, body, wire, nil
+	return payload[1], body, 8 + int(n), nil
 }
 
-// enc is an append-only body encoder. Its version selects the field
-// encoding: the zero value (and anything below protoV6) writes the
-// legacy fixed-width format; v6 writes uvarint u32/u64 fields and
-// front-coded string lists. fix64, u8, f64, bool and the raw length
-// prefixes inside str/bytes are identical across versions.
+// enc is an append-only body encoder; the zero value is ready to use.
+// Counts, lengths and other small integers (u32, u64) are uvarints;
+// f64 and fix64 are fixed 8-byte little-endian.
 type enc struct {
 	b []byte
-	v byte
 }
-
-// newEnc returns an encoder producing bodies for frames tagged ver.
-func newEnc(ver byte) enc { return enc{v: ver} }
 
 // encPool recycles the encoders of the crawl's two per-round request
 // bodies (opRound, opStorePutBatch), which are tens of kilobytes grown
@@ -418,12 +359,12 @@ var encPool = sync.Pool{New: func() any { return new(enc) }}
 
 const encPoolMax = 1 << 20
 
-// getEnc returns an empty pooled encoder for frames tagged ver. The
-// caller hands it back with putEnc once nothing reads its bytes: after
-// roundTrip returns, since every retry resends the same body.
-func getEnc(ver byte) *enc {
+// getEnc returns an empty pooled encoder. The caller hands it back with
+// putEnc once nothing reads its bytes: after roundTrip returns, since
+// every retry resends the same body.
+func getEnc() *enc {
 	e := encPool.Get().(*enc)
-	e.b, e.v = e.b[:0], ver
+	e.b = e.b[:0]
 	return e
 }
 
@@ -433,35 +374,16 @@ func putEnc(e *enc) {
 	}
 }
 
-func (e *enc) uvarint(v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	e.b = append(e.b, b[:binary.PutUvarint(b[:], v)]...)
-}
+func (e *enc) u32(v uint32) *enc { return e.u64(uint64(v)) }
 
-func (e *enc) u32(v uint32) *enc {
-	if e.v >= protoV6 {
-		e.uvarint(uint64(v))
-		return e
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.b = append(e.b, b[:]...)
+func (e *enc) u64(v uint64) *enc {
+	e.b = binary.AppendUvarint(e.b, v)
 	return e
 }
 
-func (e *enc) u64(v uint64) *enc {
-	if e.v >= protoV6 {
-		e.uvarint(v)
-		return e
-	}
-	return e.fix64(v)
-}
-
-// fix64 writes a fixed 8-byte little-endian value in every version.
-// Request IDs and page checksums are uniformly random 64-bit values, so
-// a uvarint would *grow* them (9.2 bytes on average); keeping them
-// fixed also lets pre-v6 WAL snapshots and dedup tails decode under
-// either version.
+// fix64 writes a fixed 8-byte little-endian value. Request IDs, boot
+// IDs and page checksums are uniformly random 64-bit values, so a
+// uvarint would *grow* them (9.2 bytes on average).
 func (e *enc) fix64(v uint64) *enc {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
@@ -497,15 +419,10 @@ func (e *enc) str(s string) *enc {
 // prefix, the suffix length, then the suffix bytes. URL lists travel
 // sorted (per shard, per scan chunk), so consecutive entries share long
 // prefixes and the shared part costs one or two bytes instead of being
-// resent. Legacy encoders fall back to plain str, which keeps the
-// pre-v6 byte streams identical.
+// resent.
 func (e *enc) strDelta(prev, s string) *enc {
-	if e.v < protoV6 {
-		return e.str(s)
-	}
 	shared := commonPrefixLen(prev, s)
-	e.uvarint(uint64(shared))
-	e.uvarint(uint64(len(s) - shared))
+	e.u64(uint64(shared)).u64(uint64(len(s) - shared))
 	e.b = append(e.b, s[shared:]...)
 	return e
 }
@@ -528,17 +445,14 @@ func commonPrefixLen(a, b string) int {
 }
 
 // dec is a cursor-based body decoder; the first malformed field poisons
-// it and every later read returns the zero value. Its version must
-// match the enc (i.e. the frame tag) that produced the body.
+// it and every later read returns the zero value.
 type dec struct {
 	b   []byte
 	off int
 	err error
-	v   byte
 }
 
-// newDec returns a decoder for a body from a frame tagged ver.
-func newDec(ver byte, body []byte) *dec { return &dec{b: body, v: ver} }
+func newDec(body []byte) *dec { return &dec{b: body} }
 
 func (d *dec) take(n int) []byte {
 	if d.err != nil {
@@ -553,7 +467,7 @@ func (d *dec) take(n int) []byte {
 	return v
 }
 
-func (d *dec) uvarint() uint64 {
+func (d *dec) u64() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -567,30 +481,15 @@ func (d *dec) uvarint() uint64 {
 }
 
 func (d *dec) u32() uint32 {
-	if d.v >= protoV6 {
-		v := d.uvarint()
-		if v > math.MaxUint32 {
-			d.err = errBadFrame
-			return 0
-		}
-		return uint32(v)
-	}
-	b := d.take(4)
-	if b == nil {
+	v := d.u64()
+	if v > math.MaxUint32 {
+		d.err = errBadFrame
 		return 0
 	}
-	return binary.LittleEndian.Uint32(b)
+	return uint32(v)
 }
 
-func (d *dec) u64() uint64 {
-	if d.v >= protoV6 {
-		return d.uvarint()
-	}
-	return d.fix64()
-}
-
-// fix64 reads a fixed 8-byte value in every version (enc.fix64's
-// inverse).
+// fix64 reads a fixed 8-byte value (enc.fix64's inverse).
 func (d *dec) fix64() uint64 {
 	b := d.take(8)
 	if b == nil {
@@ -629,15 +528,12 @@ func (d *dec) str() string {
 // inverse). A prefix length exceeding len(prev) poisons the decoder: it
 // can only come from a corrupt or hostile frame.
 func (d *dec) strDelta(prev string) string {
-	if d.v < protoV6 {
-		return d.str()
-	}
-	shared := d.uvarint()
+	shared := d.u64()
 	if d.err != nil || shared > uint64(len(prev)) {
 		d.err = errBadFrame
 		return ""
 	}
-	n := d.uvarint()
+	n := d.u64()
 	if d.err != nil || n > uint64(len(d.b)-d.off) {
 		d.err = errShort
 		return ""
@@ -674,10 +570,9 @@ func (d *dec) bytes() []byte {
 func (d *dec) finish() error { return d.err }
 
 // encodeStrings appends a counted string list, front-coding each
-// element against its predecessor (v6) or writing plain strings
-// (legacy). prev seeds the first element's front-coding — both sides
-// must agree on it (the empty string, or a resume cursor both already
-// know).
+// element against its predecessor. prev seeds the first element's
+// front-coding — both sides must agree on it (the empty string, or a
+// resume cursor both already know).
 func encodeStrings(e *enc, prev string, list []string) {
 	e.u32(uint32(len(list)))
 	for _, s := range list {

@@ -8,9 +8,8 @@ import (
 )
 
 // BenchmarkEncodeEntries pins the entry codec's cost and allocation
-// profile across wire versions: v5 (fixed-width, whole URLs) vs v6
-// (varints, front-coded URLs). The bytes/entry metric is the on-wire
-// body size the compression layer then sees.
+// profile (varints, front-coded URLs). The bytes/entry metric is the
+// on-wire body size the compression layer then sees.
 func BenchmarkEncodeEntries(b *testing.B) {
 	const n = 64
 	entries := make([]frontier.Entry, n)
@@ -20,20 +19,15 @@ func BenchmarkEncodeEntries(b *testing.B) {
 			Due: float64(i % 9), Priority: float64(i % 3),
 		}
 	}
-	for _, ver := range []byte{helloProto, ProtoVersion} {
-		b.Run(fmt.Sprintf("v%d", ver), func(b *testing.B) {
-			b.ReportAllocs()
-			var body int
-			for i := 0; i < b.N; i++ {
-				e := newEnc(ver)
-				encodeEntries(&e, entries)
-				body = len(e.b)
-				d := newDec(ver, e.b)
-				if got := decodeEntries(d); len(got) != n {
-					b.Fatalf("decoded %d entries, want %d", len(got), n)
-				}
-			}
-			b.ReportMetric(float64(body)/n, "bytes/entry")
-		})
+	b.ReportAllocs()
+	var body int
+	for i := 0; i < b.N; i++ {
+		var e enc
+		encodeEntries(&e, entries)
+		body = len(e.b)
+		if got := decodeEntries(newDec(e.b)); len(got) != n {
+			b.Fatalf("decoded %d entries, want %d", len(got), n)
+		}
 	}
+	b.ReportMetric(float64(body)/n, "bytes/entry")
 }

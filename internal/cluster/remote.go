@@ -69,24 +69,6 @@ type Options struct {
 	// (100ms); negative polls on every call (tests want deterministic
 	// pickup of registry changes). Ignored without a registry.
 	RebalancePoll time.Duration
-	// MaxProtoVersion caps the wire protocol version this client offers
-	// at hello. 0 means the newest this build speaks (ProtoVersion);
-	// setting it to 5 forces the pre-varint framing, which mixed-version
-	// tests use to stand in for an old client. Values are clamped to
-	// [helloProto, ProtoVersion].
-	MaxProtoVersion int
-}
-
-// maxProto resolves the configured protocol ceiling.
-func (o Options) maxProto() byte {
-	v := o.MaxProtoVersion
-	if v <= 0 || v > ProtoVersion {
-		return ProtoVersion
-	}
-	if v < helloProto {
-		return helloProto
-	}
-	return byte(v)
 }
 
 // dialTimeout resolves the configured timeout against the default.
@@ -128,6 +110,7 @@ type RemoteShards struct {
 	src      MembershipSource
 	dialFor  func(m registry.Member) Dialer
 	opts     Options
+	rehello  []byte     // every pool's reconnect hello (see serverConns.hello)
 	rebalMu  sync.Mutex // serializes Rebalance; guards lastPoll
 	lastPoll time.Time
 
@@ -236,14 +219,6 @@ type serverConns struct {
 	// (checkStoreHello).
 	storeBoot    uint64
 	storeBootSet bool
-	// maxProto is the highest protocol version this client offers the
-	// server (Options.MaxProtoVersion); proto pins the negotiated
-	// version after the first hello (0 = not yet negotiated, speak
-	// helloProto). A reconnect negotiating a different version means
-	// the server changed builds mid-session — refuse, like a shard
-	// count change.
-	maxProto byte
-	proto    atomic.Uint32
 
 	pool chan *clientConn
 
@@ -261,30 +236,19 @@ type serverConns struct {
 	bytesIn  atomic.Int64
 }
 
-// wireVer returns the protocol version this pool's frames speak: the
-// hello-negotiated version once pinned, else helloProto — safe before
-// (and during) the first handshake, since every server understands it.
-func (sc *serverConns) wireVer() byte {
-	if v := sc.proto.Load(); v != 0 {
-		return byte(v)
-	}
-	return helloProto
-}
-
 // exchange sends one request frame and reads its response, accounting
 // the real wire bytes both ways (post-compression — the unit WireBytes
-// and the bytes-per-page benchmark report). ver must be the version
-// body was encoded under.
-func (sc *serverConns) exchange(cc *clientConn, ver, op byte, body []byte) (byte, []byte, error) {
+// and the bytes-per-page benchmark report).
+func (sc *serverConns) exchange(cc *clientConn, op byte, body []byte) (byte, []byte, error) {
 	sc.trips.Add(1)
 	m := metricsFor(op)
-	out, err := writeFrame(cc.conn, ver, op, body)
+	out, err := writeFrame(cc.conn, op, body)
 	if err != nil {
 		return 0, nil, err
 	}
 	sc.bytesOut.Add(int64(out))
 	m.clientReqBytes.Observe(float64(out))
-	_, status, resp, in, err := readFrame(cc.r)
+	status, resp, in, err := readFrame(cc.r)
 	if err == nil {
 		sc.bytesIn.Add(int64(in))
 		m.clientRespBytes.Observe(float64(in))
@@ -293,8 +257,9 @@ func (sc *serverConns) exchange(cc *clientConn, ver, op byte, body []byte) (byte
 }
 
 // connect dials a fresh connection and runs the hello handshake over
-// it: protocol version check plus the per-kind validation (shard-count
-// pinning, or the store server's magic).
+// it: the per-kind validation (shard-count pinning, or the store
+// server's magic). A server of another protocol version fails the
+// exchange itself (errProtoVersion).
 func (sc *serverConns) connect(helloBody []byte) (*clientConn, error) {
 	if sc.closed.Load() {
 		return nil, errClientClosed
@@ -304,9 +269,7 @@ func (sc *serverConns) connect(helloBody []byte) (*clientConn, error) {
 		return nil, err
 	}
 	cc := &clientConn{conn: conn, r: bufio.NewReader(conn)}
-	// Hello frames are always tagged helloProto — both sides must be
-	// able to decode them before any version has been negotiated.
-	status, resp, err := sc.exchange(cc, helloProto, sc.helloOp, helloBody)
+	status, resp, err := sc.exchange(cc, sc.helloOp, helloBody)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -327,14 +290,10 @@ func (sc *serverConns) connect(helloBody []byte) (*clientConn, error) {
 // server restarted with a different layout, which silently reroutes
 // URLs — refuse.
 func (sc *serverConns) checkShardHello(resp []byte) error {
-	d := newDec(helloProto, resp)
+	d := newDec(resp)
 	n := int(d.u32())
 	if d.finish() != nil || n < 1 {
 		return errors.New("bad hello response")
-	}
-	neg, err := sc.negotiated(d)
-	if err != nil {
-		return err
 	}
 	sc.pinMu.Lock()
 	defer sc.pinMu.Unlock()
@@ -342,39 +301,6 @@ func (sc *serverConns) checkShardHello(resp []byte) error {
 		sc.wantShards = n
 	} else if n != sc.wantShards {
 		return fmt.Errorf("shard count changed across reconnect: %d, want %d", n, sc.wantShards)
-	}
-	return sc.pinProtoLocked(neg)
-}
-
-// negotiated parses the optional negotiated-version byte a v6-aware
-// server appends to its hello response. A v5 server leaves nothing
-// trailing (neg 0: speak helloProto for the connection's lifetime),
-// as does a client capped at v5 — it never offered, so it must not
-// read a trailing byte that isn't there.
-func (sc *serverConns) negotiated(d *dec) (byte, error) {
-	if sc.maxProto < protoV6 || d.off >= len(d.b) {
-		return 0, nil
-	}
-	v := d.u8()
-	if d.err != nil || v < helloProto || v > sc.maxProto {
-		return 0, fmt.Errorf("bad negotiated protocol version %d", v)
-	}
-	return v, nil
-}
-
-// pinProtoLocked records the hello's negotiated version, refusing a
-// change across reconnect (the server swapped builds mid-session —
-// frames already encoded under the old pin would silently misparse).
-// Caller holds pinMu.
-func (sc *serverConns) pinProtoLocked(neg byte) error {
-	v := uint32(neg)
-	if v == 0 {
-		v = helloProto
-	}
-	if prev := sc.proto.Load(); prev == 0 {
-		sc.proto.Store(v)
-	} else if prev != v {
-		return fmt.Errorf("protocol version changed across reconnect: %d, want %d", v, prev)
 	}
 	return nil
 }
@@ -388,22 +314,15 @@ func (sc *serverConns) pinProtoLocked(neg byte) error {
 // against it would corrupt the crawl — refuse and let the error go
 // sticky instead.
 func (sc *serverConns) checkStoreHello(resp []byte) error {
-	d := newDec(helloProto, resp)
+	d := newDec(resp)
 	magic := d.u32()
 	durable := d.bool()
-	boot := d.u64()
+	boot := d.fix64()
 	if d.finish() != nil || magic != storeHelloMagic {
 		return errors.New("not a store server (bad hello magic)")
 	}
-	neg, err := sc.negotiated(d)
-	if err != nil {
-		return err
-	}
 	sc.pinMu.Lock()
 	defer sc.pinMu.Unlock()
-	if err := sc.pinProtoLocked(neg); err != nil {
-		return err
-	}
 	if !sc.storeBootSet {
 		sc.storeBoot, sc.storeBootSet = boot, true
 		return nil
@@ -422,18 +341,17 @@ func (sc *serverConns) checkStoreHello(resp []byte) error {
 // slot is always returned — holding the live connection on success,
 // nil after a failure — so concurrent ops never block on a drained
 // pool.
-func (sc *serverConns) roundTrip(ver, op byte, body []byte) ([]byte, error) {
+func (sc *serverConns) roundTrip(op byte, body []byte) ([]byte, error) {
 	m := metricsFor(op)
 	start := time.Now()
 	cc := <-sc.pool
 	var lastErr error
-	attempts := 0
-	for attempt := 0; attempt <= sc.maxRetries; attempt++ {
+	attempt := 0
+	for ; attempt <= sc.maxRetries && retryable(lastErr); attempt++ {
 		if attempt > 0 {
 			m.clientRetries.Inc()
 			sc.sleep(sc.backoffFor(attempt))
 		}
-		attempts++
 		if cc == nil {
 			var err error
 			if attempt > 0 {
@@ -441,13 +359,10 @@ func (sc *serverConns) roundTrip(ver, op byte, body []byte) ([]byte, error) {
 			}
 			if cc, err = sc.connect(sc.hello); err != nil {
 				lastErr = err
-				if errors.Is(err, errClientClosed) {
-					break
-				}
 				continue
 			}
 		}
-		status, resp, err := sc.exchange(cc, ver, op, body)
+		status, resp, err := sc.exchange(cc, op, body)
 		if err != nil {
 			cc.conn.Close()
 			cc = nil
@@ -463,7 +378,14 @@ func (sc *serverConns) roundTrip(ver, op byte, body []byte) ([]byte, error) {
 		return resp, nil
 	}
 	sc.pool <- cc // nil: the next op on this slot redials
-	return nil, fmt.Errorf("cluster: %s: %s (after %d attempts): %w", sc.name, opName(op), attempts, lastErr)
+	return nil, fmt.Errorf("cluster: %s: %s (after %d attempts): %w", sc.name, opName(op), attempt, lastErr)
+}
+
+// retryable reports whether a redial can change the outcome: not once
+// the client is closed, and not against a peer of another build, which
+// answers every attempt the same way.
+func retryable(err error) bool {
+	return !errors.Is(err, errClientClosed) && !errors.Is(err, errProtoVersion)
 }
 
 // backoffFor is the capped exponential redial delay before retry n.
@@ -503,7 +425,6 @@ func newServerConns(name string, dial Dialer, opts Options, closed *atomic.Bool)
 	return &serverConns{
 		name:       name,
 		dial:       dial,
-		maxProto:   opts.maxProto(),
 		pool:       make(chan *clientConn, conns),
 		maxRetries: retries,
 		backoff:    backoff,
@@ -554,24 +475,17 @@ func (sc *serverConns) drainClose() {
 	}
 }
 
-// helloBody encodes the handshake: politeness handover, whether to
-// clear stale shard claims (a fresh client session does; a reconnect
-// must not, its own workers hold claims), and — from a v6-capable
-// client — the highest protocol version it wants. Pre-v6 servers
-// tolerate the trailing byte (their hello decode ignores extra body)
-// and answer without a negotiated version, so both sides fall back to
-// helloProto.
-func helloBody(politenessDays float64, clearClaims bool, maxProto byte) []byte {
-	e := newEnc(helloProto)
+// helloBody encodes the shard handshake: politeness handover, and
+// whether to clear stale shard claims (a fresh client session does; a
+// reconnect must not, its own workers hold claims).
+func helloBody(politenessDays float64, clearClaims bool) []byte {
+	var e enc
 	if politenessDays >= 0 {
 		e.bool(true).f64(politenessDays)
 	} else {
 		e.bool(false)
 	}
 	e.bool(clearClaims)
-	if maxProto >= protoV6 {
-		e.u8(maxProto)
-	}
 	return e.b
 }
 
@@ -585,9 +499,13 @@ func Dial(dialers []Dialer, opts Options) (*RemoteShards, error) {
 	if len(dialers) == 0 {
 		return nil, errors.New("cluster: no shard servers")
 	}
-	rs := &RemoteShards{reqBase: randomReqBase(), politeness: opts.PolitenessDays, opts: opts}
-	helloInit := helloBody(opts.PolitenessDays, true, opts.maxProto())
-	helloRe := helloBody(opts.PolitenessDays, false, opts.maxProto())
+	rs := &RemoteShards{
+		reqBase:    randomReqBase(),
+		politeness: opts.PolitenessDays,
+		opts:       opts,
+		rehello:    helloBody(opts.PolitenessDays, false),
+	}
+	helloInit := helloBody(opts.PolitenessDays, true)
 	names := make([]string, len(dialers))
 	servers := make([]*serverConns, len(dialers))
 	for i, dial := range dialers {
@@ -595,7 +513,7 @@ func Dial(dialers []Dialer, opts Options) (*RemoteShards, error) {
 		// member indices are exactly the flag-list positions.
 		names[i] = fmt.Sprintf("%04d", i)
 		sc := newServerConns(fmt.Sprintf("server %d", i), dial, opts, &rs.closed)
-		sc.hello = helloRe
+		sc.hello = rs.rehello
 		sc.helloOp = opHello
 		sc.checkHello = sc.checkShardHello
 		// The eager first connect clears stale claims; reconnects (the
@@ -698,19 +616,6 @@ func (rs *RemoteShards) WireBytes() (in, out int64) {
 	return in, out
 }
 
-// WireVersions returns the negotiated protocol version per server of
-// the current topology (0 for a server whose pool has not completed a
-// hello yet). Mixed-version tests use it to assert which encoding a
-// crawl actually ran over.
-func (rs *RemoteShards) WireVersions() []int {
-	t := rs.t()
-	out := make([]int, len(t.servers))
-	for i, sc := range t.servers {
-		out[i] = int(sc.proto.Load())
-	}
-	return out
-}
-
 func (rs *RemoteShards) closeAll() {
 	rs.closed.Store(true)
 	for _, sc := range rs.allServers() {
@@ -760,11 +665,9 @@ func (rs *RemoteShards) Push(url string, due, priority float64) {
 		return
 	}
 	t := rs.t()
-	sc := t.servers[t.serverOf(url)]
-	ver := sc.wireVer()
-	e := newEnc(ver)
+	var e enc
 	e.fix64(rs.nextReq()).str(url).f64(due).f64(priority)
-	if _, err := sc.roundTrip(ver, opPush, e.b); err != nil {
+	if _, err := t.servers[t.serverOf(url)].roundTrip(opPush, e.b); err != nil {
 		rs.fail(err)
 	}
 }
@@ -806,11 +709,10 @@ func (rs *RemoteShards) PushBatch(entries []frontier.Entry) {
 			sc := t.servers[si]
 			for off := 0; off < len(group); off += pushBatchChunk {
 				chunk := group[off:min(off+pushBatchChunk, len(group))]
-				ver := sc.wireVer()
-				e := newEnc(ver)
+				var e enc
 				e.fix64(rs.nextReq())
 				encodeEntries(&e, chunk)
-				if _, err := sc.roundTrip(ver, opPushBatch, e.b); err != nil {
+				if _, err := sc.roundTrip(opPushBatch, e.b); err != nil {
 					errs[si] = err
 					return
 				}
@@ -890,20 +792,19 @@ func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Ent
 		go func(si int, r *svrRound) {
 			defer wg.Done()
 			sc := t.servers[si]
-			ver := sc.wireVer()
-			e := getEnc(ver)
+			e := getEnc()
 			e.fix64(rs.nextReq())
 			encodeStrings(e, "", r.pops)
 			encodeStrings(e, "", r.removes)
 			encodeEntries(e, r.pushes)
 			e.u32(uint32(peekMax))
-			resp, err := sc.roundTrip(ver, opRound, e.b)
+			resp, err := sc.roundTrip(opRound, e.b)
 			putEnc(e)
 			if err != nil {
 				resps[si].err = err
 				return
 			}
-			d := newDec(ver, resp)
+			d := newDec(resp)
 			list := decodeEntries(d)
 			complete := d.bool()
 			if d.finish() != nil {
@@ -966,40 +867,31 @@ func mergeCands(lists [][]frontier.Entry) []frontier.Entry {
 	return out
 }
 
-// fan sends one request to every server of the topology concurrently
-// and collects the responses indexed by server, along with the
-// protocol version each response is encoded under (the server echoes
-// the request frame's version, captured here before the trip — a
-// lazily-dialed pool may negotiate a newer version mid-call, so
-// re-reading wireVer afterwards could misparse the response). Bodies
-// must be version-neutral (f64/bool/fix64/empty encode identically
-// under every protocol version) because each server may have
-// negotiated a different one.
-func fan(servers []*serverConns, op byte, bodies func(i int) []byte) ([][]byte, []byte, error) {
-	results := make([][]byte, len(servers))
-	vers := make([]byte, len(servers))
-	errs := make([]error, len(servers))
+// fan sends one request to every server of t concurrently and returns
+// the responses indexed by server — or nil from a broken client, which
+// a failure here makes it (sticky, see Err).
+func (rs *RemoteShards) fan(t *shardTopology, op byte, body []byte) [][]byte {
+	if rs.broken() {
+		return nil
+	}
+	results := make([][]byte, len(t.servers))
+	errs := make([]error, len(t.servers))
 	var wg sync.WaitGroup
-	for i := range servers {
+	for i := range t.servers {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vers[i] = servers[i].wireVer()
-			results[i], errs[i] = servers[i].roundTrip(vers[i], op, bodies(i))
+			results[i], errs[i] = t.servers[i].roundTrip(op, body)
 		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			rs.fail(err)
+			return nil
 		}
 	}
-	return results, vers, nil
-}
-
-// fanSame is fan with one shared request body (read-only ops).
-func fanSame(servers []*serverConns, op byte, body []byte) ([][]byte, []byte, error) {
-	return fan(servers, op, func(int) []byte { return body })
+	return results
 }
 
 // popDue is the distributed form of Sharded.popDue: peek every server's
@@ -1018,16 +910,14 @@ func (rs *RemoteShards) popDue(now float64, claim bool) (frontier.Entry, int, bo
 		if claim {
 			op = opClaimDue
 		}
-		sc := t.servers[0]
-		ver := sc.wireVer()
-		e := newEnc(ver)
+		var e enc
 		e.fix64(rs.nextReq()).f64(now)
-		resp, err := sc.roundTrip(ver, op, e.b)
+		resp, err := t.servers[0].roundTrip(op, e.b)
 		if err != nil {
 			rs.fail(err)
 			return frontier.Entry{}, -1, false
 		}
-		d := newDec(ver, resp)
+		d := newDec(resp)
 		ent, ok := decodeEntry(d)
 		if !ok {
 			return frontier.Entry{}, -1, false
@@ -1044,17 +934,12 @@ func (rs *RemoteShards) popDue(now float64, claim bool) (frontier.Entry, int, bo
 	}
 
 	var peek enc
-	peek.f64(now).bool(claim) // version-neutral body, shared across servers
+	peek.f64(now).bool(claim)
 	for {
-		heads, vers, err := fanSame(t.servers, opHeadDue, peek.b)
-		if err != nil {
-			rs.fail(err)
-			return frontier.Entry{}, -1, false
-		}
 		best := -1
 		var bestE frontier.Entry
-		for i, resp := range heads {
-			d := newDec(vers[i], resp)
+		for i, resp := range rs.fan(t, opHeadDue, peek.b) {
+			d := newDec(resp)
 			if ent, ok := decodeEntry(d); ok && d.finish() == nil &&
 				(best < 0 || frontier.EntryBefore(ent, bestE)) {
 				best, bestE = i, ent
@@ -1063,16 +948,14 @@ func (rs *RemoteShards) popDue(now float64, claim bool) (frontier.Entry, int, bo
 		if best < 0 {
 			return frontier.Entry{}, -1, false
 		}
-		sc := t.servers[best]
-		ver := sc.wireVer()
-		commit := newEnc(ver)
+		var commit enc
 		commit.fix64(rs.nextReq()).f64(now).str(bestE.URL).bool(claim)
-		resp, err := sc.roundTrip(ver, opPopDueMatch, commit.b)
+		resp, err := t.servers[best].roundTrip(opPopDueMatch, commit.b)
 		if err != nil {
 			rs.fail(err)
 			return frontier.Entry{}, -1, false
 		}
-		d := newDec(ver, resp)
+		d := newDec(resp)
 		if ent, ok := decodeEntry(d); ok {
 			local := int(d.u32())
 			if d.finish() != nil {
@@ -1103,11 +986,9 @@ func (rs *RemoteShards) Release(shard int, nextReady float64) {
 	}
 	t := rs.t()
 	si, local := t.serverOfShard(shard)
-	sc := t.servers[si]
-	ver := sc.wireVer()
-	e := newEnc(ver)
+	var e enc
 	e.fix64(rs.nextReq()).u32(uint32(local)).f64(nextReady)
-	if _, err := sc.roundTrip(ver, opRelease, e.b); err != nil {
+	if _, err := t.servers[si].roundTrip(opRelease, e.b); err != nil {
 		rs.fail(err)
 	}
 }
@@ -1118,16 +999,14 @@ func (rs *RemoteShards) Remove(url string) bool {
 		return false
 	}
 	t := rs.t()
-	sc := t.servers[t.serverOf(url)]
-	ver := sc.wireVer()
-	e := newEnc(ver)
+	var e enc
 	e.fix64(rs.nextReq()).str(url)
-	resp, err := sc.roundTrip(ver, opRemove, e.b)
+	resp, err := t.servers[t.serverOf(url)].roundTrip(opRemove, e.b)
 	if err != nil {
 		rs.fail(err)
 		return false
 	}
-	d := newDec(ver, resp)
+	d := newDec(resp)
 	return d.bool() && d.finish() == nil
 }
 
@@ -1137,50 +1016,31 @@ func (rs *RemoteShards) Contains(url string) bool {
 		return false
 	}
 	t := rs.t()
-	sc := t.servers[t.serverOf(url)]
-	ver := sc.wireVer()
-	e := newEnc(ver)
+	var e enc
 	e.str(url)
-	resp, err := sc.roundTrip(ver, opContains, e.b)
+	resp, err := t.servers[t.serverOf(url)].roundTrip(opContains, e.b)
 	if err != nil {
 		rs.fail(err)
 		return false
 	}
-	d := newDec(ver, resp)
+	d := newDec(resp)
 	return d.bool() && d.finish() == nil
 }
 
 // Len implements frontier.ShardSet.
 func (rs *RemoteShards) Len() int {
-	if rs.broken() {
-		return 0
-	}
-	resps, vers, err := fanSame(rs.t().servers, opLen, nil)
-	if err != nil {
-		rs.fail(err)
-		return 0
-	}
 	n := 0
-	for i, resp := range resps {
-		d := newDec(vers[i], resp)
-		n += int(d.u32())
+	for _, resp := range rs.fan(rs.t(), opLen, nil) {
+		n += int(newDec(resp).u32())
 	}
 	return n
 }
 
 // URLs implements frontier.ShardSet.
 func (rs *RemoteShards) URLs() []string {
-	if rs.broken() {
-		return nil
-	}
-	resps, vers, err := fanSame(rs.t().servers, opURLs, nil)
-	if err != nil {
-		rs.fail(err)
-		return nil
-	}
 	var out []string
-	for i, resp := range resps {
-		d := newDec(vers[i], resp)
+	for _, resp := range rs.fan(rs.t(), opURLs, nil) {
+		d := newDec(resp)
 		out = append(out, decodeStrings(d, "")...)
 		if d.finish() != nil {
 			rs.fail(fmt.Errorf("cluster: bad URLs response"))
@@ -1193,18 +1053,10 @@ func (rs *RemoteShards) URLs() []string {
 
 // Peek implements frontier.ShardSet.
 func (rs *RemoteShards) Peek() (frontier.Entry, bool) {
-	if rs.broken() {
-		return frontier.Entry{}, false
-	}
-	resps, vers, err := fanSame(rs.t().servers, opPeek, nil)
-	if err != nil {
-		rs.fail(err)
-		return frontier.Entry{}, false
-	}
 	found := false
 	var bestE frontier.Entry
-	for i, resp := range resps {
-		d := newDec(vers[i], resp)
+	for _, resp := range rs.fan(rs.t(), opPeek, nil) {
+		d := newDec(resp)
 		if ent, ok := decodeEntry(d); ok && d.finish() == nil &&
 			(!found || frontier.EntryBefore(ent, bestE)) {
 			found, bestE = true, ent
@@ -1215,18 +1067,10 @@ func (rs *RemoteShards) Peek() (frontier.Entry, bool) {
 
 // NextEvent implements frontier.ShardSet.
 func (rs *RemoteShards) NextEvent() (float64, bool) {
-	if rs.broken() {
-		return 0, false
-	}
-	resps, vers, err := fanSame(rs.t().servers, opNextEvent, nil)
-	if err != nil {
-		rs.fail(err)
-		return 0, false
-	}
 	found := false
 	var next float64
-	for i, resp := range resps {
-		d := newDec(vers[i], resp)
+	for _, resp := range rs.fan(rs.t(), opNextEvent, nil) {
+		d := newDec(resp)
 		ok, t := d.bool(), d.f64()
 		if d.finish() == nil && ok && (!found || t < next) {
 			found, next = true, t
@@ -1240,34 +1084,20 @@ func (rs *RemoteShards) NextEvent() (float64, bool) {
 // from a clean frontier. Not part of frontier.ShardSet: local frontiers
 // are simply rebuilt.
 func (rs *RemoteShards) Reset() error {
-	if err := rs.Err(); err != nil {
-		return err
-	}
-	if _, _, err := fan(rs.t().servers, opReset, func(int) []byte {
-		var e enc
-		e.fix64(rs.nextReq())
-		return e.b
-	}); err != nil {
-		rs.fail(err)
-		return err
-	}
-	return nil
+	// One request ID serves the whole fan-out: IDs only key each
+	// server's own dedup cache.
+	var e enc
+	e.fix64(rs.nextReq())
+	rs.fan(rs.t(), opReset, e.b)
+	return rs.Err()
 }
 
 // ShardLens returns every server's per-shard entry counts, concatenated
 // in global shard order (observability, mirroring Sharded.ShardLens).
 func (rs *RemoteShards) ShardLens() []int {
-	if rs.broken() {
-		return nil
-	}
-	resps, vers, err := fanSame(rs.t().servers, opStats, nil)
-	if err != nil {
-		rs.fail(err)
-		return nil
-	}
 	var out []int
-	for i, resp := range resps {
-		d := newDec(vers[i], resp)
+	for _, resp := range rs.fan(rs.t(), opStats, nil) {
+		d := newDec(resp)
 		n := int(d.u32())
 		for j := 0; j < n && d.finish() == nil; j++ {
 			out = append(out, int(d.u32()))

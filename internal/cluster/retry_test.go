@@ -298,7 +298,7 @@ func TestFlakyTransportKeepsRoundPopOrder(t *testing.T) {
 
 // roundBody encodes an opRound request as the client does.
 func roundBody(reqID uint64, pops, removes []string, pushes []frontier.Entry, peekMax int) []byte {
-	e := newEnc(ProtoVersion)
+	var e enc
 	e.fix64(reqID)
 	encodeStrings(&e, "", pops)
 	encodeStrings(&e, "", removes)
@@ -321,7 +321,7 @@ func TestRoundRetryRepeeks(t *testing.T) {
 	}
 	const id, peek = 4242, 3
 	body := roundBody(id, nil, nil, seed, peek)
-	st1, resp1 := srv.handle(ProtoVersion, opRound, body)
+	st1, resp1 := srv.handle(opRound, body)
 	if st1 != statusOK {
 		t.Fatalf("round: %s", resp1)
 	}
@@ -329,7 +329,7 @@ func TestRoundRetryRepeeks(t *testing.T) {
 		t.Fatalf("applied round memoized as (%d, %d bytes, %v), want applied with no body", st, len(kept), ok)
 	}
 	decode := func(resp []byte) []frontier.Entry {
-		d := newDec(ProtoVersion, resp)
+		d := newDec(resp)
 		cands := decodeEntries(d)
 		d.bool()
 		if err := d.finish(); err != nil {
@@ -341,13 +341,13 @@ func TestRoundRetryRepeeks(t *testing.T) {
 		t.Fatalf("first reply carries %d candidates, want %d", n, peek)
 	}
 	before := srv.Shards().Len()
-	st2, resp2 := srv.handle(ProtoVersion, opRound, body)
+	st2, resp2 := srv.handle(opRound, body)
 	if st2 != statusOK || string(resp2) != string(resp1) {
 		t.Fatalf("retry over an unmoved queue answered (%d, %q), first reply was %q", st2, resp2, resp1)
 	}
 	// A new global head lands between the lost reply and the retry.
 	pushVia(t, srv, 4243, "http://site900.com/head", 0, 9)
-	st3, resp3 := srv.handle(ProtoVersion, opRound, body)
+	st3, resp3 := srv.handle(opRound, body)
 	if st3 != statusOK {
 		t.Fatalf("retry: %s", resp3)
 	}
@@ -513,13 +513,13 @@ func TestMutatingRetryAppliesOnce(t *testing.T) {
 	srv.Shards().Push("http://site002.com/b", 0, 1)
 
 	var body enc
-	body.u64(42).f64(10)
-	st1, resp1 := srv.handle(helloProto, opClaimDue, body.b)
+	body.fix64(42).f64(10)
+	st1, resp1 := srv.handle(opClaimDue, body.b)
 	if st1 != statusOK {
 		t.Fatalf("claim failed: %s", resp1)
 	}
 	before := srv.Shards().Len()
-	st2, resp2 := srv.handle(helloProto, opClaimDue, body.b)
+	st2, resp2 := srv.handle(opClaimDue, body.b)
 	if st2 != st1 || string(resp2) != string(resp1) {
 		t.Fatalf("retried claim not deduped: (%d,%q) vs (%d,%q)", st2, resp2, st1, resp1)
 	}
@@ -528,8 +528,8 @@ func TestMutatingRetryAppliesOnce(t *testing.T) {
 	}
 	// A different request ID is a genuinely new claim.
 	var body2 enc
-	body2.u64(43).f64(10)
-	if st, resp := srv.handle(helloProto, opClaimDue, body2.b); st != statusOK {
+	body2.fix64(43).f64(10)
+	if st, resp := srv.handle(opClaimDue, body2.b); st != statusOK {
 		t.Fatalf("fresh claim failed: %s", resp)
 	} else if srv.Shards().Len() != before-1 {
 		t.Fatal("fresh claim did not pop")

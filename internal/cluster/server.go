@@ -17,46 +17,15 @@ var ErrServerClosed = errors.New("cluster: server closed")
 // connCore is the accept/serve machinery shared by ShardServer and
 // StoreServer: a listener, one synchronous request/response loop per
 // accepted connection over the frame protocol, net.Pipe loopback for
-// tests, and graceful close. The embedding server supplies handle,
-// which receives each request frame's protocol version alongside the
-// opcode — bodies are decoded per that version, and the response is
-// encoded and tagged to match, so clients negotiated to different
-// versions can share one server.
+// tests, and graceful close. The embedding server supplies handle.
 type connCore struct {
-	handle func(ver, op byte, body []byte) (status byte, resp []byte)
-
-	// maxProto caps the protocol version this server negotiates and
-	// accepts; 0 means ProtoVersion. See LimitProto.
-	maxProto byte
+	handle func(op byte, body []byte) (status byte, resp []byte)
 
 	mu     sync.Mutex
 	ln     net.Listener
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
-}
-
-// maxVer is the highest frame version this server speaks.
-func (s *connCore) maxVer() byte {
-	if s.maxProto != 0 {
-		return s.maxProto
-	}
-	return ProtoVersion
-}
-
-// LimitProto caps the protocol version the server negotiates at hello
-// and accepts on the wire — an operational escape hatch for
-// mixed-version rollouts (and the test seam emulating an old server).
-// Values are clamped to [helloProto, ProtoVersion]. Call before
-// serving.
-func (s *connCore) LimitProto(v int) {
-	if v < helloProto {
-		v = helloProto
-	}
-	if v > ProtoVersion {
-		v = ProtoVersion
-	}
-	s.maxProto = byte(v)
 }
 
 // Listen binds addr without serving; Addr is valid afterwards. It lets
@@ -193,24 +162,26 @@ func (s *connCore) serveConn(conn net.Conn) {
 	defer serverConnsGauge.Add(-1)
 	r := bufio.NewReader(conn)
 	for {
-		ver, op, body, wire, err := readFrame(r)
-		if err != nil || ver > s.maxVer() {
-			return // EOF, closed conn, a corrupt stream, or a version
-			// above this server's cap: drop it
+		op, body, wire, err := readFrame(r)
+		if errors.Is(err, errProtoVersion) {
+			// A peer of another build: say so once before hanging up, or
+			// all it ever sees is an EOF it retries against.
+			_, _ = writeFrame(conn, statusError, []byte(err.Error())) // best effort: closing either way
+			return
+		}
+		if err != nil {
+			return // EOF, closed conn or a corrupt stream: drop it
 		}
 		m := metricsFor(op)
 		m.serverReqBytes.Observe(float64(wire))
 		start := time.Now()
-		status, resp := s.handle(ver, op, body)
+		status, resp := s.handle(op, body)
 		m.serverSeconds.Observe(time.Since(start).Seconds())
 		m.serverOps.Inc()
 		if status != statusOK {
 			m.serverErrors.Inc()
 		}
-		// Responses ride the request frame's version: the client decodes
-		// with the version it encoded with, and the server stays
-		// stateless per connection.
-		n, err := writeFrame(conn, ver, status, resp)
+		n, err := writeFrame(conn, status, resp)
 		if err != nil {
 			return
 		}
@@ -255,15 +226,13 @@ func NewShardServer(shards *frontier.Sharded) *ShardServer {
 // caveat about concurrent local use).
 func (s *ShardServer) Shards() *frontier.Sharded { return s.shards }
 
-// handle executes one request against the shards. ver is the request
-// frame's protocol version; the body is decoded and the response
-// encoded per it.
-func (s *ShardServer) handle(ver, op byte, body []byte) (status byte, resp []byte) {
+// handle executes one request against the shards.
+func (s *ShardServer) handle(op byte, body []byte) (status byte, resp []byte) {
 	if mutatingOp(op) {
-		return s.handleMutating(ver, op, body)
+		return s.handleMutating(op, body)
 	}
-	d := newDec(ver, body)
-	e := newEnc(ver)
+	d := newDec(body)
+	var e enc
 	switch op {
 	case opHello:
 		apply := d.bool()
@@ -275,13 +244,6 @@ func (s *ShardServer) handle(ver, op byte, body []byte) (status byte, resp []byt
 		if err := d.finish(); err != nil {
 			return statusError, []byte(err.Error())
 		}
-		// A v6-capable client appends its wanted version; a pre-v6
-		// client's hello simply ends here (trailing bytes were always
-		// tolerated, which is what makes the negotiation downgrade-safe).
-		want := byte(0)
-		if d.off < len(d.b) {
-			want = d.u8()
-		}
 		if apply || clearClaims {
 			// Hello mutates frontier state, so its effects must be
 			// logged too: replayed pops recompute politeness deadlines
@@ -290,15 +252,15 @@ func (s *ShardServer) handle(ver, op byte, body []byte) (status byte, resp []byt
 			s.walMu.Lock()
 			if s.wal != nil {
 				if apply {
-					we := newEnc(ver)
+					var we enc
 					we.f64(gap)
-					if err := s.wal.append(ver, walSetPoliteness, we.b); err != nil {
+					if err := s.wal.append(walSetPoliteness, we.b); err != nil {
 						s.walMu.Unlock()
 						return statusError, []byte(fmt.Sprintf("wal append: %v", err))
 					}
 				}
 				if clearClaims {
-					if err := s.wal.append(ver, walClearClaims, nil); err != nil {
+					if err := s.wal.append(walClearClaims, nil); err != nil {
 						s.walMu.Unlock()
 						return statusError, []byte(fmt.Sprintf("wal append: %v", err))
 					}
@@ -316,12 +278,6 @@ func (s *ShardServer) handle(ver, op byte, body []byte) (status byte, resp []byt
 			s.walMu.Unlock()
 		}
 		e.u32(uint32(s.shards.NumShards()))
-		if neg := negotiateVer(want, s.maxVer()); neg != 0 {
-			// Appended only when both sides speak v6+: a pre-v6 client
-			// never sent a want byte and reads a response of the old
-			// shape.
-			e.u8(neg)
-		}
 	case opHeadDue:
 		now, skipClaimed := d.f64(), d.bool()
 		if d.finish() == nil {
@@ -373,8 +329,8 @@ func (s *ShardServer) handle(ver, op byte, body []byte) (status byte, resp []byt
 // between apply and append loses only an op that was never
 // acknowledged, which the client retries against the recovered state
 // (where it re-executes deterministically).
-func (s *ShardServer) handleMutating(ver, op byte, body []byte) (status byte, resp []byte) {
-	d := newDec(ver, body)
+func (s *ShardServer) handleMutating(op byte, body []byte) (status byte, resp []byte) {
+	d := newDec(body)
 	reqID := d.fix64()
 	if d.finish() != nil {
 		return statusError, []byte("missing request id")
@@ -395,10 +351,7 @@ func (s *ShardServer) handleMutating(ver, op byte, body []byte) (status byte, re
 	}
 	status, resp, mutated := s.applyMutating(op, d)
 	if mutated && s.wal != nil {
-		// The log record keeps the request's frame version, so replay
-		// decodes each frame by its own tag — v5 and v6 records can
-		// interleave in one log across an upgrade.
-		if err := s.wal.append(ver, op, body); err != nil {
+		if err := s.wal.append(op, body); err != nil {
 			// Applied but not durable: refuse the ack rather than let
 			// the client trust a write a replay would lose.
 			return statusError, []byte(fmt.Sprintf("wal append: %v", err))
@@ -432,7 +385,7 @@ func (s *ShardServer) repeekRound(d *dec) (status byte, resp []byte) {
 	if err := d.finish(); err != nil {
 		return statusError, []byte(err.Error())
 	}
-	e := newEnc(d.v)
+	var e enc
 	if !s.encodeRound(&e, nil, nil, nil, peekMax) {
 		return statusError, []byte("round ops need a zero politeness gap")
 	}
@@ -458,7 +411,7 @@ func (s *ShardServer) encodeRound(e *enc, pops, removes []string, pushes []front
 // which is what makes replay reconstruct the exact served state and
 // responses.
 func (s *ShardServer) applyMutating(op byte, d *dec) (status byte, resp []byte, mutated bool) {
-	e := newEnc(d.v) // respond in the request frame's encoding
+	var e enc
 	switch op {
 	case opPush:
 		url, due, prio := d.str(), d.f64(), d.f64()
@@ -545,24 +498,17 @@ func (s *ShardServer) applyMutating(op byte, d *dec) (status byte, resp []byte, 
 		// since genuine retries are answered from the memoized original
 		// via the dedup-get path, never re-extracted).
 		//
-		// A client may append a (cursor, max) pair to bound the chunk:
-		// the response then carries only the first max matching entries
-		// in URL order strictly after the cursor, a dedup tail on the
-		// first chunk only, and a trailing more flag. Requests without
-		// the pair (older clients) extract everything at once, and older
-		// servers ignore the pair — the client then simply receives the
-		// full extraction as its first and only chunk.
+		// The (cursor, max) pair bounds the chunk: the response carries
+		// only the first max matching entries in URL order strictly after
+		// the cursor, a dedup tail on the first chunk only, and a more
+		// flag.
 		parts := int(d.u32())
 		n := int(d.u32())
 		set := make(map[int]bool, min(n, 1<<16))
 		for i := 0; i < n && d.finish() == nil; i++ {
 			set[int(d.u32())] = true
 		}
-		after, maxN, chunked := "", 0, false
-		if d.finish() == nil && d.off < len(d.b) {
-			after, maxN = d.str(), int(d.u32())
-			chunked = true
-		}
+		after, maxN := d.str(), int(d.u32())
 		if d.finish() == nil {
 			if parts <= 0 || parts > 1<<20 {
 				return statusError, []byte(fmt.Sprintf("export with bad partition count %d", parts)), false
@@ -578,9 +524,7 @@ func (s *ShardServer) applyMutating(op byte, d *dec) (status byte, resp []byte, 
 			} else {
 				e.u32(0)
 			}
-			if chunked {
-				e.bool(more)
-			}
+			e.bool(more)
 			migrationExportEntries.Add(int64(len(entries)))
 			migrationHandoffBytes.With("export").Observe(float64(len(e.b)))
 			mutated = len(entries) > 0
@@ -735,8 +679,8 @@ type dedupEntry struct {
 }
 
 // encodeEntries appends a counted frontier.Entry list. Entry lists
-// travel sorted (per shard, per batch group), so v6 front-codes each
-// URL against the previous entry's; Due/Priority stay fixed f64s.
+// travel sorted (per shard, per batch group), so each URL is front-coded
+// against the previous entry's; Due/Priority stay fixed f64s.
 func encodeEntries(e *enc, list []frontier.Entry) {
 	e.u32(uint32(len(list)))
 	prev := ""

@@ -34,18 +34,17 @@ func TestStoreURLsChunking(t *testing.T) {
 		}
 		var e enc
 		e.str("c").str(after).u32(5)
-		status, resp := srv.handle(helloProto, opStoreURLs, e.b)
+		status, resp := srv.handle(opStoreURLs, e.b)
 		if status != statusOK {
 			t.Fatalf("chunk after %q: %s", after, resp)
 		}
-		d := &dec{b: resp}
-		cn := int(d.u32())
+		d := newDec(resp)
+		chunk := decodeStrings(d, after)
+		cn := len(chunk)
 		if cn > 5 {
 			t.Fatalf("chunk of %d exceeds max 5", cn)
 		}
-		for i := 0; i < cn; i++ {
-			got = append(got, d.str())
-		}
+		got = append(got, chunk...)
 		done := d.bool()
 		if err := d.finish(); err != nil {
 			t.Fatal(err)

@@ -61,15 +61,9 @@ func DialStores(names []string, dialFor func(name string) Dialer, opts Options) 
 	rs := &RemoteStore{reqBase: randomReqBase(), ring: NewRing(names, 0)}
 	for _, name := range rs.ring.Members() {
 		sc := newServerConns(name, dialFor(name), opts, &rs.closed)
-		// The store hello body is empty pre-v6; a v6-capable client's
-		// offer is the single trailing byte (pre-v6 servers ignore it).
-		sc.hello = nil
-		if mp := opts.maxProto(); mp >= protoV6 {
-			sc.hello = []byte{mp}
-		}
-		sc.helloOp = opStoreHello
+		sc.helloOp = opStoreHello // the store hello body is empty
 		sc.checkHello = sc.checkStoreHello
-		if err := sc.dialEager(sc.hello, name+" (%v)"); err != nil {
+		if err := sc.dialEager(nil, name+" (%v)"); err != nil {
 			rs.closed.Store(true)
 			for _, prev := range rs.members {
 				prev.drainClose()
@@ -184,12 +178,11 @@ func (rs *RemoteStore) ListCollections() ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
 	for _, sc := range rs.members {
-		ver := sc.wireVer()
-		resp, err := sc.roundTrip(ver, opStoreList, nil)
+		resp, err := sc.roundTrip(opStoreList, nil)
 		if err != nil {
 			return nil, rs.fail(err)
 		}
-		d := newDec(ver, resp)
+		d := newDec(resp)
 		for _, name := range decodeStrings(d, "") {
 			if !seen[name] {
 				seen[name] = true
@@ -210,11 +203,10 @@ func (rs *RemoteStore) ListCollections() ([]string, error) {
 // change the collection may live on a member the current ring no
 // longer pins it to.
 func (rs *RemoteStore) DropCollection(name string) error {
+	var e enc
+	e.fix64(rs.nextReq()).str(name)
 	for _, sc := range rs.members {
-		ver := sc.wireVer()
-		e := newEnc(ver)
-		e.fix64(rs.nextReq()).str(name)
-		if _, err := sc.roundTrip(ver, opStoreDrop, e.b); err != nil {
+		if _, err := sc.roundTrip(opStoreDrop, e.b); err != nil {
 			return rs.fail(err)
 		}
 	}
@@ -225,25 +217,14 @@ func (rs *RemoteStore) DropCollection(name string) error {
 // experiments over one store cluster each start from empty. Never
 // called on a store being used incrementally (it deletes the data).
 func (rs *RemoteStore) Reset() error {
+	var e enc
+	e.fix64(rs.nextReq())
 	for _, sc := range rs.members {
-		ver := sc.wireVer()
-		e := newEnc(ver)
-		e.fix64(rs.nextReq())
-		if _, err := sc.roundTrip(ver, opStoreReset, e.b); err != nil {
+		if _, err := sc.roundTrip(opStoreReset, e.b); err != nil {
 			return rs.fail(err)
 		}
 	}
 	return nil
-}
-
-// WireVersions returns the negotiated protocol version per member (0
-// for a member whose pool has not completed a hello yet).
-func (rs *RemoteStore) WireVersions() []int {
-	out := make([]int, len(rs.members))
-	for i, sc := range rs.members {
-		out[i] = int(sc.proto.Load())
-	}
-	return out
 }
 
 // Collection returns the named collection, created empty on first use
@@ -305,8 +286,7 @@ func (c *remoteColl) PutBatch(recs []store.PageRecord) error {
 		}
 		chunk := recs[off:end]
 		off = end
-		ver := c.sc.wireVer()
-		e := getEnc(ver)
+		e := getEnc()
 		e.fix64(c.rs.nextReq())
 		e.str(c.name)
 		e.u32(uint32(len(chunk)))
@@ -315,7 +295,7 @@ func (c *remoteColl) PutBatch(recs []store.PageRecord) error {
 			encodeRecord(e, prev, rec)
 			prev = rec.URL
 		}
-		_, err := c.sc.roundTrip(ver, opStorePutBatch, e.b)
+		_, err := c.sc.roundTrip(opStorePutBatch, e.b)
 		putEnc(e)
 		if err != nil {
 			return c.rs.fail(err)
@@ -326,14 +306,13 @@ func (c *remoteColl) PutBatch(recs []store.PageRecord) error {
 
 // Get implements store.Collection.
 func (c *remoteColl) Get(url string) (store.PageRecord, bool, error) {
-	ver := c.sc.wireVer()
-	e := newEnc(ver)
+	var e enc
 	e.str(c.name).str(url)
-	resp, err := c.sc.roundTrip(ver, opStoreGet, e.b)
+	resp, err := c.sc.roundTrip(opStoreGet, e.b)
 	if err != nil {
 		return store.PageRecord{}, false, c.rs.fail(err)
 	}
-	d := newDec(ver, resp)
+	d := newDec(resp)
 	if !d.bool() {
 		return store.PageRecord{}, false, d.finish()
 	}
@@ -346,10 +325,9 @@ func (c *remoteColl) Get(url string) (store.PageRecord, bool, error) {
 
 // Delete implements store.Collection.
 func (c *remoteColl) Delete(url string) error {
-	ver := c.sc.wireVer()
-	e := newEnc(ver)
+	var e enc
 	e.fix64(c.rs.nextReq()).str(c.name).str(url)
-	if _, err := c.sc.roundTrip(ver, opStoreDelete, e.b); err != nil {
+	if _, err := c.sc.roundTrip(opStoreDelete, e.b); err != nil {
 		return c.rs.fail(err)
 	}
 	return nil
@@ -358,15 +336,14 @@ func (c *remoteColl) Delete(url string) error {
 // Len implements store.Collection; transport failures are recorded in
 // Err and read as empty.
 func (c *remoteColl) Len() int {
-	ver := c.sc.wireVer()
-	e := newEnc(ver)
+	var e enc
 	e.str(c.name)
-	resp, err := c.sc.roundTrip(ver, opStoreLen, e.b)
+	resp, err := c.sc.roundTrip(opStoreLen, e.b)
 	if err != nil {
 		c.rs.fail(err)
 		return 0
 	}
-	d := newDec(ver, resp)
+	d := newDec(resp)
 	return int(d.u32())
 }
 
@@ -377,15 +354,14 @@ func (c *remoteColl) URLs() []string {
 	var out []string
 	after := ""
 	for {
-		ver := c.sc.wireVer()
-		e := newEnc(ver)
+		var e enc
 		e.str(c.name).str(after).u32(storeURLsChunk)
-		resp, err := c.sc.roundTrip(ver, opStoreURLs, e.b)
+		resp, err := c.sc.roundTrip(opStoreURLs, e.b)
 		if err != nil {
 			c.rs.fail(err)
 			return nil
 		}
-		d := newDec(ver, resp)
+		d := newDec(resp)
 		chunk := decodeStrings(d, after)
 		done := d.bool()
 		if d.finish() != nil {
@@ -414,14 +390,13 @@ func (c *remoteColl) Scan(fn func(store.PageRecord) bool) error {
 // simply seeds the first chunk's cursor.
 func (c *remoteColl) ScanFrom(after string, fn func(store.PageRecord) bool) error {
 	for {
-		ver := c.sc.wireVer()
-		e := newEnc(ver)
+		var e enc
 		e.str(c.name).str(after).u32(storeScanChunk)
-		resp, err := c.sc.roundTrip(ver, opStoreScan, e.b)
+		resp, err := c.sc.roundTrip(opStoreScan, e.b)
 		if err != nil {
 			return c.rs.fail(err)
 		}
-		d := newDec(ver, resp)
+		d := newDec(resp)
 		n := int(d.u32())
 		for i := 0; i < n; i++ {
 			rec := decodeRecord(d, after)
@@ -450,10 +425,9 @@ func (c *remoteColl) Close() error {
 	if !c.dropOnClose {
 		return nil
 	}
-	ver := c.sc.wireVer()
-	e := newEnc(ver)
+	var e enc
 	e.fix64(c.rs.nextReq()).str(c.name)
-	if _, err := c.sc.roundTrip(ver, opStoreDrop, e.b); err != nil {
+	if _, err := c.sc.roundTrip(opStoreDrop, e.b); err != nil {
 		return c.rs.fail(err)
 	}
 	return nil

@@ -253,29 +253,16 @@ func approxRecordSize(r store.PageRecord) int {
 	return n
 }
 
-// handle executes one request against the hosted collections. ver is
-// the request frame's protocol version; the response body is encoded
-// under the same version (the client decodes with the version it
-// sent).
-func (s *StoreServer) handle(ver, op byte, body []byte) (status byte, resp []byte) {
+// handle executes one request against the hosted collections.
+func (s *StoreServer) handle(op byte, body []byte) (status byte, resp []byte) {
 	if storeMutatingOp(op) {
-		return s.handleMutating(ver, op, body)
+		return s.handleMutating(op, body)
 	}
-	d := newDec(ver, body)
-	e := newEnc(ver)
+	d := newDec(body)
+	var e enc
 	switch op {
 	case opStoreHello:
-		// A v6-capable client appends the highest version it wants; the
-		// hello body is otherwise empty, so any trailing byte is the
-		// offer (a pre-v6 client sends none and gets no answer).
-		want := byte(0)
-		if d.off < len(d.b) {
-			want = d.u8()
-		}
-		e.u32(storeHelloMagic).bool(s.durable).u64(s.boot)
-		if neg := negotiateVer(want, s.maxVer()); neg != 0 {
-			e.u8(neg)
-		}
+		e.u32(storeHelloMagic).bool(s.durable).fix64(s.boot)
 	case opStoreList:
 		if err := d.finish(); err != nil {
 			return statusError, []byte(err.Error())
@@ -417,8 +404,8 @@ func (s *StoreServer) handle(ver, op byte, body []byte) (status byte, resp []byt
 // handleMutating runs one state-mutating store request under reqMu with
 // request-ID dedup, mirroring the frontier server's exactly-once retry
 // contract.
-func (s *StoreServer) handleMutating(ver, op byte, body []byte) (status byte, resp []byte) {
-	d := newDec(ver, body)
+func (s *StoreServer) handleMutating(op byte, body []byte) (status byte, resp []byte) {
+	d := newDec(body)
 	reqID := d.fix64()
 	if d.finish() != nil {
 		return statusError, []byte("missing request id")
@@ -436,7 +423,7 @@ func (s *StoreServer) handleMutating(ver, op byte, body []byte) (status byte, re
 // applyMutating applies one mutating store op whose request ID has
 // already been consumed from d.
 func (s *StoreServer) applyMutating(op byte, d *dec) (status byte, resp []byte) {
-	e := newEnc(d.v)
+	var e enc
 	switch op {
 	case opStorePutBatch:
 		name := d.str()
@@ -543,10 +530,10 @@ func (s *StoreServer) reset() error {
 
 // encodeRecord appends one store.PageRecord to the body. prev is the
 // previous record's URL in the frame (the resume cursor for the first
-// record of a chunk; "" when the record stands alone) — under v6 the
-// URL is front-coded against it, and the links against the record's
-// own URL, which same-site links usually extend. The checksum is a
-// uniform 64-bit hash, so it stays fixed-width.
+// record of a chunk; "" when the record stands alone) — the URL is
+// front-coded against it, and the links against the record's own URL,
+// which same-site links usually extend. The checksum is a uniform
+// 64-bit hash, so it stays fixed-width.
 func encodeRecord(e *enc, prev string, r store.PageRecord) {
 	e.strDelta(prev, r.URL)
 	e.fix64(r.Checksum)

@@ -17,8 +17,10 @@ import (
 //
 // The WAL reuses the wire protocol's frame discipline (length prefix,
 // CRC, version — proto.go), the same torn-write recovery contract as
-// store.Disk (replay stops at the first invalid frame and truncates the
-// file back to the last valid one), and the server's single mutating
+// store.Disk (replay stops at the first frame that fails its length or
+// CRC and truncates the file back to the last valid one; an intact
+// frame of another protocol version is not a torn write, and fails the
+// open with every file left as it was), and the server's single mutating
 // apply path: a log record is exactly the (op, body) the client sent,
 // request ID included. Replaying a log therefore reconstructs not just
 // the frontier but the response-dedup cache, so a client retry that
@@ -93,17 +95,15 @@ func walFileSeqs(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// append logs one mutating op, framed with the version the client's
-// request carried so replay decodes it identically. Caller holds
-// walMu. The frame is written with a single write call before the
-// client's acknowledgement is sent (the hello records before, the
-// request path just after, the apply), so an acknowledged op is always
-// replayable.
-func (w *wal) append(ver, op byte, body []byte) error {
+// append logs one mutating op. Caller holds walMu. The frame is written
+// with a single write call before the client's acknowledgement is sent
+// (the hello records before, the request path just after, the apply),
+// so an acknowledged op is always replayable.
+func (w *wal) append(op byte, body []byte) error {
 	if w.broken != nil {
 		return fmt.Errorf("wal poisoned by earlier failure: %w", w.broken)
 	}
-	n, err := writeFrame(w.f, ver, op, body)
+	n, err := writeFrame(w.f, op, body)
 	if err != nil {
 		w.broken = err
 		return err
@@ -117,8 +117,10 @@ func (w *wal) append(ver, op byte, body []byte) error {
 // the latest snapshot is restored, the logs it does not cover are
 // replayed through the regular apply path (stopping at — and truncating
 // away — a torn final frame), and the recovered state is immediately
-// compacted into a fresh snapshot. Must be called before the server
-// starts serving.
+// compacted into a fresh snapshot. A snapshot or log holding an intact
+// frame of another protocol version fails the open (errProtoVersion)
+// and is left as it was. Must be called before the server starts
+// serving.
 func (s *ShardServer) OpenWAL(dir string) error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
@@ -139,10 +141,8 @@ func (s *ShardServer) OpenWAL(dir string) error {
 	active := snapSeq
 	for _, seq := range seqs {
 		if seq < snapSeq {
-			// Covered by the snapshot; a crash mid-compaction left it.
-			if err := os.Remove(walFilePath(dir, seq)); err != nil {
-				return fmt.Errorf("cluster: wal: %w", err)
-			}
+			// Covered by the snapshot; a crash mid-compaction left it, and
+			// the compaction below deletes it.
 			continue
 		}
 		if err := s.replayWALFileLocked(walFilePath(dir, seq)); err != nil {
@@ -168,7 +168,9 @@ func (s *ShardServer) OpenWAL(dir string) error {
 // replayWALFileLocked feeds one log file's frames through the mutating
 // apply path. The first invalid frame (torn write from a crash, or
 // corruption) ends the replay and the file is truncated back to the
-// last valid frame.
+// last valid frame. An intact frame of another protocol version is
+// neither: the rest of the log is another build's acknowledged work, so
+// the replay fails and the file is left untouched.
 func (s *ShardServer) replayWALFileLocked(path string) error {
 	f, err := os.OpenFile(path, os.O_RDWR, walFilePerm)
 	if err != nil {
@@ -178,9 +180,12 @@ func (s *ShardServer) replayWALFileLocked(path string) error {
 	r := bufio.NewReader(f)
 	var good int64
 	for {
-		ver, op, body, wire, err := readFrame(r)
+		op, body, wire, err := readFrame(r)
 		if err == io.EOF {
 			return nil
+		}
+		if errors.Is(err, errProtoVersion) {
+			return fmt.Errorf("cluster: wal: %s: frame at offset %d: %w", path, good, err)
 		}
 		if err != nil {
 			// Torn or corrupt tail: sweep back to the last valid frame.
@@ -191,7 +196,7 @@ func (s *ShardServer) replayWALFileLocked(path string) error {
 		}
 		switch {
 		case op == walSetPoliteness:
-			d := newDec(ver, body)
+			d := newDec(body)
 			gap := d.f64()
 			if d.finish() == nil {
 				s.shards.SetPoliteness(gap)
@@ -199,7 +204,7 @@ func (s *ShardServer) replayWALFileLocked(path string) error {
 		case op == walClearClaims:
 			s.shards.ClearClaims()
 		case mutatingOp(op):
-			d := newDec(ver, body)
+			d := newDec(body)
 			reqID := d.fix64()
 			if d.finish() == nil {
 				if _, _, ok := s.dedup.get(reqID); !ok {
@@ -227,20 +232,23 @@ func (s *ShardServer) loadSnapshotLocked(path string) (uint64, error) {
 	}
 	defer f.Close()
 	corrupt := func(err error) (uint64, error) {
+		if errors.Is(err, errProtoVersion) {
+			return 0, fmt.Errorf("cluster: wal: snapshot %s: %w", path, err)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("cluster: wal: corrupt snapshot %s: %w", path, err)
 		}
 		return 0, fmt.Errorf("cluster: wal: corrupt snapshot %s", path)
 	}
 	r := bufio.NewReader(f)
-	ver, kind, body, _, err := readFrame(r)
+	kind, body, _, err := readFrame(r)
 	if err != nil {
 		return corrupt(err)
 	}
 	if kind != walSnapHeader {
 		return 0, fmt.Errorf("cluster: wal: %s is not a snapshot (kind %d)", path, kind)
 	}
-	d := newDec(ver, body)
+	d := newDec(body)
 	seq := d.u64()
 	politeness := d.f64()
 	nshards := int(d.u32())
@@ -265,11 +273,11 @@ func (s *ShardServer) loadSnapshotLocked(path string) (uint64, error) {
 	var dedups []dedupEntry
 	done := false
 	for !done {
-		ver, kind, body, _, err := readFrame(r)
+		kind, body, _, err := readFrame(r)
 		if err != nil {
 			return corrupt(err)
 		}
-		d := newDec(ver, body)
+		d := newDec(body)
 		switch kind {
 		case walSnapEntries:
 			chunk := decodeEntries(d)
@@ -322,20 +330,20 @@ func (s *ShardServer) writeSnapshotLocked(seq uint64) error {
 	}
 	w := bufio.NewWriter(f)
 
-	hdr := newEnc(ProtoVersion)
+	var hdr enc
 	hdr.u64(seq)
 	hdr.f64(politeness)
 	hdr.u32(uint32(len(shardStates)))
 	for _, ss := range shardStates {
 		hdr.f64(ss.NextReady).bool(ss.Claimed)
 	}
-	if _, err := writeFrame(w, ProtoVersion, walSnapHeader, hdr.b); err != nil {
+	if _, err := writeFrame(w, walSnapHeader, hdr.b); err != nil {
 		return fail(err)
 	}
 	if err := s.shards.StreamEntries(walSnapChunk, func(chunk []frontier.Entry) error {
-		e := newEnc(ProtoVersion)
+		var e enc
 		encodeEntries(&e, chunk)
-		_, err := writeFrame(w, ProtoVersion, walSnapEntries, e.b)
+		_, err := writeFrame(w, walSnapEntries, e.b)
 		return err
 	}); err != nil {
 		return fail(err)
@@ -343,16 +351,16 @@ func (s *ShardServer) writeSnapshotLocked(seq uint64) error {
 	dedups := s.dedup.snapshotEntries()
 	for off := 0; off < len(dedups); off += walSnapChunk {
 		chunk := dedups[off:min(off+walSnapChunk, len(dedups))]
-		e := newEnc(ProtoVersion)
+		var e enc
 		e.u32(uint32(len(chunk)))
 		for _, de := range chunk {
 			e.fix64(de.id).u8(de.status).str(string(de.resp))
 		}
-		if _, err := writeFrame(w, ProtoVersion, walSnapDedup, e.b); err != nil {
+		if _, err := writeFrame(w, walSnapDedup, e.b); err != nil {
 			return fail(err)
 		}
 	}
-	if _, err := writeFrame(w, ProtoVersion, walSnapEnd, nil); err != nil {
+	if _, err := writeFrame(w, walSnapEnd, nil); err != nil {
 		return fail(err)
 	}
 	if err := w.Flush(); err != nil {

@@ -3,10 +3,12 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"webevolve/internal/frontier"
@@ -27,8 +29,8 @@ func newWALServer(t *testing.T, dir string, shards int) *ShardServer {
 func pushVia(t *testing.T, srv *ShardServer, reqID uint64, url string, due, prio float64) {
 	t.Helper()
 	var e enc
-	e.u64(reqID).str(url).f64(due).f64(prio)
-	if st, resp := srv.handle(helloProto, opPush, e.b); st != statusOK {
+	e.fix64(reqID).str(url).f64(due).f64(prio)
+	if st, resp := srv.handle(opPush, e.b); st != statusOK {
 		t.Fatalf("push: %s", resp)
 	}
 }
@@ -36,8 +38,8 @@ func pushVia(t *testing.T, srv *ShardServer, reqID uint64, url string, due, prio
 func popVia(t *testing.T, srv *ShardServer, reqID uint64, now float64) (frontier.Entry, bool) {
 	t.Helper()
 	var e enc
-	e.u64(reqID).f64(now)
-	st, resp := srv.handle(helloProto, opPopDue, e.b)
+	e.fix64(reqID).f64(now)
+	st, resp := srv.handle(opPopDue, e.b)
 	if st != statusOK {
 		t.Fatalf("pop: %s", resp)
 	}
@@ -103,23 +105,26 @@ func TestWALRecoversAfterCrash(t *testing.T) {
 }
 
 // TestWALGracefulFlush: CloseWAL must persist every queued entry into
-// the snapshot (the graceful-shutdown contract), leaving an empty log.
+// the snapshot (the graceful-shutdown contract), leaving an empty log —
+// and the snapshot's bytes are the pinned ones (see checkGolden).
 func TestWALGracefulFlush(t *testing.T) {
 	dir := t.TempDir()
-	srv := newWALServer(t, dir, 4)
-	urls := testURLs(4, 4)
-	for i, u := range urls {
-		pushVia(t, srv, uint64(100+i), u, float64(i), 0)
-	}
+	srv := newWALServer(t, dir, 2)
+	srv.handle(opHello, helloBody(0.5, true))
+	pushVia(t, srv, 1, "http://site001.com/a", 1, 2)
+	pushVia(t, srv, 2, "http://site001.com/b", 0.25, 0)
+	pushVia(t, srv, 3, "http://site002.com/index.html", 3, 1)
+	popVia(t, srv, 4, 1)
 	if err := srv.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, walSnapName)); err != nil {
+	snap, err := os.ReadFile(filepath.Join(dir, walSnapName))
+	if err != nil {
 		t.Fatalf("no snapshot after graceful shutdown: %v", err)
 	}
-	srv2 := newWALServer(t, dir, 4)
-	if got := srv2.Shards().Len(); got != len(urls) {
-		t.Fatalf("flushed %d entries, recovered %d", len(urls), got)
+	checkGolden(t, "wal_snapshot", snap)
+	if got := newWALServer(t, dir, 2).Shards().Len(); got != 2 {
+		t.Fatalf("flushed 2 entries, recovered %d", got)
 	}
 }
 
@@ -155,56 +160,10 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestWALReplaysOlderProtoVersion: a WAL written by a version-2 shardd
-// (every frame stamped with the old protocol version) must replay after
-// an upgrade. Rejecting old versions at the frame level would make
-// recovery mistake the entire log for a torn tail and truncate it to
-// nothing — silent loss of the exact state the WAL exists to keep.
-func TestWALReplaysOlderProtoVersion(t *testing.T) {
-	dir := t.TempDir()
-	f, err := os.OpenFile(walFilePath(dir, 0), os.O_CREATE|os.O_WRONLY, walFilePerm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	urls := []string{"http://site001.com/a", "http://site002.com/b", "http://site003.com/c"}
-	for i, u := range urls {
-		var e enc
-		e.u64(uint64(100 + i)).str(u).f64(float64(i)).f64(0)
-		writeFrameVersion(t, f, minProtoVersion, opPush, e.b)
-	}
-	f.Close()
-
-	srv := newWALServer(t, dir, 4)
-	if got := srv.Shards().Len(); got != len(urls) {
-		t.Fatalf("recovered Len = %d, want %d (old-version WAL truncated?)", got, len(urls))
-	}
-	for _, u := range urls {
-		if !srv.Shards().Contains(u) {
-			t.Fatalf("entry %s lost replaying an old-version WAL", u)
-		}
-	}
-}
-
-// writeFrameVersion hand-assembles one pre-v6 frame (two-byte payload
-// header, no flags byte) stamped with an explicit protocol version —
-// what an old shardd build would have written.
-func writeFrameVersion(t *testing.T, f *os.File, version, kind byte, body []byte) {
-	t.Helper()
-	buf := make([]byte, 8+2+len(body))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(body)+2))
-	buf[8] = version
-	buf[9] = kind
-	copy(buf[10:], body)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
-	if _, err := f.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// walBatchBody builds a v6 push-batch body big enough that writeFrame
+// walBatchBody builds a push-batch body big enough that writeFrame
 // deflates the WAL frame (front-coded URLs, > compressMin bytes raw).
 func walBatchBody(reqID uint64, urls []string) []byte {
-	e := newEnc(ProtoVersion)
+	var e enc
 	e.fix64(reqID)
 	ents := make([]frontier.Entry, len(urls))
 	for i, u := range urls {
@@ -214,14 +173,14 @@ func walBatchBody(reqID uint64, urls []string) []byte {
 	return e.b
 }
 
-// TestWALReplaysCompressedFrames: a current-build WAL — v6 frames,
-// batch bodies big enough to ride the compression flag — must replay
+// TestWALReplaysCompressedFrames: a WAL whose batch bodies are big
+// enough to ride the compression flag must replay
 // exactly after a crash (no CloseWAL, no snapshot).
 func TestWALReplaysCompressedFrames(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 4)
 	urls := testURLs(8, 8)
-	if st, resp := srv.handle(ProtoVersion, opPushBatch, walBatchBody(900, urls)); st != statusOK {
+	if st, resp := srv.handle(opPushBatch, walBatchBody(900, urls)); st != statusOK {
 		t.Fatalf("batch push: %s", resp)
 	}
 
@@ -241,7 +200,7 @@ func TestWALReplaysCompressedFrames(t *testing.T) {
 		if off+8+n > len(raw) {
 			break
 		}
-		if n >= 3 && raw[off+8] >= protoV6 && raw[off+8+2]&flagCompressed != 0 {
+		if n >= frameHdr && raw[off+8+2]&flagCompressed != 0 {
 			compressed = true
 		}
 		off += 8 + n
@@ -261,7 +220,7 @@ func TestWALReplaysCompressedFrames(t *testing.T) {
 	}
 }
 
-// TestWALTornCompressedTailTruncated: a v6 compressed frame torn
+// TestWALTornCompressedTailTruncated: a compressed frame torn
 // mid-write must sweep back to the last CRC-valid frame — acknowledged
 // ops before the tear survive, and the file is truncated to the valid
 // prefix so subsequent appends don't interleave with garbage.
@@ -280,7 +239,7 @@ func TestWALTornCompressedTailTruncated(t *testing.T) {
 	// A well-formed compressed batch frame, torn 5 bytes short: the
 	// length prefix promises more than the file holds.
 	var torn bytes.Buffer
-	if _, err := writeFrame(&torn, ProtoVersion, opPushBatch, walBatchBody(901, testURLs(8, 8))); err != nil {
+	if _, err := writeFrame(&torn, opPushBatch, walBatchBody(901, testURLs(8, 8))); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(active, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -345,15 +304,15 @@ func TestWALDedupSurvivesRestart(t *testing.T) {
 	pushVia(t, srv, 2, "http://site002.com/b", 0, 1)
 
 	var claim enc
-	claim.u64(77).f64(10)
-	st1, resp1 := srv.handle(helloProto, opClaimDue, claim.b)
+	claim.fix64(77).f64(10)
+	st1, resp1 := srv.handle(opClaimDue, claim.b)
 	if st1 != statusOK {
 		t.Fatalf("claim: %s", resp1)
 	}
 	// Crash before the response reached the client; the client retries
 	// the identical frame against the restarted server.
 	srv2 := newWALServer(t, dir, 4)
-	st2, resp2 := srv2.handle(helloProto, opClaimDue, claim.b)
+	st2, resp2 := srv2.handle(opClaimDue, claim.b)
 	if st2 != st1 || string(resp2) != string(resp1) {
 		t.Fatalf("retry across restart not deduped: (%d,%q) vs (%d,%q)", st2, resp2, st1, resp1)
 	}
@@ -404,7 +363,7 @@ func TestWALReplayKeepsHelloPoliteness(t *testing.T) {
 	srv := newWALServer(t, dir, 4)
 	var hello enc
 	hello.bool(true).f64(1.5).bool(true)
-	if st, resp := srv.handle(helloProto, opHello, hello.b); st != statusOK {
+	if st, resp := srv.handle(opHello, hello.b); st != statusOK {
 		t.Fatalf("hello: %s", resp)
 	}
 	pushVia(t, srv, 1, "http://site001.com/a", 0, 0)
@@ -468,5 +427,73 @@ func TestWALSkipsNoOpPops(t *testing.T) {
 	pushVia(t, srv, 999, "http://site001.com/a", 0, 0)
 	if after := sizeOf(); after == before {
 		t.Fatal("real mutation did not grow the log")
+	}
+}
+
+// dirBytes reads every file of dir, keyed by path.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	paths, _ := filepath.Glob(filepath.Join(dir, "*"))
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[p] = string(b)
+	}
+	return out
+}
+
+// TestWALRefusesOtherVersions: an intact frame of another protocol
+// version in the log or the snapshot is another build's acknowledged
+// work, not a torn tail. OpenWAL must fail naming the file and both
+// versions and leave every file byte-identical — truncating at the
+// foreign frame (what replay did with any readFrame error) silently
+// erases it and all that follows. The v5 records are the hello records
+// the last multi-version build logged on every client connect.
+func TestWALRefusesOtherVersions(t *testing.T) {
+	var gap enc
+	gap.f64(0.5)
+	for name, frame := range map[string][]byte{
+		"v5 set-politeness": rawFrame(append([]byte{5, walSetPoliteness}, gap.b...)),
+		"v5 clear-claims":   rawFrame([]byte{5, walClearClaims}),
+		"v7 push":           rawFrame(append([]byte{ProtoVersion + 1, opPush, 0}, gap.b...)),
+	} {
+		for _, inSnapshot := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/snapshot=%v", name, inSnapshot), func(t *testing.T) {
+				dir := t.TempDir()
+				srv := newWALServer(t, dir, 4)
+				pushVia(t, srv, 1, "http://site001.com/a", 1, 0)
+				seqs, _ := walFileSeqs(dir)
+				file := walFilePath(dir, seqs[len(seqs)-1])
+				old, _ := os.ReadFile(file)
+				// Crash, then the foreign frame with one of ours after it.
+				mixed := append(append(old, frame...), validFrame(t, walClearClaims, nil)...)
+				if inSnapshot {
+					// A downgrade: the snapshot opens with a newer build's frame.
+					if err := srv.CloseWAL(); err != nil {
+						t.Fatal(err)
+					}
+					file = filepath.Join(dir, walSnapName)
+					old, _ = os.ReadFile(file)
+					mixed = append(append([]byte(nil), frame...), old...)
+				}
+				if err := os.WriteFile(file, mixed, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				before := dirBytes(t, dir)
+				err := NewShardServer(frontier.NewSharded(4)).OpenWAL(dir)
+				if !errors.Is(err, errProtoVersion) || !strings.Contains(err.Error(), file) || !namesVersions(err.Error(), frame[8]) {
+					t.Fatalf("OpenWAL = %v, want errProtoVersion naming %s and both versions", err, file)
+				}
+				if !inSnapshot && !strings.Contains(err.Error(), fmt.Sprintf("offset %d", len(old))) {
+					t.Errorf("error %q does not give the frame's offset %d", err, len(old))
+				}
+				if !reflect.DeepEqual(dirBytes(t, dir), before) {
+					t.Fatal("the refused open changed the directory")
+				}
+			})
+		}
 	}
 }

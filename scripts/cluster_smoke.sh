@@ -102,9 +102,9 @@ for size in 2000 8000 32000; do
     # and require well-formed exposition with the wire, WAL, frame-
     # compression and frontier-residency families actually moving
     # (promcheck exits non-zero on malformed output or zero counters,
-    # failing `make ci`). The compression families prove v6 negotiation
-    # happened and response frames big enough to deflate actually rode
-    # the flag; the residency families prove the disk tier is live —
+    # failing `make ci`). The compression families prove response
+    # frames big enough to deflate actually rode the flag; the
+    # residency families prove the disk tier is live —
     # entries resident, entries spilled, and bytes in the spill logs.
     curl -sS "http://$m2/metrics" >"$tmp/k2.metrics"
     "$tmp/promcheck" \
