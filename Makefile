@@ -18,8 +18,10 @@ test:
 # live swaps: no request may see a closed store); and the store's
 # ordered index and record codec beside concurrent writers, compaction
 # and swaps; the engine's content stage behind a slow or failing store
-# (order, buffer ownership, the barrier, the error path); and opRound
-# retries after lost replies, across a WAL compaction and restart. The
+# (order, buffer ownership, the barrier, the error path); opRound
+# retries after lost replies, across a WAL compaction and restart; and
+# the servers' per-connection read buffers, reused across frames of
+# every size, against an in-process oracle. The
 # last line is not about timing: it is the revisit optimizer's
 # bit-for-bit equivalence with its reference, repeated because a crawl's
 # digest hangs off it (-short: 60 of the 240 random populations).
@@ -30,18 +32,21 @@ race:
 	$(GO) test -race -count=5 -run 'TestStragglersAcrossSwaps' ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestScanBesideWrites|TestModelCheck|TestShadowedPin|TestDiskConcurrentStress' ./internal/store/
 	$(GO) test -race -count=5 -run 'TestContentStageOrderAndIntegrity|TestContentErrorEndsRun|TestContentBarrier' ./internal/core/
-	$(GO) test -race -count=5 -run 'TestRoundRetryRepeeks|TestRoundReplyLostKeepsPopOrder|TestFlakyTransportKeepsRoundPopOrder' ./internal/cluster/
+	$(GO) test -race -count=5 -run 'TestRoundRetryRepeeks|TestRoundReplyLostKeepsPopOrder|TestFlakyTransportKeepsRoundPopOrder|TestServerReadBuffersKeepNothing' ./internal/cluster/
 	$(GO) test -race -short -count=5 -run 'TestOptimalAllocationMatchesReference' ./internal/freshness/
 
 # Thirty seconds of fuzzing the optimizer's equivalence property, then
 # fifteen each on the cluster's frame reader and request handler: there
 # is one wire decoder and no second version to cross-check it, so
-# arbitrary bytes must keep surfacing as errors, never panics. (The
-# seed corpora already run under plain `go test`.)
+# arbitrary bytes must keep surfacing as errors, never panics. The last
+# fifteen read frame streams through one reused frameReader against a
+# fresh read per frame. (The seed corpora already run under plain
+# `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimalAllocation -fuzztime 30s ./internal/freshness/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzHandleBody -fuzztime 15s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzFrameSequence -fuzztime 15s ./internal/cluster/
 
 # Engine benchmarks, written machine-readable to BENCH_engine.json
 # (benchmark name, iterations, ns/op, pages/s, B/op, allocs/op) so the
@@ -56,6 +61,9 @@ bench:
 		-benchmem -run '^$$' ./internal/freshness/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkStore|BenchmarkEncodeEntries' -benchtime 5x \
+		-benchmem -run '^$$' ./internal/cluster/ >> bench_engine.txt || \
+		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
+	$(GO) test -bench 'BenchmarkFrame' -benchtime 2000x \
 		-benchmem -run '^$$' ./internal/cluster/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkStoreDisk' -benchtime 2000x -cpu 2 \

@@ -115,7 +115,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	}
 	// A compressed frame (body above compressMin so writeFrame deflates).
-	f.Add(validFrame(f, opPushBatch, walBatchBody(9, testURLs(8, 8))))
+	f.Add(validFrame(f, opPushBatch, walBatchBody(9, testURLs(16, 24))))
 	for _, b := range corruptFrames(f) {
 		f.Add(b)
 	}

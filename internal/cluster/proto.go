@@ -171,10 +171,26 @@ var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // frameBufPoolMax caps the capacity of buffers returned to the pool.
 const frameBufPoolMax = 64 << 10
 
-// compressMin is the body size below which writeFrame does not attempt
-// compression: small frames are dominated by syscall and header cost,
-// and deflate rarely wins on them anyway.
-const compressMin = 1 << 9
+// compressMin is the body size below which writeFrame sends a body raw.
+// Deflate's cost is mostly per frame, not per byte: every frame closes
+// its own stream, and each close builds fresh Huffman tables, so a
+// sub-KiB body costs a third of what a 17 KiB one does while saving
+// only about a hundred bytes. Warm-loop CPU per frame on a 2.1 GHz Xeon, for
+// BenchmarkFrame's bodies (built from pages of the simulated web):
+//
+//	body                           raw       deflated   deflate   inflate
+//	opRound reply, 16 entries      444 B     334 B      21 µs     5 µs
+//	opStorePutBatch, 16 records    17.2 KiB  2.6 KiB    61 µs     32 µs
+//
+// Inside a running crawl the small frames cost more (38 µs + 15 µs per
+// 752 B round reply, timed on captured frames). Streaming one deflater
+// per connection does not change the trade: compress/flate's Flush also
+// ends a block and rebuilds the tables, and on captured frames it cut a
+// round reply only to 26 µs and left a put-batch at 122 µs. At 4 KiB
+// every opRound request and reply travels raw, while store put-batches,
+// scan chunks and URL lists — large, repetitive, and 3–6× smaller
+// deflated — keep the flag.
+const compressMin = 4 << 10
 
 // flateWriterPool / flateReaderPool recycle deflate state, which is
 // expensive to allocate (32KiB windows) relative to the frames it
@@ -210,13 +226,20 @@ func deflateBody(buf *bytes.Buffer, body []byte) bool {
 	return werr == nil && cerr == nil
 }
 
-// inflateBody decodes a compressed frame body: a uvarint declaring the
-// inflated size (validated against maxFrame before any allocation)
+// maxInflateRatio is the most deflate can expand its input: a
+// 258-byte match costs at least two bits (one-bit length and distance
+// codes), so no stream inflates past 1032 times its length.
+const maxInflateRatio = 1032
+
+// inflateBody decodes a compressed frame body into dst's storage
+// (growing it when too small): a uvarint declaring the inflated size
 // followed by the deflate stream, which must inflate to exactly that
-// size.
-func inflateBody(comp []byte) ([]byte, error) {
+// size. The declared size is checked against maxFrame and against what
+// the stream's length could possibly produce before anything is
+// allocated, so a few bytes cannot claim megabytes.
+func inflateBody(dst, comp []byte) ([]byte, error) {
 	rawLen, n := binary.Uvarint(comp)
-	if n <= 0 || rawLen > maxFrame {
+	if n <= 0 || rawLen > maxFrame || rawLen > maxInflateRatio*uint64(len(comp)-n) {
 		return nil, errBadFrame
 	}
 	br := bytes.NewReader(comp[n:])
@@ -229,7 +252,12 @@ func inflateBody(comp []byte) ([]byte, error) {
 	} else {
 		fr = flate.NewReader(br)
 	}
-	out := make([]byte, rawLen)
+	out := dst[:0]
+	if uint64(cap(out)) < rawLen {
+		out = make([]byte, rawLen)
+	} else {
+		out = out[:rawLen]
+	}
 	_, err := io.ReadFull(fr, out)
 	if err == nil {
 		var extra [1]byte
@@ -307,18 +335,83 @@ func writeFrame(w io.Writer, kind byte, body []byte) (int, error) {
 // wire size, which differs from len(body) for compressed frames. A
 // frame that is intact but of another version fails with an error that
 // Is errProtoVersion and names both versions; the frame has been
-// consumed whole, so the stream stays aligned for a reply.
+// consumed whole, so the stream stays aligned for a reply. The body is
+// the caller's to keep.
 func readFrame(r io.Reader) (kind byte, body []byte, wire int, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var fr frameReader
+	return fr.next(r)
+}
+
+// frameReader reads frames into buffers it reuses for the next frame:
+// a server connection reads every request through one, so a steady
+// stream of frames allocates nothing per frame. The body next returns
+// aliases those buffers and is valid only until the following call;
+// that is safe for the handlers because every decoder copies what it
+// keeps (dec.str, dec.strDelta and dec.bytes all copy).
+type frameReader struct {
+	hdr     [8]byte
+	payload []byte // the last frame's payload, as read
+	raw     []byte // the last compressed body, inflated
+}
+
+// frameReaderKeep caps the buffers a frameReader carries from one frame
+// to the next: a rare large frame (a snapshot-sized push batch, a big
+// page) must not pin its size per connection.
+const frameReaderKeep = 1 << 20
+
+// release drops buffers grown past frameReaderKeep. Call it once the
+// body of the last frame is no longer used.
+func (fr *frameReader) release() {
+	if cap(fr.payload) > frameReaderKeep {
+		fr.payload = nil
+	}
+	if cap(fr.raw) > frameReaderKeep {
+		fr.raw = nil
+	}
+}
+
+// readChunk is the most a frame's payload allocates before its bytes
+// arrive. A longer payload grows by doubling as it is read, so a length
+// prefix that lies — a hostile peer, a corrupt log tail — costs what
+// was actually sent, not the up-to-maxFrame it declared.
+const readChunk = 64 << 10
+
+// readPayload reads exactly n bytes into buf's storage, growing it as
+// the bytes arrive. A stream that ends partway fails with
+// io.ErrUnexpectedEOF, one that ends before the first byte with io.EOF.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(2*cap(buf), readChunk)))
+			copy(grown, buf)
+			buf = grown
+		}
+		end := min(n, cap(buf))
+		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+		buf = buf[:end]
+	}
+	return buf, nil
+}
+
+// next reads one frame as readFrame does, into fr's buffers.
+func (fr *frameReader) next(r io.Reader) (kind byte, body []byte, wire int, err error) {
+	hdr := fr.hdr[:] // a field, so reading into it does not allocate per frame
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, 0, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	if n < 2 || n > maxFrame { // every version's payload opens version, kind
 		return 0, nil, 0, errBadFrame
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, fr.payload, int(n))
+	fr.payload = payload
+	if err != nil {
 		return 0, nil, 0, fmt.Errorf("cluster: truncated frame: %w", err)
 	}
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
@@ -336,10 +429,10 @@ func readFrame(r io.Reader) (kind byte, body []byte, wire int, err error) {
 	}
 	body = payload[frameHdr:]
 	if flags&flagCompressed != 0 {
-		body, err = inflateBody(body)
-		if err != nil {
+		if fr.raw, err = inflateBody(fr.raw, body); err != nil {
 			return 0, nil, 0, err
 		}
+		body = fr.raw
 	}
 	return payload[1], body, 8 + int(n), nil
 }

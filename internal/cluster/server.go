@@ -155,14 +155,17 @@ func (s *connCore) Pipe() (net.Conn, error) {
 }
 
 // serveConn runs one connection's request loop until EOF or error,
-// recording per-op latency and frame bytes as it goes.
+// recording per-op latency and frame bytes as it goes. Requests are
+// read into buffers the connection reuses (frameReader): handle must
+// not retain body, and the decoders copy everything they return.
 func (s *connCore) serveConn(conn net.Conn) {
 	defer conn.Close()
 	serverConnsGauge.Add(1)
 	defer serverConnsGauge.Add(-1)
 	r := bufio.NewReader(conn)
+	var fr frameReader
 	for {
-		op, body, wire, err := readFrame(r)
+		op, body, wire, err := fr.next(r)
 		if errors.Is(err, errProtoVersion) {
 			// A peer of another build: say so once before hanging up, or
 			// all it ever sees is an EOF it retries against.
@@ -176,6 +179,7 @@ func (s *connCore) serveConn(conn net.Conn) {
 		m.serverReqBytes.Observe(float64(wire))
 		start := time.Now()
 		status, resp := s.handle(op, body)
+		fr.release()
 		m.serverSeconds.Observe(time.Since(start).Seconds())
 		m.serverOps.Inc()
 		if status != statusOK {
@@ -363,8 +367,9 @@ func (s *ShardServer) handleMutating(op byte, body []byte) (status byte, resp []
 
 // remember memoizes a mutating op's outcome for its retries. An applied
 // opRound is remembered as applied only: its response is a candidate
-// list, state a retry can derive again (repeekRound), and at 24 entries
-// per round it would be nearly all of the cache's bytes.
+// list, state a retry can derive again (repeekRound), and at a dispatch
+// round of entries per reply it would be nearly all of the cache's
+// bytes.
 func (s *ShardServer) remember(reqID uint64, op, status byte, resp []byte) {
 	if op == opRound && status == statusOK {
 		resp = nil

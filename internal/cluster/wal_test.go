@@ -160,8 +160,9 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 }
 
-// walBatchBody builds a push-batch body big enough that writeFrame
-// deflates the WAL frame (front-coded URLs, > compressMin bytes raw).
+// walBatchBody builds a push-batch body; over testURLs(16, 24) it is
+// big enough that writeFrame deflates the frame (front-coded URLs,
+// > compressMin bytes raw).
 func walBatchBody(reqID uint64, urls []string) []byte {
 	var e enc
 	e.fix64(reqID)
@@ -179,7 +180,7 @@ func walBatchBody(reqID uint64, urls []string) []byte {
 func TestWALReplaysCompressedFrames(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 4)
-	urls := testURLs(8, 8)
+	urls := testURLs(16, 24)
 	if st, resp := srv.handle(opPushBatch, walBatchBody(900, urls)); st != statusOK {
 		t.Fatalf("batch push: %s", resp)
 	}
@@ -239,7 +240,7 @@ func TestWALTornCompressedTailTruncated(t *testing.T) {
 	// A well-formed compressed batch frame, torn 5 bytes short: the
 	// length prefix promises more than the file holds.
 	var torn bytes.Buffer
-	if _, err := writeFrame(&torn, opPushBatch, walBatchBody(901, testURLs(8, 8))); err != nil {
+	if _, err := writeFrame(&torn, opPushBatch, walBatchBody(901, testURLs(16, 24))); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(active, os.O_WRONLY|os.O_APPEND, 0o644)

@@ -85,6 +85,10 @@ type Crawler struct {
 	pushes    []frontier.Entry
 	removes   []string
 	recs      []store.PageRecord
+	// admits and evicts stage the ranking pass's frontier changes, which
+	// it commits as one round (ranking.go).
+	admits []frontier.Entry
+	evicts []string
 	// rebuildDone joins the revisit-plan rebuild a ranking pass left
 	// running concurrently with the crawl (ranking.go).
 	rebuildDone chan error
@@ -206,7 +210,7 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 		all:        frontier.NewAllUrls(),
 		coll:       coll,
 		ownsColl:   ownsColl,
-		rounds:     newFrontierRounds(coll, cfg.DispatchBatch+8, cfg.ShardPolitenessDays),
+		rounds:     newFrontierRounds(coll, cfg.DispatchBatch, cfg.ShardPolitenessDays),
 		shadowed:   sh,
 		graph:      webgraph.New(),
 		policy:     policy,
@@ -224,6 +228,8 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 		c.all.Add(s, 0)
 		c.admit(s, 0)
 	}
+	c.coll.PushBatch(c.admits) // admit only stages the pushes
+	c.admits = c.admits[:0]
 	return c, nil
 }
 

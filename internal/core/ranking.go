@@ -98,6 +98,15 @@ func (c *Crawler) joinRebuild() error {
 // refine implements the refinement decision (Section 5.2): replace
 // less-important collection pages with more-important discovered pages.
 func (c *Crawler) refine(ranks map[string]float64) error {
+	// admit and evict only stage their frontier changes; the refinement
+	// ships as one round once decided — one exchange per server and one
+	// WAL append, not one of each per URL. Admissions come from outside
+	// the collection and evictions from inside, so the two sets are
+	// disjoint and the final queue does not depend on their order.
+	defer func() {
+		c.rounds.commitRound(c.evicts, c.admits, false)
+		c.admits, c.evicts = c.admits[:0], c.evicts[:0]
+	}()
 	inColl := make(map[string]bool, c.coll.Len())
 	for _, u := range c.coll.URLs() {
 		inColl[u] = true
@@ -181,17 +190,19 @@ func (c *Crawler) refine(ranks map[string]float64) error {
 
 // admit schedules url for immediate crawling as a (future) collection
 // member: "the URL for this new page is placed on the top of CollUrls, so
-// that the UpdateModule can crawl the page immediately".
+// that the UpdateModule can crawl the page immediately". The push is
+// staged in c.admits for the caller to commit.
 func (c *Crawler) admit(url string, imp float64) {
 	c.metrics.Admissions++
-	c.coll.Push(url, c.day, imp) // due now = front of the queue
+	c.admits = append(c.admits, frontier.Entry{URL: url, Due: c.day, Priority: imp}) // due now = front of the queue
 	c.all.SetInCollection(url, true)
 }
 
 // evict discards a page from the collection (Figure 11 steps [7]-[8]).
+// The frontier removal is staged in c.evicts for refine to commit.
 func (c *Crawler) evict(url string) {
 	c.metrics.Evictions++
-	c.coll.Remove(url)
+	c.evicts = append(c.evicts, url)
 	_ = c.shadowed.Current().Delete(url)
 	if c.cfg.Update == Shadow {
 		_ = c.shadowed.Shadow().Delete(url)

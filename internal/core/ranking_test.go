@@ -2,6 +2,9 @@ package core
 
 import (
 	"testing"
+
+	"webevolve/internal/cluster"
+	"webevolve/internal/frontier"
 )
 
 func TestHysteresisPreventsThrash(t *testing.T) {
@@ -25,6 +28,43 @@ func TestHysteresisPreventsThrash(t *testing.T) {
 	tight := evictions(10) // candidate must be 11x better
 	if tight >= loose {
 		t.Fatalf("hysteresis did not damp evictions: %d (tight) vs %d (loose)", tight, loose)
+	}
+}
+
+// TestRefinementShipsAsRounds: New queues the seeds as one batch, and
+// the ranking passes' admissions and evictions reach the frontier only
+// inside round commits — never as a Push or Remove per URL.
+func TestRefinementShipsAsRounds(t *testing.T) {
+	w, f := testWeb(t, 50)
+	servers := []*cluster.ShardServer{
+		cluster.NewShardServer(frontier.NewSharded(4)),
+		cluster.NewShardServer(frontier.NewSharded(4)),
+	}
+	rs, err := cluster.Loopback(servers, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	cr := &countingRounds{RemoteShards: rs}
+	cfg := baseConfig(w)
+	cfg.CollectionSize = 15
+	cfg.Frontier = cr
+	c, err := New(cfg, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cr.Len(); n != len(cfg.Seeds) {
+		t.Fatalf("New queued %d of %d seeds", n, len(cfg.Seeds))
+	}
+	if err := c.RunUntil(30); err != nil {
+		t.Fatal(err)
+	}
+	m := c.Metrics()
+	if m.Evictions == 0 || m.Admissions <= int64(len(cfg.Seeds)) {
+		t.Fatalf("%d admissions, %d evictions: the test exercises no refinement", m.Admissions, m.Evictions)
+	}
+	if cr.perURL != 0 {
+		t.Fatalf("%d per-URL pushes and removes beside the rounds", cr.perURL)
 	}
 }
 

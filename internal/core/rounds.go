@@ -65,7 +65,10 @@ type frontierRounds struct {
 
 // newFrontierRounds wires the engine's frontier access. The fast path
 // engages only when the frontier offers it and the configuration keeps
-// a zero politeness gap.
+// a zero politeness gap. A peekMax of one dispatch round always covers
+// a round: the server whose last candidate sets the bound returned all
+// peekMax of its own, so the exact merged prefix holds at least that
+// many.
 func newFrontierRounds(coll frontier.ShardSet, peekMax int, politeness float64) *frontierRounds {
 	r := &frontierRounds{coll: coll, max: peekMax}
 	if ra, ok := coll.(roundApplier); ok && politeness == 0 {
@@ -161,7 +164,7 @@ func (r *frontierRounds) refresh() bool {
 
 // flush ships pending pops and invalidates the candidate cache. It
 // must run before any frontier access that bypasses this adapter — the
-// ranking pass's Push/Remove/URLs/Len, the shadow swap, batch-mode
+// ranking pass's URLs/Len, the shadow swap, batch-mode
 // URL snapshots, all of which reach it through Crawler.quiesce — so
 // the server state is caught up and later rounds re-peek fresh
 // candidates.

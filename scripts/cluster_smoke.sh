@@ -85,10 +85,15 @@ echo "cluster-smoke: WAL-backed shardd daemons on $b1 and $b2"
 
 # The kill must land while the crawl is in flight; how long a crawl
 # takes depends on the machine, so escalate the workload until the
-# SIGKILL catches it mid-run (~1s at size 2000 on a 2020s laptop).
+# SIGKILL catches it mid-run (~1s at size 2000 on a 2020s laptop). Each
+# rung is size:days. Past ~30k pages the collection outgrows crawlsim's
+# 3,000-page web and a larger size barely lengthens a remote crawl
+# (0.56 s at 32k, 0.9 s at 128k, two shardd on a 2-core Xeon), so the
+# last rung doubles the virtual days too (4.6 s).
+ladder="2000:40 8000:40 32000:40 128000:80"
 killed=""
-for size in 2000 8000 32000; do
-    days=40
+for rung in $ladder; do
+    size=${rung%:*} days=${rung#*:}
     "$tmp/crawlsim" -days $days -size $size >"$tmp/ref.out"
     "$tmp/crawlsim" -days $days -size $size -shard-servers "$b1,$b2" >"$tmp/kill.out" &
     crawl_pid=$!
@@ -103,7 +108,9 @@ for size in 2000 8000 32000; do
     # compression and frontier-residency families actually moving
     # (promcheck exits non-zero on malformed output or zero counters,
     # failing `make ci`). The compression families prove response
-    # frames big enough to deflate actually rode the flag; the
+    # frames big enough to deflate actually rode the flag — with
+    # compressMin at 4 KiB no opRound frame does, so here that is the
+    # ranking pass's opURLs replies (every queued URL of the server); the
     # residency families prove the disk tier is live —
     # entries resident, entries spilled, and bytes in the spill logs.
     curl -sS "http://$m2/metrics" >"$tmp/k2.metrics"
@@ -166,7 +173,8 @@ escalate() {
 }
 
 migrated=""
-for size in 2000 8000 32000; do
+for rung in $ladder; do
+    size=${rung%:*} days=${rung#*:}
     rm -f "$tmp"/reg.addr "$tmp"/d1.addr "$tmp"/d1.maddr "$tmp"/d2.addr "$tmp"/d2.maddr "$tmp"/c3.maddr
     "$tmp/registryd" -listen 127.0.0.1:0 -addr-file "$tmp/reg.addr" &
     reg_pid=$!
@@ -180,7 +188,6 @@ for size in 2000 8000 32000; do
     wait_addr "$tmp/d1.maddr"
     echo "cluster-smoke: registryd on $reg, first shardd on $(cat "$tmp/d1.addr")"
 
-    days=40
     "$tmp/crawlsim" -days $days -size $size >"$tmp/dyn-ref.out"
     "$tmp/crawlsim" -days $days -size $size -registry "$reg" \
         -metrics-listen 127.0.0.1:0 -metrics-addr-file "$tmp/c3.maddr" >"$tmp/dyn.out" &
