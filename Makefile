@@ -19,9 +19,11 @@ test:
 # ordered index and record codec beside concurrent writers, compaction
 # and swaps; the engine's content stage behind a slow or failing store
 # (order, buffer ownership, the barrier, the error path); opRound
-# retries after lost replies, across a WAL compaction and restart; and
-# the servers' per-connection read buffers, reused across frames of
-# every size, against an in-process oracle. The
+# retries after lost replies, across a WAL compaction and restart; the
+# servers' per-connection read buffers, reused across frames of every
+# size, against an in-process oracle; and the segment log under the
+# collection and the disk frontier (pins across Compact, the handle
+# cap, concurrent appends and reads). The
 # last line is not about timing: it is the revisit optimizer's
 # bit-for-bit equivalence with its reference, repeated because a crawl's
 # digest hangs off it (-short: 60 of the 240 random populations).
@@ -33,20 +35,24 @@ race:
 	$(GO) test -race -count=5 -run 'TestScanBesideWrites|TestModelCheck|TestShadowedPin|TestDiskConcurrentStress' ./internal/store/
 	$(GO) test -race -count=5 -run 'TestContentStageOrderAndIntegrity|TestContentErrorEndsRun|TestContentBarrier' ./internal/core/
 	$(GO) test -race -count=5 -run 'TestRoundRetryRepeeks|TestRoundReplyLostKeepsPopOrder|TestFlakyTransportKeepsRoundPopOrder|TestServerReadBuffersKeepNothing' ./internal/cluster/
+	$(GO) test -race -count=5 ./internal/seglog/
 	$(GO) test -race -short -count=5 -run 'TestOptimalAllocationMatchesReference' ./internal/freshness/
 
 # Thirty seconds of fuzzing the optimizer's equivalence property, then
 # fifteen each on the cluster's frame reader and request handler: there
 # is one wire decoder and no second version to cross-check it, so
-# arbitrary bytes must keep surfacing as errors, never panics. The last
+# arbitrary bytes must keep surfacing as errors, never panics. Then
 # fifteen read frame streams through one reused frameReader against a
-# fresh read per frame. (The seed corpora already run under plain
+# fresh read per frame, and fifteen open segment logs with arbitrary
+# tails: the replay must be exactly the intact prefix and the sweep
+# must land at its end. (The seed corpora already run under plain
 # `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimalAllocation -fuzztime 30s ./internal/freshness/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzHandleBody -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzFrameSequence -fuzztime 15s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 15s ./internal/seglog/
 
 # Engine benchmarks, written machine-readable to BENCH_engine.json
 # (benchmark name, iterations, ns/op, pages/s, B/op, allocs/op) so the
@@ -66,7 +72,10 @@ bench:
 	$(GO) test -bench 'BenchmarkFrame' -benchtime 2000x \
 		-benchmem -run '^$$' ./internal/cluster/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
-	$(GO) test -bench 'BenchmarkStoreDisk' -benchtime 2000x -cpu 2 \
+	$(GO) test -bench 'BenchmarkStoreDisk(Get|List50|PutBatch100)' -benchtime 2000x -cpu 2 \
+		-benchmem -run '^$$' ./internal/store/ >> bench_engine.txt || \
+		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
+	$(GO) test -bench 'BenchmarkStoreDiskReopen' -benchtime 5x -cpu 2 \
 		-benchmem -run '^$$' ./internal/store/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkServeQPS' -benchtime 5x \

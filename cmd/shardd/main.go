@@ -23,7 +23,7 @@
 // after a SIGKILL, where a torn final frame is truncated away (it was
 // never acknowledged, so the client retries it).
 //
-// With -frontier-dir, entries spill to per-shard record logs on disk
+// With -frontier-dir, entries spill to per-shard segment logs on disk
 // and only the due-soon head of each shard (bounded by
 // -frontier-resident across the server) stays in RAM, so the crawl
 // horizon is capped by disk instead of memory. Pop order is

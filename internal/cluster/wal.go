@@ -16,10 +16,10 @@ import (
 // log of the mutating wire ops, compacted into full-state snapshots.
 //
 // The WAL reuses the wire protocol's frame discipline (length prefix,
-// CRC, version — proto.go), the same torn-write recovery contract as
-// store.Disk (replay stops at the first frame that fails its length or
-// CRC and truncates the file back to the last valid one; an intact
-// frame of another protocol version is not a torn write, and fails the
+// CRC, version — proto.go), the sweep rule of the segment log under the
+// disk store and frontier (internal/seglog: a short read or a frame that
+// fails its length or CRC is truncated back to the last valid one; a
+// read error, or an intact frame of another protocol version, fails the
 // open with every file left as it was), and the server's single mutating
 // apply path: a log record is exactly the (op, body) the client sent,
 // request ID included. Replaying a log therefore reconstructs not just
@@ -145,7 +145,14 @@ func (s *ShardServer) OpenWAL(dir string) error {
 			// the compaction below deletes it.
 			continue
 		}
-		if err := s.replayWALFileLocked(walFilePath(dir, seq)); err != nil {
+		path := walFilePath(dir, seq)
+		f, err := os.Open(path)
+		if err != nil {
+			return fmt.Errorf("cluster: wal: %w", err)
+		}
+		err = s.replayWALLocked(path, bufio.NewReader(f))
+		f.Close()
+		if err != nil {
 			return err
 		}
 		active = seq
@@ -165,31 +172,25 @@ func (s *ShardServer) OpenWAL(dir string) error {
 	return nil
 }
 
-// replayWALFileLocked feeds one log file's frames through the mutating
-// apply path. The first invalid frame (torn write from a crash, or
-// corruption) ends the replay and the file is truncated back to the
-// last valid frame. An intact frame of another protocol version is
-// neither: the rest of the log is another build's acknowledged work, so
-// the replay fails and the file is left untouched.
-func (s *ShardServer) replayWALFileLocked(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR, walFilePerm)
-	if err != nil {
-		return fmt.Errorf("cluster: wal: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
+// replayWALLocked feeds the frames of the log file at path, read from
+// r, through the mutating apply path. A torn frame (a short read) or a
+// corrupt one (errBadFrame: a bad length or CRC) ends the replay, and
+// the file is truncated back to the last valid frame. Anything else fails the replay and leaves the file
+// as it was: an intact frame of another protocol version is another
+// build's acknowledged work, and after a read error the bytes may be
+// fine.
+func (s *ShardServer) replayWALLocked(path string, r io.Reader) error {
 	var good int64
 	for {
 		op, body, wire, err := readFrame(r)
 		if err == io.EOF {
 			return nil
 		}
-		if errors.Is(err, errProtoVersion) {
-			return fmt.Errorf("cluster: wal: %s: frame at offset %d: %w", path, good, err)
-		}
 		if err != nil {
-			// Torn or corrupt tail: sweep back to the last valid frame.
-			if terr := f.Truncate(good); terr != nil {
+			if !errors.Is(err, errBadFrame) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+				return fmt.Errorf("cluster: wal: %s: frame at offset %d: %w", path, good, err)
+			}
+			if terr := os.Truncate(path, good); terr != nil {
 				return fmt.Errorf("cluster: wal: truncating %s: %w", path, terr)
 			}
 			return nil

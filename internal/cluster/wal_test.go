@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -496,5 +497,60 @@ func TestWALRefusesOtherVersions(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// errAfter reads r, then fails with err where r would end.
+type errAfter struct {
+	r   io.Reader
+	err error
+}
+
+func (e *errAfter) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err == io.EOF {
+		err = e.err
+	}
+	return n, err
+}
+
+// TestWALReadErrorFailsReplay: a read error is not a torn tail. Valid
+// frames followed by a failing read replay, then fail the replay with
+// the error, and the file keeps its size; the same frames ending in a
+// short read are swept as before.
+func TestWALReadErrorFailsReplay(t *testing.T) {
+	dir := t.TempDir()
+	srv := newWALServer(t, dir, 4)
+	pushVia(t, srv, 1, "http://site001.com/a", 1, 0)
+	pushVia(t, srv, 2, "http://site002.com/b", 2, 0)
+	seqs, err := walFileSeqs(dir)
+	if err != nil || len(seqs) == 0 {
+		t.Fatalf("no wal files: %v", err)
+	}
+	file := walFilePath(dir, seqs[len(seqs)-1])
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eio := errors.New("input/output error")
+	for _, cut := range []int{len(data), len(data) - 3} { // at a frame boundary, and inside the last frame
+		srv2 := NewShardServer(frontier.NewSharded(4))
+		err := srv2.replayWALLocked(file, &errAfter{bytes.NewReader(data[:cut]), eio})
+		if !errors.Is(err, eio) || !strings.Contains(err.Error(), file) {
+			t.Fatalf("cut %d: replay over a failing read = %v, want the read error naming %s", cut, err, file)
+		}
+		if st, err := os.Stat(file); err != nil || st.Size() != int64(len(data)) {
+			t.Fatalf("cut %d: the failed replay changed the log: %v (err %v), was %d bytes", cut, st.Size(), err, len(data))
+		}
+	}
+	srv3 := NewShardServer(frontier.NewSharded(4))
+	if err := srv3.replayWALLocked(file, bytes.NewReader(data[:len(data)-3])); err != nil {
+		t.Fatalf("replay over a torn tail: %v", err)
+	}
+	if got := srv3.Shards().Len(); got != 1 {
+		t.Fatalf("torn replay recovered %d entries, want 1", got)
+	}
+	if st, err := os.Stat(file); err != nil || st.Size() >= int64(len(data)) {
+		t.Fatalf("torn tail not swept: %d bytes, was %d (err %v)", st.Size(), len(data), err)
 	}
 }

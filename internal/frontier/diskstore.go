@@ -1,33 +1,31 @@
 package frontier
 
 import (
-	"bufio"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
-	"os"
 	"sort"
+
+	"webevolve/internal/seglog"
 )
 
-// diskStore is the disk-backed shard store: a bitcask-style append-only
-// record log with an in-memory fingerprint index, keeping only the
-// due-soon head of the shard materialized in RAM.
+// diskStore is the disk-backed shard store: a bitcask-style segment log
+// (internal/seglog) with an in-memory fingerprint index, keeping only
+// the due-soon head of the shard materialized in RAM.
 //
-// Layout. Every mutation appends one CRC-framed record to the shard's
-// log — a put (URL, due, priority) or a tombstone (URL) — so the log
-// alone always reconstructs the live entry set: openDiskStore replays
-// it front to back (last record per fingerprint wins, tombstones
-// delete) and truncates a torn tail at the first invalid frame, the
-// same sweep discipline as the cluster WAL and store.Disk. When dead
-// bytes (overwritten puts, tombstones and what they killed) outweigh
-// live ones the log is compacted in place: live records are rewritten
-// to a temp file that is renamed over the log.
+// Layout. Every mutation appends one frame to the shard's log — a put
+// (key URL, value due|priority, 16 bytes) or a tombstone (key URL) — so
+// the log alone always reconstructs the live entry set: openDiskStore
+// replays it front to back (last frame per fingerprint wins, tombstones
+// delete) under the seglog sweep rule: a torn or corrupt tail is
+// truncated away, a read error or a put whose value is not 16 bytes
+// fails the open. When dead bytes (overwritten puts, tombstones and what
+// they killed) outweigh live ones the live frames are compacted into a
+// fresh segment.
 //
 // RAM. Per entry the store keeps a fingerprint-keyed index record
-// (offset, size, seq, residency bit) and, while the entry is spilled,
+// (position, seq, residency bit) and, while the entry is spilled,
 // one spillHeap item (due, priority, fingerprint, seq) — no URL string,
 // no full Entry. Full entries live in the resident memQueue, which
 // holds at most the configured budget of them, filled by direct puts
@@ -53,14 +51,11 @@ import (
 // Error handling. ShardSet has no error returns, so an I/O failure on
 // the spill log (disk full, read error, lost file) panics with context.
 // The shardd WAL is the durability plane: a restart replays the WAL
-// through Reset, which truncates the spill logs and rebuilds them.
+// through Reset, which empties the spill logs and rebuilds them.
 type diskStore struct {
-	path string
-	f    *os.File
-	w    *bufio.Writer
-	wOff int64 // logical end of the log: offset of the next append
-	// dirty marks unflushed writer data; reads flush first.
-	dirty bool
+	dir  string
+	log  *seglog.Log
+	rbuf []byte // read buffer, reused by every read
 
 	index map[uint64]*idxEnt
 	spill spillHeap
@@ -74,10 +69,9 @@ type diskStore struct {
 	deadBytes int64  // bytes of overwritten/tombstoned records (and tombstones)
 }
 
-// idxEnt is the in-memory index record for one stored entry.
+// idxEnt is the in-memory index record for one stored entry: 32 bytes.
 type idxEnt struct {
-	off      int64
-	size     uint32
+	pos      seglog.Pos
 	seq      uint64
 	resident bool
 }
@@ -120,13 +114,8 @@ func (h *spillHeap) Pop() any {
 }
 
 const (
-	recPut  = byte(1)
-	recTomb = byte(2)
-	// recHeader is the per-record frame: u32 payload length, u32 CRC.
-	recHeader = 8
-	// maxRecord bounds a single record's payload; anything larger in
-	// the log is corruption.
-	maxRecord = 1 << 24
+	// spillValLen is a put frame's value: due and priority, float64 bits.
+	spillValLen = 16
 	// readAhead is how many entries a head read keeps promoted beyond
 	// the strict minimum, so a pop burst doesn't pay one log read per
 	// pop.
@@ -149,150 +138,55 @@ func fpOf(url string) uint64 {
 	return h
 }
 
-// appendRecordBuf appends one framed record to buf and returns it.
-func appendRecordBuf(buf []byte, kind byte, url string, due, prio float64) []byte {
-	p := make([]byte, 0, 1+binary.MaxVarintLen64+len(url)+16)
-	p = append(p, kind)
-	p = binary.AppendUvarint(p, uint64(len(url)))
-	p = append(p, url...)
-	if kind == recPut {
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(due))
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(prio))
-	}
-	var hdr [recHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(p)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(p))
-	buf = append(buf, hdr[:]...)
-	return append(buf, p...)
-}
-
-// parseRecord decodes one record payload (the bytes after the frame
-// header, CRC already verified).
-func parseRecord(p []byte) (kind byte, url string, due, prio float64, err error) {
-	if len(p) < 2 {
-		return 0, "", 0, 0, fmt.Errorf("record too short (%d bytes)", len(p))
-	}
-	kind = p[0]
-	n, w := binary.Uvarint(p[1:])
-	if w <= 0 || n > uint64(len(p)) {
-		return 0, "", 0, 0, fmt.Errorf("bad url length")
-	}
-	rest := p[1+w:]
-	if uint64(len(rest)) < n {
-		return 0, "", 0, 0, fmt.Errorf("truncated url")
-	}
-	url = string(rest[:n])
-	rest = rest[n:]
-	switch kind {
-	case recPut:
-		if len(rest) != 16 {
-			return 0, "", 0, 0, fmt.Errorf("put record with %d trailing bytes", len(rest))
-		}
-		due = math.Float64frombits(binary.LittleEndian.Uint64(rest[:8]))
-		prio = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
-	case recTomb:
-		if len(rest) != 0 {
-			return 0, "", 0, 0, fmt.Errorf("tombstone with %d trailing bytes", len(rest))
-		}
-	default:
-		return 0, "", 0, 0, fmt.Errorf("unknown record kind %d", kind)
-	}
-	return kind, url, due, prio, nil
-}
-
-// openDiskStore opens (or creates) one shard's record log and rebuilds
-// the fingerprint index and spill heap from it, truncating a torn tail
-// back to the last valid record.
-func openDiskStore(path string, budget int) (*diskStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("frontier: spill log: %w", err)
-	}
+// openDiskStore opens (or creates) one shard's segment log in dir and
+// rebuilds the fingerprint index and spill heap from it.
+func openDiskStore(dir string, budget int) (*diskStore, error) {
 	d := &diskStore{
-		path:     path,
-		f:        f,
+		dir:      dir,
 		index:    make(map[uint64]*idxEnt),
 		resident: newMemQueue(),
 		budget:   max(1, budget),
 	}
-	if err := d.rebuild(); err != nil {
-		f.Close()
-		return nil, err
+	log, err := seglog.Open(dir, seglog.DefaultSegmentBytes, seglog.DefaultOpenSegments, seglog.Metrics{}, d.replay)
+	if err != nil {
+		return nil, fmt.Errorf("frontier: spill log: %w", err)
 	}
-	if _, err := f.Seek(d.wOff, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("frontier: spill log %s: %w", path, err)
-	}
-	d.w = bufio.NewWriter(f)
+	d.log = log
+	heap.Init(&d.spill)
 	return d, nil
 }
 
-// rebuild scans the log front to back: last record per fingerprint
-// wins, tombstones delete, and the first invalid frame (a torn tail
-// from a crash, or corruption) ends the scan and is truncated away
-// with everything after it.
-func (d *diskStore) rebuild() error {
-	if _, err := d.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("frontier: spill log %s: %w", d.path, err)
+// replay applies one frame of the log at open: last frame per
+// fingerprint wins, tombstones delete. A put whose value is not due and
+// priority is not a spill record: it fails the open.
+func (d *diskStore) replay(pos seglog.Pos, key, val []byte, tomb bool) error {
+	d.seq++
+	fp := fpOf(string(key))
+	ie, ok := d.index[fp]
+	if ok {
+		d.deadBytes += int64(ie.pos.N)
 	}
-	r := bufio.NewReader(d.f)
-	var off int64
-	var hdr [recHeader]byte
-	torn := false
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			torn = err != io.EOF
-			break
-		}
-		plen := binary.LittleEndian.Uint32(hdr[:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if plen > maxRecord {
-			torn = true
-			break
-		}
-		p := make([]byte, plen)
-		if _, err := io.ReadFull(r, p); err != nil {
-			torn = true
-			break
-		}
-		if crc32.ChecksumIEEE(p) != crc {
-			torn = true
-			break
-		}
-		kind, url, due, prio, err := parseRecord(p)
-		if err != nil {
-			torn = true
-			break
-		}
-		size := uint32(recHeader + plen)
-		d.seq++
-		fp := fpOf(url)
-		switch kind {
-		case recPut:
-			if ie, ok := d.index[fp]; ok {
-				d.deadBytes += int64(ie.size)
-				ie.off, ie.size, ie.seq = off, size, d.seq
-			} else {
-				d.index[fp] = &idxEnt{off: off, size: size, seq: d.seq}
-			}
-			d.spill = append(d.spill, spillItem{due: due, prio: prio, fp: fp, seq: d.seq})
-		case recTomb:
-			if ie, ok := d.index[fp]; ok {
-				d.deadBytes += int64(ie.size)
-				delete(d.index, fp)
-			}
-			d.deadBytes += int64(size)
-		}
-		off += int64(size)
+	if tomb {
+		delete(d.index, fp)
+		d.deadBytes += int64(pos.N)
+		return nil
 	}
-	if torn {
-		if err := d.f.Truncate(off); err != nil {
-			return fmt.Errorf("frontier: spill log %s: truncating torn tail: %w", d.path, err)
-		}
+	if len(val) != spillValLen {
+		return fmt.Errorf("put for %q holds %d value bytes, want %d", key, len(val), spillValLen)
 	}
-	d.wOff = off
-	heap.Init(&d.spill)
+	if ok {
+		ie.pos, ie.seq = pos, d.seq
+	} else {
+		d.index[fp] = &idxEnt{pos: pos, seq: d.seq}
+	}
+	due, prio := decodeSpill(val)
+	d.spill = append(d.spill, spillItem{due: due, prio: prio, fp: fp, seq: d.seq})
 	return nil
+}
+
+func decodeSpill(val []byte) (due, prio float64) {
+	return math.Float64frombits(binary.LittleEndian.Uint64(val)),
+		math.Float64frombits(binary.LittleEndian.Uint64(val[8:]))
 }
 
 // fatal is the disk tier's I/O failure path: ShardSet has no error
@@ -300,48 +194,33 @@ func (d *diskStore) rebuild() error {
 // WAL (when enabled) makes this recoverable: a restart replays it
 // through Reset, rebuilding the spill logs from scratch.
 func (d *diskStore) fatal(op string, err error) {
-	panic(fmt.Sprintf("frontier: spill log %s: %s: %v", d.path, op, err))
+	panic(fmt.Sprintf("frontier: spill log %s: %s: %v", d.dir, op, err))
 }
 
-func (d *diskStore) flush() {
-	if !d.dirty {
-		return
-	}
-	if err := d.w.Flush(); err != nil {
-		d.fatal("flush", err)
-	}
-	d.dirty = false
-}
-
-// appendRecord writes one framed record, returning its offset and size.
-func (d *diskStore) appendRecord(kind byte, url string, due, prio float64) (int64, uint32) {
-	rec := appendRecordBuf(nil, kind, url, due, prio)
-	if _, err := d.w.Write(rec); err != nil {
+// appendTomb appends a tombstone for url and returns its length.
+func (d *diskStore) appendTomb(url string) int64 {
+	pos, err := d.log.Delete(url)
+	if err != nil {
 		d.fatal("append", err)
 	}
-	d.dirty = true
-	off := d.wOff
-	d.wOff += int64(len(rec))
-	return off, uint32(len(rec))
+	return int64(pos.N)
 }
 
-// readEntry loads the put record at (off, size) back into an Entry.
-func (d *diskStore) readEntry(off int64, size uint32) Entry {
-	d.flush()
-	buf := make([]byte, size)
-	if _, err := d.f.ReadAt(buf, off); err != nil {
+// readEntry loads the put frame at pos back into an Entry.
+func (d *diskStore) readEntry(pos seglog.Pos) Entry {
+	if uint32(cap(d.rbuf)) < pos.N {
+		d.rbuf = make([]byte, pos.N)
+	}
+	p, err := d.log.Pin(pos)
+	var key, val []byte
+	if err == nil {
+		key, val, err = p.Read(d.rbuf)
+	}
+	if err != nil {
 		d.fatal("read", err)
 	}
-	plen := binary.LittleEndian.Uint32(buf[:4])
-	crc := binary.LittleEndian.Uint32(buf[4:8])
-	if int(plen) != len(buf)-recHeader || crc32.ChecksumIEEE(buf[recHeader:]) != crc {
-		d.fatal("read", fmt.Errorf("corrupt record at offset %d", off))
-	}
-	kind, url, due, prio, err := parseRecord(buf[recHeader:])
-	if err != nil || kind != recPut {
-		d.fatal("read", fmt.Errorf("bad record at offset %d: %v", off, err))
-	}
-	return Entry{URL: url, Due: due, Priority: prio}
+	due, prio := decodeSpill(val)
+	return Entry{URL: string(key), Due: due, Priority: prio}
 }
 
 func (d *diskStore) size() int { return len(d.index) }
@@ -354,13 +233,19 @@ func (d *diskStore) contains(url string) bool {
 func (d *diskStore) put(e Entry) {
 	fp := fpOf(e.URL)
 	d.seq++
-	off, size := d.appendRecord(recPut, e.URL, e.Due, e.Priority)
+	var val [spillValLen]byte
+	binary.LittleEndian.PutUint64(val[:], math.Float64bits(e.Due))
+	binary.LittleEndian.PutUint64(val[8:], math.Float64bits(e.Priority))
+	pos, err := d.log.Append(e.URL, val[:])
+	if err != nil {
+		d.fatal("append", err)
+	}
 	ie, ok := d.index[fp]
 	if ok {
-		d.deadBytes += int64(ie.size)
-		ie.off, ie.size, ie.seq = off, size, d.seq
+		d.deadBytes += int64(ie.pos.N)
+		ie.pos, ie.seq = pos, d.seq
 	} else {
-		ie = &idxEnt{off: off, size: size, seq: d.seq}
+		ie = &idxEnt{pos: pos, seq: d.seq}
 		d.index[fp] = ie
 		// New entries stay resident while the head is under budget —
 		// small frontiers never touch the spill read path.
@@ -388,8 +273,7 @@ func (d *diskStore) remove(url string) bool {
 	if ie.resident {
 		d.resident.remove(url)
 	}
-	_, size := d.appendRecord(recTomb, url, 0, 0)
-	d.deadBytes += int64(ie.size) + int64(size)
+	d.deadBytes += int64(ie.pos.N) + d.appendTomb(url)
 	delete(d.index, fp)
 	d.maybeCompact()
 	return true
@@ -416,7 +300,7 @@ func (d *diskStore) promoteMin() Entry {
 	it := heap.Pop(&d.spill).(spillItem)
 	ie := d.index[it.fp]
 	ie.resident = true
-	e := d.readEntry(ie.off, ie.size)
+	e := d.readEntry(ie.pos)
 	d.resident.put(e)
 	return e
 }
@@ -462,8 +346,7 @@ func (d *diskStore) popHead() Entry {
 	e := d.resident.popHead()
 	fp := fpOf(e.URL)
 	if ie, ok := d.index[fp]; ok {
-		_, size := d.appendRecord(recTomb, e.URL, 0, 0)
-		d.deadBytes += int64(ie.size) + int64(size)
+		d.deadBytes += int64(ie.pos.N) + d.appendTomb(e.URL)
 		delete(d.index, fp)
 	}
 	d.maybeCompact()
@@ -492,40 +375,37 @@ func (d *diskStore) topN(w *peekWindow) {
 	}
 }
 
-// each visits every entry in log-offset order — deterministic for a
-// given operation history. Every entry is read back from the log (it is
+// each visits every entry in log order — deterministic for a given
+// operation history. Every entry is read back from the log (it is
 // always current: puts are appended even for resident entries), so the
 // walk needs no URL map over the resident set.
 func (d *diskStore) each(fn func(Entry) error) error {
-	d.flush()
-	ents := make([]*idxEnt, 0, len(d.index))
-	for _, ie := range d.index {
-		ents = append(ents, ie)
-	}
-	sortIdxByOff(ents)
-	for _, ie := range ents {
-		if err := fn(d.readEntry(ie.off, ie.size)); err != nil {
+	for _, ie := range d.entsInLogOrder() {
+		if err := fn(d.readEntry(ie.pos)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func sortIdxByOff(ents []*idxEnt) {
-	// Offsets are unique, so a simple sort suffices.
-	sort.Slice(ents, func(i, j int) bool { return ents[i].off < ents[j].off })
+func (d *diskStore) entsInLogOrder() []*idxEnt {
+	ents := make([]*idxEnt, 0, len(d.index))
+	for _, ie := range d.index {
+		ents = append(ents, ie)
+	}
+	// Positions are unique, so a simple sort suffices.
+	sort.Slice(ents, func(i, j int) bool {
+		a, b := ents[i].pos, ents[j].pos
+		return a.Seg < b.Seg || a.Seg == b.Seg && a.Off < b.Off
+	})
+	return ents
 }
 
+// reset empties the log and the store.
 func (d *diskStore) reset() {
-	d.flush()
-	if err := d.f.Truncate(0); err != nil {
-		d.fatal("truncate", err)
+	if _, err := d.log.Compact(nil); err != nil {
+		d.fatal("reset", err)
 	}
-	if _, err := d.f.Seek(0, io.SeekStart); err != nil {
-		d.fatal("seek", err)
-	}
-	d.w.Reset(d.f)
-	d.wOff = 0
 	d.seq = 0
 	d.deadBytes = 0
 	d.index = make(map[uint64]*idxEnt)
@@ -534,71 +414,38 @@ func (d *diskStore) reset() {
 }
 
 func (d *diskStore) close() error {
-	if err := d.w.Flush(); err != nil {
-		d.f.Close()
-		return fmt.Errorf("frontier: spill log %s: %w", d.path, err)
+	if err := d.log.Close(); err != nil {
+		return fmt.Errorf("frontier: spill log %s: %w", d.dir, err)
 	}
-	return d.f.Close()
+	return nil
 }
 
 func (d *diskStore) tier() TierStats {
 	return TierStats{
 		Resident:   d.resident.size(),
 		Spilled:    len(d.index) - d.resident.size(),
-		SpillBytes: d.wOff,
+		SpillBytes: d.log.Size(),
 	}
 }
 
-// maybeCompact rewrites the log down to its live records once dead
-// bytes pass a floor and outweigh the live ones. Offsets in the index
+// maybeCompact copies the live frames into a fresh segment once dead
+// bytes pass a floor and outweigh the live ones. Positions in the index
 // are rewritten; seqs (and with them the spill heap) are untouched.
 func (d *diskStore) maybeCompact() {
-	if d.deadBytes < compactMinDead || d.deadBytes <= d.wOff-d.deadBytes {
+	if d.deadBytes < compactMinDead || d.deadBytes <= d.log.Size()-d.deadBytes {
 		return
 	}
-	d.flush()
-	tmp := d.path + ".tmp"
-	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	ents := d.entsInLogOrder()
+	live := make([]seglog.Pos, len(ents))
+	for i, ie := range ents {
+		live[i] = ie.pos
+	}
+	moved, err := d.log.Compact(live)
 	if err != nil {
 		d.fatal("compact", err)
 	}
-	w := bufio.NewWriter(nf)
-	ents := make([]*idxEnt, 0, len(d.index))
-	for _, ie := range d.index {
-		ents = append(ents, ie)
+	for i, ie := range ents {
+		ie.pos = moved[i]
 	}
-	sortIdxByOff(ents)
-	var off int64
-	buf := make([]byte, 0, 4096)
-	for _, ie := range ents {
-		if cap(buf) < int(ie.size) {
-			buf = make([]byte, ie.size)
-		}
-		buf = buf[:ie.size]
-		if _, err := d.f.ReadAt(buf, ie.off); err != nil {
-			nf.Close()
-			d.fatal("compact read", err)
-		}
-		if _, err := w.Write(buf); err != nil {
-			nf.Close()
-			d.fatal("compact write", err)
-		}
-		ie.off = off
-		off += int64(ie.size)
-	}
-	if err := w.Flush(); err != nil {
-		nf.Close()
-		d.fatal("compact flush", err)
-	}
-	if err := os.Rename(tmp, d.path); err != nil {
-		nf.Close()
-		d.fatal("compact rename", err)
-	}
-	if err := d.f.Close(); err != nil {
-		d.fatal("compact close", err)
-	}
-	d.f = nf
-	d.w.Reset(nf)
-	d.wOff = off
 	d.deadBytes = 0
 }

@@ -1,7 +1,10 @@
 package frontier
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"webevolve/internal/seglog"
 	"webevolve/internal/webgraph"
 )
 
@@ -252,7 +256,7 @@ func TestDiskTierTornTailSwept(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, "frontier-0000.log")
+	path := filepath.Join(dir, "frontier-0000", "segment-000001.log")
 	if st, err := os.Stat(path); err != nil || st.Size() != cleanSize {
 		t.Fatalf("log size %v (err %v), want %d", st, err, cleanSize)
 	}
@@ -306,14 +310,14 @@ func TestDiskTierCorruptRecordTruncatesSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, "frontier-0000.log")
+	path := filepath.Join(dir, "frontier-0000", "segment-000001.log")
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the CRC of record keep+1 (it starts at keepSize; bytes
-	// 4..8 of the frame are the checksum).
-	if _, err := f.WriteAt([]byte{0xff}, keepSize+4); err != nil {
+	// 0..4 of the frame are the checksum).
+	if _, err := f.WriteAt([]byte{0xff}, keepSize); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -334,6 +338,105 @@ func TestDiskTierCorruptRecordTruncatesSuffix(t *testing.T) {
 		if want := urlOn(0, i); e.URL != want || e.Due != float64(i) {
 			t.Fatalf("pop %d: got %+v, want %s due %d", i, e, want, i)
 		}
+	}
+}
+
+// spillSegment is segment id of shard 0's spill log under dir.
+func spillSegment(dir string, id int) string {
+	return filepath.Join(dir, "frontier-0000", fmt.Sprintf("segment-%06d.log", id))
+}
+
+// fillOneShard writes n entries through a one-shard disk queue and
+// closes it, leaving them in segment 1 of its spill log.
+func fillOneShard(t *testing.T, cfg StoreConfig, n int) {
+	t.Helper()
+	q, err := OpenSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		q.Push(urlOn(0, i), float64(i), 0)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertOpenFailsUntouched reopens cfg expecting an error that names
+// what, with segment 1 of the spill log unchanged.
+func assertOpenFailsUntouched(t *testing.T, cfg StoreConfig, what string) {
+	t.Helper()
+	before, err := os.ReadFile(spillSegment(cfg.SpillDir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := OpenSharded(cfg)
+	if err == nil {
+		q.Close()
+		t.Fatalf("open over %s succeeded", what)
+	}
+	if !strings.Contains(err.Error(), what) {
+		t.Fatalf("open error %q does not name %s", err, what)
+	}
+	after, err := os.ReadFile(spillSegment(cfg.SpillDir, 1))
+	if err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("failed open changed the spill log: %d bytes, was %d (err %v)", len(after), len(before), err)
+	}
+}
+
+// TestDiskTierReadErrorFailsOpen: a spill segment that cannot be read
+// (a directory in its place) fails the open; it is not a torn tail, and
+// the log before it is not swept.
+func TestDiskTierReadErrorFailsOpen(t *testing.T) {
+	cfg := StoreConfig{Shards: 1, SpillDir: t.TempDir(), ResidentBudget: 4}
+	fillOneShard(t, cfg, 20)
+	if err := os.Mkdir(spillSegment(cfg.SpillDir, 2), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	assertOpenFailsUntouched(t, cfg, "segment-000002.log")
+}
+
+// TestDiskTierRefusedRecordFailsOpen: an intact frame that is not a
+// spill record (its value is not due and priority) is somebody's data,
+// not a torn tail: the open fails naming it and sweeps nothing.
+func TestDiskTierRefusedRecordFailsOpen(t *testing.T) {
+	cfg := StoreConfig{Shards: 1, SpillDir: t.TempDir(), ResidentBudget: 4}
+	fillOneShard(t, cfg, 20)
+	frame := make([]byte, seglog.HeaderLen, seglog.HeaderLen+len("odd")+3)
+	binary.LittleEndian.PutUint32(frame[4:], 3)
+	binary.LittleEndian.PutUint32(frame[8:], 3)
+	frame = append(frame, "oddval"...)
+	binary.LittleEndian.PutUint32(frame, crc32.ChecksumIEEE(frame[4:]))
+	f, err := os.OpenFile(spillSegment(cfg.SpillDir, 1), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	assertOpenFailsUntouched(t, cfg, `"odd"`)
+}
+
+// TestDiskTierRefusesOldLayout: a spill directory holding a spill log
+// in the layout of earlier builds (one frontier-NNNN.log file per
+// shard) fails the open naming the file, and leaves it in place.
+func TestDiskTierRefusesOldLayout(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "frontier-0001.log")
+	if err := os.WriteFile(old, []byte("old spill log"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, err := OpenSharded(StoreConfig{Shards: 2, SpillDir: dir})
+	if err == nil {
+		q.Close()
+		t.Fatal("open over an old-layout spill log succeeded")
+	}
+	if !strings.Contains(err.Error(), old) {
+		t.Fatalf("open error %q does not name %s", err, old)
+	}
+	if b, err := os.ReadFile(old); err != nil || string(b) != "old spill log" {
+		t.Fatalf("old-layout spill log disturbed: %q, %v", b, err)
 	}
 }
 
@@ -366,7 +469,7 @@ func TestDiskTierCompaction(t *testing.T) {
 	// Reschedules after the compaction keep appending, so the log is
 	// live records plus a sub-threshold tail — well under what an
 	// uncompacted log would hold.
-	full := int64(writes) * int64(recHeader+1+2+len(url(0))+16)
+	full := int64(writes) * int64(seglog.HeaderLen+len(url(0))+spillValLen)
 	if ts.SpillBytes > full*2/3 {
 		t.Fatalf("compacted log still %d bytes of %d written", ts.SpillBytes, full)
 	}

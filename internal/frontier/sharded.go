@@ -109,8 +109,14 @@ func OpenSharded(cfg StoreConfig) (*Sharded, error) {
 	if per < 1 {
 		per = 1
 	}
+	// The spill logs of builds before the shared segment log were one
+	// frontier-NNNN.log file per shard; this build would ignore them.
+	if old, _ := filepath.Glob(filepath.Join(cfg.SpillDir, "frontier-*.log")); len(old) > 0 {
+		return nil, fmt.Errorf("frontier: %s is a spill log of an older layout, which this build does not read; "+
+			"remove it (a shardd WAL rebuilds the spill logs on replay)", old[0])
+	}
 	for i := range q.shards {
-		ds, err := openDiskStore(filepath.Join(cfg.SpillDir, fmt.Sprintf("frontier-%04d.log", i)), per)
+		ds, err := openDiskStore(filepath.Join(cfg.SpillDir, fmt.Sprintf("frontier-%04d", i)), per)
 		if err != nil {
 			for _, s := range q.shards[:i] {
 				s.st.close()

@@ -49,7 +49,12 @@ func benchRecords(sites, perSite, gen int) []PageRecord {
 
 func benchDisk(b *testing.B, sites int) (*Disk, []PageRecord) {
 	b.Helper()
-	d, err := OpenDisk(b.TempDir())
+	return benchDiskIn(b, b.TempDir(), sites)
+}
+
+func benchDiskIn(b *testing.B, dir string, sites int) (*Disk, []PageRecord) {
+	b.Helper()
+	d, err := OpenDisk(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -121,5 +126,35 @@ func BenchmarkStoreDiskPutBatch100(b *testing.B) {
 		if err := d.PutBatch(next[lo : lo+100]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStoreDiskReopen opens a closed collection of 20k or 200k
+// records: the replay that rebuilds the index, which today reads every
+// byte of every segment, bodies included.
+func BenchmarkStoreDiskReopen(b *testing.B) {
+	for _, sites := range []int{benchSites, 10 * benchSites} {
+		b.Run(fmt.Sprintf("keys=%dk", sites*benchPerSite/1000), func(b *testing.B) {
+			if testing.Short() && sites > benchSites {
+				b.Skip("400 MB collection")
+			}
+			dir := b.TempDir()
+			d, recs := benchDiskIn(b, dir, sites)
+			if err := d.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				re, err := OpenDisk(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if re.Len() != len(recs) {
+					b.Fatalf("reopened %d records, want %d", re.Len(), len(recs))
+				}
+				re.Close()
+			}
+		})
 	}
 }

@@ -3,17 +3,12 @@ package store
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 )
 
-// Frame layout (little endian), shared by records and tombstones:
-//
-//	crc32(keyLen ++ valLen ++ key ++ val) uint32
-//	keyLen uint32 | valLen uint32 (valLen == tombstoneLen means delete)
-//	key bytes | val bytes
-//
-// Record value layout — the URL is the frame's key and is not repeated:
+// Record value layout. A record is one internal/seglog frame (CRC, key
+// and value lengths, key, value) keyed by its URL, which the value does
+// not repeat:
 //
 //	recordTag byte
 //	Checksum uint64 | FetchedAt float64 bits | Importance float64 bits
@@ -25,10 +20,8 @@ import (
 // of the buffer the frame was read into; floats round-trip by bits
 // (NaN, -0); empty Links and Content decode as nil.
 const (
-	frameHeader  = 12
-	tombstoneLen = ^uint32(0)
-	recordTag    = 0x01 // not '{': a JSON value of an older build is told apart
-	recordFixed  = 1 + 3*8
+	recordTag   = 0x01 // not '{': a JSON value of an older build is told apart
+	recordFixed = 1 + 3*8
 )
 
 var (
@@ -38,28 +31,9 @@ var (
 	ErrRecordFormat = errors.New("store: record value lacks the binary codec tag (directory written by an older, JSON-valued build?)")
 
 	errCorruptRecord = errors.New("store: corrupt record value")
-	errCorruptIndex  = errors.New("store: corrupt frame at indexed offset")
 )
 
-// appendFrame appends one whole frame for key to dst: rec's value, or a
-// tombstone when rec is nil.
-func appendFrame(dst []byte, key string, rec *PageRecord) []byte {
-	start := len(dst)
-	dst = append(dst, make([]byte, frameHeader)...)
-	dst = append(dst, key...)
-	valLen := tombstoneLen
-	if rec != nil {
-		n := len(dst)
-		dst = appendValue(dst, rec)
-		valLen = uint32(len(dst) - n)
-	}
-	hdr := dst[start:]
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(hdr[8:], valLen)
-	binary.LittleEndian.PutUint32(hdr[0:], crc32.ChecksumIEEE(hdr[4:]))
-	return dst
-}
-
+// appendValue appends rec's record value to dst.
 func appendValue(dst []byte, rec *PageRecord) []byte {
 	dst = append(dst, recordTag)
 	dst = binary.LittleEndian.AppendUint64(dst, rec.Checksum)
@@ -74,34 +48,6 @@ func appendValue(dst []byte, rec *PageRecord) []byte {
 		dst = append(dst, l...)
 	}
 	return append(dst, rec.Content...)
-}
-
-// checkFrame verifies a whole record frame — lengths consistent with
-// the buffer, CRC — and returns its key and value bytes. ok is false for
-// anything else, a tombstone included.
-func checkFrame(frame []byte) (key, val []byte, ok bool) {
-	if len(frame) < frameHeader {
-		return nil, nil, false
-	}
-	keyLen := uint64(binary.LittleEndian.Uint32(frame[4:]))
-	valLen := uint64(binary.LittleEndian.Uint32(frame[8:]))
-	if frameHeader+keyLen+valLen != uint64(len(frame)) ||
-		crc32.ChecksumIEEE(frame[4:]) != binary.LittleEndian.Uint32(frame) {
-		return nil, nil, false
-	}
-	return frame[frameHeader : frameHeader+keyLen], frame[frameHeader+keyLen:], true
-}
-
-// decodeFrame decodes the record frame the index holds for url. The
-// frame must be whole, pass its CRC and carry that very key: anything
-// else means corruption, or a read that outlived its segment pin (a
-// bug). The returned record's Content aliases frame.
-func decodeFrame(url string, frame []byte) (PageRecord, error) {
-	key, val, ok := checkFrame(frame)
-	if !ok || string(key) != url {
-		return PageRecord{}, errCorruptIndex
-	}
-	return decodeValue(url, val)
 }
 
 // decodeValue is appendValue's inverse. Three allocations at most,

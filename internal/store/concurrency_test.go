@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"webevolve/internal/seglog"
 )
 
 // TestDiskGetCompactRace is the regression test for the Get/compaction
@@ -236,12 +238,11 @@ func TestDiskScanDuringCompact(t *testing.T) {
 // TestDiskConcurrentStress hammers Get/PutBatch/Delete/Compact/Scan from
 // many goroutines under -race, then model-checks the survivors.
 func TestDiskConcurrentStress(t *testing.T) {
-	d, err := OpenDisk(t.TempDir())
+	d, err := openDisk(t.TempDir(), 4096, seglog.DefaultOpenSegments) // frequent rolls
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.maxSegmentBytes = 4096 // force frequent rolls
 
 	const keys = 64
 	url := func(i int) string { return fmt.Sprintf("http://stress.com/p%02d", i) }
@@ -351,12 +352,11 @@ func TestDiskConcurrentStress(t *testing.T) {
 // acknowledged contents at that instant.
 func TestDiskCrashReopen(t *testing.T) {
 	src := t.TempDir()
-	d, err := OpenDisk(src)
+	d, err := openDisk(src, 2048, seglog.DefaultOpenSegments) // several segments
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.maxSegmentBytes = 2048 // span several segments
 
 	type snapshot struct {
 		dir   string
@@ -438,12 +438,10 @@ func TestDiskCrashReopen(t *testing.T) {
 // after reopen and under concurrent access.
 func TestDiskColdSegmentReopen(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir)
+	d, err := openDisk(dir, 1024, 2) // many small segments, two handles
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.maxSegmentBytes = 1024 // many small segments
-	d.maxOpenSegments = 2
 	const n = 60
 	for i := 0; i < n; i++ {
 		r := rec(fmt.Sprintf("http://cold.com/p%03d", i), uint64(i))
@@ -474,25 +472,40 @@ func TestDiskColdSegmentReopen(t *testing.T) {
 		if seen != n {
 			t.Fatalf("scan over cold segments saw %d, want %d", seen, n)
 		}
-		d.mu.Lock()
-		fds, cap := d.openFDs, d.maxOpenSegments
-		d.mu.Unlock()
-		if fds > cap+1 { // +1: the active segment is never evicted
-			t.Fatalf("open FDs %d exceed cap %d at rest", fds, cap)
+		if fds := openFilesIn(t, dir); fds > 2 {
+			t.Fatalf("open FDs %d exceed cap 2 at rest", fds)
 		}
 	}
 	checkAll(d)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := OpenDisk(dir)
+	d2, err := openDisk(dir, 1024, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	d2.maxOpenSegments = 2
 	// Force eviction of the replay-opened handles via reads.
 	checkAll(d2)
+}
+
+// openFilesIn counts this process's descriptors open on files in dir.
+func openFilesIn(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no descriptor listing: %v", err)
+	}
+	if dir, err = filepath.EvalSymlinks(dir); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && filepath.Dir(target) == dir {
+			n++
+		}
+	}
+	return n
 }
 
 // TestScanFromResumes checks the chunked-scan resume point on both
@@ -701,11 +714,16 @@ func TestShadowedCloseWaitsForReaders(t *testing.T) {
 func TestScanBesideWrites(t *testing.T) {
 	for name, c := range backends(t) {
 		t.Run(name, func(t *testing.T) {
-			defer c.Close()
 			d, _ := c.(*Disk)
-			if d != nil {
-				d.maxSegmentBytes, d.maxOpenSegments = 8<<10, 3
+			if d != nil { // small segments and few handles: rolls and reopens mid-scan
+				c.Close()
+				var err error
+				if d, err = openDisk(t.TempDir(), 8<<10, 3); err != nil {
+					t.Fatal(err)
+				}
+				c = d
 			}
+			defer c.Close()
 			const keys, stable = 120, 80 // keys >= stable come and go
 			url := func(i int) string { return fmt.Sprintf("http://scan.com/p%03d", i) }
 			index := make(map[string]int, keys)

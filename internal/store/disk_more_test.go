@@ -3,8 +3,12 @@ package store
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"webevolve/internal/seglog"
 )
 
 // TestDiskSegmentRolling forces segment rotation by shrinking the
@@ -12,11 +16,10 @@ import (
 // replays them all.
 func TestDiskSegmentRolling(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir)
+	d, err := openDisk(dir, 2048, seglog.DefaultOpenSegments) // frequent rolls
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.maxSegmentBytes = 2048 // force frequent rolls
 	big := strings.Repeat("x", 512)
 	const n = 40
 	for i := 0; i < n; i++ {
@@ -183,6 +186,28 @@ func TestDiskTruncatedSegmentRecovery(t *testing.T) {
 }
 
 func readFile(path string) ([]byte, error) { return os.ReadFile(path) }
+
+func segmentPath(dir string, id int) string {
+	return filepath.Join(dir, fmt.Sprintf("segment-%06d.log", id))
+}
+
+// segmentIDs lists the segment numbers in dir, in order.
+func segmentIDs(dir string) ([]int, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "segment-*.log"))
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int, 0, len(paths))
+	for _, p := range paths {
+		var id int
+		if _, err := fmt.Sscanf(filepath.Base(p), "segment-%d.log", &id); err != nil {
+			return nil, err
+		}
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids, nil
+}
 
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
