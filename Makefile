@@ -13,29 +13,32 @@ test:
 
 # The lines after the first repeat the tests whose outcome depends on
 # goroutine timing or map order, not only on their seeds: the frontier
-# peek's randomized equivalence test (bounded merge against the old
-# per-shard top-n, both tiers); the serve/swap gate (readers across
+# peek's randomized test against its model (sort everything, take n;
+# both tiers); the serve/swap gate (readers across
 # live swaps: no request may see a closed store); and the store's
 # ordered index and record codec beside concurrent writers, compaction
 # and swaps; the engine's content stage behind a slow or failing store
 # (order, buffer ownership, the barrier, the error path); opRound
 # retries after lost replies, across a WAL compaction and restart; the
 # servers' per-connection read buffers, reused across frames of every
-# size, against an in-process oracle; and the segment log under the
+# size, against an in-process oracle; the segment log under the
 # collection and the disk frontier (pins across Compact, the handle
-# cap, concurrent appends and reads). The
-# last line is not about timing: it is the revisit optimizer's
-# bit-for-bit equivalence with its reference, repeated because a crawl's
-# digest hangs off it (-short: 60 of the 240 random populations).
+# cap, concurrent appends and reads); and the topology resolver (one
+# membership read for both planes, every flag combination) with the
+# static-routing golden it must keep. The last line is not about
+# timing: it is the revisit optimizer's bit-for-bit equivalence with
+# its reference, repeated because a crawl's digest hangs off it
+# (-short: 60 of the 240 random populations).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'TestPeekMatchesOldPeek|TestApplyRoundBesideConcurrentUse' ./internal/frontier/
+	$(GO) test -race -count=5 -run 'TestPeekMatchesModel|TestApplyRoundBesideConcurrentUse' ./internal/frontier/
 	$(GO) test -race -count=20 -run 'TestServeAcrossLiveCrawl' ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestStragglersAcrossSwaps' ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestScanBesideWrites|TestModelCheck|TestShadowedPin|TestDiskConcurrentStress' ./internal/store/
 	$(GO) test -race -count=5 -run 'TestContentStageOrderAndIntegrity|TestContentErrorEndsRun|TestContentBarrier' ./internal/core/
 	$(GO) test -race -count=5 -run 'TestRoundRetryRepeeks|TestRoundReplyLostKeepsPopOrder|TestFlakyTransportKeepsRoundPopOrder|TestServerReadBuffersKeepNothing' ./internal/cluster/
 	$(GO) test -race -count=5 ./internal/seglog/
+	$(GO) test -race -count=3 -run 'TestTopology|TestStaticRoutingGolden|TestParseTopology' ./internal/cluster/ ./internal/daemon/
 	$(GO) test -race -short -count=5 -run 'TestOptimalAllocationMatchesReference' ./internal/freshness/
 
 # Thirty seconds of fuzzing the optimizer's equivalence property, then

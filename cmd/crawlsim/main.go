@@ -13,9 +13,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"webevolve/internal/cluster"
@@ -24,9 +24,9 @@ import (
 	"webevolve/internal/fetch"
 	"webevolve/internal/obs"
 	"webevolve/internal/profiles"
-	"webevolve/internal/registry"
 	"webevolve/internal/report"
 	"webevolve/internal/simweb"
+	"webevolve/internal/store"
 )
 
 func main() {
@@ -39,13 +39,18 @@ func main() {
 	shards := flag.Int("shards", 16, "per-site frontier shards")
 	shardServers := flag.String("shard-servers", "", "comma-separated shardd endpoints hosting the frontier (results are identical to local shards)")
 	storeServer := flag.String("store-server", "", "storerd endpoint hosting the incremental crawlers' collections (results are identical to local stores; the periodic baseline stays local, like its frontier)")
-	registryAddr := flag.String("registry", "", "registryd endpoint; shard and store servers are discovered from it and followed live (alternative to the static lists)")
+	registryAddr := flag.String("registry", "", "registryd endpoint; shard and store servers are discovered from it and followed live (exclusive with the static lists)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "append JSONL trace events (engine round/phase spans) to this file")
 	metricsListen := flag.String("metrics-listen", "", "host:port for the debug listener serving /metrics, /debug/pprof and /debug/trace (empty disables)")
 	metricsAddrFile := flag.String("metrics-addr-file", "", "write the debug listener's bound address to this file (with -metrics-listen :0)")
 	flag.Parse()
+	topo, err := daemon.ParseTopology(*registryAddr, *shardServers, *storeServer)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "crawlsim:", err)
+		os.Exit(2)
+	}
 	// The membership epoch gauge and migration counters live in this
 	// process (the crawl client drives migrations), so the cluster smoke
 	// scrapes crawlsim's /metrics mid-crawl to watch a join land.
@@ -73,19 +78,7 @@ func main() {
 		defer tf.Close()
 		obs.DefaultTrace.SetWriter(tf)
 	}
-	eng := engine{workers: *workers, shards: *shards, storeServer: *storeServer}
-	eng.shardServers, err = daemon.ParseEndpoints(*shardServers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crawlsim: -shard-servers:", err)
-		os.Exit(1)
-	}
-	if *registryAddr != "" {
-		eng.registry, err = daemon.ParseEndpoint(*registryAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crawlsim: -registry:", err)
-			os.Exit(1)
-		}
-	}
+	eng := engine{workers: *workers, shards: *shards, topo: topo}
 	if *curves {
 		err = runCurves(*seed, *days, *size, &eng)
 	} else {
@@ -99,111 +92,76 @@ func main() {
 }
 
 // engine carries the crawl-engine concurrency knobs into every
-// contender's config — and, with -shard-servers / -store-server, the
-// remote frontier cluster and repository store every contender mounts
-// in turn.
+// contender's config — and, with a cluster topology, the remote
+// frontier and repository every incremental contender mounts in turn.
 type engine struct {
 	workers, shards int
-	shardServers    []string
-	storeServer     string
-	registry        string
+	topo            cluster.Topology
 
-	active *cluster.RemoteShards // the contender currently holding the cluster
+	// The contender currently holding the cluster (nil planes are local).
+	rshards *cluster.RemoteShards
+	rstore  *cluster.RemoteStore
+	sh      *store.Shadowed
 }
 
-func (e *engine) apply(cfg core.Config) (core.Config, error) {
-	cfg.Workers = e.workers
-	cfg.Shards = e.shards
-	if e.registry != "" {
-		rs, err := cluster.DialRegistry(e.registry, cluster.Options{
-			PolitenessDays: cfg.ShardPolitenessDays,
-		})
-		if err != nil {
-			return cfg, fmt.Errorf("dialing registry cluster: %w", err)
-		}
-		if err := rs.Reset(); err != nil {
-			return cfg, err
-		}
-		e.active = rs
-		cfg.Frontier = rs
-		// The store side rides the registry too: wipe any registered
-		// store members, then let core.New discover them via the config.
-		if err := resetRegistryStores(e.registry); err != nil {
-			return cfg, err
-		}
-		cfg.Registry = e.registry
-		return cfg, nil
-	}
-	if len(e.shardServers) > 0 {
-		rs, err := cluster.DialTCP(e.shardServers, cluster.Options{
-			PolitenessDays: cfg.ShardPolitenessDays,
-		})
-		if err != nil {
-			return cfg, fmt.Errorf("dialing shard servers: %w", err)
-		}
-		// Contenders run sequentially over one cluster; start each from
-		// a clean frontier.
-		if err := rs.Reset(); err != nil {
-			return cfg, err
-		}
-		e.active = rs
-		cfg.Frontier = rs
-	}
-	if e.storeServer != "" {
-		// Same discipline for the repository: wipe the server's
-		// collections so each contender starts from empty, then let
-		// core.New mount it via the config.
-		if err := resetStore(e.storeServer); err != nil {
-			return cfg, err
-		}
-		cfg.StoreServer = e.storeServer
-	}
-	return cfg, nil
+// config applies the concurrency knobs to a contender's config.
+func (e *engine) config(cfg core.Config) core.Config {
+	cfg.Workers, cfg.Shards = e.workers, e.shards
+	return cfg
 }
 
-// resetStore connects briefly to wipe every collection on the store
-// server.
-func resetStore(addr string) error {
-	rs, err := cluster.DialStoreTCP(addr, cluster.Options{})
+// crawler builds an incremental contender over the topology's cluster;
+// a plane the topology has no members for stays in memory. Contenders
+// run sequentially over one cluster, so each starts from a wiped
+// frontier and repository.
+func (e *engine) crawler(cfg core.Config, f fetch.Fetcher) (*core.Crawler, error) {
+	cfg = e.config(cfg)
+	var err error
+	e.rshards, e.rstore, err = e.topo.Dial(cluster.Options{PolitenessDays: cfg.ShardPolitenessDays})
 	if err != nil {
-		return fmt.Errorf("dialing store server: %w", err)
+		return nil, err
 	}
-	defer rs.Close()
-	return rs.Reset()
+	if e.rshards != nil {
+		if err := e.rshards.Reset(); err != nil {
+			return nil, err
+		}
+		cfg.Frontier = e.rshards
+	}
+	sh := store.NewShadowedMem()
+	if e.rstore != nil {
+		if err := e.rstore.Reset(); err != nil {
+			return nil, err
+		}
+		if sh, err = e.rstore.Shadowed(); err != nil {
+			return nil, err
+		}
+		e.sh = sh
+	}
+	return core.NewWithStore(cfg, f, sh)
 }
 
-// resetRegistryStores wipes every collection on every store member the
-// registry knows; a cluster without store members is fine (collections
-// then live in memory).
-func resetRegistryStores(registryAddr string) error {
-	ms, err := registry.NewClient(registryAddr).Membership()
-	if err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	if len(ms.Store()) == 0 {
-		return nil
-	}
-	rs, err := cluster.DialStoreRegistry(registryAddr, cluster.Options{})
-	if err != nil {
-		return fmt.Errorf("dialing store members: %w", err)
-	}
-	defer rs.Close()
-	return rs.Reset()
-}
-
-// finish releases the cluster after a contender's run and surfaces any
-// transport error its frontier swallowed.
+// finish releases the cluster after a contender's run — dropping its
+// remaining server-side generations — and surfaces any transport error
+// a plane swallowed.
 func (e *engine) finish() error {
-	if e.active == nil {
-		return nil
+	var errs []error
+	if e.sh != nil {
+		errs = append(errs, e.sh.Close())
 	}
-	err := e.active.Err()
-	e.active.Close()
-	e.active = nil
-	if err != nil {
-		return fmt.Errorf("shard cluster: %w", err)
+	if e.rstore != nil {
+		if err := e.rstore.Err(); err != nil {
+			errs = append(errs, fmt.Errorf("store server: %w", err))
+		}
+		e.rstore.Close()
 	}
-	return nil
+	if e.rshards != nil {
+		if err := e.rshards.Err(); err != nil {
+			errs = append(errs, fmt.Errorf("shard cluster: %w", err))
+		}
+		e.rshards.Close()
+	}
+	e.rshards, e.rstore, e.sh = nil, nil, nil
+	return errors.Join(errs...)
 }
 
 // runCurves measures freshness over time from the live engine for the
@@ -227,7 +185,7 @@ func runCurves(seed int64, days float64, size int, eng *engine) error {
 		if err != nil {
 			return err
 		}
-		cfg, err := eng.apply(core.Config{
+		c, err := eng.crawler(core.Config{
 			Seeds:          w.RootURLs(),
 			CollectionSize: size,
 			PagesPerDay:    float64(size) / cycle,
@@ -235,20 +193,13 @@ func runCurves(seed int64, days float64, size int, eng *engine) error {
 			BatchDays:      cycle / 4,
 			Mode:           d.mode,
 			Update:         d.upd,
-		})
-		if err != nil {
-			return err
-		}
-		c, err := core.New(cfg, fetch.NewSimFetcher(w))
+		}, fetch.NewSimFetcher(w))
 		if err != nil {
 			return err
 		}
 		ev := &core.Evaluator{Web: w}
 		_, samples, err := ev.TimeAveragedFreshness(c, days, 2*cycle, 96, size)
 		if err != nil {
-			return err
-		}
-		if err := c.Close(); err != nil {
 			return err
 		}
 		if err := eng.finish(); err != nil {
@@ -289,7 +240,7 @@ func run(seed int64, days float64, size int, matrix bool, eng *engine) error {
 	bandwidth := float64(size) / cycle
 
 	baseCfg := func(w *simweb.Web) core.Config {
-		cfg := core.Config{
+		return core.Config{
 			Seeds:          w.RootURLs(),
 			CollectionSize: size,
 			PagesPerDay:    bandwidth,
@@ -298,27 +249,18 @@ func run(seed int64, days float64, size int, matrix bool, eng *engine) error {
 			RankEveryDays:  cycle,
 			Estimator:      core.EstimatorEP,
 		}
-		cfg.Workers = eng.workers
-		cfg.Shards = eng.shards
-		return cfg
-	}
-	base := func(w *simweb.Web) (core.Config, error) {
-		return eng.apply(baseCfg(w))
 	}
 
 	contenders := []contender{
 		{"incremental (steady, in-place, variable)", func(w *simweb.Web) (core.Runner, error) {
-			cfg, err := base(w)
-			if err != nil {
-				return nil, err
-			}
+			cfg := baseCfg(w)
 			cfg.Mode, cfg.Update, cfg.Freq = core.Steady, core.InPlace, core.VariableFreq
-			return core.New(cfg, fetch.NewSimFetcher(w))
+			return eng.crawler(cfg, fetch.NewSimFetcher(w))
 		}},
 		{"periodic (batch, shadowing, fixed, from scratch)", func(w *simweb.Web) (core.Runner, error) {
 			// The periodic baseline has no frontier, so never mount the
-			// remote cluster for it (baseCfg, not base).
-			return core.NewPeriodic(baseCfg(w), fetch.NewSimFetcher(w))
+			// remote cluster for it (config, not crawler).
+			return core.NewPeriodic(eng.config(baseCfg(w)), fetch.NewSimFetcher(w))
 		}},
 	}
 	if matrix {
@@ -328,12 +270,9 @@ func run(seed int64, days float64, size int, matrix bool, eng *engine) error {
 					mode, upd, fr := mode, upd, fr
 					name := fmt.Sprintf("%s, %s, %s", mode, upd, fr)
 					contenders = append(contenders, contender{name, func(w *simweb.Web) (core.Runner, error) {
-						cfg, err := base(w)
-						if err != nil {
-							return nil, err
-						}
+						cfg := baseCfg(w)
 						cfg.Mode, cfg.Update, cfg.Freq = mode, upd, fr
-						return core.New(cfg, fetch.NewSimFetcher(w))
+						return eng.crawler(cfg, fetch.NewSimFetcher(w))
 					}})
 				}
 			}
@@ -361,13 +300,6 @@ func run(seed int64, days float64, size int, matrix bool, eng *engine) error {
 		q, err := ev.Quality(r.Collection(), r.Day())
 		if err != nil {
 			return err
-		}
-		// Release what the contender owns (its store connection and
-		// remaining server-side generations, when remote).
-		if cl, ok := r.(io.Closer); ok {
-			if err := cl.Close(); err != nil {
-				return err
-			}
 		}
 		if err := eng.finish(); err != nil {
 			return err

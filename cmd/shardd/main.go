@@ -1,9 +1,11 @@
 // Command shardd is the frontier shard server daemon: it hosts a set
 // of per-site frontier shards behind the cluster wire protocol, so
-// crawl engines on other machines mount them with -shard-servers (or
-// core.Config.ShardServers) and run unchanged. Several shardd
-// processes form a frontier cluster; every client must list them in
-// the same order, because the order is the URL routing.
+// crawl engines on other machines mount them — crawlsim and webcrawl
+// with -shard-servers or -registry, an embedder by injecting a
+// cluster.RemoteShards as core.Config.Frontier — and run unchanged.
+// Several shardd processes form a frontier cluster; clients of a
+// static -shard-servers list must all list them in the same order,
+// because the order is the URL routing.
 //
 // Usage:
 //

@@ -1,7 +1,8 @@
 // Command storerd is the repository store-server daemon: it hosts
 // named page collections behind the cluster wire protocol, so crawl
 // engines on other machines mount their repository with -store-server
-// (or core.Config.StoreServer) and run unchanged — the storage-side
+// or -registry (an embedder passes cluster.RemoteStore.Shadowed to
+// core.NewWithStore) and run unchanged — the storage-side
 // counterpart of shardd, completing the split that lets a crawl's
 // frontier *and* repository live off the crawling machine.
 //

@@ -42,7 +42,6 @@ import (
 	"webevolve/internal/htmlparse"
 	"webevolve/internal/obs"
 	"webevolve/internal/profiles"
-	"webevolve/internal/registry"
 	"webevolve/internal/robots"
 	"webevolve/internal/store"
 )
@@ -59,7 +58,7 @@ func main() {
 	shards := flag.Int("shards", 16, "per-site frontier shards")
 	shardServers := flag.String("shard-servers", "", "comma-separated shardd endpoints hosting the frontier (replaces in-process shards)")
 	storeServer := flag.String("store-server", "", "storerd endpoint hosting the page collection (replaces the local disk store in -dir)")
-	registryAddr := flag.String("registry", "", "registryd endpoint; shard and store servers are discovered from it at startup (alternative to the static lists)")
+	registryAddr := flag.String("registry", "", "registryd endpoint; shard and store servers are discovered from it at startup (exclusive with the static lists)")
 	content := flag.Bool("content", true, "store page bodies in the collection (they feed the serving plane); disable to keep only metadata")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -71,6 +70,11 @@ func main() {
 	if *seeds == "" {
 		fmt.Fprintln(os.Stderr, "webcrawl: -seeds is required")
 		flag.Usage()
+		os.Exit(2)
+	}
+	topo, err := daemon.ParseTopology(*registryAddr, *shardServers, *storeServer)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "webcrawl:", err)
 		os.Exit(2)
 	}
 	stopProfiles, err := profiles.Start(*cpuProfile, *memProfile)
@@ -102,21 +106,9 @@ func main() {
 		agent:    *agent,
 		workers:  *workers,
 		shards:   *shards,
+		topo:     topo,
 		content:  *content,
 	}
-	o.shardServers, err = daemon.ParseEndpoints(*shardServers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "webcrawl: -shard-servers:", err)
-		os.Exit(1)
-	}
-	if *registryAddr != "" {
-		o.registry, err = daemon.ParseEndpoint(*registryAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "webcrawl: -registry:", err)
-			os.Exit(1)
-		}
-	}
-	o.storeServer = *storeServer
 	err = run(o)
 	stopProfiles()
 	stopDebug()
@@ -136,47 +128,34 @@ type crawlOpts struct {
 	agent    string
 	workers  int
 	shards   int
-	// shardServers, when set, mounts the frontier from shardd daemons
-	// instead of in-process shards. One webcrawl process owns the
-	// cluster at a time: state.json and the page store are still
-	// per-process, so sharing a cluster between concurrent crawlers
-	// would split histories and overwrite schedules (multi-crawler
-	// state is a ROADMAP item).
-	shardServers []string
-	// storeServer, when set, mounts the page collection from a storerd
-	// daemon instead of the local disk store — same ownership caveat.
-	// The collection is named "pages" on the server and persists there
-	// across runs, like the -dir store does locally.
-	storeServer string
-	// registry, when set, discovers the shard and store servers from a
-	// registryd daemon at startup instead of static lists. Discovery is
-	// dial-time only here: webcrawl's dispatcher holds politeness claims
-	// for its whole (short, -pages bounded) run, so there is no
-	// quiescent boundary to migrate at — the simulation engines follow
-	// membership live, webcrawl picks it up on the next run.
-	registry string
+	// topo, when set, mounts the frontier from shardd daemons instead of
+	// in-process shards, and the page collection from storerd instead
+	// of the local disk store in -dir — whichever planes it has members
+	// for. One webcrawl process owns the cluster at a time: state.json
+	// is still per-process, so sharing a cluster between concurrent
+	// crawlers would split histories and overwrite schedules. The
+	// collection is named "pages" on the server and persists there
+	// across runs, like the -dir store does locally. A registry is read
+	// at startup only: webcrawl's dispatcher holds politeness claims for
+	// its whole (short, -pages bounded) run, so there is no quiescent
+	// boundary to migrate at — the simulation engines follow membership
+	// live, webcrawl picks it up on the next run.
+	topo cluster.Topology
 	// content stores fetched page bodies alongside the metadata, so the
 	// serving plane (webservd, storerd -serve) can return them.
 	content bool
 }
 
 func run(o crawlOpts) error {
+	remote, storeRemote, err := o.topo.Dial(cluster.Options{PolitenessDays: clock.Days(o.delay)})
+	if err != nil {
+		return err
+	}
+	if remote != nil {
+		defer remote.Close()
+	}
 	var coll store.Collection
-	var storeRemote *cluster.RemoteStore
-	if o.storeServer != "" {
-		var err error
-		storeRemote, err = cluster.DialStoreTCP(o.storeServer, cluster.Options{})
-		if err != nil {
-			return fmt.Errorf("dialing store server: %w", err)
-		}
-		defer storeRemote.Close()
-		coll = storeRemote.Collection("pages")
-	} else if o.registry != "" && registryHasStores(o.registry) {
-		var err error
-		storeRemote, err = cluster.DialStoreRegistry(o.registry, cluster.Options{})
-		if err != nil {
-			return fmt.Errorf("dialing store members: %w", err)
-		}
+	if storeRemote != nil {
 		defer storeRemote.Close()
 		coll = storeRemote.Collection("pages")
 	} else {
@@ -208,28 +187,9 @@ func run(o crawlOpts) error {
 	if o.workers < 1 {
 		o.workers = 1
 	}
-	var q frontier.ShardSet
-	var remote *cluster.RemoteShards
-	if o.registry != "" {
-		remote, err = cluster.DialRegistry(o.registry, cluster.Options{
-			PolitenessDays: clock.Days(o.delay),
-		})
-		if err != nil {
-			return fmt.Errorf("dialing registry cluster: %w", err)
-		}
-		defer remote.Close()
+	var q frontier.ShardSet = frontier.NewShardedPolite(o.shards, clock.Days(o.delay))
+	if remote != nil {
 		q = remote
-	} else if len(o.shardServers) > 0 {
-		remote, err = cluster.DialTCP(o.shardServers, cluster.Options{
-			PolitenessDays: clock.Days(o.delay),
-		})
-		if err != nil {
-			return fmt.Errorf("dialing shard servers: %w", err)
-		}
-		defer remote.Close()
-		q = remote
-	} else {
-		q = frontier.NewShardedPolite(o.shards, clock.Days(o.delay))
 	}
 	nowDay := clock.Days(time.Since(st.Epoch))
 	rebuild := make([]frontier.Entry, 0, len(st.Due))
@@ -276,13 +236,6 @@ func run(o crawlOpts) error {
 		}
 	}
 	return crawlstate.Save(filepath.Join(o.dir, "state.json"), st)
-}
-
-// registryHasStores reports whether the registry lists any store
-// members; without one, the collection stays on local disk (-dir).
-func registryHasStores(registryAddr string) bool {
-	ms, err := registry.NewClient(registryAddr).Membership()
-	return err == nil && len(ms.Store()) > 0
 }
 
 // crawl is one webcrawl run: core's unified dispatcher claiming due

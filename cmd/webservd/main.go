@@ -61,20 +61,17 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *storeServer != "" {
-		ep, err := daemon.ParseEndpoint(*storeServer)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "webservd: -store-server:", err)
-			os.Exit(2)
-		}
-		*storeServer = ep
+	topo, err := daemon.ParseTopology("", "", *storeServer)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "webservd:", err)
+		os.Exit(2)
 	}
-	if err := run(common, *dir, *storeServer, *collection, *cacheEntries, *cacheBytes); err != nil {
+	if err := run(common, *dir, topo, *collection, *cacheEntries, *cacheBytes); err != nil {
 		daemon.Fatal("webservd", err)
 	}
 }
 
-func run(common *daemon.Flags, dir, storeServer, collection string, cacheEntries int, cacheBytes int64) error {
+func run(common *daemon.Flags, dir string, topo cluster.Topology, collection string, cacheEntries int, cacheBytes int64) error {
 	cfg := serve.Config{CacheEntries: cacheEntries, CacheBytes: cacheBytes}
 	var reader store.Reader
 	if dir != "" {
@@ -93,15 +90,15 @@ func run(common *daemon.Flags, dir, storeServer, collection string, cacheEntries
 		fmt.Printf("webservd: serving crawl directory %s (%d pages, %d change histories)\n",
 			dir, disk.Len(), len(st.Histories))
 	} else {
-		remote, err := cluster.DialStoreTCP(storeServer, cluster.Options{})
+		_, remote, err := topo.Dial(cluster.Options{})
 		if err != nil {
-			return fmt.Errorf("dialing store server: %w", err)
+			return err
 		}
 		defer remote.Close()
 		coll := remote.Collection(collection)
 		reader = coll
 		fmt.Printf("webservd: serving collection %q from store server %s (%d pages)\n",
-			collection, storeServer, coll.Len())
+			collection, topo.StoreServer, coll.Len())
 	}
 	cfg.Source = serve.Static(reader)
 

@@ -334,7 +334,7 @@ func TestRemoteOverTCP(t *testing.T) {
 // transport error.
 func TestRemoteStickyError(t *testing.T) {
 	servers := []*ShardServer{NewShardServer(frontier.NewSharded(4))}
-	remote, err := Loopback(servers, Options{MaxRetries: -1})
+	remote, err := Loopback(servers, Options{t: transport{retries: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestStickyErrIdentifiesServerAndOp(t *testing.T) {
 	}
 	go srv.Serve() //nolint:errcheck — exits with ErrServerClosed on Close
 	addr := srv.Addr().String()
-	rs, err := DialTCP([]string{addr}, Options{MaxRetries: -1})
+	rs, err := DialTCP([]string{addr}, Options{t: transport{retries: -1}})
 	if err != nil {
 		srv.Close()
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestStickyErrNamesVersions(t *testing.T) {
 
 		srv := NewShardServer(frontier.NewSharded(2))
 		dial, slept := Dialer(srv.Pipe), 0
-		rs, err := Dial([]Dialer{func() (net.Conn, error) { return dial() }}, Options{ConnsPerServer: 1})
+		rs, err := Dial([]Dialer{func() (net.Conn, error) { return dial() }}, Options{t: transport{conns: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,14 +110,14 @@ func FuzzFrameSequence(f *testing.F) {
 func TestServerReadBuffersKeepNothing(t *testing.T) {
 	shardSrv := NewShardServer(frontier.NewSharded(4))
 	defer shardSrv.Close()
-	shards, err := Loopback([]*ShardServer{shardSrv}, Options{ConnsPerServer: 1})
+	shards, err := Loopback([]*ShardServer{shardSrv}, Options{t: transport{conns: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shards.Close()
 	storeSrv := NewMemStoreServer()
 	defer storeSrv.Close()
-	rstore, err := LoopbackStore(storeSrv, Options{ConnsPerServer: 1})
+	rstore, err := LoopbackStore(storeSrv, Options{t: transport{conns: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

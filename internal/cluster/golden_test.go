@@ -54,7 +54,7 @@ func TestGoldenWire(t *testing.T) {
 	}
 	shard := NewShardServer(frontier.NewSharded(4))
 	defer shard.Close()
-	rs, err := Dial([]Dialer{tapDialer(shard.Pipe)}, Options{ConnsPerServer: 1})
+	rs, err := Dial([]Dialer{tapDialer(shard.Pipe)}, Options{t: transport{conns: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestGoldenWire(t *testing.T) {
 	st := NewMemStoreServer()
 	st.boot = 0x1122334455667788
 	defer st.Close()
-	store, err := DialStore(tapDialer(st.Pipe), Options{ConnsPerServer: 1})
+	store, err := DialStore(tapDialer(st.Pipe), Options{t: transport{conns: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

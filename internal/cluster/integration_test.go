@@ -252,10 +252,7 @@ func testKillRestartInvariance(t *testing.T, diskTier bool) {
 		}
 	})
 
-	rs, err := cluster.DialTCP([]string{addr}, cluster.Options{
-		PolitenessDays: 0,
-		RetryBackoff:   2 * time.Millisecond,
-	})
+	rs, err := cluster.DialTCP([]string{addr}, cluster.WithTransport(cluster.Options{}, 2*time.Millisecond, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

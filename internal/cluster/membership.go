@@ -31,8 +31,8 @@ package cluster
 // frontier op.
 
 import (
+	"cmp"
 	"fmt"
-	"net"
 	"sort"
 	"time"
 
@@ -41,16 +41,11 @@ import (
 )
 
 // MembershipSource feeds RemoteShards its member set; registry.Client
-// implements it.
+// implements it, and so does a static list's fixed membership.
 type MembershipSource interface {
 	Membership() (registry.Membership, error)
 	Complete(pendEpoch uint64) error
 }
-
-// defaultRebalancePoll rate-limits membership polls: Rebalance is
-// called at every engine round boundary, which can be tens of
-// thousands of times a second for an in-memory simulation.
-const defaultRebalancePoll = 100 * time.Millisecond
 
 // DialMembership connects to the shard cluster named by a membership
 // source, dialing each member through dialFor. The installed topology
@@ -60,9 +55,14 @@ func DialMembership(src MembershipSource, dialFor func(m registry.Member) Dialer
 	if err != nil {
 		return nil, fmt.Errorf("cluster: membership: %w", err)
 	}
+	return dialShards(src, ms, dialFor, opts)
+}
+
+// dialShards is DialMembership over a membership already read from src.
+func dialShards(src MembershipSource, ms registry.Membership, dialFor func(m registry.Member) Dialer, opts Options) (*RemoteShards, error) {
 	shard := ms.Shard()
 	if len(shard) == 0 {
-		return nil, fmt.Errorf("cluster: no shard servers registered (epoch %d)", ms.Epoch)
+		return nil, fmt.Errorf("cluster: no shard servers in the membership (epoch %d)", ms.Epoch)
 	}
 	rs := &RemoteShards{
 		reqBase:    randomReqBase(),
@@ -90,25 +90,20 @@ func DialMembership(src MembershipSource, dialFor func(m registry.Member) Dialer
 	}
 	rs.installTopology(ms.Epoch, NewRing(names, 0), servers)
 	registry.EpochGauge.Set(int64(ms.Epoch))
-	// A migration may already be pending (a predecessor crashed
-	// mid-flight); adopt it before the first op routes anything.
-	rs.lastPoll = time.Time{}
-	if err := rs.Rebalance(); err != nil {
-		rs.closeAll()
-		return nil, err
+	rs.lastPoll = time.Now()
+	if ms.Migrating {
+		// A migration is already pending (a join no client has driven
+		// yet, or a predecessor crashed mid-flight); adopt it before the
+		// first op routes anything.
+		rs.rebalMu.Lock()
+		err := rs.migrateLocked(rs.t(), ms)
+		rs.rebalMu.Unlock()
+		if err != nil {
+			rs.closeAll()
+			return nil, err
+		}
 	}
 	return rs, nil
-}
-
-// DialRegistry connects to the shard cluster registered at the given
-// registry address, dialing members over TCP.
-func DialRegistry(registryAddr string, opts Options) (*RemoteShards, error) {
-	return DialMembership(registry.NewClient(registryAddr), func(m registry.Member) Dialer {
-		addr := m.Addr
-		return func() (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, opts.dialTimeout())
-		}
-	}, opts)
 }
 
 // newShardMember builds the (undialed) pool for one registry member.
@@ -134,23 +129,21 @@ func (sc *serverConns) primeLazy() {
 // re-resolves the topology — driving a live shard migration if one is
 // pending. It must only be called at quiescent round boundaries (no
 // in-flight ops, no held claims); core's engines call it at the top of
-// their steady/batch loops. Calls are rate-limited to the configured
-// poll interval (Options.RebalancePoll); a static client (Dial) and a
-// broken or closed one return immediately.
+// their steady/batch loops. Calls are rate-limited to one membership
+// read per rebalancePoll; a broken or closed client returns
+// immediately. A static list's fixed membership never moves, so its
+// polls find nothing to do.
 //
 // The error is non-nil only for a migration that failed against a
 // shard member (also recorded sticky via Err); registry unavailability
 // is absorbed — the crawl continues on the last-known epoch.
 func (rs *RemoteShards) Rebalance() error {
-	if rs.src == nil || rs.closed.Load() || rs.broken() {
+	if rs.closed.Load() || rs.broken() {
 		return nil
 	}
 	rs.rebalMu.Lock()
 	defer rs.rebalMu.Unlock()
-	poll := rs.opts.RebalancePoll
-	if poll == 0 {
-		poll = defaultRebalancePoll
-	}
+	poll := cmp.Or(rs.opts.t.poll, rebalancePoll)
 	if poll > 0 && !rs.lastPoll.IsZero() && time.Since(rs.lastPoll) < poll {
 		return nil
 	}

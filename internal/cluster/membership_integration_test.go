@@ -66,9 +66,9 @@ func (mc *memCluster) addServer(t testing.TB, addr string, shards int) {
 	}
 }
 
-// dial mounts the cluster through the registry; RebalancePoll < 0
-// polls the registry at every round boundary, so membership changes
-// are picked up deterministically.
+// dial mounts the cluster through the registry; a negative poll
+// interval reads the registry at every round boundary, so membership
+// changes are picked up deterministically.
 func (mc *memCluster) dial(t testing.TB) *cluster.RemoteShards {
 	t.Helper()
 	rs, err := cluster.DialMembership(mc.client, func(m registry.Member) cluster.Dialer {
@@ -77,7 +77,7 @@ func (mc *memCluster) dial(t testing.TB) *cluster.RemoteShards {
 			t.Fatalf("no server for member %s", m.Addr)
 		}
 		return srv.Pipe
-	}, cluster.Options{PolitenessDays: 0, RebalancePoll: -1})
+	}, cluster.WithTransport(cluster.Options{}, 0, -1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"cmp"
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -20,63 +21,63 @@ import (
 // Dialer opens one connection to a shard server.
 type Dialer func() (net.Conn, error)
 
-// Default retry shape: with 6 retries backing off 25ms..1s, a client
-// rides out roughly two seconds of server downtime — enough for a
-// supervised shardd restart — before the error becomes sticky.
+// The transport both client kinds share: per-server connection pools,
+// redial with capped exponential backoff, and request-ID dedup for
+// exactly-once retries.
 const (
-	defaultMaxRetries      = 6
-	defaultRetryBackoff    = 25 * time.Millisecond
-	defaultMaxRetryBackoff = time.Second
-	defaultDialTimeout     = 5 * time.Second
+	// connsPerServer sizes each server's pool: the dispatcher's claims
+	// and the workers' releases/pushes can be in flight at once.
+	connsPerServer = 2
+	// With 6 retries backing off 25ms..1s, a client rides out roughly
+	// two seconds of server downtime — enough for a supervised shardd
+	// restart — before the error becomes sticky. Every mutating op
+	// carries a request ID the server dedups, so a retry is applied
+	// exactly once even if the original was.
+	maxRetries      = 6
+	retryBackoff    = 25 * time.Millisecond
+	maxRetryBackoff = time.Second
+	// dialTimeout bounds each TCP connect attempt.
+	dialTimeout = 5 * time.Second
+	// rebalancePoll rate-limits membership polls: Rebalance is called at
+	// every engine round boundary, which can be tens of thousands of
+	// times a second for an in-memory simulation.
+	rebalancePoll = 100 * time.Millisecond
 )
 
-// Options configures a cluster client. One option set serves both
-// client kinds — the frontier shard client (Dial, DialTCP, Loopback →
-// RemoteShards) and the repository store client (DialStore,
-// DialStoreTCP, LoopbackStore → RemoteStore) — because they share the
-// transport underneath: per-server connection pools, redial with
-// capped exponential backoff, and request-ID dedup for exactly-once
-// retries. The transport knobs (ConnsPerServer, MaxRetries,
-// RetryBackoff, MaxRetryBackoff, DialTimeout) mean the same thing to
-// both; PolitenessDays is crawl policy and only the shard client reads
-// it.
+// Options configures a cluster client: the frontier shard client
+// (DialMembership, Dial, DialTCP, Loopback → RemoteShards) or the
+// repository store client (DialStore, DialStoreTCP, LoopbackStore →
+// RemoteStore). Both run on the transport the constants above define.
 type Options struct {
 	// PolitenessDays, when >= 0, is applied to every shard server at
 	// connect time (the client owns the crawl policy). Negative leaves
 	// each server's own configuration in place. Store clients ignore
 	// it.
 	PolitenessDays float64
-	// ConnsPerServer sizes the per-server connection pool (default 2):
-	// the dispatcher's claims and the workers' releases/pushes can be in
-	// flight at once.
-	ConnsPerServer int
-	// MaxRetries bounds how many times one operation is retried after a
-	// transport failure — each retry redials the server with capped
-	// exponential backoff — before the error becomes sticky. Every
-	// mutating op carries a request ID the server dedups on, so a retry
-	// is applied exactly once even if the original was. 0 means the
-	// default (6); negative disables retries.
-	MaxRetries int
-	// RetryBackoff is the delay before the first retry; it doubles per
-	// attempt up to MaxRetryBackoff. Defaults 25ms and 1s.
-	RetryBackoff    time.Duration
-	MaxRetryBackoff time.Duration
-	// DialTimeout bounds each TCP connect attempt (DialTCP and
-	// DialStoreTCP; custom Dialers enforce their own). Default 5s.
-	DialTimeout time.Duration
-	// RebalancePoll rate-limits membership polls from Rebalance, which
-	// engines call at every round boundary. 0 means the default
-	// (100ms); negative polls on every call (tests want deterministic
-	// pickup of registry changes). Ignored without a registry.
-	RebalancePoll time.Duration
+
+	// t overrides the transport constants; only tests set it.
+	t transport
 }
 
-// dialTimeout resolves the configured timeout against the default.
-func (o Options) dialTimeout() time.Duration {
-	if o.DialTimeout > 0 {
-		return o.DialTimeout
+// transport is a test's override of the transport constants: a zero
+// field keeps its constant, negative retries disable retrying, and a
+// negative poll reads the membership on every Rebalance call.
+type transport struct {
+	conns, retries            int
+	backoff, backoffMax, poll time.Duration
+}
+
+// tcpDialer dials addr over TCP.
+func tcpDialer(addr string) Dialer {
+	return func() (net.Conn, error) { return net.DialTimeout("tcp", addr, dialTimeout) }
+}
+
+func tcpDialers(addrs []string) []Dialer {
+	dialers := make([]Dialer, len(addrs))
+	for i, a := range addrs {
+		dialers[i] = tcpDialer(a)
 	}
-	return defaultDialTimeout
+	return dialers
 }
 
 // RemoteShards implements frontier.ShardSet over a cluster of shard
@@ -105,8 +106,8 @@ type RemoteShards struct {
 	// while Rebalance installs the next.
 	topo atomic.Pointer[shardTopology]
 
-	// Membership plane; src == nil is a static cluster pinned at Dial
-	// (a fixed one-epoch ring), and Rebalance is a no-op.
+	// Membership plane: a registry, or the fixed membership of a static
+	// list (one epoch that never moves; see staticMembership).
 	src      MembershipSource
 	dialFor  func(m registry.Member) Dialer
 	opts     Options
@@ -397,38 +398,18 @@ func (sc *serverConns) backoffFor(n int) time.Duration {
 	return d
 }
 
-// newServerConns builds one server's connection pool from the shared
-// retry/backoff options; the caller fills in the handshake fields.
+// newServerConns builds one server's connection pool over the shared
+// transport; the caller fills in the handshake fields.
 func newServerConns(name string, dial Dialer, opts Options, closed *atomic.Bool) *serverConns {
-	conns := opts.ConnsPerServer
-	if conns < 1 {
-		conns = 2
-	}
-	retries := opts.MaxRetries
-	switch {
-	case retries == 0:
-		retries = defaultMaxRetries
-	case retries < 0:
-		retries = 0
-	}
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
-	backoffMax := opts.MaxRetryBackoff
-	if backoffMax <= 0 {
-		backoffMax = defaultMaxRetryBackoff
-	}
-	if backoffMax < backoff {
-		backoffMax = backoff
-	}
+	t := opts.t
+	backoff := cmp.Or(t.backoff, retryBackoff)
 	return &serverConns{
 		name:       name,
 		dial:       dial,
-		pool:       make(chan *clientConn, conns),
-		maxRetries: retries,
+		pool:       make(chan *clientConn, cmp.Or(t.conns, connsPerServer)),
+		maxRetries: max(cmp.Or(t.retries, maxRetries), 0),
 		backoff:    backoff,
-		backoffMax: backoffMax,
+		backoffMax: max(cmp.Or(t.backoffMax, maxRetryBackoff), backoff),
 		closed:     closed,
 		trips:      new(atomic.Int64),
 		sleep:      time.Sleep,
@@ -490,43 +471,12 @@ func helloBody(politenessDays float64, clearClaims bool) []byte {
 }
 
 // Dial connects to a static cluster of shard servers, one Dialer per
-// server. The set of dialers is the cluster topology — it is built
-// into a fixed one-epoch consistent-hash ring (member names are the
-// list positions), so every client of one cluster must list the
-// servers in the same order. For registry-driven membership use
-// DialMembership or DialRegistry instead.
+// server: DialMembership over the list's fixed membership, whose ring
+// identities are the list positions — so every client of one cluster
+// must list the servers in the same order.
 func Dial(dialers []Dialer, opts Options) (*RemoteShards, error) {
-	if len(dialers) == 0 {
-		return nil, errors.New("cluster: no shard servers")
-	}
-	rs := &RemoteShards{
-		reqBase:    randomReqBase(),
-		politeness: opts.PolitenessDays,
-		opts:       opts,
-		rehello:    helloBody(opts.PolitenessDays, false),
-	}
-	helloInit := helloBody(opts.PolitenessDays, true)
-	names := make([]string, len(dialers))
-	servers := make([]*serverConns, len(dialers))
-	for i, dial := range dialers {
-		// Zero-padded position names sort in list order, so the ring's
-		// member indices are exactly the flag-list positions.
-		names[i] = fmt.Sprintf("%04d", i)
-		sc := newServerConns(fmt.Sprintf("server %d", i), dial, opts, &rs.closed)
-		sc.hello = rs.rehello
-		sc.helloOp = opHello
-		sc.checkHello = sc.checkShardHello
-		// The eager first connect clears stale claims; reconnects (the
-		// sc.hello body) must not, their own workers hold claims.
-		if err := sc.dialEager(helloInit, fmt.Sprintf("server %d (%%v)", i)); err != nil {
-			rs.closeAll()
-			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
-		}
-		servers[i] = sc
-		rs.track(sc)
-	}
-	rs.installTopology(0, NewRing(names, 0), servers)
-	return rs, nil
+	src := staticMembership(dialers, nil)
+	return DialMembership(src, src.dialer, opts)
 }
 
 // randomReqBase draws the client's request-ID base. Request IDs only
@@ -551,14 +501,7 @@ func (rs *RemoteShards) nextReq() uint64 {
 
 // DialTCP connects to shard servers at the given host:port addresses.
 func DialTCP(addrs []string, opts Options) (*RemoteShards, error) {
-	dialers := make([]Dialer, len(addrs))
-	for i, a := range addrs {
-		a := a
-		dialers[i] = func() (net.Conn, error) {
-			return net.DialTimeout("tcp", a, opts.dialTimeout())
-		}
-	}
-	return Dial(dialers, opts)
+	return Dial(tcpDialers(addrs), opts)
 }
 
 // Loopback connects to in-process servers over net.Pipe — no sockets,

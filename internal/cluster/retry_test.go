@@ -12,7 +12,7 @@ import (
 )
 
 // fastRetry keeps retry tests quick without changing the retry logic.
-var fastRetry = Options{RetryBackoff: time.Millisecond, MaxRetryBackoff: 4 * time.Millisecond}
+var fastRetry = Options{t: transport{backoff: time.Millisecond, backoffMax: 4 * time.Millisecond}}
 
 // dropPooledConns closes every pooled connection in place (leaving the
 // stale conns in the pool), simulating transient drops the client
@@ -107,7 +107,7 @@ func TestRemoteSurvivesFailingDial(t *testing.T) {
 	// after the drop below — fails.
 	fd := &failingDialer{inner: srv.Pipe, fail: 2}
 	opts := fastRetry
-	opts.ConnsPerServer = 1
+	opts.t.conns = 1
 	rs, err := Dial([]Dialer{fd.dial}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +407,7 @@ func TestRoundReplyLostKeepsPopOrder(t *testing.T) {
 		return &replyDropConn{Conn: conn, armed: &armed}, nil
 	}
 	opts := fastRetry
-	opts.ConnsPerServer = 1
+	opts.t.conns = 1
 	rs, err := Dial([]Dialer{dial}, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -587,11 +587,11 @@ func decodeEntries(d *dec) []frontier.Entry {
 // Release would clear a claim another worker has since taken, a re-run
 // Push could re-queue a URL popped in the retry gap. An op awaiting
 // retry holds its pool slot for the client's whole backoff budget
-// (~2.1s by default), so the entries that can wash through the ring
-// before the retry lands are bounded by the throughput of the *other*
-// pooled connections: (ConnsPerServer-1) conns x ~30us minimum per
-// loopback round trip x 2.1s ≈ 70k ops per stuck slot. 128k covers
-// that with margin at the default pool size. The window is a count of
+// (~2.1s), so the entries that can wash through the ring before the
+// retry lands are bounded by the throughput of the *other* pooled
+// connections: (connsPerServer-1) conns x ~30us minimum per loopback
+// round trip x 2.1s ≈ 70k ops per stuck slot. 128k covers that with
+// margin. The window is a count of
 // ops, so what it costs in memory is what each entry keeps: the small
 // pop/claim/store replies whole, an applied round only as applied
 // (ShardServer.remember).

@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -31,15 +30,10 @@ func loopbackStore(t testing.TB, dir string) *cluster.RemoteStore {
 	return rs
 }
 
-// remoteShadowed mirrors what core.New builds from Config.StoreServer:
-// a Shadowed pair whose generations are named server-side collections.
+// remoteShadowed is the crawler's collection pair on the store servers.
 func remoteShadowed(t testing.TB, rs *cluster.RemoteStore) *store.Shadowed {
 	t.Helper()
-	gen := 0
-	sh, err := store.NewShadowed(nil, func() (store.Collection, error) {
-		gen++
-		return rs.EphemeralCollection(fmt.Sprintf("gen-%d", gen)), nil
-	})
+	sh, err := rs.Shadowed()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +41,10 @@ func remoteShadowed(t testing.TB, rs *cluster.RemoteStore) *store.Shadowed {
 }
 
 // TestRemoteStoreMountReclaimsStaleGens: a crawler that died before
-// Close leaves its shadow generations on a durable store server; the
-// next crawler mounting that server must reclaim them (or its "fresh"
-// collection pair silently starts with the predecessor's pages) while
-// leaving unrelated collections untouched.
+// closing its pair leaves its shadow generations on a durable store
+// server; the next pair built on that server must reclaim them (or
+// its "fresh" collection pair silently starts with the predecessor's
+// pages) while leaving unrelated collections untouched.
 func TestRemoteStoreMountReclaimsStaleGens(t *testing.T) {
 	dir := t.TempDir()
 	srv := cluster.NewDiskStoreServer(dir)
@@ -77,19 +71,23 @@ func TestRemoteStoreMountReclaimsStaleGens(t *testing.T) {
 	}
 	seed.Close()
 
+	rs, err := cluster.DialStoreTCP(addr, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := remoteShadowed(t, rs)
 	w, f := testWeb(t, 5)
-	cfg := baseConfig(w)
-	cfg.StoreServer = addr
-	c, err := core.New(cfg, f)
+	c, err := core.NewWithStore(baseConfig(w), f, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := c.Collection().Len(); n != 0 {
 		t.Fatalf("fresh crawler mounted %d stale pages", n)
 	}
-	if err := c.Close(); err != nil {
+	if err := sh.Close(); err != nil {
 		t.Fatal(err)
 	}
+	rs.Close()
 
 	check, err := cluster.DialStoreTCP(addr, cluster.Options{})
 	if err != nil {

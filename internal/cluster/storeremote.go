@@ -3,8 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -19,7 +19,7 @@ import (
 // carry request IDs the server dedups, so a retry after a broken
 // connection is applied exactly once.
 //
-// With several members (DialStores / DialStoreRegistry), each
+// With several members (a registry's store members, see Topology), each
 // collection is pinned to one member — the consistent-hash owner of
 // its *name* — when it is first opened, and every op on that
 // collection goes to the pinned member for the collection's lifetime.
@@ -48,26 +48,25 @@ type RemoteStore struct {
 
 // DialStore connects to a single store server.
 func DialStore(dial Dialer, opts Options) (*RemoteStore, error) {
-	return DialStores([]string{"store server"}, func(string) Dialer { return dial }, opts)
+	return dialStores([]registry.Member{staticStore}, func(registry.Member) Dialer { return dial }, opts)
 }
 
-// DialStores connects to the named store servers; collection names are
-// consistent-hashed across them (see the RemoteStore doc). Names must
-// be unique and sort-stable across clients (addresses are).
-func DialStores(names []string, dialFor func(name string) Dialer, opts Options) (*RemoteStore, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("cluster: no store servers")
+// dialStores connects to the given store members; collection names
+// are consistent-hashed across their identities (see the RemoteStore
+// doc). The member set is fixed at dial time: stores are not migrated,
+// so a client keeps the pinning it resolved (re-dial to pick up joins).
+func dialStores(members []registry.Member, dialFor func(m registry.Member) Dialer, opts Options) (*RemoteStore, error) {
+	rs := &RemoteStore{reqBase: randomReqBase(), ring: NewRing(memberAddrs(members), 0)}
+	byName := make(map[string]registry.Member, len(members))
+	for _, m := range members {
+		byName[m.Addr] = m
 	}
-	rs := &RemoteStore{reqBase: randomReqBase(), ring: NewRing(names, 0)}
 	for _, name := range rs.ring.Members() {
-		sc := newServerConns(name, dialFor(name), opts, &rs.closed)
+		sc := newServerConns(name, dialFor(byName[name]), opts, &rs.closed)
 		sc.helloOp = opStoreHello // the store hello body is empty
 		sc.checkHello = sc.checkStoreHello
 		if err := sc.dialEager(nil, name+" (%v)"); err != nil {
-			rs.closed.Store(true)
-			for _, prev := range rs.members {
-				prev.drainClose()
-			}
+			rs.Close()
 			return nil, fmt.Errorf("cluster: %s: %w", name, err)
 		}
 		rs.members = append(rs.members, sc)
@@ -77,29 +76,7 @@ func DialStores(names []string, dialFor func(name string) Dialer, opts Options) 
 
 // DialStoreTCP connects to a store server at a host:port address.
 func DialStoreTCP(addr string, opts Options) (*RemoteStore, error) {
-	return DialStore(func() (net.Conn, error) {
-		return net.DialTimeout("tcp", addr, opts.dialTimeout())
-	}, opts)
-}
-
-// DialStoreRegistry connects to every store server registered at the
-// given registry address, over TCP. The member set is fixed at dial
-// time: stores are not migrated, so a client keeps the pinning it
-// resolved (re-dial to pick up joins).
-func DialStoreRegistry(registryAddr string, opts Options) (*RemoteStore, error) {
-	ms, err := registry.NewClient(registryAddr).Membership()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: membership: %w", err)
-	}
-	stores := ms.Store()
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("cluster: no store servers registered (epoch %d)", ms.Epoch)
-	}
-	return DialStores(memberAddrs(stores), func(addr string) Dialer {
-		return func() (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, opts.dialTimeout())
-		}
-	}, opts)
+	return DialStore(tcpDialer(addr), opts)
 }
 
 // scFor returns the member a collection name is pinned to.
@@ -241,6 +218,48 @@ func (rs *RemoteStore) Collection(name string) store.Collection {
 // generation.
 func (rs *RemoteStore) EphemeralCollection(name string) store.Collection {
 	return &remoteColl{rs: rs, sc: rs.scFor(name), name: name, dropOnClose: true}
+}
+
+// Shadowed builds a crawler's collection pair on the store servers:
+// each shadow generation is an ephemeral collection ("gen-1", "gen-2",
+// ...), dropped once retired, and the pair's Close drops the rest. A
+// predecessor that died before closing its pair may have left
+// generations on a durable server; they are reclaimed first, so the
+// pair starts genuinely fresh, without touching any other collection
+// (e.g. a webcrawl's "pages"). One crawler owns a store server's
+// generations at a time.
+func (rs *RemoteStore) Shadowed() (*store.Shadowed, error) {
+	names, err := rs.ListCollections()
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range names {
+		if isGenName(n) {
+			if err := rs.DropCollection(n); err != nil {
+				return nil, err
+			}
+		}
+	}
+	gen := 0
+	return store.NewShadowed(nil, func() (store.Collection, error) {
+		gen++
+		return rs.EphemeralCollection(fmt.Sprintf("gen-%d", gen)), nil
+	})
+}
+
+// isGenName reports whether a collection name is a shadow generation
+// ("gen-<number>").
+func isGenName(name string) bool {
+	rest, ok := strings.CutPrefix(name, "gen-")
+	if !ok || rest == "" {
+		return false
+	}
+	for i := 0; i < len(rest); i++ {
+		if rest[i] < '0' || rest[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // remoteColl implements store.Collection over the wire, pinned to one

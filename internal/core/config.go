@@ -174,38 +174,14 @@ type Config struct {
 	Workers int
 	// Shards is the number of per-site frontier shards the revisit
 	// queue is partitioned into (default 16). All pages of one host
-	// hash to the same shard. Ignored when the frontier is remote
-	// (ShardServers/Frontier): shard servers configure their own counts.
+	// hash to the same shard. Ignored when Frontier is set.
 	Shards int
-	// ShardServers lists frontier shard-server endpoints (host:port,
-	// the cmd/shardd daemon). When non-empty, the revisit queue lives on
-	// those servers behind cluster.RemoteShards instead of in-process,
-	// and ShardPolitenessDays is applied cluster-wide at connect. Every
-	// crawler of one cluster must list the servers in the same order
-	// (the order is the URL routing).
-	ShardServers []string
-	// Registry is a cluster registry endpoint (host:port or http:// URL,
-	// the cmd/registryd daemon). When non-empty, the shard and store
-	// servers are discovered from the registry instead of listed
-	// statically, and the crawler follows membership changes live:
-	// at quiescent round boundaries it polls the registry and, when a
-	// shard joins or leaves, drives the partition migration itself
-	// before continuing (cluster.RemoteShards.Rebalance). Overrides
-	// ShardServers; StoreServer still wins for the store side.
-	Registry string
-	// Frontier injects a prebuilt shard set — e.g. a cluster.RemoteShards
-	// over an in-process loopback transport in tests. For the frontier
-	// side it overrides Registry, ShardServers, and Shards; the caller
-	// owns its lifecycle. Registry-based *store* discovery still applies.
+	// Frontier injects the revisit queue in place of in-process shards —
+	// e.g. a cluster.RemoteShards, whose servers configure their own
+	// shard counts and whose membership the engine follows at quiescent
+	// round boundaries (a shard set with a Rebalance method). The caller
+	// owns its lifecycle.
 	Frontier frontier.ShardSet
-	// StoreServer is a repository store-server endpoint (host:port, the
-	// cmd/storerd daemon). When non-empty, New builds the crawler's
-	// collection pair on that server behind cluster.RemoteStore instead
-	// of in memory: each shadow generation is a named server-side
-	// collection, dropped once retired. One crawler owns a store server
-	// at a time (concurrent writers would interleave generations).
-	// Ignored by NewWithStore, whose caller supplies the collections.
-	StoreServer string
 	// DispatchBatch caps how many due URLs one dispatch round hands to
 	// the worker pool; it also sizes the batched store writes and
 	// change-frequency updates. Default 4*Workers (at least 8).

@@ -3,14 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"strings"
 
-	"webevolve/internal/cluster"
 	"webevolve/internal/fetch"
 	"webevolve/internal/frontier"
-	"webevolve/internal/registry"
 	"webevolve/internal/scheduler"
 	"webevolve/internal/store"
 	"webevolve/internal/webgraph"
@@ -47,14 +43,9 @@ type Crawler struct {
 
 	all      *frontier.AllUrls
 	coll     frontier.ShardSet
-	ownsColl bool // close coll with the crawler (dialed from ShardServers)
 	rounds   *frontierRounds
 	shadowed *store.Shadowed
-	// storeClient is the remote-store connection dialed from
-	// Config.StoreServer (nil for caller-provided or in-memory
-	// collections); the crawler owns it and its shadowed pair.
-	storeClient *cluster.RemoteStore
-	graph       *webgraph.Graph
+	graph    *webgraph.Graph
 
 	policy  scheduler.Policy
 	optimal *scheduler.Optimal
@@ -96,95 +87,15 @@ type Crawler struct {
 	metrics Metrics
 }
 
-// New builds a crawler over the given fetcher, with an in-memory
-// collection — or, when Config.StoreServer is set, with its collection
-// pair hosted on that storerd daemon: shadow generations become named
-// server-side collections ("gen-1", "gen-2", ...), each dropped once
-// retired, and the crawler owns (and Close closes) the connection.
+// New builds a crawler over the given fetcher with an in-memory
+// collection pair.
 func New(cfg Config, f fetch.Fetcher) (*Crawler, error) {
-	var rs *cluster.RemoteStore
-	var err error
-	switch {
-	case cfg.StoreServer != "":
-		rs, err = cluster.DialStoreTCP(cfg.StoreServer, cluster.Options{})
-	case cfg.Registry != "":
-		// Discover store servers from the registry; a cluster without
-		// any registered store members keeps the in-memory collection
-		// (the shard plane is independent of the store plane).
-		ms, merr := registry.NewClient(cfg.Registry).Membership()
-		if merr != nil {
-			return nil, fmt.Errorf("core: registry: %w", merr)
-		}
-		if len(ms.Store()) == 0 {
-			return NewWithStore(cfg, f, store.NewShadowedMem())
-		}
-		rs, err = cluster.DialStoreRegistry(cfg.Registry, cluster.Options{})
-	default:
-		return NewWithStore(cfg, f, store.NewShadowedMem())
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: dialing store server: %w", err)
-	}
-	c, err := newWithRemoteStore(cfg, f, rs)
-	if err != nil {
-		rs.Close()
-		return nil, err
-	}
-	return c, nil
+	return NewWithStore(cfg, f, store.NewShadowedMem())
 }
 
-// newWithRemoteStore builds a crawler whose collection pair lives on
-// the given store server; the crawler takes ownership of the client.
-func newWithRemoteStore(cfg Config, f fetch.Fetcher, rs *cluster.RemoteStore) (*Crawler, error) {
-	// A predecessor that died before Close may have left its shadow
-	// generations on a durable server; reclaim them so the pair starts
-	// genuinely fresh, without touching any other collection (e.g. a
-	// webcrawl's "pages").
-	names, err := rs.ListCollections()
-	if err != nil {
-		return nil, fmt.Errorf("core: store server: %w", err)
-	}
-	for _, n := range names {
-		if isGenName(n) {
-			if err := rs.DropCollection(n); err != nil {
-				return nil, fmt.Errorf("core: store server: %w", err)
-			}
-		}
-	}
-	gen := 0
-	sh, err := store.NewShadowed(nil, func() (store.Collection, error) {
-		gen++
-		return rs.EphemeralCollection(fmt.Sprintf("gen-%d", gen)), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewWithStore(cfg, f, sh)
-	if err != nil {
-		sh.Close()
-		return nil, err
-	}
-	c.storeClient = rs
-	return c, nil
-}
-
-// isGenName reports whether a collection name is a crawler shadow
-// generation ("gen-<number>").
-func isGenName(name string) bool {
-	rest, ok := strings.CutPrefix(name, "gen-")
-	if !ok || rest == "" {
-		return false
-	}
-	for i := 0; i < len(rest); i++ {
-		if rest[i] < '0' || rest[i] > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-// NewWithStore builds a crawler with a caller-provided collection pair
-// (e.g. disk-backed).
+// NewWithStore builds a crawler over a caller-provided collection pair
+// (disk-backed, or on store servers: cluster.RemoteStore.Shadowed).
+// The caller owns the pair, as it owns an injected Config.Frontier.
 func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -200,16 +111,15 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 	if err != nil {
 		return nil, err
 	}
-	coll, ownsColl, err := buildFrontier(cfg)
-	if err != nil {
-		return nil, err
+	coll := cfg.Frontier
+	if coll == nil {
+		coll = frontier.NewShardedPolite(cfg.Shards, cfg.ShardPolitenessDays)
 	}
 	c := &Crawler{
 		cfg:        cfg,
 		fetcher:    f,
 		all:        frontier.NewAllUrls(),
 		coll:       coll,
-		ownsColl:   ownsColl,
 		rounds:     newFrontierRounds(coll, cfg.DispatchBatch, cfg.ShardPolitenessDays),
 		shadowed:   sh,
 		graph:      webgraph.New(),
@@ -233,56 +143,9 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 	return c, nil
 }
 
-// buildFrontier resolves the configured revisit queue: an injected
-// shard set, a dialed remote cluster, or (the default) in-process
-// shards. The second return reports whether the crawler owns it.
-func buildFrontier(cfg Config) (frontier.ShardSet, bool, error) {
-	if cfg.Frontier != nil {
-		return cfg.Frontier, false, nil
-	}
-	if cfg.Registry != "" {
-		rs, err := cluster.DialRegistry(cfg.Registry, cluster.Options{
-			PolitenessDays: cfg.ShardPolitenessDays,
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		return rs, true, nil
-	}
-	if len(cfg.ShardServers) > 0 {
-		rs, err := cluster.DialTCP(cfg.ShardServers, cluster.Options{
-			PolitenessDays: cfg.ShardPolitenessDays,
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		return rs, true, nil
-	}
-	return frontier.NewShardedPolite(cfg.Shards, cfg.ShardPolitenessDays), false, nil
-}
-
-// Close releases resources the crawler owns: the connections of a
-// frontier dialed from Config.ShardServers, and the collection pair
-// plus store connection dialed from Config.StoreServer (the remaining
-// server-side generations are dropped). Injected frontiers and
-// caller-provided stores belong to the caller and are left open.
-func (c *Crawler) Close() error {
-	var err error
-	if c.ownsColl {
-		if cl, ok := c.coll.(io.Closer); ok {
-			err = cl.Close()
-		}
-	}
-	if c.storeClient != nil {
-		if serr := c.shadowed.Close(); err == nil {
-			err = serr
-		}
-		if serr := c.storeClient.Close(); err == nil {
-			err = serr
-		}
-	}
-	return err
-}
+// Close releases nothing and returns nil: the crawler owns neither its
+// frontier nor its collection pair, which belong to the caller.
+func (c *Crawler) Close() error { return nil }
 
 // maybeRebalance lets a registry-backed remote frontier adopt a new
 // membership epoch — driving a live shard migration when one is
@@ -389,17 +252,7 @@ func (c *Crawler) RunUntil(until float64) error {
 	if err != nil {
 		return err
 	}
-	if err := shardSetErr(c.coll); err != nil {
-		return err
-	}
-	if c.storeClient != nil {
-		// Len/URLs transport failures cannot surface from their calls;
-		// the sticky record catches them here.
-		if serr := c.storeClient.Err(); serr != nil {
-			return fmt.Errorf("core: store: %w", serr)
-		}
-	}
-	return nil
+	return shardSetErr(c.coll)
 }
 
 // runSteady is the steady-mode loop: pop a round of due URLs, crawl it

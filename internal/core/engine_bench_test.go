@@ -9,6 +9,7 @@ import (
 	"webevolve/internal/fetch"
 	"webevolve/internal/frontier"
 	"webevolve/internal/simweb"
+	"webevolve/internal/store"
 )
 
 // benchWeb is the shared simulated web of the engine benchmarks.
@@ -61,14 +62,15 @@ func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 		if delay > 0 {
 			f = fetch.Delayed{Base: sim, Delay: delay}
 		}
-		var c *Crawler
-		var err error
+		sh := store.NewShadowedMem()
 		if newStore != nil {
 			sim.WithContent, cfg.StoreContent = true, true
-			c, err = newWithRemoteStore(cfg, f, newStore(b))
-		} else {
-			c, err = New(cfg, f)
+			var err error
+			if sh, err = newStore(b).Shadowed(); err != nil {
+				b.Fatal(err)
+			}
 		}
+		c, err := NewWithStore(cfg, f, sh)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +80,7 @@ func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 		}
 		elapsed += time.Since(start)
 		pages += c.Metrics().Fetches
-		if err := c.Close(); err != nil {
+		if err := sh.Close(); err != nil {
 			b.Fatal(err)
 		}
 		if wm, ok := cfg.Frontier.(wireMeter); ok {
@@ -137,8 +139,13 @@ func BenchmarkEngineRemoteStore(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// The crawler owns and closes the client.
-			b.Cleanup(func() { srv.Close() })
+			b.Cleanup(func() {
+				if err := rs.Err(); err != nil {
+					b.Fatal(err)
+				}
+				rs.Close()
+				srv.Close()
+			})
 			return rs
 		})
 }

@@ -4,15 +4,18 @@ import (
 	"fmt"
 	"net"
 	"strings"
+
+	"webevolve/internal/cluster"
 )
 
 // ParseEndpoints parses a comma-separated endpoint list as daemons and
 // tools accept it on their flags (-shard-servers, -store-server,
 // -registry): elements are trimmed, must be host:port, and duplicates
 // are rejected (a doubled shard server would silently skew routing).
-// Order is preserved — for a static shard cluster the list order IS
-// the URL routing, so every client must pass the same order. An empty
-// string parses to nil (the flag was not set).
+// Order is preserved — for a static -shard-servers list the order IS
+// the URL routing, so every client must pass the same order (a
+// registry's members route by address, whatever order they joined
+// in). An empty string parses to nil (the flag was not set).
 func ParseEndpoints(list string) ([]string, error) {
 	if strings.TrimSpace(list) == "" {
 		return nil, nil
@@ -39,6 +42,38 @@ func ParseEndpoints(list string) ([]string, error) {
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+// ParseTopology parses the topology flags the cluster clients share:
+// -registry, or the static lists -shard-servers and -store-server,
+// never both forms (a command given both would honour one and silently
+// drop the other). Empty values are unset flags; all empty is the zero
+// Topology, a local crawl. Every error names its flag.
+func ParseTopology(registry, shardServers, storeServer string) (cluster.Topology, error) {
+	var none cluster.Topology
+	if registry != "" {
+		for _, f := range [...]struct{ flag, val string }{{"-shard-servers", shardServers}, {"-store-server", storeServer}} {
+			if f.val != "" {
+				return none, fmt.Errorf("-registry and %s are mutually exclusive: the registry names the whole cluster", f.flag)
+			}
+		}
+	}
+	var t cluster.Topology
+	var err error
+	if registry != "" {
+		if t.Registry, err = ParseEndpoint(registry); err != nil {
+			return none, fmt.Errorf("-registry: %v", err)
+		}
+	}
+	if t.ShardServers, err = ParseEndpoints(shardServers); err != nil {
+		return none, fmt.Errorf("-shard-servers: %v", err)
+	}
+	if storeServer != "" {
+		if t.StoreServer, err = ParseEndpoint(storeServer); err != nil {
+			return none, fmt.Errorf("-store-server: %v", err)
+		}
+	}
+	return t, nil
 }
 
 // ParseEndpoint parses a single host:port endpoint (one-element list).

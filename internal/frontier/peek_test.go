@@ -1,167 +1,49 @@
 package frontier
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
 )
 
-// The candidate peek as it was before the bounded merge — every shard's
-// own top n, concatenated and sorted — kept verbatim as the oracle the
-// merge must match entry for entry.
+// queueModel is the peek contract as data: the queue is its entries,
+// and a peek of n is the first n of them sorted.
+type queueModel map[string]Entry
 
-func oldPeekN(q *Sharded, n int) ([]Entry, bool) {
-	total := 0
-	var out []Entry
-	for _, s := range q.shards {
-		s.mu.Lock()
-		total += s.st.size()
-		out = append(out, oldTopN(s.st, n)...)
-		s.mu.Unlock()
-	}
-	// Per-shard top-n suffices: the global first n entries draw at most
-	// n from any one shard.
-	sort.Slice(out, func(i, j int) bool { return entryBefore(out[i], out[j]) })
-	complete := total <= n
-	if n < 0 {
-		n = 0
-	}
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out, complete
-}
-
-func oldApplyRound(q *Sharded, pops, removes []string, pushes []Entry, peekMax int) (cands []Entry, bound Entry, boundOK, ok bool) {
-	if q.Politeness() > 0 {
-		return nil, Entry{}, false, false
-	}
+// apply commits a round as ApplyRound does: pops and removes, then
+// pushes (a push of a popped URL reschedules it).
+func (m queueModel) apply(pops, removes []string, pushes []Entry) {
 	for _, u := range pops {
-		q.Remove(u)
+		delete(m, u)
 	}
 	for _, u := range removes {
-		q.Remove(u)
+		delete(m, u)
 	}
-	q.PushBatch(pushes)
-	if peekMax <= 0 {
-		return nil, Entry{}, false, true
+	for _, e := range pushes {
+		m[e.URL] = e
 	}
-	cands, complete := oldPeekN(q, peekMax)
-	if !complete && len(cands) > 0 {
-		bound, boundOK = cands[len(cands)-1], true
-	}
-	return cands, bound, boundOK, true
 }
 
-func oldTopN(st shardStore, n int) []Entry {
-	switch st := st.(type) {
-	case *memStore:
-		return oldMemTopN(&st.memQueue, n)
-	case *diskStore:
-		return oldDiskTopN(st, n)
+func (m queueModel) sorted() []Entry {
+	out := make([]Entry, 0, len(m))
+	for _, e := range m {
+		out = append(out, e)
 	}
-	panic("unknown shard store")
-}
-
-func oldMemTopN(m *memQueue, n int) []Entry {
-	if n <= 0 || len(m.h) == 0 {
-		return nil
-	}
-	if n > len(m.h) {
-		n = len(m.h)
-	}
-	// idxs is a min-heap of positions into m.h, ordered by the entry
-	// comparator; the heap-array children of a popped position are the
-	// only new candidates for the next-smallest entry.
-	idxs := make([]int, 1, 2*n+1)
-	idxs[0] = 0
-	less := func(a, b int) bool { return m.h.Less(idxs[a], idxs[b]) }
-	down := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			sm := i
-			if l < len(idxs) && less(l, sm) {
-				sm = l
-			}
-			if r < len(idxs) && less(r, sm) {
-				sm = r
-			}
-			if sm == i {
-				return
-			}
-			idxs[i], idxs[sm] = idxs[sm], idxs[i]
-			i = sm
-		}
-	}
-	up := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(i, p) {
-				return
-			}
-			idxs[i], idxs[p] = idxs[p], idxs[i]
-			i = p
-		}
-	}
-	out := make([]Entry, 0, n)
-	for len(out) < n && len(idxs) > 0 {
-		head := idxs[0]
-		ent := *m.h[head]
-		ent.index = 0 // the heap position is meaningless in a copy
-		out = append(out, ent)
-		last := len(idxs) - 1
-		idxs[0] = idxs[last]
-		idxs = idxs[:last]
-		down(0)
-		if l := 2*head + 1; l < len(m.h) {
-			idxs = append(idxs, l)
-			up(len(idxs) - 1)
-		}
-		if r := 2*head + 2; r < len(m.h) {
-			idxs = append(idxs, r)
-			up(len(idxs) - 1)
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return entryBefore(out[i], out[j]) })
 	return out
 }
 
-func oldDiskTopN(d *diskStore, n int) []Entry {
-	if n <= 0 || len(d.index) == 0 {
-		return nil
-	}
-	// Make the resident set contain the true first n: fill to n off the
-	// spill minimum, then pull everything that could order at or before
-	// the resident n-th entry. Promotions only lower that boundary, so
-	// one pass against the initial boundary is conservative-correct.
-	for d.resident.size() < n {
-		if _, ok := d.spillMin(); !ok {
-			break
-		}
-		d.promoteMin()
-	}
-	if top := oldMemTopN(d.resident, n); len(top) > 0 {
-		bound := top[len(top)-1]
-		for {
-			it, ok := d.spillMin()
-			if !ok || (d.resident.size() >= n && spillAfter(it, bound)) {
-				break
-			}
-			d.promoteMin()
-		}
-	}
-	return oldMemTopN(d.resident, n)
-}
-
-// TestPeekMatchesOldPeek drives two queues of the same tier through one
-// randomized crawl-shaped history — rounds of pops from the candidate
-// prefix, drops, reschedules and new pages, with (due, priority) drawn
-// from a handful of values so URL tie-breaks and the disk tier's
-// tie-group promotion decide most positions — peeking one through the
-// bounded merge and the other through the old per-shard top-n. The
-// disk-tier twins diverge in what they hold resident (the old peek
-// promotes far more), which is exactly what must not show in the result.
-func TestPeekMatchesOldPeek(t *testing.T) {
+// TestPeekMatchesModel drives each tier through one randomized
+// crawl-shaped history — rounds of pops from the candidate prefix,
+// drops, reschedules and new pages, with (due, priority) drawn from a
+// handful of values so URL tie-breaks and the disk tier's tie-group
+// promotion decide most positions — and holds every peek to the model.
+// The history depends only on the seed, so the mem and disk twins see
+// the same one; the disk tier keeps most of it spilled, which must not
+// show in any result.
+func TestPeekMatchesModel(t *testing.T) {
 	tiers := []struct {
 		name string
 		open func() *Sharded
@@ -172,22 +54,26 @@ func TestPeekMatchesOldPeek(t *testing.T) {
 	for _, tier := range tiers {
 		t.Run(tier.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				peekEquivalence(t, tier.open(), tier.open(), seed)
+				peekAgainstModel(t, tier.open(), seed)
 			}
 		})
 	}
 }
 
-func peekEquivalence(t *testing.T, q, ref *Sharded, seed int64) {
+func peekAgainstModel(t *testing.T, q *Sharded, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	same := func(what string, a, b []Entry) {
+	model := queueModel{}
+	// prefix requires got to be exactly the first n entries of the
+	// sorted queue.
+	prefix := func(what string, got []Entry, n int, all []Entry) {
 		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: %s: %d entries, old peek %d", seed, what, len(a), len(b))
+		want := all[:min(max(n, 0), len(all))]
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %s: %d entries, model %d", seed, what, len(got), len(want))
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: %s[%d] = %+v, old peek %+v", seed, what, i, a[i], b[i])
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: %s[%d] = %+v, model %+v", seed, what, i, got[i], want[i])
 			}
 		}
 	}
@@ -197,24 +83,32 @@ func peekEquivalence(t *testing.T, q, ref *Sharded, seed int64) {
 	}
 	nextPage := len(pushes)
 	var pops, removes []string
-	peeks := []int{0, 1, 24, 1 << 20}
 	for round := 0; round < 100; round++ {
+		model.apply(pops, removes, pushes)
+		all := model.sorted()
+		// Peek sizes on both sides of the queue's length, where a
+		// truncated peek and a complete one meet.
+		peeks := []int{0, 1, 24, 1 << 20, len(all) - 1, len(all)}
 		peekMax := peeks[rng.Intn(len(peeks))]
 		cands, bound, boundOK, ok := q.ApplyRound(pops, removes, pushes, peekMax)
-		wc, wbound, wboundOK, wok := oldApplyRound(ref, pops, removes, pushes, peekMax)
-		if !ok || !wok {
+		if !ok {
 			t.Fatalf("seed %d round %d: refused", seed, round)
 		}
-		same("ApplyRound cands", cands, wc)
-		if boundOK != wboundOK || bound != wbound {
-			t.Fatalf("seed %d round %d: bound %+v (%v), old peek %+v (%v)", seed, round, bound, boundOK, wbound, wboundOK)
+		prefix("ApplyRound cands", cands, peekMax, all)
+		if boundOK {
+			for _, e := range all[len(cands):] {
+				if !entryBefore(bound, e) {
+					t.Fatalf("seed %d round %d: %+v not returned but orders before bound %+v", seed, round, e, bound)
+				}
+			}
+		} else if peekMax > 0 && len(cands) != len(all) {
+			t.Fatalf("seed %d round %d: no bound, but %d of %d entries returned", seed, round, len(cands), len(all))
 		}
 		for _, n := range peeks {
 			got, complete := q.PeekN(n)
-			want, wcomplete := oldPeekN(ref, n)
-			same("PeekN", got, want)
-			if complete != wcomplete {
-				t.Fatalf("seed %d round %d: PeekN(%d) complete=%v, old peek %v", seed, round, n, complete, wcomplete)
+			prefix(fmt.Sprintf("PeekN(%d)", n), got, n, all)
+			if complete != (len(all) <= n) {
+				t.Fatalf("seed %d round %d: PeekN(%d) complete=%v over %d entries", seed, round, n, complete, len(all))
 			}
 		}
 		// The next round: consume a prefix of the candidates, reschedule
@@ -235,8 +129,8 @@ func peekEquivalence(t *testing.T, q, ref *Sharded, seed int64) {
 			nextPage++
 		}
 	}
-	if q.Len() != ref.Len() {
-		t.Fatalf("seed %d: Len %d, reference %d", seed, q.Len(), ref.Len())
+	if q.Len() != len(model) {
+		t.Fatalf("seed %d: Len %d, model %d", seed, q.Len(), len(model))
 	}
 }
 

@@ -119,6 +119,11 @@ func (c *Client) Membership() (Membership, error) {
 		return Membership{}, fmt.Errorf("registry %s/v1/membership: %w", c.base, err)
 	}
 	defer hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		// Whatever the body says, it is not a membership: an unavailable
+		// registry must never read as an empty cluster.
+		return Membership{}, fmt.Errorf("registry %s/v1/membership: %s", c.base, hr.Status)
+	}
 	var ms Membership
 	if err := json.NewDecoder(io.LimitReader(hr.Body, 4<<20)).Decode(&ms); err != nil {
 		return Membership{}, fmt.Errorf("registry %s/v1/membership: bad response: %w", c.base, err)
