@@ -18,10 +18,12 @@ test:
 # live swaps: no request may see a closed store); and the store's
 # ordered index and record codec beside concurrent writers, compaction
 # and swaps; the engine's content stage behind a slow or failing store
-# (order, buffer ownership, the barrier, the error path); opRound
-# retries after lost replies, across a WAL compaction and restart; the
-# servers' per-connection read buffers, reused across frames of every
-# size, against an in-process oracle; the segment log under the
+# (order, buffer ownership, the barrier, the error path, and the rounds
+# folded into one store write); opRound retries after lost replies,
+# across a WAL compaction and restart; the servers' per-connection read
+# buffers, reused across frames of every size, against an in-process
+# oracle, and the store client's records, which alias their replies;
+# the segment log under the
 # collection and the disk frontier (pins across Compact, the handle
 # cap, concurrent appends and reads); and the topology resolver (one
 # membership read for both planes, every flag combination) with the
@@ -35,20 +37,23 @@ race:
 	$(GO) test -race -count=20 -run 'TestServeAcrossLiveCrawl' ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestStragglersAcrossSwaps' ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestScanBesideWrites|TestModelCheck|TestShadowedPin|TestDiskConcurrentStress' ./internal/store/
-	$(GO) test -race -count=5 -run 'TestContentStageOrderAndIntegrity|TestContentErrorEndsRun|TestContentBarrier' ./internal/core/
-	$(GO) test -race -count=5 -run 'TestRoundRetryRepeeks|TestRoundReplyLostKeepsPopOrder|TestFlakyTransportKeepsRoundPopOrder|TestServerReadBuffersKeepNothing' ./internal/cluster/
+	$(GO) test -race -count=5 -run 'TestContentStageOrderAndIntegrity|TestContentErrorEndsRun|TestContentBarrier|TestContentCoalescing|TestContentFoldKeepsPerURLOrder' ./internal/core/
+	$(GO) test -race -count=5 -run 'TestRoundRetryRepeeks|TestRoundReplyLostKeepsPopOrder|TestFlakyTransportKeepsRoundPopOrder|TestServerReadBuffersKeepNothing|TestRemoteRecordsOwnTheirBytes|TestRemoteDiskSegmentsMatchLocal' ./internal/cluster/
 	$(GO) test -race -count=5 ./internal/seglog/
 	$(GO) test -race -count=3 -run 'TestTopology|TestStaticRoutingGolden|TestParseTopology' ./internal/cluster/ ./internal/daemon/
 	$(GO) test -race -short -count=5 -run 'TestOptimalAllocationMatchesReference' ./internal/freshness/
 
 # Thirty seconds of fuzzing the optimizer's equivalence property, then
-# fifteen each on the cluster's frame reader and request handler: there
-# is one wire decoder and no second version to cross-check it, so
-# arbitrary bytes must keep surfacing as errors, never panics. Then
-# fifteen read frame streams through one reused frameReader against a
-# fresh read per frame, and fifteen open segment logs with arbitrary
-# tails: the replay must be exactly the intact prefix and the sweep
-# must land at its end. (The seed corpora already run under plain
+# fifteen each on the cluster's frame reader and request handler (shard
+# and store servers): there is one wire decoder and no second version
+# to cross-check it, so arbitrary bytes must keep surfacing as errors,
+# never panics. Then fifteen read frame streams through one reused
+# frameReader against a fresh read per frame; fifteen open segment logs
+# with arbitrary tails: the replay must be exactly the intact prefix and
+# the sweep must land at its end; and fifteen of the record value codec
+# under both tags, damaged and raw: checkValue accepts exactly what
+# DecodeValue decodes, and AppendValue after DecodeValue gives back the
+# bytes AppendValue wrote. (The seed corpora already run under plain
 # `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimalAllocation -fuzztime 30s ./internal/freshness/
@@ -56,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHandleBody -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzFrameSequence -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 15s ./internal/seglog/
+	$(GO) test -run '^$$' -fuzz FuzzRecordCodec -fuzztime 15s ./internal/store/
 
 # Engine benchmarks, written machine-readable to BENCH_engine.json
 # (benchmark name, iterations, ns/op, pages/s, B/op, allocs/op) so the
@@ -69,7 +75,10 @@ bench:
 	$(GO) test -bench 'BenchmarkOptimalAllocation' -benchtime 20x \
 		-benchmem -run '^$$' ./internal/freshness/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
-	$(GO) test -bench 'BenchmarkStore|BenchmarkEncodeEntries' -benchtime 5x \
+	$(GO) test -bench 'BenchmarkEncodeEntries' -benchtime 5x \
+		-benchmem -run '^$$' ./internal/cluster/ >> bench_engine.txt || \
+		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
+	$(GO) test -bench 'BenchmarkStore' -benchtime 2000x \
 		-benchmem -run '^$$' ./internal/cluster/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkFrame' -benchtime 2000x \

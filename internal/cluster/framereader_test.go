@@ -98,15 +98,16 @@ func FuzzFrameSequence(f *testing.F) {
 	})
 }
 
-// TestServerReadBuffersKeepNothing drives a ShardServer and a
-// Mem-backed StoreServer — a backend that keeps the very records it is
-// handed — over Pipe, one connection each, with a random mix of frames
-// below and above compressMin, growing and shrinking, plus one raw and
-// one inflated body over frameReaderKeep. Every frame is read into the
-// buffers the previous one used, so a decoder that kept a slice of a
-// body instead of a copy would surface as state a later frame
-// overwrote. The servers' final state must equal an in-process oracle
-// fed the same operations.
+// TestServerReadBuffersKeepNothing drives a ShardServer and two
+// StoreServers over Pipe, one connection each: a Mem-backed one, which
+// keeps records decoded from the values it is handed, and a disk-backed
+// one, which appends those values to its log. The frames are a random
+// mix below and above compressMin, growing and shrinking, plus one raw
+// and one inflated body over frameReaderKeep. Every frame is read into
+// the buffers the previous one used, so a decoder or backend that kept
+// a slice of a body instead of a copy would surface as state a later
+// frame overwrote. The servers' final state must equal an in-process
+// oracle fed the same operations.
 func TestServerReadBuffersKeepNothing(t *testing.T) {
 	shardSrv := NewShardServer(frontier.NewSharded(4))
 	defer shardSrv.Close()
@@ -115,14 +116,24 @@ func TestServerReadBuffersKeepNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shards.Close()
-	storeSrv := NewMemStoreServer()
-	defer storeSrv.Close()
-	rstore, err := LoopbackStore(storeSrv, Options{t: transport{conns: 1}})
-	if err != nil {
-		t.Fatal(err)
+	storeSrvs := []*StoreServer{NewMemStoreServer(), NewDiskStoreServer(t.TempDir())}
+	var colls []store.Collection
+	for _, srv := range storeSrvs {
+		defer srv.Close()
+		rstore, err := LoopbackStore(srv, Options{t: transport{conns: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rstore.Close()
+		colls = append(colls, rstore.Collection("c"))
 	}
-	defer rstore.Close()
-	coll := rstore.Collection("c")
+	putBatch := func(recs []store.PageRecord) {
+		for _, coll := range colls {
+			if err := coll.PutBatch(recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	wantQueue, wantColl := frontier.NewSharded(4), store.NewMem()
 
 	rng := rand.New(rand.NewSource(23))
@@ -165,9 +176,7 @@ func TestServerReadBuffersKeepNothing(t *testing.T) {
 			if step == 50 {
 				recs[0] = record(3<<20, false)
 			}
-			if err := coll.PutBatch(recs); err != nil {
-				t.Fatal(err)
-			}
+			putBatch(recs)
 			wantColl.PutBatch(recs)
 		case p < 0.4:
 			sizes := []int{rng.Intn(300), 1<<10 + rng.Intn(5<<10), 10<<10 + rng.Intn(50<<10)}
@@ -175,14 +184,14 @@ func TestServerReadBuffersKeepNothing(t *testing.T) {
 			for i := range recs {
 				recs[i] = record(sizes[rng.Intn(len(sizes))], rng.Intn(2) == 0)
 			}
-			if err := coll.PutBatch(recs); err != nil {
-				t.Fatal(err)
-			}
+			putBatch(recs)
 			wantColl.PutBatch(recs)
 		case p < 0.5:
 			u := url()
-			if err := coll.Delete(u); err != nil {
-				t.Fatal(err)
+			for _, coll := range colls {
+				if err := coll.Delete(u); err != nil {
+					t.Fatal(err)
+				}
 			}
 			wantColl.Delete(u)
 		case p < 0.8:
@@ -204,18 +213,20 @@ func TestServerReadBuffersKeepNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := storeSrv.Collection("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != wantColl.Len() {
-		t.Fatalf("store holds %d records, want %d", got.Len(), wantColl.Len())
-	}
-	for _, u := range wantColl.URLs() {
-		rec, _, err := got.Get(u)
-		want, _, _ := wantColl.Get(u)
-		if err != nil || !reflect.DeepEqual(rec, want) {
-			t.Fatalf("%s: stored record differs from the oracle's (err %v)", u, err)
+	for i, srv := range storeSrvs {
+		got, err := srv.Collection("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != wantColl.Len() {
+			t.Fatalf("store %d holds %d records, want %d", i, got.Len(), wantColl.Len())
+		}
+		for _, u := range wantColl.URLs() {
+			rec, _, err := got.Get(u)
+			want, _, _ := wantColl.Get(u)
+			if err != nil || !reflect.DeepEqual(rec, want) {
+				t.Fatalf("store %d: %s: stored record differs from the oracle's (err %v)", i, u, err)
+			}
 		}
 	}
 	for i := 0; ; i++ {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"webevolve/internal/frontier"
+	"webevolve/internal/store"
 )
 
 // validFrame builds a well-formed frame for seeding the fuzzers.
@@ -145,20 +146,53 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzHandleBody drives every opcode with arbitrary bodies directly:
-// the decode layer's poisoning must turn any malformed body into an
-// error response, not a panic.
+// storeSeedBodies are well-formed store request bodies by opcode, plus
+// a put whose second value is cut short, which the server must refuse
+// whole, and a retired op.
+func storeSeedBodies() map[byte][][]byte {
+	a := store.PageRecord{URL: "http://site001.com/a", Checksum: 7, Links: []string{"http://site001.com/b"}, Content: []byte("<p>")}
+	b := store.PageRecord{URL: "http://site001.com/b", Importance: 0.5, Links: []string{"http://site002.com/", "http://site001.com/a"}}
+	va, vb := store.AppendValue(nil, &a), store.AppendValue(nil, &b)
+	var put, cut, get, scan enc
+	put.fix64(20).str("c").u32(2)
+	appendPair(&put, "", a.URL, va)
+	appendPair(&put, a.URL, b.URL, vb)
+	cut.fix64(21).str("c").u32(2)
+	appendPair(&cut, "", a.URL, va)
+	appendPair(&cut, a.URL, b.URL, vb[:len(vb)-4])
+	get.str("c").str(a.URL)
+	scan.str("c").str("").u32(5)
+	return map[byte][][]byte{
+		opStorePutValues:     {put.b, cut.b},
+		opStoreGetValue:      {get.b},
+		opStoreScanValues:    {scan.b},
+		retiredStorePutBatch: {put.b},
+	}
+}
+
+// FuzzHandleBody drives every opcode with arbitrary bodies directly, on
+// a shard server, a memory store server (which decodes every value it
+// is handed) and a disk store server (which appends them verbatim): the
+// decode layer's poisoning and the value check must turn any malformed
+// body into an error response, not a panic.
 func FuzzHandleBody(f *testing.F) {
-	for op, bodies := range seedBodies() {
-		for _, body := range bodies {
-			f.Add(op, body)
+	for _, seeds := range []map[byte][][]byte{seedBodies(), storeSeedBodies()} {
+		for op, bodies := range seeds {
+			for _, body := range bodies {
+				f.Add(op, body)
+			}
 		}
 	}
+	disk := NewDiskStoreServer(f.TempDir())
+	f.Cleanup(func() { disk.Close() })
 	f.Fuzz(func(t *testing.T, op byte, body []byte) {
-		srv := NewShardServer(frontier.NewSharded(2))
-		status, resp := srv.handle(op, body)
-		if status != statusOK && status != statusError {
-			t.Fatalf("handle(%d) returned status %d (resp %q)", op, status, resp)
+		for _, srv := range []interface {
+			handle(op byte, body []byte) (byte, []byte)
+		}{NewShardServer(frontier.NewSharded(2)), NewMemStoreServer(), disk} {
+			status, resp := srv.handle(op, body)
+			if status != statusOK && status != statusError {
+				t.Fatalf("handle(%d) returned status %d (resp %q)", op, status, resp)
+			}
 		}
 	})
 }

@@ -120,24 +120,30 @@ func opName(op byte) string {
 		return "shard_import"
 	case opStoreHello:
 		return "store_hello"
-	case opStorePutBatch:
-		return "store_put_batch"
-	case opStoreGet:
-		return "store_get"
+	case retiredStorePutBatch:
+		return "retired_store_put_batch"
+	case retiredStoreGet:
+		return "retired_store_get"
 	case opStoreDelete:
 		return "store_delete"
 	case opStoreLen:
 		return "store_len"
 	case opStoreURLs:
 		return "store_urls"
-	case opStoreScan:
-		return "store_scan"
+	case retiredStoreScan:
+		return "retired_store_scan"
 	case opStoreDrop:
 		return "store_drop"
 	case opStoreReset:
 		return "store_reset"
 	case opStoreList:
 		return "store_list"
+	case opStorePutValues:
+		return "store_put_values"
+	case opStoreGetValue:
+		return "store_get_value"
+	case opStoreScanValues:
+		return "store_scan_values"
 	default:
 		return fmt.Sprintf("op_%d", op)
 	}

@@ -1,20 +1,22 @@
-// Package cluster gives the sharded frontier a serialization boundary,
-// so shards can live on other machines: a compact length-prefixed,
-// CRC-framed wire protocol for the frontier.ShardSet operations, a
-// ShardServer that hosts a set of in-process shards behind any
-// net.Listener, and a RemoteShards client that implements
-// frontier.ShardSet over one or more servers — so core.Crawler and
-// cmd/webcrawl run unchanged whether their shards are local or
-// distributed (the paper's Figure 12 anticipates exactly this:
-// "multiple CrawlModules may run in parallel").
+// Package cluster gives the sharded frontier and the collection a
+// serialization boundary, so both can live on other machines: a compact
+// length-prefixed, CRC-framed wire protocol, a ShardServer that hosts a
+// set of in-process shards behind any net.Listener, a RemoteShards
+// client that implements frontier.ShardSet over one or more servers,
+// and their store counterparts (StoreServer, RemoteStore) — so
+// core.Crawler and cmd/webcrawl run unchanged whether their shards and
+// pages are local or distributed (the paper's Figure 12 anticipates
+// exactly this: "multiple CrawlModules may run in parallel").
 //
-// Distributed pops stay globally deterministic: RemoteShards asks every
-// server for its earliest poppable head (OpHeadDue), picks the global
-// minimum with the in-process comparator, and commits the pop on the
-// winning server (OpPopDueMatch), retrying if the head moved — the same
-// scan-then-revalidate dance frontier.Sharded performs over its
-// in-process shards. A simulated crawl through RemoteShards is
-// therefore bit-identical to the same crawl with local shards.
+// Distributed pops stay globally deterministic: each engine round is
+// one opRound exchange per server, which applies the round's pops,
+// drops and reschedules and returns an exact ordered prefix of that
+// server's queue. The client pops from the merge of those prefixes with
+// the in-process comparator, and only while the head orders at or
+// before the merge's exactness bound — every entry no server returned
+// orders after it — refreshing the prefixes before it pops past it. A
+// simulated crawl through RemoteShards is therefore bit-identical to
+// the same crawl with local shards.
 package cluster
 
 import (
@@ -91,12 +93,16 @@ const (
 // frontier family room to grow.
 const (
 	opStoreHello byte = 0x20 + iota
-	opStorePutBatch
-	opStoreGet
+	// retiredStorePutBatch, retiredStoreGet and retiredStoreScan carried
+	// records in a wire codec of their own. Their numbers are never
+	// reused: a peer of an older build that sends one is answered
+	// "unknown opcode" with the op's name.
+	retiredStorePutBatch
+	retiredStoreGet
 	opStoreDelete
 	opStoreLen
 	opStoreURLs
-	opStoreScan
+	retiredStoreScan
 	// opStoreDrop closes a named collection and removes its backing
 	// data — how a retired shadow generation is reclaimed.
 	opStoreDrop
@@ -107,6 +113,15 @@ const (
 	// on disk — how a mounting crawler finds (and reclaims) shadow
 	// generations a crashed predecessor left behind.
 	opStoreList
+	// opStorePutValues, opStoreGetValue and opStoreScanValues carry
+	// records as (URL, value) pairs: the URL front-coded against the
+	// previous pair's (or the request's cursor), then the record in the
+	// store's own value encoding (store.AppendValue), length-prefixed.
+	// The server hands the bytes to its backend and back without
+	// decoding them; the client that wants a PageRecord decodes once.
+	opStorePutValues
+	opStoreGetValue
+	opStoreScanValues
 )
 
 // storeHelloMagic is opStoreHello's response body: it proves the peer
@@ -121,7 +136,7 @@ const storeHelloMagic = 0x53544F52 // "STOR"
 // frontier WAL replays only frontier mutations).
 func storeMutatingOp(op byte) bool {
 	switch op {
-	case opStorePutBatch, opStoreDelete, opStoreDrop, opStoreReset:
+	case opStorePutValues, opStoreDelete, opStoreDrop, opStoreReset:
 		return true
 	}
 	return false
@@ -175,12 +190,12 @@ const frameBufPoolMax = 64 << 10
 // Deflate's cost is mostly per frame, not per byte: every frame closes
 // its own stream, and each close builds fresh Huffman tables, so a
 // sub-KiB body costs a third of what a 17 KiB one does while saving
-// only about a hundred bytes. Warm-loop CPU per frame on a 2.1 GHz Xeon, for
+// only about a hundred bytes. Warm-loop CPU per frame on a 2.0 GHz Xeon, for
 // BenchmarkFrame's bodies (built from pages of the simulated web):
 //
 //	body                           raw       deflated   deflate   inflate
-//	opRound reply, 16 entries      444 B     334 B      21 µs     5 µs
-//	opStorePutBatch, 16 records    17.2 KiB  2.6 KiB    61 µs     32 µs
+//	opRound reply, 16 entries      444 B     334 B      22 µs     6 µs
+//	opStorePutValues, 16 records   17.3 KiB  2.6 KiB    67 µs     35 µs
 //
 // Inside a running crawl the small frames cost more (38 µs + 15 µs per
 // 752 B round reply, timed on captured frames). Streaming one deflater
@@ -347,7 +362,10 @@ func readFrame(r io.Reader) (kind byte, body []byte, wire int, err error) {
 // stream of frames allocates nothing per frame. The body next returns
 // aliases those buffers and is valid only until the following call;
 // that is safe for the handlers because every decoder copies what it
-// keeps (dec.str, dec.strDelta and dec.bytes all copy).
+// keeps (dec.str, dec.strDelta and dec.bytes all copy), and the one
+// view, a put's record values (dec.bytesView), is consumed inside
+// handle: store.Disk copies them into its log buffer, and store.Mem
+// decodes each from a copy.
 type frameReader struct {
 	hdr     [8]byte
 	payload []byte // the last frame's payload, as read
@@ -445,7 +463,7 @@ type enc struct {
 }
 
 // encPool recycles the encoders of the crawl's two per-round request
-// bodies (opRound, opStorePutBatch), which are tens of kilobytes grown
+// bodies (opRound, opStorePutValues), which are tens of kilobytes grown
 // by append-doubling and dead as soon as writeFrame has copied them
 // into a frame. Oversized buffers are dropped, as in frameBufPool.
 var encPool = sync.Pool{New: func() any { return new(enc) }}
@@ -635,11 +653,27 @@ func (d *dec) strDelta(prev string) string {
 	if shared == 0 {
 		return string(suffix)
 	}
+	if len(suffix) == 0 {
+		return prev[:shared] // a prefix of prev: nothing to copy
+	}
 	var sb strings.Builder
 	sb.Grow(int(shared) + len(suffix))
 	sb.WriteString(prev[:shared])
 	sb.Write(suffix)
 	return sb.String()
+}
+
+// bytesView decodes a length-prefixed byte slice as a view into the
+// body, without copying: for bytes consumed before the body's buffer is
+// reused (a put's record values on the server), or a body nobody reuses
+// (a reply on the client, read into a fresh buffer per exchange).
+func (d *dec) bytesView() []byte {
+	n := d.u32()
+	if d.err != nil || int(n) > len(d.b)-d.off {
+		d.err = errShort
+		return nil
+	}
+	return d.take(int(n))
 }
 
 // bytes decodes a length-prefixed byte slice with exactly one copy

@@ -40,7 +40,7 @@ func BenchmarkEncodeEntries(b *testing.B) {
 // crawlBodies builds the two bodies that dominate a remote crawl's
 // wire, from pages of the simulated web the benchmark crawls: an opRound
 // reply carrying one dispatch round (16) of pop candidates, and an
-// opStorePutBatch body carrying the page records of a round.
+// opStorePutValues body carrying the page records of a round.
 func crawlBodies(tb testing.TB) (roundReply, putBatch []byte) {
 	tb.Helper()
 	web, err := simweb.New(simweb.PaperScaleConfig(1999, 60))
@@ -96,9 +96,9 @@ func crawlBodies(tb testing.TB) (roundReply, putBatch []byte) {
 	var put enc
 	put.fix64(0x9e3779b97f4a7c15).str("pages").u32(uint32(len(recs)))
 	prev := ""
-	for _, r := range recs {
-		encodeRecord(&put, prev, r)
-		prev = r.URL
+	for i := range recs {
+		appendPair(&put, prev, recs[i].URL, store.AppendValue(nil, &recs[i]))
+		prev = recs[i].URL
 	}
 	return reply.b, put.b
 }

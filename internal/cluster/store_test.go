@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -372,5 +375,242 @@ func TestStoreServerRejectsBadNames(t *testing.T) {
 		if err := rs.Collection(name).Put(storeRec("http://a.com/", 1)); err == nil {
 			t.Fatalf("collection name %q accepted", name)
 		}
+	}
+}
+
+// truncatingStore answers the store hello, then every request with
+// statusOK and the given body — a reply cut short, as a broken or
+// hostile server might send.
+func truncatingStore(body []byte) Dialer {
+	return func() (net.Conn, error) {
+		cli, srv := net.Pipe()
+		go func() {
+			defer srv.Close()
+			for {
+				op, _, _, err := readFrame(srv)
+				if err != nil {
+					return
+				}
+				resp := body
+				if op == opStoreHello {
+					var e enc
+					e.u32(storeHelloMagic).bool(true).fix64(1)
+					resp = e.b
+				}
+				if _, err := writeFrame(srv, statusOK, resp); err != nil {
+					return
+				}
+			}
+		}()
+		return cli, nil
+	}
+}
+
+// TestTruncatedStoreRepliesSurface: a reply the client cannot decode is
+// an error, recorded for Err — including from Len, whose signature
+// cannot return one, and from a Get that would otherwise read as a
+// miss.
+func TestTruncatedStoreRepliesSurface(t *testing.T) {
+	for name, tc := range map[string]struct {
+		body []byte
+		call func(c store.Collection) error
+	}{
+		"len, empty reply": {nil, func(c store.Collection) error { c.Len(); return nil }},
+		"get, empty reply": {nil, func(c store.Collection) error { _, _, err := c.Get("http://a.com/"); return err }},
+		"get, pair missing": {[]byte{1}, func(c store.Collection) error {
+			_, _, err := c.Get("http://a.com/")
+			return err
+		}},
+		"scan, pair missing": {[]byte{1}, func(c store.Collection) error {
+			return c.Scan(func(store.PageRecord) bool { return true })
+		}},
+	} {
+		rs, err := DialStore(truncatingStore(tc.body), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = tc.call(rs.Collection("pages"))
+		if rs.Err() == nil {
+			t.Errorf("%s: Err() is nil after a truncated reply (call returned %v)", name, err)
+		}
+		rs.Close()
+	}
+}
+
+// TestRetiredStoreOpsAnsweredByName: the numbers of the store ops that
+// carried records in the wire's own codec are never reused, so a peer
+// of an older build sending one learns which op was refused.
+func TestRetiredStoreOpsAnsweredByName(t *testing.T) {
+	srv := NewMemStoreServer()
+	defer srv.Close()
+	for op, name := range map[byte]string{
+		retiredStorePutBatch: "retired_store_put_batch",
+		retiredStoreGet:      "retired_store_get",
+		retiredStoreScan:     "retired_store_scan",
+	} {
+		status, resp := srv.handle(op, []byte{1, 2, 3, 4, 5, 6, 7, 8, 0})
+		if status != statusError || !strings.Contains(string(resp), "unknown opcode") || !strings.Contains(string(resp), name) {
+			t.Errorf("op %#x answered (%d, %q), want an unknown-opcode error naming %s", op, status, resp, name)
+		}
+	}
+}
+
+// TestStorePutRefusesBadValueWhole: a put carrying one value that does
+// not decode is refused before any of its records is applied, on both
+// backends.
+func TestStorePutRefusesBadValueWhole(t *testing.T) {
+	good := storeRec("http://a.com/1", 1)
+	val := store.AppendValue(nil, &good)
+	var e enc
+	e.fix64(77).str("c").u32(2)
+	appendPair(&e, "", good.URL, val)
+	appendPair(&e, good.URL, "http://a.com/2", val[:len(val)-3])
+	for name, srv := range map[string]*StoreServer{"mem": NewMemStoreServer(), "disk": NewDiskStoreServer(t.TempDir())} {
+		if status, resp := srv.handle(opStorePutValues, e.b); status != statusError {
+			t.Errorf("%s: a put with a truncated value answered (%d, %q)", name, status, resp)
+		}
+		c, err := srv.Collection("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := c.Len(); n != 0 {
+			t.Errorf("%s: refused put applied %d records", name, n)
+		}
+		srv.Close()
+	}
+}
+
+// TestRemoteDiskSegmentsMatchLocal: the store's value encoding is the
+// only record encoding, so records written through RemoteStore to a
+// disk store server leave segment files byte-identical to those of a
+// local store.Disk given the same PutBatch and Delete calls.
+func TestRemoteDiskSegmentsMatchLocal(t *testing.T) {
+	srvDir, localDir := t.TempDir(), t.TempDir()
+	srv := NewDiskStoreServer(srvDir)
+	rs, err := LoopbackStore(srv, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := store.OpenDisk(localDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colls := []store.Collection{rs.Collection("c"), local}
+	rng := rand.New(rand.NewSource(5))
+	urls := testURLs(6, 30)
+	for step := 0; step < 60; step++ {
+		batch := make([]store.PageRecord, 1+rng.Intn(20))
+		for i := range batch {
+			r := storeRec(urls[rng.Intn(len(urls))], rng.Uint64())
+			r.FetchedAt, r.Version, r.Importance = rng.Float64()*40, rng.Intn(5), rng.Float64()
+			r.Links = append([]string{r.URL + "/next"}, urls[rng.Intn(len(urls))], urls[rng.Intn(len(urls))])
+			r.Content = make([]byte, rng.Intn(3000))
+			rng.Read(r.Content)
+			batch[i] = r
+		}
+		drop := urls[rng.Intn(len(urls))]
+		for _, c := range colls {
+			if err := c.PutBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			if step%5 == 0 {
+				if err := c.Delete(drop); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	rs.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadDir(localDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadDir(filepath.Join(srvDir, "c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("server wrote %d segment files, the local store %d", len(got), len(want))
+	}
+	for i, ent := range want {
+		a, errA := os.ReadFile(filepath.Join(localDir, ent.Name()))
+		b, errB := os.ReadFile(filepath.Join(srvDir, "c", got[i].Name()))
+		if errA != nil || errB != nil || got[i].Name() != ent.Name() || !bytes.Equal(a, b) {
+			t.Fatalf("segment %s: %d local bytes, server's %s %d bytes: not identical (%v, %v)",
+				ent.Name(), len(a), got[i].Name(), len(b), errA, errB)
+		}
+	}
+}
+
+// cloneRecord deep-copies a record.
+func cloneRecord(r store.PageRecord) store.PageRecord {
+	r.Links = append([]string(nil), r.Links...)
+	r.Content = append([]byte(nil), r.Content...)
+	return r
+}
+
+// TestRemoteRecordsOwnTheirBytes: a record the client's Get or ScanFrom
+// returns aliases the reply it was decoded from, so that reply must be
+// the record's alone — later calls on the same connection may not
+// change it, whichever backend answered.
+func TestRemoteRecordsOwnTheirBytes(t *testing.T) {
+	for name, srv := range map[string]*StoreServer{"mem": NewMemStoreServer(), "disk": NewDiskStoreServer(t.TempDir())} {
+		rs, err := LoopbackStore(srv, Options{t: transport{conns: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := rs.Collection("c")
+		batch := func(fill byte) []store.PageRecord {
+			var recs []store.PageRecord
+			for i, u := range testURLs(3, 12) {
+				r := storeRec(u, uint64(i)+uint64(fill)<<32)
+				r.Links = []string{u + "/a", u + "/b"}
+				r.Content = bytes.Repeat([]byte{fill}, 100+97*i)
+				recs = append(recs, r)
+			}
+			return recs
+		}
+		if err := c.PutBatch(batch('a')); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := c.Get(testURLs(3, 12)[5])
+		if err != nil || !ok {
+			t.Fatalf("%s: get: ok=%v err=%v", name, ok, err)
+		}
+		var scanned []store.PageRecord
+		if err := c.ScanFrom("", func(r store.PageRecord) bool { scanned = append(scanned, r); return true }); err != nil {
+			t.Fatal(err)
+		}
+		wantGot := cloneRecord(got)
+		var wantScanned []store.PageRecord
+		for _, r := range scanned {
+			wantScanned = append(wantScanned, cloneRecord(r))
+		}
+
+		if err := c.PutBatch(batch('z')); err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range testURLs(3, 12) {
+			if _, _, err := c.Get(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Scan(func(store.PageRecord) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wantGot) {
+			t.Fatalf("%s: a record from Get changed under later calls", name)
+		}
+		if !reflect.DeepEqual(scanned, wantScanned) {
+			t.Fatalf("%s: records from ScanFrom changed under later calls", name)
+		}
+		rs.Close()
+		srv.Close()
 	}
 }

@@ -273,9 +273,9 @@ type remoteColl struct {
 
 var _ store.Collection = (*remoteColl)(nil)
 
-// storePutChunk caps the records carried by one opStorePutBatch frame;
-// the byte budget (storeChunkBytes) binds first when records carry
-// page bodies, so no chunk can assemble an unsendable frame (the
+// storePutChunk caps the records carried by one opStorePutValues
+// frame; the byte budget (storeChunkBytes) binds first when records
+// carry page bodies, so no chunk can assemble an unsendable frame (the
 // pushBatchChunk rationale, count- and byte-bounded).
 const storePutChunk = 1024
 
@@ -284,60 +284,74 @@ func (c *remoteColl) Put(rec store.PageRecord) error {
 	return c.PutBatch([]store.PageRecord{rec})
 }
 
-// PutBatch implements store.Collection.
+// PutBatch implements store.Collection: each record is encoded once, in
+// the store's value encoding, and the server appends those bytes as
+// they arrive. A chunk grows until the count cap or the byte budget,
+// measured on the encoded values; a single over-budget record still
+// travels alone.
 func (c *remoteColl) PutBatch(recs []store.PageRecord) error {
 	for _, rec := range recs {
 		if rec.URL == "" {
 			return errors.New("store: empty URL")
 		}
 	}
-	for off := 0; off < len(recs); {
-		// Grow the chunk until the count cap or the byte budget; a
-		// single over-budget record still travels alone.
-		end, bytes := off, 0
-		for end < len(recs) && end-off < storePutChunk {
-			sz := approxRecordSize(recs[end])
-			if end > off && bytes+sz > storeChunkBytes {
-				break
-			}
-			bytes += sz
-			end++
-		}
-		chunk := recs[off:end]
-		off = end
-		e := getEnc()
-		e.fix64(c.rs.nextReq())
-		e.str(c.name)
-		e.u32(uint32(len(chunk)))
-		prev := ""
-		for _, rec := range chunk {
-			encodeRecord(e, prev, rec)
-			prev = rec.URL
-		}
-		_, err := c.sc.roundTrip(opStorePutBatch, e.b)
-		putEnc(e)
-		if err != nil {
+	e, pairs, val := getEnc(), getEnc(), getEnc()
+	defer func() { putEnc(e); putEnc(pairs); putEnc(val) }()
+	n, prev := 0, ""
+	send := func() error {
+		e.b = e.b[:0]
+		e.fix64(c.rs.nextReq()).str(c.name).u32(uint32(n))
+		e.b = append(e.b, pairs.b...)
+		pairs.b, n, prev = pairs.b[:0], 0, ""
+		if _, err := c.sc.roundTrip(opStorePutValues, e.b); err != nil {
 			return c.rs.fail(err)
 		}
+		return nil
 	}
-	return nil
+	for i := range recs {
+		val.b = store.AppendValue(val.b[:0], &recs[i])
+		if n == storePutChunk || n > 0 && len(pairs.b)+len(recs[i].URL)+len(val.b) > storeChunkBytes {
+			if err := send(); err != nil {
+				return err
+			}
+		}
+		appendPair(pairs, prev, recs[i].URL, val.b)
+		n, prev = n+1, recs[i].URL
+	}
+	if n == 0 {
+		return nil
+	}
+	return send()
 }
 
 // Get implements store.Collection.
 func (c *remoteColl) Get(url string) (store.PageRecord, bool, error) {
 	var e enc
 	e.str(c.name).str(url)
-	resp, err := c.sc.roundTrip(opStoreGet, e.b)
+	resp, err := c.sc.roundTrip(opStoreGetValue, e.b)
 	if err != nil {
 		return store.PageRecord{}, false, c.rs.fail(err)
 	}
+	// The reply body is this call's own (readFrame reads each into a
+	// fresh buffer), so the record may alias it.
 	d := newDec(resp)
-	if !d.bool() {
-		return store.PageRecord{}, false, d.finish()
+	n := d.u32()
+	got, val := url, []byte(nil)
+	if n == 1 {
+		got, val = d.pair(url)
 	}
-	rec := decodeRecord(d, "")
 	if err := d.finish(); err != nil {
 		return store.PageRecord{}, false, c.rs.fail(fmt.Errorf("cluster: bad get response: %w", err))
+	}
+	if n > 1 || got != url {
+		return store.PageRecord{}, false, c.rs.fail(fmt.Errorf("cluster: bad get response: %d records for %s", n, url))
+	}
+	if n == 0 {
+		return store.PageRecord{}, false, nil
+	}
+	rec, err := store.DecodeValue(url, val)
+	if err != nil {
+		return store.PageRecord{}, false, c.rs.fail(fmt.Errorf("cluster: get %s: %w", url, err))
 	}
 	return rec, true, nil
 }
@@ -363,7 +377,12 @@ func (c *remoteColl) Len() int {
 		return 0
 	}
 	d := newDec(resp)
-	return int(d.u32())
+	n := d.u32()
+	if err := d.finish(); err != nil {
+		c.rs.fail(fmt.Errorf("cluster: bad len response: %w", err))
+		return 0
+	}
+	return int(n)
 }
 
 // URLs implements store.Collection; the sorted list arrives in bounded
@@ -411,21 +430,26 @@ func (c *remoteColl) ScanFrom(after string, fn func(store.PageRecord) bool) erro
 	for {
 		var e enc
 		e.str(c.name).str(after).u32(storeScanChunk)
-		resp, err := c.sc.roundTrip(opStoreScan, e.b)
+		resp, err := c.sc.roundTrip(opStoreScanValues, e.b)
 		if err != nil {
 			return c.rs.fail(err)
 		}
+		// A fresh body per exchange, as in Get: records alias it.
 		d := newDec(resp)
 		n := int(d.u32())
 		for i := 0; i < n; i++ {
-			rec := decodeRecord(d, after)
+			url, val := d.pair(after)
 			if err := d.finish(); err != nil {
 				return c.rs.fail(fmt.Errorf("cluster: bad scan response: %w", err))
+			}
+			rec, err := store.DecodeValue(url, val)
+			if err != nil {
+				return c.rs.fail(fmt.Errorf("cluster: scan %s: %w", url, err))
 			}
 			if !fn(rec) {
 				return nil
 			}
-			after = rec.URL
+			after = url
 		}
 		done := d.bool()
 		if err := d.finish(); err != nil {

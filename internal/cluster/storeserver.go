@@ -37,7 +37,7 @@ type StoreServer struct {
 	// remove, e.g. memory backends); list enumerates the names with
 	// backing data on disk, open or not (nil: nothing persists), so
 	// Reset can sweep collections left by a previous server process.
-	open func(name string) (store.Collection, error)
+	open func(name string) (StoreBackend, error)
 	drop func(name string) error
 	list func() ([]string, error)
 
@@ -50,24 +50,38 @@ type StoreServer struct {
 	durable bool
 
 	collMu sync.Mutex
-	colls  map[string]store.Collection
+	colls  map[string]StoreBackend
 
 	// reqMu serializes mutating requests with their dedup bookkeeping,
 	// mirroring ShardServer.walMu. Read-only ops bypass it and rely on
 	// the collections' own locking.
 	reqMu sync.Mutex
 	dedup *respCache
+	vals  []store.Value // a put's (URL, value) pairs; reused under reqMu
+}
+
+// StoreBackend is a collection a StoreServer hosts: one that also moves
+// records as encoded values (store.AppendValue's bytes), so a put's
+// values reach it, and a read's value the client, undecoded. PutValues
+// checks every value before applying any and keeps none of their bytes;
+// GetValue's bytes are the caller's; ScanValuesFrom's val is valid only
+// until fn returns. store.Mem and store.Disk are both StoreBackends.
+type StoreBackend interface {
+	store.Collection
+	PutValues(vals []store.Value) error
+	GetValue(url string) (val []byte, ok bool, err error)
+	ScanValuesFrom(after string, fn func(url string, val []byte) bool) error
 }
 
 // NewStoreServer builds a store server over a collection factory. Most
 // callers want NewDiskStoreServer or NewMemStoreServer.
-func NewStoreServer(open func(name string) (store.Collection, error), drop func(name string) error, list func() ([]string, error)) *StoreServer {
+func NewStoreServer(open func(name string) (StoreBackend, error), drop func(name string) error, list func() ([]string, error)) *StoreServer {
 	s := &StoreServer{
 		open:  open,
 		drop:  drop,
 		list:  list,
 		boot:  randomReqBase(),
-		colls: make(map[string]store.Collection),
+		colls: make(map[string]StoreBackend),
 		dedup: newRespCache(respCacheSize),
 	}
 	s.connCore.handle = s.handle
@@ -85,7 +99,7 @@ func NewDiskStoreServer(dir string) *StoreServer {
 
 func newDiskStoreServer(dir string) *StoreServer {
 	return NewStoreServer(
-		func(name string) (store.Collection, error) {
+		func(name string) (StoreBackend, error) {
 			return store.OpenDisk(filepath.Join(dir, name))
 		},
 		func(name string) error {
@@ -113,7 +127,7 @@ func newDiskStoreServer(dir string) *StoreServer {
 // NewMemStoreServer serves in-memory collections (simulations, tests).
 func NewMemStoreServer() *StoreServer {
 	return NewStoreServer(
-		func(string) (store.Collection, error) { return store.NewMem(), nil },
+		func(string) (StoreBackend, error) { return store.NewMem(), nil },
 		nil,
 		nil,
 	)
@@ -210,7 +224,7 @@ func (s *StoreServer) Collection(name string) (store.Collection, error) {
 }
 
 // coll returns the named collection, opening it on first use.
-func (s *StoreServer) coll(name string) (store.Collection, error) {
+func (s *StoreServer) coll(name string) (StoreBackend, error) {
 	if !validCollName(name) {
 		return nil, fmt.Errorf("bad collection name %q", name)
 	}
@@ -227,7 +241,7 @@ func (s *StoreServer) coll(name string) (store.Collection, error) {
 	return c, nil
 }
 
-// storeScanChunk caps how many records one opStoreScan response
+// storeScanChunk caps how many records one opStoreScanValues response
 // carries; the client resumes from the last URL of the previous chunk,
 // so a scan of any size stays a sequence of bounded frames.
 const storeScanChunk = 512
@@ -243,14 +257,19 @@ const storeURLsChunk = 1 << 16
 // own encoding exceeds maxFrame is truly unsendable.
 const storeChunkBytes = 16 << 20
 
-// approxRecordSize estimates a record's encoded size (the variable
-// parts plus fixed-field overhead), for byte-bounded chunking.
-func approxRecordSize(r store.PageRecord) int {
-	n := 64 + len(r.URL) + len(r.Content)
-	for _, l := range r.Links {
-		n += 4 + len(l)
-	}
-	return n
+// appendPair appends one (URL, value) pair as the store ops carry
+// records: the URL front-coded against prev, the previous pair's URL
+// (or the request's cursor), then the value, length-prefixed.
+func appendPair(e *enc, prev, url string, val []byte) {
+	e.strDelta(prev, url)
+	e.bytes(val)
+}
+
+// pair decodes one (URL, value) pair; the value is a view into the
+// body (dec.bytesView).
+func (d *dec) pair(prev string) (url string, val []byte) {
+	url = d.strDelta(prev)
+	return url, d.bytesView()
 }
 
 // handle executes one request against the hosted collections.
@@ -272,7 +291,8 @@ func (s *StoreServer) handle(op byte, body []byte) (status byte, resp []byte) {
 			return statusError, []byte(err.Error())
 		}
 		encodeStrings(&e, "", names)
-	case opStoreGet:
+	case opStoreGetValue:
+		// A list of at most one pair, front-coded against the URL asked.
 		name, url := d.str(), d.str()
 		if err := d.finish(); err != nil {
 			return statusError, []byte(err.Error())
@@ -281,14 +301,16 @@ func (s *StoreServer) handle(op byte, body []byte) (status byte, resp []byte) {
 		if err != nil {
 			return statusError, []byte(err.Error())
 		}
-		rec, ok, err := c.Get(url)
+		val, ok, err := c.GetValue(url)
 		if err != nil {
 			return statusError, []byte(err.Error())
 		}
-		e.bool(ok)
-		if ok {
-			encodeRecord(&e, "", rec)
+		if !ok {
+			e.u32(0)
+			break
 		}
+		e.u32(1)
+		appendPair(&e, url, url, val)
 	case opStoreLen:
 		name := d.str()
 		if err := d.finish(); err != nil {
@@ -353,10 +375,10 @@ func (s *StoreServer) handle(op byte, body []byte) (status byte, resp []byte) {
 		// and the chunk's sorted URLs usually share its site prefix.
 		encodeStrings(&e, after, chunk)
 		e.bool(done)
-	case opStoreScan:
+	case opStoreScanValues:
 		// One chunk of the sorted scan, resuming strictly after `after`
-		// (empty = from the start). done means the chunk reached the end
-		// of the collection.
+		// (empty = from the start): a counted list of pairs, then done,
+		// set when the chunk reached the end of the collection.
 		name, after := d.str(), d.str()
 		maxRecs := int(d.u32())
 		if err := d.finish(); err != nil {
@@ -369,34 +391,27 @@ func (s *StoreServer) handle(op byte, body []byte) (status byte, resp []byte) {
 		if err != nil {
 			return statusError, []byte(err.Error())
 		}
-		recs := make([]store.PageRecord, 0, maxRecs)
-		done := true
-		chunkBytes := 0
-		collect := func(r store.PageRecord) bool {
-			sz := approxRecordSize(r)
-			if len(recs) > 0 && (len(recs) == maxRecs || chunkBytes+sz > storeChunkBytes) {
+		var pairs enc
+		n, done, prev := 0, true, after
+		// O(log n + chunk) on the built-in backends, so a chunked scan of
+		// N records costs O(N).
+		err = c.ScanValuesFrom(after, func(url string, val []byte) bool {
+			if n == maxRecs || n > 0 && len(pairs.b)+len(url)+len(val) > storeChunkBytes {
 				done = false
 				return false
 			}
-			recs = append(recs, r)
-			chunkBytes += sz
+			appendPair(&pairs, prev, url, val)
+			n, prev = n+1, url
 			return true
-		}
-		// ScanFrom is part of store.Reader and O(log n + chunk) on the
-		// built-in backends, so a chunked scan of N records costs O(N).
-		err = c.ScanFrom(after, collect)
+		})
 		if err != nil {
 			return statusError, []byte(err.Error())
 		}
-		e.u32(uint32(len(recs)))
-		prev := after
-		for _, r := range recs {
-			encodeRecord(&e, prev, r)
-			prev = r.URL
-		}
+		e.u32(uint32(n))
+		e.b = append(e.b, pairs.b...)
 		e.bool(done)
 	default:
-		return statusError, []byte(fmt.Sprintf("unknown opcode %d", op))
+		return statusError, []byte(fmt.Sprintf("unknown opcode %d (%s)", op, opName(op)))
 	}
 	return statusOK, e.b
 }
@@ -425,9 +440,22 @@ func (s *StoreServer) handleMutating(op byte, body []byte) (status byte, resp []
 func (s *StoreServer) applyMutating(op byte, d *dec) (status byte, resp []byte) {
 	var e enc
 	switch op {
-	case opStorePutBatch:
+	case opStorePutValues:
+		// The pairs go to the backend as they lie in the body, the one
+		// allocation per record being its URL, which the index keeps.
 		name := d.str()
-		recs := decodeRecords(d)
+		n := int(d.u32())
+		prev := ""
+		for i := 0; i < n && d.finish() == nil; i++ {
+			url, val := d.pair(prev)
+			s.vals = append(s.vals, store.Value{URL: url, Bytes: val})
+			prev = url
+		}
+		vals := s.vals
+		defer func() {
+			clear(vals) // the values are views into a reused read buffer
+			s.vals = vals[:0]
+		}()
 		if err := d.finish(); err != nil {
 			return statusError, []byte(err.Error())
 		}
@@ -435,10 +463,10 @@ func (s *StoreServer) applyMutating(op byte, d *dec) (status byte, resp []byte) 
 		if err != nil {
 			return statusError, []byte(err.Error())
 		}
-		if err := c.PutBatch(recs); err != nil {
+		if err := c.PutValues(vals); err != nil {
 			return statusError, []byte(err.Error())
 		}
-		e.u32(uint32(len(recs)))
+		e.u32(uint32(len(vals)))
 	case opStoreDelete:
 		name, url := d.str(), d.str()
 		if err := d.finish(); err != nil {
@@ -470,7 +498,7 @@ func (s *StoreServer) applyMutating(op byte, d *dec) (status byte, resp []byte) 
 			return statusError, []byte(err.Error())
 		}
 	default:
-		return statusError, []byte(fmt.Sprintf("unknown mutating opcode %d", op))
+		return statusError, []byte(fmt.Sprintf("unknown mutating opcode %d (%s)", op, opName(op)))
 	}
 	return statusOK, e.b
 }
@@ -526,52 +554,4 @@ func (s *StoreServer) reset() error {
 		}
 	}
 	return err
-}
-
-// encodeRecord appends one store.PageRecord to the body. prev is the
-// previous record's URL in the frame (the resume cursor for the first
-// record of a chunk; "" when the record stands alone) — the URL is
-// front-coded against it, and the links against the record's own URL,
-// which same-site links usually extend. The checksum is a uniform
-// 64-bit hash, so it stays fixed-width.
-func encodeRecord(e *enc, prev string, r store.PageRecord) {
-	e.strDelta(prev, r.URL)
-	e.fix64(r.Checksum)
-	e.f64(r.FetchedAt)
-	e.u64(uint64(int64(r.Version)))
-	encodeStrings(e, r.URL, r.Links)
-	e.bytes(r.Content)
-	e.f64(r.Importance)
-}
-
-// decodeRecord is encodeRecord's inverse.
-func decodeRecord(d *dec, prev string) store.PageRecord {
-	r := store.PageRecord{
-		URL:       d.strDelta(prev),
-		Checksum:  d.fix64(),
-		FetchedAt: d.f64(),
-		Version:   int(int64(d.u64())),
-	}
-	r.Links = decodeStrings(d, r.URL)
-	// Empty decodes as nil, so a record round-trips to the same JSON
-	// the local disk store would have framed.
-	r.Content = d.bytes()
-	r.Importance = d.f64()
-	return r
-}
-
-// decodeRecords decodes a u32-counted record list, front-coded from an
-// empty previous URL.
-func decodeRecords(d *dec) []store.PageRecord {
-	n := int(d.u32())
-	out := make([]store.PageRecord, 0, min(n, 1<<16))
-	prev := ""
-	for i := 0; i < n && d.finish() == nil; i++ {
-		r := decodeRecord(d, prev)
-		if d.finish() == nil {
-			out = append(out, r)
-			prev = r.URL
-		}
-	}
-	return out
 }

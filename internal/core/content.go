@@ -13,6 +13,14 @@ import (
 // store write, overlap: neither depends on the other, and run in series
 // they were three quarters of a remote crawl's wall time.
 //
+// When rounds are already queued behind the one it takes, the stage
+// takes them too and applies them all with one store write: the store
+// is the slower exchange whenever rounds queue, and a write's cost is
+// mostly per call. Order within the write is still pop order, and a
+// folded round that drops a page first writes the puts of the rounds
+// before it, so every URL sees its writes in the order it would have
+// one round at a time (applyContent).
+//
 // The one rule is the barrier: while the stage has work outstanding,
 // nothing else may touch AllUrls, the graph or the collection pair.
 // quiesce is that barrier; the ranking pass (with the batch cycle's
@@ -34,18 +42,21 @@ const (
 	batchDepth  = 2
 
 	// contentQueue is how many scheduled rounds may wait behind the one
-	// the content stage is applying. It is a constant because only one
-	// value is in use: unbuffered, the engine stalls on every store
-	// reply that is slower than a frontier commit (measured +12 % on
-	// the cluster benchmark against +27–45 % with two slots), and a
-	// deeper queue only holds more fetched pages in memory without
-	// making the slower of the two exchanges any faster.
+	// the content stage is applying; a queued round also rides the next
+	// store write, which takes every round waiting when it starts. It is
+	// a constant because only one value is in use: unbuffered, the
+	// engine stalls on every store reply that is slower than a frontier
+	// commit (measured +12 % on the cluster benchmark against +27–45 %
+	// with two slots), and a deeper queue only holds more fetched pages
+	// in memory without making the slower of the two exchanges any
+	// faster.
 	contentQueue = 2
 
 	// roundBuffers covers every place a round can be at once: fetching,
 	// held by the engine between wait and hand-off, queued for content,
-	// and being applied.
-	roundBuffers = steadyDepth + 1 + contentQueue + 1
+	// and being applied — the round the stage took and the ones it took
+	// from the queue with it.
+	roundBuffers = steadyDepth + 1 + contentQueue + 1 + contentQueue
 )
 
 // contentStage is the engine's handle on the content goroutine; it
@@ -54,8 +65,9 @@ type contentStage struct {
 	// in carries scheduled rounds to the stage, FIFO.
 	in chan *roundState
 	// free holds the round buffers nobody is using. The stage returns a
-	// buffer only after applying it; its capacity is the buffer count,
-	// so returning one never blocks.
+	// buffer only once the store write that reads its jobs' bodies has
+	// returned; its capacity is the buffer count, so returning one never
+	// blocks.
 	free chan *roundState
 	// pending counts rounds handed over and not yet finished. Add and
 	// Wait are both engine-goroutine calls.
@@ -81,18 +93,40 @@ func (c *Crawler) startContent() *contentStage {
 	}
 	go func() {
 		defer close(st.exited)
+		rounds := make([]*roundState, 0, contentQueue+1)
 		for r := range st.in {
+			rounds = append(rounds[:0], r)
+			rounds = takeQueued(st.in, rounds)
 			if st.err() == nil {
-				if err := c.applyContent(r); err != nil {
+				if err := c.applyContent(rounds); err != nil {
 					st.fail(err)
 				}
 			}
-			engineContentBacklog.Add(-1)
-			st.free <- r
-			st.pending.Done()
+			for _, r := range rounds {
+				engineContentBacklog.Add(-1)
+				st.free <- r
+				st.pending.Done()
+			}
 		}
 	}()
 	return st
+}
+
+// takeQueued appends to rounds every round already waiting on in, up to
+// cap(rounds), without blocking.
+func takeQueued(in <-chan *roundState, rounds []*roundState) []*roundState {
+	for len(rounds) < cap(rounds) {
+		select {
+		case r, ok := <-in:
+			if !ok {
+				return rounds
+			}
+			rounds = append(rounds, r)
+		default:
+			return rounds
+		}
+	}
+	return rounds
 }
 
 func (st *contentStage) fail(err error) {

@@ -130,6 +130,16 @@ func (r *roundState) reset() {
 	r.err = nil
 }
 
+// drops reports whether the round drops any page from the collection.
+func (r *roundState) drops() bool {
+	for _, o := range r.live {
+		if o.dropped {
+			return true
+		}
+	}
+	return false
+}
+
 // fetchJob is the dispatcher's work function: one CrawlModule fetch
 // plus the per-URL scheduling math that only depends on this URL's own
 // state — change detection against the checksum resolved at pop time,
@@ -450,62 +460,89 @@ func (c *Crawler) dropSchedule(url string) {
 
 // applyContent is the heavy phase the content stage runs: store
 // writes, link extraction into AllUrls, and web-graph updates for the
-// round's outcomes, still in pop order. Nothing here is read by popping
+// rounds' outcomes, still in pop order. Nothing here is read by popping
 // or scheduling, only by the ranking pass, the swap and readers of the
 // collection — all behind quiesce — so this phase overlaps the next
 // rounds' frontier commits and fetches. It runs on the content
 // goroutine: c.recs is that goroutine's, and everything else it touches
 // (AllUrls, the graph, the collection pair, the importance map) is
 // written elsewhere only while the stage is idle.
-func (c *Crawler) applyContent(r *roundState) error {
+//
+// Each round's deletes run as its pages come up and its puts go to the
+// store together, after them, as when a round is written alone. The
+// rounds' puts share one PutBatch, except that a round which drops a
+// page first writes the puts of the rounds before it: a URL appears at
+// most once per round, so only an earlier round can have put a page
+// this one deletes. There are never more writes than rounds.
+func (c *Crawler) applyContent(rounds []*roundState) error {
 	start := time.Now()
 	defer func() {
 		phaseApplyContent.Observe(time.Since(start).Seconds())
-		obs.DefaultTrace.Span("apply_content", r.id, len(r.jobs), start)
+		obs.DefaultTrace.Span("apply_content", rounds[0].id, len(rounds), start)
 	}()
 	c.recs = c.recs[:0]
-	for _, o := range r.live {
-		j := o.job
-		if o.dropped {
-			_ = c.shadowed.Current().Delete(j.url)
-			if c.cfg.Update == Shadow {
-				_ = c.shadowed.Shadow().Delete(j.url)
+	pending := 0 // rounds whose puts are in c.recs
+	for _, r := range rounds {
+		if pending > 0 && r.drops() {
+			if err := c.storeRecs(pending); err != nil {
+				return err
 			}
-			c.all.SetInCollection(j.url, false)
-			c.graph.RemovePage(j.url)
-			continue
+			pending = 0
 		}
-		rec := store.PageRecord{
-			URL:        j.url,
-			Checksum:   j.res.Checksum,
-			FetchedAt:  j.day,
-			Version:    j.res.Version,
-			Links:      j.res.Links,
-			Importance: c.importance[j.url],
-		}
-		if c.cfg.StoreContent {
-			rec.Content = j.res.Content
-		}
-		c.recs = append(c.recs, rec)
-		c.all.SetInCollection(j.url, true)
+		pending++
+		for _, o := range r.live {
+			j := o.job
+			if o.dropped {
+				_ = c.shadowed.Current().Delete(j.url)
+				if c.cfg.Update == Shadow {
+					_ = c.shadowed.Shadow().Delete(j.url)
+				}
+				c.all.SetInCollection(j.url, false)
+				c.graph.RemovePage(j.url)
+				continue
+			}
+			rec := store.PageRecord{
+				URL:        j.url,
+				Checksum:   j.res.Checksum,
+				FetchedAt:  j.day,
+				Version:    j.res.Version,
+				Links:      j.res.Links,
+				Importance: c.importance[j.url],
+			}
+			if c.cfg.StoreContent {
+				rec.Content = j.res.Content
+			}
+			c.recs = append(c.recs, rec)
+			c.all.SetInCollection(j.url, true)
 
-		// Figure 11 steps [11]-[12]: extract URLs, extend AllUrls; also
-		// feed the link structure the RankingModule scans. A revisit
-		// with an unchanged checksum has byte-identical content and
-		// therefore identical links, all already in the graph and in
-		// AllUrls from its last visit — skip the re-walk (and its
-		// allocations) entirely.
-		if j.changed || !j.seen {
-			c.graph.SetLinks(j.url, j.res.Links)
-			for _, l := range j.res.Links {
-				c.all.AddLink(j.url, l, j.day)
+			// Figure 11 steps [11]-[12]: extract URLs, extend AllUrls; also
+			// feed the link structure the RankingModule scans. A revisit
+			// with an unchanged checksum has byte-identical content and
+			// therefore identical links, all already in the graph and in
+			// AllUrls from its last visit — skip the re-walk (and its
+			// allocations) entirely.
+			if j.changed || !j.seen {
+				c.graph.SetLinks(j.url, j.res.Links)
+				for _, l := range j.res.Links {
+					c.all.AddLink(j.url, l, j.day)
+				}
 			}
 		}
 	}
-	if len(c.recs) > 0 {
-		if err := c.writeTarget().PutBatch(c.recs); err != nil {
-			return fmt.Errorf("core: storing batch: %w", err)
-		}
+	return c.storeRecs(pending)
+}
+
+// storeRecs writes the records the last rounds gathered, if any, in one
+// PutBatch.
+func (c *Crawler) storeRecs(rounds int) error {
+	engineContentRoundsPerWrite.Observe(float64(rounds))
+	if len(c.recs) == 0 {
+		return nil
+	}
+	err := c.writeTarget().PutBatch(c.recs)
+	c.recs = c.recs[:0]
+	if err != nil {
+		return fmt.Errorf("core: storing batch: %w", err)
 	}
 	return nil
 }

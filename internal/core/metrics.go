@@ -16,7 +16,7 @@ var (
 	engineRoundJobs = obs.Default.Histogram("webevolve_engine_round_jobs",
 		"jobs per dispatch round", obs.ExpBuckets(1, 2, 12))
 	enginePhaseSeconds = obs.Default.HistogramVec("webevolve_engine_phase_seconds",
-		"engine wall time by phase (per round: pop, fetch, apply_schedule, push, apply_content, content_wait; per ranking pass: rebuild_wait)",
+		"engine wall time by phase (per round: pop, fetch, apply_schedule, push, content_wait; per content-stage apply of one or more rounds: apply_content; per ranking pass: rebuild_wait)",
 		obs.LatencyBuckets, "phase")
 	engineInflightRounds = obs.Default.Gauge("webevolve_engine_inflight_rounds",
 		"rounds currently dispatched and not yet applied")
@@ -25,6 +25,9 @@ var (
 		obs.LatencyBuckets)
 	engineContentBacklog = obs.Default.Gauge("webevolve_engine_content_backlog",
 		"rounds scheduled and not yet applied by the content stage (being applied, queued, or blocking the engine's hand-off)")
+	engineContentRoundsPerWrite = obs.Default.Histogram("webevolve_engine_content_rounds_per_write",
+		"rounds whose puts the content stage wrote with each store write; a folded round that drops a page starts a new write",
+		[]float64{1, 2, 3})
 
 	dispatchJobs = obs.Default.Counter("webevolve_dispatch_jobs_total",
 		"jobs executed by the worker pool")

@@ -24,7 +24,7 @@ type Event struct {
 	// Round is the engine round the span belongs to, when it has one.
 	Round uint64 `json:"round,omitempty"`
 	// N counts the units the span covered (jobs in a round, entries in
-	// a push), when meaningful.
+	// a push, rounds in a content apply), when meaningful.
 	N int `json:"n,omitempty"`
 }
 

@@ -20,11 +20,13 @@ import (
 // A Get pins its frame's segment under the store's lock and reads it
 // with one pread outside it, so a concurrent Compact never pulls the
 // file out from under it; the decode slices the body out of the read
-// buffer. PutBatch frames the whole batch (in 64 KiB writes for a large
-// one) and indexes it only once it is written: nothing is buffered
-// between calls. Replay at open sweeps a torn or corrupt tail back to
-// the last CRC-valid frame and fails loudly on a read error (the
-// seglog sweep rule).
+// buffer, and GetValue skips the decode. PutBatch encodes each record
+// and PutValues takes the encoded bytes as they come; both frame the
+// whole batch (in 64 KiB writes for a large one) through one routine
+// and index it only once it is written: nothing is buffered between
+// calls. Replay at open sweeps a torn or corrupt tail back to the last
+// CRC-valid frame and fails loudly on a read error (the seglog sweep
+// rule).
 type Disk struct {
 	mu      sync.Mutex
 	log     *seglog.Log
@@ -33,8 +35,14 @@ type Disk struct {
 
 	sortedKeys // index's keys in order: URLs, URLsFrom, Scan, ScanFrom; closed
 
-	val []byte       // PutBatch: the record value being framed
-	pos []seglog.Pos // PutBatch: positions of the batch's frames, until written
+	val     []byte         // PutBatch: the record value being framed
+	pending []pendingFrame // a batch's frames, until written and indexed
+}
+
+// pendingFrame is a frame appended to the log and not yet indexed.
+type pendingFrame struct {
+	url string
+	pos seglog.Pos
 }
 
 // OpenDisk opens (or creates) a disk collection in dir. A torn or
@@ -98,17 +106,42 @@ func (d *Disk) Put(rec PageRecord) error {
 	return d.PutBatch([]PageRecord{rec})
 }
 
-// PutBatch implements Collection: all records are framed under one lock
-// acquisition and written once (once per 64 KiB for a very large
-// batch); the index learns of the batch only after the write succeeded.
-// Compaction is evaluated once after the batch.
+// PutBatch implements Collection: each record is encoded into one
+// reused buffer and framed as PutValues frames its values.
 func (d *Disk) PutBatch(recs []PageRecord) error {
 	for i := range recs {
-		if recs[i].URL == "" {
-			return errors.New("store: empty URL")
+		if err := checkRecord(&recs[i]); err != nil {
+			return err
 		}
 	}
-	if len(recs) == 0 {
+	return d.put(len(recs), func(i int) Value {
+		d.val = AppendValue(d.val[:0], &recs[i])
+		return Value{URL: recs[i].URL, Bytes: d.val}
+	})
+}
+
+// PutValues is PutBatch for encoded records: every value is checked
+// before any is applied, then appended verbatim. None of vals' bytes
+// are kept.
+func (d *Disk) PutValues(vals []Value) error {
+	for _, v := range vals {
+		if v.URL == "" {
+			return errors.New("store: empty URL")
+		}
+		if err := checkValue(v.URL, v.Bytes); err != nil {
+			return err
+		}
+	}
+	return d.put(len(vals), func(i int) Value { return vals[i] })
+}
+
+// put takes the lock and frames n values — value(i) is the i-th,
+// its bytes needed only until the next call — and writes them once
+// (once per 64 KiB for a very large batch). The index learns of the
+// batch only after the write succeeded; compaction is evaluated once
+// after it.
+func (d *Disk) put(n int, value func(i int) Value) error {
+	if n == 0 {
 		return nil
 	}
 	d.mu.Lock()
@@ -116,22 +149,22 @@ func (d *Disk) PutBatch(recs []PageRecord) error {
 	if d.closed {
 		return ErrClosed
 	}
-	defer func() { d.pos = d.pos[:0] }()
-	for i := range recs {
-		d.val = appendValue(d.val[:0], &recs[i])
-		pos, err := d.log.Append(recs[i].URL, d.val)
+	defer func() { d.pending = d.pending[:0] }()
+	for i := range n {
+		v := value(i)
+		pos, err := d.log.Append(v.URL, v.Bytes)
 		if err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		d.pos = append(d.pos, pos)
+		d.pending = append(d.pending, pendingFrame{url: v.URL, pos: pos})
 	}
 	if err := d.log.Flush(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	for i, pos := range d.pos {
-		d.indexLocked(recs[i].URL, pos)
+	for _, p := range d.pending {
+		d.indexLocked(p.url, p.pos)
 	}
-	storePuts.Add(int64(len(recs)))
+	storePuts.Add(int64(n))
 	return d.maybeCompactLocked()
 }
 
@@ -144,34 +177,59 @@ func (d *Disk) Get(url string) (PageRecord, bool, error) {
 	return rec, ok, err
 }
 
+// GetValue is Get returning the record's value undecoded, as the pread
+// left it; the bytes are the caller's.
+func (d *Disk) GetValue(url string) ([]byte, bool, error) {
+	val, ok, err := d.readValue(url)
+	if ok {
+		storeGets.Inc()
+	}
+	return val, ok, err
+}
+
 // read is Get without the point-read counter (the ordered scans read
-// their records through it): one pread of the whole frame, outside the
-// lock against a pinned segment.
+// their records through it).
 func (d *Disk) read(url string) (PageRecord, bool, error) {
+	val, ok, err := d.readValue(url)
+	if !ok {
+		return PageRecord{}, false, err
+	}
+	rec, err := DecodeValue(url, val)
+	return rec, err == nil, err
+}
+
+// readValue reads url's value with one pread of the whole frame into a
+// new buffer, outside the lock against a pinned segment.
+func (d *Disk) readValue(url string) ([]byte, bool, error) {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return PageRecord{}, false, ErrClosed
+		return nil, false, ErrClosed
 	}
 	pos, ok := d.index[url]
 	if !ok {
 		d.mu.Unlock()
-		return PageRecord{}, false, nil
+		return nil, false, nil
 	}
 	pin, err := d.log.Pin(pos)
 	d.mu.Unlock()
 	if err != nil {
-		return PageRecord{}, false, fmt.Errorf("store: %w", err)
+		return nil, false, fmt.Errorf("store: %w", err)
 	}
 	key, val, err := pin.Read(nil)
 	if err == nil && string(key) != url {
 		err = seglog.ErrCorrupt
 	}
 	if err != nil {
-		return PageRecord{}, false, fmt.Errorf("store: %w", err)
+		return nil, false, fmt.Errorf("store: %w", err)
 	}
-	rec, err := decodeValue(url, val)
-	return rec, err == nil, err
+	return val, true, nil
+}
+
+// ScanValuesFrom is ScanFrom over undecoded values, with its key set
+// and guarantees.
+func (d *Disk) ScanValuesFrom(after string, fn func(url string, val []byte) bool) error {
+	return scanFrom(&d.sortedKeys, after, d.readValue, fn)
 }
 
 // Delete implements Collection.
@@ -262,7 +320,7 @@ func (d *Disk) Close() error {
 	// grows with the collection, so a retired generation somebody still
 	// holds a pointer to costs nothing.
 	d.sortedKeys.close()
-	d.index, d.val, d.pos = nil, nil, nil
+	d.index, d.val, d.pending = nil, nil, nil
 	if err := d.log.Close(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}

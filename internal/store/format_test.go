@@ -90,7 +90,11 @@ func TestDiskOpensParentCollection(t *testing.T) {
 	}
 }
 
-// TestDiskFrameGoldenBytes pins one record frame as the store writes it.
+// TestDiskFrameGoldenBytes pins one record frame as the store writes it:
+// tag 0x02, the first link front-coded against the URL (7 shared bytes,
+// suffix "a/") and the second against the first (none shared, "b").
+// TestDecodePlainFixture keeps the tag-0x01 value this frame held
+// before.
 func TestDiskFrameGoldenBytes(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDisk(dir)
@@ -109,8 +113,8 @@ func TestDiskFrameGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "6af45b041100000029000000687474703a2f2f672e6578616d706c652f" +
-		"010700000000000000000000000000f83f000000000000d03f03020901687474703a2f2f612f626869"
+	const want = "56ff9e781100000024000000687474703a2f2f672e6578616d706c652f" +
+		"020700000000000000000000000000f83f000000000000d03f030207020001612f626869"
 	if fmt.Sprintf("%x", got) != want {
 		t.Fatalf("frame bytes\n got %x\nwant %s", got, want)
 	}

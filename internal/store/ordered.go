@@ -135,16 +135,24 @@ func (k *sortedKeys) Scan(fn func(PageRecord) bool) error {
 // a Compact under the scan is harmless (every read resolves its key
 // afresh) and a Close ends it with ErrClosed.
 func (k *sortedKeys) ScanFrom(after string, fn func(PageRecord) bool) error {
+	return scanFrom(k, after, k.get, func(_ string, rec PageRecord) bool { return fn(rec) })
+}
+
+// scanFrom is the loop behind every ordered scan, ScanFrom's guarantees
+// included: each key of k after the given one is read with read, on its
+// own and with the lock released, and handed to fn with what it read
+// until fn returns false; a key read as missing is skipped.
+func scanFrom[V any](k *sortedKeys, after string, read func(key string) (V, bool, error), fn func(key string, v V) bool) error {
 	keys, err := k.keysFrom(after)
 	if err != nil {
 		return err
 	}
 	for _, key := range keys {
-		rec, ok, err := k.get(key)
+		v, ok, err := read(key)
 		if err != nil {
 			return err
 		}
-		if ok && !fn(rec) {
+		if ok && !fn(key, v) {
 			return nil
 		}
 	}

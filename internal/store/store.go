@@ -9,6 +9,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 )
@@ -83,6 +84,16 @@ type Collection interface {
 	Close() error
 }
 
+// Value is one record in its encoded form: the URL it is keyed by and
+// its value bytes (AppendValue's layout). Mem and Disk also take and
+// hand out records this way (PutValues, GetValue, ScanValuesFrom), so a
+// store server can pass a client's bytes to its backend, and the
+// backend's bytes back, without decoding them.
+type Value struct {
+	URL   string
+	Bytes []byte
+}
+
 // The built-in backends implement the full interface (cluster's
 // RemoteStore collections assert the same in their own package).
 var (
@@ -120,9 +131,9 @@ func (s *Mem) PutBatch(recs []PageRecord) error {
 	if s.closed {
 		return ErrClosed
 	}
-	for _, rec := range recs {
-		if rec.URL == "" {
-			return errors.New("store: empty URL")
+	for i := range recs {
+		if err := checkRecord(&recs[i]); err != nil {
+			return err
 		}
 	}
 	for _, rec := range recs {
@@ -135,6 +146,22 @@ func (s *Mem) PutBatch(recs []PageRecord) error {
 	return nil
 }
 
+// PutValues is PutBatch for encoded records: every value is decoded
+// before any record is applied. Mem keeps records, not values, so each
+// is decoded from a copy — a decoded record aliases its bytes, and the
+// caller's are not kept.
+func (s *Mem) PutValues(vals []Value) error {
+	recs := make([]PageRecord, len(vals))
+	for i, v := range vals {
+		rec, err := DecodeValue(v.URL, bytes.Clone(v.Bytes))
+		if err != nil {
+			return err
+		}
+		recs[i] = rec
+	}
+	return s.PutBatch(recs)
+}
+
 // Get implements Collection.
 func (s *Mem) Get(url string) (PageRecord, bool, error) {
 	s.mu.RLock()
@@ -144,6 +171,26 @@ func (s *Mem) Get(url string) (PageRecord, bool, error) {
 	}
 	rec, ok := s.m[url]
 	return rec, ok, nil
+}
+
+// GetValue is Get returning the record encoded; the bytes are the
+// caller's.
+func (s *Mem) GetValue(url string) ([]byte, bool, error) {
+	rec, ok, err := s.Get(url)
+	if !ok {
+		return nil, false, err
+	}
+	return AppendValue(nil, &rec), true, nil
+}
+
+// ScanValuesFrom is ScanFrom over encoded records, each encoded into
+// one reused buffer: val is valid only until fn returns.
+func (s *Mem) ScanValuesFrom(after string, fn func(url string, val []byte) bool) error {
+	var buf []byte
+	return s.ScanFrom(after, func(rec PageRecord) bool {
+		buf = AppendValue(buf[:0], &rec)
+		return fn(rec.URL, buf)
+	})
 }
 
 // Delete implements Collection.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -50,6 +51,72 @@ func TestPutGetRoundTrip(t *testing.T) {
 				string(got.Content) != string(want.Content) ||
 				fmt.Sprint(got.Links) != fmt.Sprint(want.Links) {
 				t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestValueMethods: on both backends, records put as encoded values read
+// back as the records they encode, GetValue and ScanValuesFrom hand out
+// values that decode to what Get and ScanFrom return, and a batch with
+// one undecodable value is refused whole.
+func TestValueMethods(t *testing.T) {
+	for name, c := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			defer c.Close()
+			vc := c.(interface {
+				PutValues([]Value) error
+				GetValue(string) ([]byte, bool, error)
+				ScanValuesFrom(string, func(string, []byte) bool) error
+			})
+			var vals []Value
+			var want []PageRecord
+			buf := make([]byte, 0, 1<<10)
+			for i := 0; i < 12; i++ {
+				r := rec(fmt.Sprintf("http://s.com/p%02d", i), uint64(i))
+				r.Content = []byte(fmt.Sprintf("<p>%d</p>", i))
+				want = append(want, r)
+				start := len(buf)
+				buf = AppendValue(buf, &r)
+				vals = append(vals, Value{URL: r.URL, Bytes: buf[start:]})
+			}
+			if err := vc.PutValues(vals); err != nil {
+				t.Fatal(err)
+			}
+			clear(buf[:cap(buf)]) // the store keeps none of the caller's bytes
+			bad := []Value{{URL: "http://s.com/new", Bytes: vals[0].Bytes}, {URL: "http://s.com/bad", Bytes: []byte{recordTag, 1}}}
+			if err := vc.PutValues(bad); err == nil || c.Len() != len(want) {
+				t.Fatalf("a batch with a bad value: err %v, %d records after it, want an error and %d", err, c.Len(), len(want))
+			}
+			for _, w := range want {
+				got, ok, err := c.Get(w.URL)
+				val, vok, verr := vc.GetValue(w.URL)
+				dec, derr := DecodeValue(w.URL, val)
+				if err != nil || verr != nil || derr != nil || !ok || !vok || !sameRecord(got, w) || !sameRecord(dec, w) {
+					t.Fatalf("%s: Get %+v (%v), GetValue decodes to %+v (%v, %v)", w.URL, got, err, dec, verr, derr)
+				}
+			}
+			if _, ok, err := vc.GetValue("http://s.com/none"); ok || err != nil {
+				t.Fatalf("GetValue of a missing URL: ok=%v err=%v", ok, err)
+			}
+			var scanned []PageRecord
+			if err := vc.ScanValuesFrom(want[3].URL, func(url string, val []byte) bool {
+				r, err := DecodeValue(url, bytes.Clone(val)) // val is good only until fn returns
+				if err != nil {
+					t.Fatal(err)
+				}
+				scanned = append(scanned, r)
+				return len(scanned) < 5
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(scanned) != 5 {
+				t.Fatalf("scan from %s stopped after %d values, want 5", want[3].URL, len(scanned))
+			}
+			for i, r := range scanned {
+				if !sameRecord(r, want[4+i]) {
+					t.Fatalf("scan value %d decodes to %+v, want %+v", i, r, want[4+i])
+				}
 			}
 		})
 	}
