@@ -25,9 +25,12 @@ test:
 # oracle, and the store client's records, which alias their replies;
 # the segment log under the
 # collection and the disk frontier (pins across Compact, the handle
-# cap, concurrent appends and reads); and the topology resolver (one
+# cap, concurrent appends and reads); the topology resolver (one
 # membership read for both planes, every flag combination) with the
-# static-routing golden it must keep. The last line is not about
+# static-routing golden it must keep; and the invariance matrix, whose
+# kill, restart and join hooks fire from crawl worker goroutines while
+# the engine pipelines rounds, and whose migrations run at whichever
+# round boundary first sees the new membership. The last line is not about
 # timing: it is the revisit optimizer's bit-for-bit equivalence with
 # its reference, repeated because a crawl's digest hangs off it
 # (-short: 60 of the 240 random populations).
@@ -41,6 +44,7 @@ race:
 	$(GO) test -race -count=5 -run 'TestRoundRetryRepeeks|TestRoundReplyLostKeepsPopOrder|TestFlakyTransportKeepsRoundPopOrder|TestServerReadBuffersKeepNothing|TestRemoteRecordsOwnTheirBytes|TestRemoteDiskSegmentsMatchLocal' ./internal/cluster/
 	$(GO) test -race -count=5 ./internal/seglog/
 	$(GO) test -race -count=3 -run 'TestTopology|TestStaticRoutingGolden|TestParseTopology' ./internal/cluster/ ./internal/daemon/
+	$(GO) test -race -count=2 -run TestInvarianceMatrix ./internal/cluster/
 	$(GO) test -race -short -count=5 -run 'TestOptimalAllocationMatchesReference' ./internal/freshness/
 
 # Thirty seconds of fuzzing the optimizer's equivalence property, then
@@ -82,6 +86,9 @@ bench:
 		-benchmem -run '^$$' ./internal/cluster/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkFrame' -benchtime 2000x \
+		-benchmem -run '^$$' ./internal/cluster/ >> bench_engine.txt || \
+		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
+	$(GO) test -bench 'BenchmarkApplyRoundRemote' -benchtime 2000x \
 		-benchmem -run '^$$' ./internal/cluster/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkStoreDisk(Get|List50|PutBatch100)' -benchtime 2000x -cpu 2 \

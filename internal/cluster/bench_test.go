@@ -96,6 +96,54 @@ func BenchmarkPushRemote(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyRoundRemote is the perf ledger's wire round trip row:
+// one steady engine round per op as one opRound exchange per server —
+// 64 pops taken from the previous round's candidates, their 64
+// reschedules and a 64-candidate peek — over a 100,000-entry queue on 1
+// and 2 loopback shard servers, reporting the wire bytes of a round.
+func BenchmarkApplyRoundRemote(b *testing.B) {
+	const (
+		entries = 100_000
+		per     = 64
+	)
+	seed := make([]frontier.Entry, entries)
+	for i := range seed {
+		// Dues spread over a hundred days with the crawl's coarse
+		// priorities, over 270 sites.
+		seed[i] = frontier.Entry{
+			URL: fmt.Sprintf("http://site%03d.com/p%06d", i%270, i),
+			Due: float64(i*7919%entries) / 1000, Priority: float64(i % 3),
+		}
+	}
+	for _, servers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {
+			rs := loopbackCluster(b, servers, 16/servers)
+			rs.PushBatch(seed)
+			cands, _, _, _ := rs.ApplyRound(nil, nil, nil, per)
+			pops := make([]string, 0, per)
+			pushes := make([]frontier.Entry, 0, per)
+			in0, out0 := rs.WireBytes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pops, pushes = pops[:0], pushes[:0]
+				for _, e := range cands[:per] {
+					pops = append(pops, e.URL)
+					// Back to the queue's tail, as a steady crawl's revisit.
+					pushes = append(pushes, frontier.Entry{URL: e.URL, Due: e.Due + 100, Priority: e.Priority})
+				}
+				cands, _, _, _ = rs.ApplyRound(pops, nil, pushes, per)
+			}
+			b.StopTimer()
+			if err := rs.Err(); err != nil {
+				b.Fatal(err)
+			}
+			in, out := rs.WireBytes()
+			b.ReportMetric(float64(in-in0+out-out0)/float64(b.N), "wireB/round")
+		})
+	}
+}
+
 func reportTripsPerBatch(b *testing.B, rs *cluster.RemoteShards) {
 	if err := rs.Err(); err != nil {
 		b.Fatal(err)

@@ -949,8 +949,8 @@ func (rs *RemoteShards) Remove(url string) bool {
 		rs.fail(err)
 		return false
 	}
-	d := newDec(resp)
-	return d.bool() && d.finish() == nil
+	var ok bool
+	return rs.decodeReply(opRemove, resp, func(d *dec) { ok = d.bool() }) && ok
 }
 
 // Contains implements frontier.ShardSet.
@@ -966,15 +966,17 @@ func (rs *RemoteShards) Contains(url string) bool {
 		rs.fail(err)
 		return false
 	}
-	d := newDec(resp)
-	return d.bool() && d.finish() == nil
+	var ok bool
+	return rs.decodeReply(opContains, resp, func(d *dec) { ok = d.bool() }) && ok
 }
 
 // Len implements frontier.ShardSet.
 func (rs *RemoteShards) Len() int {
 	n := 0
 	for _, resp := range rs.fan(rs.t(), opLen, nil) {
-		n += int(newDec(resp).u32())
+		if !rs.decodeReply(opLen, resp, func(d *dec) { n += int(d.u32()) }) {
+			return 0
+		}
 	}
 	return n
 }
@@ -983,10 +985,7 @@ func (rs *RemoteShards) Len() int {
 func (rs *RemoteShards) URLs() []string {
 	var out []string
 	for _, resp := range rs.fan(rs.t(), opURLs, nil) {
-		d := newDec(resp)
-		out = append(out, decodeStrings(d, "")...)
-		if d.finish() != nil {
-			rs.fail(fmt.Errorf("cluster: bad URLs response"))
+		if !rs.decodeReply(opURLs, resp, func(d *dec) { out = append(out, decodeStrings(d, "")...) }) {
 			return nil
 		}
 	}
@@ -1040,11 +1039,29 @@ func (rs *RemoteShards) Reset() error {
 func (rs *RemoteShards) ShardLens() []int {
 	var out []int
 	for _, resp := range rs.fan(rs.t(), opStats, nil) {
-		d := newDec(resp)
-		n := int(d.u32())
-		for j := 0; j < n && d.finish() == nil; j++ {
-			out = append(out, int(d.u32()))
+		if !rs.decodeReply(opStats, resp, func(d *dec) {
+			n := int(d.u32())
+			for j := 0; j < n && d.finish() == nil; j++ {
+				out = append(out, int(d.u32()))
+			}
+		}) {
+			return nil
 		}
 	}
 	return out
+}
+
+// decodeReply runs read over one server's reply and records a reply
+// that does not decode as the sticky error (see Err), reporting whether
+// it decoded. Len, Remove, Contains, URLs and ShardLens, which cannot
+// return an error, decode through it, so a truncated or garbled reply
+// is never read as an empty queue, an absent URL or a short list.
+func (rs *RemoteShards) decodeReply(op byte, resp []byte, read func(d *dec)) bool {
+	d := newDec(resp)
+	read(d)
+	if err := d.finish(); err != nil {
+		rs.fail(fmt.Errorf("cluster: bad %s response: %w", opName(op), err))
+		return false
+	}
+	return true
 }

@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"reflect"
 	"testing"
 
 	"webevolve/internal/cluster"
@@ -105,71 +104,5 @@ func TestRemoteStoreMountReclaimsStaleGens(t *testing.T) {
 	}
 	if got, ok, err := check.Collection("pages").Get("http://keep.com/"); err != nil || !ok || got.Checksum != 1 {
 		t.Fatalf("unrelated collection disturbed: %+v ok=%v err=%v", got, ok, err)
-	}
-}
-
-// TestRemoteStoreCrawlInvariance extends the engine's determinism
-// contract to the repository: a simulated crawl whose collection pair
-// lives behind the store wire protocol — memory- or disk-backed, in
-// in-place or shadow update style — produces results bit-identical to
-// the same crawl with local in-memory collections.
-func TestRemoteStoreCrawlInvariance(t *testing.T) {
-	type outcome struct {
-		m    core.Metrics
-		recs []store.PageRecord
-		all  int
-	}
-	run := func(upd core.UpdateStyle, sh *store.Shadowed) outcome {
-		w, f := testWeb(t, 33)
-		cfg := baseConfig(w)
-		cfg.Workers = 4
-		cfg.Update = upd
-		if sh == nil {
-			sh = store.NewShadowedMem()
-		}
-		c, err := core.NewWithStore(cfg, f, sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RunUntil(12); err != nil {
-			t.Fatal(err)
-		}
-		var recs []store.PageRecord
-		if err := c.Collection().Scan(func(r store.PageRecord) bool {
-			recs = append(recs, r)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return outcome{m: c.Metrics(), recs: recs, all: c.AllUrls().Len()}
-	}
-	for _, upd := range []core.UpdateStyle{core.InPlace, core.Shadow} {
-		ref := run(upd, nil)
-		for _, backend := range []string{"mem", "disk"} {
-			dir := ""
-			if backend == "disk" {
-				dir = t.TempDir()
-			}
-			rs := loopbackStore(t, dir)
-			got := run(upd, remoteShadowed(t, rs))
-			if err := rs.Err(); err != nil {
-				t.Fatalf("%v/%s: store client error: %v", upd, backend, err)
-			}
-			if got.m != ref.m {
-				t.Fatalf("%v/%s: metrics diverge\nremote: %+v\nlocal:  %+v", upd, backend, got.m, ref.m)
-			}
-			if got.all != ref.all {
-				t.Fatalf("%v/%s: AllUrls %d vs %d", upd, backend, got.all, ref.all)
-			}
-			if len(got.recs) != len(ref.recs) {
-				t.Fatalf("%v/%s: collection %d vs %d records", upd, backend, len(got.recs), len(ref.recs))
-			}
-			for i := range got.recs {
-				if !reflect.DeepEqual(got.recs[i], ref.recs[i]) {
-					t.Fatalf("%v/%s: record %d diverges\nremote: %+v\nlocal:  %+v",
-						upd, backend, i, got.recs[i], ref.recs[i])
-				}
-			}
-		}
 	}
 }

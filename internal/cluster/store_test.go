@@ -378,10 +378,10 @@ func TestStoreServerRejectsBadNames(t *testing.T) {
 	}
 }
 
-// truncatingStore answers the store hello, then every request with
-// statusOK and the given body — a reply cut short, as a broken or
-// hostile server might send.
-func truncatingStore(body []byte) Dialer {
+// truncatingServer answers a shard or store hello with the given
+// reply, then every request with statusOK and body — a reply cut short,
+// as a broken or hostile server might send.
+func truncatingServer(hello, body []byte) Dialer {
 	return func() (net.Conn, error) {
 		cli, srv := net.Pipe()
 		go func() {
@@ -392,10 +392,8 @@ func truncatingStore(body []byte) Dialer {
 					return
 				}
 				resp := body
-				if op == opStoreHello {
-					var e enc
-					e.u32(storeHelloMagic).bool(true).fix64(1)
-					resp = e.b
+				if op == opHello || op == opStoreHello {
+					resp = hello
 				}
 				if _, err := writeFrame(srv, statusOK, resp); err != nil {
 					return
@@ -411,6 +409,8 @@ func truncatingStore(body []byte) Dialer {
 // cannot return one, and from a Get that would otherwise read as a
 // miss.
 func TestTruncatedStoreRepliesSurface(t *testing.T) {
+	var hello enc
+	hello.u32(storeHelloMagic).bool(true).fix64(1)
 	for name, tc := range map[string]struct {
 		body []byte
 		call func(c store.Collection) error
@@ -425,13 +425,42 @@ func TestTruncatedStoreRepliesSurface(t *testing.T) {
 			return c.Scan(func(store.PageRecord) bool { return true })
 		}},
 	} {
-		rs, err := DialStore(truncatingStore(tc.body), Options{})
+		rs, err := DialStore(truncatingServer(hello.b, tc.body), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		err = tc.call(rs.Collection("pages"))
 		if rs.Err() == nil {
 			t.Errorf("%s: Err() is nil after a truncated reply (call returned %v)", name, err)
+		}
+		rs.Close()
+	}
+}
+
+// TestTruncatedShardRepliesSurface is the frontier client's half: the
+// ShardSet methods return no error, so a reply they cannot decode must
+// be recorded for Err rather than read as an empty queue, an absent
+// URL or a short shard list.
+func TestTruncatedShardRepliesSurface(t *testing.T) {
+	var hello enc
+	hello.u32(8) // the server's shard count
+	for name, tc := range map[string]struct {
+		body []byte
+		call func(rs *RemoteShards)
+	}{
+		"len, empty reply":      {nil, func(rs *RemoteShards) { rs.Len() }},
+		"remove, empty reply":   {nil, func(rs *RemoteShards) { rs.Remove("http://a.com/") }},
+		"contains, empty reply": {nil, func(rs *RemoteShards) { rs.Contains("http://a.com/") }},
+		"urls, list cut short":  {[]byte{2}, func(rs *RemoteShards) { rs.URLs() }},
+		"shard lens, cut short": {[]byte{3, 1}, func(rs *RemoteShards) { rs.ShardLens() }},
+	} {
+		rs, err := Dial([]Dialer{truncatingServer(hello.b, tc.body)}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.call(rs)
+		if rs.Err() == nil {
+			t.Errorf("%s: Err() is nil after a truncated reply", name)
 		}
 		rs.Close()
 	}

@@ -5,138 +5,7 @@ import (
 	"time"
 
 	"webevolve/internal/fetch"
-	"webevolve/internal/frontier"
 )
-
-// TestWorkerCountInvariance is the engine's core contract: because jobs
-// are popped in global due-order, grouped per site shard, and applied in
-// pop order, the crawl over the deterministic simulator must produce
-// byte-identical state for any worker/shard/batch configuration.
-func TestWorkerCountInvariance(t *testing.T) {
-	type outcome struct {
-		m    Metrics
-		urls []string
-		all  int
-	}
-	run := func(workers, shards, batch int) outcome {
-		w, f := testWeb(t, 21)
-		cfg := baseConfig(w)
-		cfg.Workers = workers
-		cfg.Shards = shards
-		cfg.DispatchBatch = batch
-		c, err := New(cfg, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RunUntil(15); err != nil {
-			t.Fatal(err)
-		}
-		return outcome{m: c.Metrics(), urls: c.Collection().URLs(), all: c.AllUrls().Len()}
-	}
-	ref := run(1, 1, 1)
-	for _, v := range []struct{ workers, shards, batch int }{
-		{1, 16, 8},
-		{4, 8, 16},
-		{8, 32, 64},
-	} {
-		got := run(v.workers, v.shards, v.batch)
-		if got.m != ref.m {
-			t.Fatalf("workers=%d shards=%d batch=%d: metrics diverge\n%+v\n%+v",
-				v.workers, v.shards, v.batch, got.m, ref.m)
-		}
-		if got.all != ref.all {
-			t.Fatalf("workers=%d: AllUrls %d vs %d", v.workers, got.all, ref.all)
-		}
-		if len(got.urls) != len(ref.urls) {
-			t.Fatalf("workers=%d: collection %d vs %d", v.workers, len(got.urls), len(ref.urls))
-		}
-		for i := range got.urls {
-			if got.urls[i] != ref.urls[i] {
-				t.Fatalf("workers=%d: collection diverges at %d: %s vs %s",
-					v.workers, i, got.urls[i], ref.urls[i])
-			}
-		}
-	}
-}
-
-// TestWorkerCountInvarianceDiskTier repeats the invariance check with a
-// disk-backed frontier squeezed by a tiny resident budget: the spill
-// tier must not perturb the crawl by a single byte.
-func TestWorkerCountInvarianceDiskTier(t *testing.T) {
-	run := func(fr frontier.ShardSet) (Metrics, []string) {
-		w, f := testWeb(t, 21)
-		cfg := baseConfig(w)
-		cfg.Workers = 4
-		cfg.Shards = 8
-		cfg.DispatchBatch = 16
-		cfg.Frontier = fr
-		c, err := New(cfg, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RunUntil(15); err != nil {
-			t.Fatal(err)
-		}
-		return c.Metrics(), c.Collection().URLs()
-	}
-	rm, ru := run(nil)
-	fr, err := frontier.OpenSharded(frontier.StoreConfig{
-		Shards: 8, SpillDir: t.TempDir(), ResidentBudget: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fr.Close()
-	dm, du := run(fr)
-	if dm != rm {
-		t.Fatalf("disk-tier metrics diverge:\n%+v\n%+v", dm, rm)
-	}
-	if len(du) != len(ru) {
-		t.Fatalf("disk-tier collections diverge: %d vs %d", len(du), len(ru))
-	}
-	for i := range ru {
-		if du[i] != ru[i] {
-			t.Fatalf("disk-tier collection diverges at %d: %s vs %s", i, du[i], ru[i])
-		}
-	}
-	if fr.Tier().SpillBytes == 0 {
-		t.Fatal("disk tier never spilled — the test exercised nothing")
-	}
-}
-
-// TestWorkerCountInvarianceBatchMode repeats the invariance check for
-// the batch-mode loop (chunked drain of the cycle snapshot).
-func TestWorkerCountInvarianceBatchMode(t *testing.T) {
-	run := func(workers int) (Metrics, []string) {
-		w, f := testWeb(t, 22)
-		cfg := baseConfig(w)
-		cfg.Mode = Batch
-		cfg.Update = Shadow
-		cfg.Workers = workers
-		cfg.Shards = 8
-		c, err := New(cfg, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RunUntil(14); err != nil {
-			t.Fatal(err)
-		}
-		return c.Metrics(), c.Collection().URLs()
-	}
-	m1, u1 := run(1)
-	m8, u8 := run(8)
-	if m1 != m8 {
-		t.Fatalf("batch-mode metrics diverge:\n%+v\n%+v", m1, m8)
-	}
-	if len(u1) != len(u8) {
-		t.Fatalf("batch-mode collections diverge: %d vs %d", len(u1), len(u8))
-	}
-	for i := range u1 {
-		if u1[i] != u8[i] {
-			t.Fatalf("batch-mode collection diverges at %d", i)
-		}
-	}
-}
 
 // TestCrawlerConcurrentWorkersRace exists for the race detector: a
 // multi-worker crawl with a latency fetcher keeps several CrawlModules

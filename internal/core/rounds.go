@@ -25,8 +25,8 @@ import "webevolve/internal/frontier"
 // after the last entry it did return (the bound below). A pop is
 // served from the cache only while it orders at or before the bound;
 // past it, the cache refreshes. The pop sequence is therefore
-// bit-identical to in-process shards, which is what keeps
-// TestDistributedWorkerCountInvariance green with the pipeline on.
+// bit-identical to in-process shards, which is what keeps the remote
+// cells of cluster's TestInvarianceMatrix green with the pipeline on.
 //
 // The fast path requires a zero politeness gap (the engine's steady
 // rounds never claim shards, and candidate merging cannot see remote
