@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-smoke bench-check fmt vet smoke-cluster smoke-store smoke-serve smoke-tools ci
+.PHONY: build test race fuzz bench bench-smoke bench-check fmt vet loc smoke-cluster smoke-store smoke-serve smoke-tools ci
 
 build:
 	$(GO) build ./...
@@ -137,6 +137,15 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Go line counts, as ROADMAP and CHANGES quote them (wc -l over whole
+# files): production and test code outside bench/, then bench/ (the
+# benchmark's own module). Production outside bench/ is the budget to
+# shrink.
+loc:
+	@echo "production $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test       $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "bench      $$(find bench -name '*.go' | xargs cat | wc -l)"
 
 # Multi-process smoke: two shardd daemons on loopback, then a crawl
 # with -shard-servers whose output must be byte-identical to the local

@@ -117,7 +117,7 @@ func (e *engine) config(cfg core.Config) core.Config {
 func (e *engine) crawler(cfg core.Config, f fetch.Fetcher) (*core.Crawler, error) {
 	cfg = e.config(cfg)
 	var err error
-	e.rshards, e.rstore, err = e.topo.Dial(cluster.Options{PolitenessDays: cfg.ShardPolitenessDays})
+	e.rshards, e.rstore, err = e.topo.Dial(cluster.Options{})
 	if err != nil {
 		return nil, err
 	}

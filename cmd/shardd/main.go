@@ -50,7 +50,6 @@ import (
 func main() {
 	common := daemon.New("127.0.0.1:7070")
 	shards := flag.Int("shards", 16, "per-site frontier shards hosted by this server")
-	politeness := flag.Float64("politeness", 0, "default per-shard politeness gap in days (clients usually override at connect)")
 	walDir := flag.String("wal", "", "directory for the frontier write-ahead log; queued entries survive restarts (empty disables persistence)")
 	walCompactEvery := flag.Duration("wal-compact-every", time.Minute, "interval between WAL compactions (snapshot + log truncation; 0 disables periodic compaction)")
 	registryAddr := flag.String("registry", "", "registryd endpoint to register with (host:port); joins the dynamic cluster instead of being listed statically")
@@ -58,15 +57,14 @@ func main() {
 	frontierResident := flag.Int("frontier-resident", frontier.DefaultResidentBudget, "resident-entry budget for -frontier-dir: approximate cap on entries materialized in RAM across all shards")
 	flag.Parse()
 
-	if err := run(common, *shards, *politeness, *walDir, *walCompactEvery, *registryAddr, *frontierDir, *frontierResident); err != nil {
+	if err := run(common, *shards, *walDir, *walCompactEvery, *registryAddr, *frontierDir, *frontierResident); err != nil {
 		daemon.Fatal("shardd", err)
 	}
 }
 
-func run(common *daemon.Flags, shards int, politeness float64, walDir string, walCompactEvery time.Duration, registryAddr, frontierDir string, frontierResident int) error {
+func run(common *daemon.Flags, shards int, walDir string, walCompactEvery time.Duration, registryAddr, frontierDir string, frontierResident int) error {
 	q, err := frontier.OpenSharded(frontier.StoreConfig{
 		Shards:         shards,
-		Politeness:     politeness,
 		SpillDir:       frontierDir,
 		ResidentBudget: frontierResident,
 	})

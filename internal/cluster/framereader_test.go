@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -230,12 +231,12 @@ func TestServerReadBuffersKeepNothing(t *testing.T) {
 		}
 	}
 	for i := 0; ; i++ {
-		e, gerr := shardSrv.Shards().Pop()
-		w, werr := wantQueue.Pop()
-		if (gerr == nil) != (werr == nil) || gerr == nil && !sameEntry(e, w) {
-			t.Fatalf("pop %d: %+v (%v), want %+v (%v)", i, e, gerr, w, werr)
+		e, gok := shardSrv.Shards().PopDue(math.Inf(1))
+		w, wok := wantQueue.PopDue(math.Inf(1))
+		if gok != wok || gok && !sameEntry(e, w) {
+			t.Fatalf("pop %d: %+v (%v), want %+v (%v)", i, e, gok, w, wok)
 		}
-		if werr != nil {
+		if !wok {
 			break
 		}
 	}

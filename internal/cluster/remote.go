@@ -51,8 +51,8 @@ const (
 type Options struct {
 	// PolitenessDays, when >= 0, is applied to every shard server at
 	// connect time (the client owns the crawl policy). Negative leaves
-	// each server's own configuration in place. Store clients ignore
-	// it.
+	// each server's gap as it is: zero, or what its WAL restored. Store
+	// clients ignore it.
 	PolitenessDays float64
 
 	// t overrides the transport constants; only tests set it.
@@ -572,9 +572,6 @@ func (rs *RemoteShards) Close() error {
 	return nil
 }
 
-// NumServers returns the current epoch's cluster size.
-func (rs *RemoteShards) NumServers() int { return len(rs.t().servers) }
-
 // NumShards returns the total shard count across the current epoch's
 // servers.
 func (rs *RemoteShards) NumShards() int { return rs.t().total }
@@ -672,20 +669,21 @@ func (rs *RemoteShards) PushBatch(entries []frontier.Entry) {
 }
 
 // ApplyRound implements the crawl engine's batched round protocol
-// (core's frontierRounds fast path): the round's pops, drops and
-// reschedules are routed to their owning servers and shipped — along
-// with the request for the next pop candidates — as one opRound frame
-// per server, all servers in parallel. The per-server candidate lists
-// come back in queue order and are merged with the in-process
-// comparator; bound marks the merge's exactness limit (the earliest
-// last-entry among servers that truncated their lists — entries a
-// server did not return order strictly after its last returned one).
+// (core's frontierRounds, the engine's only way to its frontier): the
+// round's pops, drops and reschedules are routed to their owning
+// servers and shipped — along with the request for the next pop
+// candidates — as one opRound frame per server, all servers in
+// parallel. The per-server candidate lists come back in queue order and
+// are merged with the in-process comparator; bound marks the merge's
+// exactness limit (the earliest last-entry among servers that truncated
+// their lists — entries a server did not return order strictly after
+// its last returned one).
 //
-// ok is false only when the fast path is unavailable (non-zero
-// politeness gap), with nothing sent. Transport failures follow the
-// usual contract: retried with exactly-once dedup, then sticky via
-// Err(), with zero values returned — the engine winds down as if the
-// frontier drained.
+// ok is false only when this client set a non-zero politeness gap,
+// with nothing sent; the engine ends its run on that refusal. Transport
+// failures follow the usual contract: retried with exactly-once dedup,
+// then sticky via Err(), with zero values returned — the engine winds
+// down as if the frontier drained.
 func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Entry, peekMax int) (cands []frontier.Entry, bound frontier.Entry, boundOK, ok bool) {
 	if rs.politeness != 0 {
 		return nil, frontier.Entry{}, false, false

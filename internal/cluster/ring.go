@@ -172,15 +172,3 @@ func (r *Ring) Moved(next *Ring) []int {
 	}
 	return moved
 }
-
-// PartsOwnedBy returns the partitions owned by the member at index mi,
-// in ascending order.
-func (r *Ring) PartsOwnedBy(mi int) []int {
-	var parts []int
-	for p, o := range r.owner {
-		if o == mi {
-			parts = append(parts, p)
-		}
-	}
-	return parts
-}

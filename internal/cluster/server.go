@@ -100,14 +100,6 @@ func (s *connCore) Serve() error {
 	}
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (s *connCore) ListenAndServe(addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
 // Close stops the listener, closes every open connection, and waits for
 // their handlers to drain.
 func (s *connCore) Close() error {

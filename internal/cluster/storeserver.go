@@ -68,6 +68,9 @@ type StoreServer struct {
 // until fn returns. store.Mem and store.Disk are both StoreBackends.
 type StoreBackend interface {
 	store.Collection
+	// URLsFrom visits the URLs strictly after after, in order, until fn
+	// returns false.
+	URLsFrom(after string, fn func(string) bool)
 	PutValues(vals []store.Value) error
 	GetValue(url string) (val []byte, ok bool, err error)
 	ScanValuesFrom(after string, fn func(url string, val []byte) bool) error
@@ -349,28 +352,7 @@ func (s *StoreServer) handle(op byte, body []byte) (status byte, resp []byte) {
 			chunkBytes += 4 + len(u)
 			return true
 		}
-		// Resume by key when the backend offers it (both built-in ones
-		// do: a binary search in their ordered index) — no copy of the
-		// whole URL list per chunk.
-		if uf, ok := c.(interface {
-			URLsFrom(after string, fn func(string) bool)
-		}); ok {
-			uf.URLsFrom(after, collect)
-		} else {
-			urls := c.URLs()
-			start := 0
-			if after != "" {
-				start = sort.SearchStrings(urls, after)
-				if start < len(urls) && urls[start] == after {
-					start++
-				}
-			}
-			for _, u := range urls[start:] {
-				if !collect(u) {
-					break
-				}
-			}
-		}
+		c.URLsFrom(after, collect)
 		// Front-code against the resume cursor: both sides know `after`,
 		// and the chunk's sorted URLs usually share its site prefix.
 		encodeStrings(&e, after, chunk)

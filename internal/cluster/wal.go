@@ -450,10 +450,3 @@ func (s *ShardServer) CloseWAL() error {
 	s.wal = nil
 	return err
 }
-
-// WALOpen reports whether frontier persistence is enabled.
-func (s *ShardServer) WALOpen() bool {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	return s.wal != nil
-}

@@ -186,11 +186,6 @@ type Config struct {
 	// the worker pool; it also sizes the batched store writes and
 	// change-frequency updates. Default 4*Workers (at least 8).
 	DispatchBatch int
-	// ShardPolitenessDays spaces consecutive fetches from one shard by
-	// this many virtual days. Zero (the default) disables the gap:
-	// per-page revisit intervals already space same-site revisits in
-	// simulation; wall-clock crawls layer HTTP politeness on top.
-	ShardPolitenessDays float64
 	// StoreContent keeps page bodies in the collection (off for large
 	// simulations).
 	StoreContent bool
@@ -279,9 +274,6 @@ func (c Config) Validate() error {
 	}
 	if c.DispatchBatch < 1 {
 		return errors.New("core: dispatch batch must be >= 1")
-	}
-	if c.ShardPolitenessDays < 0 {
-		return errors.New("core: negative shard politeness")
 	}
 	return nil
 }

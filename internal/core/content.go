@@ -175,6 +175,9 @@ func (st *contentStage) stop() error {
 // pending pops are shipped and the candidate cache dropped (rounds.go),
 // and the content stage is idle.
 func (c *Crawler) quiesce() error {
-	c.rounds.flush()
-	return c.content.wait()
+	ferr := c.rounds.flush()
+	if err := c.content.wait(); err != nil {
+		return err
+	}
+	return ferr
 }

@@ -113,14 +113,14 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 	}
 	coll := cfg.Frontier
 	if coll == nil {
-		coll = frontier.NewShardedPolite(cfg.Shards, cfg.ShardPolitenessDays)
+		coll = frontier.NewSharded(cfg.Shards)
 	}
 	c := &Crawler{
 		cfg:        cfg,
 		fetcher:    f,
 		all:        frontier.NewAllUrls(),
 		coll:       coll,
-		rounds:     newFrontierRounds(coll, cfg.DispatchBatch, cfg.ShardPolitenessDays),
+		rounds:     newFrontierRounds(coll, cfg.DispatchBatch),
 		shadowed:   sh,
 		graph:      webgraph.New(),
 		policy:     policy,
@@ -138,7 +138,10 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 		c.all.Add(s, 0)
 		c.admit(s, 0)
 	}
-	c.coll.PushBatch(c.admits) // admit only stages the pushes
+	// admit only stages the pushes; the seeds ship as the first round.
+	if err := c.rounds.commitRound(nil, c.admits, false); err != nil {
+		return nil, err
+	}
 	c.admits = c.admits[:0]
 	return c, nil
 }
@@ -147,15 +150,17 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 // frontier nor its collection pair, which belong to the caller.
 func (c *Crawler) Close() error { return nil }
 
-// maybeRebalance lets a registry-backed remote frontier adopt a new
-// membership epoch — driving a live shard migration when one is
-// pending — and is a no-op for every other frontier. It runs only at
-// quiescent round boundaries: no dispatch rounds in flight and no pops
-// buffered in the round adapter, so every frontier entry is either on
-// a shard server (and migrates intact) or already consumed. The call
-// is rate-limited inside the client, so the engines invoke it every
-// loop iteration.
-func (c *Crawler) maybeRebalance() error {
+// roundBoundary runs at the top of every engine loop iteration, a
+// quiescent round boundary: no dispatch rounds in flight and no pops
+// buffered in the round adapter. It ends the run on the adapter's
+// sticky error (rounds.go), then lets a registry-backed remote frontier
+// adopt a new membership epoch, driving a live shard migration when one
+// is pending (rate-limited inside the client): every frontier entry is
+// on a shard server, and migrates intact, or already consumed.
+func (c *Crawler) roundBoundary() error {
+	if c.rounds.err != nil {
+		return c.rounds.err
+	}
 	rb, ok := c.coll.(interface{ Rebalance() error })
 	if !ok {
 		return nil
@@ -248,7 +253,9 @@ func (c *Crawler) RunUntil(until float64) error {
 	// depth rounds of them) are consumed without a reschedule either
 	// way. An errored crawl is not resumable bit-identically; the
 	// guarantee here is only local/remote consistency.
-	c.rounds.flush()
+	if ferr := c.rounds.flush(); err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return err
 	}
@@ -262,7 +269,7 @@ func (c *Crawler) RunUntil(until float64) error {
 func (c *Crawler) runSteady(until float64) error {
 	perFetch := 1 / c.cfg.PagesPerDay
 	for c.day < until {
-		if err := c.maybeRebalance(); err != nil {
+		if err := c.roundBoundary(); err != nil {
 			return err
 		}
 		if c.day >= c.nextRank {
@@ -317,7 +324,7 @@ func (c *Crawler) runSteady(until float64) error {
 // with the shadow swap happening only when the crawl truly completes.
 func (c *Crawler) runBatch(until float64) error {
 	for c.day < until {
-		if err := c.maybeRebalance(); err != nil {
+		if err := c.roundBoundary(); err != nil {
 			return err
 		}
 		if len(c.batchQueue) == 0 {

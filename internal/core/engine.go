@@ -440,10 +440,10 @@ func (c *Crawler) applySchedule(r *roundState) error {
 	// steady loop pops from the frontier, so only it needs the commit
 	// to return fresh pop candidates.
 	pushStart := time.Now()
-	c.rounds.commitRound(c.removes, c.pushes, c.cfg.Mode != Batch)
+	err := c.rounds.commitRound(c.removes, c.pushes, c.cfg.Mode != Batch)
 	phasePush.Observe(time.Since(pushStart).Seconds())
 	obs.DefaultTrace.Span("push", r.id, len(c.pushes), pushStart)
-	return nil
+	return err
 }
 
 // dropSchedule is the frontier/estimator half of dropping a vanished

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 
 	"webevolve/internal/pagerank"
 	"webevolve/internal/simweb"
@@ -189,10 +188,4 @@ func (e *Evaluator) TimeAveragedFreshness(r Runner, endDay, warmupDays float64, 
 type Sample struct {
 	Day   float64
 	Value float64
-}
-
-// SortSamples orders samples by day (in place) and returns them.
-func SortSamples(s []Sample) []Sample {
-	sort.Slice(s, func(i, j int) bool { return s[i].Day < s[j].Day })
-	return s
 }

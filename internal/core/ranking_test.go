@@ -31,9 +31,9 @@ func TestHysteresisPreventsThrash(t *testing.T) {
 	}
 }
 
-// TestRefinementShipsAsRounds: New queues the seeds as one batch, and
+// TestRefinementShipsAsRounds: New queues the seeds as one round, and
 // the ranking passes' admissions and evictions reach the frontier only
-// inside round commits — never as a Push or Remove per URL.
+// inside round commits — never as a per-entry push, remove or pop.
 func TestRefinementShipsAsRounds(t *testing.T) {
 	w, f := testWeb(t, 50)
 	servers := []*cluster.ShardServer{
@@ -63,8 +63,8 @@ func TestRefinementShipsAsRounds(t *testing.T) {
 	if m.Evictions == 0 || m.Admissions <= int64(len(cfg.Seeds)) {
 		t.Fatalf("%d admissions, %d evictions: the test exercises no refinement", m.Admissions, m.Evictions)
 	}
-	if cr.perURL != 0 {
-		t.Fatalf("%d per-URL pushes and removes beside the rounds", cr.perURL)
+	if cr.perEntry != 0 {
+		t.Fatalf("%d per-entry frontier calls beside the rounds", cr.perEntry)
 	}
 }
 

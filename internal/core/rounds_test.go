@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,10 +12,10 @@ import (
 )
 
 // countingRounds counts the round exchanges a remote frontier serves,
-// and the per-URL Push and Remove calls made beside them.
+// and the per-entry pops, pushes and removes made beside them.
 type countingRounds struct {
 	*cluster.RemoteShards
-	calls, perURL int
+	calls, perEntry int
 }
 
 func (c *countingRounds) ApplyRound(pops, removes []string, pushes []frontier.Entry, peekMax int) ([]frontier.Entry, frontier.Entry, bool, bool) {
@@ -23,13 +24,28 @@ func (c *countingRounds) ApplyRound(pops, removes []string, pushes []frontier.En
 }
 
 func (c *countingRounds) Push(url string, due, priority float64) {
-	c.perURL++
+	c.perEntry++
 	c.RemoteShards.Push(url, due, priority)
 }
 
+func (c *countingRounds) PushBatch(entries []frontier.Entry) {
+	c.perEntry++
+	c.RemoteShards.PushBatch(entries)
+}
+
 func (c *countingRounds) Remove(url string) bool {
-	c.perURL++
+	c.perEntry++
 	return c.RemoteShards.Remove(url)
+}
+
+func (c *countingRounds) PopDue(now float64) (frontier.Entry, bool) {
+	c.perEntry++
+	return c.RemoteShards.PopDue(now)
+}
+
+func (c *countingRounds) NextEvent() (float64, bool) {
+	c.perEntry++
+	return c.RemoteShards.NextEvent()
 }
 
 // TestOneRoundOfCandidatesCoversARound: the crawler asks each server for
@@ -90,5 +106,70 @@ func TestOneRoundOfCandidatesCoversARound(t *testing.T) {
 		for _, s := range servers {
 			s.Close()
 		}
+	}
+}
+
+// TestRefusedRoundEndsTheRun: shard servers whose client set a
+// politeness gap refuse the round protocol, the engine's only way to
+// its frontier. The refusal must end the crawl with an error naming the
+// gap (from New, whose seed admission is the first round, or at the
+// latest from RunUntil), and no page may be fetched: the engine never
+// falls back to per-entry frontier calls.
+func TestRefusedRoundEndsTheRun(t *testing.T) {
+	w, f := testWeb(t, 24)
+	srv := cluster.NewShardServer(frontier.NewSharded(4))
+	defer srv.Close()
+	rs, err := cluster.Loopback([]*cluster.ShardServer{srv}, cluster.Options{PolitenessDays: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	cfg := baseConfig(w)
+	cfg.Frontier = rs
+	counted := &failingFetcher{inner: f, at: math.MaxInt64}
+	c, err := New(cfg, counted)
+	if err == nil {
+		err = c.RunUntil(8)
+	}
+	if !errors.Is(err, errRoundRefused) {
+		t.Fatalf("crawl over a polite frontier returned %v, want the round refusal", err)
+	}
+	if n := counted.n.Load(); n != 0 {
+		t.Fatalf("%d fetches over a refused frontier, want 0", n)
+	}
+}
+
+// overrunningFrontier breaks the round contract: every candidate list
+// it returns comes with a bound that orders before the list's head.
+type overrunningFrontier struct {
+	*frontier.Sharded
+}
+
+func (o overrunningFrontier) ApplyRound(pops, removes []string, pushes []frontier.Entry, peekMax int) ([]frontier.Entry, frontier.Entry, bool, bool) {
+	cands, bound, bounded, ok := o.Sharded.ApplyRound(pops, removes, pushes, peekMax)
+	if len(cands) > 0 {
+		bound, bounded = frontier.Entry{Due: cands[0].Due - 1}, true
+	}
+	return cands, bound, bounded, ok
+}
+
+// TestOverrunRoundEndsTheRun: a frontier whose fresh candidate prefix
+// has a head past its own bound cannot be popped in order. The engine
+// must end the crawl with errRoundOverrun before any fetch instead of
+// refreshing forever or popping out of order.
+func TestOverrunRoundEndsTheRun(t *testing.T) {
+	w, f := testWeb(t, 24)
+	cfg := baseConfig(w)
+	cfg.Frontier = overrunningFrontier{frontier.NewSharded(4)}
+	counted := &failingFetcher{inner: f, at: math.MaxInt64}
+	c, err := New(cfg, counted)
+	if err == nil {
+		err = c.RunUntil(8)
+	}
+	if !errors.Is(err, errRoundOverrun) {
+		t.Fatalf("crawl over an overrunning frontier returned %v, want the overrun error", err)
+	}
+	if n := counted.n.Load(); n != 0 {
+		t.Fatalf("%d fetches over an overrunning frontier, want 0", n)
 	}
 }

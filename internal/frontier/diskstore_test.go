@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -31,6 +32,21 @@ func openDiskSharded(t testing.TB, shards, budget int) *Sharded {
 
 func eqEnt(a, b Entry) bool {
 	return a.URL == b.URL && a.Due == b.Due && a.Priority == b.Priority
+}
+
+// entriesByURL collects the queue's entries through StreamEntries,
+// sorted by URL.
+func entriesByURL(t testing.TB, q *Sharded) []Entry {
+	t.Helper()
+	var out []Entry
+	if err := q.StreamEntries(64, func(chunk []Entry) error {
+		out = append(out, chunk...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
+	return out
 }
 
 // TestDiskTierMatchesMemTier drives an in-memory and a disk-backed
@@ -88,21 +104,21 @@ func TestDiskTierMatchesMemTier(t *testing.T) {
 				release()
 			}
 		case op == 8:
-			me, merr := mem.Pop()
-			de, derr := disk.Pop()
-			if (merr != nil) != (derr != nil) || (merr == nil && !eqEnt(me, de)) {
-				t.Fatalf("step %d: Pop: mem=%+v,%v disk=%+v,%v", step, me, merr, de, derr)
+			me, mok := roundPop(mem)
+			de, dok := roundPop(disk)
+			if mok != dok || (mok && !eqEnt(me, de)) {
+				t.Fatalf("step %d: round pop: mem=%+v,%v disk=%+v,%v", step, me, mok, de, dok)
 			}
 		case op == 9:
 			n := rng.Intn(25)
-			mp, mc := mem.PeekN(n)
-			dp, dc := disk.PeekN(n)
-			if mc != dc || len(mp) != len(dp) {
-				t.Fatalf("step %d: PeekN(%d): mem %d,%v disk %d,%v", step, n, len(mp), mc, len(dp), dc)
+			mp, _, mb, _ := mem.ApplyRound(nil, nil, nil, n)
+			dp, _, db, _ := disk.ApplyRound(nil, nil, nil, n)
+			if mb != db || len(mp) != len(dp) {
+				t.Fatalf("step %d: peek %d: mem %d,%v disk %d,%v", step, n, len(mp), mb, len(dp), db)
 			}
 			for i := range mp {
 				if !eqEnt(mp[i], dp[i]) {
-					t.Fatalf("step %d: PeekN(%d)[%d]: mem=%+v disk=%+v", step, n, i, mp[i], dp[i])
+					t.Fatalf("step %d: peek %d [%d]: mem=%+v disk=%+v", step, n, i, mp[i], dp[i])
 				}
 			}
 		case op == 10:
@@ -126,12 +142,12 @@ func TestDiskTierMatchesMemTier(t *testing.T) {
 	}
 	// Drain both completely; the full pop sequences must match.
 	for {
-		me, merr := mem.Pop()
-		de, derr := disk.Pop()
-		if (merr != nil) != (derr != nil) {
-			t.Fatalf("drain: mem err=%v disk err=%v", merr, derr)
+		me, mok := mem.PopDue(math.Inf(1))
+		de, dok := disk.PopDue(math.Inf(1))
+		if mok != dok {
+			t.Fatalf("drain: mem ok=%v disk ok=%v", mok, dok)
 		}
-		if merr != nil {
+		if !mok {
 			break
 		}
 		if !eqEnt(me, de) {
@@ -164,9 +180,9 @@ func TestDiskTierResidentBudget(t *testing.T) {
 	}
 	var prev Entry
 	for i := 0; i < n; i++ {
-		e, err := q.Pop()
-		if err != nil {
-			t.Fatalf("pop %d: %v", i, err)
+		e, ok := roundPop(q)
+		if !ok {
+			t.Fatalf("pop %d: queue drained", i)
 		}
 		if i > 0 && entryBefore(e, prev) {
 			t.Fatalf("pop %d out of order: %+v after %+v", i, e, prev)
@@ -201,11 +217,11 @@ func TestDiskTierReopenRecoversEntries(t *testing.T) {
 		q.Remove(urlOn(i%29, i))
 	}
 	for i := 0; i < 50; i++ { // pops (tombstone the head)
-		if _, err := q.Pop(); err != nil {
-			t.Fatal(err)
+		if _, ok := roundPop(q); !ok {
+			t.Fatal("queue drained")
 		}
 	}
-	want := q.Snapshot().Entries
+	want := entriesByURL(t, q)
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +231,7 @@ func TestDiskTierReopenRecoversEntries(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer r.Close()
-	got := r.Snapshot().Entries
+	got := entriesByURL(t, r)
 	if len(got) != len(want) {
 		t.Fatalf("reopen recovered %d entries, want %d", len(got), len(want))
 	}
@@ -227,9 +243,9 @@ func TestDiskTierReopenRecoversEntries(t *testing.T) {
 	// Pop order after recovery must match the order the entries dictate.
 	sort.Slice(want, func(i, j int) bool { return entryBefore(want[i], want[j]) })
 	for i, w := range want {
-		e, err := r.Pop()
-		if err != nil {
-			t.Fatalf("pop %d after reopen: %v", i, err)
+		e, ok := roundPop(r)
+		if !ok {
+			t.Fatalf("pop %d after reopen: queue drained", i)
 		}
 		if !eqEnt(e, w) {
 			t.Fatalf("pop %d after reopen: got %+v want %+v", i, e, w)
@@ -331,9 +347,9 @@ func TestDiskTierCorruptRecordTruncatesSuffix(t *testing.T) {
 		t.Fatalf("recovered %d entries, want %d", r.Len(), keep)
 	}
 	for i := 0; i < keep; i++ {
-		e, err := r.Pop()
-		if err != nil {
-			t.Fatal(err)
+		e, ok := roundPop(r)
+		if !ok {
+			t.Fatalf("pop %d: queue drained", i)
 		}
 		if want := urlOn(0, i); e.URL != want || e.Due != float64(i) {
 			t.Fatalf("pop %d: got %+v, want %s due %d", i, e, want, i)
@@ -478,9 +494,9 @@ func TestDiskTierCompaction(t *testing.T) {
 	}
 	// Reads go through the rewritten offsets.
 	for i := 0; i < 10; i++ {
-		e, err := q.Pop()
-		if err != nil {
-			t.Fatal(err)
+		e, ok := roundPop(q)
+		if !ok {
+			t.Fatalf("pop %d: queue drained", i)
 		}
 		if want := url(writes - live + i); e.URL != want || e.Due != float64(writes-live+i) {
 			t.Fatalf("pop %d after compaction: got %+v, want %s", i, e, want)
@@ -501,8 +517,7 @@ func TestDiskTierCompaction(t *testing.T) {
 
 // TestExtractPartitionsLimitChunks verifies the chunked migration
 // export: looping ExtractPartitionsLimit with a cursor must hand over
-// exactly what one unbounded ExtractPartitions call does, on both
-// storage tiers.
+// exactly what one unbounded call does, on both storage tiers.
 func TestExtractPartitionsLimitChunks(t *testing.T) {
 	const parts = 64
 	fill := func(q *Sharded) {
@@ -516,7 +531,7 @@ func TestExtractPartitionsLimitChunks(t *testing.T) {
 	}
 	whole := NewSharded(4)
 	fill(whole)
-	want := whole.ExtractPartitions(parts, set)
+	want, _ := whole.ExtractPartitionsLimit(parts, set, "", 0)
 
 	for _, tier := range []string{"mem", "disk"} {
 		q := NewSharded(4)
@@ -566,8 +581,10 @@ func TestStreamEntriesCoversQueue(t *testing.T) {
 		if tier == "disk" {
 			q = openDiskSharded(t, 4, 8)
 		}
+		var want []Entry
 		for i := 0; i < 200; i++ {
 			q.Push(urlOn(i%23, i), float64(i%9), float64(i%3))
+			want = append(want, Entry{URL: urlOn(i%23, i), Due: float64(i % 9), Priority: float64(i % 3)})
 		}
 		var got []Entry
 		err := q.StreamEntries(7, func(chunk []Entry) error {
@@ -578,7 +595,7 @@ func TestStreamEntriesCoversQueue(t *testing.T) {
 			t.Fatalf("%s: StreamEntries: %v", tier, err)
 		}
 		sort.Slice(got, func(i, j int) bool { return got[i].URL < got[j].URL })
-		want := q.Snapshot().Entries
+		sort.Slice(want, func(i, j int) bool { return want[i].URL < want[j].URL })
 		if len(got) != len(want) {
 			t.Fatalf("%s: streamed %d entries, want %d", tier, len(got), len(want))
 		}

@@ -14,7 +14,6 @@
 package frontier
 
 import (
-	"errors"
 	"sort"
 	"sync"
 )
@@ -190,9 +189,6 @@ type Entry struct {
 	Priority float64
 	index    int
 }
-
-// ErrEmpty reports a pop from an empty queue.
-var ErrEmpty = errors.New("frontier: queue empty")
 
 // entryHeap orders by Due ascending, then Priority descending, then URL.
 type entryHeap []*Entry

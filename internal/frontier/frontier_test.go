@@ -88,9 +88,9 @@ func TestQueuePopOrder(t *testing.T) {
 	q.Push("http://c.com/", 3, 0)
 	var order []string
 	for q.Len() > 0 {
-		e, err := q.Pop()
-		if err != nil {
-			t.Fatal(err)
+		e, ok := roundPop(q)
+		if !ok {
+			t.Fatal("queue drained early")
 		}
 		order = append(order, e.URL)
 	}
@@ -106,7 +106,7 @@ func TestQueueTieBreaks(t *testing.T) {
 	q := NewSharded(1)
 	q.Push("http://low.com/", 1, 0.1)
 	q.Push("http://high.com/", 1, 0.9)
-	e, _ := q.Pop()
+	e, _ := roundPop(q)
 	if e.URL != "http://high.com/" {
 		t.Fatalf("priority tie-break failed: %v", e.URL)
 	}
@@ -114,7 +114,7 @@ func TestQueueTieBreaks(t *testing.T) {
 	q = NewSharded(1)
 	q.Push("http://b.com/", 2, 0)
 	q.Push("http://a.com/", 2, 0)
-	e, _ = q.Pop()
+	e, _ = roundPop(q)
 	if e.URL != "http://a.com/" {
 		t.Fatalf("URL tie-break failed: %v", e.URL)
 	}
@@ -127,7 +127,7 @@ func TestQueuePushReschedules(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("len %d after reschedule", q.Len())
 	}
-	e, _ := q.Pop()
+	e, _ := roundPop(q)
 	if e.Due != 1 || e.Priority != 0.5 {
 		t.Fatalf("entry %+v", e)
 	}
@@ -169,7 +169,7 @@ func TestQueuePeekAndRemove(t *testing.T) {
 	if q.Contains("http://a.com/") {
 		t.Fatal("removed URL still contained")
 	}
-	e, _ = q.Pop()
+	e, _ = roundPop(q)
 	if e.URL != "http://b.com/" {
 		t.Fatalf("heap broken after remove: %+v", e)
 	}
@@ -177,8 +177,8 @@ func TestQueuePeekAndRemove(t *testing.T) {
 
 func TestQueuePopEmpty(t *testing.T) {
 	q := NewSharded(1)
-	if _, err := q.Pop(); err != ErrEmpty {
-		t.Fatalf("pop empty: %v", err)
+	if e, ok := roundPop(q); ok {
+		t.Fatalf("pop empty: %+v", e)
 	}
 }
 
@@ -204,8 +204,8 @@ func TestHeapProperty(t *testing.T) {
 		}
 		var popped []float64
 		for q.Len() > 0 {
-			e, err := q.Pop()
-			if err != nil {
+			e, ok := roundPop(q)
+			if !ok {
 				return false
 			}
 			popped = append(popped, e.Due)

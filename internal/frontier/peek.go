@@ -1,6 +1,6 @@
 package frontier
 
-// peekWindow is the bounded k-way merge behind PeekN and ApplyRound: the
+// peekWindow is the bounded k-way merge behind ApplyRound: the
 // best n entries offered so far, held as a max-heap on pop order so the
 // current n-th entry — the cut-off any further entry must beat — is
 // best[0]. The shards are walked one at a time against one window, and

@@ -104,11 +104,14 @@ func peekAgainstModel(t *testing.T, q *Sharded, seed int64) {
 		} else if peekMax > 0 && len(cands) != len(all) {
 			t.Fatalf("seed %d round %d: no bound, but %d of %d entries returned", seed, round, len(cands), len(all))
 		}
+		// Rounds with nothing to apply are pure peeks; they reuse the
+		// buffer cands aliases.
+		cands = append([]Entry(nil), cands...)
 		for _, n := range peeks {
-			got, complete := q.PeekN(n)
-			prefix(fmt.Sprintf("PeekN(%d)", n), got, n, all)
-			if complete != (len(all) <= n) {
-				t.Fatalf("seed %d round %d: PeekN(%d) complete=%v over %d entries", seed, round, n, complete, len(all))
+			got, _, bounded, _ := q.ApplyRound(nil, nil, nil, n)
+			prefix(fmt.Sprintf("peek %d", n), got, n, all)
+			if bounded != (n > 0 && len(all) > n) {
+				t.Fatalf("seed %d round %d: peek %d bounded=%v over %d entries", seed, round, n, bounded, len(all))
 			}
 		}
 		// The next round: consume a prefix of the candidates, reschedule
@@ -134,18 +137,19 @@ func peekAgainstModel(t *testing.T, q *Sharded, seed int64) {
 	}
 }
 
-// TestPeekNEmptyIsComplete: a negative n is clamped before completeness
-// is judged, so peeking an empty queue reports the (empty) whole.
-func TestPeekNEmptyIsComplete(t *testing.T) {
+// TestPeekEmptyIsUnbounded: a peek of an empty queue, or of none at
+// all (a negative peekMax is clamped to zero), returns no candidates
+// and no bound.
+func TestPeekEmptyIsUnbounded(t *testing.T) {
 	q := NewSharded(4)
 	for _, n := range []int{-1, 0, 3} {
-		if cands, complete := q.PeekN(n); len(cands) != 0 || !complete {
-			t.Fatalf("PeekN(%d) on an empty queue = %v, complete=%v", n, cands, complete)
+		if cands, _, bounded, ok := q.ApplyRound(nil, nil, nil, n); len(cands) != 0 || bounded || !ok {
+			t.Fatalf("peek %d on an empty queue = %v, bounded=%v, ok=%v", n, cands, bounded, ok)
 		}
 	}
 	q.Push(urlOn(1, 1), 0, 0)
-	if cands, complete := q.PeekN(-1); len(cands) != 0 || complete {
-		t.Fatalf("PeekN(-1) on a non-empty queue = %v, complete=%v", cands, complete)
+	if cands, _, bounded, _ := q.ApplyRound(nil, nil, nil, -1); len(cands) != 0 || bounded {
+		t.Fatalf("peek -1 on a non-empty queue = %v, bounded=%v", cands, bounded)
 	}
 }
 
@@ -187,8 +191,9 @@ func TestDiskTierResidentStaysWithinBudget(t *testing.T) {
 }
 
 // TestApplyRoundBesideConcurrentUse: one round driver (the protocol
-// allows one) shares the queue with goroutines pushing, removing and
-// peeking — the race detector's view of the reused round buffers.
+// allows one, whose candidates alias the reused round buffers) shares
+// the queue with goroutines pushing, removing and peeking at its head —
+// the race detector's view of those buffers.
 func TestApplyRoundBesideConcurrentUse(t *testing.T) {
 	q := NewSharded(8)
 	for i := 0; i < 500; i++ {
@@ -208,8 +213,8 @@ func TestApplyRoundBesideConcurrentUse(t *testing.T) {
 				}
 				u := urlOn(100+g, i%50)
 				q.Push(u, float64(i%7), 0)
-				if cands, _ := q.PeekN(8); !sort.SliceIsSorted(cands, func(a, b int) bool { return entryBefore(cands[a], cands[b]) }) {
-					t.Errorf("PeekN out of order: %+v", cands)
+				if _, ok := q.Peek(); !ok {
+					t.Errorf("Peek of a non-empty queue failed")
 					return
 				}
 				q.Remove(u)

@@ -23,11 +23,12 @@ import (
 //     shard exclusively while it fetches from it, so no two workers ever
 //     hit the same site at once.
 //
-//   - Pop order stays globally deterministic: PopDue and Pop always
-//     return the earliest-due entry across all ready shards in (due,
-//     priority, URL) order. With a zero politeness gap the pop sequence
-//     is that of one unpartitioned queue regardless of the shard count,
-//     which keeps simulated experiments reproducible.
+//   - Pop order stays globally deterministic: PopDue always returns
+//     the earliest-due entry across all ready shards in (due, priority,
+//     URL) order, and ApplyRound's candidates are that order's prefix.
+//     With a zero politeness gap the pop sequence is that of one
+//     unpartitioned queue regardless of the shard count, which keeps
+//     simulated experiments reproducible.
 //
 // Each shard's entries live behind a shardStore: fully in RAM by
 // default (NewSharded), or spilled to an append-only record log with
@@ -67,27 +68,28 @@ func NewSharded(n int) *Sharded {
 // NewShardedPolite returns a sharded queue whose shards refuse to yield
 // two entries less than minGap time units apart.
 func NewShardedPolite(n int, minGap float64) *Sharded {
-	q, err := OpenSharded(StoreConfig{Shards: n, Politeness: minGap})
+	q, err := OpenSharded(StoreConfig{Shards: n})
 	if err != nil {
 		// The in-memory tier cannot fail to open.
 		panic(err)
 	}
+	q.SetPoliteness(minGap)
 	return q
 }
 
 // OpenSharded returns a sharded queue with the storage tier the config
-// selects: in-memory when SpillDir is empty, disk-backed otherwise. A
-// disk-backed queue reopening an existing spill directory recovers the
-// entries its logs hold (politeness deadlines, claims and the gap are
-// not in the logs — the shardd WAL is the full-state durability plane);
-// it should be Closed when done.
+// selects: in-memory when SpillDir is empty, disk-backed otherwise. Its
+// politeness gap is zero until SetPoliteness (a shard server's clients
+// set it in their hello). A disk-backed queue reopening an existing
+// spill directory recovers the entries its logs hold (politeness
+// deadlines, claims and the gap are not in the logs — the shardd WAL is
+// the full-state durability plane); it should be Closed when done.
 func OpenSharded(cfg StoreConfig) (*Sharded, error) {
 	n := cfg.Shards
 	if n < 1 {
 		n = 1
 	}
 	q := &Sharded{shards: make([]*shard, n)}
-	q.SetPoliteness(cfg.Politeness)
 	if cfg.SpillDir == "" {
 		for i := range q.shards {
 			q.shards[i] = &shard{st: newMemStore()}
@@ -316,23 +318,6 @@ func (q *Sharded) PopDueMatch(now float64, url string, claim bool) (Entry, int, 
 	return got, sid, true
 }
 
-// PeekN returns the first n entries of the global pop order (due
-// ascending, then priority descending, then URL), without removing
-// anything and ignoring politeness deadlines and claims — the peek
-// half of the batched round protocol, which only runs with a zero
-// politeness gap and no claim users (see ApplyRound). complete reports
-// that the returned entries are the entire queue.
-func (q *Sharded) PeekN(n int) ([]Entry, bool) {
-	if n <= 0 {
-		return nil, q.Len() == 0
-	}
-	var r roundOps
-	r.group(q, nil, nil, nil)
-	r.win.reset(n)
-	total := q.applyAndPeek(&r)
-	return r.win.sorted(), total <= n
-}
-
 // roundOps is one ApplyRound's mutations grouped by shard, so a round
 // locks each shard once instead of once per URL, and the window its
 // peek fills. The buffers are reused from round to round.
@@ -462,33 +447,6 @@ func (q *Sharded) Release(shard int, nextReady float64) {
 	s.mu.Unlock()
 }
 
-// Pop removes and returns the globally earliest entry regardless of due
-// time, politeness, or claims.
-func (q *Sharded) Pop() (Entry, error) {
-	for {
-		best := -1
-		var bestE Entry
-		for i, s := range q.shards {
-			s.mu.Lock()
-			if e, ok := s.st.head(); ok && (best < 0 || entryBefore(e, bestE)) {
-				best, bestE = i, e
-			}
-			s.mu.Unlock()
-		}
-		if best < 0 {
-			return Entry{}, ErrEmpty
-		}
-		s := q.shards[best]
-		s.mu.Lock()
-		if e, ok := s.st.head(); ok && e.URL == bestE.URL {
-			got := s.st.popHead()
-			s.mu.Unlock()
-			return got, nil
-		}
-		s.mu.Unlock()
-	}
-}
-
 // Peek returns the globally earliest entry without removing it,
 // ignoring politeness and claims.
 func (q *Sharded) Peek() (Entry, bool) {
@@ -553,21 +511,13 @@ func (q *Sharded) ClearClaims() {
 	}
 }
 
-// ShardState is one shard's scheduling state in a State snapshot.
+// ShardState is one shard's scheduling state, as SnapshotMeta captures
+// it for the shard server's WAL snapshot.
 type ShardState struct {
 	// NextReady is the shard's politeness deadline.
 	NextReady float64
 	// Claimed marks the shard as exclusively held by a worker.
 	Claimed bool
-}
-
-// State is a point-in-time capture of a Sharded queue: the politeness
-// gap, every queued entry, and the per-shard scheduling state. It is
-// what a shard server persists so a frontier survives a restart.
-type State struct {
-	Politeness float64
-	Shards     []ShardState
-	Entries    []Entry
 }
 
 // SnapshotMeta captures the queue's scheduling state — the politeness
@@ -605,10 +555,9 @@ func (q *Sharded) SetShardStates(shards []ShardState) {
 // entries, holding at most one chunk in memory at a time — the WAL
 // writes multi-gigabyte snapshots through it without doubling RSS. The
 // chunk slice is reused between calls; emit must not retain it. Chunk
-// order is deterministic for a given operation history but not sorted;
-// consumers that need an order (Snapshot) sort what they collect.
+// order is deterministic for a given operation history but not sorted.
 // Shards are locked one at a time, so a caller needing a consistent cut
-// must pause mutations, exactly as with Snapshot.
+// must pause mutations (the shard server holds its WAL lock).
 func (q *Sharded) StreamEntries(chunk int, emit func([]Entry) error) error {
 	if chunk < 1 {
 		chunk = 1
@@ -636,33 +585,6 @@ func (q *Sharded) StreamEntries(chunk int, emit func([]Entry) error) error {
 	return nil
 }
 
-// Snapshot captures the queue's full state in memory. Prefer
-// SnapshotMeta + StreamEntries for large frontiers: this materializes
-// every entry. Shards are locked one at a time, so a caller that needs
-// a consistent cut must pause mutations (the shard server holds its WAL
-// lock across Snapshot).
-func (q *Sharded) Snapshot() State {
-	pol, shards := q.SnapshotMeta()
-	st := State{Politeness: pol, Shards: shards}
-	q.StreamEntries(4096, func(chunk []Entry) error {
-		st.Entries = append(st.Entries, chunk...)
-		return nil
-	})
-	// Deterministic snapshot bytes regardless of shard layout.
-	sort.Slice(st.Entries, func(i, j int) bool { return st.Entries[i].URL < st.Entries[j].URL })
-	return st
-}
-
-// Restore replaces the queue's state with a snapshot. Entries are
-// re-hashed into the current shard layout; the per-shard scheduling
-// state is applied only when the shard count matches the snapshot's.
-func (q *Sharded) Restore(st State) {
-	q.Reset()
-	q.SetPoliteness(st.Politeness)
-	q.PushBatch(st.Entries)
-	q.SetShardStates(st.Shards)
-}
-
 // urlMaxHeap is a max-heap of entries by URL — the top-k structure that
 // bounds ExtractPartitionsLimit's memory to the chunk it returns.
 type urlMaxHeap []Entry
@@ -679,24 +601,15 @@ func (h *urlMaxHeap) Pop() any {
 	return e
 }
 
-// ExtractPartitions removes and returns every queued entry whose site
-// hashes into one of the given ring partitions (HostShard over parts
-// buckets — the cluster ring's key fold, which is independent of this
-// queue's shard count). The result is sorted by URL, so the extraction
-// bytes are deterministic for a given queue state: the shard server
-// WAL-logs the operation and must re-produce it identically on replay.
-// Entries not in the partition set are untouched, as are politeness
-// deadlines and claims.
-func (q *Sharded) ExtractPartitions(parts int, set map[int]bool) []Entry {
-	out, _ := q.ExtractPartitionsLimit(parts, set, "", 0)
-	return out
-}
-
-// ExtractPartitionsLimit is ExtractPartitions bounded to the first
-// maxN matching entries in URL order strictly after the cursor (maxN
-// <= 0 means unbounded, empty cursor means from the start); more
-// reports that matching entries beyond the returned chunk remain. It
-// is the server half of the chunked migration export: a disk-tier
+// ExtractPartitionsLimit removes and returns the queued entries whose
+// site hashes into one of the given ring partitions (HostShard over
+// parts buckets — the cluster ring's key fold, which is independent of
+// this queue's shard count): the first maxN of them in URL order
+// strictly after the cursor (maxN <= 0 means unbounded, empty cursor
+// means from the start), sorted by URL; more reports that matching
+// entries beyond the returned chunk remain. Entries outside the
+// partition set are untouched, as are politeness deadlines and claims.
+// It is the server half of the chunked migration export: a disk-tier
 // frontier hands off its partitions chunk by chunk, never holding more
 // than maxN full entries in memory, and the result depends only on the
 // queue state and arguments — never on shard iteration order — so a

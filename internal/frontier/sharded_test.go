@@ -2,6 +2,7 @@ package frontier
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -11,6 +12,18 @@ import (
 // urlOn builds a URL on one of nHosts distinct hosts.
 func urlOn(host, page int) string {
 	return fmt.Sprintf("http://site%03d.com/p%05d", host, page)
+}
+
+// roundPop pops the queue's head regardless of due time the way the
+// crawl engine pops: one round peeks it, the next ships it as a pop.
+func roundPop(q *Sharded) (Entry, bool) {
+	cands, _, _, _ := q.ApplyRound(nil, nil, nil, 1)
+	if len(cands) == 0 {
+		return Entry{}, false
+	}
+	e := cands[0]
+	q.ApplyRound([]string{e.URL}, nil, nil, 0)
+	return e, true
 }
 
 func TestShardedSameHostSameShard(t *testing.T) {
@@ -103,7 +116,7 @@ func TestShardedMatchesUnpartitionedQueue(t *testing.T) {
 
 func TestShardedBasicOps(t *testing.T) {
 	q := NewSharded(4)
-	if _, err := q.Pop(); err == nil {
+	if _, ok := roundPop(q); ok {
 		t.Fatal("pop from empty queue succeeded")
 	}
 	q.Push(urlOn(1, 1), 5, 0)
@@ -125,9 +138,9 @@ func TestShardedBasicOps(t *testing.T) {
 	if !q.Remove(urlOn(3, 1)) || q.Remove(urlOn(3, 1)) {
 		t.Fatal("remove semantics wrong")
 	}
-	e, err := q.Pop()
-	if err != nil || e.URL != urlOn(2, 1) {
-		t.Fatalf("pop %+v, %v", e, err)
+	e, ok := roundPop(q)
+	if !ok || e.URL != urlOn(2, 1) {
+		t.Fatalf("pop %+v, %v", e, ok)
 	}
 	// Reschedule moves an entry.
 	q.Push(urlOn(1, 1), 1, 0)
@@ -316,9 +329,26 @@ func TestShardedPushBatch(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotRestore: a snapshot restored into an identical
-// layout must reproduce entries, politeness, per-shard deadlines, and
-// claims exactly.
+// streamRestore copies q into r the way a shard server's WAL snapshot
+// does: r is reset, takes q's politeness gap and streamed entries, then
+// q's per-shard scheduling state.
+func streamRestore(t *testing.T, q, r *Sharded) {
+	t.Helper()
+	politeness, states := q.SnapshotMeta()
+	r.Reset()
+	r.SetPoliteness(politeness)
+	if err := q.StreamEntries(7, func(chunk []Entry) error {
+		r.PushBatch(chunk)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r.SetShardStates(states)
+}
+
+// TestShardedSnapshotRestore: a streamed snapshot restored into an
+// identical layout must reproduce entries, politeness, per-shard
+// deadlines, and claims exactly.
 func TestShardedSnapshotRestore(t *testing.T) {
 	q := NewShardedPolite(4, 1.5)
 	for i := 0; i < 30; i++ {
@@ -331,9 +361,8 @@ func TestShardedSnapshotRestore(t *testing.T) {
 		t.Fatal("claim failed")
 	}
 
-	st := q.Snapshot()
 	r := NewSharded(4)
-	r.Restore(st)
+	streamRestore(t, q, r)
 
 	if r.Politeness() != q.Politeness() {
 		t.Fatalf("politeness %v vs %v", r.Politeness(), q.Politeness())
@@ -373,16 +402,19 @@ func TestShardedSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestShardedRestoreReshard: restoring into a different shard count
-// keeps every entry (re-hashed) and drops only per-shard state.
+// TestShardedRestoreReshard: restoring a streamed snapshot into a
+// different shard count keeps every entry (re-hashed) and drops only
+// per-shard state.
 func TestShardedRestoreReshard(t *testing.T) {
 	q := NewSharded(4)
 	for i := 0; i < 20; i++ {
 		q.Push(urlOn(i%5, i), float64(i), 0)
 	}
-	st := q.Snapshot()
+	if _, _, ok := q.ClaimDue(100); !ok { // sets a deadline and a claim
+		t.Fatal("claim failed")
+	}
 	r := NewSharded(16)
-	r.Restore(st)
+	streamRestore(t, q, r)
 	if r.Len() != q.Len() {
 		t.Fatalf("Len %d vs %d", r.Len(), q.Len())
 	}
@@ -390,6 +422,12 @@ func TestShardedRestoreReshard(t *testing.T) {
 	for i := range qu {
 		if qu[i] != ru[i] {
 			t.Fatalf("URLs diverge at %d", i)
+		}
+	}
+	_, states := r.SnapshotMeta()
+	for i, st := range states {
+		if st != (ShardState{}) {
+			t.Fatalf("shard %d kept state %+v across a re-shard", i, st)
 		}
 	}
 }
@@ -421,40 +459,37 @@ func TestShardedClearClaims(t *testing.T) {
 	}
 }
 
-// TestShardedPeekN: the candidate peek returns exactly the prefix a
-// sequence of unconstrained pops would produce, flags completeness,
-// and leaves the queue untouched.
-func TestShardedPeekN(t *testing.T) {
+// TestShardedRoundPeek: a round with no ops returns exactly the prefix
+// a sequence of unconstrained pops would produce, bounds it when it is
+// not the whole queue, and leaves the queue untouched.
+func TestShardedRoundPeek(t *testing.T) {
 	q := NewSharded(4)
 	const n = 40
 	for i := 0; i < n; i++ {
 		q.Push(urlOn(i%7, i), float64((i*5)%11), float64(i%3))
 	}
 	for _, k := range []int{1, 5, n - 1, n, n + 10} {
-		cands, complete := q.PeekN(k)
-		if wantComplete := k >= n; complete != wantComplete {
-			t.Fatalf("PeekN(%d): complete=%v, want %v", k, complete, wantComplete)
+		cands, _, bounded, _ := q.ApplyRound(nil, nil, nil, k)
+		if wantBounded := k < n; bounded != wantBounded {
+			t.Fatalf("peek %d: bounded=%v, want %v", k, bounded, wantBounded)
 		}
-		want := k
-		if want > n {
-			want = n
-		}
-		if len(cands) != want {
-			t.Fatalf("PeekN(%d) returned %d entries, want %d", k, len(cands), want)
+		if want := min(k, n); len(cands) != want {
+			t.Fatalf("peek %d returned %d entries, want %d", k, len(cands), want)
 		}
 		if q.Len() != n {
-			t.Fatalf("PeekN(%d) mutated the queue: Len=%d", k, q.Len())
+			t.Fatalf("peek %d mutated the queue: Len=%d", k, q.Len())
 		}
 	}
-	// The full peek must equal draining the queue by Pop.
-	cands, _ := q.PeekN(n)
+	// The full peek must equal draining the queue by PopDue.
+	cands, _, _, _ := q.ApplyRound(nil, nil, nil, n)
+	cands = append([]Entry(nil), cands...) // the pops' rounds reuse the buffer
 	for i := 0; i < n; i++ {
-		e, err := q.Pop()
-		if err != nil {
-			t.Fatal(err)
+		e, ok := q.PopDue(math.Inf(1))
+		if !ok {
+			t.Fatalf("pop %d: queue drained", i)
 		}
 		if e.URL != cands[i].URL || e.Due != cands[i].Due || e.Priority != cands[i].Priority {
-			t.Fatalf("PeekN[%d] = %+v, Pop yielded %+v", i, cands[i], e)
+			t.Fatalf("peek[%d] = %+v, PopDue yielded %+v", i, cands[i], e)
 		}
 	}
 }

@@ -10,6 +10,9 @@ import "hash/fnv"
 // and cmd/webcrawl run unchanged whether their shards are local or
 // distributed.
 //
+// core.Crawler mutates the queue only through ApplyRound; the per-entry
+// pop family serves cmd/webcrawl's claim dispatcher and its politeness.
+//
 // Methods deliberately carry no error returns: the in-process queue
 // cannot fail, and remote implementations absorb transport failures
 // into a sticky error surfaced out of band (cluster.RemoteShards.Err).
@@ -49,6 +52,11 @@ type ShardSet interface {
 	// NextEvent returns the earliest time any entry becomes poppable,
 	// accounting for politeness deadlines.
 	NextEvent() (float64, bool)
+	// ApplyRound applies one dispatch round's pops, removes and pushes
+	// and returns the next peekMax pop candidates (see
+	// Sharded.ApplyRound). ok is false, with nothing applied, when a
+	// politeness gap is configured.
+	ApplyRound(pops, removes []string, pushes []Entry, peekMax int) (cands []Entry, bound Entry, boundOK, ok bool)
 }
 
 // EntryBefore reports whether a pops before b under the queue order:

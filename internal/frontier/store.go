@@ -64,8 +64,6 @@ func (t TierStats) add(o TierStats) TierStats {
 type StoreConfig struct {
 	// Shards is the per-site shard count (minimum 1).
 	Shards int
-	// Politeness is the per-shard politeness gap (see NewShardedPolite).
-	Politeness float64
 	// SpillDir, when non-empty, selects the disk-backed tier: each
 	// shard appends its entries to a record log under this directory
 	// and keeps only a fingerprint index plus the due-soon head in RAM.
