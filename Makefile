@@ -48,6 +48,7 @@ race:
 	$(GO) test -race -short -count=5 -run 'TestOptimalAllocationMatchesReference' ./internal/freshness/
 
 # Thirty seconds of fuzzing the optimizer's equivalence property, then
+# fifteen of the change-rate MLE's against its full bisection, then
 # fifteen each on the cluster's frame reader and request handler (shard
 # and store servers): there is one wire decoder and no second version
 # to cross-check it, so arbitrary bytes must keep surfacing as errors,
@@ -61,6 +62,7 @@ race:
 # `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimalAllocation -fuzztime 30s ./internal/freshness/
+	$(GO) test -run '^$$' -fuzz FuzzEPIrregular -fuzztime 15s ./internal/changefreq/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzHandleBody -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzFrameSequence -fuzztime 15s ./internal/cluster/
@@ -78,6 +80,12 @@ bench:
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkOptimalAllocation' -benchtime 20x \
 		-benchmem -run '^$$' ./internal/freshness/ >> bench_engine.txt || \
+		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
+	$(GO) test -bench 'BenchmarkEPIrregular' -benchtime 20000x \
+		-benchmem -run '^$$' ./internal/changefreq/ >> bench_engine.txt || \
+		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
+	$(GO) test -bench 'BenchmarkSetLinks' -benchtime 200000x \
+		-benchmem -run '^$$' ./internal/webgraph/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkEncodeEntries' -benchtime 5x \
 		-benchmem -run '^$$' ./internal/cluster/ >> bench_engine.txt || \

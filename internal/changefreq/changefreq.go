@@ -204,39 +204,55 @@ func EP(h *History) (Estimate, error) {
 //
 // The incremental crawler's variable-frequency revisits produce exactly
 // such irregular histories.
+//
+// The rate is defined by a bisection on the sign of the computed score
+// dL/dr (score): bracket [1e-12, hi] with hi doubled from 1 while the
+// score is positive (up to 1e15), then halved to the float64 fixpoint.
+// Callers depend on that result to the bit — it becomes a revisit time,
+// which lands in stored records — but most steps never evaluate the
+// score: certify proves, once per call, two rates p < q with the
+// computed score's sign known at every rate outside them, and a step
+// whose midpoint is at or below p (at or above q) takes the branch that
+// sign dictates. Only the steps in between, and every step when no
+// proof was found, run the exact sum.
 func EPIrregular(h *History) (Estimate, error) {
+	est, _, err := epIrregular(h)
+	return est, err
+}
+
+// epIrregular is EPIrregular, also reporting how many times the
+// bisection evaluated the exact score.
+func epIrregular(h *History) (est Estimate, exactEvals int, err error) {
 	if h.n == 0 {
-		return Estimate{}, ErrNoHistory
+		return Estimate{}, 0, ErrNoHistory
 	}
 	if h.detected == 0 {
 		// MLE is r = 0; report the one-sided interval from Naive.
-		return Naive(h)
+		est, err = Naive(h)
+		return est, 0, err
 	}
-	allChanged := h.detected == h.n
-	// dL/dr = sum_changed dt*exp(-r dt)/(1-exp(-r dt)) - sum_unchanged dt.
-	deriv := func(r float64) float64 {
-		var d float64
-		for i, dt := range h.intervals {
-			if dt <= 0 {
-				continue
-			}
-			if h.changed[i] {
-				e := math.Exp(-r * dt)
-				d += dt * e / (1 - e)
-			} else {
-				d -= dt
-			}
-		}
-		return d
-	}
-	var rate float64
-	if allChanged {
+	if h.detected == h.n {
 		// Likelihood increases without bound; fall back to the
 		// bias-reduced regular-interval form on the mean interval.
-		return EP(h)
+		est, err = EP(h)
+		return est, 0, err
+	}
+	p, q := 0.0, math.Inf(1)
+	if ep, err := EP(h); err == nil {
+		p, q = h.certify(ep.Rate)
+	}
+	positive := func(r float64) bool {
+		switch {
+		case r <= p:
+			return true
+		case r >= q:
+			return false
+		}
+		exactEvals++
+		return h.score(r) > 0
 	}
 	lo, hi := 1e-12, 1.0
-	for deriv(hi) > 0 {
+	for positive(hi) {
 		hi *= 2
 		if hi > 1e15 {
 			break
@@ -246,10 +262,10 @@ func EPIrregular(h *History) (Estimate, error) {
 	// end (mid has rounded onto the end it replaces) would repeat
 	// unchanged forever, so stopping there returns the same bits as
 	// running out the 200-iteration cap — after about 52 + log2(hi/rate)
-	// iterations, each of which costs an Exp per changed interval.
+	// iterations.
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
-		if deriv(mid) > 0 {
+		if positive(mid) {
 			if mid == lo {
 				break
 			}
@@ -261,7 +277,7 @@ func EPIrregular(h *History) (Estimate, error) {
 			hi = mid
 		}
 	}
-	rate = (lo + hi) / 2
+	rate := (lo + hi) / 2
 	pLo, pHi := wilson(h.detected, h.n, 1.96)
 	iMean := h.Span() / float64(h.n)
 	ciLo := -math.Log(1-pLo) / iMean
@@ -269,7 +285,176 @@ func EPIrregular(h *History) (Estimate, error) {
 	if pHi < 1 {
 		ciHi = -math.Log(1-pHi) / iMean
 	}
-	return Estimate{Rate: rate, Lo: ciLo, Hi: ciHi, Samples: h.n, Detected: h.detected}, nil
+	return Estimate{Rate: rate, Lo: ciLo, Hi: ciHi, Samples: h.n, Detected: h.detected}, exactEvals, nil
+}
+
+// score is the computed dL/dr at r,
+//
+//	sum_changed dt*exp(-r dt)/(1-exp(-r dt)) - sum_unchanged dt,
+//
+// summed in interval order. Its sign at each bisection step defines
+// EPIrregular's result, so these operations, in this order, are part of
+// the definition.
+func (h *History) score(r float64) float64 {
+	var d float64
+	for i, dt := range h.intervals {
+		if dt <= 0 {
+			continue
+		}
+		if h.changed[i] {
+			e := math.Exp(-r * dt)
+			d += dt * e / (1 - e)
+		} else {
+			d -= dt
+		}
+	}
+	return d
+}
+
+// expSlack and expTiny bound, with room to spare, how far math.Exp(-x)
+// can lie from e^-x: a relative error of a few ulp (internal/freshness
+// measured 1.6; 2^-47 covers two errors of 8 ulp each and a rounding)
+// plus an absolute 2^-1060 for results in the subnormal range, where no
+// relative bound holds.
+const (
+	expSlack = 0x1p-47
+	expTiny  = 0x1p-1060
+)
+
+// scoreBound is score evaluated with every exp(-r*dt) moved to the edge
+// of its error band: down for a lower bound, up for an upper one. The
+// result bounds score at every r' <= r (lower) or r' >= r (upper),
+// assuming nothing of math.Exp beyond its accuracy — in particular not
+// that it is monotone:
+//
+//   - float multiplication rounds monotonically, so r' <= r gives
+//     fl(r'*dt) <= fl(r*dt) = x, and the true e^-x is decreasing, so
+//     score's exp at r' is at least e^-x less its error, which is at
+//     least Exp(-x)*(1-expSlack) - expTiny;
+//   - score combines its exps with correctly rounded operations, each
+//     monotone in each operand — dt*e rises with e, 1-e falls, the
+//     quotient rises with its numerator and falls with its positive
+//     denominator, and each addition to the running sum rises with
+//     both — so replacing every exp by a smaller one can only lower the
+//     computed sum, operation by operation, rounding included.
+//
+// The upper bound mirrors this. Where the band reaches 1, so that 1-e
+// may be zero or negative, no bound of this form holds and scoreBound
+// returns -Inf (lower) or +Inf (upper), which certifies nothing.
+func (h *History) scoreBound(r float64, upper bool) float64 {
+	var d float64
+	for i, dt := range h.intervals {
+		if dt <= 0 {
+			continue
+		}
+		if !h.changed[i] {
+			d -= dt
+			continue
+		}
+		e := math.Exp(-r * dt)
+		if upper {
+			e = e*(1+expSlack) + expTiny
+			if !(e < 1) {
+				return math.Inf(1)
+			}
+		} else {
+			e = math.Max(0, e*(1-expSlack)-expTiny)
+			if !(e < 1) {
+				return math.Inf(-1)
+			}
+		}
+		d += dt * e / (1 - e)
+	}
+	return d
+}
+
+// certify returns rates p < q such that score > 0 at every r <= p and
+// score <= 0 at every r >= q, with p = 0 or q = +Inf for a side it
+// could not prove. It finds the root of the true score by Newton's
+// method from r0 and proves the ends of a bracket root*(1 -+ w) around
+// it. The narrower the bracket, the fewer steps are left to the exact
+// score, but its ends must clear the noise scoreBound has to allow
+// for: the exp error band, which moves a changed term t by expSlack
+// times t/(1-e) = t*(1+t/dt), and the sum's rounding, of order n ulp of
+// its terms' magnitudes. Newton's last pass estimates both, so the
+// first width tried is twice the one that noise predicts; a side that
+// fails is retried 16 times wider, up to 2^-20.
+func (h *History) certify(r0 float64) (p, q float64) {
+	p, q = 0, math.Inf(1)
+	root, slope, noise, ok := h.newtonRoot(r0)
+	if !ok {
+		return p, q
+	}
+	for w := math.Max(2*noise/(root*-slope), 0x1p-50); w <= 0x1p-20 && (p == 0 || math.IsInf(q, 1)); w *= 16 {
+		if c := root * (1 - w); p == 0 && h.scoreBound(c, false) > 0 {
+			p = c
+		}
+		if c := root * (1 + w); math.IsInf(q, 1) && h.scoreBound(c, true) <= 0 {
+			q = c
+		}
+	}
+	return p, q
+}
+
+// newtonRoot solves score(r) = 0 for the true (not the computed) score
+// by Newton's method from r0, safeguarded by bisection on the bracket
+// its own evaluations establish. With m = exp(r*dt) - 1 and t = dt/m, a
+// changed interval contributes t to the score and -t*(t+dt) to its
+// derivative, written so that neither overflows as m grows. (math.Expm1
+// would be more accurate for small r*dt, but it made a pass about three
+// times as costly as one of score's; the cancellation in m moves the
+// root by a few ulp over r*dt, well inside the expSlack band certify
+// allows for.) The score is convex and decreasing, so the steps shrink
+// quadratically near the root; it returns the step after one under
+// 2^-26 of r, whose error is then of order 2^-52 of r, with the score's
+// slope there and certify's noise estimate. ok is false without
+// convergence.
+func (h *History) newtonRoot(r0 float64) (root, slope, noise float64, ok bool) {
+	r := r0
+	lo, hi := 0.0, math.Inf(1)
+	for i := 0; i < 64; i++ {
+		if !(r > 0) || math.IsInf(r, 1) {
+			return 0, 0, 0, false
+		}
+		var d, dd, band, mag float64
+		for k, dt := range h.intervals {
+			if dt <= 0 {
+				continue
+			}
+			if !h.changed[k] {
+				d -= dt
+				mag += dt
+				continue
+			}
+			t := dt / (math.Exp(r*dt) - 1)
+			d += t
+			dd -= t * (t + dt)
+			band += t * (1 + t/dt)
+			mag += t
+		}
+		noise = expSlack*band + float64(len(h.intervals))*mag*0x1p-53
+		switch {
+		case d > 0:
+			lo = r
+		case d < 0:
+			hi = r
+		default:
+			return r, dd, noise, true
+		}
+		step := d / dd
+		next := r - step
+		if !(next > lo && next < hi) { // also a NaN step
+			if math.IsInf(hi, 1) {
+				next = 2 * r
+			} else {
+				next = (lo + hi) / 2
+			}
+		} else if math.Abs(step) <= r*0x1p-26 {
+			return next, dd, noise, true
+		}
+		r = next
+	}
+	return 0, 0, 0, false
 }
 
 // wilson returns the Wilson score interval for k successes in n trials.

@@ -68,7 +68,7 @@ type Crawler struct {
 
 	// Dispatch-pipeline state: the worker pool and the content stage
 	// (both alive for the duration of one RunUntil) and the reusable
-	// round/apply scratch buffers. recs belongs to the content
+	// round/apply scratch buffers. recs and added belong to the content
 	// goroutine, pushes and removes to the engine's.
 	pool      *dispatchPool
 	content   *contentStage
@@ -76,6 +76,7 @@ type Crawler struct {
 	pushes    []frontier.Entry
 	removes   []string
 	recs      []store.PageRecord
+	added     []string // extendLinks' links new to a page
 	// admits and evicts stage the ranking pass's frontier changes, which
 	// it commits as one round (ranking.go).
 	admits []frontier.Entry

@@ -517,19 +517,32 @@ func (c *Crawler) applyContent(rounds []*roundState) error {
 
 			// Figure 11 steps [11]-[12]: extract URLs, extend AllUrls; also
 			// feed the link structure the RankingModule scans. A revisit
-			// with an unchanged checksum has byte-identical content and
-			// therefore identical links, all already in the graph and in
-			// AllUrls from its last visit — skip the re-walk (and its
-			// allocations) entirely.
+			// with an unchanged checksum is skipped: its links are taken
+			// to be the ones already in the graph and AllUrls. That is
+			// the premise of a checksum over the whole body, not a fact
+			// of every source: simweb's checksum hashes only the page's
+			// URL and version, while its links follow the site's current
+			// window, so such a revisit can carry links the graph never
+			// sees until the page next changes.
 			if j.changed || !j.seen {
-				c.graph.SetLinks(j.url, j.res.Links)
-				for _, l := range j.res.Links {
-					c.all.AddLink(j.url, l, j.day)
-				}
+				c.added = extendLinks(c.graph, c.all, j.url, j.res.Links, j.day, c.added)
 			}
 		}
 	}
 	return c.storeRecs(pending)
+}
+
+// extendLinks makes links the page's out-set in the graph and extends
+// AllUrls by the links that entered it, returning buf's storage for
+// reuse. AllUrls needs no more: it never forgets a URL or a (from, to)
+// pair, and every link in a page's out-set went through AddLink when it
+// entered, so AddLink on a link that stayed would change nothing.
+func extendLinks(g *webgraph.Graph, all *frontier.AllUrls, url string, links []string, day float64, buf []string) []string {
+	buf = g.SetLinks(url, links, buf[:0])
+	for _, l := range buf {
+		all.AddLink(url, l, day)
+	}
+	return buf
 }
 
 // storeRecs writes the records the last rounds gathered, if any, in one

@@ -3,6 +3,7 @@ package simweb
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -490,4 +491,39 @@ func TestDomainOfMatchesWebgraph(t *testing.T) {
 			t.Fatalf("domain mismatch for %s", s.Host())
 		}
 	}
+}
+
+// TestLinksChangeAtConstantVersion pins that a page's checksum does not
+// cover its links: the checksum hashes the URL and version, while the
+// links (and the body that embeds them) follow the current occupants of
+// the linked slots, so churn elsewhere in the site rewrites a page
+// whose version stands still. A crawler that skips link extraction on
+// an unchanged checksum therefore misses these links until the page
+// next changes.
+func TestLinksChangeAtConstantVersion(t *testing.T) {
+	w := small(t, 3)
+	for _, s := range w.Sites() {
+		root := s.RootURL()
+		prev, err := w.Fetch(root, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for day := 1.0; day <= 120; day++ {
+			snap, err := w.Fetch(root, day)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Version == prev.Version && !slices.Equal(snap.Links, prev.Links) {
+				if snap.Checksum != prev.Checksum {
+					t.Fatalf("%s days %v-%v: checksum moved at constant version %d", root, day-1, day, snap.Version)
+				}
+				if snap.HTML == prev.HTML {
+					t.Fatalf("%s days %v-%v: links changed but the body did not", root, day-1, day)
+				}
+				return
+			}
+			prev = snap
+		}
+	}
+	t.Fatal("no page changed its links at a constant version")
 }

@@ -7,6 +7,7 @@ package webgraph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -58,22 +59,70 @@ func (g *Graph) AddLink(from, to PageID) {
 	g.mu.Unlock()
 }
 
-// SetLinks replaces the out-links of a page with the given set. The
-// crawler calls this when a page's new version is fetched: old links are
-// dropped, new ones inserted.
-func (g *Graph) SetLinks(from PageID, tos []PageID) {
+// SetLinks replaces the out-links of a page with the given set and
+// appends to added, in input order, each link that was not already an
+// out-link (once, however often tos repeats it). The crawler calls this
+// when a page's new version is fetched. It applies the difference: links
+// in both sets are left alone, only links that left are deleted and
+// only new ones inserted, so a revisit that changed nothing costs one
+// lookup per link.
+func (g *Graph) SetLinks(from PageID, tos, added []PageID) []PageID {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.ensure(from)
-	for old := range g.out[from] {
-		delete(g.in[old], from)
-	}
-	g.out[from] = make(map[PageID]struct{}, len(tos))
+	out := g.out[from]
 	for _, to := range tos {
+		if _, ok := out[to]; ok {
+			continue
+		}
 		g.ensure(to)
-		g.out[from][to] = struct{}{}
+		out[to] = struct{}{}
 		g.in[to][from] = struct{}{}
+		added = append(added, to)
 	}
-	g.mu.Unlock()
+	// out is now the old set joined with the new one, which it equals
+	// exactly when no link left. A short list is searched in place, a
+	// long one through a set, so the cost stays linear in the links.
+	if len(tos) <= smallLinks {
+		if len(out) == len(tos) && !hasRepeat(tos) {
+			return added
+		}
+		for to := range out {
+			if !slices.Contains(tos, to) {
+				g.unlink(from, to)
+			}
+		}
+		return added
+	}
+	keep := make(map[PageID]struct{}, len(tos))
+	for _, to := range tos {
+		keep[to] = struct{}{}
+	}
+	if len(keep) < len(out) {
+		for to := range out {
+			if _, ok := keep[to]; !ok {
+				g.unlink(from, to)
+			}
+		}
+	}
+	return added
+}
+
+// smallLinks is the longest link list SetLinks searches in place.
+const smallLinks = 16
+
+func hasRepeat(s []PageID) bool {
+	for i := 1; i < len(s); i++ {
+		if slices.Contains(s[:i], s[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+func (g *Graph) unlink(from, to PageID) {
+	delete(g.out[from], to)
+	delete(g.in[to], from)
 }
 
 // RemovePage deletes a node and all incident edges.

@@ -2,6 +2,8 @@ package webgraph
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -40,7 +42,7 @@ func TestSetLinksReplaces(t *testing.T) {
 	g := New()
 	g.AddLink("p", "old1")
 	g.AddLink("p", "old2")
-	g.SetLinks("p", []string{"new1", "old2"})
+	g.SetLinks("p", []string{"new1", "old2"}, nil)
 	out := g.OutLinks("p")
 	if len(out) != 2 || out[0] != "new1" || out[1] != "old2" {
 		t.Fatalf("OutLinks = %v", out)
@@ -226,5 +228,109 @@ func TestPagesSorted(t *testing.T) {
 	got := g.Pages()
 	if fmt.Sprint(got) != "[a b c]" {
 		t.Fatalf("Pages() = %v", got)
+	}
+}
+
+// TestSetLinksMatchesModel runs random SetLinks/AddLink/RemovePage
+// sequences against a model (node set and edge set) and compares the
+// graph with one rebuilt from the model from scratch after every step:
+// the same pages, out-sets and in-sets, an added list that is exactly
+// the new links minus the old ones in input order, and Validate passing.
+// Link lists run from empty to past smallLinks, repeats included, so
+// both ways SetLinks finds departed links are exercised.
+func TestSetLinksMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	name := func() PageID { return fmt.Sprintf("n%02d", rng.Intn(40)) }
+	g := New()
+	nodes := map[PageID]bool{}
+	edges := map[[2]PageID]bool{}
+	var added []PageID
+	for step := 0; step < 1500; step++ {
+		from := name()
+		switch k := rng.Intn(10); {
+		case k < 7:
+			tos := make([]PageID, rng.Intn(2*smallLinks+4))
+			for i := range tos {
+				tos[i] = name()
+			}
+			var want []PageID
+			for _, to := range tos {
+				if !edges[[2]PageID{from, to}] && !slices.Contains(want, to) {
+					want = append(want, to)
+				}
+			}
+			for e := range edges {
+				if e[0] == from {
+					delete(edges, e)
+				}
+			}
+			nodes[from] = true
+			for _, to := range tos {
+				nodes[to] = true
+				edges[[2]PageID{from, to}] = true
+			}
+			added = g.SetLinks(from, tos, added[:0])
+			if !slices.Equal(added, want) {
+				t.Fatalf("step %d: SetLinks(%s, %v) added %v, want %v", step, from, tos, added, want)
+			}
+		case k < 9:
+			to := name()
+			nodes[from], nodes[to] = true, true
+			edges[[2]PageID{from, to}] = true
+			g.AddLink(from, to)
+		default:
+			delete(nodes, from)
+			for e := range edges {
+				if e[0] == from || e[1] == from {
+					delete(edges, e)
+				}
+			}
+			g.RemovePage(from)
+		}
+		ref := New()
+		for n := range nodes {
+			ref.AddPage(n)
+		}
+		for e := range edges {
+			ref.AddLink(e[0], e[1])
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if !slices.Equal(g.Pages(), ref.Pages()) {
+			t.Fatalf("step %d: pages %v, rebuilt %v", step, g.Pages(), ref.Pages())
+		}
+		for _, p := range ref.Pages() {
+			if !slices.Equal(g.OutLinks(p), ref.OutLinks(p)) || !slices.Equal(g.InLinks(p), ref.InLinks(p)) {
+				t.Fatalf("step %d: %s out %v in %v, rebuilt out %v in %v", step, p,
+					g.OutLinks(p), g.InLinks(p), ref.OutLinks(p), ref.InLinks(p))
+			}
+		}
+	}
+}
+
+// BenchmarkSetLinks re-links a 12-link page whose list alternates
+// between two versions that differ in 0, 1 or all 12 links.
+func BenchmarkSetLinks(b *testing.B) {
+	for _, changed := range []int{0, 1, 12} {
+		b.Run(fmt.Sprintf("changed=%d", changed), func(b *testing.B) {
+			var lists [2][]PageID
+			for i := 0; i < 12; i++ {
+				lists[0] = append(lists[0], fmt.Sprintf("http://site%d.com/page%d", i%3, i))
+				to := lists[0][i]
+				if i < changed {
+					to = fmt.Sprintf("http://site%d.com/other%d", i%3, i)
+				}
+				lists[1] = append(lists[1], to)
+			}
+			g := New()
+			g.SetLinks("http://site0.com/", lists[1], nil)
+			var added []PageID
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				added = g.SetLinks("http://site0.com/", lists[i%2], added[:0])
+			}
+		})
 	}
 }
