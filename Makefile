@@ -30,7 +30,12 @@ test:
 # static-routing golden it must keep; and the invariance matrix, whose
 # kill, restart and join hooks fire from crawl worker goroutines while
 # the engine pipelines rounds, and whose migrations run at whichever
-# round boundary first sees the new membership. The last line is not about
+# round boundary first sees the new membership; and webcrawl's two
+# live-HTTP tests, whose rounds fetch on a pool of workers against
+# httptest servers: the report and collection must match at 1 and 4
+# workers whatever order the fetches finish in, and the per-host
+# spacing is timed at the fetcher's transport, so both depend on
+# scheduling. The last line is not about
 # timing: it is the revisit optimizer's bit-for-bit equivalence with
 # its reference, repeated because a crawl's digest hangs off it
 # (-short: 60 of the 240 random populations).
@@ -45,6 +50,7 @@ race:
 	$(GO) test -race -count=5 ./internal/seglog/
 	$(GO) test -race -count=3 -run 'TestTopology|TestStaticRoutingGolden|TestParseTopology' ./internal/cluster/ ./internal/daemon/
 	$(GO) test -race -count=2 -run TestInvarianceMatrix ./internal/cluster/
+	$(GO) test -race -count=5 -run 'TestCrawlIdenticalAtAnyWorkerCount|TestPolitenessPerHost' ./cmd/webcrawl/
 	$(GO) test -race -short -count=5 -run 'TestOptimalAllocationMatchesReference' ./internal/freshness/
 
 # Thirty seconds of fuzzing the optimizer's equivalence property, then

@@ -4,7 +4,8 @@
 // restarts, checksum change detection, and EP-based revisit estimates.
 //
 // It is the live-web counterpart of the simulated experiments: the same
-// frontier, store and estimator code paths, driven by wall-clock time.
+// frontier round protocol, worker-pool dispatch, store and estimator
+// code paths, driven by wall-clock time.
 //
 // Usage:
 //
@@ -15,21 +16,27 @@
 // continues incrementally from the stored state (compare timestamps and
 // checksums across runs to watch change detection at work).
 //
-// The frontier is sharded per site: each worker claims a shard
-// exclusively while it fetches from it, so concurrent workers never hit
-// one host at once, and the politeness delay is enforced per shard (the
-// HTTP fetcher enforces it per host again, as a backstop).
+// A pass is a loop of rounds, like the simulated engine's: pop the URLs
+// due now (at most one round, and no more than the -pages budget left),
+// fetch them on the worker pool, fold the results in pop order, and
+// commit the round's pops, reschedules and discoveries to the frontier
+// in one exchange. The pool runs one site's URLs of a round on one
+// worker, one after another, and the HTTP fetcher spaces requests to
+// one host by -delay; so no host ever has two requests in flight, and
+// consecutive requests to it start at least -delay apart. What a pass
+// prints and stores does not depend on -workers.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"webevolve/internal/clock"
@@ -44,10 +51,11 @@ import (
 	"webevolve/internal/profiles"
 	"webevolve/internal/robots"
 	"webevolve/internal/store"
+	"webevolve/internal/webgraph"
 )
 
 func main() {
-	seeds := flag.String("seeds", "", "comma-separated seed URLs (required)")
+	seeds := flag.String("seeds", "", "comma-separated absolute http(s) seed URLs (required)")
 	dir := flag.String("dir", "crawl-data", "directory for the persistent collection")
 	maxPages := flag.Int("pages", 25, "maximum pages to fetch this run")
 	delay := flag.Duration("delay", 10*time.Second, "minimum delay between requests to one host")
@@ -67,8 +75,9 @@ func main() {
 	traceFile := flag.String("trace", "", "append JSONL trace events (fetch spans) to this file")
 	flag.Parse()
 
-	if *seeds == "" {
-		fmt.Fprintln(os.Stderr, "webcrawl: -seeds is required")
+	seedList, err := parseSeeds(*seeds)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "webcrawl:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -97,7 +106,7 @@ func main() {
 		obs.DefaultTrace.SetWriter(tf)
 	}
 	o := crawlOpts{
-		seeds:    strings.Split(*seeds, ","),
+		seeds:    seedList,
 		dir:      *dir,
 		maxPages: *maxPages,
 		delay:    *delay,
@@ -108,6 +117,7 @@ func main() {
 		shards:   *shards,
 		topo:     topo,
 		content:  *content,
+		out:      os.Stdout,
 	}
 	err = run(o)
 	stopProfiles()
@@ -118,8 +128,31 @@ func main() {
 	}
 }
 
+// parseSeeds splits the -seeds list into normalized seed URLs. Empty
+// entries (a trailing comma) are skipped; an entry that is not an
+// absolute http(s) URL with a host is refused, and so is a list with no
+// seed left.
+func parseSeeds(list string) ([]string, error) {
+	var seeds []string
+	for _, s := range strings.Split(list, ",") {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			continue
+		}
+		u, err := url.Parse(s)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("seed %q is not an absolute http(s) URL", s)
+		}
+		seeds = append(seeds, htmlparse.Normalize(s))
+	}
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("-seeds names no URL")
+	}
+	return seeds, nil
+}
+
 type crawlOpts struct {
-	seeds    []string
+	seeds    []string // normalized (parseSeeds)
 	dir      string
 	maxPages int
 	delay    time.Duration
@@ -136,18 +169,31 @@ type crawlOpts struct {
 	// crawlers would split histories and overwrite schedules. The
 	// collection is named "pages" on the server and persists there
 	// across runs, like the -dir store does locally. A registry is read
-	// at startup only: webcrawl's dispatcher holds politeness claims for
-	// its whole (short, -pages bounded) run, so there is no quiescent
-	// boundary to migrate at — the simulation engines follow membership
-	// live, webcrawl picks it up on the next run.
+	// at startup only, so webcrawl picks up a new membership on its next
+	// run. Nothing is held across a round boundary, so a pass could
+	// follow membership there as the simulated engine does; it does not.
 	topo cluster.Topology
 	// content stores fetched page bodies alongside the metadata, so the
 	// serving plane (webservd, storerd -serve) can return them.
 	content bool
+	// out receives the per-page report and the summary line.
+	out io.Writer
+	// client, when set, is the HTTP client the fetcher uses.
+	client *http.Client
 }
 
+// roundURLs is the most URLs one round pops. It does not depend on
+// -workers: round boundaries decide the due times of discoveries, and
+// with them the pop order, so a fixed size keeps a pass's output the
+// same at any worker count.
+const roundURLs = 64
+
+// rebuildChunk is the most queue entries one round of the rebuild
+// pushes.
+const rebuildChunk = 8192
+
 func run(o crawlOpts) error {
-	remote, storeRemote, err := o.topo.Dial(cluster.Options{PolitenessDays: clock.Days(o.delay)})
+	remote, storeRemote, err := o.topo.Dial(cluster.Options{})
 	if err != nil {
 		return err
 	}
@@ -175,55 +221,22 @@ func run(o crawlOpts) error {
 	if o.night {
 		pol.NightOnly, pol.NightStart, pol.NightEnd = true, 21, 6
 	}
-	f := &fetch.HTTPFetcher{Politeness: pol, Epoch: st.Epoch, UserAgent: o.agent}
-
-	// Rebuild the revisit queue: stored pages at their due times, seeds
-	// and never-crawled discoveries immediately. Shards carry the
-	// politeness delay, so claims from one site are spaced even before
-	// the HTTP fetcher's own per-host gate.
-	if o.shards < 1 {
-		o.shards = 1
+	c := &crawl{
+		opts:      o,
+		coll:      coll,
+		st:        st,
+		f:         &fetch.HTTPFetcher{Client: o.client, Politeness: pol, Epoch: st.Epoch, UserAgent: o.agent},
+		seedHosts: make(map[string]bool),
 	}
-	if o.workers < 1 {
-		o.workers = 1
-	}
-	var q frontier.ShardSet = frontier.NewShardedPolite(o.shards, clock.Days(o.delay))
+	var q frontier.ShardSet = frontier.NewSharded(o.shards)
 	if remote != nil {
 		q = remote
 	}
-	nowDay := clock.Days(time.Since(st.Epoch))
-	rebuild := make([]frontier.Entry, 0, len(st.Due))
-	for url, due := range st.Due {
-		rebuild = append(rebuild, frontier.Entry{URL: url, Due: due})
-	}
-	q.PushBatch(rebuild) // one frame per shard server instead of one per stored URL
-	for _, s := range o.seeds {
-		s = htmlparse.Normalize(strings.TrimSpace(s))
-		if !q.Contains(s) {
-			q.Push(s, nowDay, 1)
-			if _, ok := st.Due[s]; !ok {
-				// Record seeds in the due table too, so link discovery
-				// never mistakes a queued (or in-flight) seed for new.
-				st.Due[s] = nowDay
-			}
-		}
-	}
-
-	seedHosts := make(map[string]bool)
-	for _, s := range o.seeds {
-		if u := htmlparse.Normalize(strings.TrimSpace(s)); u != "" {
-			seedHosts[hostOf(u)] = true
-		}
-	}
-
-	c := &crawl{
-		opts: o, coll: coll, st: st, q: q, f: f, seedHosts: seedHosts,
-		pending: make(map[string]uint64),
-	}
-	c.loop()
-	fmt.Printf("fetched %d pages; collection holds %d\n", c.fetched.Load(), coll.Len())
-	if c.err != nil {
-		return c.err
+	c.rounds = frontier.NewRounds(q, roundURLs)
+	err = c.pass()
+	fmt.Fprintf(o.out, "fetched %d pages; collection holds %d\n", c.fetched, coll.Len())
+	if err != nil {
+		return err
 	}
 	if remote != nil {
 		if err := remote.Err(); err != nil {
@@ -238,231 +251,148 @@ func run(o crawlOpts) error {
 	return crawlstate.Save(filepath.Join(o.dir, "state.json"), st)
 }
 
-// crawl is one webcrawl run: core's unified dispatcher claiming due
-// shards and a pool of workers fetching them.
+// crawl is one webcrawl pass. Everything but the fetches runs on the
+// pass's goroutine.
 type crawl struct {
 	opts      crawlOpts
 	coll      store.Collection
 	st        *crawlstate.State
-	q         frontier.ShardSet
+	rounds    *frontier.Rounds
 	f         *fetch.HTTPFetcher
 	seedHosts map[string]bool
-
-	mu      sync.Mutex // guards st maps, batch, pending, first error, and stdout
-	err     error
-	fetched atomic.Int64
-
-	// batch buffers crawled records for one PutBatch write (like the
-	// sim engine's apply), instead of paying a store flush per page;
-	// pending keeps the buffered checksums visible to change detection
-	// until the batch lands on disk.
-	batch   []store.PageRecord
-	pending map[string]uint64
-}
-
-// flushEvery is the store write batch size.
-const flushEvery = 16
-
-// prevChecksum returns the last stored checksum for url, consulting
-// buffered-but-unflushed records before the collection.
-func (c *crawl) prevChecksum(url string) (uint64, bool, error) {
-	c.mu.Lock()
-	sum, ok := c.pending[url]
-	c.mu.Unlock()
-	if ok {
-		return sum, true, nil
-	}
-	prev, had, err := c.coll.Get(url)
-	if err != nil {
-		return 0, false, err
-	}
-	return prev.Checksum, had, nil
-}
-
-// flush writes the buffered records in one PutBatch. Safe from any
-// worker; each call drains whatever is buffered at that instant.
-func (c *crawl) flush() error {
-	c.mu.Lock()
-	batch := c.batch
-	c.batch = nil
-	c.mu.Unlock()
-	if len(batch) == 0 {
-		return nil
-	}
-	if err := c.coll.PutBatch(batch); err != nil {
-		c.recordErr(err)
-		return err
-	}
-	c.mu.Lock()
-	for _, rec := range batch {
-		// A newer fetch of the same URL may have re-buffered it; only
-		// clear entries this batch actually made durable.
-		if c.pending[rec.URL] == rec.Checksum {
-			delete(c.pending, rec.URL)
-		}
-	}
-	c.mu.Unlock()
-	return nil
+	fetched   int
 }
 
 func (c *crawl) nowDay() float64 { return clock.Days(time.Since(c.st.Epoch)) }
 
-func (c *crawl) recordErr(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
+// pass rebuilds the revisit queue — stored pages at their due times,
+// new seeds due now — as the first round, then crawls rounds until the
+// fetch budget is spent or nothing is due.
+func (c *crawl) pass() error {
+	now := c.nowDay()
+	queue := make([]frontier.Entry, 0, len(c.st.Due)+len(c.opts.seeds))
+	for u, due := range c.st.Due {
+		queue = append(queue, frontier.Entry{URL: u, Due: due})
 	}
-	c.mu.Unlock()
-}
-
-// loop dispatches due URLs to the worker pool until the fetch budget is
-// spent or nothing more is due, through core.DispatchClaims — the
-// claim mode of the worker pool the simulated engine runs on. Each
-// dispatched job holds its shard's claim, so one site is never fetched
-// by two workers at once.
-func (c *crawl) loop() {
-	err := core.DispatchClaims(core.ClaimDispatch{
-		Workers: c.opts.workers,
-		Coll:    c.q,
-		Now:     c.nowDay,
-		Work: func(url string) error {
-			return c.crawlOne(url)
-		},
-		Release: func(shard int) {
-			c.q.Release(shard, c.nowDay()+clock.Days(c.opts.delay))
-		},
-		Gate: func(_, inflight int64) bool {
-			// An errored fetch refunds budget, so the gate re-checks as
-			// fetches land rather than counting dispatches.
-			return int(c.fetched.Load()+inflight) < c.opts.maxPages
-		},
-		Idle: func(inflight int64, _ int) bool {
-			if inflight > 0 {
-				time.Sleep(10 * time.Millisecond)
-				return true
-			}
-			// Entries can be due but politeness-blocked; wait that out.
-			// With nothing due at all, the pass is over.
-			now := c.nowDay()
-			head, hok := c.q.Peek()
-			if !hok || head.Due > now {
-				return false
-			}
-			if ev, eok := c.q.NextEvent(); eok && ev > now {
-				time.Sleep(clock.FromDays(ev - now))
-				return true
-			}
-			time.Sleep(10 * time.Millisecond)
-			return true
-		},
-	})
-	if err != nil {
-		c.recordErr(err)
-	}
-	if err := c.flush(); err != nil { // the partial tail batch
-		c.recordErr(err)
-	}
-}
-
-// crawlOne fetches one URL and folds the result into the store, the
-// change histories, and the frontier. Per-URL fetch failures are
-// logged and refunded, not fatal; a returned error (store failure)
-// stops the whole crawl.
-func (c *crawl) crawlOne(url string) error {
-	res, err := c.f.Fetch(url, 0)
-	if err != nil {
-		c.mu.Lock()
-		fmt.Fprintf(os.Stderr, "  error %s: %v\n", url, err)
-		c.mu.Unlock()
-		return nil
-	}
-	c.fetched.Add(1)
-	if res.NotFound {
-		c.mu.Lock()
-		// Drop any buffered record so the flush cannot resurrect the
-		// vanished page after the delete below.
-		for i, rec := range c.batch {
-			if rec.URL == url {
-				c.batch = append(c.batch[:i], c.batch[i+1:]...)
-				break
-			}
+	for _, s := range c.opts.seeds {
+		c.seedHosts[webgraph.SiteOf(s)] = true
+		if _, ok := c.st.Due[s]; !ok {
+			// The due table holds every queued URL, so link discovery
+			// never mistakes a queued seed for a new page.
+			c.st.Due[s] = now
+			queue = append(queue, frontier.Entry{URL: s, Due: now, Priority: 1})
 		}
-		delete(c.pending, url)
-		fmt.Printf("  gone    %s\n", url)
-		delete(c.st.Due, url)
-		delete(c.st.Histories, url)
-		c.mu.Unlock()
-		_ = c.coll.Delete(url)
-		return nil
 	}
-	prevSum, had, err := c.prevChecksum(url)
-	if err != nil {
+	// Large due tables ship as several rounds, so no frame to a shard
+	// server grows with the table.
+	for len(queue) > rebuildChunk {
+		if err := c.rounds.Commit(nil, queue[:rebuildChunk], false); err != nil {
+			return err
+		}
+		queue = queue[rebuildChunk:]
+	}
+	if err := c.rounds.Commit(nil, queue, true); err != nil {
 		return err
 	}
-	changed := had && prevSum != res.Checksum
-	c.mu.Lock()
-	rec := store.PageRecord{
-		URL: url, Checksum: res.Checksum, FetchedAt: res.Day, Links: res.Links,
-	}
-	if c.opts.content {
-		rec.Content = res.Content
-	}
-	c.batch = append(c.batch, rec)
-	c.pending[url] = res.Checksum
-	full := len(c.batch) >= flushEvery
-	c.mu.Unlock()
-	if full {
-		// A store failure must stop the crawl: flush already dropped
-		// the batch, so continuing would silently lose every record
-		// buffered after it.
-		if err := c.flush(); err != nil {
+
+	var urls []string
+	results := make([]fetch.Result, roundURLs)
+	errs := make([]error, roundURLs)
+	for c.fetched < c.opts.maxPages {
+		now := c.nowDay()
+		urls = urls[:0]
+		for len(urls) < min(roundURLs, c.opts.maxPages-c.fetched) {
+			e, ok := c.rounds.PopDue(now)
+			if !ok {
+				break
+			}
+			urls = append(urls, e.URL)
+		}
+		if len(urls) == 0 {
+			break
+		}
+		// Per-URL fetch failures are reported and refunded, not fatal.
+		if err := core.DispatchRound(c.opts.workers, urls, func(i int) error {
+			results[i], errs[i] = c.f.Fetch(urls[i], 0)
+			return nil
+		}); err != nil {
+			return err
+		}
+		pushes, err := c.apply(urls, results, errs, now)
+		if err != nil {
+			return err
+		}
+		if err := c.rounds.Commit(nil, pushes, true); err != nil {
 			return err
 		}
 	}
-
-	c.mu.Lock()
-	c.st.Histories[url] = append(c.st.Histories[url], crawlstate.Obs{Day: res.Day, Changed: changed})
-	// Reschedule by the EP estimate: unknown pages weekly, known pages
-	// at half their estimated change interval, clamped.
-	interval := crawlstate.ReviseInterval(c.st.Histories[url])
-	due := res.Day + interval
-	c.st.Due[url] = due
-
-	status := "new    "
-	if had && changed {
-		status = "changed"
-	} else if had {
-		status = "same   "
-	}
-	fmt.Printf("  %s %s (%d links)\n", status, url, len(res.Links))
-
-	var discovered []string
-	for _, l := range res.Links {
-		l = htmlparse.Normalize(l)
-		if c.opts.sameSite && !c.seedHosts[hostOf(l)] {
-			continue
-		}
-		if _, ok := c.st.Due[l]; !ok && !c.q.Contains(l) {
-			c.st.Due[l] = res.Day
-			discovered = append(discovered, l)
-		}
-	}
-	c.mu.Unlock()
-
-	c.q.Push(url, due, 0)
-	for _, l := range discovered {
-		c.q.Push(l, res.Day, 0)
-	}
-	return nil
+	return c.rounds.Err() // a pop that found the frontier broken
 }
 
-func hostOf(u string) string {
-	s := u
-	if i := strings.Index(s, "://"); i >= 0 {
-		s = s[i+3:]
+// apply folds one fetched round into the collection, the change
+// histories and the due table, in pop order, and returns the round's
+// frontier pushes: each fetched page's reschedule by its EP estimate,
+// and each newly discovered URL due at now, the round's pop instant. A
+// store error ends the pass.
+func (c *crawl) apply(urls []string, results []fetch.Result, errs []error, now float64) ([]frontier.Entry, error) {
+	var recs []store.PageRecord
+	var pushes []frontier.Entry
+	for i, u := range urls {
+		res := results[i]
+		if errs[i] != nil {
+			fmt.Fprintf(os.Stderr, "  error %s: %v\n", u, errs[i])
+			continue
+		}
+		c.fetched++
+		if res.NotFound {
+			fmt.Fprintf(c.opts.out, "  gone    %s\n", u)
+			delete(c.st.Due, u)
+			delete(c.st.Histories, u)
+			if err := c.coll.Delete(u); err != nil {
+				return nil, fmt.Errorf("deleting %s: %w", u, err)
+			}
+			continue
+		}
+		prev, had, err := c.coll.Get(u)
+		if err != nil {
+			return nil, fmt.Errorf("reading %s: %w", u, err)
+		}
+		changed := had && prev.Checksum != res.Checksum
+		c.st.Histories[u] = append(c.st.Histories[u], crawlstate.Obs{Day: res.Day, Changed: changed})
+		// Reschedule by the EP estimate: unknown pages weekly, known
+		// pages at half their estimated change interval, clamped.
+		due := res.Day + crawlstate.ReviseInterval(c.st.Histories[u])
+		c.st.Due[u] = due
+		pushes = append(pushes, frontier.Entry{URL: u, Due: due})
+
+		status := "new    "
+		if had && changed {
+			status = "changed"
+		} else if had {
+			status = "same   "
+		}
+		fmt.Fprintf(c.opts.out, "  %s %s (%d links)\n", status, u, len(res.Links))
+		rec := store.PageRecord{URL: u, Checksum: res.Checksum, FetchedAt: res.Day, Links: res.Links}
+		if c.opts.content {
+			rec.Content = res.Content
+		}
+		recs = append(recs, rec)
+
+		for _, l := range res.Links {
+			l = htmlparse.Normalize(l)
+			if c.opts.sameSite && !c.seedHosts[webgraph.SiteOf(l)] {
+				continue
+			}
+			if _, ok := c.st.Due[l]; !ok {
+				c.st.Due[l] = now
+				pushes = append(pushes, frontier.Entry{URL: l, Due: now})
+			}
+		}
 	}
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		s = s[:i]
+	if len(recs) > 0 {
+		if err := c.coll.PutBatch(recs); err != nil {
+			return nil, fmt.Errorf("storing a round: %w", err)
+		}
 	}
-	return strings.ToLower(s)
+	return pushes, nil
 }

@@ -71,13 +71,13 @@ func TestBodyCodecRoundTrip(t *testing.T) {
 
 // newCluster starts n loopback servers with shardsEach shards and dials
 // them; callers get the client plus the servers for direct inspection.
-func newCluster(t testing.TB, n, shardsEach int, politeness float64) (*RemoteShards, []*ShardServer) {
+func newCluster(t testing.TB, n, shardsEach int) (*RemoteShards, []*ShardServer) {
 	t.Helper()
 	servers := make([]*ShardServer, n)
 	for i := range servers {
 		servers[i] = NewShardServer(frontier.NewSharded(shardsEach))
 	}
-	rs, err := Loopback(servers, Options{PolitenessDays: politeness})
+	rs, err := Loopback(servers, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRemoteMatchesLocalPopOrder(t *testing.T) {
 		{1, 8}, {2, 4}, {4, 8},
 	} {
 		local := frontier.NewSharded(8)
-		remote, _ := newCluster(t, topo.servers, topo.shardsEach, 0)
+		remote, _ := newCluster(t, topo.servers, topo.shardsEach)
 		for i, u := range urls {
 			due := float64((i * 7) % 13)
 			prio := float64(i % 3)
@@ -161,17 +161,27 @@ func TestRemoteMatchesLocalPopOrder(t *testing.T) {
 	}
 }
 
-// TestRemoteMatchesLocalWithPoliteness pins the politeness-gap path:
-// with one server hosting the same shard layout, remote and local pop
-// identical (possibly politeness-deferred) sequences, and NextEvent
-// agrees.
+// TestRemoteMatchesLocalWithPoliteness pins the politeness-gap path of
+// the per-entry ops: with one server hosting the same shard layout and
+// the same gap, remote and local pop identical (possibly
+// politeness-deferred) sequences, and NextEvent agrees. Every client's
+// hello sends a zero gap, so the gap is set on the server after the
+// handshake, and the client keeps one connection: a lazily dialed
+// second one would send the zero-gap hello again.
 func TestRemoteMatchesLocalWithPoliteness(t *testing.T) {
 	const gap = 2.0
 	local := frontier.NewShardedPolite(4, gap)
-	remote, servers := newCluster(t, 1, 4, gap)
-	if got := servers[0].Shards().Politeness(); got != gap {
-		t.Fatalf("hello did not apply politeness: %v", got)
+	srv := NewShardServer(frontier.NewSharded(4))
+	t.Cleanup(func() { srv.Close() })
+	remote, err := Loopback([]*ShardServer{srv}, Options{t: transport{conns: 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { remote.Close() })
+	if got := srv.Shards().Politeness(); got != 0 {
+		t.Fatalf("hello set gap %v, want 0", got)
+	}
+	srv.Shards().SetPoliteness(gap)
 	urls := testURLs(8, 3)
 	for i, u := range urls {
 		local.Push(u, float64(i%5), 0)
@@ -203,7 +213,7 @@ func TestRemoteMatchesLocalWithPoliteness(t *testing.T) {
 // claimed shard yields nothing until released, and the global shard
 // index maps back to the right server.
 func TestRemoteClaimRelease(t *testing.T) {
-	remote, _ := newCluster(t, 2, 4, 0)
+	remote, _ := newCluster(t, 2, 4)
 	urls := testURLs(10, 2)
 	for _, u := range urls {
 		remote.Push(u, 0, 0)
@@ -248,7 +258,7 @@ func TestRemoteClaimRelease(t *testing.T) {
 
 // TestRemoteRemoveContainsPeek covers the remaining ops over the wire.
 func TestRemoteRemoveContainsPeek(t *testing.T) {
-	remote, _ := newCluster(t, 2, 2, 0)
+	remote, _ := newCluster(t, 2, 2)
 	remote.Push("http://site001.com/a", 5, 1)
 	remote.Push("http://site002.com/b", 3, 0)
 	if !remote.Contains("http://site001.com/a") {
@@ -300,7 +310,7 @@ func TestRemoteOverTCP(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 		addrs = append(addrs, srv.Addr().String())
 	}
-	remote, err := DialTCP(addrs, Options{PolitenessDays: 0})
+	remote, err := DialTCP(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,14 +65,13 @@ func dialShards(src MembershipSource, ms registry.Membership, dialFor func(m reg
 		return nil, fmt.Errorf("cluster: no shard servers in the membership (epoch %d)", ms.Epoch)
 	}
 	rs := &RemoteShards{
-		reqBase:    randomReqBase(),
-		politeness: opts.PolitenessDays,
-		opts:       opts,
-		rehello:    helloBody(opts.PolitenessDays, false),
-		src:        src,
-		dialFor:    dialFor,
+		reqBase: randomReqBase(),
+		opts:    opts,
+		rehello: helloBody(0, false),
+		src:     src,
+		dialFor: dialFor,
 	}
-	helloInit := helloBody(opts.PolitenessDays, true)
+	helloInit := helloBody(0, true)
 	names := make([]string, len(shard))
 	servers := make([]*serverConns, len(shard))
 	sort.Slice(shard, func(i, j int) bool { return shard[i].Addr < shard[j].Addr })

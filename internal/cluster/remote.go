@@ -25,8 +25,9 @@ type Dialer func() (net.Conn, error)
 // redial with capped exponential backoff, and request-ID dedup for
 // exactly-once retries.
 const (
-	// connsPerServer sizes each server's pool: the dispatcher's claims
-	// and the workers' releases/pushes can be in flight at once.
+	// connsPerServer sizes each server's pool: two ops of one client
+	// can be in flight at once (a store client's content-stage write
+	// beside a reader's get).
 	connsPerServer = 2
 	// With 6 retries backing off 25ms..1s, a client rides out roughly
 	// two seconds of server downtime — enough for a supervised shardd
@@ -49,12 +50,6 @@ const (
 // repository store client (DialStore, DialStoreTCP, LoopbackStore →
 // RemoteStore). Both run on the transport the constants above define.
 type Options struct {
-	// PolitenessDays, when >= 0, is applied to every shard server at
-	// connect time (the client owns the crawl policy). Negative leaves
-	// each server's gap as it is: zero, or what its WAL restored. Store
-	// clients ignore it.
-	PolitenessDays float64
-
 	// t overrides the transport constants; only tests set it.
 	t transport
 }
@@ -126,10 +121,6 @@ type RemoteShards struct {
 	reqBase uint64
 	reqSeq  atomic.Uint64
 
-	// politeness is the gap requested at connect; the batched round
-	// protocol (ApplyRound) is only sound at exactly zero.
-	politeness float64
-
 	closed atomic.Bool
 
 	failMu sync.Mutex
@@ -200,7 +191,7 @@ type clientConn struct {
 type serverConns struct {
 	name  string
 	dial  Dialer
-	hello []byte // reconnect hello body (politeness, no claim clearing)
+	hello []byte // reconnect hello body (zero gap, no claim clearing)
 
 	// helloOp and checkHello parameterize the handshake per server
 	// kind: opHello with shard-count pinning for shard servers,
@@ -456,17 +447,14 @@ func (sc *serverConns) drainClose() {
 	}
 }
 
-// helloBody encodes the shard handshake: politeness handover, and
-// whether to clear stale shard claims (a fresh client session does; a
-// reconnect must not, its own workers hold claims).
-func helloBody(politenessDays float64, clearClaims bool) []byte {
+// helloBody encodes the shard handshake: the politeness gap the server
+// applies, and whether to clear stale shard claims (a fresh client
+// session does; a reconnect must not). Every client sends a zero gap:
+// crawls space requests to one host in their fetcher, and the round
+// protocol runs only at zero. Tests encode other gaps.
+func helloBody(gapDays float64, clearClaims bool) []byte {
 	var e enc
-	if politenessDays >= 0 {
-		e.bool(true).f64(politenessDays)
-	} else {
-		e.bool(false)
-	}
-	e.bool(clearClaims)
+	e.bool(true).f64(gapDays).bool(clearClaims)
 	return e.b
 }
 
@@ -614,9 +602,9 @@ func (rs *RemoteShards) Push(url string, due, priority float64) {
 
 // pushBatchChunk caps the entries carried by one opPushBatch frame.
 // 8192 entries at typical URL lengths is well under a megabyte — far
-// from the protocol's maxFrame — so even a full frontier rebuild
-// (webcrawl pushes every stored URL in one PushBatch) stays a short
-// sequence of valid frames instead of one oversized, unsendable one.
+// from the protocol's maxFrame — so even a full frontier rebuild in one
+// PushBatch stays a short sequence of valid frames instead of one
+// oversized, unsendable one.
 const pushBatchChunk = 8192
 
 // PushBatch implements frontier.ShardSet: entries are grouped by owning
@@ -668,8 +656,8 @@ func (rs *RemoteShards) PushBatch(entries []frontier.Entry) {
 	}
 }
 
-// ApplyRound implements the crawl engine's batched round protocol
-// (core's frontierRounds, the engine's only way to its frontier): the
+// ApplyRound implements the crawls' batched round protocol
+// (frontier.Rounds, their only way to their frontier): the
 // round's pops, drops and reschedules are routed to their owning
 // servers and shipped — along with the request for the next pop
 // candidates — as one opRound frame per server, all servers in
@@ -679,15 +667,12 @@ func (rs *RemoteShards) PushBatch(entries []frontier.Entry) {
 // their lists — entries a server did not return order strictly after
 // its last returned one).
 //
-// ok is false only when this client set a non-zero politeness gap,
-// with nothing sent; the engine ends its run on that refusal. Transport
-// failures follow the usual contract: retried with exactly-once dedup,
-// then sticky via Err(), with zero values returned — the engine winds
-// down as if the frontier drained.
+// ok is always true. Transport failures follow the usual contract:
+// retried with exactly-once dedup, then sticky via Err(), with zero
+// values returned — the crawl winds down as if the frontier drained.
+// So does a server's refusal of the round, should it hold a non-zero
+// gap (no client's hello sets one).
 func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Entry, peekMax int) (cands []frontier.Entry, bound frontier.Entry, boundOK, ok bool) {
-	if rs.politeness != 0 {
-		return nil, frontier.Entry{}, false, false
-	}
 	if rs.broken() {
 		return nil, frontier.Entry{}, false, true
 	}

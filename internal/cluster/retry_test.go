@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -483,7 +484,11 @@ func TestRoundReplyLostKeepsPopOrder(t *testing.T) {
 
 // TestApplyRoundRefusedWithPoliteness: the round protocol is only
 // sound with a zero politeness gap; both halves must refuse it rather
-// than serve politeness-blind candidates.
+// than serve politeness-blind candidates. In-process the refusal is
+// ok=false. Every client's hello sends a zero gap, so the gap is set on
+// the server after the handshake (over the client's one connection; a
+// second would send the hello again): the server refuses with an error,
+// which becomes the client's sticky error, with nothing applied.
 func TestApplyRoundRefusedWithPoliteness(t *testing.T) {
 	local := frontier.NewShardedPolite(4, 0.5)
 	if _, _, _, ok := local.ApplyRound(nil, nil, nil, 4); ok {
@@ -491,16 +496,21 @@ func TestApplyRoundRefusedWithPoliteness(t *testing.T) {
 	}
 	srv := NewShardServer(frontier.NewSharded(4))
 	t.Cleanup(func() { srv.Close() })
-	rs, err := Loopback([]*ShardServer{srv}, Options{PolitenessDays: 0.5})
+	rs, err := Loopback([]*ShardServer{srv}, Options{t: transport{conns: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rs.Close() })
-	if _, _, _, ok := rs.ApplyRound(nil, nil, nil, 4); ok {
-		t.Fatal("RemoteShards.ApplyRound accepted a politeness gap")
+	srv.Shards().SetPoliteness(0.5)
+	cands, _, _, _ := rs.ApplyRound(nil, nil, []frontier.Entry{{URL: "http://a.example/"}}, 4)
+	if len(cands) != 0 {
+		t.Fatalf("a polite server served candidates %+v", cands)
 	}
-	if err := rs.Err(); err != nil {
-		t.Fatalf("refusal must not be sticky: %v", err)
+	if err := rs.Err(); err == nil || !strings.Contains(err.Error(), "zero politeness gap") {
+		t.Fatalf("refusal surfaced as %v, want the server's error", err)
+	}
+	if n := srv.Shards().Len(); n != 0 {
+		t.Fatalf("a refused round applied %d pushes", n)
 	}
 }
 
@@ -550,8 +560,8 @@ func TestBatchedPushRoundTrips(t *testing.T) {
 		})
 	}
 	for _, nServers := range []int{1, 2} {
-		batched, _ := newCluster(t, nServers, 4, 0)
-		perURL, _ := newCluster(t, nServers, 4, 0)
+		batched, _ := newCluster(t, nServers, 4)
+		perURL, _ := newCluster(t, nServers, 4)
 
 		t0 := batched.RoundTrips()
 		batched.PushBatch(entries)
@@ -597,7 +607,7 @@ func TestPushBatchChunksLargeBatches(t *testing.T) {
 			Due: float64(i % 13), Priority: float64(i % 3),
 		}
 	}
-	rs, _ := newCluster(t, 1, 4, 0)
+	rs, _ := newCluster(t, 1, 4)
 	t0 := rs.RoundTrips()
 	rs.PushBatch(entries)
 	if err := rs.Err(); err != nil {

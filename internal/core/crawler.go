@@ -43,7 +43,7 @@ type Crawler struct {
 
 	all      *frontier.AllUrls
 	coll     frontier.ShardSet
-	rounds   *frontierRounds
+	rounds   *frontier.Rounds
 	shadowed *store.Shadowed
 	graph    *webgraph.Graph
 
@@ -121,7 +121,7 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 		fetcher:    f,
 		all:        frontier.NewAllUrls(),
 		coll:       coll,
-		rounds:     newFrontierRounds(coll, cfg.DispatchBatch),
+		rounds:     frontier.NewRounds(coll, cfg.DispatchBatch),
 		shadowed:   sh,
 		graph:      webgraph.New(),
 		policy:     policy,
@@ -140,7 +140,7 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 		c.admit(s, 0)
 	}
 	// admit only stages the pushes; the seeds ship as the first round.
-	if err := c.rounds.commitRound(nil, c.admits, false); err != nil {
+	if err := c.rounds.Commit(nil, c.admits, false); err != nil {
 		return nil, err
 	}
 	c.admits = c.admits[:0]
@@ -154,13 +154,13 @@ func (c *Crawler) Close() error { return nil }
 // roundBoundary runs at the top of every engine loop iteration, a
 // quiescent round boundary: no dispatch rounds in flight and no pops
 // buffered in the round adapter. It ends the run on the adapter's
-// sticky error (rounds.go), then lets a registry-backed remote frontier
-// adopt a new membership epoch, driving a live shard migration when one
-// is pending (rate-limited inside the client): every frontier entry is
-// on a shard server, and migrates intact, or already consumed.
+// sticky error (frontier.Rounds), then lets a registry-backed remote
+// frontier adopt a new membership epoch, driving a live shard migration
+// when one is pending (rate-limited inside the client): every frontier
+// entry is on a shard server, and migrates intact, or already consumed.
 func (c *Crawler) roundBoundary() error {
-	if c.rounds.err != nil {
-		return c.rounds.err
+	if err := c.rounds.Err(); err != nil {
+		return err
 	}
 	rb, ok := c.coll.(interface{ Rebalance() error })
 	if !ok {
@@ -179,7 +179,7 @@ func (c *Crawler) roundBoundary() error {
 		// round re-peeks through the new routing. The entries themselves
 		// migrated intact — this is only cache hygiene, and it costs one
 		// extra fan-out per membership change.
-		c.rounds.flush()
+		c.rounds.Flush()
 	}
 	return nil
 }
@@ -254,7 +254,7 @@ func (c *Crawler) RunUntil(until float64) error {
 	// depth rounds of them) are consumed without a reschedule either
 	// way. An errored crawl is not resumable bit-identically; the
 	// guarantee here is only local/remote consistency.
-	if ferr := c.rounds.flush(); err == nil {
+	if ferr := c.rounds.Flush(); err == nil {
 		err = ferr
 	}
 	if err != nil {
@@ -301,7 +301,7 @@ func (c *Crawler) runSteady(until float64) error {
 			if c.cfg.Update == Shadow {
 				next = math.Min(next, c.nextSwap)
 			}
-			if ev, ok := c.rounds.nextEvent(); ok {
+			if ev, ok := c.rounds.NextEvent(); ok {
 				next = math.Min(next, ev)
 			}
 			if next <= c.day {
@@ -397,7 +397,7 @@ func (c *Crawler) popBatchRound(r *roundState, until float64) {
 	for i := range r.jobs {
 		c.removes = append(c.removes, r.jobs[i].url)
 	}
-	c.rounds.commitRound(c.removes, nil, false)
+	c.rounds.Commit(c.removes, nil, false)
 	c.day = d
 }
 
@@ -417,15 +417,24 @@ func (c *Crawler) swap() error {
 	for _, u := range c.coll.URLs() {
 		inColl[u] = true
 	}
+	var carryErr error
 	err := cur.Scan(func(rec store.PageRecord) bool {
 		if !inColl[rec.URL] {
 			return true // evicted; let it go
 		}
-		if _, ok, gerr := shadow.Get(rec.URL); gerr == nil && !ok {
-			_ = shadow.Put(rec)
+		_, ok, err := shadow.Get(rec.URL)
+		if err == nil && !ok {
+			err = shadow.Put(rec)
+		}
+		if err != nil {
+			carryErr = fmt.Errorf("core: carrying %s forward: %w", rec.URL, err)
+			return false
 		}
 		return true
 	})
+	if err == nil {
+		err = carryErr
+	}
 	if err != nil {
 		return err
 	}

@@ -1,52 +1,42 @@
 package core
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"webevolve/internal/frontier"
 	"webevolve/internal/obs"
+	"webevolve/internal/webgraph"
 )
 
 // This file is the one worker-pool dispatcher behind every concurrent
 // crawl path in the repo — the simulated engine and cmd/webcrawl's live
-// crawl loop — parameterized over the per-URL work function. It runs in
-// two modes:
+// crawl — parameterized over the per-URL work function. It has one
+// mode, the round: a set of job groups — all jobs of one site, in pop
+// order — submitted together and completed as a unit (groupBySite
+// builds them). Groups carry a site key, and the pool runs groups of
+// one site strictly in submission order (a per-site line), so two
+// rounds can be in flight at once without ever reordering or
+// overlapping one site's fetches. Groups are dispatched largest-first
+// (LPT scheduling), so a skewed round with one hot site starts its long
+// group immediately instead of letting it straggle behind short ones.
 //
-//   - Round mode (startRound): the simulated engine's path. A dispatch
-//     round is a set of job groups — all jobs of one site, in
-//     virtual-day order — submitted together and completed as a unit.
-//     Groups carry a site key, and the pool runs groups of one site
-//     strictly in submission order (a per-site line), so two rounds
-//     can be in flight at once without ever reordering or overlapping
-//     one site's fetches. Groups are dispatched largest-first (LPT
-//     scheduling), so a skewed round with one hot site starts its
-//     long group immediately instead of letting it straggle behind
-//     short ones. Rounds are what the engine pipelines: while round
-//     N's results are applied, rounds N+1 and N+2 are already
-//     fetching on the same workers (engine.go).
-//
-//   - Claim mode (DispatchClaims): cmd/webcrawl's wall-clock path. The
-//     dispatcher claims due shards from a frontier.ShardSet and feeds
-//     each claimed head to the pool as a single-job group whose
-//     completion hook releases the shard — so no two workers ever fetch
-//     from one site at once, and per-shard politeness deadlines are
-//     honored by the frontier.
+// The engine keeps one pool per run and pipelines rounds on it: while
+// round N's results are applied, rounds N+1 and N+2 are already
+// fetching on the same workers (engine.go). DispatchRound is the same
+// dispatch for a caller that runs one round at a time and applies the
+// results itself (cmd/webcrawl).
 
-// dispatchGroup is one unit of pool scheduling: jobs that must run
-// sequentially in order on a single worker (one site's fetches, or one
-// claimed shard head).
+// dispatchGroup is one unit of pool scheduling: one site's jobs of a
+// round, which run sequentially in order on a single worker.
 type dispatchGroup struct {
 	jobs []*crawlJob
-	// site, when non-empty, serializes this group behind any earlier
-	// unfinished group with the same key.
+	// site serializes this group behind any earlier unfinished group
+	// with the same key.
 	site string
-	// done, if non-nil, runs on the worker after the last job — even
-	// when the pool is stopping — so claim releases never go missing.
-	done func()
-	// round, if non-nil, counts this group against a round's
-	// completion (set by startRound; avoids a closure per group).
+	// round counts this group against its round's completion (set by
+	// startRound; avoids a closure per group).
 	round *roundHandle
 }
 
@@ -58,8 +48,8 @@ type roundHandle struct {
 
 // dispatchPool is a fixed set of worker goroutines draining groups of
 // per-URL work. The first work-function error stops the pool: later
-// jobs are skipped (their groups still complete, running their done
-// hooks), and the error surfaces from wait/close.
+// jobs are skipped (their groups still complete, so round waits
+// return), and the error surfaces from wait/close.
 type dispatchPool struct {
 	fn func(j *crawlJob) error
 
@@ -96,19 +86,17 @@ func newDispatchPool(workers int, fn func(j *crawlJob) error) *dispatchPool {
 	return p
 }
 
-// submit queues one group. Groups with a site key are held back while
-// an earlier group of the same site is queued or running, preserving
-// per-site job order across rounds. Never blocks.
+// submit queues one group. A group is held back while an earlier group
+// of the same site is queued or running, preserving per-site job order
+// across rounds. Never blocks.
 func (p *dispatchPool) submit(g dispatchGroup) {
 	p.mu.Lock()
-	if g.site != "" {
-		if line, busy := p.lines[g.site]; busy {
-			p.lines[g.site] = append(line, g)
-			p.mu.Unlock()
-			return
-		}
-		p.lines[g.site] = nil // mark the site busy with this group
+	if line, busy := p.lines[g.site]; busy {
+		p.lines[g.site] = append(line, g)
+		p.mu.Unlock()
+		return
 	}
+	p.lines[g.site] = nil // mark the site busy with this group
 	p.push(g)
 	p.mu.Unlock()
 	p.cond.Signal()
@@ -141,30 +129,23 @@ func (p *dispatchPool) next() (dispatchGroup, bool) {
 }
 
 // groupFinished releases the group's site line, promoting the next
-// queued group of that site, then runs the group's completion hooks.
+// queued group of that site, then counts the group against its round.
 func (p *dispatchPool) groupFinished(g dispatchGroup) {
-	if g.site != "" {
-		p.mu.Lock()
-		line := p.lines[g.site]
-		if len(line) > 0 {
-			nxt := line[0]
-			p.lines[g.site] = line[1:]
-			p.push(nxt)
-			p.mu.Unlock()
-			p.cond.Signal()
-			dispatchLinePromotions.Inc()
-		} else {
-			delete(p.lines, g.site)
-			p.mu.Unlock()
-		}
+	p.mu.Lock()
+	line := p.lines[g.site]
+	if len(line) > 0 {
+		nxt := line[0]
+		p.lines[g.site] = line[1:]
+		p.push(nxt)
+		p.mu.Unlock()
+		p.cond.Signal()
+		dispatchLinePromotions.Inc()
+	} else {
+		delete(p.lines, g.site)
+		p.mu.Unlock()
 	}
-	if g.done != nil {
-		g.done()
-	}
-	if g.round != nil {
-		if g.round.left.Add(-1) == 0 {
-			close(g.round.done)
-		}
+	if g.round.left.Add(-1) == 0 {
+		close(g.round.done)
 	}
 }
 
@@ -179,7 +160,7 @@ func (p *dispatchPool) worker() {
 		dispatchGroups.Inc()
 		for _, j := range g.jobs {
 			// A failed pool stops paying fetch latency immediately; the
-			// group's done hook still runs so nothing deadlocks.
+			// group still completes so its round's wait returns.
 			if p.stopFlag.Load() {
 				break
 			}
@@ -211,8 +192,6 @@ func (p *dispatchPool) err() error {
 	defer p.errMu.Unlock()
 	return p.firstErr
 }
-
-func (p *dispatchPool) stopped() bool { return p.stopFlag.Load() }
 
 // startRound submits one dispatch round and returns its completion
 // handle. Groups run in submission order subject to worker availability
@@ -260,102 +239,63 @@ func (p *dispatchPool) close() error {
 	return p.err()
 }
 
-// ClaimDispatch configures DispatchClaims, the claim/fetch/release
-// dispatcher for wall-clock crawlers (cmd/webcrawl).
-type ClaimDispatch struct {
-	Workers int
-	Coll    frontier.ShardSet
-	// Now is the claim timestamp in days (the wall clock for webcrawl).
-	Now func() float64
-	// Work receives each claimed head URL; a returned error stops the
-	// whole dispatch.
-	Work func(url string) error
-	// Release returns a claimed shard to the frontier with the caller's
-	// politeness deadline. It runs on the worker that processed the job,
-	// after Work, before the job is counted done.
-	Release func(shard int)
-	// Gate is consulted before each claim with the counts of jobs
-	// dispatched so far and in flight now, and reports whether the fetch
-	// budget allows another claim: false pauses dispatch, and ends it
-	// once nothing is in flight. A nil Gate always allows.
-	Gate func(dispatched, inflight int64) bool
-	// GateWait paces a closed gate (default 10ms).
-	GateWait time.Duration
-	// Idle is consulted when nothing is claimable and jobs may still be
-	// in flight; scans counts consecutive idle calls. Returning false
-	// ends the loop. The loop has already settled the inflight==0 case:
-	// Idle(0, ...) means the frontier is truly drained of claimable work
-	// at Now() — a politeness deadline or future due time may remain.
-	Idle func(inflight int64, scans int) bool
+// groupBySite appends the round's jobs to groups, one group per site —
+// stable-sorting ptrs by site, so a group keeps its jobs in pop order —
+// with the largest group first: the round finishes when its last group
+// does, so long groups must start early. Ties break by first-job pop
+// position to keep dispatch deterministic.
+func groupBySite(ptrs []*crawlJob, groups []dispatchGroup) []dispatchGroup {
+	if len(ptrs) == 1 {
+		return append(groups, dispatchGroup{jobs: ptrs, site: ptrs[0].site})
+	}
+	sort.SliceStable(ptrs, func(i, j int) bool { return ptrs[i].site < ptrs[j].site })
+	first := len(groups)
+	start := 0
+	for i := 1; i <= len(ptrs); i++ {
+		if i < len(ptrs) && ptrs[i].site == ptrs[start].site {
+			continue
+		}
+		groups = append(groups, dispatchGroup{jobs: ptrs[start:i], site: ptrs[start].site})
+		start = i
+	}
+	round := groups[first:]
+	sort.SliceStable(round, func(i, j int) bool {
+		if len(round[i].jobs) != len(round[j].jobs) {
+			return len(round[i].jobs) > len(round[j].jobs)
+		}
+		return round[i].jobs[0].idx < round[j].jobs[0].idx
+	})
+	return groups
 }
 
-// DispatchClaims runs the claim/dispatch/release loop over a private
-// worker pool: claim the due head of a shard, hand it to the pool,
-// release the shard when Work returns. A claimed shard is owned by one
-// worker until released, so no two workers ever fetch from the same site
-// concurrently. Returns the first work error, if any.
-func DispatchClaims(cfg ClaimDispatch) error {
-	p := newDispatchPool(cfg.Workers, func(j *crawlJob) error {
-		// Wall-clock crawls are slow enough (network-bound) that a
-		// per-fetch trace span is cheap; the simulated engine sticks to
-		// per-round spans (engine.go).
+// DispatchRound runs work(i) for every urls[i] on a pool of up to
+// workers goroutines and returns when the round is done, with the
+// first error work returned. It is the engine's dispatch: the URLs are
+// grouped by site (webgraph.SiteOf), a site's URLs run one after
+// another on one worker in slice order, and groups start
+// largest-first. So no two of one site's jobs ever overlap, and a
+// caller that runs one round at a time never has two requests to one
+// site in flight. After an error, jobs not yet started are skipped.
+func DispatchRound(workers int, urls []string, work func(i int) error) error {
+	if len(urls) == 0 {
+		return nil
+	}
+	jobs := make([]crawlJob, len(urls))
+	ptrs := make([]*crawlJob, len(urls))
+	for i, u := range urls {
+		jobs[i] = crawlJob{idx: i, url: u, site: webgraph.SiteOf(u)}
+		ptrs[i] = &jobs[i]
+	}
+	groups := groupBySite(ptrs, nil)
+	p := newDispatchPool(min(workers, len(groups)), func(j *crawlJob) error {
+		// Live crawls are slow enough (network-bound) that a per-fetch
+		// trace span is cheap; the simulated engine sticks to per-round
+		// spans (engine.go).
 		start := time.Now()
-		err := cfg.Work(j.url)
+		err := work(j.idx)
 		obs.DefaultTrace.Span("fetch_url", 0, 1, start)
 		return err
 	})
-	p.claimLoop(cfg)
+	<-p.startRound(groups).done
 	return p.close()
-}
-
-// claimLoop dispatches until the gate and the frontier have nothing
-// more, or the pool fails; jobs may still be in flight when it returns.
-func (p *dispatchPool) claimLoop(cfg ClaimDispatch) {
-	var inflight atomic.Int64
-	var dispatched int64
-	gateWait := cfg.GateWait
-	if gateWait <= 0 {
-		gateWait = 10 * time.Millisecond
-	}
-	scans := 0
-	for !p.stopped() {
-		if cfg.Gate != nil && !cfg.Gate(dispatched, inflight.Load()) {
-			if inflight.Load() == 0 {
-				return
-			}
-			time.Sleep(gateWait)
-			continue
-		}
-		e, sid, ok := cfg.Coll.ClaimDue(cfg.Now())
-		if !ok && inflight.Load() == 0 {
-			// All workers idle and their releases visible (release
-			// happens before the inflight decrement); one more claim
-			// settles whether the frontier is drained or a release
-			// raced the first claim.
-			e, sid, ok = cfg.Coll.ClaimDue(cfg.Now())
-		}
-		if !ok {
-			if !cfg.Idle(inflight.Load(), scans) {
-				return
-			}
-			scans++
-			continue
-		}
-		scans = 0
-		inflight.Add(1)
-		dispatched++
-		j := &crawlJob{url: e.URL, day: cfg.Now()}
-		p.submit(dispatchGroup{
-			jobs: []*crawlJob{j},
-			done: func() {
-				// Release before decrementing: once inflight hits zero
-				// the dispatcher trusts the frontier to be fully
-				// visible.
-				if cfg.Release != nil {
-					cfg.Release(sid)
-				}
-				inflight.Add(-1)
-			},
-		})
-	}
 }

@@ -2,13 +2,18 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"webevolve/internal/fetch"
+	"webevolve/internal/webgraph"
 )
 
 // failingFetcher errors on the nth fetch (1-based) and every fetch
@@ -135,29 +140,75 @@ func TestDispatchPoolSiteLines(t *testing.T) {
 	}
 }
 
-// TestDispatchPoolErrorRunsDoneHooks: a stopping pool must still run
-// every group's done hook, or round waits and claim releases would
-// hang.
-func TestDispatchPoolErrorRunsDoneHooks(t *testing.T) {
-	var done atomic.Int64
-	pool := newDispatchPool(2, func(j *crawlJob) error {
+// TestDispatchRoundStopsOnError: a failing job stops the round —
+// later jobs of its site and groups not yet started are skipped — and
+// DispatchRound still returns (every group completes) with that error.
+func TestDispatchRoundStopsOnError(t *testing.T) {
+	urls := make([]string, 8)
+	for i := range urls {
+		urls[i] = "http://a.example/" + strconv.Itoa(i)
+	}
+	var ran atomic.Int64
+	err := DispatchRound(2, urls, func(i int) error {
+		ran.Add(1)
 		return errors.New("boom")
 	})
-	groups := make([]dispatchGroup, 8)
-	for i := range groups {
-		groups[i] = dispatchGroup{
-			jobs: []*crawlJob{{idx: i, url: "u"}},
-			done: func() { done.Add(1) },
+	if err == nil || err.Error() != "boom" {
+		t.Fatalf("DispatchRound returned %v, want the job's error", err)
+	}
+	if n := ran.Load(); n != 1 {
+		t.Fatalf("%d jobs ran after the first failure of a one-site round, want 1", n)
+	}
+}
+
+// TestDispatchRoundGroupsBySite pins DispatchRound's contract: every
+// URL runs once; one site's URLs run in slice order and never overlap,
+// while other sites proceed in parallel; and with one worker, the
+// largest site's group runs first.
+func TestDispatchRoundGroupsBySite(t *testing.T) {
+	var urls []string
+	for i := 0; i < 12; i++ {
+		urls = append(urls, fmt.Sprintf("http://s%d.example/p%02d", i%3, i))
+	}
+	for _, p := range []string{"a", "b", "c", "d", "e"} {
+		urls = append(urls, "http://big.example/"+p)
+	}
+	for _, workers := range []int{1, 8} {
+		var mu sync.Mutex
+		order := map[string][]int{}
+		active := map[string]int{}
+		var first []int
+		overlap := false
+		err := DispatchRound(workers, urls, func(i int) error {
+			site := webgraph.SiteOf(urls[i])
+			mu.Lock()
+			first = append(first, i)
+			order[site] = append(order[site], i)
+			active[site]++
+			overlap = overlap || active[site] > 1
+			mu.Unlock()
+			time.Sleep(time.Millisecond)
+			mu.Lock()
+			active[site]--
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	h := pool.startRound(groups)
-	if err := pool.wait(h); err == nil {
-		t.Fatal("expected pool error")
-	}
-	if got := done.Load(); got != 8 {
-		t.Fatalf("done hooks ran %d times, want 8", got)
-	}
-	if err := pool.close(); err == nil {
-		t.Fatal("close should surface the first error")
+		if len(first) != len(urls) {
+			t.Fatalf("%d workers: %d jobs ran for %d URLs", workers, len(first), len(urls))
+		}
+		if workers == 1 && webgraph.SiteOf(urls[first[0]]) != "big.example" {
+			t.Fatalf("first job %s, want the largest site's", urls[first[0]])
+		}
+		for site, idx := range order {
+			if !sort.IntsAreSorted(idx) {
+				t.Fatalf("%d workers: site %s ran out of order: %v", workers, site, idx)
+			}
+		}
+		if overlap {
+			t.Fatalf("%d workers: two jobs of one site overlapped", workers)
+		}
 	}
 }

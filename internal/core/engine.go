@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -227,12 +226,12 @@ func (c *Crawler) popSteadyRound(r *roundState, horizon, perFetch, windowFloor f
 		limit = math.Min(limit, windowFloor+c.cfg.MinIntervalDays)
 	}
 	for len(r.jobs) < c.cfg.DispatchBatch && d < limit {
-		e, ok := c.rounds.popDue(d)
+		e, ok := c.rounds.PopDue(d)
 		if !ok {
 			// Nothing due at d: jump to the next poppable instant if it
 			// is still inside this round's window; otherwise leave the
 			// remaining idle time to the steady loop.
-			ev, evOK := c.rounds.nextEvent()
+			ev, evOK := c.rounds.NextEvent()
 			if !evOK || ev >= limit || ev <= d {
 				break
 			}
@@ -260,42 +259,15 @@ func (c *Crawler) popSteadyRound(r *roundState, horizon, perFetch, windowFloor f
 	}
 }
 
-// dispatchRound groups the round's jobs by site and starts them on the
-// worker pool. Jobs of one site form one group, kept in pop (and
-// therefore day) order and keyed by site, so the pool's per-site lines
-// keep a site's fetches ordered even across overlapping rounds; groups
-// are dispatched largest-first so the longest site cannot become the
-// round's straggler.
+// dispatchRound starts the round's jobs on the worker pool, one group
+// per site in pop (and therefore day) order (groupBySite), so the
+// pool's per-site lines keep a site's fetches ordered even across
+// overlapping rounds.
 func (c *Crawler) dispatchRound(r *roundState) {
 	for i := range r.jobs {
 		r.ptrs = append(r.ptrs, &r.jobs[i])
 	}
-	if len(r.jobs) > 1 {
-		// Group by site: stable-sort the job pointers by site, keeping
-		// pop order within a site, then slice out the runs.
-		sort.SliceStable(r.ptrs, func(i, j int) bool {
-			return r.ptrs[i].site < r.ptrs[j].site
-		})
-		start := 0
-		for i := 1; i <= len(r.ptrs); i++ {
-			if i < len(r.ptrs) && r.ptrs[i].site == r.ptrs[start].site {
-				continue
-			}
-			r.groups = append(r.groups, dispatchGroup{jobs: r.ptrs[start:i], site: r.ptrs[start].site})
-			start = i
-		}
-		// Largest group first (LPT): the round finishes when its last
-		// group does, so long groups must start early. Ties break by
-		// first-job pop position to keep dispatch deterministic.
-		sort.SliceStable(r.groups, func(i, j int) bool {
-			if len(r.groups[i].jobs) != len(r.groups[j].jobs) {
-				return len(r.groups[i].jobs) > len(r.groups[j].jobs)
-			}
-			return r.groups[i].jobs[0].idx < r.groups[j].jobs[0].idx
-		})
-	} else {
-		r.groups = append(r.groups, dispatchGroup{jobs: r.ptrs, site: r.ptrs[0].site})
-	}
+	r.groups = groupBySite(r.ptrs, r.groups)
 	r.handle = c.pool.startRound(r.groups)
 }
 
@@ -436,11 +408,11 @@ func (c *Crawler) applySchedule(r *roundState) error {
 	// Reschedules ship as one batch: the final frontier state is
 	// push-order independent, and a remote frontier pays one round trip
 	// per server per dispatch round instead of one per URL (together
-	// with the round's pops and drops — see rounds.go). Only the
+	// with the round's pops and drops — see frontier.Rounds). Only the
 	// steady loop pops from the frontier, so only it needs the commit
 	// to return fresh pop candidates.
 	pushStart := time.Now()
-	err := c.rounds.commitRound(c.removes, c.pushes, c.cfg.Mode != Batch)
+	err := c.rounds.Commit(c.removes, c.pushes, c.cfg.Mode != Batch)
 	phasePush.Observe(time.Since(pushStart).Seconds())
 	obs.DefaultTrace.Span("push", r.id, len(c.pushes), pushStart)
 	return err
@@ -493,9 +465,8 @@ func (c *Crawler) applyContent(rounds []*roundState) error {
 		for _, o := range r.live {
 			j := o.job
 			if o.dropped {
-				_ = c.shadowed.Current().Delete(j.url)
-				if c.cfg.Update == Shadow {
-					_ = c.shadowed.Shadow().Delete(j.url)
+				if err := c.deletePage(j.url); err != nil {
+					return err
 				}
 				c.all.SetInCollection(j.url, false)
 				c.graph.RemovePage(j.url)
@@ -530,6 +501,22 @@ func (c *Crawler) applyContent(rounds []*roundState) error {
 		}
 	}
 	return c.storeRecs(pending)
+}
+
+// deletePage removes a dropped or evicted page from the collection the
+// crawl serves and, under shadowing, from the one it is filling. A
+// failed delete ends the run like a failed store write: the page would
+// otherwise stay in the served collection.
+func (c *Crawler) deletePage(url string) error {
+	if err := c.shadowed.Current().Delete(url); err != nil {
+		return fmt.Errorf("core: deleting %s: %w", url, err)
+	}
+	if c.cfg.Update == Shadow {
+		if err := c.shadowed.Shadow().Delete(url); err != nil {
+			return fmt.Errorf("core: deleting %s: %w", url, err)
+		}
+	}
+	return nil
 }
 
 // extendLinks makes links the page's out-set in the graph and extends

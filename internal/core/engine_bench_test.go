@@ -158,7 +158,7 @@ func loopbackShards(b *testing.B, n, shardsEach int) frontier.ShardSet {
 	for i := range servers {
 		servers[i] = cluster.NewShardServer(frontier.NewSharded(shardsEach))
 	}
-	rs, err := cluster.Loopback(servers, cluster.Options{PolitenessDays: 0})
+	rs, err := cluster.Loopback(servers, cluster.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func (c *Crawler) refine(ranks map[string]float64) error {
 	// the collection and evictions from inside, so the two sets are
 	// disjoint and the final queue does not depend on their order.
 	defer func() {
-		c.rounds.commitRound(c.evicts, c.admits, false)
+		c.rounds.Commit(c.evicts, c.admits, false)
 		c.admits, c.evicts = c.admits[:0], c.evicts[:0]
 	}()
 	inColl := make(map[string]bool, c.coll.Len())
@@ -179,7 +179,9 @@ func (c *Crawler) refine(ranks map[string]float64) error {
 		if cd.imp <= mb.imp*(1+c.cfg.EvictionHysteresis) {
 			break // best candidate cannot beat the worst member
 		}
-		c.evict(mb.url)
+		if err := c.evict(mb.url); err != nil {
+			return err
+		}
 		c.admit(cd.url, cd.imp)
 		idx++
 		mi++
@@ -200,18 +202,18 @@ func (c *Crawler) admit(url string, imp float64) {
 
 // evict discards a page from the collection (Figure 11 steps [7]-[8]).
 // The frontier removal is staged in c.evicts for refine to commit.
-func (c *Crawler) evict(url string) {
+func (c *Crawler) evict(url string) error {
 	c.metrics.Evictions++
 	c.evicts = append(c.evicts, url)
-	_ = c.shadowed.Current().Delete(url)
-	if c.cfg.Update == Shadow {
-		_ = c.shadowed.Shadow().Delete(url)
+	if err := c.deletePage(url); err != nil {
+		return err
 	}
 	c.all.SetInCollection(url, false)
 	delete(c.est, url)
 	delete(c.lastSum, url)
 	// The page's link structure stays in the graph: AllUrls remembers
 	// everything discovered, and the page may be re-admitted later.
+	return nil
 }
 
 func isSeed(seeds []string, url string) bool {

@@ -122,9 +122,9 @@ func TestAdmittedPagesCrawledImmediately(t *testing.T) {
 	if err := c.RunUntil(0.01); err != nil {
 		t.Fatal(err)
 	}
-	head, ok := c.CollUrls().Peek()
-	if ok && head.Due > c.Day() {
-		t.Fatalf("admitted page scheduled at %v, now %v", head.Due, c.Day())
+	head, _, _, _ := c.CollUrls().ApplyRound(nil, nil, nil, 1)
+	if len(head) > 0 && head[0].Due > c.Day() {
+		t.Fatalf("admitted page scheduled at %v, now %v", head[0].Due, c.Day())
 	}
 	if c.Metrics().Admissions == 0 {
 		t.Fatal("first ranking pass admitted nothing")

@@ -12,7 +12,8 @@ import (
 )
 
 // countingRounds counts the round exchanges a remote frontier serves,
-// and the per-entry pops, pushes and removes made beside them.
+// and the per-entry calls made beside them, which it answers with
+// nothing: the engine must not make any.
 type countingRounds struct {
 	*cluster.RemoteShards
 	calls, perEntry int
@@ -23,30 +24,32 @@ func (c *countingRounds) ApplyRound(pops, removes []string, pushes []frontier.En
 	return c.RemoteShards.ApplyRound(pops, removes, pushes, peekMax)
 }
 
-func (c *countingRounds) Push(url string, due, priority float64) {
+func (c *countingRounds) Push(string, float64, float64) { c.perEntry++ }
+
+func (c *countingRounds) PushBatch([]frontier.Entry) { c.perEntry++ }
+
+func (c *countingRounds) Remove(string) bool { c.perEntry++; return false }
+
+func (c *countingRounds) Contains(string) bool { c.perEntry++; return false }
+
+func (c *countingRounds) PopDue(float64) (frontier.Entry, bool) {
 	c.perEntry++
-	c.RemoteShards.Push(url, due, priority)
+	return frontier.Entry{}, false
 }
 
-func (c *countingRounds) PushBatch(entries []frontier.Entry) {
+func (c *countingRounds) ClaimDue(float64) (frontier.Entry, int, bool) {
 	c.perEntry++
-	c.RemoteShards.PushBatch(entries)
+	return frontier.Entry{}, 0, false
 }
 
-func (c *countingRounds) Remove(url string) bool {
+func (c *countingRounds) Release(int, float64) { c.perEntry++ }
+
+func (c *countingRounds) Peek() (frontier.Entry, bool) {
 	c.perEntry++
-	return c.RemoteShards.Remove(url)
+	return frontier.Entry{}, false
 }
 
-func (c *countingRounds) PopDue(now float64) (frontier.Entry, bool) {
-	c.perEntry++
-	return c.RemoteShards.PopDue(now)
-}
-
-func (c *countingRounds) NextEvent() (float64, bool) {
-	c.perEntry++
-	return c.RemoteShards.NextEvent()
-}
+func (c *countingRounds) NextEvent() (float64, bool) { c.perEntry++; return 0, false }
 
 // TestOneRoundOfCandidatesCoversARound: the crawler asks each server for
 // DispatchBatch candidates, and that is always enough — the server
@@ -82,15 +85,15 @@ func TestOneRoundOfCandidatesCoversARound(t *testing.T) {
 			ents[i] = frontier.Entry{URL: fmt.Sprintf("http://site%03d.com/p%04d", rng.Intn(hosts), i),
 				Due: float64(rng.Intn(30)), Priority: float64(rng.Intn(3))}
 		}
-		rs.PushBatch(ents)
+		rs.ApplyRound(nil, nil, ents, 0)
 
 		var resched []frontier.Entry
 		for round := 0; round < 40; round++ {
 			before := cr.calls
-			c.rounds.commitRound(nil, resched, true)
+			c.rounds.Commit(nil, resched, true)
 			resched = resched[:0]
 			for len(resched) < cfg.DispatchBatch {
-				e, ok := c.rounds.popDue(math.Inf(1))
+				e, ok := c.rounds.PopDue(math.Inf(1))
 				if !ok {
 					t.Fatalf("seed %d round %d: queue drained", seed, round)
 				}
@@ -109,29 +112,22 @@ func TestOneRoundOfCandidatesCoversARound(t *testing.T) {
 	}
 }
 
-// TestRefusedRoundEndsTheRun: shard servers whose client set a
-// politeness gap refuse the round protocol, the engine's only way to
-// its frontier. The refusal must end the crawl with an error naming the
-// gap (from New, whose seed admission is the first round, or at the
-// latest from RunUntil), and no page may be fetched: the engine never
-// falls back to per-entry frontier calls.
+// TestRefusedRoundEndsTheRun: a frontier with a politeness gap refuses
+// the round protocol, the engine's only way to its frontier. The
+// refusal must end the crawl with an error naming the gap (from New,
+// whose seed admission is the first round, or at the latest from
+// RunUntil), and no page may be fetched: the engine never falls back to
+// per-entry frontier calls.
 func TestRefusedRoundEndsTheRun(t *testing.T) {
 	w, f := testWeb(t, 24)
-	srv := cluster.NewShardServer(frontier.NewSharded(4))
-	defer srv.Close()
-	rs, err := cluster.Loopback([]*cluster.ShardServer{srv}, cluster.Options{PolitenessDays: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
 	cfg := baseConfig(w)
-	cfg.Frontier = rs
+	cfg.Frontier = frontier.NewShardedPolite(4, 0.5)
 	counted := &failingFetcher{inner: f, at: math.MaxInt64}
 	c, err := New(cfg, counted)
 	if err == nil {
 		err = c.RunUntil(8)
 	}
-	if !errors.Is(err, errRoundRefused) {
+	if !errors.Is(err, frontier.ErrRoundRefused) {
 		t.Fatalf("crawl over a polite frontier returned %v, want the round refusal", err)
 	}
 	if n := counted.n.Load(); n != 0 {
@@ -155,8 +151,8 @@ func (o overrunningFrontier) ApplyRound(pops, removes []string, pushes []frontie
 
 // TestOverrunRoundEndsTheRun: a frontier whose fresh candidate prefix
 // has a head past its own bound cannot be popped in order. The engine
-// must end the crawl with errRoundOverrun before any fetch instead of
-// refreshing forever or popping out of order.
+// must end the crawl with frontier.ErrRoundOverrun before any fetch
+// instead of refreshing forever or popping out of order.
 func TestOverrunRoundEndsTheRun(t *testing.T) {
 	w, f := testWeb(t, 24)
 	cfg := baseConfig(w)
@@ -166,7 +162,7 @@ func TestOverrunRoundEndsTheRun(t *testing.T) {
 	if err == nil {
 		err = c.RunUntil(8)
 	}
-	if !errors.Is(err, errRoundOverrun) {
+	if !errors.Is(err, frontier.ErrRoundOverrun) {
 		t.Fatalf("crawl over an overrunning frontier returned %v, want the overrun error", err)
 	}
 	if n := counted.n.Load(); n != 0 {

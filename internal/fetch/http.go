@@ -18,6 +18,11 @@ import (
 // HTTPFetcher is a polite live-web fetcher: it honours robots.txt, spaces
 // requests to one host by the politeness delay (the paper's experiment
 // used 10 seconds) and optionally restricts crawling to a night window.
+// The spacing runs from the moment the previous request to the host
+// has been answered, so a caller that fetches one host at a time gets
+// page requests that start at least the delay apart, however long a
+// request or the robots.txt check before it took. It is the crawl's
+// only per-host gate.
 type HTTPFetcher struct {
 	// Client is the underlying HTTP client; http.DefaultClient when nil.
 	Client *http.Client
@@ -105,6 +110,7 @@ func (f *HTTPFetcher) FetchContext(ctx context.Context, rawURL string) (Result, 
 	}
 	req.Header.Set("User-Agent", f.userAgent())
 	resp, err := f.client().Do(req)
+	f.answered(u.Host)
 	if err != nil {
 		return Result{}, fmt.Errorf("fetch: %w", err)
 	}
@@ -156,6 +162,18 @@ func (f *HTTPFetcher) waitTurn(host string) time.Time {
 		c.Sleep(d)
 	}
 	return next
+}
+
+// answered moves host's last-request time up to now, after a request to
+// it has returned: the next request waits out the delay from here, and
+// this request certainly started before now.
+func (f *HTTPFetcher) answered(host string) {
+	now := f.clock().Now()
+	f.mu.Lock()
+	if now.After(f.lastByKey[host]) {
+		f.lastByKey[host] = now
+	}
+	f.mu.Unlock()
 }
 
 // allowed consults (and caches) robots.txt for the URL's host.

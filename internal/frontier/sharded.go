@@ -16,19 +16,16 @@ import (
 // Sharded is the revisit priority queue of the paper's Figure 12
 // (CollUrls), partitioned into per-site shards: every URL is assigned to
 // a shard by a hash of its host, so all pages of one site live in one
-// shard. The partitioning serves the concurrent crawl engine two ways:
+// shard, and a shard server owns whole sites. Pop order stays globally
+// deterministic: ApplyRound's candidates are the prefix of the (due,
+// priority, URL) order across all shards, so the pop sequence is that
+// of one unpartitioned queue regardless of the shard count, which keeps
+// crawls reproducible.
 //
-//   - Politeness is enforced per shard: consecutive pops from one shard
-//     are spaced by the configured minimum gap, and a worker can claim a
-//     shard exclusively while it fetches from it, so no two workers ever
-//     hit the same site at once.
-//
-//   - Pop order stays globally deterministic: PopDue always returns
-//     the earliest-due entry across all ready shards in (due, priority,
-//     URL) order, and ApplyRound's candidates are that order's prefix.
-//     With a zero politeness gap the pop sequence is that of one
-//     unpartitioned queue regardless of the shard count, which keeps
-//     simulated experiments reproducible.
+// The per-entry family (PopDue, ClaimDue, Release, ...) also keeps a
+// per-shard politeness gap and exclusive claims. No crawl uses them
+// (crawls space requests to one host in their fetcher; see ShardSet):
+// they serve the benchmark, and a gap makes ApplyRound refuse.
 //
 // Each shard's entries live behind a shardStore: fully in RAM by
 // default (NewSharded), or spilled to an append-only record log with
@@ -412,8 +409,8 @@ func (q *Sharded) applyAndPeek(r *roundOps) (total int) {
 // encodes the candidates before committing its next round.
 //
 // It is the server-side half of the cluster's opRound op, and the
-// in-process frontier serves it too, so the engine drives local and
-// remote shards through one code path (core's frontierRounds).
+// in-process frontier serves it too, so crawls drive local and remote
+// shards through one code path (Rounds).
 func (q *Sharded) ApplyRound(pops, removes []string, pushes []Entry, peekMax int) (cands []Entry, bound Entry, boundOK, ok bool) {
 	if q.Politeness() > 0 {
 		return nil, Entry{}, false, false

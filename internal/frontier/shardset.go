@@ -2,16 +2,20 @@ package frontier
 
 import "hash/fnv"
 
-// ShardSet is the shard-facing frontier interface the crawl engines
-// consume: a revisit queue partitioned into per-site shards with
-// politeness and exclusive-claim semantics. Two implementations exist:
-// the in-process *Sharded, and cluster.RemoteShards, which speaks the
-// same operations to shard servers on other machines — so core.Crawler
-// and cmd/webcrawl run unchanged whether their shards are local or
-// distributed.
+// ShardSet is the shard-facing frontier interface the crawls consume: a
+// revisit queue partitioned into per-site shards. Two implementations
+// exist: the in-process *Sharded, and cluster.RemoteShards, which
+// speaks the same operations to shard servers on other machines — so
+// core.Crawler and cmd/webcrawl run unchanged whether their shards are
+// local or distributed.
 //
-// core.Crawler mutates the queue only through ApplyRound; the per-entry
-// pop family serves cmd/webcrawl's claim dispatcher and its politeness.
+// Both crawls mutate the queue only through ApplyRound, by way of
+// Rounds; besides it the engine reads Len and URLs. The per-entry
+// family — Push, PushBatch, PopDue, ClaimDue, Release, Remove,
+// Contains, Peek, NextEvent — and the politeness gap and claims behind
+// it have no production caller. They stay while the benchmark's
+// decorators forward them and its claim probe calls them (bench/), and
+// go with the per-op wire ops once the benchmark moves off them.
 //
 // Methods deliberately carry no error returns: the in-process queue
 // cannot fail, and remote implementations absorb transport failures
@@ -54,8 +58,9 @@ type ShardSet interface {
 	NextEvent() (float64, bool)
 	// ApplyRound applies one dispatch round's pops, removes and pushes
 	// and returns the next peekMax pop candidates (see
-	// Sharded.ApplyRound). ok is false, with nothing applied, when a
-	// politeness gap is configured.
+	// Sharded.ApplyRound). A queue with a politeness gap refuses the
+	// round with nothing applied: Sharded returns ok false, and
+	// RemoteShards records the server's refusal as its sticky error.
 	ApplyRound(pops, removes []string, pushes []Entry, peekMax int) (cands []Entry, bound Entry, boundOK, ok bool)
 }
 
