@@ -17,14 +17,16 @@
 // checksums across runs to watch change detection at work).
 //
 // A pass is a loop of rounds, like the simulated engine's: pop the URLs
-// due now (at most one round, and no more than the -pages budget left),
-// fetch them on the worker pool, fold the results in pop order, and
-// commit the round's pops, reschedules and discoveries to the frontier
-// in one exchange. The pool runs one site's URLs of a round on one
-// worker, one after another, and the HTTP fetcher spaces requests to
-// one host by -delay; so no host ever has two requests in flight, and
-// consecutive requests to it start at least -delay apart. What a pass
-// prints and stores does not depend on -workers.
+// due now into a per-site backlog, take the backlog's first URL of each
+// site (no more than the -pages budget left), fetch them on the worker
+// pool, fold the results in pop order, and commit the round's pops,
+// reschedules and discoveries to the frontier in one exchange. A round
+// holds one URL per site, so it lasts about one -delay however the due
+// URLs spread over sites, and its sites fetch side by side on up to
+// -workers workers. The HTTP fetcher spaces requests to one host by -delay; so no
+// host ever has two requests in flight, and consecutive requests to it
+// start at least -delay apart. What a pass prints and stores does not
+// depend on -workers.
 package main
 
 import (
@@ -36,6 +38,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -63,7 +66,6 @@ func main() {
 	sameSite := flag.Bool("samesite", true, "follow links only within seed hosts")
 	agent := flag.String("agent", "", "override User-Agent")
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent fetch workers")
-	shards := flag.Int("shards", 16, "per-site frontier shards")
 	shardServers := flag.String("shard-servers", "", "comma-separated shardd endpoints hosting the frontier (replaces in-process shards)")
 	storeServer := flag.String("store-server", "", "storerd endpoint hosting the page collection (replaces the local disk store in -dir)")
 	registryAddr := flag.String("registry", "", "registryd endpoint; shard and store servers are discovered from it at startup (exclusive with the static lists)")
@@ -114,7 +116,6 @@ func main() {
 		sameSite: *sameSite,
 		agent:    *agent,
 		workers:  *workers,
-		shards:   *shards,
 		topo:     topo,
 		content:  *content,
 		out:      os.Stdout,
@@ -160,7 +161,6 @@ type crawlOpts struct {
 	sameSite bool
 	agent    string
 	workers  int
-	shards   int
 	// topo, when set, mounts the frontier from shardd daemons instead of
 	// in-process shards, and the page collection from storerd instead
 	// of the local disk store in -dir — whichever planes it has members
@@ -182,15 +182,13 @@ type crawlOpts struct {
 	client *http.Client
 }
 
-// roundURLs is the most URLs one round pops. It does not depend on
-// -workers: round boundaries decide the due times of discoveries, and
-// with them the pop order, so a fixed size keeps a pass's output the
-// same at any worker count.
-const roundURLs = 64
+// peekURLs is how many due entries one frontier exchange hands the
+// pass; a backlog fill pops through as many exchanges as it needs.
+const peekURLs = 64
 
-// rebuildChunk is the most queue entries one round of the rebuild
-// pushes.
-const rebuildChunk = 8192
+// localShards partitions the in-process frontier; round pop order does
+// not depend on it.
+const localShards = 16
 
 func run(o crawlOpts) error {
 	remote, storeRemote, err := o.topo.Dial(cluster.Options{})
@@ -228,11 +226,11 @@ func run(o crawlOpts) error {
 		f:         &fetch.HTTPFetcher{Client: o.client, Politeness: pol, Epoch: st.Epoch, UserAgent: o.agent},
 		seedHosts: make(map[string]bool),
 	}
-	var q frontier.ShardSet = frontier.NewSharded(o.shards)
+	var q frontier.ShardSet = frontier.NewSharded(localShards)
 	if remote != nil {
 		q = remote
 	}
-	c.rounds = frontier.NewRounds(q, roundURLs)
+	c.rounds = frontier.NewRounds(q, peekURLs)
 	err = c.pass()
 	fmt.Fprintf(o.out, "fetched %d pages; collection holds %d\n", c.fetched, coll.Len())
 	if err != nil {
@@ -258,6 +256,7 @@ type crawl struct {
 	coll      store.Collection
 	st        *crawlstate.State
 	rounds    *frontier.Rounds
+	backlog   backlog
 	f         *fetch.HTTPFetcher
 	seedHosts map[string]bool
 	fetched   int
@@ -267,7 +266,8 @@ func (c *crawl) nowDay() float64 { return clock.Days(time.Since(c.st.Epoch)) }
 
 // pass rebuilds the revisit queue — stored pages at their due times,
 // new seeds due now — as the first round, then crawls rounds until the
-// fetch budget is spent or nothing is due.
+// fetch budget is spent or nothing is due. Backlog entries the budget
+// left unfetched go back to the frontier unchanged.
 func (c *crawl) pass() error {
 	now := c.nowDay()
 	queue := make([]frontier.Entry, 0, len(c.st.Due)+len(c.opts.seeds))
@@ -283,34 +283,19 @@ func (c *crawl) pass() error {
 			queue = append(queue, frontier.Entry{URL: s, Due: now, Priority: 1})
 		}
 	}
-	// Large due tables ship as several rounds, so no frame to a shard
-	// server grows with the table.
-	for len(queue) > rebuildChunk {
-		if err := c.rounds.Commit(nil, queue[:rebuildChunk], false); err != nil {
-			return err
-		}
-		queue = queue[rebuildChunk:]
-	}
 	if err := c.rounds.Commit(nil, queue, true); err != nil {
 		return err
 	}
 
 	var urls []string
-	results := make([]fetch.Result, roundURLs)
-	errs := make([]error, roundURLs)
 	for c.fetched < c.opts.maxPages {
 		now := c.nowDay()
-		urls = urls[:0]
-		for len(urls) < min(roundURLs, c.opts.maxPages-c.fetched) {
-			e, ok := c.rounds.PopDue(now)
-			if !ok {
-				break
-			}
-			urls = append(urls, e.URL)
-		}
+		c.backlog.fill(c.rounds, now)
+		urls = c.backlog.take(c.opts.maxPages-c.fetched, urls[:0])
 		if len(urls) == 0 {
 			break
 		}
+		results, errs := make([]fetch.Result, len(urls)), make([]error, len(urls))
 		// Per-URL fetch failures are reported and refunded, not fatal.
 		if err := core.DispatchRound(c.opts.workers, urls, func(i int) error {
 			results[i], errs[i] = c.f.Fetch(urls[i], 0)
@@ -326,7 +311,74 @@ func (c *crawl) pass() error {
 			return err
 		}
 	}
+	if err := c.rounds.Commit(nil, c.backlog.drain(), false); err != nil {
+		return err
+	}
 	return c.rounds.Err() // a pop that found the frontier broken
+}
+
+// backlog holds the due entries a pass popped from the frontier and has
+// not fetched yet: one queue per site, each in pop order. Every entry is
+// popped once, however many rounds its site's queue takes to drain.
+type backlog struct {
+	sites map[string][]queued
+	seq   int // pops so far
+}
+
+type queued struct {
+	frontier.Entry
+	site string
+	seq  int // pop order
+}
+
+// fill pops every entry due at or before now.
+func (b *backlog) fill(r *frontier.Rounds, now float64) {
+	if b.sites == nil {
+		b.sites = make(map[string][]queued)
+	}
+	for {
+		e, ok := r.PopDue(now)
+		if !ok {
+			return
+		}
+		site := webgraph.SiteOf(e.URL)
+		b.sites[site] = append(b.sites[site], queued{Entry: e, site: site, seq: b.seq})
+		b.seq++
+	}
+}
+
+// take removes the first entry of each site's queue, at most n of them
+// in pop order, and appends their URLs to urls.
+func (b *backlog) take(n int, urls []string) []string {
+	heads := make([]queued, 0, len(b.sites))
+	for _, q := range b.sites {
+		heads = append(heads, q[0])
+	}
+	sort.Slice(heads, func(i, j int) bool { return heads[i].seq < heads[j].seq })
+	for _, h := range heads[:min(n, len(heads))] {
+		if q := b.sites[h.site][1:]; len(q) > 0 {
+			b.sites[h.site] = q
+		} else {
+			delete(b.sites, h.site)
+		}
+		urls = append(urls, h.URL)
+	}
+	return urls
+}
+
+// drain empties the backlog and returns its entries in pop order.
+func (b *backlog) drain() []frontier.Entry {
+	var all []queued
+	for _, q := range b.sites {
+		all = append(all, q...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	entries := make([]frontier.Entry, len(all))
+	for i, q := range all {
+		entries[i] = q.Entry
+	}
+	b.sites = nil
+	return entries
 }
 
 // apply folds one fetched round into the collection, the change

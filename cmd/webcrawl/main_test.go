@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -72,7 +74,7 @@ func testOpts(t *testing.T, seeds string, workers int, delay time.Duration, out 
 	}
 	return crawlOpts{
 		seeds: seedList, dir: t.TempDir(), maxPages: 40, delay: delay, sameSite: true,
-		workers: workers, shards: 16, content: true, out: out,
+		workers: workers, content: true, out: out,
 	}
 }
 
@@ -142,8 +144,10 @@ type request struct {
 }
 
 // recordingTransport records every request the fetcher sends, and
-// whether any host ever had two requests in flight at once.
+// whether any host ever had two requests in flight at once. It sends
+// them on next, or on http.DefaultTransport when next is nil.
 type recordingTransport struct {
+	next     http.RoundTripper
 	mu       sync.Mutex
 	reqs     []*request
 	inflight map[string]int
@@ -159,7 +163,11 @@ func (rt *recordingTransport) RoundTrip(req *http.Request) (*http.Response, erro
 		rt.overlap = r.host
 	}
 	rt.mu.Unlock()
-	resp, err := http.DefaultTransport.RoundTrip(req)
+	next := rt.next
+	if next == nil {
+		next = http.DefaultTransport
+	}
+	resp, err := next.RoundTrip(req)
 	if err != nil {
 		rt.finish(r)
 		return nil, err
@@ -235,6 +243,57 @@ func TestPolitenessPerHost(t *testing.T) {
 				t.Fatalf("%s: %s started %v after %s, want at least %v", host, reqs[i].path, gap, reqs[i-1].path, delay)
 			}
 		}
+	}
+}
+
+// TestRoundsSpanSites: a round takes one URL of every site with one due,
+// so a small site's pages do not wait behind a large site's backlog.
+// Host a.test links 80 pages and sorts first, b.test links 4; with both
+// indexes fetched in the first round, b.test's pages go out in rounds
+// two to five, each beside one of a.test's. Rounds are barriers, so
+// b.test's last page request starts before a.test's sixth page request
+// at any timing.
+func TestRoundsSpanSites(t *testing.T) {
+	siteOf := func(n int) map[string]string {
+		site := map[string]string{}
+		var index strings.Builder
+		for i := 1; i <= n; i++ {
+			site[fmt.Sprintf("/p%02d.html", i)] = fmt.Sprintf("<html><body>page %d</body></html>", i)
+			fmt.Fprintf(&index, "<a href=\"/p%02d.html\">p%02d</a>\n", i, i)
+		}
+		site["/"] = "<html><body>" + index.String() + "</body></html>"
+		return site
+	}
+	addrs := map[string]string{
+		"a.test:80": serveSite(t, siteOf(80), 0, 0).Listener.Addr().String(),
+		"b.test:80": serveSite(t, siteOf(4), 0, 0).Listener.Addr().String(),
+	}
+	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		return (&net.Dialer{}).DialContext(ctx, network, addrs[addr])
+	}
+	rt := &recordingTransport{next: &http.Transport{DialContext: dial}, inflight: map[string]int{}}
+	var out bytes.Buffer
+	o := testOpts(t, "http://a.test/,http://b.test/", 4, time.Millisecond, &out)
+	o.maxPages = 100
+	o.client = &http.Client{Transport: rt}
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(out.String(), "fetched 86 pages; collection holds 86\n") {
+		t.Fatalf("the pass did not crawl both sites:\n%s", out.String())
+	}
+	var a, b []*request
+	for _, r := range rt.reqs {
+		switch {
+		case r.path == "/robots.txt":
+		case r.host == "a.test":
+			a = append(a, r)
+		default:
+			b = append(b, r)
+		}
+	}
+	if last := b[len(b)-1]; !last.start.Before(a[5].start) {
+		t.Fatalf("b.test's last page %s started after a.test's sixth page request %s", last.path, a[5].path)
 	}
 }
 
