@@ -9,21 +9,24 @@ import (
 	"webevolve/internal/frontier"
 )
 
-// TestFrameRoundTrip: a small body travels raw, a large repetitive one
-// rides the compression flag and ships smaller than raw; both come
-// back whole, and both ends agree on the wire size.
+// TestFrameRoundTrip: every body travels raw, whatever its size or
+// however well it would compress — flags 0, the body plus the 11-byte
+// header on the wire — and comes back whole, both ends agreeing on the
+// wire size.
 func TestFrameRoundTrip(t *testing.T) {
 	for _, body := range [][]byte{
+		{},
 		[]byte("hello shard world"),
-		bytes.Repeat([]byte("http://site000.com/page "), 200),
+		bytes.Repeat([]byte("page"), 1<<10),
+		bytes.Repeat([]byte("http://site0.com"), 1<<16), // 1 MiB
 	} {
 		var buf bytes.Buffer
 		wrote, err := writeFrame(&buf, opPush, body)
 		if err != nil || wrote != buf.Len() {
 			t.Fatalf("writeFrame reported %d bytes, wrote %d: %v", wrote, buf.Len(), err)
 		}
-		if len(body) >= compressMin && wrote >= len(body) {
-			t.Fatalf("frame (%dB) did not compress a %dB repetitive body", wrote, len(body))
+		if flags := buf.Bytes()[10]; flags != 0 || wrote != len(body)+11 {
+			t.Fatalf("a %dB body went out as %dB with flags %#x, want %dB raw", len(body), wrote, flags, len(body)+11)
 		}
 		kind, got, wire, err := readFrame(&buf)
 		if err != nil || kind != opPush || !bytes.Equal(got, body) {

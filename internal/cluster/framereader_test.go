@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"webevolve/internal/frontier"
@@ -46,17 +47,15 @@ func TestLyingSizesAllocateNothingUpFront(t *testing.T) {
 		}
 	}
 
-	var stream bytes.Buffer
-	deflateBody(&stream, []byte("tiny")) // uvarint(4) + the deflate stream
+	stream := parentDeflate([]byte("tiny"))[1:] // the deflate stream, without its uvarint(4)
 	payload := binary.AppendUvarint([]byte{ProtoVersion, opLen, flagCompressed}, maxFrame)
-	payload = append(payload, stream.Bytes()[1:]...)
-	frame := rawFrame(payload)
+	frame := rawFrame(append(payload, stream...))
 	var err error
 	if n := allocated(func() { _, _, _, err = readFrame(bytes.NewReader(frame)) }); n >= 1<<20 {
-		t.Errorf("%d compressed bytes declaring %d MiB allocated %d bytes", stream.Len()-1, maxFrame>>20, n)
+		t.Errorf("%d compressed bytes declaring %d MiB allocated %d bytes", len(stream), maxFrame>>20, n)
 	}
 	if !errors.Is(err, errBadFrame) {
-		t.Errorf("%d compressed bytes declaring %d MiB: err = %v, want errBadFrame", stream.Len()-1, maxFrame>>20, err)
+		t.Errorf("%d compressed bytes declaring %d MiB: err = %v, want errBadFrame", len(stream), maxFrame>>20, err)
 	}
 }
 
@@ -67,9 +66,9 @@ func TestLyingSizesAllocateNothingUpFront(t *testing.T) {
 // error.
 func FuzzFrameSequence(f *testing.F) {
 	small := validFrame(f, opPush, seedBodies()[opPush][0])
-	deflated := validFrame(f, opPushBatch, walBatchBody(9, testURLs(16, 24)))
+	deflated := parentFrame(opPushBatch, walBatchBody(9, testURLs(16, 24)))
 	noise := make([]byte, 6<<10)
-	rand.New(rand.NewSource(1)).Read(noise) // incompressible: a raw frame over compressMin
+	rand.New(rand.NewSource(1)).Read(noise) // incompressible: raw from any build
 	raw := validFrame(f, opPushBatch, noise)
 	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 	f.Add(cat(small, deflated, small, deflated))
@@ -102,17 +101,19 @@ func FuzzFrameSequence(f *testing.F) {
 // TestServerReadBuffersKeepNothing drives a ShardServer and two
 // StoreServers over Pipe, one connection each: a Mem-backed one, which
 // keeps records decoded from the values it is handed, and a disk-backed
-// one, which appends those values to its log. The frames are a random
-// mix below and above compressMin, growing and shrinking, plus one raw
-// and one inflated body over frameReaderKeep. Every frame is read into
-// the buffers the previous one used, so a decoder or backend that kept
-// a slice of a body instead of a copy would surface as state a later
-// frame overwrote. The servers' final state must equal an in-process
-// oracle fed the same operations.
+// one, which appends those values to its log. The clients speak as
+// earlier builds did (parentConn), so the frames are a random mix of
+// raw bodies and, from parentCompressMin on, deflated ones, growing and
+// shrinking, plus one raw and one inflated body over frameReaderKeep.
+// Every frame is read into the buffers the previous one used, so a
+// decoder or backend that kept a slice of a body instead of a copy
+// would surface as state a later frame overwrote. The servers' final
+// state must equal an in-process oracle fed the same operations.
 func TestServerReadBuffersKeepNothing(t *testing.T) {
 	shardSrv := NewShardServer(frontier.NewSharded(4))
 	defer shardSrv.Close()
-	shards, err := Loopback([]*ShardServer{shardSrv}, Options{t: transport{conns: 1}})
+	var deflated atomic.Int64
+	shards, err := Dial([]Dialer{parentDialer(shardSrv.Pipe, &deflated)}, Options{t: transport{conns: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestServerReadBuffersKeepNothing(t *testing.T) {
 	var colls []store.Collection
 	for _, srv := range storeSrvs {
 		defer srv.Close()
-		rstore, err := LoopbackStore(srv, Options{t: transport{conns: 1}})
+		rstore, err := DialStore(parentDialer(srv.Pipe, &deflated), Options{t: transport{conns: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,6 +213,9 @@ func TestServerReadBuffersKeepNothing(t *testing.T) {
 	}
 	if err := shards.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if deflated.Load() == 0 {
+		t.Fatal("no frame went out deflated; the inflate path was not exercised")
 	}
 
 	for i, srv := range storeSrvs {

@@ -114,3 +114,39 @@ func TestOpensParentWrittenWAL(t *testing.T) {
 		t.Fatalf("state restored from the parent build's WAL differs\ngot:\n%swant:\n%s", got.String(), want)
 	}
 }
+
+// TestReplaysParentCompressedWAL: testdata/wal_parent_compressed was
+// written by the last build that deflated frames (commit e17a244),
+// through the request path: a 384-entry push batch, a compaction that
+// put those entries in the snapshot as one chunk, then a second
+// 384-entry batch, 144 of its URLs already queued, left in the log by
+// a crash (no CloseWAL). Both batches and the chunk were past 4 KiB, so
+// that build wrote all three compressed. This build must restore the
+// queue that build restored from them, entry for entry in pop order.
+func TestReplaysParentCompressedWAL(t *testing.T) {
+	src := filepath.Join("testdata", "wal_parent_compressed")
+	if snap, log := compressedFrames(t, filepath.Join(src, walSnapName)), compressedFrames(t, walFilePath(src, 2)); snap != 1 || log != 1 {
+		t.Fatalf("fixture holds %d compressed snapshot frames and %d compressed log frames, want 1 and 1", snap, log)
+	}
+	dir := t.TempDir() // OpenWAL compacts what it opens; the fixture stays pristine
+	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(src + ".want")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := newWALServer(t, dir, 4).Shards()
+	var got strings.Builder
+	fmt.Fprintf(&got, "len %d\n", q.Len())
+	for {
+		ent, ok := q.PopDue(1e9)
+		if !ok {
+			break
+		}
+		fmt.Fprintf(&got, "%s %v %v\n", ent.URL, ent.Due, ent.Priority)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("queue restored from the parent build's compressed WAL differs\ngot:\n%swant:\n%s", got.String(), want)
+	}
+}

@@ -64,7 +64,7 @@ func TestInvarianceMatrix(t *testing.T) {
 
 // The full cross product costs more than its share of a plain go test
 // beside the rest of the tree on a two-core box (≈ 20 ms a cell, mostly
-// server setup and put-batch deflate), so a run crawls the named cells
+// server setup), so a run crawls the named cells
 // and a fixed sample of the others. The seed is a constant, so every run
 // reports the same subtests and a failing cell reruns by name; change
 // it to rotate the sample, or set samplePercent to 100 for the full

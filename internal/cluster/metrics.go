@@ -63,18 +63,6 @@ var (
 		obs.BytesBuckets, "dir")
 	migrationsTotal = obs.Default.Counter("webevolve_membership_migrations_total",
 		"shard migrations this client completed (epoch flips it drove)")
-
-	// Wire-compression families: how often the per-frame
-	// deflate flag engaged and what it bought. Both histograms tick only
-	// for frames that actually shipped compressed, so dividing the sums
-	// gives the achieved compression ratio; frames below the threshold
-	// or that deflate could not shrink appear in neither.
-	framesCompressed = obs.Default.Counter("webevolve_cluster_frames_compressed_total",
-		"frames whose body shipped deflate-compressed")
-	frameRawBytes = obs.Default.Histogram("webevolve_cluster_frame_raw_bytes",
-		"pre-compression body size of compressed frames", obs.BytesBuckets)
-	frameCompressedBytes = obs.Default.Histogram("webevolve_cluster_frame_compressed_bytes",
-		"on-wire body size of compressed frames", obs.BytesBuckets)
 )
 
 // opName renders an opcode for metric labels.

@@ -52,7 +52,8 @@ const maxFrame = 64 << 20
 //
 // For requests, kind is the opcode; for responses it is a status
 // (statusOK with an op-specific body, or statusError with a message).
-// flags bit 0 set means the body is deflate-compressed, prefixed with
+// This build writes flags as 0. Bit 0 set (flagCompressed, written by
+// earlier builds) means the body is deflate-compressed, prefixed with
 // its inflated length as a uvarint; all other flag bits must be zero.
 const (
 	opHello byte = iota + 1
@@ -186,60 +187,9 @@ var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // frameBufPoolMax caps the capacity of buffers returned to the pool.
 const frameBufPoolMax = 64 << 10
 
-// compressMin is the body size below which writeFrame sends a body raw.
-// Deflate's cost is mostly per frame, not per byte: every frame closes
-// its own stream, and each close builds fresh Huffman tables, so a
-// sub-KiB body costs a third of what a 17 KiB one does while saving
-// only about a hundred bytes. Warm-loop CPU per frame on a 2.0 GHz Xeon, for
-// BenchmarkFrame's bodies (built from pages of the simulated web):
-//
-//	body                           raw       deflated   deflate   inflate
-//	opRound reply, 16 entries      444 B     334 B      22 µs     6 µs
-//	opStorePutValues, 16 records   17.3 KiB  2.6 KiB    67 µs     35 µs
-//
-// Inside a running crawl the small frames cost more (38 µs + 15 µs per
-// 752 B round reply, timed on captured frames). Streaming one deflater
-// per connection does not change the trade: compress/flate's Flush also
-// ends a block and rebuilds the tables, and on captured frames it cut a
-// round reply only to 26 µs and left a put-batch at 122 µs. At 4 KiB
-// every opRound request and reply travels raw, while store put-batches,
-// scan chunks and URL lists — large, repetitive, and 3–6× smaller
-// deflated — keep the flag.
-const compressMin = 4 << 10
-
-// flateWriterPool / flateReaderPool recycle deflate state, which is
-// expensive to allocate (32KiB windows) relative to the frames it
-// compresses. compressBufPool holds the intermediate compressed-body
-// buffers; like frameBufPool, oversized ones are dropped.
-var (
-	flateWriterPool = sync.Pool{New: func() any {
-		w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-		return w
-	}}
-	flateReaderPool sync.Pool
-	compressBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-)
-
-const compressBufPoolMax = 1 << 20
-
-func putCompressBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= compressBufPoolMax {
-		compressBufPool.Put(buf)
-	}
-}
-
-// deflateBody compresses body into buf as uvarint(len(body)) followed
-// by the deflate stream, reporting success.
-func deflateBody(buf *bytes.Buffer, body []byte) bool {
-	var hdr [binary.MaxVarintLen64]byte
-	buf.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(body)))])
-	fw := flateWriterPool.Get().(*flate.Writer)
-	fw.Reset(buf)
-	_, werr := fw.Write(body)
-	cerr := fw.Close()
-	flateWriterPool.Put(fw)
-	return werr == nil && cerr == nil
-}
+// flateReaderPool recycles inflate state, which is expensive to
+// allocate (a 32 KiB window) relative to the frames it decodes.
+var flateReaderPool sync.Pool
 
 // maxInflateRatio is the most deflate can expand its input: a
 // 258-byte match costs at least two bits (one-bit length and distance
@@ -288,7 +238,11 @@ func inflateBody(dst, comp []byte) ([]byte, error) {
 	return out, nil
 }
 
-// flagCompressed marks a deflate-compressed frame body.
+// flagCompressed marks a deflate-compressed frame body. No frame is
+// written with it: bodies travel raw, since deflating them cost more CPU
+// than the loopback bytes it saved. Frames of earlier builds carry it,
+// in WAL segments and snapshots and from their peers, so readers still
+// inflate it.
 const flagCompressed = 0x01
 
 // frameHdr is the payload's fixed prefix: version, kind, flags.
@@ -296,29 +250,11 @@ const frameHdr = 3
 
 // writeFrame assembles and writes one frame as a single Write call, so
 // synchronous transports (net.Pipe) cannot interleave partial frames.
-// Bodies at least compressMin long are deflated when that shrinks them.
-// It returns the bytes written to w — the true wire size, which differs
-// from the body length whenever the body compressed.
+// It returns the bytes written to w: the body plus the 11-byte frame
+// header.
 func writeFrame(w io.Writer, kind byte, body []byte) (int, error) {
-	flags := byte(0)
-	wireBody := body
-	var cbuf *bytes.Buffer
-	if len(body) >= compressMin {
-		cbuf = compressBufPool.Get().(*bytes.Buffer)
-		cbuf.Reset()
-		if deflateBody(cbuf, body) && cbuf.Len() < len(body) {
-			flags = flagCompressed
-			wireBody = cbuf.Bytes()
-			framesCompressed.Inc()
-			frameRawBytes.Observe(float64(len(body)))
-			frameCompressedBytes.Observe(float64(len(wireBody)))
-		}
-	}
-	payload := len(wireBody) + frameHdr
+	payload := len(body) + frameHdr
 	if payload > maxFrame {
-		if cbuf != nil {
-			putCompressBuf(cbuf)
-		}
 		return 0, fmt.Errorf("cluster: frame too large (%d bytes)", payload)
 	}
 	bp := frameBufPool.Get().(*[]byte)
@@ -331,16 +267,13 @@ func writeFrame(w io.Writer, kind byte, body []byte) (int, error) {
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(payload))
 	buf[8] = ProtoVersion
 	buf[9] = kind
-	buf[10] = flags
-	copy(buf[8+frameHdr:], wireBody)
+	buf[10] = 0
+	copy(buf[8+frameHdr:], body)
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
 	n, err := w.Write(buf)
 	if cap(buf) <= frameBufPoolMax {
 		*bp = buf
 		frameBufPool.Put(bp)
-	}
-	if cbuf != nil {
-		putCompressBuf(cbuf)
 	}
 	return n, err
 }

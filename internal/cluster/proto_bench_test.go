@@ -14,7 +14,7 @@ import (
 
 // BenchmarkEncodeEntries pins the entry codec's cost and allocation
 // profile (varints, front-coded URLs). The bytes/entry metric is the
-// on-wire body size the compression layer then sees.
+// body size a frame then carries raw.
 func BenchmarkEncodeEntries(b *testing.B) {
 	const n = 64
 	entries := make([]frontier.Entry, n)
@@ -105,9 +105,9 @@ func crawlBodies(tb testing.TB) (roundReply, putBatch []byte) {
 
 // BenchmarkFrame is the frame codec's own ledger line: one writeFrame
 // and one read back through a reused frameReader — a server
-// connection's read path — per op, for an opRound reply (under
-// compressMin: travels raw) and a store put-batch body (deflated).
-// bodyB and wireB are the body's size before and after the codec.
+// connection's read path — per op, for an opRound reply and a store
+// put-batch body, both sent raw. bodyB and wireB are the body's size
+// and the frame's on the wire (the body plus the 11-byte header).
 func BenchmarkFrame(b *testing.B) {
 	roundReply, putBatch := crawlBodies(b)
 	for _, bc := range []struct {

@@ -229,8 +229,8 @@ type serverConns struct {
 }
 
 // exchange sends one request frame and reads its response, accounting
-// the real wire bytes both ways (post-compression — the unit WireBytes
-// and the bytes-per-page benchmark report).
+// the real wire bytes both ways, frame headers included (the unit
+// WireBytes and the bytes-per-page benchmark report).
 func (sc *serverConns) exchange(cc *clientConn, op byte, body []byte) (byte, []byte, error) {
 	sc.trips.Add(1)
 	m := metricsFor(op)

@@ -556,25 +556,90 @@ func TestRemoteDiskSegmentsMatchLocal(t *testing.T) {
 	if err := local.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadDir(localDir)
+	sameSegments(t, localDir, filepath.Join(srvDir, "c"))
+}
+
+// sameSegments fails the test unless directories want and got hold the
+// same segment files, byte for byte, and at least one.
+func sameSegments(t *testing.T, want, got string) {
+	t.Helper()
+	wantEnts, err := os.ReadDir(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadDir(filepath.Join(srvDir, "c"))
+	gotEnts, err := os.ReadDir(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) || len(want) == 0 {
-		t.Fatalf("server wrote %d segment files, the local store %d", len(got), len(want))
+	if len(gotEnts) != len(wantEnts) || len(wantEnts) == 0 {
+		t.Fatalf("%s holds %d segment files, %s %d", got, len(gotEnts), want, len(wantEnts))
 	}
-	for i, ent := range want {
-		a, errA := os.ReadFile(filepath.Join(localDir, ent.Name()))
-		b, errB := os.ReadFile(filepath.Join(srvDir, "c", got[i].Name()))
-		if errA != nil || errB != nil || got[i].Name() != ent.Name() || !bytes.Equal(a, b) {
-			t.Fatalf("segment %s: %d local bytes, server's %s %d bytes: not identical (%v, %v)",
-				ent.Name(), len(a), got[i].Name(), len(b), errA, errB)
+	for i, ent := range wantEnts {
+		a, errA := os.ReadFile(filepath.Join(want, ent.Name()))
+		b, errB := os.ReadFile(filepath.Join(got, gotEnts[i].Name()))
+		if errA != nil || errB != nil || gotEnts[i].Name() != ent.Name() || !bytes.Equal(a, b) {
+			t.Fatalf("segment %s: %d bytes, the other side's %s %d bytes: not identical (%v, %v)",
+				ent.Name(), len(a), gotEnts[i].Name(), len(b), errA, errB)
 		}
 	}
+}
+
+// TestParentCompressedPutMatchesRaw hands two disk store servers the
+// same put-batches: one as an earlier build sent them, deflated, the
+// other raw, as this build sends them. The segment files must be
+// byte-identical, so a collection written through either build's
+// client is the same collection.
+func TestParentCompressedPutMatchesRaw(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	urls := testURLs(6, 30)
+	words := []string{"<p>", "crawl ", "fresh ", "page ", "</a>", "\n"}
+	var bodies [][]byte
+	for step := 0; step < 20; step++ {
+		var put enc
+		n := 1 + rng.Intn(20)
+		put.fix64(uint64(100 + step)).str("c").u32(uint32(n))
+		for i, prev := 0, ""; i < n; i++ {
+			r := storeRec(urls[rng.Intn(len(urls))], rng.Uint64())
+			r.FetchedAt, r.Version = rng.Float64()*40, rng.Intn(5)
+			for len(r.Content) < 2000 {
+				r.Content = append(r.Content, words[rng.Intn(len(words))]...)
+			}
+			appendPair(&put, prev, r.URL, store.AppendValue(nil, &r))
+			prev = r.URL
+		}
+		bodies = append(bodies, put.b)
+	}
+
+	dirs := []string{t.TempDir(), t.TempDir()}
+	for i, dir := range dirs {
+		srv := NewDiskStoreServer(dir)
+		conn, err := srv.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		deflated := 0
+		for _, body := range bodies {
+			frame := validFrame(t, opStorePutValues, body)
+			if i == 1 && len(body) >= parentCompressMin {
+				frame = parentFrame(opStorePutValues, body)
+				deflated++
+			}
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if st, resp, _, err := readFrame(conn); err != nil || st != statusOK {
+				t.Fatalf("put: status %d %q: %v", st, resp, err)
+			}
+		}
+		if i == 1 && deflated < len(bodies)/2 {
+			t.Fatalf("only %d of %d puts went deflated", deflated, len(bodies))
+		}
+		conn.Close()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameSegments(t, filepath.Join(dirs[0], "c"), filepath.Join(dirs[1], "c"))
 }
 
 // cloneRecord deep-copies a record.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -162,8 +161,8 @@ func TestWALTornTailTruncated(t *testing.T) {
 }
 
 // walBatchBody builds a push-batch body; over testURLs(16, 24) it is
-// big enough that writeFrame deflates the frame (front-coded URLs,
-// > compressMin bytes raw).
+// past parentCompressMin (front-coded URLs), a body earlier builds
+// wrote deflated.
 func walBatchBody(reqID uint64, urls []string) []byte {
 	var e enc
 	e.fix64(reqID)
@@ -175,47 +174,37 @@ func walBatchBody(reqID uint64, urls []string) []byte {
 	return e.b
 }
 
-// TestWALReplaysCompressedFrames: a WAL whose batch bodies are big
-// enough to ride the compression flag must replay
+// TestWALReplaysCompressedFrames: a log in which an earlier build
+// wrote a batch compressed, between frames of this build, must replay
 // exactly after a crash (no CloseWAL, no snapshot).
 func TestWALReplaysCompressedFrames(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 4)
-	urls := testURLs(16, 24)
-	if st, resp := srv.handle(opPushBatch, walBatchBody(900, urls)); st != statusOK {
-		t.Fatalf("batch push: %s", resp)
-	}
-
-	// The test is vacuous unless the logged frame really is compressed:
-	// find a flags byte with flagCompressed set in the active log.
+	pushVia(t, srv, 1, "http://site100.com/a", 1, 0)
 	seqs, err := walFileSeqs(dir)
 	if err != nil || len(seqs) == 0 {
 		t.Fatalf("no wal files: %v", err)
 	}
-	raw, err := os.ReadFile(walFilePath(dir, seqs[len(seqs)-1]))
+	active := walFilePath(dir, seqs[len(seqs)-1])
+	urls := testURLs(16, 24)
+	f, err := os.OpenFile(active, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressed := false
-	for off := 0; off+8 <= len(raw); {
-		n := int(binary.LittleEndian.Uint32(raw[off : off+4]))
-		if off+8+n > len(raw) {
-			break
-		}
-		if n >= frameHdr && raw[off+8+2]&flagCompressed != 0 {
-			compressed = true
-		}
-		off += 8 + n
+	if _, err := f.Write(parentFrame(opPushBatch, walBatchBody(900, urls))); err != nil {
+		t.Fatal(err)
 	}
-	if !compressed {
-		t.Fatal("batch frame was not compressed in the WAL; test exercises nothing")
+	f.Close()
+	pushVia(t, srv, 2, "http://site101.com/b", 2, 0)
+	if n := compressedFrames(t, active); n != 1 {
+		t.Fatalf("%d compressed frames in the log, want 1", n)
 	}
 
 	srv2 := newWALServer(t, dir, 4)
-	if got := srv2.Shards().Len(); got != len(urls) {
-		t.Fatalf("recovered Len = %d, want %d", got, len(urls))
+	if got := srv2.Shards().Len(); got != len(urls)+2 {
+		t.Fatalf("recovered Len = %d, want %d", got, len(urls)+2)
 	}
-	for _, u := range urls {
+	for _, u := range append(urls, "http://site100.com/a", "http://site101.com/b") {
 		if !srv2.Shards().Contains(u) {
 			t.Fatalf("entry %s lost replaying a compressed WAL", u)
 		}
@@ -240,15 +229,12 @@ func TestWALTornCompressedTailTruncated(t *testing.T) {
 
 	// A well-formed compressed batch frame, torn 5 bytes short: the
 	// length prefix promises more than the file holds.
-	var torn bytes.Buffer
-	if _, err := writeFrame(&torn, opPushBatch, walBatchBody(901, testURLs(16, 24))); err != nil {
-		t.Fatal(err)
-	}
+	torn := parentFrame(opPushBatch, walBatchBody(901, testURLs(16, 24)))
 	f, err := os.OpenFile(active, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(torn.Bytes()[:torn.Len()-5]); err != nil {
+	if _, err := f.Write(torn[:len(torn)-5]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -104,20 +104,19 @@ for rung in $ladder; do
         continue
     fi
     # Mid-crawl observability: scrape the surviving shardd's /metrics
-    # and require well-formed exposition with the wire, WAL, frame-
-    # compression and frontier-residency families actually moving
-    # (promcheck exits non-zero on malformed output or zero counters,
-    # failing `make ci`). The compression families prove response
-    # frames big enough to deflate actually rode the flag — with
-    # compressMin at 4 KiB no opRound frame does, so here that is the
-    # ranking pass's opURLs replies (every queued URL of the server); the
-    # residency families prove the disk tier is live —
-    # entries resident, entries spilled, and bytes in the spill logs.
+    # and require well-formed exposition with the wire, WAL, frame-size
+    # and frontier-residency families actually moving (promcheck exits
+    # non-zero on malformed output or zero counters, failing `make ci`).
+    # The request and response byte histograms prove the server
+    # accounts every frame it reads and writes — the raw bytes the
+    # wire-bytes-per-page figures are made of; the residency families
+    # prove the disk tier is live — entries resident, entries spilled,
+    # and bytes in the spill logs.
     curl -sS "http://$m2/metrics" >"$tmp/k2.metrics"
     "$tmp/promcheck" \
-        -require webevolve_cluster_server_ops_total,webevolve_cluster_server_op_seconds,webevolve_wal_appends_total,webevolve_cluster_frames_compressed_total,webevolve_cluster_frame_raw_bytes,webevolve_cluster_frame_compressed_bytes,webevolve_frontier_resident_entries,webevolve_frontier_spilled_entries,webevolve_frontier_spill_bytes \
+        -require webevolve_cluster_server_ops_total,webevolve_cluster_server_op_seconds,webevolve_wal_appends_total,webevolve_cluster_server_request_bytes,webevolve_cluster_server_response_bytes,webevolve_frontier_resident_entries,webevolve_frontier_spilled_entries,webevolve_frontier_spill_bytes \
         <"$tmp/k2.metrics"
-    echo "cluster-smoke: mid-crawl /metrics scrape is well-formed with live wire+WAL+compression+spill counters"
+    echo "cluster-smoke: mid-crawl /metrics scrape is well-formed with live wire+WAL+frame-size+spill counters"
     kill -9 "$k1_pid"
     killed=1
     echo "cluster-smoke: SIGKILLed shardd on $b1 mid-crawl (size $size); restarting from its WAL"
