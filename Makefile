@@ -14,7 +14,8 @@ test:
 # The lines after the first repeat the tests whose outcome depends on
 # goroutine timing or map order, not only on their seeds: the frontier
 # peek's randomized test against its model (sort everything, take n;
-# both tiers); the serve/swap gate (readers across
+# both tiers) and the round adapter's deferred commits against a queue
+# every commit reaches at once; the serve/swap gate (readers across
 # live swaps: no request may see a closed store); and the store's
 # ordered index and record codec beside concurrent writers, compaction
 # and swaps; the engine's content stage behind a slow or failing store
@@ -41,7 +42,7 @@ test:
 # (-short: 60 of the 240 random populations).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'TestPeekMatchesModel|TestApplyRoundBesideConcurrentUse' ./internal/frontier/
+	$(GO) test -race -count=5 -run 'TestPeekMatchesModel|TestRoundsDeferralMatchesEagerCommits|TestApplyRoundBesideConcurrentUse' ./internal/frontier/
 	$(GO) test -race -count=20 -run 'TestServeAcrossLiveCrawl' ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestStragglersAcrossSwaps' ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestScanBesideWrites|TestModelCheck|TestShadowedPin|TestDiskConcurrentStress' ./internal/store/
@@ -55,6 +56,8 @@ race:
 
 # Thirty seconds of fuzzing the optimizer's equivalence property, then
 # fifteen of the change-rate MLE's against its full bisection, then
+# fifteen of the round adapter's deferred commits against a queue every
+# commit reaches at once (pops, NextEvent answers, final queue), then
 # fifteen each on the cluster's frame reader and request handler (shard
 # and store servers): there is one wire decoder and no second version
 # to cross-check it, so arbitrary bytes must keep surfacing as errors,
@@ -69,6 +72,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimalAllocation -fuzztime 30s ./internal/freshness/
 	$(GO) test -run '^$$' -fuzz FuzzEPIrregular -fuzztime 15s ./internal/changefreq/
+	$(GO) test -run '^$$' -fuzz FuzzRoundsDeferral -fuzztime 15s ./internal/frontier/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzHandleBody -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzFrameSequence -fuzztime 15s ./internal/cluster/

@@ -20,7 +20,9 @@
 // due now into a per-site backlog, take the backlog's first URL of each
 // site (no more than the -pages budget left), fetch them on the worker
 // pool, fold the results in pop order, and commit the round's pops,
-// reschedules and discoveries to the frontier in one exchange. A round
+// reschedules and discoveries to the frontier in one exchange, or in
+// the next one when the frontier's candidates stay exact without them
+// (frontier.Rounds). A round
 // holds one URL per site, so it lasts about one -delay however the due
 // URLs spread over sites, and its sites fetch side by side on up to
 // -workers workers. The HTTP fetcher spaces requests to one host by -delay; so no
@@ -183,7 +185,8 @@ type crawlOpts struct {
 }
 
 // peekURLs is how many due entries one frontier exchange hands the
-// pass; a backlog fill pops through as many exchanges as it needs.
+// pass at least (a shard-server cluster returns several times as
+// many); a backlog fill pops through as many exchanges as it needs.
 const peekURLs = 64
 
 // localShards partitions the in-process frontier; round pop order does

@@ -97,10 +97,11 @@ func BenchmarkPushRemote(b *testing.B) {
 }
 
 // BenchmarkApplyRoundRemote is the perf ledger's wire round trip row:
-// one steady engine round per op as one opRound exchange per server —
-// 64 pops taken from the previous round's candidates, their 64
-// reschedules and a 64-candidate peek — over a 100,000-entry queue on 1
-// and 2 loopback shard servers, reporting the wire bytes of a round.
+// one opRound exchange per server per op — 64 pops taken from the
+// previous exchange's candidates, their 64 reschedules and a
+// 64-candidate peek per server (the client multiplies the peekMax it
+// is given by ExchangeRounds) — over a 100,000-entry queue on 1 and 2
+// loopback shard servers, reporting the wire bytes of an exchange.
 func BenchmarkApplyRoundRemote(b *testing.B) {
 	const (
 		entries = 100_000
@@ -119,7 +120,7 @@ func BenchmarkApplyRoundRemote(b *testing.B) {
 		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {
 			rs := loopbackCluster(b, servers, 16/servers)
 			rs.PushBatch(seed)
-			cands, _, _, _ := rs.ApplyRound(nil, nil, nil, per)
+			cands, _, _, _ := rs.ApplyRound(nil, nil, nil, per/cluster.ExchangeRounds)
 			pops := make([]string, 0, per)
 			pushes := make([]frontier.Entry, 0, per)
 			in0, out0 := rs.WireBytes()
@@ -132,7 +133,7 @@ func BenchmarkApplyRoundRemote(b *testing.B) {
 					// Back to the queue's tail, as a steady crawl's revisit.
 					pushes = append(pushes, frontier.Entry{URL: e.URL, Due: e.Due + 100, Priority: e.Priority})
 				}
-				cands, _, _, _ = rs.ApplyRound(pops, nil, pushes, per)
+				cands, _, _, _ = rs.ApplyRound(pops, nil, pushes, per/cluster.ExchangeRounds)
 			}
 			b.StopTimer()
 			if err := rs.Err(); err != nil {

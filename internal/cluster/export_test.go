@@ -10,3 +10,7 @@ func WithTransport(opts Options, backoff, poll time.Duration) Options {
 	opts.t.backoff, opts.t.poll = backoff, poll
 	return opts
 }
+
+// ExchangeRounds exports exchangeRounds: how many rounds of candidates
+// the client asks each server for.
+const ExchangeRounds = exchangeRounds

@@ -201,7 +201,8 @@ func TestServerReadBuffersKeepNothing(t *testing.T) {
 			pushes := entries(rng.Intn(300))
 			peek := rng.Intn(40)
 			cands, _, _, ok := shards.ApplyRound(nil, removes, pushes, peek)
-			want, _, _, _ := wantQueue.ApplyRound(nil, removes, pushes, peek)
+			// The one server answers exchangeRounds × peek candidates.
+			want, _, _, _ := wantQueue.ApplyRound(nil, removes, pushes, exchangeRounds*peek)
 			if !ok || !reflect.DeepEqual(append([]frontier.Entry{}, cands...), append([]frontier.Entry{}, want...)) {
 				t.Fatalf("step %d: round candidates %v, want %v", step, cands, want)
 			}

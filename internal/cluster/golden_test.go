@@ -64,10 +64,12 @@ func TestGoldenWire(t *testing.T) {
 	log.Reset()
 	rs.reqBase = 0x0102030405060708
 	rs.reqSeq.Store(0)
+	// The client asks each server for exchangeRounds rounds of
+	// candidates: a peekMax of 4/exchangeRounds sends the 4 pinned here.
 	if _, _, _, ok := rs.ApplyRound(
 		[]string{"http://site001.com/a"}, []string{"http://site001.com/b"},
 		[]frontier.Entry{{URL: "http://site001.com/a", Due: 8.25, Priority: 2}, {URL: "http://site001.com/c", Due: 9}},
-		4); !ok || rs.Err() != nil {
+		4/exchangeRounds); !ok || rs.Err() != nil {
 		t.Fatalf("round refused: ok=%v err=%v", ok, rs.Err())
 	}
 	checkGolden(t, "round", log.Bytes())

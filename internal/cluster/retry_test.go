@@ -232,6 +232,8 @@ func TestFlakyTransportKeepsRoundPopOrder(t *testing.T) {
 	for i, u := range urls {
 		entries = append(entries, frontier.Entry{URL: u, Due: float64((i * 7) % 13), Priority: float64(i % 3)})
 	}
+	// The one server answers exchangeRounds × peek candidates a round:
+	// the local reference peeks as many.
 	const peek = 6
 	sameCands := func(a, b []frontier.Entry) bool {
 		if len(a) != len(b) {
@@ -245,7 +247,7 @@ func TestFlakyTransportKeepsRoundPopOrder(t *testing.T) {
 		return true
 	}
 	// Seed both sides through the round op itself.
-	lc, lb, lbok, lok := local.ApplyRound(nil, nil, entries, peek)
+	lc, lb, lbok, lok := local.ApplyRound(nil, nil, entries, exchangeRounds*peek)
 	rc, rb, rbok, rok := rs.ApplyRound(nil, nil, entries, peek)
 	if !lok || !rok {
 		t.Fatalf("ApplyRound refused: local=%v remote=%v", lok, rok)
@@ -271,7 +273,7 @@ func TestFlakyTransportKeepsRoundPopOrder(t *testing.T) {
 				removes = append(removes, lc[i].URL)
 			}
 		}
-		lc, lb, lbok, lok = local.ApplyRound(pops, removes, pushes, peek)
+		lc, lb, lbok, lok = local.ApplyRound(pops, removes, pushes, exchangeRounds*peek)
 		rc, rb, rbok, rok = rs.ApplyRound(pops, removes, pushes, peek)
 		if !lok || !rok {
 			t.Fatalf("round %d refused: local=%v remote=%v", round, lok, rok)
@@ -420,10 +422,12 @@ func TestRoundReplyLostKeepsPopOrder(t *testing.T) {
 	for i, u := range testURLs(12, 4) {
 		entries = append(entries, frontier.Entry{URL: u, Due: float64((i * 7) % 13), Priority: float64(i % 3)})
 	}
+	// The one server answers exchangeRounds × peek candidates a round:
+	// the local reference peeks as many.
 	const peek = 6
 	appends := walAppends.Value()
 	retries := metricsFor(opRound).clientRetries.Value()
-	lc, lb, lbok, _ := local.ApplyRound(nil, nil, entries, peek)
+	lc, lb, lbok, _ := local.ApplyRound(nil, nil, entries, exchangeRounds*peek)
 	rc, rb, rbok, _ := rs.ApplyRound(nil, nil, entries, peek)
 	rounds := 1
 	for ; len(lc) > 0; rounds++ {
@@ -455,7 +459,7 @@ func TestRoundReplyLostKeepsPopOrder(t *testing.T) {
 			armed.Store(true)
 			restart.Store(true)
 		}
-		lc, lb, lbok, _ = local.ApplyRound(pops, removes, pushes, peek)
+		lc, lb, lbok, _ = local.ApplyRound(pops, removes, pushes, exchangeRounds*peek)
 		rc, rb, rbok, _ = rs.ApplyRound(pops, removes, pushes, peek)
 		if rounds > 200 {
 			t.Fatal("rounds did not converge")

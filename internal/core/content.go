@@ -172,8 +172,8 @@ func (st *contentStage) stop() error {
 
 // quiesce is the barrier before anything outside the round pipeline
 // reads or writes the frontier, AllUrls, the graph or the collection:
-// pending pops are shipped and the candidate cache dropped (frontier.Rounds),
-// and the content stage is idle.
+// pending pops and waiting commits are shipped and the candidate cache
+// dropped (frontier.Rounds), and the content stage is idle.
 func (c *Crawler) quiesce() error {
 	ferr := c.rounds.Flush()
 	if err := c.content.wait(); err != nil {

@@ -152,12 +152,15 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 func (c *Crawler) Close() error { return nil }
 
 // roundBoundary runs at the top of every engine loop iteration, a
-// quiescent round boundary: no dispatch rounds in flight and no pops
-// buffered in the round adapter. It ends the run on the adapter's
-// sticky error (frontier.Rounds), then lets a registry-backed remote
-// frontier adopt a new membership epoch, driving a live shard migration
-// when one is pending (rate-limited inside the client): every frontier
-// entry is on a shard server, and migrates intact, or already consumed.
+// quiescent round boundary: no dispatch rounds in flight. The round
+// adapter (frontier.Rounds) may still hold pops and commits it has not
+// shipped. It ends the run on the adapter's sticky error, then lets a
+// registry-backed remote frontier adopt a new membership epoch, driving
+// a live shard migration when one is pending (rate-limited inside the
+// client): every frontier entry is on a shard server, and migrates
+// intact. The ops still waiting in the adapter are sound across the
+// move: they route by the membership in force when they ship, and the
+// epoch change's Flush below ships them.
 func (c *Crawler) roundBoundary() error {
 	if err := c.rounds.Err(); err != nil {
 		return err
@@ -175,10 +178,11 @@ func (c *Crawler) roundBoundary() error {
 		return fmt.Errorf("core: frontier: %w", err)
 	}
 	if ep, ok := c.coll.(epocher); ok && ep.Epoch() != before {
-		// The topology moved: invalidate the candidate cache so the next
-		// round re-peeks through the new routing. The entries themselves
-		// migrated intact — this is only cache hygiene, and it costs one
-		// extra fan-out per membership change.
+		// The topology moved: ship what waits and invalidate the
+		// candidate cache, so the next round re-peeks through the new
+		// routing. The entries themselves migrated intact — this is only
+		// cache hygiene, and it costs one extra fan-out per membership
+		// change.
 		c.rounds.Flush()
 	}
 	return nil

@@ -362,7 +362,7 @@ func (c *Crawler) pipelineRounds(depth int, popNext func(r *roundState, windowFl
 // steps [3]-[12], batched): sequentially in pop order, it counts
 // metrics, folds the workers' change verdicts into the checksum table,
 // turns their rate estimates into reschedule intervals, and commits
-// all frontier mutations (drops and one PushBatch) — everything the
+// all frontier mutations (drops and reschedules) — everything the
 // next round's pop depends on. Results land in r.live for the content
 // phase.
 func (c *Crawler) applySchedule(r *roundState) error {
@@ -405,12 +405,15 @@ func (c *Crawler) applySchedule(r *roundState) error {
 		r.live = append(r.live, outcome{job: j})
 	}
 
-	// Reschedules ship as one batch: the final frontier state is
-	// push-order independent, and a remote frontier pays one round trip
-	// per server per dispatch round instead of one per URL (together
-	// with the round's pops and drops — see frontier.Rounds). Only the
-	// steady loop pops from the frontier, so only it needs the commit
-	// to return fresh pop candidates.
+	// Reschedules commit as one batch with the round's pops and drops
+	// (frontier.Rounds): the final frontier state is push-order
+	// independent, and a remote frontier pays at most one exchange per
+	// server for the round instead of one per URL. While the candidate
+	// cache stays exact without them — every reschedule lands past its
+	// bound, as a MinIntervalDays-ahead revisit usually does — the
+	// commit waits and rides the next exchange, so one exchange serves
+	// several rounds. Only the steady loop pops from the frontier, so
+	// only it needs the commit to keep pop candidates coming.
 	pushStart := time.Now()
 	err := c.rounds.Commit(c.removes, c.pushes, c.cfg.Mode != Batch)
 	phasePush.Observe(time.Since(pushStart).Seconds())

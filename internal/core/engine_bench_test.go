@@ -8,6 +8,7 @@ import (
 	"webevolve/internal/cluster"
 	"webevolve/internal/fetch"
 	"webevolve/internal/frontier"
+	"webevolve/internal/obs"
 	"webevolve/internal/simweb"
 	"webevolve/internal/store"
 )
@@ -40,6 +41,7 @@ func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 	var pages int64
 	var wireBytes int64
 	var elapsed time.Duration
+	exchanges, rounds := roundExchanges.Value(), engineRounds.Value()
 	for i := 0; i < b.N; i++ {
 		w := benchWeb(b)
 		cfg := Config{
@@ -96,7 +98,17 @@ func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 		// (wireB_per_page in BENCH_engine.json).
 		b.ReportMetric(float64(wireBytes)/float64(pages), "wireB/page")
 	}
+	if newFrontier != nil {
+		// opRound frames sent per dispatch round, all servers summed:
+		// how many rounds one exchange with the cluster feeds.
+		b.ReportMetric(float64(roundExchanges.Value()-exchanges)/float64(engineRounds.Value()-rounds), "exch/round")
+	}
 }
+
+// roundExchanges counts the opRound frames the process's cluster
+// clients completed (the client ops family, op "round").
+var roundExchanges = obs.Default.CounterVec("webevolve_cluster_client_ops_total",
+	"completed client wire ops by op name", "op").With("round")
 
 // wireMeter is the wire-byte accounting surface of the remote frontier
 // and store clients (cluster.RemoteShards, cluster.RemoteStore).
@@ -111,9 +123,11 @@ func BenchmarkEngine(b *testing.B) {
 }
 
 // BenchmarkEngineRemote is BenchmarkEngine with the frontier behind
-// loopback shard servers: the batched round protocol (one opRound trip
-// per server per dispatch round) must keep remote throughput within 2x
-// of local, where per-URL pops used to cost 2.2-3.2x.
+// loopback shard servers: the batched round protocol (at most one
+// opRound trip per server per dispatch round, and fewer while commits
+// wait on an exact candidate cache — exch/round) must keep remote
+// throughput within 2x of local, where per-URL pops used to cost
+// 2.2-3.2x.
 func BenchmarkEngineRemote(b *testing.B) {
 	for _, servers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {

@@ -51,13 +51,16 @@ func (c *countingRounds) Peek() (frontier.Entry, bool) {
 
 func (c *countingRounds) NextEvent() (float64, bool) { c.perEntry++; return 0, false }
 
-// TestOneRoundOfCandidatesCoversARound: the crawler asks each server for
+// TestOneRoundOfCandidatesCoversARound: the crawler asks for
 // DispatchBatch candidates, and that is always enough — the server
 // whose last candidate sets the merge bound contributes all of its
 // entries, so the exact merged prefix holds a whole dispatch round.
-// Each round below is one commit and DispatchBatch pops, and must cost
-// exactly one exchange (the commit's), whatever the number of servers
-// and however skewed the queue is across them.
+// Each round below is one commit and DispatchBatch pops, and may cost
+// at most one exchange (the commit's, or the refresh of a commit that
+// waited), whatever the number of servers and however skewed the queue
+// is across them. Each server returns several rounds of candidates and
+// a commit whose pushes land past the bound waits for the next
+// exchange, so a crawl makes fewer exchanges than rounds.
 func TestOneRoundOfCandidatesCoversARound(t *testing.T) {
 	w, f := testWeb(t, 1)
 	for seed := int64(1); seed <= 12; seed++ {
@@ -88,7 +91,9 @@ func TestOneRoundOfCandidatesCoversARound(t *testing.T) {
 		rs.ApplyRound(nil, nil, ents, 0)
 
 		var resched []frontier.Entry
-		for round := 0; round < 40; round++ {
+		start := cr.calls
+		const rounds = 40
+		for round := 0; round < rounds; round++ {
 			before := cr.calls
 			c.rounds.Commit(nil, resched, true)
 			resched = resched[:0]
@@ -100,9 +105,12 @@ func TestOneRoundOfCandidatesCoversARound(t *testing.T) {
 				e.Due += float64(1 + rng.Intn(30))
 				resched = append(resched, e)
 			}
-			if n := cr.calls - before; n != 1 {
-				t.Fatalf("seed %d, %d servers, round %d: %d exchanges, want 1", seed, len(servers), round, n)
+			if n := cr.calls - before; n > 1 {
+				t.Fatalf("seed %d, %d servers, round %d: %d exchanges, want at most 1", seed, len(servers), round, n)
 			}
+		}
+		if n := cr.calls - start; n >= rounds {
+			t.Fatalf("seed %d, %d servers: %d exchanges for %d rounds, want fewer", seed, len(servers), n, rounds)
 		}
 		c.Close()
 		rs.Close()

@@ -31,8 +31,9 @@ type ShardSet interface {
 	// PushBatch inserts or reschedules every entry, equivalent to
 	// calling Push for each; the final state is independent of entry
 	// order. Remote implementations ship one round trip per server per
-	// batch instead of one per URL, so batch-heavy apply paths should
-	// prefer it.
+	// batch instead of one per URL. The crawls' apply paths use
+	// ApplyRound instead, through Rounds, where one exchange per server
+	// can carry several dispatch rounds' commits.
 	PushBatch(entries []Entry)
 	// PopDue removes and returns the globally earliest entry due at or
 	// before now across all politeness-ready shards.
@@ -56,11 +57,13 @@ type ShardSet interface {
 	// NextEvent returns the earliest time any entry becomes poppable,
 	// accounting for politeness deadlines.
 	NextEvent() (float64, bool)
-	// ApplyRound applies one dispatch round's pops, removes and pushes
-	// and returns the next peekMax pop candidates (see
-	// Sharded.ApplyRound). A queue with a politeness gap refuses the
-	// round with nothing applied: Sharded returns ok false, and
-	// RemoteShards records the server's refusal as its sticky error.
+	// ApplyRound applies pops, then removes, then pushes — one or more
+	// dispatch rounds' worth, as Rounds ships them — and returns pop
+	// candidates: an exact prefix of the queue holding the next peekMax
+	// entries or more (see Sharded.ApplyRound; RemoteShards asks each
+	// server for several rounds' worth). A queue with a politeness gap
+	// refuses the round with nothing applied: Sharded returns ok false,
+	// and RemoteShards records the server's refusal as its sticky error.
 	ApplyRound(pops, removes []string, pushes []Entry, peekMax int) (cands []Entry, bound Entry, boundOK, ok bool)
 }
 
