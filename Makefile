@@ -88,6 +88,9 @@ bench:
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkCrawlEngine|BenchmarkRankingPass' -benchtime 5x \
 		-benchmem -run '^$$' ./internal/core/ > bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
+	$(GO) test -bench 'BenchmarkSimFetch' -benchtime 200000x \
+		-benchmem -run '^$$' ./internal/fetch/ >> bench_engine.txt || \
+		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkOptimalAllocation' -benchtime 20x \
 		-benchmem -run '^$$' ./internal/freshness/ >> bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }

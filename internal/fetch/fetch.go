@@ -31,7 +31,8 @@ type Result struct {
 	Version int
 	// Links are the absolute out-link URLs extracted from the content.
 	Links []string
-	// Content is the page body when content fetching is enabled.
+	// Content is the page body when content fetching is enabled. The
+	// caller owns it: no fetcher keeps or reuses it.
 	Content []byte
 	// Size is the content size in bytes (set even when Content is nil).
 	Size int
@@ -115,18 +116,17 @@ func (f *SimFetcher) Fetch(url string, day float64) (Result, error) {
 		}
 		return Result{}, err
 	}
-	res := Result{
+	// The snapshot's links and body were built for this fetch alone, so
+	// they pass to the caller as they are: no copy.
+	return Result{
 		URL:      url,
 		Day:      day,
 		Checksum: snap.Checksum,
 		Version:  snap.Version,
 		Links:    snap.Links,
+		Content:  snap.Body,
 		Size:     snap.Size,
-	}
-	if f.WithContent {
-		res.Content = []byte(snap.HTML)
-	}
-	return res, nil
+	}, nil
 }
 
 // Fetches returns the total fetch count (including not-found).

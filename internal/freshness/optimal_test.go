@@ -414,13 +414,23 @@ func matchReference(t testing.TB, what string, rates []float64, budget float64) 
 // 1e-9..1e3 with zeros mixed in, budgets 1e-3..1e3 per page), on the
 // regimes that have their own exit or guard, and on what a crawl
 // actually passes in.
+//
+// The populations are drawn up front, in the one RNG sequence, and then
+// checked as parallel subtests: the reference is slow and each check
+// stands alone.
 func TestOptimalAllocationMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pops := 240
 	if testing.Short() {
 		pops = 60
 	}
-	for p := 0; p < pops; p++ {
+	type population struct {
+		what   string
+		rates  []float64
+		budget float64
+	}
+	populations := make([]population, pops)
+	for p := range populations {
 		n := 1 + int(math.Pow(10_000, rng.Float64())) // skewed small: seconds, not minutes
 		if p%40 == 0 {
 			n = 10_000
@@ -440,9 +450,17 @@ func TestOptimalAllocationMatchesReference(t *testing.T) {
 		}
 		rates := randomPopulation(rng, n, distinct, lo, hi, zeros)
 		budget := float64(n) * math.Pow(10, -3+6*rng.Float64())
-		matchReference(t, fmt.Sprintf("population %d (n=%d distinct=%d rates 1e%.1f..1e%.1f budget %g)",
-			p, n, distinct, lo, hi, budget), rates, budget)
+		populations[p] = population{fmt.Sprintf("population %d (n=%d distinct=%d rates 1e%.1f..1e%.1f budget %g)",
+			p, n, distinct, lo, hi, budget), rates, budget}
 	}
+	t.Run("random", func(t *testing.T) {
+		for p, pop := range populations {
+			t.Run(fmt.Sprintf("%03d", p), func(t *testing.T) {
+				t.Parallel()
+				matchReference(t, pop.what, pop.rates, pop.budget)
+			})
+		}
+	})
 
 	// Where the nested bisection's own answer is rounding noise (x =
 	// rate/f << 1: 630 visits/day/page over rates around 1e-3 and far

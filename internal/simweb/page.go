@@ -3,7 +3,6 @@ package simweb
 import (
 	"math"
 	"strconv"
-	"strings"
 )
 
 // Page is one simulated web page. Its content version advances according
@@ -84,8 +83,10 @@ type Snapshot struct {
 	Version  int     // number of content changes since birth
 	Checksum uint64  // content checksum; changes iff Version changes
 	Links    []string
-	HTML     string // synthetic HTML embedding Links as anchors
-	Size     int    // length of HTML in bytes
+	// Body is the synthetic HTML embedding Links as anchors; nil from
+	// FetchMeta. Each fetch renders a fresh body the caller owns.
+	Body []byte
+	Size int // length of Body in bytes
 }
 
 // snapshot captures the page's state at the given day. The caller must
@@ -100,12 +101,9 @@ func (p *Page) snapshot(day float64, withHTML bool) Snapshot {
 		Links:    links,
 	}
 	if withHTML {
-		s.HTML = renderHTML(p.url, p.version, links)
+		s.Body = renderHTML(p.url, p.version, links)
+		s.Size = len(s.Body)
 	} else {
-		s.HTML = ""
-	}
-	s.Size = len(s.HTML)
-	if !withHTML {
 		// Approximate the size a rendered page would have, so bandwidth
 		// accounting works even when callers skip HTML generation.
 		s.Size = 256 + 64*len(links)
@@ -143,9 +141,9 @@ const (
 // renderHTML produces deterministic pseudo-content for a page version,
 // with all links as anchors. The crawler's HTML parser extracts exactly
 // Links back out of it. It runs once per simulated fetch, on the crawl's
-// worker goroutines, so it appends into one buffer sized up front
-// rather than formatting through fmt.
-func renderHTML(url string, version int, links []string) string {
+// worker goroutines, so it appends into one buffer sized exactly up
+// front: the body is the fetch's only allocation besides the link list.
+func renderHTML(url string, version int, links []string) []byte {
 	var num [20]byte
 	ver := strconv.AppendInt(num[:0], int64(version), 10)
 	// A block of version-dependent filler so page size varies with
@@ -160,40 +158,38 @@ func renderHTML(url string, version int, links []string) string {
 	for _, l := range links {
 		size += 27 + 2*len(l)
 	}
-	var b strings.Builder
-	b.Grow(size)
-	b.WriteString("<html><head><title>")
-	b.WriteString(url)
-	b.WriteString(" v")
-	b.Write(ver)
-	b.WriteString("</title></head><body>\n<h1>Synthetic page ")
-	b.WriteString(url)
-	b.WriteString("</h1>\n<p>revision ")
-	b.Write(ver)
-	b.WriteString("; checksum ")
+	b := make([]byte, 0, size)
+	b = append(b, "<html><head><title>"...)
+	b = append(b, url...)
+	b = append(b, " v"...)
+	b = append(b, ver...)
+	b = append(b, "</title></head><body>\n<h1>Synthetic page "...)
+	b = append(b, url...)
+	b = append(b, "</h1>\n<p>revision "...)
+	b = append(b, ver...)
+	b = append(b, "; checksum "...)
 	var hex [16]byte // %016x
 	sum := pageChecksum(url, version)
 	for i := len(hex) - 1; i >= 0; i-- {
 		hex[i] = "0123456789abcdef"[sum&0xf]
 		sum >>= 4
 	}
-	b.Write(hex[:])
-	b.WriteString("</p>\n")
+	b = append(b, hex[:]...)
+	b = append(b, "</p>\n"...)
 	for i := 0; i < para; i++ {
-		b.WriteString("<p>section ")
-		b.WriteByte(byte('0' + i)) // para <= 5
-		b.WriteString(" of revision ")
-		b.Write(ver)
-		b.WriteString("</p>\n")
+		b = append(b, "<p>section "...)
+		b = append(b, byte('0'+i)) // para <= 5
+		b = append(b, " of revision "...)
+		b = append(b, ver...)
+		b = append(b, "</p>\n"...)
 	}
-	b.WriteString("<ul>\n")
+	b = append(b, "<ul>\n"...)
 	for _, l := range links {
-		b.WriteString("  <li><a href=\"")
-		b.WriteString(l)
-		b.WriteString("\">")
-		b.WriteString(l)
-		b.WriteString("</a></li>\n")
+		b = append(b, "  <li><a href=\""...)
+		b = append(b, l...)
+		b = append(b, "\">"...)
+		b = append(b, l...)
+		b = append(b, "</a></li>\n"...)
 	}
-	b.WriteString("</ul>\n</body></html>\n")
-	return b.String()
+	return append(b, "</ul>\n</body></html>\n"...)
 }

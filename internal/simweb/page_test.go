@@ -72,10 +72,14 @@ func TestRenderHTMLMatchesFmt(t *testing.T) {
 			t.Fatalf("pageChecksum(%q, %d) = %#x, want %#x", c.url, c.version, got, want)
 		}
 		got, want := renderHTML(c.url, c.version, c.links), fmtRenderHTML(c.url, c.version, c.links)
-		if got != want {
+		if string(got) != want {
 			t.Fatalf("renderHTML(%q, %d, %q):\n%s\nwant:\n%s", c.url, c.version, c.links, got, want)
 		}
-		sections[strings.Count(got, "<p>section ")] = true
+		if cap(got) != len(got) {
+			t.Fatalf("renderHTML(%q, %d, %q): capacity %d for %d bytes; the size formula is no longer exact",
+				c.url, c.version, c.links, cap(got), len(got))
+		}
+		sections[strings.Count(string(got), "<p>section ")] = true
 	}
 	for n := 1; n <= 5; n++ {
 		if !sections[n] {

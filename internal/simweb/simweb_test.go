@@ -1,6 +1,7 @@
 package simweb
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"slices"
@@ -252,11 +253,11 @@ func TestHTMLEmbedsLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.HTML == "" {
-		t.Fatal("Fetch returned no HTML")
+	if len(snap.Body) == 0 || snap.Size != len(snap.Body) {
+		t.Fatalf("Fetch returned a %d-byte body of size %d", len(snap.Body), snap.Size)
 	}
 	for _, l := range snap.Links {
-		if !strings.Contains(snap.HTML, "\""+l+"\"") {
+		if !bytes.Contains(snap.Body, []byte("\""+l+"\"")) {
 			t.Fatalf("HTML missing link %s", l)
 		}
 	}
@@ -264,7 +265,7 @@ func TestHTMLEmbedsLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lite.HTML != "" {
+	if lite.Body != nil {
 		t.Fatal("FetchMeta rendered HTML")
 	}
 	if lite.Checksum != snap.Checksum {
@@ -517,7 +518,7 @@ func TestLinksChangeAtConstantVersion(t *testing.T) {
 				if snap.Checksum != prev.Checksum {
 					t.Fatalf("%s days %v-%v: checksum moved at constant version %d", root, day-1, day, snap.Version)
 				}
-				if snap.HTML == prev.HTML {
+				if bytes.Equal(snap.Body, prev.Body) {
 					t.Fatalf("%s days %v-%v: links changed but the body did not", root, day-1, day)
 				}
 				return

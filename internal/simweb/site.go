@@ -3,6 +3,7 @@ package simweb
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // branching is the spanning-tree fan-out that keeps every site window
@@ -17,6 +18,7 @@ type Site struct {
 	web    *Web
 	index  int
 	host   string
+	root   string // "http://" + host + "/", built once in New
 	domain Domain
 
 	// popRank is the site's intrinsic popularity rank (0 = most popular
@@ -46,12 +48,12 @@ func (s *Site) Domain() Domain { return s.domain }
 func (s *Site) PopularityRank() int { return s.popRank }
 
 // RootURL returns the site's root page URL.
-func (s *Site) RootURL() string { return "http://" + s.host + "/" }
+func (s *Site) RootURL() string { return s.root }
 
 // urlFor builds the URL for a page uid.
 func (s *Site) urlFor(uid int) string {
 	if uid == 0 {
-		return s.RootURL()
+		return s.root
 	}
 	return fmt.Sprintf("http://%s/p%05d", s.host, uid)
 }
@@ -128,16 +130,19 @@ func (s *Site) advanceTo(day float64) {
 }
 
 // linksOf returns the current out-links of p: spanning-tree children,
-// extra intra-site links and cross-site root links. Link targets are the
-// *current* occupants of the linked slots.
+// extra intra-site links and cross-site root links, each once, in
+// first-occurrence order and without p's own URL. Link targets are the
+// *current* occupants of the linked slots. It runs on every fetch, so
+// it gathers candidates on the stack, drops duplicates by a linear scan
+// (a page has about a dozen candidates) and allocates only the
+// exactly-sized list it returns.
 func (s *Site) linksOf(p *Page) []string {
-	var out []string
-	seen := map[string]struct{}{p.url: {}}
+	var buf [16]string
+	out := buf[:0]
 	add := func(u string) {
-		if _, dup := seen[u]; dup {
+		if u == p.url || slices.Contains(out, u) {
 			return
 		}
-		seen[u] = struct{}{}
 		out = append(out, u)
 	}
 	lo := branching*p.slot + 1
@@ -150,9 +155,12 @@ func (s *Site) linksOf(p *Page) []string {
 		}
 	}
 	for _, si := range p.crossSites {
-		add(s.web.sites[si].RootURL())
+		add(s.web.sites[si].root)
 	}
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return append(make([]string, 0, len(out)), out...)
 }
 
 // WindowURLs returns the URLs currently visible in the site's window at

@@ -40,10 +40,12 @@ func New(cfg Config) (*Web, error) {
 	for _, d := range Domains {
 		n := cfg.SitesPerDomain[d]
 		for i := 0; i < n; i++ {
+			host := hostFor(d, i, n)
 			s := &Site{
 				web:          w,
 				index:        len(w.sites),
-				host:         hostFor(d, i, n),
+				host:         host,
+				root:         "http://" + host + "/",
 				domain:       d,
 				byURL:        make(map[string]*Page),
 				lifespanMean: cfg.LifespanMeanDays[d],
