@@ -67,8 +67,10 @@ race:
 # the sweep must land at its end; and fifteen of the record value codec
 # under both tags, damaged and raw: checkValue accepts exactly what
 # DecodeValue decodes, and AppendValue after DecodeValue gives back the
-# bytes AppendValue wrote. (The seed corpora already run under plain
-# `go test`.)
+# bytes AppendValue wrote. Then fifteen of the page graph's op
+# sequences against the map-of-sets graph it replaced: added links,
+# snapshot, counts and every in- and out-set must agree after each op.
+# (The seed corpora already run under plain `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimalAllocation -fuzztime 30s ./internal/freshness/
 	$(GO) test -run '^$$' -fuzz FuzzEPIrregular -fuzztime 15s ./internal/changefreq/
@@ -78,6 +80,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameSequence -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 15s ./internal/seglog/
 	$(GO) test -run '^$$' -fuzz FuzzRecordCodec -fuzztime 15s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzGraphOps -fuzztime 15s ./internal/webgraph/
 
 # Engine benchmarks, written machine-readable to BENCH_engine.json
 # (benchmark name, iterations, ns/op, pages/s, B/op, allocs/op) so the
@@ -85,7 +88,7 @@ fuzz:
 # No pipe to tee here: /bin/sh has no pipefail, so a crashing benchmark
 # would exit 0 through the pipe and CI would archive a garbage report.
 bench:
-	$(GO) test -bench 'BenchmarkEngine|BenchmarkCrawlEngine|BenchmarkRankingPass' -benchtime 5x \
+	$(GO) test -bench 'BenchmarkEngine|BenchmarkCrawlEngine|BenchmarkRankingPass|BenchmarkCrawlLinkState' -benchtime 5x \
 		-benchmem -run '^$$' ./internal/core/ > bench_engine.txt || \
 		{ cat bench_engine.txt; rm -f bench_engine.txt; exit 1; }
 	$(GO) test -bench 'BenchmarkSimFetch' -benchtime 200000x \

@@ -101,6 +101,8 @@ func (c *Crawler) startContent() *contentStage {
 				if err := c.applyContent(rounds); err != nil {
 					st.fail(err)
 				}
+				engineURLsKnown.Set(int64(c.all.Len()))
+				engineGraphLinks.Set(int64(c.graph.NumLinks()))
 			}
 			for _, r := range rounds {
 				engineContentBacklog.Add(-1)

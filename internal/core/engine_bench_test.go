@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"webevolve/internal/obs"
 	"webevolve/internal/simweb"
 	"webevolve/internal/store"
+	"webevolve/internal/webgraph"
 )
 
 // benchWeb is the shared simulated web of the engine benchmarks.
@@ -269,4 +271,69 @@ func BenchmarkRankingPass(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(c.optimal.PlanSize()), "plan-pages")
+}
+
+// BenchmarkCrawlLinkState times the crawl's link state — the page graph
+// and AllUrls, as extendLinks feeds them — taking in the link list of
+// every window page of the paper-scale web (270 sites of 60 pages) on
+// each of five revisit days, in site and window order, into an empty
+// graph and table. heap_B_per_link is the live heap that state holds
+// after the last iteration, over the distinct (page, link) pairs fed.
+func BenchmarkCrawlLinkState(b *testing.B) {
+	pages, links := windowLinkLists(b)
+	var g *webgraph.Graph
+	var all *frontier.AllUrls
+	var buf []string
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, all = webgraph.New(), frontier.NewAllUrls()
+		for _, p := range pages {
+			buf = extendLinks(g, all, p.url, p.links, p.day, buf)
+		}
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/float64(links), "heap_B_per_link")
+	runtime.KeepAlive(pages)
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(all)
+}
+
+// fetchedLinks is one page's links as a fetch on day found them.
+type fetchedLinks struct {
+	url   string
+	links []string
+	day   float64
+}
+
+// windowLinkLists fetches every window page of the paper-scale web on
+// days 0, 3, 6, 9 and 12 and returns their link lists with the number
+// of distinct (page, link) pairs among them.
+func windowLinkLists(b *testing.B) ([]fetchedLinks, int) {
+	w, err := simweb.New(simweb.PaperScaleConfig(1999, 60))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pages []fetchedLinks
+	pairs := map[[2]string]struct{}{}
+	for _, day := range []float64{0, 3, 6, 9, 12} {
+		for _, s := range w.Sites() {
+			for _, u := range s.WindowURLs(day) {
+				snap, err := w.FetchMeta(u, day)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pages = append(pages, fetchedLinks{u, snap.Links, day})
+				for _, l := range snap.Links {
+					pairs[[2]string{u, l}] = struct{}{}
+				}
+			}
+		}
+	}
+	return pages, len(pairs)
 }

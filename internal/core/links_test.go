@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"webevolve/internal/fetch"
 	"webevolve/internal/frontier"
+	"webevolve/internal/simweb"
 	"webevolve/internal/webgraph"
 )
 
@@ -64,5 +66,38 @@ func TestExtendLinksMatchesAddingEveryLink(t *testing.T) {
 	}
 	if returned < 100 {
 		t.Fatalf("only %d links left a page and came back", returned)
+	}
+}
+
+// TestLinkStateGauges: after every RunUntil of a crawl, the link-state
+// gauges the content stage sets equal AllUrls' size and the graph's
+// edge count, counted page by page.
+func TestLinkStateGauges(t *testing.T) {
+	w, err := simweb.New(simweb.SmallConfig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(baseConfig(w), fetch.NewSimFetcher(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, until := range []float64{1, 3, 6} {
+		if err := c.RunUntil(until); err != nil {
+			t.Fatal(err)
+		}
+		links := 0
+		for _, p := range c.Graph().Pages() {
+			links += len(c.Graph().OutLinks(p))
+		}
+		urls := c.AllUrls().Len()
+		if links == 0 || urls <= len(w.RootURLs()) {
+			t.Fatalf("day %v: %d links, %d URLs: the crawl found nothing", until, links, urls)
+		}
+		if got := engineURLsKnown.Value(); got != int64(urls) {
+			t.Fatalf("day %v: urls_known %d, AllUrls holds %d", until, got, urls)
+		}
+		if got := engineGraphLinks.Value(); got != int64(links) {
+			t.Fatalf("day %v: graph_links %d, the graph holds %d", until, got, links)
+		}
 	}
 }

@@ -25,6 +25,10 @@ var (
 		obs.LatencyBuckets)
 	engineContentBacklog = obs.Default.Gauge("webevolve_engine_content_backlog",
 		"rounds scheduled and not yet applied by the content stage (being applied, queued, or blocking the engine's hand-off)")
+	engineURLsKnown = obs.Default.Gauge("webevolve_engine_urls_known",
+		"URLs in AllUrls, every URL the crawl has discovered; set by the content stage after each apply")
+	engineGraphLinks = obs.Default.Gauge("webevolve_engine_graph_links",
+		"links in the page graph the ranking pass reads; set by the content stage after each apply")
 	engineContentRoundsPerWrite = obs.Default.Histogram("webevolve_engine_content_rounds_per_write",
 		"rounds whose puts the content stage wrote with each store write; a folded round that drops a page starts a new write",
 		[]float64{1, 2, 3})

@@ -14,8 +14,11 @@
 package frontier
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+
+	"webevolve/internal/urlid"
 )
 
 // URLInfo is the AllUrls record for one discovered URL.
@@ -36,20 +39,49 @@ type URLInfo struct {
 
 // AllUrls records every URL discovered, with metadata. Safe for
 // concurrent use: CrawlModules add URLs while the RankingModule scans.
+//
+// Inside, a URL is a dense ID from a urlid.Table of its own, guarded by
+// its lock; records and link lists are slices indexed by that ID.
+// Nothing is ever forgotten, so neither is an ID.
 type AllUrls struct {
-	mu sync.RWMutex
-	m  map[string]*URLInfo
-	// inlinkFrom deduplicates in-link counting: source -> set of targets
-	// it has reported.
-	inlinkFrom map[string]map[string]struct{}
+	mu  sync.RWMutex
+	ids urlid.Table
+	// recs[id] is the record of the URL with that ID where known[id]; a
+	// URL seen only as a link's source has an ID but no record.
+	recs  []URLInfo
+	known []bool
+	n     int // records
+	// reported[id] lists, each once, every target the URL with that ID
+	// has reported a link to, so that a (from, to) pair counts toward
+	// InLinks once however often the link leaves the page and returns.
+	reported [][]int32
 }
 
 // NewAllUrls returns an empty URL table.
-func NewAllUrls() *AllUrls {
-	return &AllUrls{
-		m:          make(map[string]*URLInfo),
-		inlinkFrom: make(map[string]map[string]struct{}),
+func NewAllUrls() *AllUrls { return &AllUrls{} }
+
+// intern returns url's ID, growing the per-ID slices for a new one.
+func (a *AllUrls) intern(url string) int32 {
+	id, isNew := a.ids.Intern(url)
+	if isNew {
+		a.recs = append(a.recs, URLInfo{})
+		a.known = append(a.known, false)
+		a.reported = append(a.reported, nil)
 	}
+	return id
+}
+
+// add returns url's ID, first giving it a record discovered at now if
+// it has none, and reports whether it did.
+func (a *AllUrls) add(url string, now float64) (int32, bool) {
+	id := a.intern(url)
+	if a.known[id] {
+		return id, false
+	}
+	a.known[id] = true
+	a.recs[id] = URLInfo{URL: url, FirstSeen: now}
+	a.n++
+	return id, true
 }
 
 // Add records a URL discovered at time now. It returns true when the URL
@@ -57,11 +89,8 @@ func NewAllUrls() *AllUrls {
 func (a *AllUrls) Add(url string, now float64) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, ok := a.m[url]; ok {
-		return false
-	}
-	a.m[url] = &URLInfo{URL: url, FirstSeen: now}
-	return true
+	_, isNew := a.add(url, now)
+	return isNew
 }
 
 // AddLink records that page from links to page to, discovered at time
@@ -70,38 +99,36 @@ func (a *AllUrls) Add(url string, now float64) bool {
 func (a *AllUrls) AddLink(from, to string, now float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	info, ok := a.m[to]
-	if !ok {
-		info = &URLInfo{URL: to, FirstSeen: now}
-		a.m[to] = info
+	t, _ := a.add(to, now)
+	f := a.intern(from)
+	if !slices.Contains(a.reported[f], t) {
+		a.reported[f] = append(a.reported[f], t)
+		a.recs[t].InLinks++
 	}
-	seen, ok := a.inlinkFrom[from]
-	if !ok {
-		seen = make(map[string]struct{})
-		a.inlinkFrom[from] = seen
-	}
-	if _, dup := seen[to]; !dup {
-		seen[to] = struct{}{}
-		info.InLinks++
-	}
+}
+
+// record returns url's ID if url has a record.
+func (a *AllUrls) record(url string) (int32, bool) {
+	id, ok := a.ids.Lookup(url)
+	return id, ok && a.known[id]
 }
 
 // Get returns a copy of the record for url.
 func (a *AllUrls) Get(url string) (URLInfo, bool) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	info, ok := a.m[url]
+	id, ok := a.record(url)
 	if !ok {
 		return URLInfo{}, false
 	}
-	return *info, true
+	return a.recs[id], true
 }
 
 // Len returns the number of discovered URLs.
 func (a *AllUrls) Len() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return len(a.m)
+	return a.n
 }
 
 // SetImportance stores an importance score for url, creating the record
@@ -110,72 +137,41 @@ func (a *AllUrls) Len() int {
 func (a *AllUrls) SetImportance(url string, imp float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	info, ok := a.m[url]
-	if !ok {
-		info = &URLInfo{URL: url}
-		a.m[url] = info
-	}
-	info.Importance = imp
+	id, _ := a.add(url, 0)
+	a.recs[id].Importance = imp
 }
 
 // SetInCollection flags whether url is in the collection.
 func (a *AllUrls) SetInCollection(url string, in bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if info, ok := a.m[url]; ok {
-		info.InCollection = in
+	if id, ok := a.record(url); ok {
+		a.recs[id].InCollection = in
 	}
 }
 
 // Scan calls fn for every record (copy) in sorted URL order, stopping if
 // fn returns false. The RankingModule "constantly scans through AllUrls".
+// The records are those that existed when Scan began, each read as fn
+// reaches it; fn runs without the table's lock.
 func (a *AllUrls) Scan(fn func(URLInfo) bool) {
 	a.mu.RLock()
-	urls := make([]string, 0, len(a.m))
-	for u := range a.m {
-		urls = append(urls, u)
-	}
-	a.mu.RUnlock()
-	sort.Strings(urls)
-	for _, u := range urls {
-		a.mu.RLock()
-		info, ok := a.m[u]
-		var cp URLInfo
+	ids := make([]int32, 0, a.n)
+	for id, ok := range a.known {
 		if ok {
-			cp = *info
+			ids = append(ids, int32(id))
 		}
+	}
+	slices.SortFunc(ids, func(x, y int32) int { return strings.Compare(a.ids.URL(x), a.ids.URL(y)) })
+	a.mu.RUnlock()
+	for _, id := range ids {
+		a.mu.RLock()
+		info := a.recs[id]
 		a.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		if !fn(cp) {
+		if !fn(info) {
 			return
 		}
 	}
-}
-
-// Candidates returns the non-collection URLs with the highest importance,
-// up to k, sorted by importance descending (ties by URL). The
-// RankingModule uses this to find replacement candidates.
-func (a *AllUrls) Candidates(k int) []URLInfo {
-	a.mu.RLock()
-	out := make([]URLInfo, 0, 64)
-	for _, info := range a.m {
-		if !info.InCollection {
-			out = append(out, *info)
-		}
-	}
-	a.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Importance != out[j].Importance {
-			return out[i].Importance > out[j].Importance
-		}
-		return out[i].URL < out[j].URL
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
 }
 
 // Entry is one element of the revisit queue (the paper's CollUrls).

@@ -67,17 +67,49 @@ func TestAllUrlsScanSortedAndStoppable(t *testing.T) {
 	}
 }
 
-func TestCandidatesExcludesCollectionAndSorts(t *testing.T) {
+// TestAllUrlsLinkReenteringCountsOnce: a (from, to) pair counts toward
+// InLinks once, however often the link leaves the page and comes back.
+func TestAllUrlsLinkReenteringCountsOnce(t *testing.T) {
 	a := NewAllUrls()
-	a.Add("http://in.com/", 0)
-	a.SetInCollection("http://in.com/", true)
-	a.SetImportance("http://in.com/", 99)
-	a.SetImportance("http://hi.com/", 3)
-	a.SetImportance("http://lo.com/", 1)
-	a.SetImportance("http://mid.com/", 2)
-	c := a.Candidates(2)
-	if len(c) != 2 || c[0].URL != "http://hi.com/" || c[1].URL != "http://mid.com/" {
-		t.Fatalf("candidates %v", c)
+	a.Add("http://s.com/", 0)
+	a.AddLink("http://s.com/", "http://t.com/", 1)
+	a.AddLink("http://s.com/", "http://u.com/", 2) // t left the page
+	a.AddLink("http://s.com/", "http://t.com/", 3) // and came back
+	a.AddLink("http://u.com/", "http://t.com/", 4)
+	if info, _ := a.Get("http://t.com/"); info.InLinks != 2 || info.FirstSeen != 1 {
+		t.Fatalf("t %+v, want 2 in-links first seen at 1", info)
+	}
+	if info, _ := a.Get("http://u.com/"); info.InLinks != 1 {
+		t.Fatalf("u %+v, want 1 in-link", info)
+	}
+}
+
+// TestAllUrlsSourceOnlyIsNotARecord: a URL that only ever reported
+// links, and was never added or linked to, has no record.
+func TestAllUrlsSourceOnlyIsNotARecord(t *testing.T) {
+	a := NewAllUrls()
+	a.AddLink("http://src.com/", "http://t.com/", 1)
+	a.SetInCollection("http://src.com/", true)
+	if _, ok := a.Get("http://src.com/"); ok {
+		t.Fatal("source-only URL has a record")
+	}
+	if a.Len() != 1 {
+		t.Fatalf("len %d, want 1", a.Len())
+	}
+	var seen []string
+	a.Scan(func(i URLInfo) bool { seen = append(seen, i.URL); return true })
+	if len(seen) != 1 || seen[0] != "http://t.com/" {
+		t.Fatalf("scan %v", seen)
+	}
+	// Adding it later makes it a record from then on, with no in-links.
+	if !a.Add("http://src.com/", 5) {
+		t.Fatal("add of a source-only URL not new")
+	}
+	if info, ok := a.Get("http://src.com/"); !ok || info.FirstSeen != 5 || info.InLinks != 0 || info.InCollection {
+		t.Fatalf("src %+v ok=%v", info, ok)
+	}
+	if a.Len() != 2 {
+		t.Fatalf("len %d, want 2", a.Len())
 	}
 }
 

@@ -2,6 +2,12 @@
 // site-level hypergraph projection the paper uses for site selection
 // (Section 2.2): nodes are web sites and an edge exists between two sites
 // when any page of one links to any page of the other.
+//
+// A Graph takes and returns URLs but keeps pages by dense int32 ID: it
+// interns every URL into its own urlid.Table, private to the graph and
+// guarded by its lock, and indexes each page's liveness and link lists
+// by that ID. The table is append-only and IDs are never reused: a
+// removed page keeps its ID, and linking to it again revives it.
 package webgraph
 
 import (
@@ -11,6 +17,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"webevolve/internal/urlid"
 )
 
 // PageID identifies a page; callers use URLs.
@@ -20,17 +28,17 @@ type PageID = string
 // use: crawler modules add links while the ranking module scans.
 type Graph struct {
 	mu  sync.RWMutex
-	out map[PageID]map[PageID]struct{}
-	in  map[PageID]map[PageID]struct{}
+	ids urlid.Table
+	// live[id] reports whether the page is a node; out[id] and in[id]
+	// are its neighbours, unsorted and each once.
+	live         []bool
+	out, in      [][]int32
+	pages, links int
+	tos          []int32 // SetLinks' scratch: the links as IDs
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		out: make(map[PageID]map[PageID]struct{}),
-		in:  make(map[PageID]map[PageID]struct{}),
-	}
-}
+func New() *Graph { return &Graph{} }
 
 // AddPage ensures the page exists as a node.
 func (g *Graph) AddPage(p PageID) {
@@ -39,24 +47,36 @@ func (g *Graph) AddPage(p PageID) {
 	g.mu.Unlock()
 }
 
-func (g *Graph) ensure(p PageID) {
-	if _, ok := g.out[p]; !ok {
-		g.out[p] = make(map[PageID]struct{})
+// ensure makes p a node and returns its ID.
+func (g *Graph) ensure(p PageID) int32 {
+	id, isNew := g.ids.Intern(p)
+	if isNew {
+		g.live = append(g.live, false)
+		g.out = append(g.out, nil)
+		g.in = append(g.in, nil)
 	}
-	if _, ok := g.in[p]; !ok {
-		g.in[p] = make(map[PageID]struct{})
+	if !g.live[id] {
+		g.live[id] = true
+		g.pages++
 	}
+	return id
 }
 
 // AddLink records a directed link from -> to, creating nodes as needed.
 // Self-links are recorded but ignored by PageRank.
 func (g *Graph) AddLink(from, to PageID) {
 	g.mu.Lock()
-	g.ensure(from)
-	g.ensure(to)
-	g.out[from][to] = struct{}{}
-	g.in[to][from] = struct{}{}
+	f, t := g.ensure(from), g.ensure(to)
+	if !slices.Contains(g.out[f], t) {
+		g.link(f, t)
+	}
 	g.mu.Unlock()
+}
+
+func (g *Graph) link(f, t int32) {
+	g.out[f] = append(g.out[f], t)
+	g.in[t] = append(g.in[t], f)
+	g.links++
 }
 
 // SetLinks replaces the out-links of a page with the given set and
@@ -64,86 +84,84 @@ func (g *Graph) AddLink(from, to PageID) {
 // out-link (once, however often tos repeats it). The crawler calls this
 // when a page's new version is fetched. It applies the difference: links
 // in both sets are left alone, only links that left are deleted and
-// only new ones inserted, so a revisit that changed nothing costs one
-// lookup per link.
+// only new ones inserted, so a revisit that changed nothing touches no
+// list but the page's own.
 func (g *Graph) SetLinks(from PageID, tos, added []PageID) []PageID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.ensure(from)
-	out := g.out[from]
+	f := g.ensure(from)
+	ids := g.tos[:0]
 	for _, to := range tos {
-		if _, ok := out[to]; ok {
+		ids = append(ids, g.ensure(to))
+	}
+	g.tos = ids
+	// Delete the links that left, then insert the new ones, where a
+	// repeat finds its first occurrence already inserted. The lists are
+	// short and unsorted: both searches are linear.
+	out := g.out[f]
+	for i := 0; i < len(out); {
+		t := out[i]
+		if slices.Contains(ids, t) {
+			i++
 			continue
 		}
-		g.ensure(to)
-		out[to] = struct{}{}
-		g.in[to][from] = struct{}{}
-		added = append(added, to)
+		out = swapRemove(out, i)
+		g.in[t] = swapRemove(g.in[t], slices.Index(g.in[t], f))
+		g.links--
 	}
-	// out is now the old set joined with the new one, which it equals
-	// exactly when no link left. A short list is searched in place, a
-	// long one through a set, so the cost stays linear in the links.
-	if len(tos) <= smallLinks {
-		if len(out) == len(tos) && !hasRepeat(tos) {
-			return added
-		}
-		for to := range out {
-			if !slices.Contains(tos, to) {
-				g.unlink(from, to)
-			}
-		}
-		return added
-	}
-	keep := make(map[PageID]struct{}, len(tos))
-	for _, to := range tos {
-		keep[to] = struct{}{}
-	}
-	if len(keep) < len(out) {
-		for to := range out {
-			if _, ok := keep[to]; !ok {
-				g.unlink(from, to)
-			}
+	g.out[f] = out
+	for i, t := range ids {
+		if !slices.Contains(g.out[f], t) {
+			g.link(f, t)
+			added = append(added, tos[i])
 		}
 	}
 	return added
 }
 
-// smallLinks is the longest link list SetLinks searches in place.
-const smallLinks = 16
-
-func hasRepeat(s []PageID) bool {
-	for i := 1; i < len(s); i++ {
-		if slices.Contains(s[:i], s[i]) {
-			return true
-		}
-	}
-	return false
+// swapRemove deletes s[i], moving the last element into its place.
+func swapRemove(s []int32, i int) []int32 {
+	s[i] = s[len(s)-1]
+	return s[:len(s)-1]
 }
 
-func (g *Graph) unlink(from, to PageID) {
-	delete(g.out[from], to)
-	delete(g.in[to], from)
-}
-
-// RemovePage deletes a node and all incident edges.
+// RemovePage deletes a node and all incident edges. The page keeps its
+// ID.
 func (g *Graph) RemovePage(p PageID) {
 	g.mu.Lock()
-	for to := range g.out[p] {
-		delete(g.in[to], p)
+	defer g.mu.Unlock()
+	id, ok := g.ids.Lookup(p)
+	if !ok || !g.live[id] {
+		return
 	}
-	for from := range g.in[p] {
-		delete(g.out[from], p)
+	for _, t := range g.out[id] {
+		if t != id {
+			g.in[t] = swapRemove(g.in[t], slices.Index(g.in[t], id))
+		}
 	}
-	delete(g.out, p)
-	delete(g.in, p)
-	g.mu.Unlock()
+	for _, f := range g.in[id] {
+		if f != id {
+			g.out[f] = swapRemove(g.out[f], slices.Index(g.out[f], id))
+			g.links--
+		}
+	}
+	g.links -= len(g.out[id])
+	g.out[id], g.in[id] = nil, nil
+	g.live[id] = false
+	g.pages--
+}
+
+// node returns p's ID if p is a node.
+func (g *Graph) node(p PageID) (int32, bool) {
+	id, ok := g.ids.Lookup(p)
+	return id, ok && g.live[id]
 }
 
 // HasPage reports whether p is a node.
 func (g *Graph) HasPage(p PageID) bool {
 	g.mu.RLock()
-	_, ok := g.out[p]
-	g.mu.RUnlock()
+	defer g.mu.RUnlock()
+	_, ok := g.node(p)
 	return ok
 }
 
@@ -151,129 +169,102 @@ func (g *Graph) HasPage(p PageID) bool {
 func (g *Graph) NumPages() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.out)
+	return g.pages
 }
 
 // NumLinks returns the edge count.
 func (g *Graph) NumLinks() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n := 0
-	for _, m := range g.out {
-		n += len(m)
-	}
-	return n
+	return g.links
 }
 
 // OutLinks returns a sorted copy of p's out-neighbours.
 func (g *Graph) OutLinks(p PageID) []PageID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return sortedKeys(g.out[p])
+	return g.neighbours(g.out, p)
 }
 
 // InLinks returns a sorted copy of p's in-neighbours.
 func (g *Graph) InLinks(p PageID) []PageID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return sortedKeys(g.in[p])
+	return g.neighbours(g.in, p)
 }
 
-// OutDegree returns the number of out-links of p.
-func (g *Graph) OutDegree(p PageID) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.out[p])
+// neighbours returns the sorted URLs of p's list in lists.
+func (g *Graph) neighbours(lists [][]int32, p PageID) []PageID {
+	id, ok := g.node(p)
+	if !ok {
+		return []PageID{}
+	}
+	out := g.urls(lists[id])
+	sort.Strings(out)
+	return out
 }
 
-// InDegree returns the number of in-links of p.
-func (g *Graph) InDegree(p PageID) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.in[p])
+// urls returns the URLs of ids, in order.
+func (g *Graph) urls(ids []int32) []PageID {
+	out := make([]PageID, len(ids))
+	for i, id := range ids {
+		out[i] = g.ids.URL(id)
+	}
+	return out
+}
+
+// sortedNodes returns the nodes' IDs in URL order.
+func (g *Graph) sortedNodes() []int32 {
+	order := make([]int32, 0, g.pages)
+	for id, ok := range g.live {
+		if ok {
+			order = append(order, int32(id))
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(g.ids.URL(a), g.ids.URL(b)) })
+	return order
 }
 
 // Pages returns all node IDs in sorted order.
 func (g *Graph) Pages() []PageID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return sortedKeys(g.out)
-}
-
-func sortedKeys[V any](m map[PageID]V) []PageID {
-	out := make([]PageID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return g.urls(g.sortedNodes())
 }
 
 // Snapshot returns an immutable adjacency view suitable for iterative
-// algorithms (PageRank). Node order is deterministic.
+// algorithms (PageRank). Node order is deterministic: IDs holds the
+// pages sorted by URL, and Out[i] the sorted positions in IDs of page
+// i's out-neighbours, self-links left out.
 type Snapshot struct {
-	IDs   []PageID
-	Index map[PageID]int
-	Out   [][]int32
+	IDs []PageID
+	Out [][]int32
 }
 
 // Snapshot captures the current graph.
 func (g *Graph) Snapshot() *Snapshot {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	ids := sortedKeys(g.out)
-	idx := make(map[PageID]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
+	order := g.sortedNodes()
+	pos := make([]int32, len(g.live))
+	for i, id := range order {
+		pos[id] = int32(i)
 	}
-	out := make([][]int32, len(ids))
-	for i, id := range ids {
-		neigh := g.out[id]
-		row := make([]int32, 0, len(neigh))
-		for to := range neigh {
-			if to == id {
-				continue // self-links carry no rank
+	// The rows share one array, each capped at its own end.
+	flat := make([]int32, 0, g.links)
+	out := make([][]int32, len(order))
+	for i, id := range order {
+		start := len(flat)
+		for _, t := range g.out[id] {
+			if t != id { // self-links carry no rank
+				flat = append(flat, pos[t])
 			}
-			row = append(row, int32(idx[to]))
 		}
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
+		row := flat[start:len(flat):len(flat)]
+		slices.Sort(row)
 		out[i] = row
 	}
-	return &Snapshot{IDs: ids, Index: idx, Out: out}
-}
-
-// BFSWindow returns up to limit pages reachable breadth-first from root,
-// including root, in visit order. Neighbour order is deterministic
-// (sorted), matching the paper's "window of pages" from a site root
-// (Section 2.1): pages deeper than the window's reach are invisible.
-func (g *Graph) BFSWindow(root PageID, limit int) []PageID {
-	if limit <= 0 {
-		return nil
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if _, ok := g.out[root]; !ok {
-		return nil
-	}
-	visited := map[PageID]struct{}{root: {}}
-	order := []PageID{root}
-	queue := []PageID{root}
-	for len(queue) > 0 && len(order) < limit {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, next := range sortedKeys(g.out[cur]) {
-			if _, seen := visited[next]; seen {
-				continue
-			}
-			visited[next] = struct{}{}
-			order = append(order, next)
-			if len(order) >= limit {
-				break
-			}
-			queue = append(queue, next)
-		}
-	}
-	return order
+	return &Snapshot{IDs: g.urls(order), Out: out}
 }
 
 // SiteOf extracts the site (host) component of a URL-like page ID. It
@@ -310,9 +301,6 @@ func DomainOf(host string) string {
 	}
 }
 
-// Domains lists the paper's domain groups in Table 1 order.
-var Domains = []string{"com", "edu", "netorg", "gov"}
-
 // SiteGraph is the hypergraph projection of Section 2.2: one node per
 // site, one directed edge (u,v) when any page on site u links to any page
 // on site v. Intra-site links are excluded, as they say nothing about
@@ -336,11 +324,14 @@ func ProjectSites(g *Graph) *SiteGraph {
 		}
 		return m
 	}
-	for from, tos := range g.out {
-		fs := SiteOf(from)
+	for id, ok := range g.live {
+		if !ok {
+			continue
+		}
+		fs := SiteOf(g.ids.URL(int32(id)))
 		ensureSite(fs)
-		for to := range tos {
-			ts := SiteOf(to)
+		for _, to := range g.out[id] {
+			ts := SiteOf(g.ids.URL(to))
 			ensureSite(ts)
 			if fs != ts {
 				siteSet[fs][ts] = struct{}{}
@@ -369,23 +360,27 @@ func ProjectSites(g *Graph) *SiteGraph {
 }
 
 // Validate checks internal consistency of the graph (every out-edge has a
-// matching in-edge and vice versa). Tests and debugging use it.
+// matching in-edge and vice versa, both ends are nodes, and the edge
+// count is right). Tests and debugging use it.
 func (g *Graph) Validate() error {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for from, tos := range g.out {
-		for to := range tos {
-			if _, ok := g.in[to][from]; !ok {
-				return fmt.Errorf("webgraph: missing in-edge %s -> %s", from, to)
+	links := 0
+	for id, out := range g.out {
+		links += len(out)
+		for _, t := range out {
+			if !g.live[id] || !g.live[t] || !slices.Contains(g.in[t], int32(id)) {
+				return fmt.Errorf("webgraph: missing in-edge %s -> %s", g.ids.URL(int32(id)), g.ids.URL(t))
+			}
+		}
+		for _, f := range g.in[id] {
+			if !slices.Contains(g.out[f], int32(id)) {
+				return errors.New("webgraph: dangling in-edge " + g.ids.URL(f) + " -> " + g.ids.URL(int32(id)))
 			}
 		}
 	}
-	for to, froms := range g.in {
-		for from := range froms {
-			if _, ok := g.out[from][to]; !ok {
-				return errors.New("webgraph: dangling in-edge " + from + " -> " + to)
-			}
-		}
+	if links != g.links {
+		return fmt.Errorf("webgraph: %d edges counted as %d", links, g.links)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -29,9 +30,6 @@ func TestOutInLinksConsistent(t *testing.T) {
 	}
 	if got := g.InLinks("c"); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("InLinks(c) = %v", got)
-	}
-	if g.OutDegree("a") != 2 || g.InDegree("c") != 2 {
-		t.Fatal("degree mismatch")
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -89,7 +87,7 @@ func TestSnapshotSkipsSelfLinks(t *testing.T) {
 	g.AddLink("a", "a")
 	g.AddLink("a", "b")
 	snap := g.Snapshot()
-	ai := snap.Index["a"]
+	ai := sort.SearchStrings(snap.IDs, "a")
 	if len(snap.Out[ai]) != 1 {
 		t.Fatalf("snapshot out of a = %v", snap.Out[ai])
 	}
@@ -109,39 +107,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 	if a.IDs[0] != "a" { // sorted order
 		t.Fatalf("IDs not sorted: %v", a.IDs)
-	}
-}
-
-func TestBFSWindowOrderAndLimit(t *testing.T) {
-	g := New()
-	// root -> b, c ; b -> d ; c -> e
-	g.AddLink("root", "b")
-	g.AddLink("root", "c")
-	g.AddLink("b", "d")
-	g.AddLink("c", "e")
-	got := g.BFSWindow("root", 10)
-	want := []string{"root", "b", "c", "d", "e"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("BFS order %v, want %v", got, want)
-	}
-	if got := g.BFSWindow("root", 3); len(got) != 3 {
-		t.Fatalf("limited window %v", got)
-	}
-	if got := g.BFSWindow("missing", 3); got != nil {
-		t.Fatalf("missing root yields %v", got)
-	}
-	if got := g.BFSWindow("root", 0); got != nil {
-		t.Fatalf("zero limit yields %v", got)
-	}
-}
-
-func TestBFSWindowHandlesCycles(t *testing.T) {
-	g := New()
-	g.AddLink("a", "b")
-	g.AddLink("b", "a")
-	got := g.BFSWindow("a", 10)
-	if len(got) != 2 {
-		t.Fatalf("cycle window %v", got)
 	}
 }
 
@@ -236,8 +201,7 @@ func TestPagesSorted(t *testing.T) {
 // graph with one rebuilt from the model from scratch after every step:
 // the same pages, out-sets and in-sets, an added list that is exactly
 // the new links minus the old ones in input order, and Validate passing.
-// Link lists run from empty to past smallLinks, repeats included, so
-// both ways SetLinks finds departed links are exercised.
+// Link lists run from empty to 35 links, repeats included.
 func TestSetLinksMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	name := func() PageID { return fmt.Sprintf("n%02d", rng.Intn(40)) }
@@ -249,7 +213,7 @@ func TestSetLinksMatchesModel(t *testing.T) {
 		from := name()
 		switch k := rng.Intn(10); {
 		case k < 7:
-			tos := make([]PageID, rng.Intn(2*smallLinks+4))
+			tos := make([]PageID, rng.Intn(36))
 			for i := range tos {
 				tos[i] = name()
 			}
