@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-smoke bench-check fmt vet loc smoke-cluster smoke-store smoke-serve smoke-tools ci
+.PHONY: build test race fuzz test-names bench bench-smoke bench-check fmt vet loc smoke-cluster smoke-store smoke-serve smoke-tools ci
 
 build:
 	$(GO) build ./...
@@ -21,7 +21,9 @@ test:
 # and swaps; the engine's content stage behind a slow or failing store
 # (order, buffer ownership, the barrier, the error path, and the rounds
 # folded into one store write); opRound retries after lost replies,
-# across a WAL compaction and restart; the servers' per-connection read
+# across a WAL compaction and restart, the round adapter's pop order
+# over one to four shard servers against the in-process queue, and
+# rounds across dropped connections; the servers' per-connection read
 # buffers, reused across frames of every size, against an in-process
 # oracle, and the store client's records, which alias their replies;
 # the segment log under the
@@ -47,7 +49,7 @@ race:
 	$(GO) test -race -count=5 -run 'TestStragglersAcrossSwaps' ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestScanBesideWrites|TestModelCheck|TestShadowedPin|TestDiskConcurrentStress' ./internal/store/
 	$(GO) test -race -count=5 -run 'TestContentStageOrderAndIntegrity|TestContentErrorEndsRun|TestContentBarrier|TestContentCoalescing|TestContentFoldKeepsPerURLOrder' ./internal/core/
-	$(GO) test -race -count=5 -run 'TestRoundRetryRepeeks|TestRoundReplyLostKeepsPopOrder|TestFlakyTransportKeepsRoundPopOrder|TestServerReadBuffersKeepNothing|TestRemoteRecordsOwnTheirBytes|TestRemoteDiskSegmentsMatchLocal' ./internal/cluster/
+	$(GO) test -race -count=5 -run 'TestRoundRetryRepeeks|TestRoundReplyLostKeepsPopOrder|TestFlakyTransportKeepsRoundPopOrder|TestRemoteMatchesLocalPopOrder|TestRemoteSurvivesConnDrop|TestServerReadBuffersKeepNothing|TestRemoteRecordsOwnTheirBytes|TestRemoteDiskSegmentsMatchLocal' ./internal/cluster/
 	$(GO) test -race -count=5 ./internal/seglog/
 	$(GO) test -race -count=3 -run 'TestTopology|TestStaticRoutingGolden|TestParseTopology' ./internal/cluster/ ./internal/daemon/
 	$(GO) test -race -count=2 -run TestInvarianceMatrix ./internal/cluster/
@@ -81,6 +83,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 15s ./internal/seglog/
 	$(GO) test -run '^$$' -fuzz FuzzRecordCodec -fuzztime 15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzGraphOps -fuzztime 15s ./internal/webgraph/
+
+# Every -run and -fuzz name in race and fuzz must still name a test:
+# `go test -run TestGone` exits 0 ("no tests to run"), so a renamed
+# test would otherwise drop out of those targets without a word.
+test-names:
+	./scripts/check_test_names.sh
 
 # Engine benchmarks, written machine-readable to BENCH_engine.json
 # (benchmark name, iterations, ns/op, pages/s, B/op, allocs/op) so the
@@ -200,4 +208,4 @@ smoke-tools:
 	$(GO) run ./cmd/freshsim >/dev/null
 	$(GO) run ./cmd/webevo -pages 60 -days 30 >/dev/null
 
-ci: build vet fmt race fuzz bench-smoke bench-check bench smoke-cluster smoke-store smoke-serve smoke-tools
+ci: build vet fmt test-names race fuzz bench-smoke bench-check bench smoke-cluster smoke-store smoke-serve smoke-tools

@@ -11,91 +11,6 @@ import (
 	"webevolve/internal/simweb"
 )
 
-// BenchmarkClaimReleaseLocal is the in-process baseline for the
-// claim/release hot path the distributed benchmarks are measured
-// against.
-func BenchmarkClaimReleaseLocal(b *testing.B) {
-	q := frontier.NewSharded(16)
-	for i := 0; i < 512; i++ {
-		q.Push(fmt.Sprintf("http://site%03d.com/p%05d", i%32, i), 0, 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, sid, ok := q.ClaimDue(1)
-		if !ok {
-			b.Fatal("nothing claimable")
-		}
-		q.Release(sid, 0)
-		q.Push(e.URL, 0, 0)
-	}
-}
-
-// BenchmarkClaimReleaseRemote measures the wire-protocol overhead of
-// one claim + release + push cycle against 1, 2, and 4 loopback shard
-// servers. With one server a claim is a single round trip; with more,
-// it is a peek fan-out plus a commit.
-func BenchmarkClaimReleaseRemote(b *testing.B) {
-	for _, servers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {
-			rs := loopbackCluster(b, servers, 16/servers)
-			for i := 0; i < 512; i++ {
-				rs.Push(fmt.Sprintf("http://site%03d.com/p%05d", i%32, i), 0, 0)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e, sid, ok := rs.ClaimDue(1)
-				if !ok {
-					b.Fatal("nothing claimable")
-				}
-				rs.Release(sid, 0)
-				rs.Push(e.URL, 0, 0)
-			}
-			b.StopTimer()
-			if err := rs.Err(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkPushRemote compares the apply path's two push strategies
-// against loopback shard servers: per-URL frames vs one opPushBatch
-// frame per server per dispatch round. The round-trip ratio is batch
-// size / server count; the time ratio tracks it since loopback round
-// trips dominate.
-func BenchmarkPushRemote(b *testing.B) {
-	const batch = 64
-	entries := make([]frontier.Entry, batch)
-	for i := range entries {
-		entries[i] = frontier.Entry{
-			URL: fmt.Sprintf("http://site%03d.com/p%05d", i%32, i),
-			Due: float64(i % 9), Priority: float64(i % 3),
-		}
-	}
-	for _, servers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("per-url/servers=%d", servers), func(b *testing.B) {
-			rs := loopbackCluster(b, servers, 16/servers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, e := range entries {
-					rs.Push(e.URL, e.Due, e.Priority)
-				}
-			}
-			b.StopTimer()
-			reportTripsPerBatch(b, rs)
-		})
-		b.Run(fmt.Sprintf("batched/servers=%d", servers), func(b *testing.B) {
-			rs := loopbackCluster(b, servers, 16/servers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rs.PushBatch(entries)
-			}
-			b.StopTimer()
-			reportTripsPerBatch(b, rs)
-		})
-	}
-}
-
 // BenchmarkApplyRoundRemote is the perf ledger's wire round trip row:
 // one opRound exchange per server per op — 64 pops taken from the
 // previous exchange's candidates, their 64 reschedules and a
@@ -119,7 +34,7 @@ func BenchmarkApplyRoundRemote(b *testing.B) {
 	for _, servers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {
 			rs := loopbackCluster(b, servers, 16/servers)
-			rs.PushBatch(seed)
+			rs.ApplyRound(nil, nil, seed, 0)
 			cands, _, _, _ := rs.ApplyRound(nil, nil, nil, per/cluster.ExchangeRounds)
 			pops := make([]string, 0, per)
 			pushes := make([]frontier.Entry, 0, per)
@@ -143,13 +58,6 @@ func BenchmarkApplyRoundRemote(b *testing.B) {
 			b.ReportMetric(float64(in-in0+out-out0)/float64(b.N), "wireB/round")
 		})
 	}
-}
-
-func reportTripsPerBatch(b *testing.B, rs *cluster.RemoteShards) {
-	if err := rs.Err(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(rs.RoundTrips())/float64(b.N), "trips/batch")
 }
 
 func benchWeb(b *testing.B) *simweb.Web {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		bytes.Repeat([]byte("http://site0.com"), 1<<16), // 1 MiB
 	} {
 		var buf bytes.Buffer
-		wrote, err := writeFrame(&buf, opPush, body)
+		wrote, err := writeFrame(&buf, opRound, body)
 		if err != nil || wrote != buf.Len() {
 			t.Fatalf("writeFrame reported %d bytes, wrote %d: %v", wrote, buf.Len(), err)
 		}
@@ -29,7 +30,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("a %dB body went out as %dB with flags %#x, want %dB raw", len(body), wrote, flags, len(body)+11)
 		}
 		kind, got, wire, err := readFrame(&buf)
-		if err != nil || kind != opPush || !bytes.Equal(got, body) {
+		if err != nil || kind != opRound || !bytes.Equal(got, body) {
 			t.Fatalf("frame mangled: kind=%d body=%q: %v", kind, got, err)
 		}
 		if wire != wrote {
@@ -111,37 +112,43 @@ func testURLs(hosts, pagesPerHost int) []string {
 }
 
 // TestRemoteMatchesLocalPopOrder is the protocol's core contract: with
-// zero politeness, the pop sequence through RemoteShards equals the
-// local Sharded's regardless of how shards are spread across servers.
+// zero politeness, the pop sequence of a crawl's round adapter
+// (frontier.Rounds) over RemoteShards equals the one over the local
+// Sharded, regardless of how shards are spread across servers — with
+// reschedules and drops committed during the drain.
 func TestRemoteMatchesLocalPopOrder(t *testing.T) {
 	urls := testURLs(12, 6)
+	var seed []frontier.Entry
+	for i, u := range urls {
+		seed = append(seed, frontier.Entry{URL: u, Due: float64((i * 7) % 13), Priority: float64(i % 3)})
+	}
 	for _, topo := range []struct{ servers, shardsEach int }{
 		{1, 8}, {2, 4}, {4, 8},
 	} {
 		local := frontier.NewSharded(8)
 		remote, _ := newCluster(t, topo.servers, topo.shardsEach)
-		for i, u := range urls {
-			due := float64((i * 7) % 13)
-			prio := float64(i % 3)
-			local.Push(u, due, prio)
-			remote.Push(u, due, prio)
+		lr, rr := frontier.NewRounds(local, 4), frontier.NewRounds(remote, 4)
+		commit := func(removes []string, pushes []frontier.Entry, wantCands bool) {
+			t.Helper()
+			if err := lr.Commit(removes, pushes, wantCands); err != nil {
+				t.Fatalf("%d servers: local commit: %v", topo.servers, err)
+			}
+			if err := rr.Commit(removes, pushes, wantCands); err != nil {
+				t.Fatalf("%d servers: remote commit: %v", topo.servers, err)
+			}
 		}
+		commit(nil, seed, false)
 		if local.Len() != remote.Len() {
 			t.Fatalf("%d servers: Len %d vs %d", topo.servers, remote.Len(), local.Len())
 		}
-		lu, ru := local.URLs(), remote.URLs()
-		if len(lu) != len(ru) {
-			t.Fatalf("%d servers: URLs %d vs %d", topo.servers, len(ru), len(lu))
+		if lu, ru := local.URLs(), remote.URLs(); !reflect.DeepEqual(lu, ru) {
+			t.Fatalf("%d servers: URLs diverge:\nremote %v\nlocal  %v", topo.servers, ru, lu)
 		}
-		for i := range lu {
-			if lu[i] != ru[i] {
-				t.Fatalf("%d servers: URLs diverge at %d: %s vs %s", topo.servers, i, ru[i], lu[i])
-			}
-		}
+		pops := 0
 		for now := 0.0; now < 14; now++ {
 			for {
-				le, lok := local.PopDue(now)
-				re, rok := remote.PopDue(now)
+				le, lok := lr.PopDue(now)
+				re, rok := rr.PopDue(now)
 				if lok != rok {
 					t.Fatalf("%d servers: day %v: ok %v vs %v", topo.servers, now, rok, lok)
 				}
@@ -151,12 +158,28 @@ func TestRemoteMatchesLocalPopOrder(t *testing.T) {
 				if !sameEntry(le, re) {
 					t.Fatalf("%d servers: day %v: pop %+v vs %+v", topo.servers, now, re, le)
 				}
-				// Reschedule half the pops to exercise Push during drain.
+				pops++
+				// Reschedule half the pops and drop a queued URL now and
+				// then, as a crawl's commits do.
+				var removes []string
+				var pushes []frontier.Entry
 				if int(le.Due)%2 == 0 {
-					local.Push(le.URL, le.Due+20, le.Priority)
-					remote.Push(re.URL, re.Due+20, re.Priority)
+					pushes = append(pushes, frontier.Entry{URL: le.URL, Due: le.Due + 20, Priority: le.Priority})
 				}
+				if pops%5 == 0 {
+					removes = append(removes, urls[pops*7%len(urls)])
+				}
+				commit(removes, pushes, true)
 			}
+		}
+		if err := lr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rr.Flush(); err != nil {
+			t.Fatalf("%d servers: %v", topo.servers, err)
+		}
+		if lu, ru := local.URLs(), remote.URLs(); !reflect.DeepEqual(lu, ru) {
+			t.Fatalf("%d servers: final queues diverge:\nremote %v\nlocal  %v", topo.servers, ru, lu)
 		}
 		if err := remote.Err(); err != nil {
 			t.Fatalf("%d servers: %v", topo.servers, err)
@@ -164,140 +187,41 @@ func TestRemoteMatchesLocalPopOrder(t *testing.T) {
 	}
 }
 
-// TestRemoteMatchesLocalWithPoliteness pins the politeness-gap path of
-// the per-entry ops: with one server hosting the same shard layout and
-// the same gap, remote and local pop identical (possibly
-// politeness-deferred) sequences, and NextEvent agrees. Every client's
-// hello sends a zero gap, so the gap is set on the server after the
-// handshake, and the client keeps one connection: a lazily dialed
-// second one would send the zero-gap hello again.
-func TestRemoteMatchesLocalWithPoliteness(t *testing.T) {
-	const gap = 2.0
-	local := frontier.NewShardedPolite(4, gap)
-	srv := NewShardServer(frontier.NewSharded(4))
-	t.Cleanup(func() { srv.Close() })
-	remote, err := Loopback([]*ShardServer{srv}, Options{t: transport{conns: 1}})
-	if err != nil {
+// seedRemote pushes entries through one round, as a crawl seeds its
+// frontier.
+func seedRemote(t testing.TB, rs *RemoteShards, entries []frontier.Entry) {
+	t.Helper()
+	rs.ApplyRound(nil, nil, entries, 0)
+	if err := rs.Err(); err != nil {
 		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
-	if got := srv.Shards().Politeness(); got != 0 {
-		t.Fatalf("hello set gap %v, want 0", got)
-	}
-	srv.Shards().SetPoliteness(gap)
-	urls := testURLs(8, 3)
-	for i, u := range urls {
-		local.Push(u, float64(i%5), 0)
-		remote.Push(u, float64(i%5), 0)
-	}
-	for now := 0.0; now < 30; now += 0.5 {
-		for {
-			le, lok := local.PopDue(now)
-			re, rok := remote.PopDue(now)
-			if lok != rok {
-				t.Fatalf("day %v: ok %v vs %v", now, rok, lok)
-			}
-			if !lok {
-				break
-			}
-			if !sameEntry(le, re) {
-				t.Fatalf("day %v: pop %+v vs %+v", now, re, le)
-			}
-		}
-		lt, lok := local.NextEvent()
-		rt, rok := remote.NextEvent()
-		if lok != rok || (lok && lt != rt) {
-			t.Fatalf("day %v: NextEvent (%v,%v) vs (%v,%v)", now, rt, rok, lt, lok)
-		}
 	}
 }
 
-// TestRemoteClaimRelease checks exclusive claims across the wire: a
-// claimed shard yields nothing until released, and the global shard
-// index maps back to the right server.
-func TestRemoteClaimRelease(t *testing.T) {
-	remote, _ := newCluster(t, 2, 4)
-	urls := testURLs(10, 2)
+// TestRemoteShardOfMatchesServers: the global shard index ShardOf gives
+// a URL is the offset of the server a round routes it to plus that
+// server's own shard for it.
+func TestRemoteShardOfMatchesServers(t *testing.T) {
+	remote, servers := newCluster(t, 3, 4)
+	urls := testURLs(20, 2)
+	var seed []frontier.Entry
 	for _, u := range urls {
-		remote.Push(u, 0, 0)
+		seed = append(seed, frontier.Entry{URL: u})
 	}
-	claimed := make(map[int]bool)
-	var held []int
-	for {
-		e, sid, ok := remote.ClaimDue(100)
-		if !ok {
-			break
+	seedRemote(t, remote, seed)
+	for _, u := range urls {
+		holders := 0
+		for si, srv := range servers {
+			if !srv.Shards().Contains(u) {
+				continue
+			}
+			holders++
+			if got, want := remote.ShardOf(u), 4*si+srv.Shards().ShardOf(u); got != want {
+				t.Fatalf("%s: ShardOf %d, but server %d holds it in its shard %d", u, got, si, want-4*si)
+			}
 		}
-		if sid < 0 || sid >= remote.NumShards() {
-			t.Fatalf("claimed shard %d out of range [0,%d)", sid, remote.NumShards())
+		if holders != 1 {
+			t.Fatalf("%s is held by %d servers", u, holders)
 		}
-		if claimed[sid] {
-			t.Fatalf("shard %d claimed twice without release", sid)
-		}
-		if want := remote.ShardOf(e.URL); want != sid {
-			t.Fatalf("entry %s from shard %d, ShardOf says %d", e.URL, sid, want)
-		}
-		claimed[sid] = true
-		held = append(held, sid)
-	}
-	// All distinct occupied shards are now held; the queue still has
-	// entries but nothing is claimable.
-	if remote.Len() == 0 {
-		t.Fatal("expected entries left behind claimed shards")
-	}
-	if _, _, ok := remote.ClaimDue(100); ok {
-		t.Fatal("claim succeeded with every shard held")
-	}
-	for _, sid := range held {
-		remote.Release(sid, 0)
-	}
-	if _, _, ok := remote.ClaimDue(100); !ok {
-		t.Fatal("claim failed after release")
-	}
-	if err := remote.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRemoteRemoveContainsPeek covers the remaining ops over the wire.
-func TestRemoteRemoveContainsPeek(t *testing.T) {
-	remote, _ := newCluster(t, 2, 2)
-	remote.Push("http://site001.com/a", 5, 1)
-	remote.Push("http://site002.com/b", 3, 0)
-	if !remote.Contains("http://site001.com/a") {
-		t.Fatal("Contains missed a pushed URL")
-	}
-	if remote.Contains("http://site001.com/zzz") {
-		t.Fatal("Contains invented a URL")
-	}
-	if e, ok := remote.Peek(); !ok || e.URL != "http://site002.com/b" {
-		t.Fatalf("Peek = %+v, %v", e, ok)
-	}
-	if ev, ok := remote.NextEvent(); !ok || ev != 3 {
-		t.Fatalf("NextEvent = %v, %v", ev, ok)
-	}
-	if !remote.Remove("http://site002.com/b") {
-		t.Fatal("Remove missed a pushed URL")
-	}
-	if remote.Remove("http://site002.com/b") {
-		t.Fatal("Remove repeated")
-	}
-	if n := remote.Len(); n != 1 {
-		t.Fatalf("Len = %d", n)
-	}
-	lens := remote.ShardLens()
-	if len(lens) != remote.NumShards() {
-		t.Fatalf("ShardLens returned %d shards, want %d", len(lens), remote.NumShards())
-	}
-	total := 0
-	for _, n := range lens {
-		total += n
-	}
-	if total != 1 {
-		t.Fatalf("ShardLens total = %d", total)
-	}
-	if err := remote.Err(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -319,22 +243,27 @@ func TestRemoteOverTCP(t *testing.T) {
 	}
 	defer remote.Close()
 	urls := testURLs(6, 4)
+	var seed []frontier.Entry
 	for i, u := range urls {
-		remote.Push(u, float64(i%4), 0)
+		seed = append(seed, frontier.Entry{URL: u, Due: float64(i % 4)})
 	}
+	seedRemote(t, remote, seed)
 	if n := remote.Len(); n != len(urls) {
 		t.Fatalf("Len = %d, want %d", n, len(urls))
 	}
+	r := frontier.NewRounds(remote, 4)
 	popped := 0
 	for {
-		_, ok := remote.PopDue(10)
-		if !ok {
+		if _, ok := r.PopDue(10); !ok {
 			break
 		}
 		popped++
 	}
-	if popped != len(urls) {
-		t.Fatalf("popped %d, want %d", popped, len(urls))
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if popped != len(urls) || remote.Len() != 0 {
+		t.Fatalf("popped %d, want %d; %d left", popped, len(urls), remote.Len())
 	}
 	if err := remote.Err(); err != nil {
 		t.Fatal(err)
@@ -352,17 +281,74 @@ func TestRemoteStickyError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	remote.Push("http://site001.com/a", 0, 0)
+	seedRemote(t, remote, []frontier.Entry{{URL: "http://site001.com/a"}})
 	servers[0].Close()
 	// The pooled connections are now closed; the next op must fail.
-	remote.Push("http://site001.com/b", 0, 0)
+	remote.ApplyRound(nil, nil, []frontier.Entry{{URL: "http://site001.com/b"}}, 0)
 	if err := remote.Err(); err == nil {
 		t.Fatal("no sticky error after server close")
 	}
-	if _, ok := remote.PopDue(10); ok {
-		t.Fatal("PopDue succeeded on a failed cluster")
+	if cands, _, _, _ := remote.ApplyRound(nil, nil, nil, 4); len(cands) != 0 {
+		t.Fatalf("ApplyRound served %+v on a failed cluster", cands)
 	}
 	if n := remote.Len(); n != 0 {
 		t.Fatalf("Len = %d on a failed cluster", n)
+	}
+}
+
+// TestRetiredShardOpsRefused: the per-entry frontier ops are retired,
+// and their numbers are never reused. A server answers each with an
+// unknown-opcode error naming it, and applies nothing; the client's
+// per-entry methods send nothing and record an error naming the
+// method.
+func TestRetiredShardOpsRefused(t *testing.T) {
+	srv := NewShardServer(frontier.NewSharded(2))
+	defer srv.Close()
+	for op, name := range map[byte]string{
+		retiredPush:        "retired_push",
+		retiredPopDue:      "retired_pop_due",
+		retiredClaimDue:    "retired_claim_due",
+		retiredHeadDue:     "retired_head_due",
+		retiredPopDueMatch: "retired_pop_due_match",
+		retiredRelease:     "retired_release",
+		retiredRemove:      "retired_remove",
+		retiredContains:    "retired_contains",
+		retiredPeek:        "retired_peek",
+		retiredNextEvent:   "retired_next_event",
+		retiredStats:       "retired_stats",
+		retiredPushBatch:   "retired_push_batch",
+	} {
+		for _, body := range append([][]byte{nil}, seedBodies()[op]...) {
+			status, resp := srv.handle(op, body)
+			if status != statusError || !strings.Contains(string(resp), "unknown opcode") || !strings.Contains(string(resp), name) {
+				t.Errorf("op %d answered (%d, %q), want an unknown-opcode error naming %s", op, status, resp, name)
+			}
+		}
+	}
+	if n := srv.Shards().Len(); n != 0 {
+		t.Fatalf("a refused op applied: Len %d", n)
+	}
+
+	for method, call := range map[string]func(rs *RemoteShards){
+		"Push":      func(rs *RemoteShards) { rs.Push("http://site001.com/a", 0, 0) },
+		"PushBatch": func(rs *RemoteShards) { rs.PushBatch([]frontier.Entry{{URL: "http://site001.com/a"}}) },
+		"PopDue":    func(rs *RemoteShards) { rs.PopDue(1) },
+		"ClaimDue":  func(rs *RemoteShards) { rs.ClaimDue(1) },
+		"Release":   func(rs *RemoteShards) { rs.Release(0, 1) },
+		"Remove":    func(rs *RemoteShards) { rs.Remove("http://site001.com/a") },
+		"Contains":  func(rs *RemoteShards) { rs.Contains("http://site001.com/a") },
+		"Peek":      func(rs *RemoteShards) { rs.Peek() },
+		"NextEvent": func(rs *RemoteShards) { rs.NextEvent() },
+	} {
+		rs, _ := newCluster(t, 1, 2)
+		trips := rs.RoundTrips()
+		call(rs)
+		want := "RemoteShards." + method + " is retired"
+		if err := rs.Err(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Err() = %v, want one naming %q", method, err, want)
+		}
+		if got := rs.RoundTrips(); got != trips {
+			t.Errorf("%s sent %d frames", method, got-trips)
+		}
 	}
 }

@@ -27,12 +27,12 @@ func TestStickyErrIdentifiesServerAndOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	rs.Push("https://a.com/x", 0, 1)
+	rs.ApplyRound(nil, nil, []frontier.Entry{{URL: "https://a.com/x", Priority: 1}}, 0)
 
 	// Kill the server; the next op exhausts its (zero) retries and the
 	// error goes sticky.
 	srv.Close()
-	rs.Push("https://a.com/y", 0, 1)
+	rs.ApplyRound(nil, nil, []frontier.Entry{{URL: "https://a.com/y", Priority: 1}}, 0)
 
 	serr := rs.Err()
 	if serr == nil {
@@ -42,7 +42,7 @@ func TestStickyErrIdentifiesServerAndOp(t *testing.T) {
 	if !strings.Contains(msg, addr) {
 		t.Errorf("sticky error %q does not name the server address %s", msg, addr)
 	}
-	if !strings.Contains(msg, "push") {
+	if !strings.Contains(msg, ": round (") {
 		t.Errorf("sticky error %q does not name the failed op", msg)
 	}
 }
@@ -116,12 +116,12 @@ func TestStickyErrNamesVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 		rs.t().servers[0].sleep = func(time.Duration) { slept++ }
-		rs.Push("https://a.com/x", 0, 1)
+		rs.ApplyRound(nil, nil, []frontier.Entry{{URL: "https://a.com/x", Priority: 1}}, 0)
 		dial = foreignServer(frame)
 		srv.Close()
-		rs.Push("https://a.com/y", 0, 1)
+		rs.ApplyRound(nil, nil, []frontier.Entry{{URL: "https://a.com/y", Priority: 1}}, 0)
 		serr := rs.Err()
-		if !errors.Is(serr, errProtoVersion) || !namesVersions(serr.Error(), ver) || !strings.Contains(serr.Error(), "push") {
+		if !errors.Is(serr, errProtoVersion) || !namesVersions(serr.Error(), ver) || !strings.Contains(serr.Error(), ": round (") {
 			t.Errorf("sticky error = %v, want errProtoVersion naming the op and both versions", serr)
 		}
 		if slept != 1 {

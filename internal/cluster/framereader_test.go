@@ -65,11 +65,11 @@ func TestLyingSizesAllocateNothingUpFront(t *testing.T) {
 // frame yields: the same kinds, bodies and wire sizes, then the same
 // error.
 func FuzzFrameSequence(f *testing.F) {
-	small := validFrame(f, opPush, seedBodies()[opPush][0])
-	deflated := parentFrame(opPushBatch, walBatchBody(9, testURLs(16, 24)))
+	small := validFrame(f, opRound, seedBodies()[opRound][0])
+	deflated := parentFrame(opRound, walRoundBody(9, testURLs(16, 24)))
 	noise := make([]byte, 6<<10)
 	rand.New(rand.NewSource(1)).Read(noise) // incompressible: raw from any build
-	raw := validFrame(f, opPushBatch, noise)
+	raw := validFrame(f, opRound, noise)
 	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 	f.Add(cat(small, deflated, small, deflated))
 	f.Add(cat(deflated, raw, small, deflated, small, raw))
@@ -208,7 +208,7 @@ func TestServerReadBuffersKeepNothing(t *testing.T) {
 			}
 		default:
 			pushes := entries(1 + rng.Intn(3000))
-			shards.PushBatch(pushes)
+			shards.ApplyRound(nil, nil, pushes, 0)
 			wantQueue.PushBatch(pushes)
 		}
 	}

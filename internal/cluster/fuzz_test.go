@@ -21,8 +21,10 @@ func validFrame(t testing.TB, kind byte, body []byte) []byte {
 	return buf.Bytes()
 }
 
-// prefixLieBody builds a push-batch body whose single front-coded
-// entry claims a 64-byte shared prefix against an empty previous URL.
+// prefixLieBody builds a body whose first list's single front-coded
+// URL claims a 64-byte shared prefix against an empty previous one: a
+// round whose pop lies, or a push batch of an earlier build whose
+// entry does.
 func prefixLieBody(reqID uint64) []byte {
 	var e enc
 	e.fix64(reqID)
@@ -47,7 +49,8 @@ func rawFrame(payload []byte) []byte {
 }
 
 // seedBodies are well-formed request bodies by opcode, plus bodies
-// whose malformation only the decode layer can catch.
+// whose malformation only the decode layer can catch. The retired ops
+// keep the bodies earlier builds sent: they pin the refusal.
 func seedBodies() map[byte][][]byte {
 	var push, batch, lying, pop enc
 	push.fix64(9).str("http://site001.com/a").f64(1).f64(2)
@@ -60,20 +63,28 @@ func seedBodies() map[byte][][]byte {
 	lying.fix64(11).u32(0xFFFFFFFF).str("http://site001.com/a")
 	pop.fix64(12).f64(3)
 	return map[byte][][]byte{
-		opPush: {push.b},
-		// Truncated uvarint count (0x80 promises a continuation byte that
-		// never comes); a front-coded entry whose shared prefix exceeds
-		// the previous URL.
-		opPushBatch: {batch.b, lying.b, {1, 2, 3, 4, 5, 6, 7, 8, 0x80}, prefixLieBody(13)},
-		opPopDue:    {pop.b},
-		opClaimDue:  {pop.b},
+		// A round with every section filled; one whose pushes claim 4
+		// billion entries in a 30-byte body; a truncated uvarint count
+		// (0x80 promises a continuation byte that never comes); a
+		// front-coded pop whose shared prefix exceeds the previous URL.
+		opRound: {
+			roundBody(14, []string{"http://site001.com/a"}, []string{"http://site002.com/b"},
+				[]frontier.Entry{{URL: "http://site001.com/a", Due: 1}, {URL: "http://site003.com/c", Due: 2, Priority: 1}}, 4),
+			append(append(binary.LittleEndian.AppendUint64(nil, 15), 0, 0), lying.b[8:]...),
+			{1, 2, 3, 4, 5, 6, 7, 8, 0x80},
+			prefixLieBody(13),
+		},
+		retiredPush:      {push.b},
+		retiredPushBatch: {batch.b, lying.b, {1, 2, 3, 4, 5, 6, 7, 8, 0x80}, prefixLieBody(13)},
+		retiredPopDue:    {pop.b},
+		retiredClaimDue:  {pop.b},
 		// The second: a fixed-width body as builds before version 6
 		// encoded it.
-		opRelease: {{1, 2, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F}},
-		opHello:   {{1}, helloBody(0.5, true)},
-		opRemove:  {{}},
-		opLen:     {nil},
-		0xEE:      {[]byte("unknown op")},
+		retiredRelease: {{1, 2, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F}},
+		opHello:        {{1}, helloBody(0.5, true)},
+		retiredRemove:  {{}},
+		opLen:          {nil},
+		0xEE:           {[]byte("unknown op")},
 	}
 }
 
@@ -81,7 +92,7 @@ func seedBodies() map[byte][][]byte {
 // the checksum (truncated, bit-flipped, oversized) and, CRC-valid,
 // below it (flags, compression headers).
 func corruptFrames(t testing.TB) map[string][]byte {
-	whole := validFrame(t, opPush, seedBodies()[opPush][0])
+	whole := validFrame(t, opRound, seedBodies()[opRound][0])
 	flipped := append([]byte(nil), whole...)
 	flipped[len(flipped)-1] ^= 0xff
 	huge := append([]byte(nil), whole...)
@@ -113,8 +124,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			f.Add(validFrame(f, op, body))
 		}
 	}
-	// A compressed frame, as earlier builds wrote a large batch.
-	f.Add(parentFrame(opPushBatch, walBatchBody(9, testURLs(16, 24))))
+	// A compressed frame, as earlier builds wrote a large round.
+	f.Add(parentFrame(opRound, walRoundBody(9, testURLs(16, 24))))
 	for _, b := range corruptFrames(f) {
 		f.Add(b)
 	}
@@ -124,7 +135,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(rawFrame(append([]byte{5, opHello}, append(helloBody(0.5, true), ProtoVersion)...)))
 	f.Add(rawFrame([]byte{2, opLen}))
 	f.Add(rawFrame([]byte{5, opLen, flagCompressed}))
-	f.Add(rawFrame(append([]byte{ProtoVersion + 1, opPush, 0}, seedBodies()[opPush][0]...)))
+	f.Add(rawFrame(append([]byte{ProtoVersion + 1, opRound, 0}, seedBodies()[opRound][0]...)))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 
@@ -203,7 +214,7 @@ func TestCorruptionTable(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	whole := validFrame(t, opPush, seedBodies()[opPush][0])
+	whole := validFrame(t, opRound, seedBodies()[opRound][0])
 	for cut := 0; cut < len(whole); cut++ {
 		if _, _, _, err := readFrame(bytes.NewReader(whole[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -214,7 +225,7 @@ func TestCorruptionTable(t *testing.T) {
 	// wrote, or in ours — is refused with errProtoVersion naming both
 	// versions: never decoded, never mistaken for corruption.
 	for v := 0; v < 256; v++ {
-		for _, payload := range [][]byte{{byte(v), opLen}, {byte(v), opPush, 0, 1, 2}, {byte(v), opLen, 0xFE}} {
+		for _, payload := range [][]byte{{byte(v), opLen}, {byte(v), opRound, 0, 1, 2}, {byte(v), opLen, 0xFE}} {
 			_, _, _, err := readFrame(bytes.NewReader(rawFrame(payload)))
 			if foreign := errors.Is(err, errProtoVersion); foreign != (v != ProtoVersion) {
 				t.Fatalf("version %d payload %x: err = %v", v, payload, err)
@@ -229,8 +240,8 @@ func TestCorruptionTable(t *testing.T) {
 		body []byte
 	}{
 		"unknown op":                     {0xEE, nil},
-		"mutating op without request id": {opPush, []byte{1, 2}},
-		"front-coding prefix lie":        {opPushBatch, prefixLieBody(13)},
+		"mutating op without request id": {opRound, []byte{1, 2}},
+		"front-coding prefix lie":        {opRound, prefixLieBody(13)},
 	} {
 		if status, _ := srv.handle(req.op, req.body); status != statusError {
 			t.Errorf("%s: status %d, want error", name, status)

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -123,8 +124,12 @@ func TestOpensParentWrittenWAL(t *testing.T) {
 // put those entries in the snapshot as one chunk, then a second
 // 384-entry batch, 144 of its URLs already queued, left in the log by
 // a crash (no CloseWAL). Both batches and the chunk were past 4 KiB, so
-// that build wrote all three compressed. This build must restore the
-// queue that build restored from them, entry for entry in pop order.
+// that build wrote all three compressed. The push batch is a retired op
+// now, so this build must refuse the directory as it stands — naming
+// the op, which proves the deflated log frame was read and decoded up
+// to it — and leave it untouched. The snapshot alone must restore the
+// queue the parent build restored from it
+// (wal_parent_compressed_snap.want), entry for entry in pop order.
 func TestReplaysParentCompressedWAL(t *testing.T) {
 	src := filepath.Join("testdata", "wal_parent_compressed")
 	if snap, log := compressedFrames(t, filepath.Join(src, walSnapName)), compressedFrames(t, walFilePath(src, 2)); snap != 1 || log != 1 {
@@ -134,11 +139,27 @@ func TestReplaysParentCompressedWAL(t *testing.T) {
 	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(src + ".want")
+	before := dirBytes(t, dir)
+	err := NewShardServer(frontier.NewSharded(4)).OpenWAL(dir)
+	if err == nil || !strings.Contains(err.Error(), "offset 0: op retired_push_batch is not replayable") {
+		t.Fatalf("OpenWAL = %v, want the log's push batch refused by name", err)
+	}
+	if !reflect.DeepEqual(dirBytes(t, dir), before) {
+		t.Fatal("the refused open changed the directory")
+	}
+
+	snapOnly := t.TempDir()
+	if err := os.CopyFS(snapOnly, os.DirFS(src)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(walFilePath(snapOnly, 2)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(src + "_snap.want")
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := newWALServer(t, dir, 4).Shards()
+	q := newWALServer(t, snapOnly, 4).Shards()
 	var got strings.Builder
 	fmt.Fprintf(&got, "len %d\n", q.Len())
 	for {
@@ -149,6 +170,6 @@ func TestReplaysParentCompressedWAL(t *testing.T) {
 		fmt.Fprintf(&got, "%s %v %v\n", ent.URL, ent.Due, ent.Priority)
 	}
 	if got.String() != string(want) {
-		t.Fatalf("queue restored from the parent build's compressed WAL differs\ngot:\n%swant:\n%s", got.String(), want)
+		t.Fatalf("queue restored from the parent build's compressed snapshot differs\ngot:\n%swant:\n%s", got.String(), want)
 	}
 }

@@ -173,6 +173,13 @@ func (rs *RemoteShards) Rebalance() error {
 	return nil
 }
 
+// exportChunk caps the entries carried by one opShardExport reply.
+// 8192 entries at typical URL lengths is well under a megabyte — far
+// from the protocol's maxFrame — so moving a large partition stays a
+// short sequence of valid frames instead of one oversized, unsendable
+// one.
+const exportChunk = 8192
+
 // migrateLocked drives one pending migration (rebalMu held).
 func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) error {
 	target := ms.Pending
@@ -247,7 +254,7 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 				for _, p := range moved {
 					e.u32(uint32(p))
 				}
-				e.str(after).u32(uint32(pushBatchChunk))
+				e.str(after).u32(uint32(exportChunk))
 				resp, err := sc.roundTrip(opShardExport, e.b)
 				if err != nil {
 					rs.fail(err)

@@ -70,36 +70,36 @@ func opName(op byte) string {
 	switch op {
 	case opHello:
 		return "hello"
-	case opPush:
-		return "push"
-	case opPopDue:
-		return "pop_due"
-	case opClaimDue:
-		return "claim_due"
-	case opHeadDue:
-		return "head_due"
-	case opPopDueMatch:
-		return "pop_due_match"
-	case opRelease:
-		return "release"
-	case opRemove:
-		return "remove"
-	case opContains:
-		return "contains"
+	case retiredPush:
+		return "retired_push"
+	case retiredPopDue:
+		return "retired_pop_due"
+	case retiredClaimDue:
+		return "retired_claim_due"
+	case retiredHeadDue:
+		return "retired_head_due"
+	case retiredPopDueMatch:
+		return "retired_pop_due_match"
+	case retiredRelease:
+		return "retired_release"
+	case retiredRemove:
+		return "retired_remove"
+	case retiredContains:
+		return "retired_contains"
 	case opLen:
 		return "len"
 	case opURLs:
 		return "urls"
-	case opPeek:
-		return "peek"
-	case opNextEvent:
-		return "next_event"
-	case opStats:
-		return "stats"
+	case retiredPeek:
+		return "retired_peek"
+	case retiredNextEvent:
+		return "retired_next_event"
+	case retiredStats:
+		return "retired_stats"
 	case opReset:
 		return "reset"
-	case opPushBatch:
-		return "push_batch"
+	case retiredPushBatch:
+		return "retired_push_batch"
 	case opRound:
 		return "round"
 	case opShardExport:

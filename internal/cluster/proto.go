@@ -57,21 +57,26 @@ const maxFrame = 64 << 20
 // its inflated length as a uvarint; all other flag bits must be zero.
 const (
 	opHello byte = iota + 1
-	opPush
-	opPopDue
-	opClaimDue
-	opHeadDue
-	opPopDueMatch
-	opRelease
-	opRemove
-	opContains
+	// The per-entry frontier ops (push, pop, claim, peek, release and
+	// their kin) are retired: crawls speak only opRound. Their numbers
+	// are never reused: a peer of an older build that sends one is
+	// answered "unknown opcode" with the op's name, and a WAL holding
+	// one is refused by name (replayWALLocked).
+	retiredPush
+	retiredPopDue
+	retiredClaimDue
+	retiredHeadDue
+	retiredPopDueMatch
+	retiredRelease
+	retiredRemove
+	retiredContains
 	opLen
 	opURLs
-	opPeek
-	opNextEvent
-	opStats
+	retiredPeek
+	retiredNextEvent
+	retiredStats
 	opReset
-	opPushBatch
+	retiredPushBatch
 	// opRound applies one crawl-engine dispatch round — pops, removes,
 	// pushes — and returns the server's next pop candidates, all in a
 	// single round trip (frontier.Sharded.ApplyRound on the wire).
@@ -153,8 +158,7 @@ func storeMutatingOp(op byte) bool {
 // logged.
 func mutatingOp(op byte) bool {
 	switch op {
-	case opPush, opPushBatch, opPopDue, opClaimDue, opPopDueMatch,
-		opRelease, opRemove, opReset, opRound, opShardExport, opShardImport:
+	case opReset, opRound, opShardExport, opShardImport:
 		return true
 	}
 	return false
@@ -177,9 +181,9 @@ var (
 )
 
 // frameBufPool recycles writeFrame's assembly buffers: the hot paths
-// (engine apply rounds, WAL appends, worker claims) write a frame per
+// (engine apply rounds, store writes, WAL appends) write a frame per
 // operation, and the buffer never escapes the write call. Oversized
-// buffers (a compaction snapshot chunk, a huge push batch) are not
+// buffers (a compaction snapshot chunk, a huge round) are not
 // returned, so one large frame cannot pin maxFrame-sized memory behind
 // the pool while typical frames are a few hundred bytes.
 var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -306,7 +310,7 @@ type frameReader struct {
 }
 
 // frameReaderKeep caps the buffers a frameReader carries from one frame
-// to the next: a rare large frame (a snapshot-sized push batch, a big
+// to the next: a rare large frame (a snapshot-sized round, a big
 // page) must not pin its size per connection.
 const frameReaderKeep = 1 << 20
 

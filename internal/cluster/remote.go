@@ -77,9 +77,10 @@ func tcpDialers(addrs []string) []Dialer {
 
 // RemoteShards implements frontier.ShardSet over a cluster of shard
 // servers, so the crawl engines run unchanged with their frontier on
-// other machines. URLs are routed by host hash to a server (all pages
-// of one site live on one server, preserving shard politeness and
-// claim exclusivity), and each server shards by host again internally;
+// other machines. It speaks the round (ApplyRound) plus Len, URLs and
+// Reset; the interface's per-entry family is retired (see retired).
+// URLs are routed by host hash to a server (all pages of one site live
+// on one server), and each server shards by host again internally;
 // global shard indices are the concatenation of the servers' local
 // index spaces.
 //
@@ -525,7 +526,7 @@ func (rs *RemoteShards) Err() error {
 }
 
 // RoundTrips returns the total request frames sent across all servers
-// (retries included) — the unit the batched-push optimization is
+// (retries included) — the unit the round protocol's exchange window is
 // measured in.
 func (rs *RemoteShards) RoundTrips() int64 {
 	var n int64
@@ -577,83 +578,29 @@ func (rs *RemoteShards) ShardOf(url string) int {
 	return t.offsets[si] + frontier.HostShard(host, t.counts[si])
 }
 
-// serverOfShard inverts the global shard index to (server, local).
-func (t *shardTopology) serverOfShard(shard int) (int, int) {
-	for i := len(t.offsets) - 1; i >= 0; i-- {
-		if shard >= t.offsets[i] {
-			return i, shard - t.offsets[i]
-		}
-	}
-	return 0, shard
+// retired records a call of a per-entry frontier.ShardSet method as
+// the sticky error (see Err) and returns false. The wire carries only
+// the round, so the method sends nothing and returns zero values — the
+// interface's failure contract — and Err names it.
+func (rs *RemoteShards) retired(method string) bool {
+	rs.fail(fmt.Errorf("cluster: RemoteShards.%s is retired; crawls use ApplyRound", method))
+	return false
 }
 
-// Push implements frontier.ShardSet.
-func (rs *RemoteShards) Push(url string, due, priority float64) {
-	if rs.broken() {
-		return
-	}
-	t := rs.t()
-	var e enc
-	e.fix64(rs.nextReq()).str(url).f64(due).f64(priority)
-	if _, err := t.servers[t.serverOf(url)].roundTrip(opPush, e.b); err != nil {
-		rs.fail(err)
-	}
-}
+// The per-entry family of frontier.ShardSet is retired here: crawls
+// reach a remote frontier only through ApplyRound (by way of
+// frontier.Rounds), and these stay only to satisfy the interface.
 
-// pushBatchChunk caps the entries carried by one opPushBatch frame.
-// 8192 entries at typical URL lengths is well under a megabyte — far
-// from the protocol's maxFrame — so even a full frontier rebuild in one
-// PushBatch stays a short sequence of valid frames instead of one
-// oversized, unsendable one.
-const pushBatchChunk = 8192
-
-// PushBatch implements frontier.ShardSet: entries are grouped by owning
-// server and each group ships as a handful of opPushBatch frames — one
-// round trip per server per pushBatchChunk entries instead of one per
-// URL.
-func (rs *RemoteShards) PushBatch(entries []frontier.Entry) {
-	if rs.broken() || len(entries) == 0 {
-		return
-	}
-	t := rs.t()
-	groups := make([][]frontier.Entry, len(t.servers))
-	if len(t.servers) == 1 {
-		groups[0] = entries
-	} else {
-		for _, ent := range entries {
-			si := t.serverOf(ent.URL)
-			groups[si] = append(groups[si], ent)
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(t.servers))
-	for si, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(si int, group []frontier.Entry) {
-			defer wg.Done()
-			sc := t.servers[si]
-			for off := 0; off < len(group); off += pushBatchChunk {
-				chunk := group[off:min(off+pushBatchChunk, len(group))]
-				var e enc
-				e.fix64(rs.nextReq())
-				encodeEntries(&e, chunk)
-				if _, err := sc.roundTrip(opPushBatch, e.b); err != nil {
-					errs[si] = err
-					return
-				}
-			}
-		}(si, group)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			rs.fail(err)
-			return
-		}
-	}
+func (rs *RemoteShards) Push(string, float64, float64)              { rs.retired("Push") }
+func (rs *RemoteShards) PushBatch([]frontier.Entry)                 { rs.retired("PushBatch") }
+func (rs *RemoteShards) Release(int, float64)                       { rs.retired("Release") }
+func (rs *RemoteShards) Remove(string) bool                         { return rs.retired("Remove") }
+func (rs *RemoteShards) Contains(string) bool                       { return rs.retired("Contains") }
+func (rs *RemoteShards) NextEvent() (float64, bool)                 { return 0, rs.retired("NextEvent") }
+func (rs *RemoteShards) Peek() (e frontier.Entry, ok bool)          { return e, rs.retired("Peek") }
+func (rs *RemoteShards) PopDue(float64) (e frontier.Entry, ok bool) { return e, rs.retired("PopDue") }
+func (rs *RemoteShards) ClaimDue(float64) (e frontier.Entry, shard int, ok bool) {
+	return e, -1, rs.retired("ClaimDue")
 }
 
 // exchangeRounds is how many rounds of candidates ApplyRound asks each
@@ -834,139 +781,6 @@ func (rs *RemoteShards) fan(t *shardTopology, op byte, body []byte) [][]byte {
 	return results
 }
 
-// popDue is the distributed form of Sharded.popDue: peek every server's
-// poppable head, pick the global minimum with the in-process
-// comparator, and commit the pop on the winner, rescanning if the head
-// moved (a concurrent Release can wake an earlier shard between peek
-// and commit — the same race the in-process scan revalidates).
-func (rs *RemoteShards) popDue(now float64, claim bool) (frontier.Entry, int, bool) {
-	if rs.broken() {
-		return frontier.Entry{}, -1, false
-	}
-	t := rs.t()
-	if len(t.servers) == 1 {
-		// One server: its global pop is the cluster's, in one round trip.
-		op := opPopDue
-		if claim {
-			op = opClaimDue
-		}
-		var e enc
-		e.fix64(rs.nextReq()).f64(now)
-		resp, err := t.servers[0].roundTrip(op, e.b)
-		if err != nil {
-			rs.fail(err)
-			return frontier.Entry{}, -1, false
-		}
-		d := newDec(resp)
-		ent, ok := decodeEntry(d)
-		if !ok {
-			return frontier.Entry{}, -1, false
-		}
-		shard := -1
-		if claim {
-			shard = int(d.u32())
-		}
-		if d.finish() != nil {
-			rs.fail(fmt.Errorf("cluster: bad pop response"))
-			return frontier.Entry{}, -1, false
-		}
-		return ent, shard, true
-	}
-
-	var peek enc
-	peek.f64(now).bool(claim)
-	for {
-		best := -1
-		var bestE frontier.Entry
-		for i, resp := range rs.fan(t, opHeadDue, peek.b) {
-			d := newDec(resp)
-			if ent, ok := decodeEntry(d); ok && d.finish() == nil &&
-				(best < 0 || frontier.EntryBefore(ent, bestE)) {
-				best, bestE = i, ent
-			}
-		}
-		if best < 0 {
-			return frontier.Entry{}, -1, false
-		}
-		var commit enc
-		commit.fix64(rs.nextReq()).f64(now).str(bestE.URL).bool(claim)
-		resp, err := t.servers[best].roundTrip(opPopDueMatch, commit.b)
-		if err != nil {
-			rs.fail(err)
-			return frontier.Entry{}, -1, false
-		}
-		d := newDec(resp)
-		if ent, ok := decodeEntry(d); ok {
-			local := int(d.u32())
-			if d.finish() != nil {
-				rs.fail(fmt.Errorf("cluster: bad pop response"))
-				return frontier.Entry{}, -1, false
-			}
-			return ent, t.offsets[best] + local, true
-		}
-		// The winner's head moved between peek and commit; rescan.
-	}
-}
-
-// PopDue implements frontier.ShardSet.
-func (rs *RemoteShards) PopDue(now float64) (frontier.Entry, bool) {
-	e, _, ok := rs.popDue(now, false)
-	return e, ok
-}
-
-// ClaimDue implements frontier.ShardSet.
-func (rs *RemoteShards) ClaimDue(now float64) (frontier.Entry, int, bool) {
-	return rs.popDue(now, true)
-}
-
-// Release implements frontier.ShardSet.
-func (rs *RemoteShards) Release(shard int, nextReady float64) {
-	if rs.broken() {
-		return
-	}
-	t := rs.t()
-	si, local := t.serverOfShard(shard)
-	var e enc
-	e.fix64(rs.nextReq()).u32(uint32(local)).f64(nextReady)
-	if _, err := t.servers[si].roundTrip(opRelease, e.b); err != nil {
-		rs.fail(err)
-	}
-}
-
-// Remove implements frontier.ShardSet.
-func (rs *RemoteShards) Remove(url string) bool {
-	if rs.broken() {
-		return false
-	}
-	t := rs.t()
-	var e enc
-	e.fix64(rs.nextReq()).str(url)
-	resp, err := t.servers[t.serverOf(url)].roundTrip(opRemove, e.b)
-	if err != nil {
-		rs.fail(err)
-		return false
-	}
-	var ok bool
-	return rs.decodeReply(opRemove, resp, func(d *dec) { ok = d.bool() }) && ok
-}
-
-// Contains implements frontier.ShardSet.
-func (rs *RemoteShards) Contains(url string) bool {
-	if rs.broken() {
-		return false
-	}
-	t := rs.t()
-	var e enc
-	e.str(url)
-	resp, err := t.servers[t.serverOf(url)].roundTrip(opContains, e.b)
-	if err != nil {
-		rs.fail(err)
-		return false
-	}
-	var ok bool
-	return rs.decodeReply(opContains, resp, func(d *dec) { ok = d.bool() }) && ok
-}
-
 // Len implements frontier.ShardSet.
 func (rs *RemoteShards) Len() int {
 	n := 0
@@ -990,34 +804,6 @@ func (rs *RemoteShards) URLs() []string {
 	return out
 }
 
-// Peek implements frontier.ShardSet.
-func (rs *RemoteShards) Peek() (frontier.Entry, bool) {
-	found := false
-	var bestE frontier.Entry
-	for _, resp := range rs.fan(rs.t(), opPeek, nil) {
-		d := newDec(resp)
-		if ent, ok := decodeEntry(d); ok && d.finish() == nil &&
-			(!found || frontier.EntryBefore(ent, bestE)) {
-			found, bestE = true, ent
-		}
-	}
-	return bestE, found
-}
-
-// NextEvent implements frontier.ShardSet.
-func (rs *RemoteShards) NextEvent() (float64, bool) {
-	found := false
-	var next float64
-	for _, resp := range rs.fan(rs.t(), opNextEvent, nil) {
-		d := newDec(resp)
-		ok, t := d.bool(), d.f64()
-		if d.finish() == nil && ok && (!found || t < next) {
-			found, next = true, t
-		}
-	}
-	return next, found
-}
-
 // Reset empties every server's shards (claims and politeness deadlines
 // included), so sequential experiments over one cluster each start
 // from a clean frontier. Not part of frontier.ShardSet: local frontiers
@@ -1031,28 +817,11 @@ func (rs *RemoteShards) Reset() error {
 	return rs.Err()
 }
 
-// ShardLens returns every server's per-shard entry counts, concatenated
-// in global shard order (observability, mirroring Sharded.ShardLens).
-func (rs *RemoteShards) ShardLens() []int {
-	var out []int
-	for _, resp := range rs.fan(rs.t(), opStats, nil) {
-		if !rs.decodeReply(opStats, resp, func(d *dec) {
-			n := int(d.u32())
-			for j := 0; j < n && d.finish() == nil; j++ {
-				out = append(out, int(d.u32()))
-			}
-		}) {
-			return nil
-		}
-	}
-	return out
-}
-
 // decodeReply runs read over one server's reply and records a reply
 // that does not decode as the sticky error (see Err), reporting whether
-// it decoded. Len, Remove, Contains, URLs and ShardLens, which cannot
-// return an error, decode through it, so a truncated or garbled reply
-// is never read as an empty queue, an absent URL or a short list.
+// it decoded. Len and URLs, which cannot return an error, decode
+// through it, so a truncated or garbled reply is never read as an empty
+// queue or a short list.
 func (rs *RemoteShards) decodeReply(op byte, resp []byte, read func(d *dec)) bool {
 	d := newDec(resp)
 	read(d)

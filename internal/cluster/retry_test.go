@@ -55,27 +55,34 @@ func TestRemoteSurvivesConnDrop(t *testing.T) {
 	})
 
 	local := frontier.NewSharded(4)
-	urls := testURLs(10, 3)
-	for i, u := range urls {
-		rs.Push(u, float64(i%5), 0)
-		local.Push(u, float64(i%5), 0)
+	var seed []frontier.Entry
+	for i, u := range testURLs(10, 3) {
+		seed = append(seed, frontier.Entry{URL: u, Due: float64(i % 5)})
 	}
-	// Drop every pooled conn repeatedly while draining; every op after a
-	// drop exercises the redial path, pops included.
+	local.PushBatch(seed)
+	seedRemote(t, rs, seed)
+	// Drop every pooled conn repeatedly while draining; every round after
+	// a drop exercises the redial path. Each round pops the head the
+	// previous one returned and peeks the next.
+	var pop []string
 	for drained := false; !drained; {
 		if n := dropPooledConns(rs); n == 0 {
 			t.Fatal("no pooled conns to drop")
 		}
 		for i := 0; i < 4; i++ {
-			le, lok := local.PopDue(10)
-			re, rok := rs.PopDue(10)
-			if lok != rok || (lok && !sameEntry(le, re)) {
-				t.Fatalf("pop diverged after drop: (%+v,%v) vs (%+v,%v)", re, rok, le, lok)
-			}
-			if !lok {
+			lc, _, _, _ := local.ApplyRound(pop, nil, nil, 1)
+			rc, _, _, _ := rs.ApplyRound(pop, nil, nil, 1)
+			if len(lc) == 0 || len(rc) == 0 {
+				if len(lc) != len(rc) {
+					t.Fatalf("drain diverged after drop: %d vs %d candidates", len(rc), len(lc))
+				}
 				drained = true
 				break
 			}
+			if !sameEntry(lc[0], rc[0]) {
+				t.Fatalf("pop diverged after drop: %+v vs %+v", rc[0], lc[0])
+			}
+			pop = []string{lc[0].URL}
 		}
 	}
 	if err := rs.Err(); err != nil {
@@ -115,11 +122,11 @@ func TestRemoteSurvivesFailingDial(t *testing.T) {
 	}
 	t.Cleanup(func() { rs.Close() })
 
-	rs.Push("http://site001.com/a", 0, 0)
+	seedRemote(t, rs, []frontier.Entry{{URL: "http://site001.com/a"}})
 	if dropPooledConns(rs) != 1 {
 		t.Fatal("expected one pooled conn")
 	}
-	rs.Push("http://site001.com/b", 0, 0)
+	rs.ApplyRound(nil, nil, []frontier.Entry{{URL: "http://site001.com/b"}}, 0)
 	if err := rs.Err(); err != nil {
 		t.Fatalf("one failing dial became sticky: %v", err)
 	}
@@ -129,8 +136,8 @@ func TestRemoteSurvivesFailingDial(t *testing.T) {
 	if n := rs.Len(); n != 2 {
 		t.Fatalf("Len = %d after recovery, want 2", n)
 	}
-	if e, ok := rs.PopDue(1); !ok || e.URL != "http://site001.com/a" {
-		t.Fatalf("PopDue after recovery = %+v, %v", e, ok)
+	if cands, _, _, _ := rs.ApplyRound(nil, nil, nil, 1); len(cands) == 0 || cands[0].URL != "http://site001.com/a" {
+		t.Fatalf("head after recovery = %+v", cands)
 	}
 }
 
@@ -151,58 +158,7 @@ func (c *flakyConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
-// TestFlakyTransportKeepsPopOrder runs a full push/pop sequence over
-// connections that die every few reads. Exactly-once request dedup on
-// the server must keep the pop sequence bit-identical to a local
-// frontier — no lost and no doubled entries — with no sticky error.
-func TestFlakyTransportKeepsPopOrder(t *testing.T) {
-	srv := NewShardServer(frontier.NewSharded(8))
-	t.Cleanup(func() { srv.Close() })
-	dial := func() (net.Conn, error) {
-		conn, err := srv.Pipe()
-		if err != nil {
-			return nil, err
-		}
-		return &flakyConn{Conn: conn, limit: 7}, nil
-	}
-	rs, err := Dial([]Dialer{dial}, fastRetry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rs.Close() })
-
-	local := frontier.NewSharded(8)
-	urls := testURLs(12, 4)
-	for i, u := range urls {
-		due, prio := float64((i*7)%13), float64(i%3)
-		local.Push(u, due, prio)
-		rs.Push(u, due, prio)
-	}
-	for now := 0.0; now < 14; now++ {
-		for {
-			le, lok := local.PopDue(now)
-			re, rok := rs.PopDue(now)
-			if lok != rok {
-				t.Fatalf("day %v: ok %v vs %v (err: %v)", now, rok, lok, rs.Err())
-			}
-			if !lok {
-				break
-			}
-			if !sameEntry(le, re) {
-				t.Fatalf("day %v: pop %+v vs %+v", now, re, le)
-			}
-			if int(le.Due)%2 == 0 {
-				local.Push(le.URL, le.Due+20, le.Priority)
-				rs.Push(re.URL, re.Due+20, re.Priority)
-			}
-		}
-	}
-	if err := rs.Err(); err != nil {
-		t.Fatalf("flaky transport became sticky: %v", err)
-	}
-}
-
-// TestFlakyTransportKeepsRoundPopOrder extends the flaky-transport
+// TestFlakyTransportKeepsRoundPopOrder extends// TestFlakyTransportKeepsRoundPopOrder extends the flaky-transport
 // contract to the engine's batched round protocol: a full sequence of
 // ApplyRound calls — pops consumed from candidate prefixes, drops,
 // reschedules, candidate refreshes — over connections that die every
@@ -519,111 +475,32 @@ func TestApplyRoundRefusedWithPoliteness(t *testing.T) {
 }
 
 // TestMutatingRetryAppliesOnce pins the dedup contract at the protocol
-// level: replaying a claim with the same request ID returns the
-// memoized response and pops nothing further.
+// level: a round re-sent with its request ID after later rounds moved
+// the queue is recognised, not applied again — re-applied, it would
+// re-queue a URL a later round popped in the retry gap.
 func TestMutatingRetryAppliesOnce(t *testing.T) {
 	srv := NewShardServer(frontier.NewSharded(2))
 	srv.Shards().Push("http://site001.com/a", 0, 0)
 	srv.Shards().Push("http://site002.com/b", 0, 1)
-
-	var body enc
-	body.fix64(42).f64(10)
-	st1, resp1 := srv.handle(opClaimDue, body.b)
-	if st1 != statusOK {
-		t.Fatalf("claim failed: %s", resp1)
+	const c = "http://site003.com/c"
+	push := roundBody(42, nil, nil, []frontier.Entry{{URL: c, Priority: 5}}, 1)
+	if st, resp := srv.handle(opRound, push); st != statusOK {
+		t.Fatalf("round failed: %s", resp)
+	}
+	if st, resp := srv.handle(opRound, roundBody(43, []string{c}, nil, nil, 1)); st != statusOK {
+		t.Fatalf("pop round failed: %s", resp)
 	}
 	before := srv.Shards().Len()
-	st2, resp2 := srv.handle(opClaimDue, body.b)
-	if st2 != st1 || string(resp2) != string(resp1) {
-		t.Fatalf("retried claim not deduped: (%d,%q) vs (%d,%q)", st2, resp2, st1, resp1)
+	if st, resp := srv.handle(opRound, push); st != statusOK {
+		t.Fatalf("retried round failed: %s", resp)
 	}
-	if after := srv.Shards().Len(); after != before {
-		t.Fatalf("retried claim re-applied: Len %d -> %d", before, after)
+	if srv.Shards().Contains(c) || srv.Shards().Len() != before {
+		t.Fatalf("retried round re-applied: %s queued again, Len %d -> %d", c, before, srv.Shards().Len())
 	}
-	// A different request ID is a genuinely new claim.
-	var body2 enc
-	body2.fix64(43).f64(10)
-	if st, resp := srv.handle(opClaimDue, body2.b); st != statusOK {
-		t.Fatalf("fresh claim failed: %s", resp)
-	} else if srv.Shards().Len() != before-1 {
-		t.Fatal("fresh claim did not pop")
-	}
-}
-
-// TestBatchedPushRoundTrips is the acceptance check for the batched
-// push path: shipping a dispatch round's reschedules as PushBatch must
-// cost at least 5x fewer round trips than per-URL pushes, with
-// identical resulting frontier state.
-func TestBatchedPushRoundTrips(t *testing.T) {
-	const n = 64
-	entries := make([]frontier.Entry, 0, n)
-	for i := 0; i < n; i++ {
-		entries = append(entries, frontier.Entry{
-			URL: fmt.Sprintf("http://site%03d.com/p%05d", i%16, i),
-			Due: float64(i % 7), Priority: float64(i % 3),
-		})
-	}
-	for _, nServers := range []int{1, 2} {
-		batched, _ := newCluster(t, nServers, 4)
-		perURL, _ := newCluster(t, nServers, 4)
-
-		t0 := batched.RoundTrips()
-		batched.PushBatch(entries)
-		batchedTrips := batched.RoundTrips() - t0
-
-		t0 = perURL.RoundTrips()
-		for _, e := range entries {
-			perURL.Push(e.URL, e.Due, e.Priority)
-		}
-		perURLTrips := perURL.RoundTrips() - t0
-
-		if batchedTrips > int64(nServers) {
-			t.Fatalf("%d servers: PushBatch cost %d round trips, want <= %d", nServers, batchedTrips, nServers)
-		}
-		if perURLTrips < 5*batchedTrips {
-			t.Fatalf("%d servers: batched pushes only %dx cheaper (%d vs %d round trips)",
-				nServers, perURLTrips/max(batchedTrips, 1), perURLTrips, batchedTrips)
-		}
-		bu, pu := batched.URLs(), perURL.URLs()
-		if len(bu) != len(pu) {
-			t.Fatalf("%d servers: URLs %d vs %d", nServers, len(bu), len(pu))
-		}
-		for i := range bu {
-			if bu[i] != pu[i] {
-				t.Fatalf("%d servers: state diverges at %d: %s vs %s", nServers, i, bu[i], pu[i])
-			}
-		}
-		if err := batched.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestPushBatchChunksLargeBatches: a batch larger than one frame's
-// chunk cap ships as multiple valid frames (a full frontier rebuild
-// must never produce an oversized, unsendable frame).
-func TestPushBatchChunksLargeBatches(t *testing.T) {
-	n := pushBatchChunk + 100
-	entries := make([]frontier.Entry, n)
-	for i := range entries {
-		entries[i] = frontier.Entry{
-			URL: fmt.Sprintf("http://site%03d.com/p%06d", i%40, i),
-			Due: float64(i % 13), Priority: float64(i % 3),
-		}
-	}
-	rs, _ := newCluster(t, 1, 4)
-	t0 := rs.RoundTrips()
-	rs.PushBatch(entries)
-	if err := rs.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got := rs.Len(); got != n {
-		t.Fatalf("Len = %d, want %d", got, n)
-	}
-	// 2 chunk frames, plus the Len fan and up to two lazy-dial hello
-	// handshakes — nowhere near one frame per URL.
-	trips := rs.RoundTrips() - t0
-	if trips < 2 || trips > 5 {
-		t.Fatalf("large batch cost %d round trips, want 2 chunks (+Len/hello slack)", trips)
+	// A different request ID is a genuinely new round.
+	if st, resp := srv.handle(opRound, roundBody(44, nil, nil, []frontier.Entry{{URL: c, Priority: 5}}, 1)); st != statusOK {
+		t.Fatalf("fresh round failed: %s", resp)
+	} else if !srv.Shards().Contains(c) {
+		t.Fatal("fresh round did not push")
 	}
 }

@@ -198,8 +198,8 @@ type ShardServer struct {
 	// WAL append, and the frontier mutation happen atomically under it,
 	// so the log order is exactly the application order and a replay
 	// reconstructs both the frontier and the responses bit-for-bit.
-	// Read-only ops (the HeadDue peeks of the distributed pop, stats)
-	// bypass it and rely on the frontier's own locking.
+	// Read-only ops (len, urls) bypass it and rely on the frontier's own
+	// locking.
 	walMu sync.Mutex
 	wal   *wal       // nil: persistence disabled
 	dedup *respCache // response memoization for retried mutating ops
@@ -207,7 +207,7 @@ type ShardServer struct {
 
 // NewShardServer wraps a sharded frontier for serving. The server takes
 // over the queue; local pops alongside remote clients would break the
-// clients' peek-then-commit protocol assumptions.
+// exact candidate prefixes the clients' rounds pop from.
 func NewShardServer(shards *frontier.Sharded) *ShardServer {
 	s := &ShardServer{
 		shards: shards,
@@ -274,36 +274,12 @@ func (s *ShardServer) handle(op byte, body []byte) (status byte, resp []byte) {
 			s.walMu.Unlock()
 		}
 		e.u32(uint32(s.shards.NumShards()))
-	case opHeadDue:
-		now, skipClaimed := d.f64(), d.bool()
-		if d.finish() == nil {
-			ent, ok := s.shards.HeadDue(now, skipClaimed)
-			encodeEntry(&e, ent, ok)
-		}
-	case opContains:
-		url := d.str()
-		if d.finish() == nil {
-			e.bool(s.shards.Contains(url))
-		}
 	case opLen:
 		e.u32(uint32(s.shards.Len()))
 	case opURLs:
 		encodeStrings(&e, "", s.shards.URLs())
-	case opPeek:
-		ent, ok := s.shards.Peek()
-		encodeEntry(&e, ent, ok)
-	case opNextEvent:
-		t, ok := s.shards.NextEvent()
-		e.bool(ok).f64(t)
-	case opStats:
-		lens := s.shards.ShardLens()
-		e.u32(uint32(len(lens)))
-		for _, n := range lens {
-			e.u32(uint32(n))
-		}
-		e.f64(s.shards.Politeness())
 	default:
-		return statusError, []byte(fmt.Sprintf("unknown opcode %d", op))
+		return statusError, []byte(fmt.Sprintf("unknown opcode %d (%s)", op, opName(op)))
 	}
 	if err := d.finish(); err != nil {
 		return statusError, []byte(err.Error())
@@ -319,12 +295,12 @@ func (s *ShardServer) handle(op byte, body []byte) (status byte, resp []byte) {
 // no second application.
 //
 // The append happens after the apply but before the acknowledgement,
-// and only when the op actually mutated state — an idle worker pool
-// polling an empty or politeness-gated frontier must not churn the log
-// with no-op pops. Acked-implies-replayable still holds: a crash
-// between apply and append loses only an op that was never
-// acknowledged, which the client retries against the recovered state
-// (where it re-executes deterministically).
+// and only when the op actually mutated state — a crawl re-peeking an
+// unchanged frontier must not churn the log with empty rounds.
+// Acked-implies-replayable still holds: a crash between apply and
+// append loses only an op that was never acknowledged, which the client
+// retries against the recovered state (where it re-executes
+// deterministically).
 func (s *ShardServer) handleMutating(op byte, body []byte) (status byte, resp []byte) {
 	d := newDec(body)
 	reqID := d.fix64()
@@ -410,64 +386,6 @@ func (s *ShardServer) encodeRound(e *enc, pops, removes []string, pushes []front
 func (s *ShardServer) applyMutating(op byte, d *dec) (status byte, resp []byte, mutated bool) {
 	var e enc
 	switch op {
-	case opPush:
-		url, due, prio := d.str(), d.f64(), d.f64()
-		if d.finish() == nil {
-			s.shards.Push(url, due, prio)
-			mutated = true
-		}
-	case opPushBatch:
-		// Decode fully before applying: a malformed frame must not
-		// half-apply a batch.
-		batch := decodeEntries(d)
-		if d.finish() == nil {
-			s.shards.PushBatch(batch)
-			e.u32(uint32(len(batch)))
-			mutated = len(batch) > 0
-		}
-	case opPopDue:
-		now := d.f64()
-		if d.finish() == nil {
-			ent, ok := s.shards.PopDue(now)
-			encodeEntry(&e, ent, ok)
-			mutated = ok
-		}
-	case opClaimDue:
-		now := d.f64()
-		if d.finish() == nil {
-			ent, shard, ok := s.shards.ClaimDue(now)
-			encodeEntry(&e, ent, ok)
-			if ok {
-				e.u32(uint32(shard))
-			}
-			mutated = ok
-		}
-	case opPopDueMatch:
-		now, url, claim := d.f64(), d.str(), d.bool()
-		if d.finish() == nil {
-			ent, shard, ok := s.shards.PopDueMatch(now, url, claim)
-			encodeEntry(&e, ent, ok)
-			if ok {
-				e.u32(uint32(shard))
-			}
-			mutated = ok
-		}
-	case opRelease:
-		shard, nextReady := d.u32(), d.f64()
-		if d.finish() == nil {
-			if int(shard) >= s.shards.NumShards() {
-				return statusError, []byte(fmt.Sprintf("release of unknown shard %d", shard)), false
-			}
-			s.shards.Release(int(shard), nextReady)
-			mutated = true
-		}
-	case opRemove:
-		url := d.str()
-		if d.finish() == nil {
-			removed := s.shards.Remove(url)
-			e.bool(removed)
-			mutated = removed
-		}
 	case opReset:
 		s.shards.Reset()
 		mutated = true
@@ -575,18 +493,16 @@ func decodeEntries(d *dec) []frontier.Entry {
 }
 
 // respCacheSize bounds the retry-dedup window. Every mutating op is
-// memoized: re-running a pop would pop a second entry, a re-run
-// Release would clear a claim another worker has since taken, a re-run
-// Push could re-queue a URL popped in the retry gap. An op awaiting
-// retry holds its pool slot for the client's whole backoff budget
-// (~2.1s), so the entries that can wash through the ring before the
-// retry lands are bounded by the throughput of the *other* pooled
+// memoized: a re-run round could re-queue a URL popped in the retry
+// gap, and a re-run export or import would move entries twice. An op
+// awaiting retry holds its pool slot for the client's whole backoff
+// budget (~2.1s), so the entries that can wash through the ring before
+// the retry lands are bounded by the throughput of the *other* pooled
 // connections: (connsPerServer-1) conns x ~30us minimum per loopback
 // round trip x 2.1s ≈ 70k ops per stuck slot. 128k covers that with
-// margin. The window is a count of
-// ops, so what it costs in memory is what each entry keeps: the small
-// pop/claim/store replies whole, an applied round only as applied
-// (ShardServer.remember).
+// margin. The window is a count of ops, so what it costs in memory is
+// what each entry keeps: a reset's or import's small reply whole, an
+// applied round only as applied (ShardServer.remember).
 const respCacheSize = 1 << 17
 
 // respCache memoizes the responses of mutating requests by request ID,
@@ -686,21 +602,4 @@ func encodeEntries(e *enc, list []frontier.Entry) {
 		e.f64(ent.Due).f64(ent.Priority)
 		prev = ent.URL
 	}
-}
-
-// encodeEntry appends ok and, when set, the entry fields.
-func encodeEntry(e *enc, ent frontier.Entry, ok bool) {
-	e.bool(ok)
-	if ok {
-		e.str(ent.URL).f64(ent.Due).f64(ent.Priority)
-	}
-}
-
-// decodeEntry is encodeEntry's inverse.
-func decodeEntry(d *dec) (frontier.Entry, bool) {
-	if !d.bool() {
-		return frontier.Entry{}, false
-	}
-	ent := frontier.Entry{URL: d.str(), Due: d.f64(), Priority: d.f64()}
-	return ent, d.err == nil
 }

@@ -439,8 +439,8 @@ func TestTruncatedStoreRepliesSurface(t *testing.T) {
 
 // TestTruncatedShardRepliesSurface is the frontier client's half: the
 // ShardSet methods return no error, so a reply they cannot decode must
-// be recorded for Err rather than read as an empty queue, an absent
-// URL or a short shard list.
+// be recorded for Err rather than read as an empty queue, a drained
+// frontier or a short list.
 func TestTruncatedShardRepliesSurface(t *testing.T) {
 	var hello enc
 	hello.u32(8) // the server's shard count
@@ -448,11 +448,11 @@ func TestTruncatedShardRepliesSurface(t *testing.T) {
 		body []byte
 		call func(rs *RemoteShards)
 	}{
-		"len, empty reply":      {nil, func(rs *RemoteShards) { rs.Len() }},
-		"remove, empty reply":   {nil, func(rs *RemoteShards) { rs.Remove("http://a.com/") }},
-		"contains, empty reply": {nil, func(rs *RemoteShards) { rs.Contains("http://a.com/") }},
-		"urls, list cut short":  {[]byte{2}, func(rs *RemoteShards) { rs.URLs() }},
-		"shard lens, cut short": {[]byte{3, 1}, func(rs *RemoteShards) { rs.ShardLens() }},
+		"len, empty reply":            {nil, func(rs *RemoteShards) { rs.Len() }},
+		"urls, list cut short":        {[]byte{2}, func(rs *RemoteShards) { rs.URLs() }},
+		"round, empty reply":          {nil, func(rs *RemoteShards) { rs.ApplyRound(nil, nil, nil, 1) }},
+		"round, candidates cut short": {[]byte{2, 0}, func(rs *RemoteShards) { rs.ApplyRound(nil, []string{"http://a.com/"}, nil, 1) }},
+		"round, completeness missing": {[]byte{0}, func(rs *RemoteShards) { rs.ApplyRound(nil, nil, nil, 1) }},
 	} {
 		rs, err := Dial([]Dialer{truncatingServer(hello.b, tc.body)}, Options{})
 		if err != nil {

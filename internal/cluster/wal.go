@@ -118,8 +118,9 @@ func (w *wal) append(op byte, body []byte) error {
 // replayed through the regular apply path (stopping at — and truncating
 // away — a torn final frame), and the recovered state is immediately
 // compacted into a fresh snapshot. A snapshot or log holding an intact
-// frame of another protocol version fails the open (errProtoVersion)
-// and is left as it was. Must be called before the server starts
+// frame of another protocol version fails the open (errProtoVersion),
+// as does a log frame whose op this build does not replay, and the
+// directory is left as it was. Must be called before the server starts
 // serving.
 func (s *ShardServer) OpenWAL(dir string) error {
 	s.walMu.Lock()
@@ -175,10 +176,13 @@ func (s *ShardServer) OpenWAL(dir string) error {
 // replayWALLocked feeds the frames of the log file at path, read from
 // r, through the mutating apply path. A torn frame (a short read) or a
 // corrupt one (errBadFrame: a bad length or CRC) ends the replay, and
-// the file is truncated back to the last valid frame. Anything else fails the replay and leaves the file
-// as it was: an intact frame of another protocol version is another
-// build's acknowledged work, and after a read error the bytes may be
-// fine.
+// the file is truncated back to the last valid frame. Anything else
+// fails the replay and leaves the file as it was: an intact frame of
+// another protocol version is another build's acknowledged work, after
+// a read error the bytes may be fine, and an intact frame whose op this
+// build does not apply (a retired op an older build logged, or a byte
+// no op was ever given) holds acknowledged work that skipping would
+// lose.
 func (s *ShardServer) replayWALLocked(path string, r io.Reader) error {
 	var good int64
 	for {
@@ -213,6 +217,8 @@ func (s *ShardServer) replayWALLocked(path string, r io.Reader) error {
 					s.remember(reqID, op, status, resp)
 				}
 			}
+		default:
+			return fmt.Errorf("cluster: wal: %s: frame at offset %d: op %s is not replayable", path, good, opName(op))
 		}
 		walReplayedFrames.Inc()
 		good += int64(wire)

@@ -24,28 +24,40 @@ func newWALServer(t *testing.T, dir string, shards int) *ShardServer {
 	return srv
 }
 
-// pushVia pushes through the wire path (so ops are logged), not the
-// frontier directly.
-func pushVia(t *testing.T, srv *ShardServer, reqID uint64, url string, due, prio float64) {
+// roundVia applies one round through the wire path (so it is logged),
+// not the frontier directly, and returns its candidates.
+func roundVia(t *testing.T, srv *ShardServer, reqID uint64, pops []string, pushes []frontier.Entry, peek int) []frontier.Entry {
 	t.Helper()
-	var e enc
-	e.fix64(reqID).str(url).f64(due).f64(prio)
-	if st, resp := srv.handle(opPush, e.b); st != statusOK {
-		t.Fatalf("push: %s", resp)
+	st, resp := srv.handle(opRound, roundBody(reqID, pops, nil, pushes, peek))
+	if st != statusOK {
+		t.Fatalf("round: %s", resp)
 	}
+	d := newDec(resp)
+	cands := decodeEntries(d)
+	d.bool()
+	if err := d.finish(); err != nil {
+		t.Fatalf("bad round reply: %v", err)
+	}
+	return cands
 }
 
+// pushVia pushes one entry through the wire path.
+func pushVia(t *testing.T, srv *ShardServer, reqID uint64, url string, due, prio float64) {
+	t.Helper()
+	roundVia(t, srv, reqID, nil, []frontier.Entry{{URL: url, Due: due, Priority: prio}}, 0)
+}
+
+// popVia pops the queue's head through the wire path if it is due at
+// now: a peek round under reqID, then a pop round under reqID+1. A peek
+// changes nothing, so it is never logged.
 func popVia(t *testing.T, srv *ShardServer, reqID uint64, now float64) (frontier.Entry, bool) {
 	t.Helper()
-	var e enc
-	e.fix64(reqID).f64(now)
-	st, resp := srv.handle(opPopDue, e.b)
-	if st != statusOK {
-		t.Fatalf("pop: %s", resp)
+	head := roundVia(t, srv, reqID, nil, nil, 1)
+	if len(head) == 0 || head[0].Due > now {
+		return frontier.Entry{}, false
 	}
-	d := &dec{b: resp}
-	ent, ok := decodeEntry(d)
-	return ent, ok
+	roundVia(t, srv, reqID+1, []string{head[0].URL}, nil, 0)
+	return head[0], true
 }
 
 // TestWALRecoversAfterCrash: a server abandoned without CloseWAL (the
@@ -61,7 +73,7 @@ func TestWALRecoversAfterCrash(t *testing.T) {
 	}
 	var popped []string
 	for i := 0; i < 5; i++ {
-		e, ok := popVia(t, srv, uint64(2000+i), 10)
+		e, ok := popVia(t, srv, uint64(2000+2*i), 10)
 		if !ok {
 			t.Fatal("pop drained early")
 		}
@@ -90,7 +102,7 @@ func TestWALRecoversAfterCrash(t *testing.T) {
 	req := uint64(3000)
 	for {
 		me, mok := mirror.PopDue(10)
-		req++
+		req += 2
 		se, sok := popVia(t, srv2, req, 10)
 		if mok != sok {
 			t.Fatalf("recovered pop ok %v vs %v", sok, mok)
@@ -106,15 +118,30 @@ func TestWALRecoversAfterCrash(t *testing.T) {
 
 // TestWALGracefulFlush: CloseWAL must persist every queued entry into
 // the snapshot (the graceful-shutdown contract), leaving an empty log —
-// and the snapshot's bytes are the pinned ones (see checkGolden).
+// and the snapshot's bytes are the pinned ones (see checkGolden). The
+// pinned state is what a hello with a 0.5-day gap, three pushes and a
+// pop left when the per-entry ops wrote it: the entries, the popped
+// shard's politeness deadline, and the memoized replies of request IDs
+// 1–4 (empty for the pushes, the popped entry for the pop). Those ops
+// are retired, so it is made here directly.
 func TestWALGracefulFlush(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 2)
 	srv.handle(opHello, helloBody(0.5, true))
-	pushVia(t, srv, 1, "http://site001.com/a", 1, 2)
-	pushVia(t, srv, 2, "http://site001.com/b", 0.25, 0)
-	pushVia(t, srv, 3, "http://site002.com/index.html", 3, 1)
-	popVia(t, srv, 4, 1)
+	q := srv.Shards()
+	q.Push("http://site001.com/a", 1, 2)
+	q.Push("http://site001.com/b", 0.25, 0)
+	q.Push("http://site002.com/index.html", 3, 1)
+	for id := uint64(1); id <= 3; id++ {
+		srv.dedup.put(id, statusOK, nil)
+	}
+	popped, ok := q.PopDue(1)
+	if !ok {
+		t.Fatal("nothing due")
+	}
+	var reply enc
+	reply.bool(true).str(popped.URL).f64(popped.Due).f64(popped.Priority)
+	srv.dedup.put(4, statusOK, reply.b)
 	if err := srv.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,22 +187,19 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 }
 
-// walBatchBody builds a push-batch body; over testURLs(16, 24) it is
-// past parentCompressMin (front-coded URLs), a body earlier builds
-// wrote deflated.
-func walBatchBody(reqID uint64, urls []string) []byte {
-	var e enc
-	e.fix64(reqID)
+// walRoundBody builds a round body pushing urls; over testURLs(16, 24)
+// it is past parentCompressMin (front-coded URLs), a body earlier
+// builds wrote deflated.
+func walRoundBody(reqID uint64, urls []string) []byte {
 	ents := make([]frontier.Entry, len(urls))
 	for i, u := range urls {
 		ents[i] = frontier.Entry{URL: u, Due: float64(i)}
 	}
-	encodeEntries(&e, ents)
-	return e.b
+	return roundBody(reqID, nil, nil, ents, 0)
 }
 
 // TestWALReplaysCompressedFrames: a log in which an earlier build
-// wrote a batch compressed, between frames of this build, must replay
+// wrote a round compressed, between frames of this build, must replay
 // exactly after a crash (no CloseWAL, no snapshot).
 func TestWALReplaysCompressedFrames(t *testing.T) {
 	dir := t.TempDir()
@@ -191,7 +215,7 @@ func TestWALReplaysCompressedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(parentFrame(opPushBatch, walBatchBody(900, urls))); err != nil {
+	if _, err := f.Write(parentFrame(opRound, walRoundBody(900, urls))); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -227,9 +251,9 @@ func TestWALTornCompressedTailTruncated(t *testing.T) {
 	}
 	active := walFilePath(dir, seqs[len(seqs)-1])
 
-	// A well-formed compressed batch frame, torn 5 bytes short: the
+	// A well-formed compressed round frame, torn 5 bytes short: the
 	// length prefix promises more than the file holds.
-	torn := parentFrame(opPushBatch, walBatchBody(901, testURLs(16, 24)))
+	torn := parentFrame(opRound, walRoundBody(901, testURLs(16, 24)))
 	f, err := os.OpenFile(active, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -285,27 +309,27 @@ func TestWALCompactionBoundsLog(t *testing.T) {
 // TestWALDedupSurvivesRestart: a retry whose original landed in the
 // log must be deduped by the *restarted* server — the replay rebuilds
 // the response cache, closing the crash window between apply and ack.
+// Applied again, the retried round would re-queue the URL a later
+// round popped.
 func TestWALDedupSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 4)
 	pushVia(t, srv, 1, "http://site001.com/a", 0, 0)
 	pushVia(t, srv, 2, "http://site002.com/b", 0, 1)
-
-	var claim enc
-	claim.fix64(77).f64(10)
-	st1, resp1 := srv.handle(opClaimDue, claim.b)
-	if st1 != statusOK {
-		t.Fatalf("claim: %s", resp1)
+	const c = "http://site003.com/c"
+	push := roundBody(77, nil, nil, []frontier.Entry{{URL: c, Priority: 5}}, 1)
+	if st, resp := srv.handle(opRound, push); st != statusOK {
+		t.Fatalf("round: %s", resp)
 	}
-	// Crash before the response reached the client; the client retries
-	// the identical frame against the restarted server.
+	roundVia(t, srv, 78, []string{c}, nil, 0)
+	// Crash before the first round's response reached the client; the
+	// client retries the identical frame against the restarted server.
 	srv2 := newWALServer(t, dir, 4)
-	st2, resp2 := srv2.handle(opClaimDue, claim.b)
-	if st2 != st1 || string(resp2) != string(resp1) {
-		t.Fatalf("retry across restart not deduped: (%d,%q) vs (%d,%q)", st2, resp2, st1, resp1)
+	if st, resp := srv2.handle(opRound, push); st != statusOK {
+		t.Fatalf("retry across restart: %s", resp)
 	}
-	if got := srv2.Shards().Len(); got != 1 {
-		t.Fatalf("retry across restart re-popped: Len = %d, want 1", got)
+	if srv2.Shards().Contains(c) || srv2.Shards().Len() != 2 {
+		t.Fatalf("retry across restart re-applied: Len = %d, want 2 without %s", srv2.Shards().Len(), c)
 	}
 }
 
@@ -349,12 +373,12 @@ func TestWALShardCountChange(t *testing.T) {
 func TestWALReplayKeepsHelloPoliteness(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 4)
+	pushVia(t, srv, 1, "http://site001.com/a", 0, 0)
 	var hello enc
 	hello.bool(true).f64(1.5).bool(true)
 	if st, resp := srv.handle(opHello, hello.b); st != statusOK {
 		t.Fatalf("hello: %s", resp)
 	}
-	pushVia(t, srv, 1, "http://site001.com/a", 0, 0)
 	// Crash: no snapshot since the hello.
 	srv2 := newWALServer(t, dir, 4)
 	if got := srv2.Shards().Politeness(); got != 1.5 {
@@ -386,9 +410,9 @@ func TestWALSnapshotChunks(t *testing.T) {
 	}
 }
 
-// TestWALSkipsNoOpPops: pops that return nothing must not grow the log
-// — an idle worker pool polling an empty frontier would otherwise
-// churn it without bound.
+// TestWALSkipsNoOpPops: rounds that change nothing — peeks of an empty
+// frontier that find nothing to pop — must not grow the log, or a crawl
+// polling an empty frontier would churn it without bound.
 func TestWALSkipsNoOpPops(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 4)
@@ -405,7 +429,7 @@ func TestWALSkipsNoOpPops(t *testing.T) {
 	}
 	before := sizeOf()
 	for i := 0; i < 10; i++ {
-		if _, ok := popVia(t, srv, uint64(100+i), 5); ok {
+		if _, ok := popVia(t, srv, uint64(100+2*i), 5); ok {
 			t.Fatal("pop on empty frontier returned an entry")
 		}
 	}
@@ -446,7 +470,7 @@ func TestWALRefusesOtherVersions(t *testing.T) {
 	for name, frame := range map[string][]byte{
 		"v5 set-politeness": rawFrame(append([]byte{5, walSetPoliteness}, gap.b...)),
 		"v5 clear-claims":   rawFrame([]byte{5, walClearClaims}),
-		"v7 push":           rawFrame(append([]byte{ProtoVersion + 1, opPush, 0}, gap.b...)),
+		"v7 round":          rawFrame(append([]byte{ProtoVersion + 1, opRound, 0}, gap.b...)),
 	} {
 		for _, inSnapshot := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/snapshot=%v", name, inSnapshot), func(t *testing.T) {
@@ -538,5 +562,48 @@ func TestWALReadErrorFailsReplay(t *testing.T) {
 	}
 	if st, err := os.Stat(file); err != nil || st.Size() >= int64(len(data)) {
 		t.Fatalf("torn tail not swept: %d bytes, was %d (err %v)", st.Size(), len(data), err)
+	}
+}
+
+// TestWALRefusesUnreplayableOps: an intact log frame whose op this
+// build does not apply — a retired op an older build logged, or a byte
+// no op was ever given — holds acknowledged work. Skipping it would
+// lose that work without a word, and truncating would erase it and all
+// that follows; OpenWAL must fail naming the file, the frame's offset
+// and the op, and leave every file byte-identical.
+func TestWALRefusesUnreplayableOps(t *testing.T) {
+	for name, tc := range map[string]struct {
+		op   byte
+		body []byte
+	}{
+		"retired_push_batch": {retiredPushBatch, seedBodies()[retiredPushBatch][0]},
+		"retired_push":       {retiredPush, seedBodies()[retiredPush][0]},
+		"op_238":             {0xEE, []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv := newWALServer(t, dir, 4)
+			pushVia(t, srv, 1, "http://site001.com/a", 1, 0)
+			seqs, _ := walFileSeqs(dir)
+			file := walFilePath(dir, seqs[len(seqs)-1])
+			old, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Crash, with the frame and one of ours after it.
+			mixed := append(append(old, validFrame(t, tc.op, tc.body)...), validFrame(t, walClearClaims, nil)...)
+			if err := os.WriteFile(file, mixed, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirBytes(t, dir)
+			err = NewShardServer(frontier.NewSharded(4)).OpenWAL(dir)
+			want := fmt.Sprintf("cluster: wal: %s: frame at offset %d: op %s is not replayable", file, len(old), name)
+			if err == nil || err.Error() != want {
+				t.Fatalf("OpenWAL = %v, want %q", err, want)
+			}
+			if !reflect.DeepEqual(dirBytes(t, dir), before) {
+				t.Fatal("the refused open changed the directory")
+			}
+		})
 	}
 }

@@ -275,46 +275,6 @@ func (q *Sharded) ClaimDue(now float64) (Entry, int, bool) {
 	return q.popDue(now, true)
 }
 
-// HeadDue returns, without popping, the entry PopDue (or, with
-// skipClaimed, ClaimDue) would return at now. It is the peek half of
-// the two-step distributed pop: cluster.RemoteShards asks every shard
-// server for its HeadDue candidate, picks the global minimum, and pops
-// it from the winning server with PopDueMatch.
-func (q *Sharded) HeadDue(now float64, skipClaimed bool) (Entry, bool) {
-	found := false
-	var bestE Entry
-	for _, s := range q.shards {
-		s.mu.Lock()
-		if e, ok := s.headDue(now, skipClaimed); ok && (!found || entryBefore(e, bestE)) {
-			found, bestE = true, e
-		}
-		s.mu.Unlock()
-	}
-	return bestE, found
-}
-
-// PopDueMatch pops url only if it is currently the poppable head of its
-// shard at now — due, politeness-ready, and (when claim is set)
-// unclaimed; claim additionally claims the shard. It is the commit half
-// of the distributed pop: ok is false when the head moved since the
-// caller peeked, in which case the caller rescans.
-func (q *Sharded) PopDueMatch(now float64, url string, claim bool) (Entry, int, bool) {
-	sid := q.ShardOf(url)
-	s := q.shards[sid]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.headDue(now, claim)
-	if !ok || e.URL != url {
-		return Entry{}, -1, false
-	}
-	got := s.st.popHead()
-	s.nextReady = now + q.Politeness()
-	if claim {
-		s.claimed = true
-	}
-	return got, sid, true
-}
-
 // roundOps is one ApplyRound's mutations grouped by shard, so a round
 // locks each shard once instead of once per URL, and the window its
 // peek fills. The buffers are reused from round to round.

@@ -13,9 +13,12 @@ import "hash/fnv"
 // Rounds; besides it the engine reads Len and URLs. The per-entry
 // family — Push, PushBatch, PopDue, ClaimDue, Release, Remove,
 // Contains, Peek, NextEvent — and the politeness gap and claims behind
-// it have no production caller. They stay while the benchmark's
-// decorators forward them and its claim probe calls them (bench/), and
-// go with the per-op wire ops once the benchmark moves off them.
+// it have no production caller. On cluster.RemoteShards the family is
+// retired: the wire carries only the round, and each method records a
+// sticky error naming itself (Err) and returns zero values. The
+// methods stay on the interface, and work on Sharded, while the
+// benchmark's decorators forward them and its claim probe calls them
+// (bench/).
 //
 // Methods deliberately carry no error returns: the in-process queue
 // cannot fail, and remote implementations absorb transport failures
@@ -30,10 +33,9 @@ type ShardSet interface {
 	Push(url string, due, priority float64)
 	// PushBatch inserts or reschedules every entry, equivalent to
 	// calling Push for each; the final state is independent of entry
-	// order. Remote implementations ship one round trip per server per
-	// batch instead of one per URL. The crawls' apply paths use
-	// ApplyRound instead, through Rounds, where one exchange per server
-	// can carry several dispatch rounds' commits.
+	// order. The crawls' apply paths use ApplyRound instead, through
+	// Rounds, where one exchange per server can carry several dispatch
+	// rounds' commits.
 	PushBatch(entries []Entry)
 	// PopDue removes and returns the globally earliest entry due at or
 	// before now across all politeness-ready shards.
