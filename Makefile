@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz test-names bench bench-smoke bench-check fmt vet loc smoke-cluster smoke-store smoke-serve smoke-tools ci
+.PHONY: build test race fuzz test-names bench bench-smoke bench-check bench-pairs fmt vet loc smoke-cluster smoke-store smoke-serve smoke-tools ci
 
 build:
 	$(GO) build ./...
@@ -160,6 +160,17 @@ bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
 	$(GO) run -C bench . -smoke
+
+# The last commit against its parent on one benchmark workload, in
+# alternating pairs of driver-form runs (scripts/bench_pairs.sh): per
+# end-to-end metric both medians, the parent's IQR, B/A and the pairs
+# won; fails if the traced runs' digests, fetches, freshness or age
+# differ. `make bench-pairs WORKLOAD=crawl_cluster_disk PAIRS=4 SEED=7`.
+WORKLOAD ?= crawl_mem
+PAIRS ?= 10
+SEED ?= 1999
+bench-pairs:
+	./scripts/bench_pairs.sh HEAD~1 HEAD -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -312,12 +312,12 @@ type estimator struct {
 	bayes *changefreq.Bayes
 }
 
-func newEstimator(kind EstimatorKind) (*estimator, error) {
-	e := &estimator{kind: kind, hist: &changefreq.History{}}
+func newEstimator(kind EstimatorKind) (estimator, error) {
+	e := estimator{kind: kind, hist: &changefreq.History{}}
 	if kind == EstimatorEB {
 		b, err := changefreq.NewBayes(changefreq.DefaultClasses)
 		if err != nil {
-			return nil, err
+			return estimator{}, err
 		}
 		e.bayes = b
 	}

@@ -384,7 +384,7 @@ func TestContentFoldKeepsPerURLOrder(t *testing.T) {
 					r.reset()
 					r.id = roundSeq.Add(1)
 					for i, j := range jobs {
-						r.jobs = append(r.jobs, crawlJob{idx: i, url: j.url, day: 1,
+						r.jobs = append(r.jobs, crawlJob{idx: i, url: j.url, day: 1, page: &pageState{},
 							res: fetch.Result{Checksum: uint64(i + 1), Links: []string{j.url + "next"}, Content: []byte(j.url)}})
 					}
 					for i, j := range jobs {

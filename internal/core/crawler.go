@@ -50,10 +50,17 @@ type Crawler struct {
 	policy  scheduler.Policy
 	optimal *scheduler.Optimal
 
-	est        map[string]*estimator
-	lastSum    map[string]uint64 // last crawled checksum per URL
-	importance map[string]float64
-	siteStats  *siteStats // non-nil when Config.SiteLevelStats is on
+	// solveRate is whether the policy reads the working rate, so the
+	// workers solve it. Of the policies Config builds only Proportional
+	// does: Fixed ignores the rate, and Optimal (boosted or not) reads
+	// its plan, DefaultDays outside it.
+	solveRate bool
+
+	// pages is every scheduled URL's crawl state; ranks is the last
+	// ranking pass's importance, read when a page's state is made.
+	pages     map[string]*pageState
+	ranks     map[string]float64
+	siteStats *siteStats // non-nil when Config.SiteLevelStats is on
 
 	day      float64
 	nextRank float64
@@ -117,21 +124,20 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 		coll = frontier.NewSharded(cfg.Shards)
 	}
 	c := &Crawler{
-		cfg:        cfg,
-		fetcher:    f,
-		all:        frontier.NewAllUrls(),
-		coll:       coll,
-		rounds:     frontier.NewRounds(coll, cfg.DispatchBatch),
-		shadowed:   sh,
-		graph:      webgraph.New(),
-		policy:     policy,
-		optimal:    opt,
-		est:        make(map[string]*estimator),
-		lastSum:    make(map[string]uint64),
-		importance: make(map[string]float64),
-		nextRank:   0, // first pass immediately, to seed admissions
-		nextSwap:   cfg.CycleDays,
+		cfg:      cfg,
+		fetcher:  f,
+		all:      frontier.NewAllUrls(),
+		coll:     coll,
+		rounds:   frontier.NewRounds(coll, cfg.DispatchBatch),
+		shadowed: sh,
+		graph:    webgraph.New(),
+		policy:   policy,
+		optimal:  opt,
+		pages:    make(map[string]*pageState),
+		nextRank: 0, // first pass immediately, to seed admissions
+		nextSwap: cfg.CycleDays,
 	}
+	_, c.solveRate = policy.(scheduler.Proportional)
 	if cfg.SiteLevelStats {
 		c.siteStats = newSiteStats()
 	}

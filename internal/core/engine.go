@@ -47,18 +47,18 @@ import (
 //     straggle behind the short groups.
 //
 //   - The per-URL scheduling math — change detection, change-history
-//     recording, rate estimation — runs on the worker right after its
-//     fetch, against state resolved on the engine goroutine at pop
-//     time (the job carries its estimator and site-aggregate pointers,
-//     so workers never touch shared maps). A round's URLs are unique,
-//     overlapping rounds never share a URL (the reschedule window
-//     again), and a site's jobs are worker-serial, so every estimator
-//     and site aggregate still sees its observations strictly in pop
-//     order.
+//     recording, and (when the policy reads one) rate estimation — runs
+//     on the worker right after its fetch, against state resolved on
+//     the engine goroutine at pop time (the job carries its page-state
+//     and site-aggregate pointers, so workers never touch shared
+//     maps). A round's URLs are unique, overlapping rounds never share
+//     a URL (the reschedule window again), and a site's jobs are
+//     worker-serial, so every estimator and site aggregate still sees
+//     its observations strictly in pop order.
 //
 //   - What remains of the apply is split in two stages. applySchedule
 //     runs on the engine goroutine and folds the round into everything
-//     the next pop depends on — metrics, checksum table, drops,
+//     the next pop depends on — metrics, page states, drops,
 //     reschedule commits — sequentially in pop order. applyContent
 //     (store PutBatch, link extraction into AllUrls, web-graph updates)
 //     only feeds the ranking pass and readers of the collection, so it
@@ -77,17 +77,31 @@ type crawlJob struct {
 	day  float64
 
 	// Resolved on the engine goroutine at pop time, so workers never
-	// read shared maps.
+	// read shared maps. prevSum and seen are the page state's as of the
+	// pop: applySchedule moves the state on while the content stage may
+	// still read the job.
+	page    *pageState
 	prevSum uint64
 	seen    bool
-	est     *estimator
 	agg     *changefreq.SiteAggregate // nil unless SiteLevelStats
 
 	// Written by the worker.
 	res     fetch.Result
 	changed bool
-	rate    float64 // working change-rate estimate (hybrid policy)
-	pooled  bool    // an observation was added to agg
+	rate    float64 // working change-rate estimate; 0 unless the policy reads it
+}
+
+// pageState is the engine's per-URL crawl state, found once per fetch
+// (resolveJob) and carried by the job, so nothing later in the fetch
+// path looks the URL up again. est's fields are fixed when the state is
+// made (the workers write only what they point to); sum and seen are
+// the engine goroutine's; importance is the last ranking pass's,
+// written only while no round is in flight.
+type pageState struct {
+	est        estimator
+	sum        uint64 // last crawled checksum, when seen
+	seen       bool   // crawled since the state was made
+	importance float64
 }
 
 // outcome is applySchedule's per-job verdict, consumed by applyContent.
@@ -142,9 +156,10 @@ func (r *roundState) drops() bool {
 // fetchJob is the dispatcher's work function: one CrawlModule fetch
 // plus the per-URL scheduling math that only depends on this URL's own
 // state — change detection against the checksum resolved at pop time,
-// the change-history observation, the site-aggregate pooling, and the
-// working-rate estimate. Everything it touches is either job-local or
-// serialized by the pool's per-site lines.
+// the change-history observation, the site-aggregate pooling, and, for
+// a policy that reads it, the working-rate estimate. Everything it
+// touches is either job-local or serialized by the pool's per-site
+// lines.
 func (c *Crawler) fetchJob(j *crawlJob) error {
 	res, err := c.fetcher.Fetch(j.url, j.day)
 	if err != nil {
@@ -155,15 +170,19 @@ func (c *Crawler) fetchJob(j *crawlJob) error {
 		return nil
 	}
 	j.changed = j.seen && j.prevSum != res.Checksum
-	prevVisit, hadVisit := j.est.hist.Last()
-	if err := j.est.record(changefreq.Observation{Time: j.day, Changed: j.changed}, c.cfg.HistoryWindowDays); err != nil {
+	est := &j.page.est
+	prevVisit, hadVisit := est.hist.Last()
+	if err := est.record(changefreq.Observation{Time: j.day, Changed: j.changed}, c.cfg.HistoryWindowDays); err != nil {
 		return fmt.Errorf("core: %s: %w", j.url, err)
 	}
 	if j.agg != nil && hadVisit && j.day > prevVisit {
 		poolSiteObservation(j.agg, j.day, j.day-prevVisit, j.changed)
-		j.pooled = true
 	}
-	j.rate = c.hybridRate(j)
+	if c.solveRate {
+		// Here and not at apply time: the site aggregate is exactly this
+		// job's observations in, before a later round's worker pools more.
+		j.rate = c.hybridRate(j)
+	}
 	return nil
 }
 
@@ -172,8 +191,9 @@ func (c *Crawler) fetchJob(j *crawlJob) error {
 // that (sitestats.go; mirrors Crawler.workingRate over pop-time
 // resolved pointers).
 func (c *Crawler) hybridRate(j *crawlJob) float64 {
-	pageRate := j.est.rate()
-	if j.agg == nil || j.est.hist.Accesses() >= c.cfg.SiteStatsMinSamples {
+	est := &j.page.est
+	pageRate := est.rate()
+	if j.agg == nil || est.hist.Accesses() >= c.cfg.SiteStatsMinSamples {
 		return pageRate
 	}
 	if est, err := j.agg.Estimate(); err == nil {
@@ -182,20 +202,20 @@ func (c *Crawler) hybridRate(j *crawlJob) float64 {
 	return pageRate
 }
 
-// resolveJob fills a job's pop-time scheduling state.
+// resolveJob fills a job's pop-time scheduling state, making the page's
+// state on its first pop.
 func (c *Crawler) resolveJob(j *crawlJob) error {
 	j.site = webgraph.SiteOf(j.url)
-	j.prevSum, j.seen = c.lastSum[j.url]
-	est, ok := c.est[j.url]
+	p, ok := c.pages[j.url]
 	if !ok {
-		var err error
-		est, err = newEstimator(c.cfg.Estimator)
+		est, err := newEstimator(c.cfg.Estimator)
 		if err != nil {
 			return err
 		}
-		c.est[j.url] = est
+		p = &pageState{est: est, importance: c.ranks[j.url]}
+		c.pages[j.url] = p
 	}
-	j.est = est
+	j.page, j.prevSum, j.seen = p, p.sum, p.seen
 	if c.siteStats != nil {
 		j.agg = c.siteStats.entry(j.site)
 	}
@@ -360,8 +380,8 @@ func (c *Crawler) pipelineRounds(depth int, popNext func(r *roundState, windowFl
 
 // applySchedule is the frontier phase of folding a round in (Figure 11
 // steps [3]-[12], batched): sequentially in pop order, it counts
-// metrics, folds the workers' change verdicts into the checksum table,
-// turns their rate estimates into reschedule intervals, and commits
+// metrics, folds the workers' checksums into the page states, turns
+// the revisit policy's intervals into reschedules, and commits
 // all frontier mutations (drops and reschedules) — everything the
 // next round's pop depends on. Results land in r.live for the content
 // phase.
@@ -395,13 +415,11 @@ func (c *Crawler) applySchedule(r *roundState) error {
 		if !j.seen {
 			c.metrics.NewPages++
 		}
-		c.lastSum[j.url] = j.res.Checksum
-		if j.pooled {
-			c.siteStats.noteContribution(j.url)
-		}
-		interval := c.policy.Interval(j.url, j.rate, c.importance[j.url])
+		p := j.page
+		p.sum, p.seen = j.res.Checksum, true
+		interval := c.policy.Interval(j.url, j.rate, p.importance)
 		interval = scheduler.Clamp(interval, c.cfg.MinIntervalDays, c.cfg.MaxIntervalDays)
-		c.pushes = append(c.pushes, frontier.Entry{URL: j.url, Due: j.day + interval, Priority: c.importance[j.url]})
+		c.pushes = append(c.pushes, frontier.Entry{URL: j.url, Due: j.day + interval, Priority: p.importance})
 		r.live = append(r.live, outcome{job: j})
 	}
 
@@ -426,11 +444,7 @@ func (c *Crawler) applySchedule(r *roundState) error {
 // store/graph half runs in applyContent.
 func (c *Crawler) dropSchedule(url string) {
 	c.removes = append(c.removes, url)
-	delete(c.est, url)
-	delete(c.lastSum, url)
-	if c.siteStats != nil {
-		c.siteStats.forget(url)
-	}
+	delete(c.pages, url)
 }
 
 // applyContent is the heavy phase the content stage runs: store
@@ -440,7 +454,7 @@ func (c *Crawler) dropSchedule(url string) {
 // collection — all behind quiesce — so this phase overlaps the next
 // rounds' frontier commits and fetches. It runs on the content
 // goroutine: c.recs is that goroutine's, and everything else it touches
-// (AllUrls, the graph, the collection pair, the importance map) is
+// (AllUrls, the graph, the collection pair, the jobs' importance) is
 // written elsewhere only while the stage is idle.
 //
 // Each round's deletes run as its pages come up and its puts go to the
@@ -471,7 +485,6 @@ func (c *Crawler) applyContent(rounds []*roundState) error {
 				if err := c.deletePage(j.url); err != nil {
 					return err
 				}
-				c.all.SetInCollection(j.url, false)
 				c.graph.RemovePage(j.url)
 				continue
 			}
@@ -481,13 +494,12 @@ func (c *Crawler) applyContent(rounds []*roundState) error {
 				FetchedAt:  j.day,
 				Version:    j.res.Version,
 				Links:      j.res.Links,
-				Importance: c.importance[j.url],
+				Importance: j.page.importance,
 			}
 			if c.cfg.StoreContent {
 				rec.Content = j.res.Content
 			}
 			c.recs = append(c.recs, rec)
-			c.all.SetInCollection(j.url, true)
 
 			// Figure 11 steps [11]-[12]: extract URLs, extend AllUrls; also
 			// feed the link structure the RankingModule scans. A revisit

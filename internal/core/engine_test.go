@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"webevolve/internal/fetch"
+	"webevolve/internal/scheduler"
 )
 
 // TestCrawlerConcurrentWorkersRace exists for the race detector: a
@@ -40,5 +42,87 @@ func TestEngineConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad engine config %d accepted", i)
 		}
+	}
+}
+
+// TestRateSolvedOnlyWhenPolicyReadsIt: the workers solve the working
+// rate only for the one policy that reads it. Under ProportionalFreq
+// with SiteLevelStats every reschedule is Clamp(1/rate), the rate being
+// the hybrid one taken from the job's pop-time page state and site
+// aggregate right after its own observation. Under FixedFreq and
+// VariableFreq no rate is solved, and every fetch still records its
+// observation in the page's history. After a pipelined warm-up the
+// test fetches one job at a time, so it reads the state each job saw.
+func TestRateSolvedOnlyWhenPolicyReadsIt(t *testing.T) {
+	for _, freq := range []FreqPolicy{ProportionalFreq, FixedFreq, VariableFreq} {
+		t.Run(freq.String(), func(t *testing.T) {
+			w, f := testWeb(t, 44)
+			cfg := baseConfig(w)
+			cfg.Freq = freq
+			cfg.SiteLevelStats = true
+			c, err := New(cfg, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RunUntil(6); err != nil {
+				t.Fatal(err)
+			}
+			cfg = c.cfg // with defaults
+			day := c.Day()
+			own, pooled := 0, 0
+			for i := 0; i < 300; i++ {
+				e, ok := c.rounds.PopDue(math.Inf(1))
+				if !ok {
+					t.Fatal("frontier drained")
+				}
+				r := &roundState{jobs: []crawlJob{{url: e.URL, day: day}}}
+				j := &r.jobs[0]
+				if err := c.resolveJob(j); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.fetchJob(j); err != nil {
+					t.Fatal(err)
+				}
+				if j.res.NotFound {
+					if err := c.applySchedule(r); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				hist := j.page.est.hist
+				if last, ok := hist.Last(); !ok || last != day {
+					t.Fatalf("%s fetched at %v: history ends at %v (%v)", j.url, day, last, ok)
+				}
+				rate := j.page.est.rate()
+				if hist.Accesses() < cfg.SiteStatsMinSamples {
+					if est, err := j.agg.Estimate(); err == nil {
+						rate = est.Rate
+						pooled++
+					}
+				} else {
+					own++
+				}
+				if err := c.applySchedule(r); err != nil {
+					t.Fatal(err)
+				}
+				day += 1 / cfg.PagesPerDay
+				if freq != ProportionalFreq {
+					if j.rate != 0 {
+						t.Fatalf("%s: rate %v solved under %v", j.url, j.rate, freq)
+					}
+					continue
+				}
+				want := cfg.MaxIntervalDays
+				if rate > 0 {
+					want = scheduler.Clamp(1/rate, cfg.MinIntervalDays, cfg.MaxIntervalDays)
+				}
+				if due := c.pushes[0].Due; due != j.day+want {
+					t.Fatalf("%s: rescheduled %v days ahead, want Clamp(1/%v) = %v", j.url, due-j.day, rate, want)
+				}
+			}
+			if freq == ProportionalFreq && (own == 0 || pooled == 0) {
+				t.Fatalf("%d reschedules from the page's own rate, %d from its site's: want both", own, pooled)
+			}
+		})
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // TestExtendLinksMatchesAddingEveryLink: AllUrls fed only the links
 // SetLinks reports as new ends every step with the same URLInfo —
-// FirstSeen, InLinks, InCollection, for every URL — as AllUrls fed
+// FirstSeen and InLinks, for every URL — as AllUrls fed
 // every link of every fetch, as applyContent did before it diffed. The
 // history drops pages (the graph forgets them, AllUrls does not) and
 // re-links pages so that links leave a page and later come back, and
@@ -32,8 +32,6 @@ func TestExtendLinksMatchesAddingEveryLink(t *testing.T) {
 		url := page()
 		if rng.Intn(12) == 0 {
 			g.RemovePage(url)
-			diffed.SetInCollection(url, false)
-			full.SetInCollection(url, false)
 			continue
 		}
 		links := make([]string, rng.Intn(24))
@@ -51,8 +49,6 @@ func TestExtendLinksMatchesAddingEveryLink(t *testing.T) {
 				returned++
 			}
 		}
-		diffed.SetInCollection(url, true)
-		full.SetInCollection(url, true)
 		buf = extendLinks(g, diffed, url, links, day, buf)
 		for _, l := range links {
 			full.AddLink(url, l, day)

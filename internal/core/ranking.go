@@ -38,9 +38,9 @@ func (c *Crawler) rankingPass() error {
 	if err != nil {
 		return err
 	}
-	c.importance = ranks
-	for url, r := range ranks {
-		c.all.SetImportance(url, r)
+	c.ranks = ranks
+	for url, p := range c.pages {
+		p.importance = ranks[url]
 	}
 
 	if c.optimal != nil {
@@ -50,8 +50,8 @@ func (c *Crawler) rankingPass() error {
 		prior := 1 / (4 * c.cfg.CycleDays) // the paper's ~4-month mean
 		for i, u := range urls {
 			r := prior
-			if e, ok := c.est[u]; ok {
-				if er := c.workingRate(u, e); er > 0 {
+			if p, ok := c.pages[u]; ok {
+				if er := c.workingRate(u, &p.est); er > 0 {
 					r = er
 				}
 			}
@@ -197,7 +197,6 @@ func (c *Crawler) refine(ranks map[string]float64) error {
 func (c *Crawler) admit(url string, imp float64) {
 	c.metrics.Admissions++
 	c.admits = append(c.admits, frontier.Entry{URL: url, Due: c.day, Priority: imp}) // due now = front of the queue
-	c.all.SetInCollection(url, true)
 }
 
 // evict discards a page from the collection (Figure 11 steps [7]-[8]).
@@ -208,9 +207,7 @@ func (c *Crawler) evict(url string) error {
 	if err := c.deletePage(url); err != nil {
 		return err
 	}
-	c.all.SetInCollection(url, false)
-	delete(c.est, url)
-	delete(c.lastSum, url)
+	delete(c.pages, url)
 	// The page's link structure stays in the graph: AllUrls remembers
 	// everything discovered, and the page may be re-admitted later.
 	return nil

@@ -94,11 +94,15 @@ func TestImportancePropagatesToAllUrls(t *testing.T) {
 	if err := c.RunUntil(8); err != nil {
 		t.Fatal(err)
 	}
-	// Crawled seeds must carry a PageRank-derived importance in AllUrls.
+	// Crawled seeds must carry a PageRank-derived importance in their
+	// stored records, the value serve's X-Webevolve-Importance reads.
 	seen := 0
 	for _, s := range w.RootURLs() {
-		info, ok := c.AllUrls().Get(s)
-		if ok && info.Importance > 0 {
+		rec, ok, err := c.Collection().Get(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok && rec.Importance > 0 {
 			seen++
 		}
 	}

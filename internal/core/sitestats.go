@@ -22,16 +22,10 @@ import (
 // siteStats maintains per-site pooled aggregates.
 type siteStats struct {
 	bySite map[string]*changefreq.SiteAggregate
-	// contributed tracks how many intervals of each page's history have
-	// already been pooled, so re-pooling after each visit is incremental.
-	contributed map[string]int
 }
 
 func newSiteStats() *siteStats {
-	return &siteStats{
-		bySite:      make(map[string]*changefreq.SiteAggregate),
-		contributed: make(map[string]int),
-	}
+	return &siteStats{bySite: make(map[string]*changefreq.SiteAggregate)}
 }
 
 // entry returns (creating if needed) the pooled aggregate for a site.
@@ -58,13 +52,6 @@ func poolSiteObservation(agg *changefreq.SiteAggregate, obsTime, gap float64, ch
 	agg.Add(h)
 }
 
-// noteContribution records that one more of a page's intervals has
-// been pooled (engine-goroutine bookkeeping for the worker-side
-// poolSiteObservation).
-func (s *siteStats) noteContribution(url string) {
-	s.contributed[url]++
-}
-
 // rate returns the pooled site-level rate estimate for a URL's site, or
 // ok=false when the site has no pooled signal yet.
 func (s *siteStats) rate(url string) (float64, bool) {
@@ -77,12 +64,6 @@ func (s *siteStats) rate(url string) (float64, bool) {
 		return 0, false
 	}
 	return est.Rate, true
-}
-
-// forget drops a page's contribution bookkeeping (the pooled counts are
-// retained: past observations of a dead page still inform the site).
-func (s *siteStats) forget(url string) {
-	delete(s.contributed, url)
 }
 
 // workingRate combines page-level and site-level signals per the hybrid

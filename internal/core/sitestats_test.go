@@ -73,10 +73,11 @@ func TestWorkingRatePrefersSiteSignalEarly(t *testing.T) {
 	// should be the pooled one — and the pool, fed by 50 homogeneous
 	// pages, should sit near the true 0.2/day.
 	url := c.coll.URLs()[1]
-	est := c.est[url]
-	if est == nil {
-		t.Fatal("no estimator for collection page")
+	p := c.pages[url]
+	if p == nil {
+		t.Fatal("no page state for collection page")
 	}
+	est := &p.est
 	rate := c.workingRate(url, est)
 	if rate < 0.1 || rate > 0.4 {
 		t.Fatalf("pooled working rate %v, want near 0.2", rate)
@@ -103,10 +104,11 @@ func TestWorkingRateUsesOwnHistoryWhenLong(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range c.coll.URLs() {
-		est, ok := c.est[u]
-		if !ok || est.hist.Accesses() < 1 {
+		p, ok := c.pages[u]
+		if !ok || p.est.hist.Accesses() < 1 {
 			continue
 		}
+		est := &p.est
 		if got, want := c.workingRate(u, est), est.rate(); got != want {
 			t.Fatalf("page with history used %v instead of own rate %v", got, want)
 		}

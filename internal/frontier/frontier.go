@@ -2,8 +2,8 @@
 // incremental-crawler architecture (Figure 12):
 //
 //   - AllUrls: the set of every URL the crawler has ever discovered, with
-//     the metadata the RankingModule scans (estimated importance, where
-//     the URL was seen, whether it is in the collection).
+//     the metadata the RankingModule scans (when the URL was first seen,
+//     how many discovered pages link to it).
 //
 //   - CollUrls: the set of URLs that are (or will be) in the Collection,
 //     implemented as a priority queue "where the URLs to be crawled early
@@ -29,12 +29,6 @@ type URLInfo struct {
 	// InLinks counts distinct discovered pages linking here; a cheap
 	// importance proxy refreshed by the ranking module.
 	InLinks int
-	// Importance is the most recent importance score assigned by the
-	// RankingModule (PageRank in the paper's example).
-	Importance float64
-	// InCollection reports whether the URL is currently in the revisit
-	// queue.
-	InCollection bool
 }
 
 // AllUrls records every URL discovered, with metadata. Safe for
@@ -129,25 +123,6 @@ func (a *AllUrls) Len() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	return a.n
-}
-
-// SetImportance stores an importance score for url, creating the record
-// if needed (the ranking module can score URLs it has only seen links
-// to — footnote 2 of the paper).
-func (a *AllUrls) SetImportance(url string, imp float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	id, _ := a.add(url, 0)
-	a.recs[id].Importance = imp
-}
-
-// SetInCollection flags whether url is in the collection.
-func (a *AllUrls) SetInCollection(url string, in bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if id, ok := a.record(url); ok {
-		a.recs[id].InCollection = in
-	}
 }
 
 // Scan calls fn for every record (copy) in sorted URL order, stopping if

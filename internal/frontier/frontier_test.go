@@ -38,20 +38,6 @@ func TestAllUrlsAddLinkCountsDistinctSources(t *testing.T) {
 	}
 }
 
-func TestAllUrlsImportanceAndMembership(t *testing.T) {
-	a := NewAllUrls()
-	a.SetImportance("http://new.com/", 0.7) // creates the record
-	info, ok := a.Get("http://new.com/")
-	if !ok || info.Importance != 0.7 {
-		t.Fatalf("importance %+v", info)
-	}
-	a.SetInCollection("http://new.com/", true)
-	info, _ = a.Get("http://new.com/")
-	if !info.InCollection {
-		t.Fatal("membership flag lost")
-	}
-}
-
 func TestAllUrlsScanSortedAndStoppable(t *testing.T) {
 	a := NewAllUrls()
 	for _, u := range []string{"http://c.com/", "http://a.com/", "http://b.com/"} {
@@ -89,7 +75,6 @@ func TestAllUrlsLinkReenteringCountsOnce(t *testing.T) {
 func TestAllUrlsSourceOnlyIsNotARecord(t *testing.T) {
 	a := NewAllUrls()
 	a.AddLink("http://src.com/", "http://t.com/", 1)
-	a.SetInCollection("http://src.com/", true)
 	if _, ok := a.Get("http://src.com/"); ok {
 		t.Fatal("source-only URL has a record")
 	}
@@ -105,7 +90,7 @@ func TestAllUrlsSourceOnlyIsNotARecord(t *testing.T) {
 	if !a.Add("http://src.com/", 5) {
 		t.Fatal("add of a source-only URL not new")
 	}
-	if info, ok := a.Get("http://src.com/"); !ok || info.FirstSeen != 5 || info.InLinks != 0 || info.InCollection {
+	if info, ok := a.Get("http://src.com/"); !ok || info.FirstSeen != 5 || info.InLinks != 0 {
 		t.Fatalf("src %+v ok=%v", info, ok)
 	}
 	if a.Len() != 2 {

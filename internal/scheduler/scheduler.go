@@ -20,7 +20,11 @@ import (
 	"sync"
 
 	"webevolve/internal/freshness"
+	"webevolve/internal/obs"
 )
+
+var outOfPlan = obs.Default.Counter("webevolve_scheduler_out_of_plan_total",
+	"reschedules under the optimal policy of pages absent from the revisit plan, served DefaultDays")
 
 // Policy maps a page's estimated change rate (and importance) to a
 // revisit interval in days. Implementations are safe for concurrent use.
@@ -164,17 +168,18 @@ func (o *Optimal) Rebuild(pages []PageRate) error {
 	return nil
 }
 
-// Interval implements Policy.
-func (o *Optimal) Interval(url string, rate, _ float64) float64 {
+// Interval implements Policy. A page absent from the plan gets
+// DefaultDays whatever its rate: scheduling it at 1/rate would be the
+// proportional policy Section 4 warns about, and with true rates it
+// spends the budget on pages changing too fast to keep fresh.
+func (o *Optimal) Interval(url string, _, _ float64) float64 {
 	o.mu.RLock()
 	iv, ok := o.plan[url]
 	o.mu.RUnlock()
 	if ok {
 		return iv
 	}
-	if rate > 0 {
-		return Clamp(1/rate, o.MinDays, o.MaxDays)
-	}
+	outOfPlan.Inc()
 	return o.DefaultDays
 }
 

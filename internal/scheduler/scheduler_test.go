@@ -121,16 +121,43 @@ func TestOptimalRebuildAndInterval(t *testing.T) {
 			t.Fatalf("%s: interval %v, want %v", u, got, want)
 		}
 	}
-	// Unknown page with a rate estimate: 1/rate clamped.
-	if got := o.Interval("http://unknown.com/", 0.5, 0); got != 2 {
+	// Unknown pages get the default, with a rate estimate or without.
+	if got := o.Interval("http://unknown.com/", 0.5, 0); got != 30 {
 		t.Fatalf("unknown-page interval %v", got)
 	}
-	// Unknown page without rate: default.
 	if got := o.Interval("http://unknown2.com/", 0, 0); got != 30 {
 		t.Fatalf("default interval %v", got)
 	}
 	if o.Name() != "optimal" {
 		t.Fatal(o.Name())
+	}
+}
+
+// TestOptimalOutOfPlanUsesDefault: a page absent from the plan is
+// scheduled at DefaultDays however fast it changes — at 50 changes a
+// day, 1/rate would clamp to MinDays — and each such reschedule counts
+// on webevolve_scheduler_out_of_plan_total, while a planned page's
+// does not.
+func TestOptimalOutOfPlanUsesDefault(t *testing.T) {
+	o, err := NewOptimal(10, 0.25, 80, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Rebuild([]PageRate{{"http://a.com/", 1}, {"http://b.com/", 0.1}}); err != nil {
+		t.Fatal(err)
+	}
+	before := outOfPlan.Value()
+	if got := o.Interval("http://fast.com/", 50, 0); got != o.DefaultDays {
+		t.Fatalf("out-of-plan page changing 50/day: interval %v, want DefaultDays %v (MinDays %v)", got, o.DefaultDays, o.MinDays)
+	}
+	if got := outOfPlan.Value() - before; got != 1 {
+		t.Fatalf("out-of-plan counter moved by %d, want 1", got)
+	}
+	if got := o.Interval("http://a.com/", 50, 0); got == o.DefaultDays {
+		t.Fatalf("planned page got the default %v", got)
+	}
+	if got := outOfPlan.Value() - before; got != 1 {
+		t.Fatalf("a planned page moved the out-of-plan counter to %d", got)
 	}
 }
 
