@@ -163,45 +163,3 @@ func (b *Bayes) String() string {
 	sb.WriteString("}")
 	return sb.String()
 }
-
-// SiteAggregate pools change observations across the pages of one site to
-// produce a site-level rate estimate (the Section 5.3 note: statistics on
-// larger units give tighter confidence intervals when pages on a site
-// change at similar frequencies, but mislead when they do not).
-type SiteAggregate struct {
-	intervals int
-	detected  int
-	span      float64
-}
-
-// Add pools one page's history into the aggregate.
-func (s *SiteAggregate) Add(h *History) {
-	s.intervals += h.n
-	s.detected += h.detected
-	s.span += h.Span()
-}
-
-// Estimate returns the pooled EP-style estimate. The pooled mean access
-// interval is span/intervals.
-func (s *SiteAggregate) Estimate() (Estimate, error) {
-	if s.intervals == 0 || s.span <= 0 {
-		return Estimate{}, ErrNoHistory
-	}
-	iMean := s.span / float64(s.intervals)
-	n := float64(s.intervals)
-	x := float64(s.detected)
-	rate := -math.Log((n-x+0.5)/(n+0.5)) / iMean
-	if rate <= 0 {
-		rate = 0
-	}
-	pLo, pHi := wilson(s.detected, s.intervals, 1.96)
-	lo := -math.Log(1-pLo) / iMean
-	if lo <= 0 {
-		lo = 0
-	}
-	hi := math.Inf(1)
-	if pHi < 1 {
-		hi = -math.Log(1-pHi) / iMean
-	}
-	return Estimate{Rate: rate, Lo: lo, Hi: hi, Samples: s.intervals, Detected: s.detected}, nil
-}

@@ -85,40 +85,6 @@ func (h *History) Span() float64 {
 	return h.last - h.first
 }
 
-// Trim drops history older than the given window before the most recent
-// access, implementing the paper's "changes during, say, the last 6
-// months" sliding statistic. Aggregate counters are recomputed.
-func (h *History) Trim(window float64) {
-	if !h.valid || window <= 0 {
-		return
-	}
-	cutoff := h.last - window
-	// Walk forward accumulating time until we reach the cutoff.
-	t := h.first
-	drop := 0
-	for i, dt := range h.intervals {
-		if t+dt <= cutoff {
-			t += dt
-			drop = i + 1
-			continue
-		}
-		break
-	}
-	if drop == 0 {
-		return
-	}
-	h.first = t
-	h.intervals = append([]float64(nil), h.intervals[drop:]...)
-	h.changed = append([]bool(nil), h.changed[drop:]...)
-	h.n = len(h.intervals)
-	h.detected = 0
-	for _, c := range h.changed {
-		if c {
-			h.detected++
-		}
-	}
-}
-
 // Estimate is a point estimate of a page's change rate with a confidence
 // interval, in changes per unit time.
 type Estimate struct {

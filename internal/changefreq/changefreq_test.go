@@ -51,20 +51,6 @@ func TestHistoryRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestHistoryTrim(t *testing.T) {
-	h := &History{}
-	for d := 0; d <= 10; d++ {
-		_ = h.Record(Observation{Time: float64(d), Changed: d%2 == 0})
-	}
-	h.Trim(3)
-	if h.Span() > 3.000001 {
-		t.Fatalf("span %v after trim", h.Span())
-	}
-	if h.Accesses() != len(h.intervals) || h.Detected() > h.Accesses() {
-		t.Fatal("counters inconsistent after trim")
-	}
-}
-
 func TestNaiveEstimate(t *testing.T) {
 	h := &History{}
 	_ = h.Record(Observation{Time: 0})
@@ -236,45 +222,6 @@ func TestEPConfidenceIntervalCoverage(t *testing.T) {
 	// 95% nominal coverage; allow generous slack for discretization.
 	if misses > trials/5 {
 		t.Fatalf("CI missed truth %d/%d times", misses, trials)
-	}
-}
-
-func TestSiteAggregateTightensCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const rate = 0.08
-	var single Estimate
-	agg := &SiteAggregate{}
-	for i := 0; i < 30; i++ {
-		h := &History{}
-		observe(rng, h, rate, 100)
-		agg.Add(h)
-		if i == 0 {
-			var err error
-			single, err = EP(h)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	pooled, err := agg.Estimate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pooled.Samples != 30*100 {
-		t.Fatalf("pooled samples %d", pooled.Samples)
-	}
-	if (pooled.Hi - pooled.Lo) >= (single.Hi - single.Lo) {
-		t.Fatalf("pooled CI %v not tighter than single %v",
-			pooled.Hi-pooled.Lo, single.Hi-single.Lo)
-	}
-	if math.Abs(pooled.Rate-rate)/rate > 0.3 {
-		t.Fatalf("pooled rate %v", pooled.Rate)
-	}
-}
-
-func TestSiteAggregateEmpty(t *testing.T) {
-	if _, err := (&SiteAggregate{}).Estimate(); err != ErrNoHistory {
-		t.Fatalf("empty aggregate: %v", err)
 	}
 }
 

@@ -151,19 +151,6 @@ type Config struct {
 	// MinIntervalDays / MaxIntervalDays clamp variable revisit intervals.
 	MinIntervalDays float64
 	MaxIntervalDays float64
-	// HistoryWindowDays trims change histories (the paper keeps "say,
-	// last 6 months"). Zero keeps everything.
-	HistoryWindowDays float64
-	// ImportanceWeight > 0 boosts revisit frequency of important pages
-	// (Section 5.3's optional policy).
-	ImportanceWeight float64
-	// EvictionHysteresis is the relative margin a candidate's importance
-	// must exceed the worst collection page's before a replacement is
-	// scheduled; prevents thrashing on near-ties.
-	EvictionHysteresis float64
-	// MaxCandidates bounds how many replacement candidates one ranking
-	// pass considers.
-	MaxCandidates int
 	// Workers is the number of concurrent CrawlModule workers the
 	// engine dispatches fetch batches to (Section 5.3: "multiple
 	// CrawlModules may run in parallel, depending on how fast we need
@@ -189,13 +176,6 @@ type Config struct {
 	// StoreContent keeps page bodies in the collection (off for large
 	// simulations).
 	StoreContent bool
-	// SiteLevelStats pools change observations per site (Section 5.3)
-	// and uses the pooled rate for pages with short histories.
-	SiteLevelStats bool
-	// SiteStatsMinSamples is the per-page history length at which the
-	// page's own estimate takes over from the site aggregate
-	// (default 5).
-	SiteStatsMinSamples int
 }
 
 // withDefaults fills zero values.
@@ -220,12 +200,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIntervalDays == 0 {
 		c.MaxIntervalDays = 8 * c.CycleDays
-	}
-	if c.MaxCandidates == 0 {
-		c.MaxCandidates = 4 * c.CollectionSize
-	}
-	if c.SiteStatsMinSamples == 0 {
-		c.SiteStatsMinSamples = 5
 	}
 	if c.Workers == 0 {
 		c.Workers = 1
@@ -263,9 +237,6 @@ func (c Config) Validate() error {
 	if c.MinIntervalDays <= 0 || c.MaxIntervalDays < c.MinIntervalDays {
 		return errors.New("core: bad interval clamps")
 	}
-	if c.EvictionHysteresis < 0 {
-		return errors.New("core: negative hysteresis")
-	}
 	if c.Workers < 1 {
 		return errors.New("core: workers must be >= 1")
 	}
@@ -284,22 +255,13 @@ func (c Config) policy() (scheduler.Policy, *scheduler.Optimal, error) {
 	case FixedFreq:
 		return scheduler.Fixed{Every: c.CycleDays}, nil, nil
 	case ProportionalFreq:
-		return scheduler.Proportional{
-			K: 1, MinDays: c.MinIntervalDays, MaxDays: c.MaxIntervalDays,
-		}, nil, nil
+		return scheduler.Proportional{MinDays: c.MinIntervalDays, MaxDays: c.MaxIntervalDays}, nil, nil
 	case VariableFreq:
 		opt, err := scheduler.NewOptimal(c.PagesPerDay, c.MinIntervalDays, c.MaxIntervalDays, c.CycleDays)
 		if err != nil {
 			return nil, nil, err
 		}
-		var p scheduler.Policy = opt
-		if c.ImportanceWeight > 0 {
-			p = scheduler.ImportanceBoosted{
-				Base: p, Weight: c.ImportanceWeight,
-				MinDays: c.MinIntervalDays, MaxDays: c.MaxIntervalDays,
-			}
-		}
-		return p, opt, nil
+		return opt, opt, nil
 	default:
 		return nil, nil, fmt.Errorf("core: unknown frequency policy %d", c.Freq)
 	}
@@ -325,12 +287,9 @@ func newEstimator(kind EstimatorKind) (estimator, error) {
 }
 
 // record adds an observation.
-func (e *estimator) record(obs changefreq.Observation, trimWindow float64) error {
+func (e *estimator) record(obs changefreq.Observation) error {
 	if err := e.hist.Record(obs); err != nil {
 		return err
-	}
-	if trimWindow > 0 {
-		e.hist.Trim(trimWindow)
 	}
 	if e.bayes != nil {
 		return e.bayes.Record(obs)

@@ -49,7 +49,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.CycleDays = -1 },
 		func(c *Config) { c.Mode = Batch; c.BatchDays = 100 },
 		func(c *Config) { c.MinIntervalDays = 10; c.MaxIntervalDays = 1 },
-		func(c *Config) { c.EvictionHysteresis = -0.1 },
 	}
 	for i, mutate := range bad {
 		c := baseConfig(w)
@@ -303,20 +302,6 @@ func TestFrequencyPoliciesRun(t *testing.T) {
 		if err := c.RunUntil(10); err != nil {
 			t.Fatalf("%s: %v", fr, err)
 		}
-	}
-}
-
-func TestImportanceWeightRuns(t *testing.T) {
-	w, f := testWeb(t, 13)
-	cfg := baseConfig(w)
-	cfg.Freq = VariableFreq
-	cfg.ImportanceWeight = 0.5
-	c, err := New(cfg, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RunUntil(10); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -52,15 +52,14 @@ type Crawler struct {
 
 	// solveRate is whether the policy reads the working rate, so the
 	// workers solve it. Of the policies Config builds only Proportional
-	// does: Fixed ignores the rate, and Optimal (boosted or not) reads
-	// its plan, DefaultDays outside it.
+	// does: Fixed ignores the rate, and Optimal reads its plan,
+	// DefaultDays outside it.
 	solveRate bool
 
 	// pages is every scheduled URL's crawl state; ranks is the last
 	// ranking pass's importance, read when a page's state is made.
-	pages     map[string]*pageState
-	ranks     map[string]float64
-	siteStats *siteStats // non-nil when Config.SiteLevelStats is on
+	pages map[string]*pageState
+	ranks map[string]float64
 
 	day      float64
 	nextRank float64
@@ -138,9 +137,6 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 		nextSwap: cfg.CycleDays,
 	}
 	_, c.solveRate = policy.(scheduler.Proportional)
-	if cfg.SiteLevelStats {
-		c.siteStats = newSiteStats()
-	}
 	for _, s := range cfg.Seeds {
 		c.all.Add(s, 0)
 		c.admit(s, 0)

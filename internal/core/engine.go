@@ -50,11 +50,10 @@ import (
 //     recording, and (when the policy reads one) rate estimation — runs
 //     on the worker right after its fetch, against state resolved on
 //     the engine goroutine at pop time (the job carries its page-state
-//     and site-aggregate pointers, so workers never touch shared
-//     maps). A round's URLs are unique, overlapping rounds never share
-//     a URL (the reschedule window again), and a site's jobs are
-//     worker-serial, so every estimator and site aggregate still sees
-//     its observations strictly in pop order.
+//     pointer, so workers never touch shared maps). A round's URLs are
+//     unique and overlapping rounds never share a URL (the reschedule
+//     window again), so every estimator still sees its observations
+//     strictly in pop order.
 //
 //   - What remains of the apply is split in two stages. applySchedule
 //     runs on the engine goroutine and folds the round into everything
@@ -83,7 +82,6 @@ type crawlJob struct {
 	page    *pageState
 	prevSum uint64
 	seen    bool
-	agg     *changefreq.SiteAggregate // nil unless SiteLevelStats
 
 	// Written by the worker.
 	res     fetch.Result
@@ -156,10 +154,8 @@ func (r *roundState) drops() bool {
 // fetchJob is the dispatcher's work function: one CrawlModule fetch
 // plus the per-URL scheduling math that only depends on this URL's own
 // state — change detection against the checksum resolved at pop time,
-// the change-history observation, the site-aggregate pooling, and, for
-// a policy that reads it, the working-rate estimate. Everything it
-// touches is either job-local or serialized by the pool's per-site
-// lines.
+// the change-history observation and, for a policy that reads it, the
+// working-rate estimate. Everything it touches is job-local.
 func (c *Crawler) fetchJob(j *crawlJob) error {
 	res, err := c.fetcher.Fetch(j.url, j.day)
 	if err != nil {
@@ -171,35 +167,15 @@ func (c *Crawler) fetchJob(j *crawlJob) error {
 	}
 	j.changed = j.seen && j.prevSum != res.Checksum
 	est := &j.page.est
-	prevVisit, hadVisit := est.hist.Last()
-	if err := est.record(changefreq.Observation{Time: j.day, Changed: j.changed}, c.cfg.HistoryWindowDays); err != nil {
+	if err := est.record(changefreq.Observation{Time: j.day, Changed: j.changed}); err != nil {
 		return fmt.Errorf("core: %s: %w", j.url, err)
 	}
-	if j.agg != nil && hadVisit && j.day > prevVisit {
-		poolSiteObservation(j.agg, j.day, j.day-prevVisit, j.changed)
-	}
 	if c.solveRate {
-		// Here and not at apply time: the site aggregate is exactly this
-		// job's observations in, before a later round's worker pools more.
-		j.rate = c.hybridRate(j)
+		// On the worker, not at apply time: the solve runs beside the
+		// other workers' fetches instead of on the engine goroutine.
+		j.rate = est.rate()
 	}
 	return nil
-}
-
-// hybridRate is the worker-side working-rate estimate: the page's own
-// rate once its history is long enough, the pooled site rate before
-// that (sitestats.go; mirrors Crawler.workingRate over pop-time
-// resolved pointers).
-func (c *Crawler) hybridRate(j *crawlJob) float64 {
-	est := &j.page.est
-	pageRate := est.rate()
-	if j.agg == nil || est.hist.Accesses() >= c.cfg.SiteStatsMinSamples {
-		return pageRate
-	}
-	if est, err := j.agg.Estimate(); err == nil {
-		return est.Rate
-	}
-	return pageRate
 }
 
 // resolveJob fills a job's pop-time scheduling state, making the page's
@@ -216,9 +192,6 @@ func (c *Crawler) resolveJob(j *crawlJob) error {
 		c.pages[j.url] = p
 	}
 	j.page, j.prevSum, j.seen = p, p.sum, p.seen
-	if c.siteStats != nil {
-		j.agg = c.siteStats.entry(j.site)
-	}
 	return nil
 }
 
@@ -417,7 +390,7 @@ func (c *Crawler) applySchedule(r *roundState) error {
 		}
 		p := j.page
 		p.sum, p.seen = j.res.Checksum, true
-		interval := c.policy.Interval(j.url, j.rate, p.importance)
+		interval := c.policy.Interval(j.url, j.rate)
 		interval = scheduler.Clamp(interval, c.cfg.MinIntervalDays, c.cfg.MaxIntervalDays)
 		c.pushes = append(c.pushes, frontier.Entry{URL: j.url, Due: j.day + interval, Priority: p.importance})
 		r.live = append(r.live, outcome{job: j})

@@ -47,9 +47,8 @@ func TestEngineConfigValidation(t *testing.T) {
 
 // TestRateSolvedOnlyWhenPolicyReadsIt: the workers solve the working
 // rate only for the one policy that reads it. Under ProportionalFreq
-// with SiteLevelStats every reschedule is Clamp(1/rate), the rate being
-// the hybrid one taken from the job's pop-time page state and site
-// aggregate right after its own observation. Under FixedFreq and
+// every reschedule is Clamp(1/rate), the rate being the page's own
+// estimate right after its own observation. Under FixedFreq and
 // VariableFreq no rate is solved, and every fetch still records its
 // observation in the page's history. After a pipelined warm-up the
 // test fetches one job at a time, so it reads the state each job saw.
@@ -59,7 +58,6 @@ func TestRateSolvedOnlyWhenPolicyReadsIt(t *testing.T) {
 			w, f := testWeb(t, 44)
 			cfg := baseConfig(w)
 			cfg.Freq = freq
-			cfg.SiteLevelStats = true
 			c, err := New(cfg, f)
 			if err != nil {
 				t.Fatal(err)
@@ -69,7 +67,7 @@ func TestRateSolvedOnlyWhenPolicyReadsIt(t *testing.T) {
 			}
 			cfg = c.cfg // with defaults
 			day := c.Day()
-			own, pooled := 0, 0
+			solved := 0
 			for i := 0; i < 300; i++ {
 				e, ok := c.rounds.PopDue(math.Inf(1))
 				if !ok {
@@ -94,14 +92,6 @@ func TestRateSolvedOnlyWhenPolicyReadsIt(t *testing.T) {
 					t.Fatalf("%s fetched at %v: history ends at %v (%v)", j.url, day, last, ok)
 				}
 				rate := j.page.est.rate()
-				if hist.Accesses() < cfg.SiteStatsMinSamples {
-					if est, err := j.agg.Estimate(); err == nil {
-						rate = est.Rate
-						pooled++
-					}
-				} else {
-					own++
-				}
 				if err := c.applySchedule(r); err != nil {
 					t.Fatal(err)
 				}
@@ -115,13 +105,14 @@ func TestRateSolvedOnlyWhenPolicyReadsIt(t *testing.T) {
 				want := cfg.MaxIntervalDays
 				if rate > 0 {
 					want = scheduler.Clamp(1/rate, cfg.MinIntervalDays, cfg.MaxIntervalDays)
+					solved++
 				}
 				if due := c.pushes[0].Due; due != j.day+want {
 					t.Fatalf("%s: rescheduled %v days ahead, want Clamp(1/%v) = %v", j.url, due-j.day, rate, want)
 				}
 			}
-			if freq == ProportionalFreq && (own == 0 || pooled == 0) {
-				t.Fatalf("%d reschedules from the page's own rate, %d from its site's: want both", own, pooled)
+			if freq == ProportionalFreq && solved == 0 {
+				t.Fatal("no reschedule read a solved rate")
 			}
 		})
 	}

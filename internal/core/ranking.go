@@ -51,7 +51,7 @@ func (c *Crawler) rankingPass() error {
 		for i, u := range urls {
 			r := prior
 			if p, ok := c.pages[u]; ok {
-				if er := c.workingRate(u, &p.est); er > 0 {
+				if er := p.est.rate(); er > 0 {
 					r = er
 				}
 			}
@@ -82,7 +82,7 @@ func (c *Crawler) rankingPass() error {
 
 // joinRebuild waits out any in-flight revisit-plan rebuild. It must be
 // called before anything reads the Optimal plan (policy.Interval in
-// applySchedule, the next pass's workingRate snapshot) and before the
+// applySchedule, the next pass's rate snapshot) and before the
 // crawler returns to its caller.
 func (c *Crawler) joinRebuild() error {
 	if c.rebuildDone == nil {
@@ -131,7 +131,7 @@ func (c *Crawler) refine(ranks map[string]float64) error {
 			imp = 0.1 * float64(info.InLinks)
 		}
 		cands = append(cands, cand{url: info.URL, imp: imp})
-		return len(cands) < c.cfg.MaxCandidates
+		return len(cands) < 4*c.cfg.CollectionSize
 	})
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].imp != cands[j].imp {
@@ -176,7 +176,7 @@ func (c *Crawler) refine(ranks map[string]float64) error {
 			mi++ // never evict seeds; they anchor discovery
 			continue
 		}
-		if cd.imp <= mb.imp*(1+c.cfg.EvictionHysteresis) {
+		if cd.imp <= mb.imp {
 			break // best candidate cannot beat the worst member
 		}
 		if err := c.evict(mb.url); err != nil {

@@ -7,30 +7,6 @@ import (
 	"webevolve/internal/frontier"
 )
 
-func TestHysteresisPreventsThrash(t *testing.T) {
-	// With a huge hysteresis margin, replacements should be rare even
-	// under a tiny collection; with zero hysteresis they happen freely.
-	evictions := func(h float64) int64 {
-		w, f := testWeb(t, 50)
-		cfg := baseConfig(w)
-		cfg.CollectionSize = 15
-		cfg.EvictionHysteresis = h
-		c, err := New(cfg, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RunUntil(30); err != nil {
-			t.Fatal(err)
-		}
-		return c.Metrics().Evictions
-	}
-	loose := evictions(0)
-	tight := evictions(10) // candidate must be 11x better
-	if tight >= loose {
-		t.Fatalf("hysteresis did not damp evictions: %d (tight) vs %d (loose)", tight, loose)
-	}
-}
-
 // TestRefinementShipsAsRounds: New queues the seeds as one round, and
 // the ranking passes' admissions and evictions reach the frontier only
 // inside round commits — never as a per-entry push, remove or pop.
@@ -65,23 +41,6 @@ func TestRefinementShipsAsRounds(t *testing.T) {
 	}
 	if cr.perEntry != 0 {
 		t.Fatalf("%d per-entry frontier calls beside the rounds", cr.perEntry)
-	}
-}
-
-func TestMaxCandidatesBoundsRankingWork(t *testing.T) {
-	w, f := testWeb(t, 51)
-	cfg := baseConfig(w)
-	cfg.MaxCandidates = 5
-	c, err := New(cfg, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RunUntil(10); err != nil {
-		t.Fatal(err)
-	}
-	// The crawl still makes progress despite the tiny candidate window.
-	if c.Collection().Len() == 0 {
-		t.Fatal("no pages collected with bounded candidates")
 	}
 }
 

@@ -26,13 +26,12 @@ import (
 var outOfPlan = obs.Default.Counter("webevolve_scheduler_out_of_plan_total",
 	"reschedules under the optimal policy of pages absent from the revisit plan, served DefaultDays")
 
-// Policy maps a page's estimated change rate (and importance) to a
-// revisit interval in days. Implementations are safe for concurrent use.
+// Policy maps a page's estimated change rate to a revisit interval in
+// days. Implementations are safe for concurrent use.
 type Policy interface {
 	// Interval returns the revisit interval for a page. rate is the
-	// estimated change rate in changes/day (0 when unknown or immutable);
-	// importance is the ranking module's score (0 when unknown).
-	Interval(url string, rate, importance float64) float64
+	// estimated change rate in changes/day (0 when unknown or immutable).
+	Interval(url string, rate float64) float64
 	// Name identifies the policy in reports.
 	Name() string
 }
@@ -59,32 +58,26 @@ type Fixed struct {
 }
 
 // Interval implements Policy.
-func (f Fixed) Interval(string, float64, float64) float64 { return f.Every }
+func (f Fixed) Interval(string, float64) float64 { return f.Every }
 
 // Name implements Policy.
 func (Fixed) Name() string { return "fixed" }
 
-// Proportional revisits a page at k visits per change: interval =
-// 1/(K*rate), clamped to [MinDays, MaxDays]. This is the intuitive policy
+// Proportional revisits a page once per expected change: interval =
+// 1/rate, clamped to [MinDays, MaxDays]. This is the intuitive policy
 // Section 4 warns about: it over-spends budget on pages that change too
 // fast to keep fresh.
 type Proportional struct {
-	// K is visits per change (default 1 when zero).
-	K float64
 	// MinDays and MaxDays clamp the interval.
 	MinDays, MaxDays float64
 }
 
 // Interval implements Policy.
-func (p Proportional) Interval(_ string, rate, _ float64) float64 {
-	k := p.K
-	if k == 0 {
-		k = 1
-	}
+func (p Proportional) Interval(_ string, rate float64) float64 {
 	if rate <= 0 {
 		return p.MaxDays
 	}
-	return Clamp(1/(k*rate), p.MinDays, p.MaxDays)
+	return Clamp(1/rate, p.MinDays, p.MaxDays)
 }
 
 // Name implements Policy.
@@ -100,8 +93,9 @@ type Optimal struct {
 	BudgetPerDay float64
 	// MinDays, MaxDays clamp per-page intervals; pages the optimizer
 	// would never visit get MaxDays rather than infinity, so the crawler
-	// still notices deletions (a practical deviation from the pure
-	// optimum, noted in DESIGN.md).
+	// still notices deletions. That deviates from the pure optimum,
+	// which never revisits them: a page that is never fetched again is
+	// never found to be gone, and the collection keeps serving it.
 	MinDays, MaxDays float64
 	// DefaultDays is used for pages absent from the current plan.
 	DefaultDays float64
@@ -172,7 +166,7 @@ func (o *Optimal) Rebuild(pages []PageRate) error {
 // DefaultDays whatever its rate: scheduling it at 1/rate would be the
 // proportional policy Section 4 warns about, and with true rates it
 // spends the budget on pages changing too fast to keep fresh.
-func (o *Optimal) Interval(url string, _, _ float64) float64 {
+func (o *Optimal) Interval(url string, _ float64) float64 {
 	o.mu.RLock()
 	iv, ok := o.plan[url]
 	o.mu.RUnlock()
@@ -192,25 +186,3 @@ func (o *Optimal) PlanSize() int {
 	defer o.mu.RUnlock()
 	return len(o.plan)
 }
-
-// ImportanceBoosted wraps a policy and shortens intervals for highly
-// important pages (Section 5.3: "if a certain page is highly important
-// ... the UpdateModule may revisit the page much more often"). The
-// interval is divided by (1 + Weight*importance), then clamped.
-type ImportanceBoosted struct {
-	Base             Policy
-	Weight           float64
-	MinDays, MaxDays float64
-}
-
-// Interval implements Policy.
-func (b ImportanceBoosted) Interval(url string, rate, importance float64) float64 {
-	iv := b.Base.Interval(url, rate, importance)
-	if importance > 0 && b.Weight > 0 {
-		iv /= 1 + b.Weight*importance
-	}
-	return Clamp(iv, b.MinDays, b.MaxDays)
-}
-
-// Name implements Policy.
-func (b ImportanceBoosted) Name() string { return b.Base.Name() + "+importance" }

@@ -27,7 +27,7 @@ func TestClamp(t *testing.T) {
 
 func TestFixed(t *testing.T) {
 	p := Fixed{Every: 30}
-	if p.Interval("u", 99, 99) != 30 {
+	if p.Interval("u", 99) != 30 {
 		t.Fatal("fixed interval not fixed")
 	}
 	if p.Name() != "fixed" {
@@ -36,23 +36,18 @@ func TestFixed(t *testing.T) {
 }
 
 func TestProportional(t *testing.T) {
-	p := Proportional{K: 2, MinDays: 0.5, MaxDays: 100}
-	// rate 0.1/day, 2 visits per change -> 5 days.
-	if got := p.Interval("u", 0.1, 0); got != 5 {
+	p := Proportional{MinDays: 0.5, MaxDays: 100}
+	// rate 0.25/day, one visit per change -> 4 days.
+	if got := p.Interval("u", 0.25); got != 4 {
 		t.Fatalf("interval %v", got)
 	}
 	// Unknown rate -> max.
-	if got := p.Interval("u", 0, 0); got != 100 {
+	if got := p.Interval("u", 0); got != 100 {
 		t.Fatalf("zero-rate interval %v", got)
 	}
 	// Very fast -> clamped to min.
-	if got := p.Interval("u", 1000, 0); got != 0.5 {
+	if got := p.Interval("u", 1000); got != 0.5 {
 		t.Fatalf("fast interval %v", got)
-	}
-	// K defaults to 1.
-	p0 := Proportional{MinDays: 0.1, MaxDays: 100}
-	if got := p0.Interval("u", 0.5, 0); got != 2 {
-		t.Fatalf("default-K interval %v", got)
 	}
 	if p.Name() != "proportional" {
 		t.Fatal(p.Name())
@@ -117,15 +112,15 @@ func TestOptimalRebuildAndInterval(t *testing.T) {
 	}
 	for i, u := range urls {
 		want := Clamp(1/fs[i], 0.1, 1000)
-		if got := o.Interval(u, rates[u], 0); math.Float64bits(got) != math.Float64bits(want) {
+		if got := o.Interval(u, rates[u]); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: interval %v, want %v", u, got, want)
 		}
 	}
 	// Unknown pages get the default, with a rate estimate or without.
-	if got := o.Interval("http://unknown.com/", 0.5, 0); got != 30 {
+	if got := o.Interval("http://unknown.com/", 0.5); got != 30 {
 		t.Fatalf("unknown-page interval %v", got)
 	}
-	if got := o.Interval("http://unknown2.com/", 0, 0); got != 30 {
+	if got := o.Interval("http://unknown2.com/", 0); got != 30 {
 		t.Fatalf("default interval %v", got)
 	}
 	if o.Name() != "optimal" {
@@ -147,13 +142,13 @@ func TestOptimalOutOfPlanUsesDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := outOfPlan.Value()
-	if got := o.Interval("http://fast.com/", 50, 0); got != o.DefaultDays {
+	if got := o.Interval("http://fast.com/", 50); got != o.DefaultDays {
 		t.Fatalf("out-of-plan page changing 50/day: interval %v, want DefaultDays %v (MinDays %v)", got, o.DefaultDays, o.MinDays)
 	}
 	if got := outOfPlan.Value() - before; got != 1 {
 		t.Fatalf("out-of-plan counter moved by %d, want 1", got)
 	}
-	if got := o.Interval("http://a.com/", 50, 0); got == o.DefaultDays {
+	if got := o.Interval("http://a.com/", 50); got == o.DefaultDays {
 		t.Fatalf("planned page got the default %v", got)
 	}
 	if got := outOfPlan.Value() - before; got != 1 {
@@ -207,33 +202,9 @@ func TestOptimalBudgetReflectedInIntervals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := range rates {
-		iv := o.Interval(u, 0.1, 0)
+		iv := o.Interval(u, 0.1)
 		if math.Abs(iv-10) > 0.5 { // 100 pages / 10 visits/day
 			t.Fatalf("interval %v, want ~10", iv)
 		}
-	}
-}
-
-func TestImportanceBoosted(t *testing.T) {
-	b := ImportanceBoosted{
-		Base:    Fixed{Every: 30},
-		Weight:  1,
-		MinDays: 1, MaxDays: 100,
-	}
-	// importance 2 -> interval / 3.
-	if got := b.Interval("u", 0, 2); got != 10 {
-		t.Fatalf("boosted interval %v", got)
-	}
-	// Zero importance: unchanged.
-	if got := b.Interval("u", 0, 0); got != 30 {
-		t.Fatalf("unboosted interval %v", got)
-	}
-	// Clamped below.
-	b.Weight = 1000
-	if got := b.Interval("u", 0, 10); got != 1 {
-		t.Fatalf("clamped interval %v", got)
-	}
-	if b.Name() != "fixed+importance" {
-		t.Fatal(b.Name())
 	}
 }
