@@ -1,14 +1,14 @@
 // Package webevolve_test is the benchmark harness: one benchmark per
-// table and figure in the paper's evaluation (see DESIGN.md's
-// per-experiment index), plus the architecture claims of Section 5 and
-// the ablations DESIGN.md calls out. Each benchmark regenerates its
-// artifact's numbers and reports the headline values as custom metrics,
-// so
+// table and figure in the paper's evaluation (the section comments
+// below name each one), plus the architecture claims of Section 5 and
+// ablations of the engine's design choices. Each benchmark regenerates
+// its artifact's numbers and reports the headline values as custom
+// metrics, the paper's value beside it in the metric's name where the
+// paper gives one, so
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the paper end to end. EXPERIMENTS.md records paper-reported
-// vs measured values.
+// reproduces the paper end to end.
 package webevolve_test
 
 import (

@@ -54,10 +54,6 @@ var Epoch = time.Date(1999, time.February, 17, 0, 0, 0, 0, time.UTC)
 // NewVirtual returns a virtual clock starting at t.
 func NewVirtual(t time.Time) *Virtual { return &Virtual{now: t} }
 
-// NewExperimentClock returns a virtual clock starting at the paper's
-// experiment epoch (1999-02-17).
-func NewExperimentClock() *Virtual { return NewVirtual(Epoch) }
-
 // Now returns the current virtual instant.
 func (v *Virtual) Now() time.Time {
 	v.mu.Lock()
@@ -87,9 +83,6 @@ func (v *Virtual) Set(t time.Time) {
 	}
 	v.mu.Unlock()
 }
-
-// SinceEpoch reports the duration elapsed since start for the instant t.
-func SinceEpoch(start, t time.Time) time.Duration { return t.Sub(start) }
 
 // Days converts a duration to fractional days.
 func Days(d time.Duration) float64 { return d.Hours() / 24 }

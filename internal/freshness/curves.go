@@ -82,22 +82,6 @@ func CurveShadowCurrent(lambda, buildDur, t float64) float64 {
 	return math.Exp(-lambda*t) * FBar(lambda*buildDur)
 }
 
-// Series samples a curve function at n evenly spaced phases over [0, dur).
-func Series(n int, dur float64, f func(t float64) float64) ([]Point, error) {
-	if n < 2 {
-		return nil, errors.New("freshness: need at least 2 samples")
-	}
-	if dur <= 0 {
-		return nil, errors.New("freshness: non-positive duration")
-	}
-	out := make([]Point, n)
-	for i := 0; i < n; i++ {
-		t := dur * float64(i) / float64(n-1)
-		out[i] = Point{T: t, F: f(t)}
-	}
-	return out, nil
-}
-
 // Figure7Series returns the batch-mode (a) and steady (b) freshness
 // evolution curves over the given number of cycles, sampled at
 // samplesPerCycle points per cycle. The paper plots several monthly

@@ -307,19 +307,6 @@ func TestCurveShadowCrawlerRampsFromZero(t *testing.T) {
 	}
 }
 
-func TestSeriesHelpers(t *testing.T) {
-	pts, err := Series(5, 2, func(t float64) float64 { return t })
-	if err != nil || len(pts) != 5 || pts[4].T != 2 {
-		t.Fatalf("series %v err %v", pts, err)
-	}
-	if _, err := Series(1, 1, nil); err == nil {
-		t.Fatal("n=1 accepted")
-	}
-	if _, err := Series(5, 0, nil); err == nil {
-		t.Fatal("zero duration accepted")
-	}
-}
-
 func TestFigure7And8SeriesShapes(t *testing.T) {
 	batch, steady, err := Figure7Series(4, 1, 0.25, 2, 50)
 	if err != nil {

@@ -10,7 +10,6 @@ package htmlparse
 
 import (
 	"net/url"
-	"sort"
 	"strings"
 )
 
@@ -200,16 +199,6 @@ func attrValue(tag, name string) (string, bool) {
 	return "", false
 }
 
-// SameSite reports whether two absolute URLs share a host.
-func SameSite(a, b string) bool {
-	ua, err1 := url.Parse(a)
-	ub, err2 := url.Parse(b)
-	if err1 != nil || err2 != nil {
-		return false
-	}
-	return strings.EqualFold(ua.Host, ub.Host)
-}
-
 // Normalize canonicalizes a URL for frontier deduplication: lowercases
 // scheme and host, strips fragments and default ports, and resolves dot
 // segments. Unparsable URLs are returned unchanged.
@@ -229,20 +218,4 @@ func Normalize(raw string) string {
 		u.Path = "/"
 	}
 	return u.String()
-}
-
-// SortedUnique returns a sorted, deduplicated copy of urls; a convenience
-// for deterministic frontier insertion.
-func SortedUnique(urls []string) []string {
-	cp := append([]string(nil), urls...)
-	sort.Strings(cp)
-	out := cp[:0]
-	var prev string
-	for i, u := range cp {
-		if i == 0 || u != prev {
-			out = append(out, u)
-		}
-		prev = u
-	}
-	return out
 }

@@ -152,25 +152,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestSameSite(t *testing.T) {
-	if !SameSite("http://a.com/1", "http://A.COM/2") {
-		t.Fatal("case-insensitive host match failed")
-	}
-	if SameSite("http://a.com/", "http://b.com/") {
-		t.Fatal("different hosts matched")
-	}
-}
-
-func TestSortedUnique(t *testing.T) {
-	got := SortedUnique([]string{"b", "a", "b", "c", "a"})
-	if fmt.Sprint(got) != "[a b c]" {
-		t.Fatalf("got %v", got)
-	}
-	if got := SortedUnique(nil); len(got) != 0 {
-		t.Fatalf("nil input yields %v", got)
-	}
-}
-
 func TestExtractNeverPanicsProperty(t *testing.T) {
 	if err := quick.Check(func(s string) bool {
 		_ = ExtractHrefs(s)

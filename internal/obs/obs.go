@@ -218,19 +218,6 @@ func (v *CounterVec) With(lvs ...string) *Counter {
 	return v.f.child(lvs, func() any { return &Counter{} }).(*Counter)
 }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or returns) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.lookup(name, help, kindGauge, nil, labels)}
-}
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(lvs ...string) *Gauge {
-	return v.f.child(lvs, func() any { return &Gauge{} }).(*Gauge)
-}
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 

@@ -25,27 +25,23 @@ import (
 	"webevolve/internal/webgraph"
 )
 
+// The solver iterates until no node's value moves by tolerance or
+// more, or for maxIter sweeps.
+const (
+	tolerance = 1e-9
+	maxIter   = 200
+)
+
 // Options configure the iterative solver.
 type Options struct {
 	// Damping is the paper's d; it defaults to 0.9 (the experiment's
 	// value) when zero.
 	Damping float64
-	// Tolerance is the max absolute per-node delta at which iteration
-	// stops; defaults to 1e-9.
-	Tolerance float64
-	// MaxIter bounds the iteration count; defaults to 200.
-	MaxIter int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Damping == 0 {
 		o.Damping = 0.9
-	}
-	if o.Tolerance == 0 {
-		o.Tolerance = 1e-9
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 200
 	}
 	return o
 }
@@ -56,12 +52,6 @@ func (o Options) Validate() error {
 	if o.Damping <= 0 || o.Damping >= 1 {
 		return errors.New("pagerank: damping must be in (0,1)")
 	}
-	if o.Tolerance <= 0 {
-		return errors.New("pagerank: tolerance must be positive")
-	}
-	if o.MaxIter <= 0 {
-		return errors.New("pagerank: max iterations must be positive")
-	}
 	return nil
 }
 
@@ -71,7 +61,8 @@ type Result struct {
 	Score []float64
 	// Iterations is the number of sweeps performed.
 	Iterations int
-	// Converged reports whether Tolerance was reached within MaxIter.
+	// Converged reports whether tolerance was reached within maxIter
+	// sweeps.
 	Converged bool
 }
 
@@ -90,7 +81,7 @@ func solve(out [][]int32, n int, opt Options) (Result, error) {
 		cur[i] = 1 // the paper starts all PR values at 1
 	}
 	res := Result{}
-	for it := 0; it < opt.MaxIter; it++ {
+	for it := 0; it < maxIter; it++ {
 		// Contribution push: next[to] accumulates cur[from]/outdeg(from).
 		for i := range next {
 			next[i] = 0
@@ -114,7 +105,7 @@ func solve(out [][]int32, n int, opt Options) (Result, error) {
 		}
 		cur, next = next, cur
 		res.Iterations = it + 1
-		if maxDelta < opt.Tolerance {
+		if maxDelta < tolerance {
 			res.Converged = true
 			break
 		}
@@ -174,26 +165,4 @@ func TopK(scores map[string]float64, k int) []Ranked {
 		all = all[:k]
 	}
 	return all
-}
-
-// EstimateNewPage approximates the PageRank of a page that is not yet in
-// the collection, from the ranks and out-degrees of collection pages that
-// link to it (footnote 2 of the paper): the damping term plus the
-// weighted contributions of known in-links.
-func EstimateNewPage(damping float64, inlinkRanks []float64, inlinkOutDegrees []int) (float64, error) {
-	if damping <= 0 || damping >= 1 {
-		return 0, errors.New("pagerank: damping must be in (0,1)")
-	}
-	if len(inlinkRanks) != len(inlinkOutDegrees) {
-		return 0, errors.New("pagerank: rank/degree length mismatch")
-	}
-	sum := 0.0
-	for i, r := range inlinkRanks {
-		c := inlinkOutDegrees[i]
-		if c <= 0 {
-			return 0, errors.New("pagerank: in-link with non-positive out-degree")
-		}
-		sum += r / float64(c)
-	}
-	return damping + (1-damping)*sum, nil
 }

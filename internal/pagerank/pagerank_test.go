@@ -98,8 +98,6 @@ func TestOptionsValidation(t *testing.T) {
 	for _, o := range []Options{
 		{Damping: -0.5},
 		{Damping: 1.5},
-		{Tolerance: -1},
-		{MaxIter: -2},
 	} {
 		if err := o.Validate(); err == nil {
 			t.Errorf("options %+v accepted", o)
@@ -141,54 +139,13 @@ func TestTopK(t *testing.T) {
 	}
 }
 
-func TestEstimateNewPage(t *testing.T) {
-	// One in-link of rank 2.0 with out-degree 4:
-	// d + (1-d)*2/4 with d = 0.9 -> 0.95.
-	got, err := EstimateNewPage(0.9, []float64{2}, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.95) > 1e-12 {
-		t.Fatalf("estimate %v", got)
-	}
-	if _, err := EstimateNewPage(0, nil, nil); err == nil {
-		t.Fatal("bad damping accepted")
-	}
-	if _, err := EstimateNewPage(0.9, []float64{1}, []int{0}); err == nil {
-		t.Fatal("zero out-degree accepted")
-	}
-	if _, err := EstimateNewPage(0.9, []float64{1}, []int{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestEstimateMatchesSolvedRank(t *testing.T) {
-	// The footnote-2 estimate for a node must equal the solver's value
-	// for a node with no out-links, given converged in-link ranks.
-	g := webgraph.New()
-	g.AddLink("a", "b")
-	g.AddLink("a", "new")
-	g.AddLink("b", "a")
-	ranks, _, err := Pages(g.Snapshot(), Options{Damping: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := EstimateNewPage(0.9, []float64{ranks["a"]}, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est-ranks["new"]) > 1e-6 {
-		t.Fatalf("estimate %v, solver %v", est, ranks["new"])
-	}
-}
-
 func TestConvergenceIterationsReported(t *testing.T) {
 	g := webgraph.New()
 	g.AddLink("a", "b")
 	g.AddLink("a", "c")
 	g.AddLink("b", "c")
 	g.AddLink("c", "a")
-	_, res, err := Pages(g.Snapshot(), Options{Tolerance: 1e-12})
+	_, res, err := Pages(g.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,18 +156,21 @@ func TestConvergenceIterationsReported(t *testing.T) {
 
 func TestMaxIterStopsUnconverged(t *testing.T) {
 	g := webgraph.New()
+	// A two-periodic graph whose values start off its fixed point: at a
+	// damping near 0 the oscillation shrinks by (1-d) a sweep, so it is
+	// still far above tolerance when the sweeps run out.
 	g.AddLink("a", "b")
+	g.AddLink("a", "c")
 	g.AddLink("b", "a")
-	g.AddLink("b", "c")
 	g.AddLink("c", "a")
-	_, res, err := Pages(g.Snapshot(), Options{MaxIter: 1, Tolerance: 1e-15})
+	_, res, err := Pages(g.Snapshot(), Options{Damping: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Converged {
-		t.Fatal("one iteration reported as converged")
+		t.Fatal("unconverged solve reported as converged")
 	}
-	if res.Iterations != 1 {
-		t.Fatalf("iterations %d", res.Iterations)
+	if res.Iterations != maxIter {
+		t.Fatalf("iterations %d, want %d", res.Iterations, maxIter)
 	}
 }

@@ -136,9 +136,6 @@ func NewServer(ttl time.Duration) *Server {
 	}
 }
 
-// TTL returns the lease duration.
-func (s *Server) TTL() time.Duration { return s.ttl }
-
 func (s *Server) bumpActiveLocked()  { s.ver++; s.epoch = s.ver }
 func (s *Server) bumpPendingLocked() { s.ver++; s.pendEp = s.ver }
 

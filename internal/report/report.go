@@ -6,7 +6,6 @@ package report
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -187,24 +186,5 @@ func SemilogY(s Series) Series {
 	return out
 }
 
-// Fractions formats a fraction slice as percentages.
-func Fractions(fs []float64) []string {
-	out := make([]string, len(fs))
-	for i, f := range fs {
-		out[i] = fmt.Sprintf("%.1f%%", 100*f)
-	}
-	return out
-}
-
 // F formats a float compactly.
 func F(v float64) string { return fmt.Sprintf("%.3g", v) }
-
-// SortedKeys returns sorted map keys, for deterministic printing.
-func SortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

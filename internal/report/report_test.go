@@ -101,21 +101,6 @@ func TestSemilogYDropsNonPositive(t *testing.T) {
 	}
 }
 
-func TestFractions(t *testing.T) {
-	out := Fractions([]float64{0.5, 0.123})
-	if out[0] != "50.0%" || out[1] != "12.3%" {
-		t.Fatalf("fractions %v", out)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2}
-	k := SortedKeys(m)
-	if len(k) != 2 || k[0] != "a" {
-		t.Fatalf("keys %v", k)
-	}
-}
-
 func TestF(t *testing.T) {
 	if F(0.8848) != "0.885" {
 		t.Fatalf("F() = %s", F(0.8848))

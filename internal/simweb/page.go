@@ -7,7 +7,7 @@ import (
 
 // Page is one simulated web page. Its content version advances according
 // to a Poisson process with the page's change rate; the page is visible in
-// its site's window from BornDay until DeathDay.
+// its site's window from its birth until DeathDay.
 type Page struct {
 	url  string
 	site *Site
@@ -38,18 +38,12 @@ type Page struct {
 // URL returns the page's URL.
 func (p *Page) URL() string { return p.url }
 
-// Site returns the owning site.
-func (p *Page) Site() *Site { return p.site }
-
 // Rate returns the page's true change rate in changes per day. Oracle
 // access for estimator evaluation; a real crawler never sees this.
 func (p *Page) Rate() float64 { return p.ratePerDay }
 
 // RateClass returns the mixture class the rate was drawn from.
 func (p *Page) RateClass() string { return p.rateClass }
-
-// BornDay returns the day the page entered the window.
-func (p *Page) BornDay() float64 { return p.bornDay }
 
 // DeathDay returns the day the page leaves the window (+Inf for roots).
 func (p *Page) DeathDay() float64 { return p.deathDay }
@@ -114,9 +108,10 @@ func (p *Page) snapshot(day float64, withHTML bool) Snapshot {
 // pageChecksum derives the content checksum from the page identity and
 // version. Deliberately independent of link URLs: a neighbouring page
 // being replaced rewrites this page's anchor list but must not register as
-// a content change, or the calibrated change statistics would be
-// contaminated (see DESIGN.md; the real experiment's checksums hash page
-// bodies, whose navigation chrome is similarly stable).
+// a content change, or the change rates the simulated web is calibrated
+// to would no longer be the rates a crawler observes. The paper's
+// experiment hashes whole page bodies, whose navigation chrome is
+// similarly stable.
 func pageChecksum(url string, version int) uint64 {
 	// FNV-1a over url, '#' and the decimal version.
 	h := uint64(fnv64Offset)

@@ -153,15 +153,6 @@ func (w *Web) NumPages() int {
 	return n
 }
 
-// AdvanceTo processes births and deaths in all sites up to the given day.
-// Fetch advances the target site lazily, so calling AdvanceTo is only
-// needed when oracle-scanning the whole web.
-func (w *Web) AdvanceTo(day float64) {
-	for _, s := range w.sites {
-		s.advanceTo(day)
-	}
-}
-
 // Fetch retrieves the page at url as of the given day, with rendered
 // HTML. It returns ErrNotFound for URLs that never existed, are not yet
 // born, or have died.

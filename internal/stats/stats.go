@@ -1,8 +1,8 @@
 // Package stats provides the statistical building blocks used by the
 // evolution experiment and the freshness analytics: bucketed histograms
-// (including the paper's interval buckets), empirical CDFs, confidence
-// intervals, exponential fits on semilog axes (Figure 6) and a
-// Kolmogorov–Smirnov goodness-of-fit test.
+// (including the paper's interval buckets), quantiles, exponential fits
+// on semilog axes (Figure 6) and a Kolmogorov–Smirnov goodness-of-fit
+// test.
 package stats
 
 import (
@@ -178,45 +178,6 @@ func NewPaperLifespanHistogram() *Histogram {
 	return h
 }
 
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	xs []float64 // sorted
-}
-
-// NewECDF builds an ECDF from the sample (copied, then sorted).
-func NewECDF(sample []float64) (*ECDF, error) {
-	if len(sample) == 0 {
-		return nil, ErrEmpty
-	}
-	cp := append([]float64(nil), sample...)
-	sort.Float64s(cp)
-	return &ECDF{xs: cp}, nil
-}
-
-// At returns the fraction of the sample <= x.
-func (e *ECDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(e.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.xs))
-}
-
-// InverseAt returns the smallest sample value v with At(v) >= q.
-func (e *ECDF) InverseAt(q float64) float64 {
-	if q <= 0 {
-		return e.xs[0]
-	}
-	idx := int(math.Ceil(q*float64(len(e.xs)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(e.xs) {
-		idx = len(e.xs) - 1
-	}
-	return e.xs[idx]
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.xs) }
-
 // LinearFit holds a least-squares line y = Slope*x + Intercept with its
 // coefficient of determination.
 type LinearFit struct {
@@ -290,56 +251,6 @@ func FitExponential(xs, ys []float64) (ExponentialFit, error) {
 	return ExponentialFit{Rate: -lf.Slope, Scale: math.Exp(lf.Intercept), R2: lf.R2}, nil
 }
 
-// zFor maps common confidence levels to standard-normal quantiles.
-func zFor(confidence float64) float64 {
-	switch {
-	case confidence >= 0.995:
-		return 2.807
-	case confidence >= 0.99:
-		return 2.576
-	case confidence >= 0.95:
-		return 1.96
-	case confidence >= 0.90:
-		return 1.645
-	default:
-		return 1.0 // ~68%
-	}
-}
-
-// MeanCI returns a normal-approximation confidence interval for the mean
-// of xs at the given confidence level (e.g. 0.95).
-func MeanCI(xs []float64, confidence float64) (lo, hi float64, err error) {
-	s, err := Summarize(xs)
-	if err != nil {
-		return 0, 0, err
-	}
-	half := zFor(confidence) * s.Std / math.Sqrt(float64(s.N))
-	return s.Mean - half, s.Mean + half, nil
-}
-
-// ProportionCI returns the Wilson score interval for k successes out of n
-// trials at the given confidence level. Wilson behaves well at the extreme
-// proportions common in change statistics (e.g. pages that never changed).
-func ProportionCI(k, n int, confidence float64) (lo, hi float64, err error) {
-	if n <= 0 || k < 0 || k > n {
-		return 0, 0, errors.New("stats: bad proportion arguments")
-	}
-	z := zFor(confidence)
-	p := float64(k) / float64(n)
-	nn := float64(n)
-	den := 1 + z*z/nn
-	center := (p + z*z/(2*nn)) / den
-	half := z * math.Sqrt(p*(1-p)/nn+z*z/(4*nn*nn)) / den
-	lo, hi = center-half, center+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi, nil
-}
-
 // KSExponential runs a one-sample Kolmogorov–Smirnov test of the sample
 // against an exponential distribution with the given rate. It returns the
 // KS statistic D and an approximate p-value. Small D / large p indicates a
@@ -396,23 +307,4 @@ func ksPValue(d float64, n int) float64 {
 		p = 1
 	}
 	return p
-}
-
-// WeightedMean returns the mean of xs weighted by ws.
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) != len(ws) || len(xs) == 0 {
-		return 0, errors.New("stats: bad weighted sample")
-	}
-	var num, den float64
-	for i := range xs {
-		if ws[i] < 0 {
-			return 0, errors.New("stats: negative weight")
-		}
-		num += xs[i] * ws[i]
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0, errors.New("stats: zero total weight")
-	}
-	return num / den, nil
 }

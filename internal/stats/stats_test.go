@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestSummarize(t *testing.T) {
@@ -111,55 +110,6 @@ func TestPaperHistogramsHaveFiveAndFourBuckets(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.25}, {2, 0.75}, {3, 0.75}, {4, 1}, {5, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if e.N() != 4 {
-		t.Fatalf("N = %d", e.N())
-	}
-}
-
-func TestECDFInverse(t *testing.T) {
-	e, _ := NewECDF([]float64{10, 20, 30, 40})
-	if v := e.InverseAt(0.5); v != 20 {
-		t.Fatalf("InverseAt(0.5) = %v", v)
-	}
-	if v := e.InverseAt(0); v != 10 {
-		t.Fatalf("InverseAt(0) = %v", v)
-	}
-	if v := e.InverseAt(1); v != 40 {
-		t.Fatalf("InverseAt(1) = %v", v)
-	}
-}
-
-func TestECDFMonotoneProperty(t *testing.T) {
-	if err := quick.Check(func(raw []float64, a, b float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		e, err := NewECDF(raw)
-		if err != nil {
-			return false
-		}
-		if a > b {
-			a, b = b, a
-		}
-		return e.At(a) <= e.At(b)
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFitLineExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{5, 7, 9, 11} // y = 2x + 5
@@ -208,56 +158,6 @@ func TestFitExponentialSkipsNonPositive(t *testing.T) {
 	}
 }
 
-func TestMeanCICoversTrueMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	misses := 0
-	const trials = 300
-	for i := 0; i < trials; i++ {
-		xs := make([]float64, 50)
-		for j := range xs {
-			xs[j] = rng.NormFloat64() + 10
-		}
-		lo, hi, err := MeanCI(xs, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lo > 10 || hi < 10 {
-			misses++
-		}
-	}
-	// ~5% misses expected; allow generous slack.
-	if misses > trials/8 {
-		t.Fatalf("95%% CI missed %d/%d times", misses, trials)
-	}
-}
-
-func TestProportionCI(t *testing.T) {
-	lo, hi, err := ProportionCI(50, 100, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo >= 0.5 || hi <= 0.5 {
-		t.Fatalf("CI [%v, %v] excludes p=0.5", lo, hi)
-	}
-	if lo < 0.38 || hi > 0.62 {
-		t.Fatalf("CI [%v, %v] too wide", lo, hi)
-	}
-	// Extremes stay in [0,1].
-	lo, hi, err = ProportionCI(0, 20, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != 0 || hi <= 0 || hi > 1 {
-		t.Fatalf("extreme CI [%v, %v]", lo, hi)
-	}
-	if _, _, err := ProportionCI(5, 0, 0.95); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-	if _, _, err := ProportionCI(10, 5, 0.95); err == nil {
-		t.Fatal("k>n accepted")
-	}
-}
-
 func TestKSExponentialAcceptsExponential(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const rate = 0.5
@@ -295,25 +195,6 @@ func TestKSErrors(t *testing.T) {
 	}
 	if _, _, err := KSExponential([]float64{1}, 0); err == nil {
 		t.Fatal("zero rate accepted")
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	got, err := WeightedMean([]float64{1, 3}, []float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("weighted mean %v", got)
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{-1}); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{0}); err == nil {
-		t.Fatal("zero total weight accepted")
 	}
 }
 
