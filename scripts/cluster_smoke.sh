@@ -156,10 +156,17 @@ await_counter() {
     exit 1
 }
 
+# Stop the phase's daemons hard. Once no crawl runs there is no drain
+# to respect, and a registry-mode shardd that got SIGTERM would announce
+# a leave that no client migrates, then wait out its 30 s leave timeout.
+stop_membership_cluster() {
+    kill -9 "$reg_pid" "$d1_pid" $d2_pid 2>/dev/null || true
+    wait "$reg_pid" "$d1_pid" $d2_pid 2>/dev/null || true
+}
+
 # Tear down one escalation attempt: the crawl must still have exited
 # cleanly (it ran a legitimate, just too-small, workload), then the
-# attempt's daemons go away hard — no drain semantics to respect on a
-# discarded cluster.
+# attempt's daemons go away hard.
 escalate() {
     if ! wait "$crawl3_pid"; then
         echo "cluster-smoke: dynamic crawl failed (size $size)" >&2
@@ -167,8 +174,7 @@ escalate() {
         exit 1
     fi
     echo "cluster-smoke: size $size finished before the $1; escalating"
-    kill -9 "$reg_pid" "$d1_pid" $d2_pid 2>/dev/null || true
-    wait "$reg_pid" "$d1_pid" $d2_pid 2>/dev/null || true
+    stop_membership_cluster
 }
 
 migrated=""
@@ -255,3 +261,4 @@ if ! wait "$crawl3_pid"; then
 fi
 diff "$tmp/dyn-ref.out" "$tmp/dyn.out"
 echo "cluster-smoke: join+leave crawl output is byte-identical to the local run"
+stop_membership_cluster
