@@ -114,7 +114,9 @@ func (c *Crawler) refine(ranks map[string]float64) error {
 
 	// Candidates: discovered URLs not in the collection, best first.
 	// Importance for never-crawled pages comes from the same PageRank
-	// solve — they are graph nodes via their in-links (footnote 2).
+	// solve — they are graph nodes via their in-links (footnote 2). The
+	// scan stops at four candidates per collection slot, which bounds
+	// the pass's sort on a large AllUrls.
 	type cand struct {
 		url string
 		imp float64

@@ -1,8 +1,7 @@
 // Package stats provides the statistical building blocks used by the
 // evolution experiment and the freshness analytics: bucketed histograms
-// (including the paper's interval buckets), quantiles, exponential fits
-// on semilog axes (Figure 6) and a Kolmogorov–Smirnov goodness-of-fit
-// test.
+// (including the paper's interval buckets), exponential fits on semilog
+// axes (Figure 6) and a Kolmogorov–Smirnov goodness-of-fit test.
 package stats
 
 import (
@@ -14,71 +13,6 @@ import (
 
 // ErrEmpty reports an operation on an empty sample.
 var ErrEmpty = errors.New("stats: empty sample")
-
-// Summary holds the usual moments of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Var    float64 // unbiased sample variance
-	Std    float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes summary statistics of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Var = ss / float64(s.N-1)
-	}
-	s.Std = math.Sqrt(s.Var)
-	s.Median = Quantile(xs, 0.5)
-	return s, nil
-}
-
-// Quantile returns the q-quantile of xs using linear interpolation.
-// xs need not be sorted; it is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if q <= 0 {
-		return cp[0]
-	}
-	if q >= 1 {
-		return cp[len(cp)-1]
-	}
-	pos := q * float64(len(cp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return cp[lo]
-	}
-	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
-}
 
 // Histogram is a fixed-boundary histogram. Bucket i counts values x with
 // Bounds[i-1] < x <= Bounds[i]; an implicit final bucket counts

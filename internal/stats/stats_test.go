@@ -6,46 +6,6 @@ import (
 	"testing"
 )
 
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("bad summary %+v", s)
-	}
-	if math.Abs(s.Var-2.5) > 1e-12 {
-		t.Fatalf("variance %v, want 2.5", s.Var)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Fatalf("want ErrEmpty, got %v", err)
-	}
-}
-
-func TestQuantileInterpolates(t *testing.T) {
-	xs := []float64{0, 10}
-	if q := Quantile(xs, 0.25); math.Abs(q-2.5) > 1e-12 {
-		t.Fatalf("q25 = %v", q)
-	}
-	if q := Quantile(xs, 0); q != 0 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 10 {
-		t.Fatalf("q1 = %v", q)
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Quantile mutated input")
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	h, err := NewHistogram([]float64{1, 7, 30, 120}, PaperIntervalLabels)
 	if err != nil {
