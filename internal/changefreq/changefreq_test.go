@@ -43,6 +43,27 @@ func TestHistoryRecordAndCounters(t *testing.T) {
 	}
 }
 
+func TestHistoryLast(t *testing.T) {
+	h := &History{}
+	if last, ok := h.Last(); ok || last != 0 {
+		t.Fatalf("empty history: Last = %v, %v", last, ok)
+	}
+	for _, tm := range []float64{2, 3.5, 9} {
+		if err := h.Record(Observation{Time: tm, Changed: true}); err != nil {
+			t.Fatal(err)
+		}
+		if last, ok := h.Last(); !ok || last != tm {
+			t.Fatalf("after an access at %v: Last = %v, %v", tm, last, ok)
+		}
+	}
+	if err := h.Record(Observation{Time: 8}); err == nil {
+		t.Fatal("out-of-order access accepted")
+	}
+	if last, _ := h.Last(); last != 9 {
+		t.Fatalf("a rejected access moved Last to %v", last)
+	}
+}
+
 func TestHistoryRejectsOutOfOrder(t *testing.T) {
 	h := &History{}
 	_ = h.Record(Observation{Time: 5})

@@ -352,3 +352,76 @@ func TestRetiredShardOpsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoteNumShardsSumsServers: the client's shard count is the sum
+// of its servers' local shard counts, and every URL maps into it.
+func TestRemoteNumShardsSumsServers(t *testing.T) {
+	rs, servers := newCluster(t, 3, 4)
+	want := 0
+	for _, s := range servers {
+		want += s.shards.NumShards()
+	}
+	if got := rs.NumShards(); got != want || got != 12 {
+		t.Fatalf("NumShards = %d, want %d", got, want)
+	}
+	for _, u := range testURLs(20, 1) {
+		if sh := rs.ShardOf(u); sh < 0 || sh >= rs.NumShards() {
+			t.Fatalf("%s maps to shard %d of %d", u, sh, rs.NumShards())
+		}
+	}
+}
+
+// TestRemoteResetEmptiesEveryServer: Reset leaves every server's queue
+// empty, and the frontier takes a new crawl's seeds afterwards.
+func TestRemoteResetEmptiesEveryServer(t *testing.T) {
+	rs, servers := newCluster(t, 3, 2)
+	var seed []frontier.Entry
+	for i, u := range testURLs(9, 4) {
+		seed = append(seed, frontier.Entry{URL: u, Due: float64(i)})
+	}
+	seedRemote(t, rs, seed)
+	if rs.Len() != len(seed) {
+		t.Fatalf("Len %d after seeding %d", rs.Len(), len(seed))
+	}
+	if err := rs.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if n := rs.Len(); n != 0 {
+		t.Fatalf("Len %d after Reset", n)
+	}
+	for i, s := range servers {
+		if n := s.shards.Len(); n != 0 {
+			t.Fatalf("server %d holds %d entries after Reset", i, n)
+		}
+	}
+	seedRemote(t, rs, seed[:5])
+	if got := rs.URLs(); len(got) != 5 {
+		t.Fatalf("queue after reseeding: %v", got)
+	}
+}
+
+// TestRemoteWireBytesCountFrames: the client's wire counters grow by at
+// least a frame header per round trip in each direction, and on the
+// way out by at least the due time and priority of every entry a round
+// ships (URLs travel prefix-compressed, so they set no floor).
+func TestRemoteWireBytesCountFrames(t *testing.T) {
+	rs, _ := newCluster(t, 2, 2)
+	in0, out0 := rs.WireBytes()
+	trips0 := rs.RoundTrips()
+	var seed []frontier.Entry
+	for _, u := range testURLs(4, 3) {
+		seed = append(seed, frontier.Entry{URL: u, Due: 1})
+	}
+	seedRemote(t, rs, seed)
+	in1, out1 := rs.WireBytes()
+	trips := rs.RoundTrips() - trips0
+	if trips == 0 {
+		t.Fatal("a round made no round trip")
+	}
+	if got := in1 - in0; got < 11*trips {
+		t.Fatalf("%d bytes in over %d trips: less than a frame header each", got, trips)
+	}
+	if got, least := out1-out0, 11*trips+16*int64(len(seed)); got < least {
+		t.Fatalf("%d bytes out for %d trips shipping %d entries, want at least %d", got, trips, len(seed), least)
+	}
+}

@@ -708,3 +708,67 @@ func TestRemoteRecordsOwnTheirBytes(t *testing.T) {
 		srv.Close()
 	}
 }
+
+// TestStoreServerCollectionsSorted: the server lists the collections
+// its clients opened, sorted by name, and none after a Reset.
+func TestStoreServerCollectionsSorted(t *testing.T) {
+	srv := NewMemStoreServer()
+	t.Cleanup(func() { srv.Close() })
+	rs, err := LoopbackStore(srv, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	if got := srv.Collections(); len(got) != 0 {
+		t.Fatalf("fresh server lists %v", got)
+	}
+	for _, name := range []string{"gen-2", "alpha", "gen-1"} {
+		if err := rs.Collection(name).Put(storeRec("http://a.com/"+name, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := srv.Collections(), []string{"alpha", "gen-1", "gen-2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Collections = %v, want %v", got, want)
+	}
+	if err := rs.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Collections(); len(got) != 0 {
+		t.Fatalf("after Reset the server lists %v", got)
+	}
+}
+
+// TestRemoteStoreCountsTripsAndBytes: a put and a get send a request
+// frame each (a pooled connection's first use adds its hello), and the
+// wire counters carry the page's bytes both ways.
+func TestRemoteStoreCountsTripsAndBytes(t *testing.T) {
+	srv := NewMemStoreServer()
+	t.Cleanup(func() { srv.Close() })
+	rs, err := LoopbackStore(srv, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	c := rs.Collection("pages")
+	trips0 := rs.RoundTrips()
+	in0, out0 := rs.WireBytes()
+	content := bytes.Repeat([]byte("x"), 4096)
+	rec := storeRec("http://a.com/big", 7)
+	rec.Content = content
+	if err := c.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := c.Get(rec.URL); !ok || err != nil {
+		t.Fatalf("get: ok=%v err=%v", ok, err)
+	}
+	if got := rs.RoundTrips() - trips0; got < 2 {
+		t.Fatalf("a put and a get made %d round trips, want at least 2", got)
+	}
+	in1, out1 := rs.WireBytes()
+	if got := out1 - out0; got < int64(len(content)) {
+		t.Fatalf("%d bytes out for a %d-byte page", got, len(content))
+	}
+	if got := in1 - in0; got < int64(len(content)) {
+		t.Fatalf("%d bytes in for a get of a %d-byte page", got, len(content))
+	}
+}

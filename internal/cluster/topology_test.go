@@ -139,3 +139,39 @@ func TestTopologyRegistryUnavailable(t *testing.T) {
 		t.Fatalf("dial over an unavailable registry: shards=%v store=%v err=%v", shards != nil, st != nil, err)
 	}
 }
+
+// TestStaticMembershipNamesShardsByPosition: a static list's membership
+// is one fixed epoch whose shard members are named by list position,
+// names that sort in list order, followed by the store member; it has
+// no migration to complete.
+func TestStaticMembershipNamesShardsByPosition(t *testing.T) {
+	srvs := make([]Dialer, 11)
+	for i := range srvs {
+		srvs[i] = NewShardServer(frontier.NewSharded(1)).Pipe
+	}
+	f := staticMembership(srvs, NewMemStoreServer().Pipe)
+	ms, err := f.Membership()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms.Epoch != 0 || ms.Migrating {
+		t.Fatalf("static membership at epoch %d, migrating %v", ms.Epoch, ms.Migrating)
+	}
+	if len(ms.Members) != len(srvs)+1 {
+		t.Fatalf("%d members for %d shard servers and a store", len(ms.Members), len(srvs))
+	}
+	for i, m := range ms.Members[:len(srvs)] {
+		if m.Kind != registry.KindShard || f.dialer(m) == nil {
+			t.Fatalf("member %d is %+v", i, m)
+		}
+		if i > 0 && ms.Members[i-1].Addr >= m.Addr {
+			t.Fatalf("member names %q, %q do not sort in list order", ms.Members[i-1].Addr, m.Addr)
+		}
+	}
+	if st := ms.Members[len(srvs)]; st != staticStore || f.dialer(st) == nil {
+		t.Fatalf("store member %+v", st)
+	}
+	if err := f.Complete(1); err == nil {
+		t.Fatal("a static membership completed a migration")
+	}
+}

@@ -31,6 +31,24 @@ func TestPublishAddr(t *testing.T) {
 	}
 }
 
+// TestFlagsPublish: Publish writes the -addr-file the flags name, and
+// its cleanup removes it.
+func TestFlagsPublish(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "shardd.addr")
+	f := &Flags{Listen: ":0", AddrFile: file}
+	cleanup, err := f.Publish("127.0.0.1:4321")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(file); err != nil || string(data) != "127.0.0.1:4321\n" {
+		t.Fatalf("address file %q: %v", data, err)
+	}
+	cleanup()
+	if _, err := os.Stat(file); !os.IsNotExist(err) {
+		t.Fatalf("address file survived cleanup: %v", err)
+	}
+}
+
 func TestPublishAddrEmpty(t *testing.T) {
 	cleanup, err := PublishAddr("", "ignored")
 	if err != nil {

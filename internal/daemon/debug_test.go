@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -80,4 +82,25 @@ func TestServeDebugDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop()
+}
+
+// TestStatsLine: the stats line is the daemon's name followed by the
+// default registry's non-zero families as sorted name=value pairs.
+func TestStatsLine(t *testing.T) {
+	c := obs.Default.Counter("daemon_statsline_test_total", "")
+	c.Add(2)
+	pair := "daemon_statsline_test_total=" + strconv.FormatInt(c.Value(), 10)
+	line := StatsLine("shardd")
+	pairs, ok := strings.CutPrefix(line, "shardd: stats: ")
+	if !ok {
+		t.Fatalf("StatsLine = %q: no name prefix", line)
+	}
+	fields := strings.Fields(pairs)
+	names := make([]string, len(fields))
+	for i, f := range fields {
+		names[i], _, _ = strings.Cut(f, "=")
+	}
+	if !slices.Contains(fields, pair) || !slices.IsSorted(names) {
+		t.Fatalf("StatsLine pairs %q: want pairs sorted by name, holding %s", pairs, pair)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -157,6 +158,51 @@ func TestSimFetcherNotFound(t *testing.T) {
 	}
 	if f.NotFoundCount() != 1 {
 		t.Fatalf("not-found count %d", f.NotFoundCount())
+	}
+}
+
+// TestDelayedWaitsThenForwards: a Delayed fetch returns exactly what
+// its base returns, no sooner than the delay, and concurrent fetches
+// wait out their delays side by side rather than one after another.
+func TestDelayedWaitsThenForwards(t *testing.T) {
+	base := simFetcher(t)
+	root := base.Web().Sites()[0].RootURL()
+	want, err := base.Fetch(root, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const delay = 30 * time.Millisecond
+	d := Delayed{Base: base, Delay: delay}
+	start := time.Now()
+	got, err := d.Fetch(root, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el < delay {
+		t.Fatalf("fetch returned after %v, before its %v delay", el, delay)
+	}
+	if got.URL != want.URL || got.Checksum != want.Checksum || got.Version != want.Version || len(got.Links) != len(want.Links) {
+		t.Fatalf("delayed fetch returned %+v, base %+v", got, want)
+	}
+	if res, err := d.Fetch("http://nowhere.invalid/x", 3); err != nil || !res.NotFound {
+		t.Fatalf("unknown page through the delay: %+v, %v", res, err)
+	}
+
+	const n = 8
+	var wg sync.WaitGroup
+	start = time.Now()
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := d.Fetch(root, 3); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if el := time.Since(start); el >= n*delay {
+		t.Fatalf("%d concurrent fetches took %v: the delays did not overlap", n, el)
 	}
 }
 

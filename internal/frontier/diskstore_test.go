@@ -253,6 +253,48 @@ func TestDiskTierReopenRecoversEntries(t *testing.T) {
 	}
 }
 
+// TestDiskTierResetIsDurable: Reset empties a disk-tier queue, the
+// queue takes new entries after it, and a reopen recovers only those:
+// the reset reached the spill logs, not just the resident heads.
+func TestDiskTierResetIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	cfg := StoreConfig{Shards: 4, SpillDir: dir, ResidentBudget: 8}
+	q, err := OpenSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		q.Push(urlOn(i%17, i), float64(i%10), 0)
+	}
+	q.Reset()
+	if n := q.Len(); n != 0 {
+		t.Fatalf("Len %d after Reset", n)
+	}
+	if _, ok := roundPop(q); ok {
+		t.Fatal("popped from a reset queue")
+	}
+	q.Push(urlOn(3, 1000), 5, 1)
+	q.Push(urlOn(4, 1001), 2, 1)
+	want := entriesByURL(t, q)
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenSharded(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	got := entriesByURL(t, r)
+	if len(got) != 2 || len(want) != 2 {
+		t.Fatalf("reopen recovered %d entries, want the 2 pushed after Reset", len(got))
+	}
+	for i := range want {
+		if !eqEnt(got[i], want[i]) {
+			t.Fatalf("entry %d: got %+v want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestDiskTierTornTailSwept crashes mid-append, in effigy: garbage and
 // truncated frames after the last valid record must be swept away on
 // reopen, keeping every complete record.

@@ -253,3 +253,34 @@ func FuzzRoundsDeferral(f *testing.F) {
 		runDeferral(t, prog)
 	})
 }
+
+// TestRoundsRefusalIsSticky: a frontier with a politeness gap refuses
+// the round; the refusal becomes the adapter's sticky error, the queue
+// reads as drained, and nothing more ships even once the gap is gone.
+func TestRoundsRefusalIsSticky(t *testing.T) {
+	q := NewShardedPolite(4, 1)
+	q.Push(urlOn(0, 0), 0, 0)
+	r := NewRounds(q, 4)
+	if err := r.Err(); err != nil {
+		t.Fatalf("fresh adapter: %v", err)
+	}
+	if _, ok := r.PopDue(10); ok {
+		t.Fatal("a refused round popped")
+	}
+	if err := r.Err(); err != ErrRoundRefused {
+		t.Fatalf("Err = %v, want ErrRoundRefused", err)
+	}
+	q.SetPoliteness(0)
+	if _, ok := r.NextEvent(); ok {
+		t.Fatal("a failed adapter reports a next event")
+	}
+	if err := r.Commit(nil, []Entry{{URL: urlOn(1, 0), Due: 1}}, false); err != ErrRoundRefused {
+		t.Fatalf("Commit = %v, want the sticky error", err)
+	}
+	if err := r.Flush(); err != ErrRoundRefused {
+		t.Fatalf("Flush = %v, want the sticky error", err)
+	}
+	if got := q.URLs(); len(got) != 1 || got[0] != urlOn(0, 0) {
+		t.Fatalf("queue after the refusal: %v", got)
+	}
+}

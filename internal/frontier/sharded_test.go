@@ -38,6 +38,23 @@ func TestShardedSameHostSameShard(t *testing.T) {
 	}
 }
 
+// TestShardedNumShards: the shard count is the one asked for, at
+// least one, and every URL maps into it.
+func TestShardedNumShards(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 16} {
+		q := NewSharded(n)
+		want := max(n, 1)
+		if got := q.NumShards(); got != want {
+			t.Fatalf("NewSharded(%d).NumShards() = %d, want %d", n, got, want)
+		}
+		for h := 0; h < 50; h++ {
+			if sh := q.ShardOf(urlOn(h, 0)); sh < 0 || sh >= want {
+				t.Fatalf("%d shards: host %d on shard %d", want, h, sh)
+			}
+		}
+	}
+}
+
 func TestShardedSpreadsHosts(t *testing.T) {
 	q := NewSharded(8)
 	for h := 0; h < 64; h++ {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -189,6 +190,93 @@ func TestTraceTailAndHandler(t *testing.T) {
 		if !strings.HasPrefix(l, `{"ts":`) {
 			t.Errorf("line %q does not look like a trace event", l)
 		}
+	}
+}
+
+// TestHistogramVecChildren: each label value gets its own histogram,
+// With returns the same child for the same values, and the exposition
+// lists the children's buckets under their labels.
+func TestHistogramVecChildren(t *testing.T) {
+	r := NewRegistry()
+	v := r.HistogramVec("op_seconds", "op latency", []float64{0.1, 1}, "op")
+	v.With("get").Observe(0.05)
+	v.With("get").Observe(0.5)
+	v.With("put").Observe(2)
+	if v.With("get") != v.With("get") || v.With("get") == v.With("put") {
+		t.Fatal("With does not key children by label values")
+	}
+	if again := r.HistogramVec("op_seconds", "op latency", []float64{0.1, 1}, "op"); again.With("get") != v.With("get") {
+		t.Fatal("re-registering the family returned new children")
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`op_seconds_bucket{op="get",le="0.1"} 1`,
+		`op_seconds_bucket{op="get",le="+Inf"} 2`,
+		`op_seconds_count{op="get"} 2`,
+		`op_seconds_bucket{op="put",le="1"} 0`,
+		`op_seconds_count{op="put"} 1`,
+	} {
+		if !strings.Contains(sb.String(), line+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", line, sb.String())
+		}
+	}
+}
+
+// TestRegistryHandler: the registry's handler serves the exposition
+// with the Prometheus text content type.
+func TestRegistryHandler(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("served_total", "requests").Add(3)
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != 200 {
+		t.Fatalf("status %d", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("content type %q", ct)
+	}
+	var want strings.Builder
+	if err := r.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Body.String() != want.String() || !strings.Contains(want.String(), "served_total 3\n") {
+		t.Fatalf("body:\n%s\nwant:\n%s", rec.Body.String(), want.String())
+	}
+}
+
+// TestTraceWriterAndTotal: an attached writer receives every event as
+// one JSON line, detaching stops it, and Total counts every event
+// emitted, including those the ring has dropped.
+func TestTraceWriterAndTotal(t *testing.T) {
+	tr := NewTrace(2)
+	var sink strings.Builder
+	tr.SetWriter(&sink)
+	for i := 1; i <= 3; i++ {
+		tr.Emit(Event{Name: "round", Round: uint64(i), N: 10 * i})
+	}
+	tr.SetWriter(nil)
+	tr.Emit(Event{Name: "after", Round: 4})
+	lines := strings.Split(strings.TrimSuffix(sink.String(), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("writer got %d lines, want 3:\n%s", len(lines), sink.String())
+	}
+	for i, l := range lines {
+		var e Event
+		if err := json.Unmarshal([]byte(l), &e); err != nil {
+			t.Fatalf("line %d %q: %v", i, l, err)
+		}
+		if e.Name != "round" || e.Round != uint64(i+1) || e.N != 10*(i+1) {
+			t.Fatalf("line %d decodes to %+v", i, e)
+		}
+	}
+	if got := tr.Total(); got != 4 {
+		t.Fatalf("Total = %d, want 4", got)
+	}
+	if got := len(tr.Tail(0)); got != 2 {
+		t.Fatalf("ring holds %d events, want its size 2", got)
 	}
 }
 

@@ -704,3 +704,34 @@ func TestStatsMatchesRegistry(t *testing.T) {
 		t.Errorf("cache counters %+v", *st.Cache)
 	}
 }
+
+// TestStaticSourceServesOneGeneration: Static hands out its reader at
+// generation 0 on every view, and a server over it, reached through
+// Handler, answers pages from that reader.
+func TestStaticSourceServesOneGeneration(t *testing.T) {
+	mem := store.NewMem()
+	t.Cleanup(func() { mem.Close() })
+	for _, rec := range testRecords {
+		if err := mem.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := Static(mem)
+	for i := 0; i < 2; i++ {
+		if r, gen := src.View(); r != store.Reader(mem) || gen != 0 {
+			t.Fatalf("view %d: reader %v at generation %d", i, r, gen)
+		}
+	}
+	s := New(Config{Source: src, Metrics: obs.NewRegistry()})
+	if h := s.Handler(); h != http.Handler(s) {
+		t.Fatalf("Handler returned %T, not the server", h)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, rec := range testRecords {
+		resp, body := get(t, ts.URL+"/v1/pages/"+rec.URL, nil)
+		if resp.StatusCode != 200 || string(body) != string(rec.Content) {
+			t.Fatalf("%s: status %d, body %q", rec.URL, resp.StatusCode, body)
+		}
+	}
+}

@@ -528,3 +528,134 @@ func TestLinksChangeAtConstantVersion(t *testing.T) {
 	}
 	t.Fatal("no page changed its links at a constant version")
 }
+
+// TestRootURLsAreSitesInOrder: the seed list is every site's root, in
+// site order, each once and each fetchable from day 0.
+func TestRootURLsAreSitesInOrder(t *testing.T) {
+	w := small(t, 30)
+	roots := w.RootURLs()
+	want := 0
+	for _, n := range SmallConfig(30).SitesPerDomain {
+		want += n
+	}
+	if len(roots) != want || len(roots) != len(w.Sites()) {
+		t.Fatalf("%d roots for %d sites, want %d", len(roots), len(w.Sites()), want)
+	}
+	seen := map[string]bool{}
+	for i, u := range roots {
+		if u != w.Sites()[i].RootURL() || seen[u] {
+			t.Fatalf("root %d is %s, site root %s (repeat: %v)", i, u, w.Sites()[i].RootURL(), seen[u])
+		}
+		seen[u] = true
+		if _, err := w.FetchMeta(u, 0); err != nil {
+			t.Fatalf("root %s unfetchable: %v", u, err)
+		}
+	}
+}
+
+// TestNumPagesCountsWindowSlots: the page count is sites times window
+// size, and churn keeps every slot filled, so it equals the pages
+// alive on any later day.
+func TestNumPagesCountsWindowSlots(t *testing.T) {
+	w := small(t, 31)
+	want := len(w.Sites()) * SmallConfig(31).PagesPerSite
+	if got := w.NumPages(); got != want {
+		t.Fatalf("NumPages = %d, want %d", got, want)
+	}
+	alive := 0
+	for _, s := range w.Sites() {
+		alive += len(s.AlivePages(90))
+	}
+	if alive != want || w.NumPages() != want {
+		t.Fatalf("day 90: %d pages alive, NumPages %d, want %d", alive, w.NumPages(), want)
+	}
+	if born, _ := w.Sites()[0].Churn(); born <= SmallConfig(31).PagesPerSite {
+		t.Fatalf("no churn by day 90 (%d born): the test checks nothing", born)
+	}
+}
+
+// TestScanAllCoversEverySiteWindow: one ScanAll visits each site's
+// window exactly, attributes each URL to its own site, and reports the
+// checksum a fetch would.
+func TestScanAllCoversEverySiteWindow(t *testing.T) {
+	w := small(t, 32)
+	const day = 40.0
+	got := map[string]int{}
+	w.ScanAll(day, func(site *Site, url string, sum uint64) {
+		if webgraph.SiteOf(url) != site.Host() {
+			t.Fatalf("%s reported on site %s", url, site.Host())
+		}
+		snap, err := w.FetchMeta(url, day)
+		if err != nil || snap.Checksum != sum {
+			t.Fatalf("%s: scan checksum %x, fetch %x (%v)", url, sum, snap.Checksum, err)
+		}
+		got[url]++
+	})
+	n := 0
+	for _, s := range w.Sites() {
+		for _, u := range s.WindowURLs(day) {
+			if got[u] != 1 {
+				t.Fatalf("%s visited %d times", u, got[u])
+			}
+			n++
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("scan visited %d URLs, the windows hold %d", len(got), n)
+	}
+}
+
+// TestPaperScaleConfig: the paper-scale web is Table 1's 270 sites,
+// with a 300-page window unless another size is given.
+func TestPaperScaleConfig(t *testing.T) {
+	c := PaperScaleConfig(7, 0)
+	if c.PagesPerSite != 300 || c.Seed != 7 {
+		t.Fatalf("default paper scale: %+v", c)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := PaperScaleConfig(7, 3000).PagesPerSite; got != 3000 {
+		t.Fatalf("PagesPerSite %d, want the paper's 3000", got)
+	}
+	w, err := New(PaperScaleConfig(7, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Sites()) != 270 || w.NumPages() != 540 {
+		t.Fatalf("%d sites, %d pages: want 270 and 540", len(w.Sites()), w.NumPages())
+	}
+	counts := map[Domain]int{}
+	for _, s := range w.Sites() {
+		counts[s.Domain()]++
+	}
+	for d, n := range PaperSitesPerDomain {
+		if counts[d] != n {
+			t.Fatalf("domain %s: %d sites, want Table 1's %d", d, counts[d], n)
+		}
+	}
+}
+
+// TestPageRateDrawnFromItsClass: every page names a rate class of its
+// domain's mixture, and its rate's mean interval lies in that class's
+// range.
+func TestPageRateDrawnFromItsClass(t *testing.T) {
+	w := small(t, 33)
+	classes := map[string]int{}
+	for _, s := range w.Sites() {
+		mix := DefaultMixtures[s.Domain()]
+		for _, p := range s.AlivePages(0) {
+			i := slices.IndexFunc(mix, func(c RateClass) bool { return c.Name == p.RateClass() })
+			if i < 0 {
+				t.Fatalf("%s: class %q is not in the %s mixture", p.URL(), p.RateClass(), s.Domain())
+			}
+			if iv := 1 / p.Rate(); iv < mix[i].MinIntervalDays || iv > mix[i].MaxIntervalDays {
+				t.Fatalf("%s: interval %v days outside class %s's [%v, %v]", p.URL(), iv, p.RateClass(), mix[i].MinIntervalDays, mix[i].MaxIntervalDays)
+			}
+			classes[p.RateClass()]++
+		}
+	}
+	if len(classes) < 2 {
+		t.Fatalf("pages drew from classes %v only", classes)
+	}
+}

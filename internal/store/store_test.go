@@ -544,6 +544,68 @@ func TestShadowedOldCurrentClosedOnSwap(t *testing.T) {
 	}
 }
 
+// TestShadowedShadowTakesBatchesAndDeletes: batch writes and deletes
+// made on the shadow reach readers, all of them, at the next swap.
+func TestShadowedShadowTakesBatchesAndDeletes(t *testing.T) {
+	s := NewShadowedMem()
+	defer s.Close()
+	sh := s.Shadow()
+	if err := sh.PutBatch([]PageRecord{rec("http://c.com/", 3), rec("http://a.com/", 1), rec("http://b.com/", 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Delete("http://b.com/"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Current().URLs(); len(got) != 0 {
+		t.Fatalf("readers see %v before the swap", got)
+	}
+	if n, err := s.Swap(); err != nil || n != 2 {
+		t.Fatalf("swap published %d pages: %v", n, err)
+	}
+	if got, want := s.Current().URLs(), []string{"http://a.com/", "http://c.com/"}; !slices.Equal(got, want) {
+		t.Fatalf("published URLs %v, want %v", got, want)
+	}
+}
+
+// TestShadowedRetiredCollectionRefusesEveryCall: a collection retired
+// by a swap, or closed by its holder, answers every call started after
+// that as closed and empty, and closing it again is a no-op.
+func TestShadowedRetiredCollectionRefusesEveryCall(t *testing.T) {
+	s := NewShadowedMem()
+	defer s.Close()
+	if err := s.Current().Put(rec("http://a.com/", 1)); err != nil {
+		t.Fatal(err)
+	}
+	swapped := s.Current()
+	if _, err := s.Swap(); err != nil {
+		t.Fatal(err)
+	}
+	closed := s.Shadow()
+	if err := closed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]Collection{"swapped": swapped, "closed": closed} {
+		if err := c.PutBatch([]PageRecord{rec("http://b.com/", 2)}); err != ErrClosed {
+			t.Errorf("%s: PutBatch = %v", name, err)
+		}
+		if err := c.Delete("http://a.com/"); err != ErrClosed {
+			t.Errorf("%s: Delete = %v", name, err)
+		}
+		if _, _, err := c.Get("http://a.com/"); err != ErrClosed {
+			t.Errorf("%s: Get = %v", name, err)
+		}
+		if err := c.Scan(func(PageRecord) bool { return true }); err != ErrClosed {
+			t.Errorf("%s: Scan = %v", name, err)
+		}
+		if n, urls := c.Len(), c.URLs(); n != 0 || urls != nil {
+			t.Errorf("%s: Len %d, URLs %v", name, n, urls)
+		}
+		if err := c.Close(); err != nil {
+			t.Errorf("%s: second Close = %v", name, err)
+		}
+	}
+}
+
 func TestNewShadowedValidation(t *testing.T) {
 	if _, err := NewShadowed(nil, nil); err == nil {
 		t.Fatal("nil constructor accepted")
