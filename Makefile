@@ -14,9 +14,12 @@ test:
 # The lines after the first repeat the tests whose outcome depends on
 # goroutine timing or map order, not only on their seeds: the frontier
 # peek's randomized test against its model (sort everything, take n;
-# both tiers) and the round adapter's deferred commits against a queue
-# every commit reaches at once; the serve/swap gate (readers across
-# live swaps: no request may see a closed store); and the store's
+# both tiers) — repeated with it, though its seeds fix it, the queue's
+# pushes whose echoed slot is right, stale, another queue's or zero
+# against the same model — and the round adapter's deferred commits
+# against a queue every commit reaches at once; the serve/swap gate
+# (readers across live swaps: no request may see a closed store); and
+# the store's
 # ordered index and record codec beside concurrent writers, compaction
 # and swaps; the engine's content stage behind a slow or failing store
 # (order, buffer ownership, the barrier, the error path, and the rounds
@@ -44,7 +47,7 @@ test:
 # (-short: 60 of the 240 random populations).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'TestPeekMatchesModel|TestRoundsDeferralMatchesEagerCommits|TestApplyRoundBesideConcurrentUse' ./internal/frontier/
+	$(GO) test -race -count=5 -run 'TestPeekMatchesModel|TestSlotEchoMatchesModel|TestRoundsDeferralMatchesEagerCommits|TestApplyRoundBesideConcurrentUse' ./internal/frontier/
 	$(GO) test -race -count=20 -run 'TestServeAcrossLiveCrawl' ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestStragglersAcrossSwaps' ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestScanBesideWrites|TestModelCheck|TestShadowedPin|TestDiskConcurrentStress' ./internal/store/

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -203,7 +204,7 @@ func TestServerReadBuffersKeepNothing(t *testing.T) {
 			cands, _, _, ok := shards.ApplyRound(nil, removes, pushes, peek)
 			// The one server answers exchangeRounds × peek candidates.
 			want, _, _, _ := wantQueue.ApplyRound(nil, removes, pushes, exchangeRounds*peek)
-			if !ok || !reflect.DeepEqual(append([]frontier.Entry{}, cands...), append([]frontier.Entry{}, want...)) {
+			if !ok || !slices.EqualFunc(cands, want, frontier.Entry.Equal) {
 				t.Fatalf("step %d: round candidates %v, want %v", step, cands, want)
 			}
 		default:

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"webevolve/internal/fetch"
+	"webevolve/internal/frontier"
 	"webevolve/internal/store"
 )
 
@@ -384,7 +385,7 @@ func TestContentFoldKeepsPerURLOrder(t *testing.T) {
 					r.reset()
 					r.id = roundSeq.Add(1)
 					for i, j := range jobs {
-						r.jobs = append(r.jobs, crawlJob{idx: i, url: j.url, day: 1, page: &pageState{},
+						r.jobs = append(r.jobs, crawlJob{idx: i, e: frontier.Entry{URL: j.url}, day: 1, page: &pageState{},
 							res: fetch.Result{Checksum: uint64(i + 1), Links: []string{j.url + "next"}, Content: []byte(j.url)}})
 					}
 					for i, j := range jobs {
@@ -444,7 +445,7 @@ func scribbleFree(st *contentStage) {
 		r := <-st.free
 		for i := range r.jobs {
 			j := &r.jobs[i]
-			j.url, j.res.Checksum = "http://scribbled/", 0
+			j.e.URL, j.res.Checksum = "http://scribbled/", 0
 			for k := range j.res.Content {
 				j.res.Content[k] = '#'
 			}

@@ -9,6 +9,7 @@ import (
 	"webevolve/internal/frontier"
 	"webevolve/internal/scheduler"
 	"webevolve/internal/store"
+	"webevolve/internal/urlid"
 	"webevolve/internal/webgraph"
 )
 
@@ -56,9 +57,15 @@ type Crawler struct {
 	// DefaultDays outside it.
 	solveRate bool
 
-	// pages is every scheduled URL's crawl state; ranks is the last
-	// ranking pass's importance, read when a page's state is made.
-	pages map[string]*pageState
+	// ids interns the URLs the engine schedules. It is written only on
+	// the engine goroutine (resolveJob, and the ranking pass's rate
+	// snapshot), which also owns pages: pages[id] is the crawl state of
+	// the URL with that ID, nil until its first pop and after its drop
+	// or eviction. The states are pointers, so a job's never moves.
+	// ranks is the last ranking pass's importance, read when a page's
+	// state is made.
+	ids   urlid.Table
+	pages []*pageState
 	ranks map[string]float64
 
 	day      float64
@@ -132,7 +139,6 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 		graph:    webgraph.New(),
 		policy:   policy,
 		optimal:  opt,
-		pages:    make(map[string]*pageState),
 		nextRank: 0, // first pass immediately, to seed admissions
 		nextSwap: cfg.CycleDays,
 	}
@@ -383,7 +389,7 @@ func (c *Crawler) popBatchRound(r *roundState, until float64) {
 	for len(r.jobs) < c.cfg.DispatchBatch && len(c.batchQueue) > 0 && d < until {
 		u := c.batchQueue[0]
 		c.batchQueue = c.batchQueue[1:]
-		r.jobs = append(r.jobs, crawlJob{idx: len(r.jobs), url: u, day: d})
+		r.jobs = append(r.jobs, crawlJob{idx: len(r.jobs), e: frontier.Entry{URL: u}, day: d})
 		if err := c.resolveJob(&r.jobs[len(r.jobs)-1]); err != nil {
 			// Drop the half-resolved job: dispatching it would hand the
 			// workers a nil estimator. The error still ends the run via
@@ -401,7 +407,7 @@ func (c *Crawler) popBatchRound(r *roundState, until float64) {
 	// round (a single trip per remote server) instead of one per URL.
 	c.removes = c.removes[:0]
 	for i := range r.jobs {
-		c.removes = append(c.removes, r.jobs[i].url)
+		c.removes = append(c.removes, r.jobs[i].e.URL)
 	}
 	c.rounds.Commit(c.removes, nil, false)
 	c.day = d

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"webevolve/internal/frontier"
 	"webevolve/internal/obs"
 	"webevolve/internal/webgraph"
 )
@@ -158,6 +159,9 @@ func (p *dispatchPool) worker() {
 		}
 		dispatchBusyWorkers.Add(1)
 		dispatchGroups.Inc()
+		// Every worker shares the jobs counter, so a group adds its
+		// count once instead of once per job.
+		ran := 0
 		for _, j := range g.jobs {
 			// A failed pool stops paying fetch latency immediately; the
 			// group still completes so its round's wait returns.
@@ -165,12 +169,13 @@ func (p *dispatchPool) worker() {
 				break
 			}
 			err := p.fn(j)
-			dispatchJobs.Inc()
+			ran++
 			if err != nil {
 				p.fail(err)
 				break
 			}
 		}
+		dispatchJobs.Add(int64(ran))
 		p.groupFinished(g)
 		dispatchBusyWorkers.Add(-1)
 	}
@@ -283,7 +288,7 @@ func DispatchRound(workers int, urls []string, work func(i int) error) error {
 	jobs := make([]crawlJob, len(urls))
 	ptrs := make([]*crawlJob, len(urls))
 	for i, u := range urls {
-		jobs[i] = crawlJob{idx: i, url: u, site: webgraph.SiteOf(u)}
+		jobs[i] = crawlJob{idx: i, e: frontier.Entry{URL: u}, site: webgraph.SiteOf(u)}
 		ptrs[i] = &jobs[i]
 	}
 	groups := groupBySite(ptrs, nil)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"webevolve/internal/fetch"
+	"webevolve/internal/frontier"
 	"webevolve/internal/webgraph"
 )
 
@@ -118,7 +119,7 @@ func TestDispatchPoolSiteLines(t *testing.T) {
 	defer pool.close()
 
 	mk := func(site string, idx int) dispatchGroup {
-		return dispatchGroup{jobs: []*crawlJob{{idx: idx, site: site, url: site}}, site: site}
+		return dispatchGroup{jobs: []*crawlJob{{idx: idx, site: site, e: frontier.Entry{URL: site}}}, site: site}
 	}
 	h1 := pool.startRound([]dispatchGroup{mk("a", 0), mk("b", 100), mk("a", 1)})
 	// A second round's site-a group queues behind the first round's.

@@ -66,19 +66,24 @@ import (
 //     exchange overlaps round N+1's frontier exchange instead of
 //     following it.
 
-// crawlJob is one unit of CrawlModule work: a URL with its assigned
-// virtual fetch day, the scheduling state resolved at pop time, and
-// the fetch/scheduling results the worker writes in place.
+// crawlJob is one unit of CrawlModule work: a popped frontier entry
+// with its assigned virtual fetch day, the scheduling state resolved at
+// pop time, and the fetch/scheduling results the worker writes in
+// place.
 type crawlJob struct {
-	idx  int // pop position; results are applied in this order
-	url  string
+	idx int // pop position; results are applied in this order
+	// e is the entry as popped; e.URL is the job's URL. The reschedule
+	// is a copy of it, so the queue slot it names travels back with it.
+	e    frontier.Entry
 	site string
 	day  float64
 
 	// Resolved on the engine goroutine at pop time, so workers never
-	// read shared maps. prevSum and seen are the page state's as of the
-	// pop: applySchedule moves the state on while the content stage may
+	// read shared maps. id is the page's ID in the engine's URL table.
+	// prevSum and seen are the page state's as of the pop:
+	// applySchedule moves the state on while the content stage may
 	// still read the job.
+	id      int32
 	page    *pageState
 	prevSum uint64
 	seen    bool
@@ -157,9 +162,9 @@ func (r *roundState) drops() bool {
 // the change-history observation and, for a policy that reads it, the
 // working-rate estimate. Everything it touches is job-local.
 func (c *Crawler) fetchJob(j *crawlJob) error {
-	res, err := c.fetcher.Fetch(j.url, j.day)
+	res, err := c.fetcher.Fetch(j.e.URL, j.day)
 	if err != nil {
-		return fmt.Errorf("core: fetching %s: %w", j.url, err)
+		return fmt.Errorf("core: fetching %s: %w", j.e.URL, err)
 	}
 	j.res = res
 	if res.NotFound {
@@ -168,7 +173,7 @@ func (c *Crawler) fetchJob(j *crawlJob) error {
 	j.changed = j.seen && j.prevSum != res.Checksum
 	est := &j.page.est
 	if err := est.record(changefreq.Observation{Time: j.day, Changed: j.changed}); err != nil {
-		return fmt.Errorf("core: %s: %w", j.url, err)
+		return fmt.Errorf("core: %s: %w", j.e.URL, err)
 	}
 	if c.solveRate {
 		// On the worker, not at apply time: the solve runs beside the
@@ -179,20 +184,33 @@ func (c *Crawler) fetchJob(j *crawlJob) error {
 }
 
 // resolveJob fills a job's pop-time scheduling state, making the page's
-// state on its first pop.
+// state on its first pop. Interning the URL here is the one URL lookup
+// a revisit makes on the engine side: the state, the revisit plan and
+// the frontier slot are all found from the job from here on.
 func (c *Crawler) resolveJob(j *crawlJob) error {
-	j.site = webgraph.SiteOf(j.url)
-	p, ok := c.pages[j.url]
-	if !ok {
+	j.site = webgraph.SiteOf(j.e.URL)
+	j.id = c.intern(j.e.URL)
+	p := c.pages[j.id]
+	if p == nil {
 		est, err := newEstimator(c.cfg.Estimator)
 		if err != nil {
 			return err
 		}
-		p = &pageState{est: est, importance: c.ranks[j.url]}
-		c.pages[j.url] = p
+		p = &pageState{est: est, importance: c.ranks[j.e.URL]}
+		c.pages[j.id] = p
 	}
 	j.page, j.prevSum, j.seen = p, p.sum, p.seen
 	return nil
+}
+
+// intern returns url's ID in the engine's URL table, growing pages for
+// a new one.
+func (c *Crawler) intern(url string) int32 {
+	id, isNew := c.ids.Intern(url)
+	if isNew {
+		c.pages = append(c.pages, nil)
+	}
+	return id
 }
 
 // popSteadyRound pops the next dispatch round of due URLs for the
@@ -232,7 +250,7 @@ func (c *Crawler) popSteadyRound(r *roundState, horizon, perFetch, windowFloor f
 			d = ev
 			continue
 		}
-		r.jobs = append(r.jobs, crawlJob{idx: len(r.jobs), url: e.URL, day: d})
+		r.jobs = append(r.jobs, crawlJob{idx: len(r.jobs), e: e, day: d})
 		if err := c.resolveJob(&r.jobs[len(r.jobs)-1]); err != nil {
 			// Drop the half-resolved job: dispatching it would hand the
 			// workers a nil estimator. The error still ends the run via
@@ -378,7 +396,7 @@ func (c *Crawler) applySchedule(r *roundState) error {
 		c.metrics.BytesFetched += int64(j.res.Size)
 		if j.res.NotFound {
 			c.metrics.NotFound++
-			c.dropSchedule(j.url)
+			c.dropSchedule(j)
 			r.live = append(r.live, outcome{job: j, dropped: true})
 			continue
 		}
@@ -390,9 +408,11 @@ func (c *Crawler) applySchedule(r *roundState) error {
 		}
 		p := j.page
 		p.sum, p.seen = j.res.Checksum, true
-		interval := c.policy.Interval(j.url, j.rate)
+		interval := c.policy.Interval(j.id, j.rate)
 		interval = scheduler.Clamp(interval, c.cfg.MinIntervalDays, c.cfg.MaxIntervalDays)
-		c.pushes = append(c.pushes, frontier.Entry{URL: j.url, Due: j.day + interval, Priority: p.importance})
+		e := j.e
+		e.Due, e.Priority = j.day+interval, p.importance
+		c.pushes = append(c.pushes, e)
 		r.live = append(r.live, outcome{job: j})
 	}
 
@@ -415,9 +435,9 @@ func (c *Crawler) applySchedule(r *roundState) error {
 // dropSchedule is the frontier/estimator half of dropping a vanished
 // page: everything the next pop or estimator update could observe. The
 // store/graph half runs in applyContent.
-func (c *Crawler) dropSchedule(url string) {
-	c.removes = append(c.removes, url)
-	delete(c.pages, url)
+func (c *Crawler) dropSchedule(j *crawlJob) {
+	c.removes = append(c.removes, j.e.URL)
+	c.pages[j.id] = nil
 }
 
 // applyContent is the heavy phase the content stage runs: store
@@ -455,14 +475,14 @@ func (c *Crawler) applyContent(rounds []*roundState) error {
 		for _, o := range r.live {
 			j := o.job
 			if o.dropped {
-				if err := c.deletePage(j.url); err != nil {
+				if err := c.deletePage(j.e.URL); err != nil {
 					return err
 				}
-				c.graph.RemovePage(j.url)
+				c.graph.RemovePage(j.e.URL)
 				continue
 			}
 			rec := store.PageRecord{
-				URL:        j.url,
+				URL:        j.e.URL,
 				Checksum:   j.res.Checksum,
 				FetchedAt:  j.day,
 				Version:    j.res.Version,
@@ -484,7 +504,7 @@ func (c *Crawler) applyContent(rounds []*roundState) error {
 			// window, so such a revisit can carry links the graph never
 			// sees until the page next changes.
 			if j.changed || !j.seen {
-				c.added = extendLinks(c.graph, c.all, j.url, j.res.Links, j.day, c.added)
+				c.added = extendLinks(c.graph, c.all, j.e.URL, j.res.Links, j.day, c.added)
 			}
 		}
 	}

@@ -73,7 +73,7 @@ func TestRateSolvedOnlyWhenPolicyReadsIt(t *testing.T) {
 				if !ok {
 					t.Fatal("frontier drained")
 				}
-				r := &roundState{jobs: []crawlJob{{url: e.URL, day: day}}}
+				r := &roundState{jobs: []crawlJob{{e: e, day: day}}}
 				j := &r.jobs[0]
 				if err := c.resolveJob(j); err != nil {
 					t.Fatal(err)
@@ -89,7 +89,7 @@ func TestRateSolvedOnlyWhenPolicyReadsIt(t *testing.T) {
 				}
 				hist := j.page.est.hist
 				if last, ok := hist.Last(); !ok || last != day {
-					t.Fatalf("%s fetched at %v: history ends at %v (%v)", j.url, day, last, ok)
+					t.Fatalf("%s fetched at %v: history ends at %v (%v)", j.e.URL, day, last, ok)
 				}
 				rate := j.page.est.rate()
 				if err := c.applySchedule(r); err != nil {
@@ -98,7 +98,7 @@ func TestRateSolvedOnlyWhenPolicyReadsIt(t *testing.T) {
 				day += 1 / cfg.PagesPerDay
 				if freq != ProportionalFreq {
 					if j.rate != 0 {
-						t.Fatalf("%s: rate %v solved under %v", j.url, j.rate, freq)
+						t.Fatalf("%s: rate %v solved under %v", j.e.URL, j.rate, freq)
 					}
 					continue
 				}
@@ -108,7 +108,7 @@ func TestRateSolvedOnlyWhenPolicyReadsIt(t *testing.T) {
 					solved++
 				}
 				if due := c.pushes[0].Due; due != j.day+want {
-					t.Fatalf("%s: rescheduled %v days ahead, want Clamp(1/%v) = %v", j.url, due-j.day, rate, want)
+					t.Fatalf("%s: rescheduled %v days ahead, want Clamp(1/%v) = %v", j.e.URL, due-j.day, rate, want)
 				}
 			}
 			if freq == ProportionalFreq && solved == 0 {

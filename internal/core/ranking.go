@@ -39,8 +39,10 @@ func (c *Crawler) rankingPass() error {
 		return err
 	}
 	c.ranks = ranks
-	for url, p := range c.pages {
-		p.importance = ranks[url]
+	for id, p := range c.pages {
+		if p != nil {
+			p.importance = ranks[c.ids.URL(int32(id))]
+		}
 	}
 
 	if c.optimal != nil {
@@ -49,13 +51,14 @@ func (c *Crawler) rankingPass() error {
 		pages := make([]scheduler.PageRate, len(urls))
 		prior := 1 / (4 * c.cfg.CycleDays) // the paper's ~4-month mean
 		for i, u := range urls {
+			id := c.intern(u)
 			r := prior
-			if p, ok := c.pages[u]; ok {
+			if p := c.pages[id]; p != nil {
 				if er := p.est.rate(); er > 0 {
 					r = er
 				}
 			}
-			pages[i] = scheduler.PageRate{URL: u, Rate: r}
+			pages[i] = scheduler.PageRate{ID: id, URL: u, Rate: r}
 		}
 		if len(pages) > 0 {
 			// The rebuild (a Lagrange-multiplier search) runs concurrently
@@ -209,7 +212,9 @@ func (c *Crawler) evict(url string) error {
 	if err := c.deletePage(url); err != nil {
 		return err
 	}
-	delete(c.pages, url)
+	if id, ok := c.ids.Lookup(url); ok {
+		c.pages[id] = nil
+	}
 	// The page's link structure stays in the graph: AllUrls remembers
 	// everything discovered, and the page may be re-admitted later.
 	return nil

@@ -25,12 +25,14 @@ import (
 // fresh segment.
 //
 // RAM. Per entry the store keeps a fingerprint-keyed index record
-// (position, seq, residency bit) and, while the entry is spilled,
-// one spillHeap item (due, priority, fingerprint, seq) — no URL string,
-// no full Entry. Full entries live in the resident memQueue, which
-// holds at most the configured budget of them, filled by direct puts
-// while under budget and by promotion from the spill heap when the pop
-// order demands it.
+// (position, seq and, while resident, queue slot) and, while the
+// entry is spilled, one spillHeap item (due, priority, fingerprint,
+// seq) — no URL string, no full Entry. Full entries live in the
+// resident memQueue, which holds at most the configured budget of them,
+// filled by direct puts while under budget and by promotion from the
+// spill heap when the pop order demands it. A resident entry's index
+// record names its queue slot, so the resident set needs no URL map of
+// its own, and a pop or remove frees the slot at once.
 //
 // Ordering. head/popHead/topN must match memStore bit for bit. The
 // resident set is not required to be a prefix of the pop order; instead
@@ -71,10 +73,13 @@ type diskStore struct {
 
 // idxEnt is the in-memory index record for one stored entry: 32 bytes.
 type idxEnt struct {
-	pos      seglog.Pos
-	seq      uint64
-	resident bool
+	pos  seglog.Pos
+	seq  uint64
+	slot int32 // the entry's resident queue slot, or spilled
 }
+
+// spilled is idxEnt.slot for an entry that is not resident.
+const spilled = -1
 
 // spillItem is the ordering key of one spilled entry. Items are never
 // removed on reschedule; a stale item (seq behind the index, or its
@@ -144,7 +149,7 @@ func openDiskStore(dir string, budget int) (*diskStore, error) {
 	d := &diskStore{
 		dir:      dir,
 		index:    make(map[uint64]*idxEnt),
-		resident: newMemQueue(),
+		resident: &memQueue{},
 		budget:   max(1, budget),
 	}
 	log, err := seglog.Open(dir, seglog.DefaultSegmentBytes, seglog.DefaultOpenSegments, seglog.Metrics{}, d.replay)
@@ -177,7 +182,7 @@ func (d *diskStore) replay(pos seglog.Pos, key, val []byte, tomb bool) error {
 	if ok {
 		ie.pos, ie.seq = pos, d.seq
 	} else {
-		d.index[fp] = &idxEnt{pos: pos, seq: d.seq}
+		d.index[fp] = &idxEnt{pos: pos, seq: d.seq, slot: spilled}
 	}
 	due, prio := decodeSpill(val)
 	d.spill = append(d.spill, spillItem{due: due, prio: prio, fp: fp, seq: d.seq})
@@ -245,33 +250,35 @@ func (d *diskStore) put(e Entry) {
 		d.deadBytes += int64(ie.pos.N)
 		ie.pos, ie.seq = pos, d.seq
 	} else {
-		ie = &idxEnt{pos: pos, seq: d.seq}
+		ie = &idxEnt{pos: pos, seq: d.seq, slot: spilled}
 		d.index[fp] = ie
 		// New entries stay resident while the head is under budget —
 		// small frontiers never touch the spill read path.
 		if d.resident.size() < d.budget {
-			ie.resident = true
-			d.resident.put(e)
+			ie.slot = d.resident.insert(e)
 			d.maybeCompact()
 			return
 		}
 	}
-	if ie.resident {
-		d.resident.put(e)
+	if ie.slot != spilled {
+		d.resident.set(ie.slot, e.Due, e.Priority)
 	} else {
 		heap.Push(&d.spill, spillItem{due: e.Due, prio: e.Priority, fp: fp, seq: d.seq})
 	}
 	d.maybeCompact()
 }
 
-func (d *diskStore) remove(url string) bool {
+// remove treats a pop like any remove: the disk tier keeps no slot for
+// a URL it no longer stores.
+func (d *diskStore) remove(url string, _ bool) bool {
 	fp := fpOf(url)
 	ie, ok := d.index[fp]
 	if !ok {
 		return false
 	}
-	if ie.resident {
-		d.resident.remove(url)
+	if ie.slot != spilled {
+		d.resident.unlink(ie.slot)
+		d.resident.release(ie.slot)
 	}
 	d.deadBytes += int64(ie.pos.N) + d.appendTomb(url)
 	delete(d.index, fp)
@@ -285,7 +292,7 @@ func (d *diskStore) spillMin() (spillItem, bool) {
 	for len(d.spill) > 0 {
 		it := d.spill[0]
 		ie, ok := d.index[it.fp]
-		if !ok || ie.seq != it.seq || ie.resident {
+		if !ok || ie.seq != it.seq || ie.slot != spilled {
 			heap.Pop(&d.spill)
 			continue
 		}
@@ -299,10 +306,8 @@ func (d *diskStore) spillMin() (spillItem, bool) {
 func (d *diskStore) promoteMin() Entry {
 	it := heap.Pop(&d.spill).(spillItem)
 	ie := d.index[it.fp]
-	ie.resident = true
-	e := d.readEntry(ie.pos)
-	d.resident.put(e)
-	return e
+	ie.slot = d.resident.insert(d.readEntry(ie.pos))
+	return d.resident.slots[ie.slot].e
 }
 
 // spillAfter reports whether the spill item orders strictly after the
@@ -344,6 +349,7 @@ func (d *diskStore) head() (Entry, bool) {
 func (d *diskStore) popHead() Entry {
 	d.ensureHead()
 	e := d.resident.popHead()
+	d.resident.release(e.slot)
 	fp := fpOf(e.URL)
 	if ie, ok := d.index[fp]; ok {
 		d.deadBytes += int64(ie.pos.N) + d.appendTomb(e.URL)

@@ -158,37 +158,14 @@ type Entry struct {
 	Due float64
 	// Priority breaks Due ties: higher first (importance).
 	Priority float64
-	index    int
+	// slot is the in-memory queue slot the entry was read from. A copy
+	// the queue hands out keeps it, so pushing that copy back finds its
+	// slot without a URL lookup; the queue checks it before trusting it.
+	slot int32
 }
 
-// entryHeap orders by Due ascending, then Priority descending, then URL.
-type entryHeap []*Entry
-
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].Due != h[j].Due {
-		return h[i].Due < h[j].Due
-	}
-	if h[i].Priority != h[j].Priority {
-		return h[i].Priority > h[j].Priority
-	}
-	return h[i].URL < h[j].URL
-}
-func (h entryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *entryHeap) Push(x any) {
-	e := x.(*Entry)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *entryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// Equal reports whether e and o are the same entry: URL, Due and
+// Priority. The slot only says which queue slot a copy was read from.
+func (e Entry) Equal(o Entry) bool {
+	return e.URL == o.URL && e.Due == o.Due && e.Priority == o.Priority
 }

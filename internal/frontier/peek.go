@@ -34,7 +34,6 @@ func (w *peekWindow) cutoff() (Entry, bool) {
 // offer adds e to the list if it has room or e orders before the
 // cut-off (which e then displaces), and reports whether it did.
 func (w *peekWindow) offer(e Entry) bool {
-	e.index = 0 // the heap position is meaningless in a copy
 	if len(w.best) < w.n {
 		w.best = append(w.best, e)
 		for i := len(w.best) - 1; i > 0; {

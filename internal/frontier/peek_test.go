@@ -72,7 +72,7 @@ func peekAgainstModel(t *testing.T, q *Sharded, seed int64) {
 			t.Fatalf("seed %d: %s: %d entries, model %d", seed, what, len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != want[i] {
+			if !got[i].Equal(want[i]) {
 				t.Fatalf("seed %d: %s[%d] = %+v, model %+v", seed, what, i, got[i], want[i])
 			}
 		}

@@ -2,7 +2,7 @@ package frontier
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -133,7 +133,7 @@ func runDeferral(t *testing.T, prog []byte) (st deferralStats) {
 			for k := next(2*peekMax + 1); k > 0; k-- {
 				got, gok := r.PopDue(now)
 				want, wok := ref.popDue(now)
-				if gok != wok || got != want {
+				if gok != wok || !got.Equal(want) {
 					t.Fatalf("step %d: PopDue(%v) = %+v %v, want %+v %v", step, now, got, gok, want, wok)
 				}
 				if !gok {
@@ -207,7 +207,7 @@ func runDeferral(t *testing.T, prog []byte) (st deferralStats) {
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := all(f), all(ref.q); !reflect.DeepEqual(got, want) {
+	if got, want := all(f), all(ref.q); !slices.EqualFunc(got, want, Entry.Equal) {
 		t.Fatalf("final queue\n got %+v\nwant %+v", got, want)
 	}
 	return st

@@ -199,8 +199,7 @@ func (q *Sharded) PushBatch(entries []Entry) {
 	}
 }
 
-// entryBefore reports whether a pops before b, mirroring entryHeap's
-// order.
+// entryBefore reports whether a pops before b: the queue order.
 func entryBefore(a, b Entry) bool {
 	if a.Due != b.Due {
 		return a.Due < b.Due
@@ -283,6 +282,7 @@ type roundOps struct {
 	// removes) or, past those, puts pushes[k-len(removes)] — the
 	// caller's slice, held only for the duration of the round.
 	removes []string
+	npops   int // the first npops removes are pops
 	pushes  []Entry
 	// order lists op numbers grouped by shard, in op order within a
 	// shard; shard i's ops are order[start[i]:start[i+1]].
@@ -298,6 +298,7 @@ type roundOps struct {
 // what applying the ops one by one would produce.
 func (r *roundOps) group(q *Sharded, pops, removes []string, pushes []Entry) {
 	r.removes = append(append(r.removes[:0], pops...), removes...)
+	r.npops = len(pops)
 	r.pushes = pushes
 	r.sid = r.sid[:0]
 	for _, u := range r.removes {
@@ -338,7 +339,7 @@ func (q *Sharded) applyAndPeek(r *roundOps) (total int) {
 		s.mu.Lock()
 		for _, k := range ops {
 			if k := int(k); k < len(r.removes) {
-				s.st.remove(r.removes[k])
+				s.st.remove(r.removes[k], k < r.npops)
 			} else {
 				s.st.put(r.pushes[k-len(r.removes)])
 			}
@@ -606,7 +607,7 @@ func (q *Sharded) Remove(url string) bool {
 	s := q.shardFor(url)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.st.remove(url)
+	return s.st.remove(url, false)
 }
 
 // Contains reports whether url is queued.

@@ -120,7 +120,7 @@ func TestShardedMatchesUnpartitionedQueue(t *testing.T) {
 				if !wok {
 					break
 				}
-				if got.URL != want.URL || got.Due != want.Due || got.Priority != want.Priority {
+				if !got.Equal(want) {
 					t.Fatalf("shards=%d now=%v: popped %+v, want %+v", shards, now, got, want)
 				}
 			}
@@ -340,7 +340,7 @@ func TestShardedPushBatch(t *testing.T) {
 		if !aok {
 			return
 		}
-		if ae.URL != be.URL || ae.Due != be.Due || ae.Priority != be.Priority {
+		if !ae.Equal(be) {
 			t.Fatalf("pop %+v vs %+v", be, ae)
 		}
 	}
@@ -505,7 +505,7 @@ func TestShardedRoundPeek(t *testing.T) {
 		if !ok {
 			t.Fatalf("pop %d: queue drained", i)
 		}
-		if e.URL != cands[i].URL || e.Due != cands[i].Due || e.Priority != cands[i].Priority {
+		if !e.Equal(cands[i]) {
 			t.Fatalf("peek[%d] = %+v, PopDue yielded %+v", i, cands[i], e)
 		}
 	}

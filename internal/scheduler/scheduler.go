@@ -29,9 +29,10 @@ var outOfPlan = obs.Default.Counter("webevolve_scheduler_out_of_plan_total",
 // Policy maps a page's estimated change rate to a revisit interval in
 // days. Implementations are safe for concurrent use.
 type Policy interface {
-	// Interval returns the revisit interval for a page. rate is the
+	// Interval returns the revisit interval for the page with the given
+	// ID (the caller's dense page ID, as in PageRate). rate is the
 	// estimated change rate in changes/day (0 when unknown or immutable).
-	Interval(url string, rate float64) float64
+	Interval(id int32, rate float64) float64
 	// Name identifies the policy in reports.
 	Name() string
 }
@@ -58,7 +59,7 @@ type Fixed struct {
 }
 
 // Interval implements Policy.
-func (f Fixed) Interval(string, float64) float64 { return f.Every }
+func (f Fixed) Interval(int32, float64) float64 { return f.Every }
 
 // Name implements Policy.
 func (Fixed) Name() string { return "fixed" }
@@ -73,7 +74,7 @@ type Proportional struct {
 }
 
 // Interval implements Policy.
-func (p Proportional) Interval(_ string, rate float64) float64 {
+func (p Proportional) Interval(_ int32, rate float64) float64 {
 	if rate <= 0 {
 		return p.MaxDays
 	}
@@ -100,8 +101,11 @@ type Optimal struct {
 	// DefaultDays is used for pages absent from the current plan.
 	DefaultDays float64
 
-	mu   sync.RWMutex
-	plan map[string]float64 // url -> interval (days)
+	mu sync.RWMutex
+	// plan[id] is the interval (days) of the page with that ID, 0 for an
+	// ID outside the plan (intervals are at least MinDays > 0).
+	plan    []float64
+	planned int // pages in the plan
 }
 
 // NewOptimal builds an Optimal policy.
@@ -117,23 +121,27 @@ func NewOptimal(budgetPerDay, minDays, maxDays, defaultDays float64) (*Optimal, 
 		MinDays:      minDays,
 		MaxDays:      maxDays,
 		DefaultDays:  defaultDays,
-		plan:         make(map[string]float64),
 	}, nil
 }
 
-// PageRate is one page's estimated change rate, in changes/day.
+// PageRate is one page's estimated change rate, in changes/day. ID is
+// the dense, non-negative ID Interval is later asked about; the URL
+// orders the pages, so the allocation does not depend on how IDs were
+// handed out.
 type PageRate struct {
+	ID   int32
 	URL  string
 	Rate float64
 }
 
-// Rebuild recomputes the allocation for the given pages (distinct URLs;
-// negative or non-finite rates count as 0). It sorts pages by URL in
-// place, so the plan does not depend on the order they arrive in.
+// Rebuild recomputes the allocation for the given pages (distinct URLs
+// with distinct IDs; negative or non-finite rates count as 0). It sorts
+// pages by URL in place, so the plan does not depend on the order they
+// arrive in.
 func (o *Optimal) Rebuild(pages []PageRate) error {
 	if len(pages) == 0 {
 		o.mu.Lock()
-		o.plan = make(map[string]float64)
+		o.plan, o.planned = nil, 0
 		o.mu.Unlock()
 		return nil
 	}
@@ -148,16 +156,20 @@ func (o *Optimal) Rebuild(pages []PageRate) error {
 	if err != nil {
 		return err
 	}
-	plan := make(map[string]float64, len(pages))
+	var maxID int32
+	for _, p := range pages {
+		maxID = max(maxID, p.ID)
+	}
+	plan := make([]float64, maxID+1)
 	for i, p := range pages {
 		iv := o.MaxDays
 		if f := fs[i]; f > 0 {
 			iv = Clamp(1/f, o.MinDays, o.MaxDays)
 		}
-		plan[p.URL] = iv
+		plan[p.ID] = iv
 	}
 	o.mu.Lock()
-	o.plan = plan
+	o.plan, o.planned = plan, len(pages)
 	o.mu.Unlock()
 	return nil
 }
@@ -166,11 +178,14 @@ func (o *Optimal) Rebuild(pages []PageRate) error {
 // DefaultDays whatever its rate: scheduling it at 1/rate would be the
 // proportional policy Section 4 warns about, and with true rates it
 // spends the budget on pages changing too fast to keep fresh.
-func (o *Optimal) Interval(url string, _ float64) float64 {
+func (o *Optimal) Interval(id int32, _ float64) float64 {
+	var iv float64
 	o.mu.RLock()
-	iv, ok := o.plan[url]
+	if uint32(id) < uint32(len(o.plan)) {
+		iv = o.plan[id]
+	}
 	o.mu.RUnlock()
-	if ok {
+	if iv > 0 {
 		return iv
 	}
 	outOfPlan.Inc()
@@ -184,5 +199,5 @@ func (*Optimal) Name() string { return "optimal" }
 func (o *Optimal) PlanSize() int {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	return len(o.plan)
+	return o.planned
 }

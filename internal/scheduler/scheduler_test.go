@@ -27,7 +27,7 @@ func TestClamp(t *testing.T) {
 
 func TestFixed(t *testing.T) {
 	p := Fixed{Every: 30}
-	if p.Interval("u", 99) != 30 {
+	if p.Interval(0, 99) != 30 {
 		t.Fatal("fixed interval not fixed")
 	}
 	if p.Name() != "fixed" {
@@ -38,15 +38,15 @@ func TestFixed(t *testing.T) {
 func TestProportional(t *testing.T) {
 	p := Proportional{MinDays: 0.5, MaxDays: 100}
 	// rate 0.25/day, one visit per change -> 4 days.
-	if got := p.Interval("u", 0.25); got != 4 {
+	if got := p.Interval(0, 0.25); got != 4 {
 		t.Fatalf("interval %v", got)
 	}
 	// Unknown rate -> max.
-	if got := p.Interval("u", 0); got != 100 {
+	if got := p.Interval(0, 0); got != 100 {
 		t.Fatalf("zero-rate interval %v", got)
 	}
 	// Very fast -> clamped to min.
-	if got := p.Interval("u", 1000); got != 0.5 {
+	if got := p.Interval(0, 1000); got != 0.5 {
 		t.Fatalf("fast interval %v", got)
 	}
 	if p.Name() != "proportional" {
@@ -69,13 +69,25 @@ func TestNewOptimalValidation(t *testing.T) {
 	}
 }
 
-// pageRates lists a url -> rate map as Rebuild's input, in map order.
-func pageRates(rates map[string]float64) []PageRate {
+// pageRates lists a url -> rate map as Rebuild's input, in map order,
+// with IDs handed out in reverse URL order: a plan that confused a
+// page's ID with its place in URL order would show. It returns the IDs
+// too.
+func pageRates(rates map[string]float64) ([]PageRate, map[string]int32) {
+	urls := make([]string, 0, len(rates))
+	for u := range rates {
+		urls = append(urls, u)
+	}
+	sort.Strings(urls)
+	ids := make(map[string]int32, len(urls))
+	for i, u := range urls {
+		ids[u] = int32(len(urls) - 1 - i)
+	}
 	pages := make([]PageRate, 0, len(rates))
 	for u, r := range rates {
-		pages = append(pages, PageRate{URL: u, Rate: r})
+		pages = append(pages, PageRate{ID: ids[u], URL: u, Rate: r})
 	}
-	return pages
+	return pages, ids
 }
 
 func TestOptimalRebuildAndInterval(t *testing.T) {
@@ -104,7 +116,8 @@ func TestOptimalRebuildAndInterval(t *testing.T) {
 	}
 	// Rebuild gets the pages in map order, i.e. shuffled: the plan must
 	// not depend on it, down to the bit.
-	if err := o.Rebuild(pageRates(rates)); err != nil {
+	pages, ids := pageRates(rates)
+	if err := o.Rebuild(pages); err != nil {
 		t.Fatal(err)
 	}
 	if o.PlanSize() != 20 {
@@ -112,15 +125,15 @@ func TestOptimalRebuildAndInterval(t *testing.T) {
 	}
 	for i, u := range urls {
 		want := Clamp(1/fs[i], 0.1, 1000)
-		if got := o.Interval(u, rates[u]); math.Float64bits(got) != math.Float64bits(want) {
+		if got := o.Interval(ids[u], rates[u]); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: interval %v, want %v", u, got, want)
 		}
 	}
 	// Unknown pages get the default, with a rate estimate or without.
-	if got := o.Interval("http://unknown.com/", 0.5); got != 30 {
+	if got := o.Interval(20, 0.5); got != 30 {
 		t.Fatalf("unknown-page interval %v", got)
 	}
-	if got := o.Interval("http://unknown2.com/", 0); got != 30 {
+	if got := o.Interval(-1, 0); got != 30 {
 		t.Fatalf("default interval %v", got)
 	}
 	if o.Name() != "optimal" {
@@ -138,20 +151,23 @@ func TestOptimalOutOfPlanUsesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Rebuild([]PageRate{{"http://a.com/", 1}, {"http://b.com/", 0.1}}); err != nil {
+	// IDs 0 and 5 are planned; 3, inside the plan's range, is not.
+	if err := o.Rebuild([]PageRate{{5, "http://a.com/", 1}, {0, "http://b.com/", 0.1}}); err != nil {
 		t.Fatal(err)
 	}
 	before := outOfPlan.Value()
-	if got := o.Interval("http://fast.com/", 50); got != o.DefaultDays {
-		t.Fatalf("out-of-plan page changing 50/day: interval %v, want DefaultDays %v (MinDays %v)", got, o.DefaultDays, o.MinDays)
+	for _, id := range []int32{3, 6} {
+		if got := o.Interval(id, 50); got != o.DefaultDays {
+			t.Fatalf("out-of-plan page %d changing 50/day: interval %v, want DefaultDays %v (MinDays %v)", id, got, o.DefaultDays, o.MinDays)
+		}
 	}
-	if got := outOfPlan.Value() - before; got != 1 {
-		t.Fatalf("out-of-plan counter moved by %d, want 1", got)
+	if got := outOfPlan.Value() - before; got != 2 {
+		t.Fatalf("out-of-plan counter moved by %d, want 2", got)
 	}
-	if got := o.Interval("http://a.com/", 50); got == o.DefaultDays {
+	if got := o.Interval(5, 50); got == o.DefaultDays {
 		t.Fatalf("planned page got the default %v", got)
 	}
-	if got := outOfPlan.Value() - before; got != 1 {
+	if got := outOfPlan.Value() - before; got != 2 {
 		t.Fatalf("a planned page moved the out-of-plan counter to %d", got)
 	}
 }
@@ -175,10 +191,10 @@ func TestOptimalSanitizesBadRates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := o.Rebuild([]PageRate{
-		{"http://a.com/", math.NaN()},
-		{"http://b.com/", math.Inf(1)},
-		{"http://c.com/", -3},
-		{"http://d.com/", 0.2},
+		{0, "http://a.com/", math.NaN()},
+		{1, "http://b.com/", math.Inf(1)},
+		{2, "http://c.com/", -3},
+		{3, "http://d.com/", 0.2},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +214,12 @@ func TestOptimalBudgetReflectedInIntervals(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rates[fmt.Sprintf("http://e.com/p%03d", i)] = 0.1
 	}
-	if err := o.Rebuild(pageRates(rates)); err != nil {
+	pages, ids := pageRates(rates)
+	if err := o.Rebuild(pages); err != nil {
 		t.Fatal(err)
 	}
 	for u := range rates {
-		iv := o.Interval(u, 0.1)
+		iv := o.Interval(ids[u], 0.1)
 		if math.Abs(iv-10) > 0.5 { // 100 pages / 10 visits/day
 			t.Fatalf("interval %v, want ~10", iv)
 		}

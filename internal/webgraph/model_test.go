@@ -301,6 +301,15 @@ func FuzzGraphOps(f *testing.F) {
 	// Page 0 links to [1 2], then to [1 1]: the repeat keeps the list as
 	// long as the out-set while 2 leaves it.
 	f.Add([]byte{3, 0, 2, 1, 2, 3, 0, 2, 1, 1})
+	// One call repeated: with a self-link; with repeats (never equal to
+	// the out-list it makes); after a reorder; after AddLink grew the
+	// list; after a target, then the page itself, was removed; empty.
+	f.Add([]byte{3, 0, 3, 1, 2, 0, 3, 0, 3, 1, 2, 0, 3, 0, 3, 1, 2, 0})
+	f.Add([]byte{4, 0, 4, 1, 1, 2, 1, 4, 0, 4, 1, 1, 2, 1})
+	f.Add([]byte{5, 0, 2, 1, 2, 5, 0, 2, 2, 1, 5, 0, 2, 2, 1})
+	f.Add([]byte{6, 0, 2, 1, 2, 1, 0, 3, 6, 0, 2, 1, 2, 6, 0, 2, 1, 2})
+	f.Add([]byte{3, 0, 2, 1, 2, 7, 2, 3, 0, 2, 1, 2, 3, 0, 2, 1, 2, 7, 0, 3, 0, 2, 1, 2, 3, 0, 2, 1, 2})
+	f.Add([]byte{3, 0, 1, 1, 7, 0, 3, 0, 0, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runGraphOps(t, data)
 	})

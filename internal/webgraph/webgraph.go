@@ -13,6 +13,7 @@ package webgraph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -30,11 +31,17 @@ type Graph struct {
 	mu  sync.RWMutex
 	ids urlid.Table
 	// live[id] reports whether the page is a node; out[id] and in[id]
-	// are its neighbours, unsorted and each once.
+	// are its neighbours, each once. out[id] is in the order SetLinks
+	// was last given them, AddLink appending; in[id] is unordered.
 	live         []bool
 	out, in      [][]int32
 	pages, links int
-	tos          []int32 // SetLinks' scratch: the links as IDs
+	// SetLinks' scratch: the links as IDs, deduplicated in place, and a
+	// per-ID mark — stamp for the old out-list, stamp+1 for the new —
+	// valid for the call that set stamp.
+	tos   []int32
+	mark  []uint32
+	stamp uint32
 }
 
 // New returns an empty graph.
@@ -54,6 +61,7 @@ func (g *Graph) ensure(p PageID) int32 {
 		g.live = append(g.live, false)
 		g.out = append(g.out, nil)
 		g.in = append(g.in, nil)
+		g.mark = append(g.mark, 0)
 	}
 	if !g.live[id] {
 		g.live[id] = true
@@ -79,44 +87,75 @@ func (g *Graph) link(f, t int32) {
 	g.links++
 }
 
-// SetLinks replaces the out-links of a page with the given set and
-// appends to added, in input order, each link that was not already an
-// out-link (once, however often tos repeats it). The crawler calls this
-// when a page's new version is fetched. It applies the difference: links
-// in both sets are left alone, only links that left are deleted and
-// only new ones inserted, so a revisit that changed nothing touches no
-// list but the page's own.
+// SetLinks replaces the out-links of a page with tos and appends to
+// added, in input order, each link that was not already an out-link
+// (once, however often tos repeats it). The crawler calls this when a
+// page's new version is fetched. The page's out-list keeps tos' order,
+// each link once, so a call that repeats the page's last links in the
+// same order — most revisits of a changed page — is recognized by
+// comparing URLs position by position and returns without looking up a
+// single link. Otherwise it applies the difference: links in both sets
+// keep their in-edges, only links that left lose theirs and only new
+// ones gain one, so a revisit that changed nothing touches no list but
+// the page's own.
 func (g *Graph) SetLinks(from PageID, tos, added []PageID) []PageID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	f := g.ensure(from)
+	old := g.out[f]
+	if g.sameURLs(old, tos) {
+		return added
+	}
 	ids := g.tos[:0]
 	for _, to := range tos {
 		ids = append(ids, g.ensure(to))
 	}
 	g.tos = ids
-	// Delete the links that left, then insert the new ones, where a
-	// repeat finds its first occurrence already inserted. The lists are
-	// short and unsorted: both searches are linear.
-	out := g.out[f]
-	for i := 0; i < len(out); {
-		t := out[i]
-		if slices.Contains(ids, t) {
-			i++
-			continue
-		}
-		out = swapRemove(out, i)
-		g.in[t] = swapRemove(g.in[t], slices.Index(g.in[t], f))
-		g.links--
+	if g.stamp >= math.MaxUint32-1 {
+		clear(g.mark)
+		g.stamp = 0
 	}
-	g.out[f] = out
+	g.stamp += 2
+	inOld, inNew := g.stamp, g.stamp+1
+	for _, t := range old {
+		g.mark[t] = inOld
+	}
+	next := ids[:0] // never passes the link being read
 	for i, t := range ids {
-		if !slices.Contains(g.out[f], t) {
-			g.link(f, t)
+		switch g.mark[t] {
+		case inNew:
+			continue // a repeat
+		case inOld:
+		default:
+			g.in[t] = append(g.in[t], f)
+			g.links++
 			added = append(added, tos[i])
 		}
+		g.mark[t] = inNew
+		next = append(next, t)
 	}
+	for _, t := range old {
+		if g.mark[t] == inOld { // the link left
+			g.in[t] = swapRemove(g.in[t], slices.Index(g.in[t], f))
+			g.links--
+		}
+	}
+	g.out[f] = append(old[:0], next...)
 	return added
+}
+
+// sameURLs reports whether ids names exactly urls, position by
+// position.
+func (g *Graph) sameURLs(ids []int32, urls []PageID) bool {
+	if len(ids) != len(urls) {
+		return false
+	}
+	for i, id := range ids {
+		if g.ids.URL(id) != urls[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // swapRemove deletes s[i], moving the last element into its place.

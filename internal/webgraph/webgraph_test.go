@@ -3,6 +3,7 @@ package webgraph
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -50,6 +51,112 @@ func TestSetLinksReplaces(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSetLinksRepeatChangesNothing: a call that passes a page's links
+// again, in the same order, reports nothing added and leaves every
+// page's in- and out-set and the link count as they were — also when
+// the list repeats links or holds a self-link.
+func TestSetLinksRepeatChangesNothing(t *testing.T) {
+	for _, tos := range [][]PageID{
+		{"a", "b", "c"},
+		{"b", "p", "a"},
+		{"a", "b", "a", "p", "p"},
+		{},
+	} {
+		g := New()
+		g.AddLink("a", "p")
+		g.AddLink("q", "b")
+		g.SetLinks("p", tos, nil)
+		before, links := linkSets(g), g.NumLinks()
+		if added := g.SetLinks("p", tos, nil); len(added) != 0 {
+			t.Fatalf("repeating SetLinks(p, %v) added %v", tos, added)
+		}
+		if after := linkSets(g); !reflect.DeepEqual(after, before) || g.NumLinks() != links {
+			t.Fatalf("repeating SetLinks(p, %v): links %v (%d), before %v (%d)", tos, after, g.NumLinks(), before, links)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// linkSets returns every page's sorted out- and in-links.
+func linkSets(g *Graph) map[PageID][2][]PageID {
+	sets := map[PageID][2][]PageID{}
+	for _, p := range g.Pages() {
+		sets[p] = [2][]PageID{g.OutLinks(p), g.InLinks(p)}
+	}
+	return sets
+}
+
+// outList returns p's out-list in its stored order.
+func outList(g *Graph, p PageID) []PageID {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	id, ok := g.node(p)
+	if !ok {
+		return nil
+	}
+	return g.urls(g.out[id])
+}
+
+// TestSetLinksKeepsInputOrder: a changed call leaves the out-list in
+// the call's order, each link once, whatever the list held before — a
+// link AddLink appended, the same set in another order.
+func TestSetLinksKeepsInputOrder(t *testing.T) {
+	g := New()
+	g.SetLinks("p", []PageID{"c", "a", "b"}, nil)
+	g.AddLink("p", "z")
+	for _, tc := range []struct{ tos, want []PageID }{
+		{[]PageID{"c", "a", "b"}, []PageID{"c", "a", "b"}},
+		{[]PageID{"d", "b", "a", "d"}, []PageID{"d", "b", "a"}},
+		{[]PageID{"a", "b", "d"}, []PageID{"a", "b", "d"}},
+		{[]PageID{"b", "a", "d", "c"}, []PageID{"b", "a", "d", "c"}},
+	} {
+		g.SetLinks("p", tc.tos, nil)
+		if got := outList(g, "p"); !slices.Equal(got, tc.want) {
+			t.Fatalf("after SetLinks(p, %v) the out-list is %v, want %v", tc.tos, got, tc.want)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSetLinksRepeatsAndSelfLinks: a list with repeats is longer than
+// the out-list it makes, so even a repeated call compares unequal and
+// applies the difference — which must add nothing, keep one edge per
+// link and the self-link's in-edge until the self-link leaves.
+func TestSetLinksRepeatsAndSelfLinks(t *testing.T) {
+	g := New()
+	steps := []struct {
+		tos, added, out []PageID
+		links           int
+		inP             []PageID
+	}{
+		{[]PageID{"p", "a", "a", "p"}, []PageID{"p", "a"}, []PageID{"p", "a"}, 2, []PageID{"p"}},
+		{[]PageID{"p", "a", "a", "p"}, nil, []PageID{"p", "a"}, 2, []PageID{"p"}},
+		{[]PageID{"a", "p"}, nil, []PageID{"a", "p"}, 2, []PageID{"p"}},
+		{[]PageID{"a", "p", "p"}, nil, []PageID{"a", "p"}, 2, []PageID{"p"}},
+		{[]PageID{"a", "a"}, nil, []PageID{"a"}, 1, []PageID{}},
+		{[]PageID{"p"}, []PageID{"p"}, []PageID{"p"}, 1, []PageID{"p"}},
+	}
+	for i, st := range steps {
+		added := g.SetLinks("p", st.tos, nil)
+		if !slices.Equal(added, st.added) {
+			t.Fatalf("step %d: SetLinks(p, %v) added %v, want %v", i, st.tos, added, st.added)
+		}
+		if got := outList(g, "p"); !slices.Equal(got, st.out) {
+			t.Fatalf("step %d: out-list %v, want %v", i, got, st.out)
+		}
+		if g.NumLinks() != st.links || !slices.Equal(g.InLinks("p"), st.inP) {
+			t.Fatalf("step %d: %d links, p's in-links %v; want %d, %v", i, g.NumLinks(), g.InLinks("p"), st.links, st.inP)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
 	}
 }
 
