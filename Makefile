@@ -213,13 +213,17 @@ smoke-store:
 smoke-serve:
 	./scripts/serve_smoke.sh
 
-# Flag-wiring sanity for the analytic binaries: freshsim and webevo
-# build in CI but had no run coverage, so a refactor of the shared
-# packages could break their wiring silently. A reduced workload and a
+# Flag-wiring sanity for the analytic binaries and crawlsim's two
+# other modes: freshsim, webevo and crawlsim's -matrix and -curves
+# paths build in CI but had no run coverage, so a refactor of the
+# shared packages could break their wiring silently (a -matrix cell
+# that core.Config.Validate refuses, say). A reduced workload and a
 # zero exit is all this asserts — their numeric output is covered by
-# the internal/freshness and internal/experiment tests.
+# the internal/freshness, internal/experiment and internal/core tests.
 smoke-tools:
 	$(GO) run ./cmd/freshsim >/dev/null
 	$(GO) run ./cmd/webevo -pages 60 -days 30 >/dev/null
+	$(GO) run ./cmd/crawlsim -matrix -days 30 -size 200 >/dev/null
+	$(GO) run ./cmd/crawlsim -curves -days 30 -size 200 >/dev/null
 
 ci: build vet fmt test-names race fuzz bench-smoke bench-check bench smoke-cluster smoke-store smoke-serve smoke-tools

@@ -343,7 +343,6 @@ func BenchmarkUpdateModuleThroughput(b *testing.B) {
 		CycleDays:      1,
 		RankEveryDays:  1,
 		Workers:        8,
-		Shards:         16,
 	}, fetch.NewSimFetcher(w))
 	if err != nil {
 		b.Fatal(err)

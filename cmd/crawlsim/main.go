@@ -3,7 +3,9 @@
 // evaluator: the end-to-end comparison behind Figure 10 — the incremental
 // crawler (steady, in-place, variable frequency) against the periodic
 // crawler (batch, shadowing, fixed frequency) at equal average bandwidth —
-// plus the full 2x2x2 design matrix if requested.
+// plus the design matrix if requested: steady or batch, in-place or
+// shadow, fixed or variable frequency, with batch at fixed frequency only
+// (a batch crawl recrawls the whole collection every cycle).
 //
 // Usage:
 //
@@ -34,10 +36,9 @@ func main() {
 	seed := flag.Int64("seed", 2000, "simulation seed")
 	days := flag.Float64("days", 120, "virtual days to run")
 	size := flag.Int("size", 2000, "collection size (pages)")
-	matrix := flag.Bool("matrix", false, "run the full steady/batch x in-place/shadow x fixed/variable matrix")
+	matrix := flag.Bool("matrix", false, "run the steady/batch x in-place/shadow x fixed/variable matrix (batch at fixed frequency only)")
 	curves := flag.Bool("curves", false, "plot measured freshness-over-time curves (engine-measured Figure 7/8 analog)")
 	workers := flag.Int("workers", 4, "concurrent crawl workers (results are identical at any count)")
-	shards := flag.Int("shards", 16, "per-site frontier shards")
 	shardServers := flag.String("shard-servers", "", "comma-separated shardd endpoints hosting the frontier (results are identical to local shards)")
 	storeServer := flag.String("store-server", "", "storerd endpoint hosting the incremental crawlers' collections (results are identical to local stores; the periodic baseline stays local, like its frontier)")
 	registryAddr := flag.String("registry", "", "registryd endpoint; shard and store servers are discovered from it and followed live (exclusive with the static lists)")
@@ -79,7 +80,7 @@ func main() {
 		defer tf.Close()
 		obs.DefaultTrace.SetWriter(tf)
 	}
-	eng := engine{workers: *workers, shards: *shards, topo: topo}
+	eng := engine{workers: *workers, topo: topo}
 	if *curves {
 		err = runCurves(*seed, *days, *size, &eng)
 	} else {
@@ -96,8 +97,8 @@ func main() {
 // contender's config — and, with a cluster topology, the remote
 // frontier and repository every incremental contender mounts in turn.
 type engine struct {
-	workers, shards int
-	topo            cluster.Topology
+	workers int
+	topo    cluster.Topology
 
 	// The contender currently holding the cluster (nil planes are local).
 	rshards *cluster.RemoteShards
@@ -105,9 +106,9 @@ type engine struct {
 	sh      *store.Shadowed
 }
 
-// config applies the concurrency knobs to a contender's config.
+// config applies the worker count to a contender's config.
 func (e *engine) config(cfg core.Config) core.Config {
-	cfg.Workers, cfg.Shards = e.workers, e.shards
+	cfg.Workers = e.workers
 	return cfg
 }
 
@@ -268,6 +269,9 @@ func run(seed int64, days float64, size int, matrix bool, eng *engine) error {
 		for _, mode := range []core.Mode{core.Steady, core.Batch} {
 			for _, upd := range []core.UpdateStyle{core.InPlace, core.Shadow} {
 				for _, fr := range []core.FreqPolicy{core.FixedFreq, core.VariableFreq} {
+					if mode == core.Batch && fr != core.FixedFreq {
+						continue // core.Config.Validate refuses it
+					}
 					mode, upd, fr := mode, upd, fr
 					contenders = append(contenders, contender{matrixName(mode, upd, fr), func(w *simweb.Web) (core.Runner, error) {
 						cfg := baseCfg(w)

@@ -296,8 +296,9 @@ func TestRemoteStickyError(t *testing.T) {
 	}
 }
 
-// TestRetiredShardOpsRefused: the per-entry frontier ops are retired,
-// and their numbers are never reused. A server answers each with an
+// TestRetiredShardOpsRefused: the per-entry frontier ops and the hello
+// that carried a politeness gap are retired, and their numbers are
+// never reused. A server answers each with an
 // unknown-opcode error naming it, and applies nothing; the client's
 // per-entry methods send nothing and record an error naming the
 // method.
@@ -305,6 +306,7 @@ func TestRetiredShardOpsRefused(t *testing.T) {
 	srv := NewShardServer(frontier.NewSharded(2))
 	defer srv.Close()
 	for op, name := range map[byte]string{
+		retiredHello:       "retired_hello",
 		retiredPush:        "retired_push",
 		retiredPopDue:      "retired_pop_due",
 		retiredClaimDue:    "retired_claim_due",

@@ -48,10 +48,11 @@ func TestStickyErrIdentifiesServerAndOp(t *testing.T) {
 }
 
 // foreignFrames are intact frames of the versions either side of ours:
-// a version-5 hello (two-byte header, want byte) and our shape tagged 7.
+// a version-5 hello (two-byte header, want byte) and our shard hello
+// tagged 7.
 var foreignFrames = map[byte][]byte{
-	5:                rawFrame([]byte{5, opHello, 0, 1, ProtoVersion}),
-	ProtoVersion + 1: rawFrame([]byte{ProtoVersion + 1, opHello, 0, 0, 1}),
+	5:                rawFrame([]byte{5, retiredHello, 0, 1, ProtoVersion}),
+	ProtoVersion + 1: rawFrame([]byte{ProtoVersion + 1, opShardHello, 0}),
 }
 
 // TestServerAnswersVersionMismatch: a server that reads an intact frame

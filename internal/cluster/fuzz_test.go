@@ -48,6 +48,11 @@ func rawFrame(payload []byte) []byte {
 	return out
 }
 
+// parentHelloBody is the retired hello's body as builds before
+// opShardHello sent it: apply a gap (bool), the gap (f64: 0.5), clear
+// claims (bool).
+var parentHelloBody = []byte{1, 0, 0, 0, 0, 0, 0, 0xE0, 0x3F, 1}
+
 // seedBodies are well-formed request bodies by opcode, plus bodies
 // whose malformation only the decode layer can catch. The retired ops
 // keep the bodies earlier builds sent: they pin the refusal.
@@ -81,7 +86,8 @@ func seedBodies() map[byte][][]byte {
 		// The second: a fixed-width body as builds before version 6
 		// encoded it.
 		retiredRelease: {{1, 2, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F}},
-		opHello:        {{1}, helloBody(0.5, true)},
+		retiredHello:   {{1}, parentHelloBody},
+		opShardHello:   {nil},
 		retiredRemove:  {{}},
 		opLen:          {nil},
 		0xEE:           {[]byte("unknown op")},
@@ -132,7 +138,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// Other builds' frames, intact: the two-byte-header shapes versions
 	// 2–5 wrote (a v5 hello with its want byte, a v5 body that would read
 	// as a compression flag) and ours tagged one version ahead.
-	f.Add(rawFrame(append([]byte{5, opHello}, append(helloBody(0.5, true), ProtoVersion)...)))
+	f.Add(rawFrame(append([]byte{5, retiredHello}, append(parentHelloBody, ProtoVersion)...)))
 	f.Add(rawFrame([]byte{2, opLen}))
 	f.Add(rawFrame([]byte{5, opLen, flagCompressed}))
 	f.Add(rawFrame(append([]byte{ProtoVersion + 1, opRound, 0}, seedBodies()[opRound][0]...)))

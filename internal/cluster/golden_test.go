@@ -87,34 +87,82 @@ func TestGoldenWire(t *testing.T) {
 	checkGolden(t, "store_hello", log.Bytes())
 }
 
-// TestOpensParentWrittenWAL: testdata/wal_parent_graceful was written
-// by the last build that spoke versions 2–6 (commit 8be3285), through
-// the public client API and a graceful CloseWAL — the upgrade path
-// README prescribes. This build must restore from it what that build
-// recorded beside it: queue length, politeness gap and, with the
-// per-shard deadlines in play, the exact pop order.
-func TestOpensParentWrittenWAL(t *testing.T) {
-	src := filepath.Join("testdata", "wal_parent_graceful")
-	dir := t.TempDir() // OpenWAL compacts what it opens; the fixture stays pristine
-	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+// TestRefusesParentSnapshotWithGap: testdata/wal_parent_graceful was
+// written by the last build that spoke versions 2–6 (commit 8be3285),
+// through the public client API and a graceful CloseWAL, with a
+// 0.25-day politeness gap in its snapshot. A server holding a gap
+// refused every round, and this build keeps no gap to restore: OpenWAL
+// must refuse the snapshot naming the gap and leave the directory
+// byte-identical.
+func TestRefusesParentSnapshotWithGap(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "wal_parent_graceful"))); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(src + ".want")
+	before := dirBytes(t, dir)
+	err := NewShardServer(frontier.NewSharded(4)).OpenWAL(dir)
+	want := fmt.Sprintf("cluster: wal: snapshot %s holds a politeness gap (0.25)", filepath.Join(dir, walSnapName))
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("OpenWAL = %v, want the gap refused by name (%q)", err, want)
+	}
+	if !reflect.DeepEqual(dirBytes(t, dir), before) {
+		t.Fatal("the refused open changed the directory")
+	}
+}
+
+// parentSnapshot is a snapshot as builds before opShardHello wrote it:
+// after the sequence number, the header carries the politeness gap and
+// every shard's deadline and claim (here four shards, each claimed and
+// not ready before day 5).
+func parentSnapshot(t *testing.T, seq uint64, gap float64, entries []frontier.Entry) []byte {
+	var hdr, ents enc
+	hdr.u64(seq).f64(gap).u32(4)
+	for i := 0; i < 4; i++ {
+		hdr.f64(5).bool(true)
+	}
+	encodeEntries(&ents, entries)
+	snap := append(validFrame(t, walSnapHeader, hdr.b), validFrame(t, walSnapEntries, ents.b)...)
+	return append(snap, validFrame(t, walSnapEnd, nil)...)
+}
+
+// TestOpensParentSnapshotWithoutGap: a snapshot of a build before
+// opShardHello whose gap is zero opens with every entry. Its shards'
+// deadlines and claims are dropped — no round reads a deadline, and
+// that build's next session cleared the claims anyway — so the
+// compaction that follows the open writes a header of the sequence
+// number alone.
+func TestOpensParentSnapshotWithoutGap(t *testing.T) {
+	dir := t.TempDir()
+	entries := []frontier.Entry{
+		{URL: "http://site001.com/a", Due: 1, Priority: 2},
+		{URL: "http://site002.com/b", Due: 1.5},
+		{URL: "http://site003.com/c", Due: 2, Priority: 1},
+	}
+	if err := os.WriteFile(filepath.Join(dir, walSnapName), parentSnapshot(t, 3, 0, entries), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := newWALServer(t, dir, 4)
+	got := roundVia(t, srv, 1, nil, nil, 10)
+	if len(got) != len(entries) {
+		t.Fatalf("restored candidates %+v, want %+v", got, entries)
+	}
+	for i := range got {
+		if !sameEntry(got[i], entries[i]) {
+			t.Fatalf("restored candidates %+v, want %+v", got, entries)
+		}
+	}
+	if next, ok := srv.Shards().NextEvent(); !ok || next != 1 {
+		t.Fatalf("NextEvent = %v, %v: the parent's shard deadlines were restored", next, ok)
+	}
+	f, err := os.Open(filepath.Join(dir, walSnapName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := newWALServer(t, dir, 4).Shards()
-	var got strings.Builder
-	fmt.Fprintf(&got, "len %d\npoliteness %v\n", q.Len(), q.Politeness())
-	for now := 0.0; ; {
-		if ent, ok := q.PopDue(now); ok {
-			fmt.Fprintf(&got, "pop %v %s %v %v\n", now, ent.URL, ent.Due, ent.Priority)
-		} else if now, ok = q.NextEvent(); !ok {
-			break
-		}
-	}
-	if got.String() != string(want) {
-		t.Fatalf("state restored from the parent build's WAL differs\ngot:\n%swant:\n%s", got.String(), want)
+	defer f.Close()
+	var want enc
+	want.u64(4) // the compaction's sequence number, one past the parent's
+	if kind, body, _, err := readFrame(f); err != nil || kind != walSnapHeader || !bytes.Equal(body, want.b) {
+		t.Fatalf("rewritten header (%d, %x, %v), want (%d, %x)", kind, body, err, walSnapHeader, want.b)
 	}
 }
 

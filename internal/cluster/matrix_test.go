@@ -319,7 +319,7 @@ func runCell(t *testing.T, c cell) outcome {
 	cfg := baseConfig(w)
 	cfg.StoreContent = true
 	cfg.Mode, cfg.Update, cfg.Freq = c.style.mode, c.style.update, c.style.freq
-	cfg.Workers, cfg.Shards, cfg.DispatchBatch = c.workers.workers, c.workers.shards, c.workers.batch
+	cfg.Workers, cfg.DispatchBatch = c.workers.workers, c.workers.batch
 	cfg.Frontier = r.frontier()
 	sh := r.store()
 
@@ -420,17 +420,13 @@ func (r *cellRun) shardServer(n, budget int) (*cluster.ShardServer, error) {
 	return srv, nil
 }
 
-// frontier builds the cell's CollUrls; nil leaves the crawler its own
-// in-process memory shards.
+// frontier builds the cell's CollUrls.
 func (r *cellRun) frontier() frontier.ShardSet {
 	t, f := r.t, r.cell.frontier
 	var rs *cluster.RemoteShards
 	var err error
 	switch f.via {
 	case "local":
-		if f.budget == 0 {
-			return nil
-		}
 		fr, err := r.openShards(r.cell.workers.shards, f.budget)
 		if err != nil {
 			t.Fatal(err)

@@ -67,19 +67,15 @@ func dialShards(src MembershipSource, ms registry.Membership, dialFor func(m reg
 	rs := &RemoteShards{
 		reqBase: randomReqBase(),
 		opts:    opts,
-		rehello: helloBody(0, false),
 		src:     src,
 		dialFor: dialFor,
 	}
-	helloInit := helloBody(0, true)
 	names := make([]string, len(shard))
 	servers := make([]*serverConns, len(shard))
 	sort.Slice(shard, func(i, j int) bool { return shard[i].Addr < shard[j].Addr })
 	for i, m := range shard {
 		sc := rs.newShardMember(m)
-		// The eager first connect clears stale claims; reconnects (the
-		// sc.hello body) must not, their own workers hold claims.
-		if err := sc.dialEager(helloInit, "member "+m.Addr+" (%v)"); err != nil {
+		if err := sc.dialEager("member " + m.Addr + " (%v)"); err != nil {
 			rs.closeAll()
 			return nil, fmt.Errorf("cluster: member %s: %w", m.Addr, err)
 		}
@@ -108,16 +104,14 @@ func dialShards(src MembershipSource, ms registry.Membership, dialFor func(m reg
 // newShardMember builds the (undialed) pool for one registry member.
 func (rs *RemoteShards) newShardMember(m registry.Member) *serverConns {
 	sc := newServerConns("member "+m.Addr, rs.dialFor(m), rs.opts, &rs.closed)
-	sc.hello = rs.rehello
-	sc.helloOp = opHello
+	sc.helloOp = opShardHello
 	sc.checkHello = sc.checkShardHello
 	return sc
 }
 
 // primeLazy fills a fresh pool with empty slots, so every connection
 // dials on first use — the lazily-connecting counterpart of dialEager,
-// for members joining mid-run (their hello must not clear claims
-// anyway, so there is nothing an eager dial would add).
+// for members joining mid-run.
 func (sc *serverConns) primeLazy() {
 	for i := 0; i < cap(sc.pool); i++ {
 		sc.pool <- nil
@@ -127,7 +121,7 @@ func (sc *serverConns) primeLazy() {
 // Rebalance polls the membership source and, when the epoch moved,
 // re-resolves the topology — driving a live shard migration if one is
 // pending. It must only be called at quiescent round boundaries (no
-// in-flight ops, no held claims); core's engines call it at the top of
+// in-flight ops); core's engines call it at the top of
 // their steady/batch loops. Calls are rate-limited to one membership
 // read per rebalancePoll; a broken or closed client returns
 // immediately. A static list's fixed membership never moves, so its

@@ -68,8 +68,8 @@ var (
 // opName renders an opcode for metric labels.
 func opName(op byte) string {
 	switch op {
-	case opHello:
-		return "hello"
+	case retiredHello:
+		return "retired_hello"
 	case retiredPush:
 		return "retired_push"
 	case retiredPopDue:
@@ -106,6 +106,12 @@ func opName(op byte) string {
 		return "shard_export"
 	case opShardImport:
 		return "shard_import"
+	case opShardHello:
+		return "shard_hello"
+	case retiredWALSetPoliteness:
+		return "retired_wal_set_politeness"
+	case retiredWALClearClaims:
+		return "retired_wal_clear_claims"
 	case opStoreHello:
 		return "store_hello"
 	case retiredStorePutBatch:

@@ -56,7 +56,12 @@ const maxFrame = 64 << 20
 // earlier builds) means the body is deflate-compressed, prefixed with
 // its inflated length as a uvarint; all other flag bits must be zero.
 const (
-	opHello byte = iota + 1
+	// retiredHello carried a politeness gap and a clear-claims flag,
+	// session state a shard server no longer keeps; opShardHello
+	// replaced it. Its number, like the per-entry ops' below, is never
+	// reused: a peer of an older build that sends it is answered
+	// "unknown opcode" with its name.
+	retiredHello byte = iota + 1
 	// The per-entry frontier ops (push, pop, claim, peek, release and
 	// their kin) are retired: crawls speak only opRound. Their numbers
 	// are never reused: a peer of an older build that sends one is
@@ -90,6 +95,10 @@ const (
 	// client retries like any other frontier mutation.
 	opShardExport
 	opShardImport
+	// opShardHello is the shard handshake: an empty request, answered
+	// with the server's shard count, which the client pins across
+	// reconnects (checkShardHello).
+	opShardHello
 )
 
 // The repository-store op family, served by StoreServer

@@ -92,8 +92,8 @@ func tcpDialers(addrs []string) []Dialer {
 // become sticky: every later operation is a no-op returning zero
 // values (the engine winds down as if the frontier drained), and
 // callers check Err when the crawl ends. A cluster is owned by one
-// client at a time; connecting clears stale claims a vanished previous
-// client may have held.
+// client at a time; the servers keep no session state, so a client's
+// hello changes nothing on them.
 type RemoteShards struct {
 	// topo is the routing topology of the current membership epoch: the
 	// consistent-hash ring plus the per-member connection pools, swapped
@@ -107,7 +107,6 @@ type RemoteShards struct {
 	src      MembershipSource
 	dialFor  func(m registry.Member) Dialer
 	opts     Options
-	rehello  []byte     // every pool's reconnect hello (see serverConns.hello)
 	rebalMu  sync.Mutex // serializes Rebalance; guards lastPoll
 	lastPoll time.Time
 
@@ -190,13 +189,13 @@ type clientConn struct {
 // are never stranded across a redial; the next op taking a nil slot
 // dials a fresh connection.
 type serverConns struct {
-	name  string
-	dial  Dialer
-	hello []byte // reconnect hello body (zero gap, no claim clearing)
+	name string
+	dial Dialer
 
 	// helloOp and checkHello parameterize the handshake per server
-	// kind: opHello with shard-count pinning for shard servers,
-	// opStoreHello with a magic check for store servers.
+	// kind: opShardHello with shard-count pinning for shard servers,
+	// opStoreHello with a magic check for store servers. Both hellos
+	// have an empty request body.
 	helloOp    byte
 	checkHello func(resp []byte) error
 
@@ -253,7 +252,7 @@ func (sc *serverConns) exchange(cc *clientConn, op byte, body []byte) (byte, []b
 // it: the per-kind validation (shard-count pinning, or the store
 // server's magic). A server of another protocol version fails the
 // exchange itself (errProtoVersion).
-func (sc *serverConns) connect(helloBody []byte) (*clientConn, error) {
+func (sc *serverConns) connect() (*clientConn, error) {
 	if sc.closed.Load() {
 		return nil, errClientClosed
 	}
@@ -262,7 +261,7 @@ func (sc *serverConns) connect(helloBody []byte) (*clientConn, error) {
 		return nil, err
 	}
 	cc := &clientConn{conn: conn, r: bufio.NewReader(conn)}
-	status, resp, err := sc.exchange(cc, sc.helloOp, helloBody)
+	status, resp, err := sc.exchange(cc, sc.helloOp, nil)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -350,7 +349,7 @@ func (sc *serverConns) roundTrip(op byte, body []byte) ([]byte, error) {
 			if attempt > 0 {
 				clientRedials.Inc()
 			}
-			if cc, err = sc.connect(sc.hello); err != nil {
+			if cc, err = sc.connect(); err != nil {
 				lastErr = err
 				continue
 			}
@@ -413,8 +412,8 @@ func newServerConns(name string, dial Dialer, opts Options, closed *atomic.Bool)
 // name with the resolved remote address, and leaves the remaining
 // slots to dial lazily on first use. nameFmt carries one %v for the
 // address.
-func (sc *serverConns) dialEager(helloBody []byte, nameFmt string) error {
-	cc, err := sc.connect(helloBody)
+func (sc *serverConns) dialEager(nameFmt string) error {
+	cc, err := sc.connect()
 	if err != nil {
 		return err
 	}
@@ -446,17 +445,6 @@ func (sc *serverConns) drainClose() {
 	for i := 0; i < taken; i++ {
 		sc.pool <- nil
 	}
-}
-
-// helloBody encodes the shard handshake: the politeness gap the server
-// applies, and whether to clear stale shard claims (a fresh client
-// session does; a reconnect must not). Every client sends a zero gap:
-// crawls space requests to one host in their fetcher, and the round
-// protocol runs only at zero. Tests encode other gaps.
-func helloBody(gapDays float64, clearClaims bool) []byte {
-	var e enc
-	e.bool(true).f64(gapDays).bool(clearClaims)
-	return e.b
 }
 
 // Dial connects to a static cluster of shard servers, one Dialer per
@@ -631,8 +619,8 @@ const exchangeRounds = 4
 // ok is always true. Transport failures follow the usual contract:
 // retried with exactly-once dedup, then sticky via Err(), with zero
 // values returned — the crawl winds down as if the frontier drained.
-// So does a server's refusal of the round, should it hold a non-zero
-// gap (no client's hello sets one).
+// So does a server's refusal of the round, should it serve a queue
+// built with a politeness gap.
 func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Entry, peekMax int) (cands []frontier.Entry, bound frontier.Entry, boundOK, ok bool) {
 	if rs.broken() {
 		return nil, frontier.Entry{}, false, true
@@ -804,9 +792,8 @@ func (rs *RemoteShards) URLs() []string {
 	return out
 }
 
-// Reset empties every server's shards (claims and politeness deadlines
-// included), so sequential experiments over one cluster each start
-// from a clean frontier. Not part of frontier.ShardSet: local frontiers
+// Reset empties every server's shards, so sequential experiments over
+// one cluster each start from a clean frontier. Not part of frontier.ShardSet: local frontiers
 // are simply rebuilt.
 func (rs *RemoteShards) Reset() error {
 	// One request ID serves the whole fan-out: IDs only key each

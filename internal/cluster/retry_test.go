@@ -428,9 +428,9 @@ func TestRoundReplyLostKeepsPopOrder(t *testing.T) {
 		t.Fatalf("remote still has candidates: %+v", rc)
 	}
 	lost := metricsFor(opRound).clientRetries.Value() - retries
-	// Besides the rounds, the log takes one politeness record per
-	// reconnect hello — one per lost reply.
-	if got := walAppends.Value() - appends - lost; got != int64(rounds) {
+	// The log takes the rounds and nothing else: a reconnect's hello
+	// appends nothing.
+	if got := walAppends.Value() - appends; got != int64(rounds) {
 		t.Fatalf("%d rounds logged %d times: a retried round was applied again", rounds, got)
 	}
 	if restarts < 2 || lost < int64(2*restarts) {
@@ -445,23 +445,20 @@ func TestRoundReplyLostKeepsPopOrder(t *testing.T) {
 // TestApplyRoundRefusedWithPoliteness: the round protocol is only
 // sound with a zero politeness gap; both halves must refuse it rather
 // than serve politeness-blind candidates. In-process the refusal is
-// ok=false. Every client's hello sends a zero gap, so the gap is set on
-// the server after the handshake (over the client's one connection; a
-// second would send the hello again): the server refuses with an error,
-// which becomes the client's sticky error, with nothing applied.
+// ok=false. A server serving a queue built with a gap refuses with an
+// error, which becomes the client's sticky error, with nothing applied.
 func TestApplyRoundRefusedWithPoliteness(t *testing.T) {
 	local := frontier.NewShardedPolite(4, 0.5)
 	if _, _, _, ok := local.ApplyRound(nil, nil, nil, 4); ok {
 		t.Fatal("Sharded.ApplyRound accepted a politeness gap")
 	}
-	srv := NewShardServer(frontier.NewSharded(4))
+	srv := NewShardServer(frontier.NewShardedPolite(4, 0.5))
 	t.Cleanup(func() { srv.Close() })
-	rs, err := Loopback([]*ShardServer{srv}, Options{t: transport{conns: 1}})
+	rs, err := Loopback([]*ShardServer{srv}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rs.Close() })
-	srv.Shards().SetPoliteness(0.5)
 	cands, _, _, _ := rs.ApplyRound(nil, nil, []frontier.Entry{{URL: "http://a.example/"}}, 4)
 	if len(cands) != 0 {
 		t.Fatalf("a polite server served candidates %+v", cands)

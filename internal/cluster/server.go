@@ -230,49 +230,7 @@ func (s *ShardServer) handle(op byte, body []byte) (status byte, resp []byte) {
 	d := newDec(body)
 	var e enc
 	switch op {
-	case opHello:
-		apply := d.bool()
-		var gap float64
-		if apply {
-			gap = d.f64()
-		}
-		clearClaims := d.bool()
-		if err := d.finish(); err != nil {
-			return statusError, []byte(err.Error())
-		}
-		if apply || clearClaims {
-			// Hello mutates frontier state, so its effects must be
-			// logged too: replayed pops recompute politeness deadlines
-			// and consult claims at apply time, and would diverge from
-			// the served state if the hello were lost.
-			s.walMu.Lock()
-			if s.wal != nil {
-				if apply {
-					var we enc
-					we.f64(gap)
-					if err := s.wal.append(walSetPoliteness, we.b); err != nil {
-						s.walMu.Unlock()
-						return statusError, []byte(fmt.Sprintf("wal append: %v", err))
-					}
-				}
-				if clearClaims {
-					if err := s.wal.append(walClearClaims, nil); err != nil {
-						s.walMu.Unlock()
-						return statusError, []byte(fmt.Sprintf("wal append: %v", err))
-					}
-				}
-			}
-			if apply {
-				s.shards.SetPoliteness(gap)
-			}
-			if clearClaims {
-				// A fresh client session: claims held by a vanished
-				// previous client would otherwise wedge their shards
-				// forever.
-				s.shards.ClearClaims()
-			}
-			s.walMu.Unlock()
-		}
+	case opShardHello:
 		e.u32(uint32(s.shards.NumShards()))
 	case opLen:
 		e.u32(uint32(s.shards.Len()))

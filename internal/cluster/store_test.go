@@ -392,7 +392,7 @@ func truncatingServer(hello, body []byte) Dialer {
 					return
 				}
 				resp := body
-				if op == opHello || op == opStoreHello {
+				if op == opShardHello || op == opStoreHello {
 					resp = hello
 				}
 				if _, err := writeFrame(srv, statusOK, resp); err != nil {

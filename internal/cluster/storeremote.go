@@ -63,9 +63,9 @@ func dialStores(members []registry.Member, dialFor func(m registry.Member) Diale
 	}
 	for _, name := range rs.ring.Members() {
 		sc := newServerConns(name, dialFor(byName[name]), opts, &rs.closed)
-		sc.helloOp = opStoreHello // the store hello body is empty
+		sc.helloOp = opStoreHello
 		sc.checkHello = sc.checkStoreHello
-		if err := sc.dialEager(nil, name+" (%v)"); err != nil {
+		if err := sc.dialEager(name + " (%v)"); err != nil {
 			rs.Close()
 			return nil, fmt.Errorf("cluster: %s: %w", name, err)
 		}

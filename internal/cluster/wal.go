@@ -29,10 +29,10 @@ import (
 // Layout of a -wal directory:
 //
 //	frontier.snap          a chunked snapshot (header, entry chunks,
-//	                       dedup chunks, end marker): full state plus
-//	                       the dedup cache, stamped with the sequence
-//	                       number of the first log file it does NOT
-//	                       cover
+//	                       dedup chunks, end marker): every queued entry
+//	                       plus the dedup cache, stamped with the
+//	                       sequence number of the first log file it does
+//	                       NOT cover
 //	frontier-<seq>.wal     op frames appended since snapshot <seq>
 //
 // Compaction (periodic, on graceful shutdown, and after every replay)
@@ -50,10 +50,12 @@ const (
 	walSnapEntries = byte(0xF1)
 	walSnapDedup   = byte(0xF2)
 	walSnapEnd     = byte(0xF3)
-	// Log record kinds for the mutations the hello handshake performs
-	// (hello itself is a read-only op and carries no request ID).
-	walSetPoliteness = byte(0xF8)
-	walClearClaims   = byte(0xF9)
+	// Retired log record kinds: the politeness gap and the claim reset
+	// that builds before opShardHello logged at every hello. A shard
+	// server keeps no session state now, so replay refuses a log holding
+	// either by name (see OpenWAL's upgrade rule).
+	retiredWALSetPoliteness = byte(0xF8)
+	retiredWALClearClaims   = byte(0xF9)
 
 	walSnapName  = "frontier.snap"
 	walFilePat   = "frontier-%08d.wal"
@@ -61,7 +63,6 @@ const (
 	walSnapPerm  = 0o644
 	walDirPerm   = 0o755
 	walMaxDedup  = respCacheSize
-	walMaxShards = 1 << 20
 	walSnapChunk = 4096 // entries (or dedup records) per snapshot frame
 )
 
@@ -96,9 +97,8 @@ func walFileSeqs(dir string) ([]uint64, error) {
 }
 
 // append logs one mutating op. Caller holds walMu. The frame is written
-// with a single write call before the client's acknowledgement is sent
-// (the hello records before, the request path just after, the apply),
-// so an acknowledged op is always replayable.
+// with a single write call after the apply and before the client's
+// acknowledgement is sent, so an acknowledged op is always replayable.
 func (w *wal) append(op byte, body []byte) error {
 	if w.broken != nil {
 		return fmt.Errorf("wal poisoned by earlier failure: %w", w.broken)
@@ -199,26 +199,16 @@ func (s *ShardServer) replayWALLocked(path string, r io.Reader) error {
 			}
 			return nil
 		}
-		switch {
-		case op == walSetPoliteness:
-			d := newDec(body)
-			gap := d.f64()
-			if d.finish() == nil {
-				s.shards.SetPoliteness(gap)
-			}
-		case op == walClearClaims:
-			s.shards.ClearClaims()
-		case mutatingOp(op):
-			d := newDec(body)
-			reqID := d.fix64()
-			if d.finish() == nil {
-				if _, _, ok := s.dedup.get(reqID); !ok {
-					status, resp, _ := s.applyMutating(op, d)
-					s.remember(reqID, op, status, resp)
-				}
-			}
-		default:
+		if !mutatingOp(op) {
 			return fmt.Errorf("cluster: wal: %s: frame at offset %d: op %s is not replayable", path, good, opName(op))
+		}
+		d := newDec(body)
+		reqID := d.fix64()
+		if d.finish() == nil {
+			if _, _, ok := s.dedup.get(reqID); !ok {
+				status, resp, _ := s.applyMutating(op, d)
+				s.remember(reqID, op, status, resp)
+			}
 		}
 		walReplayedFrames.Inc()
 		good += int64(wire)
@@ -257,17 +247,22 @@ func (s *ShardServer) loadSnapshotLocked(path string) (uint64, error) {
 	}
 	d := newDec(body)
 	seq := d.u64()
-	politeness := d.f64()
-	nshards := int(d.u32())
-	if d.finish() != nil || nshards > walMaxShards {
-		return corrupt(d.finish())
-	}
-	shardStates := make([]frontier.ShardState, 0, nshards)
-	for i := 0; i < nshards && d.finish() == nil; i++ {
-		shardStates = append(shardStates, frontier.ShardState{NextReady: d.f64(), Claimed: d.bool()})
+	var gap float64
+	if d.finish() == nil && d.off < len(d.b) {
+		// A header of a build before opShardHello: the politeness gap,
+		// then each shard's deadline (f64) and claim (bool). The shard
+		// states are dropped — no round reads a deadline, and that
+		// build's next session cleared claims anyway — and a gap is
+		// refused below: a queue holding one refused every round.
+		gap = d.f64()
+		d.take(9 * int(d.u32()))
 	}
 	if err := d.finish(); err != nil {
 		return corrupt(err)
+	}
+	if gap != 0 {
+		return 0, fmt.Errorf("cluster: wal: snapshot %s holds a politeness gap (%v), "+
+			"which this build does not keep: a shard server with a gap refused every round", path, gap)
 	}
 	// Apply the snapshot incrementally: entry chunks are pushed as they
 	// are read instead of accumulating into one giant State, so a
@@ -276,7 +271,6 @@ func (s *ShardServer) loadSnapshotLocked(path string) (uint64, error) {
 	// snapshot that then turns out corrupt fails OpenWAL, so the partial
 	// state is never served.
 	s.shards.Reset()
-	s.shards.SetPoliteness(politeness)
 	var dedups []dedupEntry
 	done := false
 	for !done {
@@ -308,7 +302,6 @@ func (s *ShardServer) loadSnapshotLocked(path string) (uint64, error) {
 			return corrupt(err)
 		}
 	}
-	s.shards.SetShardStates(shardStates)
 	for _, de := range dedups {
 		s.dedup.put(de.id, de.status, de.resp)
 	}
@@ -323,8 +316,6 @@ func (s *ShardServer) loadSnapshotLocked(path string) (uint64, error) {
 // fsynced, then renamed, so a crash never leaves a partial snapshot in
 // place.
 func (s *ShardServer) writeSnapshotLocked(seq uint64) error {
-	politeness, shardStates := s.shards.SnapshotMeta()
-
 	path := filepath.Join(s.wal.dir, walSnapName)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, walSnapPerm)
@@ -339,11 +330,6 @@ func (s *ShardServer) writeSnapshotLocked(seq uint64) error {
 
 	var hdr enc
 	hdr.u64(seq)
-	hdr.f64(politeness)
-	hdr.u32(uint32(len(shardStates)))
-	for _, ss := range shardStates {
-		hdr.f64(ss.NextReady).bool(ss.Claimed)
-	}
 	if _, err := writeFrame(w, walSnapHeader, hdr.b); err != nil {
 		return fail(err)
 	}

@@ -119,15 +119,14 @@ func TestWALRecoversAfterCrash(t *testing.T) {
 // TestWALGracefulFlush: CloseWAL must persist every queued entry into
 // the snapshot (the graceful-shutdown contract), leaving an empty log —
 // and the snapshot's bytes are the pinned ones (see checkGolden). The
-// pinned state is what a hello with a 0.5-day gap, three pushes and a
-// pop left when the per-entry ops wrote it: the entries, the popped
-// shard's politeness deadline, and the memoized replies of request IDs
-// 1–4 (empty for the pushes, the popped entry for the pop). Those ops
-// are retired, so it is made here directly.
+// pinned state is what three pushes and a pop left when the per-entry
+// ops wrote them: the entries and the memoized replies of request IDs
+// 1–4 (empty for the pushes, the popped entry for the pop), which is
+// all a snapshot holds. Those ops are retired, so it is made here
+// directly.
 func TestWALGracefulFlush(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 2)
-	srv.handle(opHello, helloBody(0.5, true))
 	q := srv.Shards()
 	q.Push("http://site001.com/a", 1, 2)
 	q.Push("http://site001.com/b", 0.25, 0)
@@ -333,24 +332,8 @@ func TestWALDedupSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestWALRestoreKeepsPoliteness: politeness set by a client hello is
-// captured by compaction and restored on restart.
-func TestWALRestoreKeepsPoliteness(t *testing.T) {
-	dir := t.TempDir()
-	srv := newWALServer(t, dir, 4)
-	srv.Shards().SetPoliteness(2.5)
-	if err := srv.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	srv2 := newWALServer(t, dir, 4)
-	if got := srv2.Shards().Politeness(); got != 2.5 {
-		t.Fatalf("restored politeness %v, want 2.5", got)
-	}
-}
-
 // TestWALShardCountChange: restoring a snapshot into a different shard
-// layout keeps every entry (re-hashed) and drops only the per-shard
-// scheduling state.
+// layout keeps every entry, re-hashed.
 func TestWALShardCountChange(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 4)
@@ -367,22 +350,19 @@ func TestWALShardCountChange(t *testing.T) {
 	}
 }
 
-// TestWALReplayKeepsHelloPoliteness: politeness applied by a client
-// hello is a logged mutation — a crash-recovered server must pop with
-// the same politeness deadlines the live server used.
-func TestWALReplayKeepsHelloPoliteness(t *testing.T) {
+// TestShardHelloWritesNothing: the shard hello answers the shard count
+// and changes nothing a server keeps — no WAL record, no file touched.
+func TestShardHelloWritesNothing(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 4)
 	pushVia(t, srv, 1, "http://site001.com/a", 0, 0)
-	var hello enc
-	hello.bool(true).f64(1.5).bool(true)
-	if st, resp := srv.handle(opHello, hello.b); st != statusOK {
-		t.Fatalf("hello: %s", resp)
+	before, appends := dirBytes(t, dir), walAppends.Value()
+	st, resp := srv.handle(opShardHello, nil)
+	if d := newDec(resp); st != statusOK || d.u32() != 4 || d.finish() != nil {
+		t.Fatalf("hello = (%d, %q), want the shard count 4", st, resp)
 	}
-	// Crash: no snapshot since the hello.
-	srv2 := newWALServer(t, dir, 4)
-	if got := srv2.Shards().Politeness(); got != 1.5 {
-		t.Fatalf("replayed politeness %v, want 1.5", got)
+	if walAppends.Value() != appends || !reflect.DeepEqual(dirBytes(t, dir), before) {
+		t.Fatal("a hello wrote to the WAL directory")
 	}
 }
 
@@ -468,8 +448,8 @@ func TestWALRefusesOtherVersions(t *testing.T) {
 	var gap enc
 	gap.f64(0.5)
 	for name, frame := range map[string][]byte{
-		"v5 set-politeness": rawFrame(append([]byte{5, walSetPoliteness}, gap.b...)),
-		"v5 clear-claims":   rawFrame([]byte{5, walClearClaims}),
+		"v5 set-politeness": rawFrame(append([]byte{5, retiredWALSetPoliteness}, gap.b...)),
+		"v5 clear-claims":   rawFrame([]byte{5, retiredWALClearClaims}),
 		"v7 round":          rawFrame(append([]byte{ProtoVersion + 1, opRound, 0}, gap.b...)),
 	} {
 		for _, inSnapshot := range []bool{false, true} {
@@ -481,7 +461,7 @@ func TestWALRefusesOtherVersions(t *testing.T) {
 				file := walFilePath(dir, seqs[len(seqs)-1])
 				old, _ := os.ReadFile(file)
 				// Crash, then the foreign frame with one of ours after it.
-				mixed := append(append(old, frame...), validFrame(t, walClearClaims, nil)...)
+				mixed := append(append(old, frame...), validFrame(t, opRound, walRoundBody(2, testURLs(1, 1)))...)
 				if inSnapshot {
 					// A downgrade: the snapshot opens with a newer build's frame.
 					if err := srv.CloseWAL(); err != nil {
@@ -566,8 +546,10 @@ func TestWALReadErrorFailsReplay(t *testing.T) {
 }
 
 // TestWALRefusesUnreplayableOps: an intact log frame whose op this
-// build does not apply — a retired op an older build logged, or a byte
-// no op was ever given — holds acknowledged work. Skipping it would
+// build does not apply — a retired op an older build logged, a session
+// record (gap, claim reset) that builds before opShardHello logged at
+// every hello, or a byte no op was ever given — holds acknowledged
+// work. Skipping it would
 // lose that work without a word, and truncating would erase it and all
 // that follows; OpenWAL must fail naming the file, the frame's offset
 // and the op, and leave every file byte-identical.
@@ -576,9 +558,11 @@ func TestWALRefusesUnreplayableOps(t *testing.T) {
 		op   byte
 		body []byte
 	}{
-		"retired_push_batch": {retiredPushBatch, seedBodies()[retiredPushBatch][0]},
-		"retired_push":       {retiredPush, seedBodies()[retiredPush][0]},
-		"op_238":             {0xEE, []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		"retired_push_batch":         {retiredPushBatch, seedBodies()[retiredPushBatch][0]},
+		"retired_push":               {retiredPush, seedBodies()[retiredPush][0]},
+		"retired_wal_set_politeness": {retiredWALSetPoliteness, make([]byte, 8)},
+		"retired_wal_clear_claims":   {retiredWALClearClaims, nil},
+		"op_238":                     {0xEE, []byte{1, 2, 3, 4, 5, 6, 7, 8}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -591,7 +575,7 @@ func TestWALRefusesUnreplayableOps(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Crash, with the frame and one of ours after it.
-			mixed := append(append(old, validFrame(t, tc.op, tc.body)...), validFrame(t, walClearClaims, nil)...)
+			mixed := append(append(old, validFrame(t, tc.op, tc.body)...), validFrame(t, opRound, walRoundBody(2, testURLs(1, 1)))...)
 			if err := os.WriteFile(file, mixed, 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -140,8 +140,11 @@ type Config struct {
 	// examples use a week). Ignored in steady mode.
 	BatchDays float64
 
-	Mode      Mode
-	Update    UpdateStyle
+	Mode   Mode
+	Update UpdateStyle
+	// Freq is the revisit policy. Batch mode recrawls the whole
+	// collection every cycle whatever the policy says, so it accepts
+	// only FixedFreq (Validate).
 	Freq      FreqPolicy
 	Estimator EstimatorKind
 	// RankEveryDays is the ranking/refinement cadence. The paper argues
@@ -159,15 +162,12 @@ type Config struct {
 	// simulator every worker count produces identical results. Default
 	// 1.
 	Workers int
-	// Shards is the number of per-site frontier shards the revisit
-	// queue is partitioned into (default 16). All pages of one host
-	// hash to the same shard. Ignored when Frontier is set.
-	Shards int
-	// Frontier injects the revisit queue in place of in-process shards —
-	// e.g. a cluster.RemoteShards, whose servers configure their own
-	// shard counts and whose membership the engine follows at quiescent
-	// round boundaries (a shard set with a Rebalance method). The caller
-	// owns its lifecycle.
+	// Frontier injects the revisit queue in place of the in-process
+	// frontier.NewSharded(16) — e.g. a cluster.RemoteShards, whose
+	// servers configure their own shard counts and whose membership the
+	// engine follows at quiescent round boundaries (a shard set with a
+	// Rebalance method). The pop order, and so the crawl, is the same at
+	// any shard count. The caller owns its lifecycle.
 	Frontier frontier.ShardSet
 	// DispatchBatch caps how many due URLs one dispatch round hands to
 	// the worker pool; it also sizes the batched store writes and
@@ -204,9 +204,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 1
 	}
-	if c.Shards == 0 {
-		c.Shards = 16
-	}
 	if c.DispatchBatch == 0 {
 		c.DispatchBatch = 4 * c.Workers
 		if c.DispatchBatch < 8 {
@@ -234,14 +231,14 @@ func (c Config) Validate() error {
 	if c.Mode == Batch && (c.BatchDays <= 0 || c.BatchDays > c.CycleDays) {
 		return fmt.Errorf("core: batch window %v must be in (0, cycle]", c.BatchDays)
 	}
+	if c.Mode == Batch && c.Freq != FixedFreq {
+		return fmt.Errorf("core: batch mode recrawls the whole collection every cycle and never consults the revisit policy, so it runs only at %s frequency (got %s)", FixedFreq, c.Freq)
+	}
 	if c.MinIntervalDays <= 0 || c.MaxIntervalDays < c.MinIntervalDays {
 		return errors.New("core: bad interval clamps")
 	}
 	if c.Workers < 1 {
 		return errors.New("core: workers must be >= 1")
-	}
-	if c.Shards < 1 {
-		return errors.New("core: shards must be >= 1")
 	}
 	if c.DispatchBatch < 1 {
 		return errors.New("core: dispatch batch must be >= 1")

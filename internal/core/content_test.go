@@ -166,7 +166,7 @@ func TestContentStageOrderAndIntegrity(t *testing.T) {
 	f := &recordingFetcher{base: sim, got: map[string]fetch.Result{}}
 	cfg := baseConfig(w)
 	cfg.Workers = 4
-	cfg.Shards = 8
+	cfg.Frontier = frontier.NewSharded(8)
 	cfg.DispatchBatch = 8
 	cfg.StoreContent = true
 	sh, colls := recordingShadowed(t, 500*time.Microsecond, 0)
@@ -219,7 +219,7 @@ func TestContentErrorEndsRun(t *testing.T) {
 	w, f := testWeb(t, 32)
 	cfg := baseConfig(w)
 	cfg.Workers = 4
-	cfg.Shards = 8
+	cfg.Frontier = frontier.NewSharded(8)
 	cfg.DispatchBatch = 8
 	const failAt = 5
 	sh, colls := recordingShadowed(t, 200*time.Microsecond, failAt)
@@ -269,7 +269,7 @@ func TestContentCoalescing(t *testing.T) {
 		w, f := testWeb(t, 35)
 		cfg := baseConfig(w)
 		cfg.Workers = 4
-		cfg.Shards = 8
+		cfg.Frontier = frontier.NewSharded(8)
 		cfg.DispatchBatch = 8
 		sh, colls := recordingShadowed(t, delay, 0)
 		c, err := NewWithStore(cfg, f, sh)
@@ -485,7 +485,7 @@ func TestContentBarrier(t *testing.T) {
 				w, f := testWeb(t, 33)
 				cfg := baseConfig(w)
 				cfg.Workers = 4
-				cfg.Shards = 8
+				cfg.Frontier = frontier.NewSharded(8)
 				cfg.DispatchBatch = 8
 				mode.mutate(&cfg)
 				sh, colls := recordingShadowed(t, delay, 0)

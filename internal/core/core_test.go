@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"webevolve/internal/fetch"
@@ -48,6 +49,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.PagesPerDay = -5 },
 		func(c *Config) { c.CycleDays = -1 },
 		func(c *Config) { c.Mode = Batch; c.BatchDays = 100 },
+		func(c *Config) { c.Mode = Batch; c.Freq = VariableFreq },
+		func(c *Config) { c.Mode = Batch; c.Freq = ProportionalFreq },
 		func(c *Config) { c.MinIntervalDays = 10; c.MaxIntervalDays = 1 },
 	}
 	for i, mutate := range bad {
@@ -56,6 +59,11 @@ func TestConfigValidation(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	batchVariable := baseConfig(w)
+	batchVariable.Mode, batchVariable.Freq = Batch, VariableFreq
+	if err := batchVariable.Validate(); err == nil || !strings.Contains(err.Error(), "never consults the revisit policy") {
+		t.Errorf("batch at variable frequency: %v, want the refusal's reason", err)
 	}
 }
 

@@ -127,7 +127,7 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 	}
 	coll := cfg.Frontier
 	if coll == nil {
-		coll = frontier.NewSharded(cfg.Shards)
+		coll = frontier.NewSharded(16) // pops in one queue's order at any count
 	}
 	c := &Crawler{
 		cfg:      cfg,

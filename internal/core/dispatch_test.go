@@ -42,7 +42,6 @@ func TestPipelineFetchErrorDrains(t *testing.T) {
 	w, f := testWeb(t, 31)
 	cfg := baseConfig(w)
 	cfg.Workers = 8
-	cfg.Shards = 16
 	cfg.DispatchBatch = 32
 	ff := &failingFetcher{inner: fetch.Delayed{Base: f, Delay: 50 * time.Microsecond}, at: 150}
 	c, err := New(cfg, ff)

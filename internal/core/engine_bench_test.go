@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -31,18 +32,28 @@ func benchWeb(b *testing.B) *simweb.Web {
 	return w
 }
 
+// cpuTime is the process's own user+system CPU time so far.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail for RUSAGE_SELF
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // benchmarkEngine measures end-to-end crawl throughput of the engine
 // against a simulated web served through a fixed per-fetch latency
 // (the regime where parallel CrawlModules pay off — real crawls are
-// network-bound). newFrontier and newStore, if non-nil, build a remote
-// frontier and a remote store per iteration; with a store the pages
-// carry their bodies, as a crawl that keeps a repository does.
+// network-bound). With a latency, ns/op is mostly the simulated waits,
+// so it also reports cpu_us/page: the process's CPU time over the
+// crawls (servers on loopback included) per page, which moves when the
+// engine's own work does. newFrontier and newStore, if non-nil, build a
+// remote frontier and a remote store per iteration; with a store the
+// pages carry their bodies, as a crawl that keeps a repository does.
 func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 	newFrontier func(b *testing.B) frontier.ShardSet, newStore func(b *testing.B) *cluster.RemoteStore) {
 	b.Helper()
 	var pages int64
 	var wireBytes int64
-	var elapsed time.Duration
+	var elapsed, cpu time.Duration
 	exchanges, rounds := roundExchanges.Value(), engineRounds.Value()
 	for i := 0; i < b.N; i++ {
 		w := benchWeb(b)
@@ -55,7 +66,7 @@ func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 			Freq:           VariableFreq,
 			Estimator:      EstimatorEP,
 			Workers:        workers,
-			Shards:         shards,
+			Frontier:       frontier.NewSharded(shards),
 			DispatchBatch:  8 * workers,
 		}
 		if newFrontier != nil {
@@ -78,11 +89,11 @@ func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 		if err != nil {
 			b.Fatal(err)
 		}
-		start := time.Now()
+		start, cpu0 := time.Now(), cpuTime()
 		if err := c.RunUntil(4); err != nil {
 			b.Fatal(err)
 		}
-		elapsed += time.Since(start)
+		elapsed, cpu = elapsed+time.Since(start), cpu+cpuTime()-cpu0
 		pages += c.Metrics().Fetches
 		if err := sh.Close(); err != nil {
 			b.Fatal(err)
@@ -94,6 +105,7 @@ func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 	}
 	b.ReportMetric(float64(pages)/elapsed.Seconds(), "pages/s")
 	b.ReportMetric(float64(pages)/float64(b.N), "fetches/run")
+	b.ReportMetric(float64(cpu.Microseconds())/float64(pages), "cpu_us/page")
 	if wireBytes > 0 {
 		// Bytes per page crawled, both directions summed — the baseline
 		// the ROADMAP's "shrink the wire" item moves against
@@ -244,7 +256,7 @@ func BenchmarkRankingPass(b *testing.B) {
 		Freq:           VariableFreq,
 		Estimator:      EstimatorEP,
 		Workers:        2,
-		Shards:         32,
+		Frontier:       frontier.NewSharded(32),
 		DispatchBatch:  16,
 	}, fetch.NewSimFetcher(w))
 	if err != nil {

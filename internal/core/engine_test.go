@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"webevolve/internal/fetch"
+	"webevolve/internal/frontier"
 	"webevolve/internal/scheduler"
 )
 
@@ -16,7 +17,7 @@ func TestCrawlerConcurrentWorkersRace(t *testing.T) {
 	w, f := testWeb(t, 23)
 	cfg := baseConfig(w)
 	cfg.Workers = 8
-	cfg.Shards = 8
+	cfg.Frontier = frontier.NewSharded(8)
 	cfg.DispatchBatch = 32
 	c, err := New(cfg, fetch.Delayed{Base: f, Delay: 20 * time.Microsecond})
 	if err != nil {
@@ -34,7 +35,6 @@ func TestEngineConfigValidation(t *testing.T) {
 	w, _ := testWeb(t, 25)
 	for i, mutate := range []func(*Config){
 		func(c *Config) { c.Workers = -1 },
-		func(c *Config) { c.Shards = -2 },
 		func(c *Config) { c.DispatchBatch = -1 },
 	} {
 		cfg := baseConfig(w)

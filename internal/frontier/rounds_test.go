@@ -254,13 +254,25 @@ func FuzzRoundsDeferral(f *testing.F) {
 	})
 }
 
+// applyCounter counts the rounds that reach its queue.
+type applyCounter struct {
+	*Sharded
+	rounds int
+}
+
+func (c *applyCounter) ApplyRound(pops, removes []string, pushes []Entry, peekMax int) ([]Entry, Entry, bool, bool) {
+	c.rounds++
+	return c.Sharded.ApplyRound(pops, removes, pushes, peekMax)
+}
+
 // TestRoundsRefusalIsSticky: a frontier with a politeness gap refuses
 // the round; the refusal becomes the adapter's sticky error, the queue
-// reads as drained, and nothing more ships even once the gap is gone.
+// reads as drained, and nothing more ships to the frontier.
 func TestRoundsRefusalIsSticky(t *testing.T) {
 	q := NewShardedPolite(4, 1)
 	q.Push(urlOn(0, 0), 0, 0)
-	r := NewRounds(q, 4)
+	c := &applyCounter{Sharded: q}
+	r := NewRounds(c, 4)
 	if err := r.Err(); err != nil {
 		t.Fatalf("fresh adapter: %v", err)
 	}
@@ -270,7 +282,7 @@ func TestRoundsRefusalIsSticky(t *testing.T) {
 	if err := r.Err(); err != ErrRoundRefused {
 		t.Fatalf("Err = %v, want ErrRoundRefused", err)
 	}
-	q.SetPoliteness(0)
+	refused := c.rounds
 	if _, ok := r.NextEvent(); ok {
 		t.Fatal("a failed adapter reports a next event")
 	}
@@ -279,6 +291,9 @@ func TestRoundsRefusalIsSticky(t *testing.T) {
 	}
 	if err := r.Flush(); err != ErrRoundRefused {
 		t.Fatalf("Flush = %v, want the sticky error", err)
+	}
+	if c.rounds != refused {
+		t.Fatalf("%d rounds reached the frontier after the refusal", c.rounds-refused)
 	}
 	if got := q.URLs(); len(got) != 1 || got[0] != urlOn(0, 0) {
 		t.Fatalf("queue after the refusal: %v", got)

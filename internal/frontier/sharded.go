@@ -3,12 +3,10 @@ package frontier
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"webevolve/internal/webgraph"
 )
@@ -22,10 +20,13 @@ import (
 // of one unpartitioned queue regardless of the shard count, which keeps
 // crawls reproducible.
 //
-// The per-entry family (PopDue, ClaimDue, Release, ...) also keeps a
-// per-shard politeness gap and exclusive claims. No crawl uses them
-// (crawls space requests to one host in their fetcher; see ShardSet):
-// they serve the benchmark, and a gap makes ApplyRound refuse.
+// The per-entry family (PopDue, ClaimDue, Release, ...) also keeps
+// per-shard politeness deadlines and exclusive claims, in process only:
+// they are not in the spill logs, a shard server neither sets nor
+// persists them, and the gap they space pops by is fixed when the queue
+// is built (NewShardedPolite). No crawl uses them (crawls space
+// requests to one host in their fetcher; see ShardSet): they serve the
+// benchmark, and a gap makes ApplyRound refuse.
 //
 // Each shard's entries live behind a shardStore: fully in RAM by
 // default (NewSharded), or spilled to an append-only record log with
@@ -36,10 +37,8 @@ import (
 type Sharded struct {
 	shards []*shard
 	// minGap is the per-shard politeness gap between consecutive pops,
-	// in the caller's time unit (virtual or wall-clock days). Stored as
-	// float64 bits so a shard server can apply a client-requested gap
-	// while pops are in flight.
-	minGap atomic.Uint64
+	// in the caller's time unit (virtual or wall-clock days).
+	minGap float64
 	// roundMu serializes ApplyRound and guards its reused buffers.
 	roundMu sync.Mutex
 	round   roundOps
@@ -62,24 +61,23 @@ func NewSharded(n int) *Sharded {
 	return NewShardedPolite(n, 0)
 }
 
-// NewShardedPolite returns a sharded queue whose shards refuse to yield
-// two entries less than minGap time units apart.
+// NewShardedPolite returns an in-memory sharded queue whose shards
+// refuse to yield two entries less than minGap time units apart
+// (negative gaps are treated as zero).
 func NewShardedPolite(n int, minGap float64) *Sharded {
 	q, err := OpenSharded(StoreConfig{Shards: n})
 	if err != nil {
 		// The in-memory tier cannot fail to open.
 		panic(err)
 	}
-	q.SetPoliteness(minGap)
+	q.minGap = max(minGap, 0)
 	return q
 }
 
 // OpenSharded returns a sharded queue with the storage tier the config
-// selects: in-memory when SpillDir is empty, disk-backed otherwise. Its
-// politeness gap is zero until SetPoliteness (a shard server's clients
-// set it in their hello). A disk-backed queue reopening an existing
-// spill directory recovers the entries its logs hold (politeness
-// deadlines, claims and the gap are not in the logs — the shardd WAL is
+// selects: in-memory when SpillDir is empty, disk-backed otherwise,
+// with no politeness gap. A disk-backed queue reopening an existing
+// spill directory recovers the entries its logs hold (the shardd WAL is
 // the full-state durability plane); it should be Closed when done.
 func OpenSharded(cfg StoreConfig) (*Sharded, error) {
 	n := cfg.Shards
@@ -153,21 +151,6 @@ func (q *Sharded) Tier() TierStats {
 		s.mu.Unlock()
 	}
 	return t
-}
-
-// SetPoliteness changes the per-shard politeness gap. Negative gaps are
-// treated as zero. Safe to call while pops are in flight; already-set
-// shard deadlines are unaffected.
-func (q *Sharded) SetPoliteness(minGap float64) {
-	if minGap < 0 {
-		minGap = 0
-	}
-	q.minGap.Store(math.Float64bits(minGap))
-}
-
-// Politeness returns the current per-shard politeness gap.
-func (q *Sharded) Politeness() float64 {
-	return math.Float64frombits(q.minGap.Load())
 }
 
 // NumShards returns the shard count.
@@ -248,7 +231,7 @@ func (q *Sharded) popDue(now float64, claim bool) (Entry, int, bool) {
 		// us to this shard's head. If so, rescan.
 		if e, ok := s.headDue(now, claim); ok && e.URL == bestE.URL {
 			got := s.st.popHead()
-			s.nextReady = now + q.Politeness()
+			s.nextReady = now + q.minGap
 			if claim {
 				s.claimed = true
 			}
@@ -373,7 +356,7 @@ func (q *Sharded) applyAndPeek(r *roundOps) (total int) {
 // in-process frontier serves it too, so crawls drive local and remote
 // shards through one code path (Rounds).
 func (q *Sharded) ApplyRound(pops, removes []string, pushes []Entry, peekMax int) (cands []Entry, bound Entry, boundOK, ok bool) {
-	if q.Politeness() > 0 {
+	if q.minGap > 0 {
 		return nil, Entry{}, false, false
 	}
 	q.roundMu.Lock()
@@ -453,58 +436,6 @@ func (q *Sharded) Reset() {
 		s.st.reset()
 		s.nextReady = 0
 		s.claimed = false
-		s.mu.Unlock()
-	}
-}
-
-// ClearClaims releases every exclusive shard claim without touching
-// politeness deadlines or entries. A shard server runs it when a fresh
-// client session connects: claims held by a vanished previous client
-// would otherwise wedge their shards forever.
-func (q *Sharded) ClearClaims() {
-	for _, s := range q.shards {
-		s.mu.Lock()
-		s.claimed = false
-		s.mu.Unlock()
-	}
-}
-
-// ShardState is one shard's scheduling state, as SnapshotMeta captures
-// it for the shard server's WAL snapshot.
-type ShardState struct {
-	// NextReady is the shard's politeness deadline.
-	NextReady float64
-	// Claimed marks the shard as exclusively held by a worker.
-	Claimed bool
-}
-
-// SnapshotMeta captures the queue's scheduling state — the politeness
-// gap and every shard's (NextReady, Claimed) — without touching the
-// entries. It is the header half of a streamed snapshot; StreamEntries
-// is the body.
-func (q *Sharded) SnapshotMeta() (politeness float64, shards []ShardState) {
-	shards = make([]ShardState, len(q.shards))
-	for i, s := range q.shards {
-		s.mu.Lock()
-		shards[i] = ShardState{NextReady: s.nextReady, Claimed: s.claimed}
-		s.mu.Unlock()
-	}
-	return q.Politeness(), shards
-}
-
-// SetShardStates applies per-shard scheduling state captured by
-// SnapshotMeta. It is a no-op when the shard count differs from the
-// capture's (politeness deadlines and claims are meaningless across a
-// re-shard).
-func (q *Sharded) SetShardStates(shards []ShardState) {
-	if len(shards) != len(q.shards) {
-		return
-	}
-	for i, ss := range shards {
-		s := q.shards[i]
-		s.mu.Lock()
-		s.nextReady = ss.NextReady
-		s.claimed = ss.Claimed
 		s.mu.Unlock()
 	}
 }

@@ -347,62 +347,36 @@ func TestShardedPushBatch(t *testing.T) {
 }
 
 // streamRestore copies q into r the way a shard server's WAL snapshot
-// does: r is reset, takes q's politeness gap and streamed entries, then
-// q's per-shard scheduling state.
+// does: r is reset and takes q's streamed entries, which is all a
+// snapshot holds.
 func streamRestore(t *testing.T, q, r *Sharded) {
 	t.Helper()
-	politeness, states := q.SnapshotMeta()
 	r.Reset()
-	r.SetPoliteness(politeness)
 	if err := q.StreamEntries(7, func(chunk []Entry) error {
 		r.PushBatch(chunk)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r.SetShardStates(states)
 }
 
 // TestShardedSnapshotRestore: a streamed snapshot restored into an
-// identical layout must reproduce entries, politeness, per-shard
-// deadlines, and claims exactly.
+// identical layout must reproduce the entries and their pop order.
 func TestShardedSnapshotRestore(t *testing.T) {
-	q := NewShardedPolite(4, 1.5)
+	q := NewSharded(4)
 	for i := 0; i < 30; i++ {
 		q.Push(urlOn(i%6, i), float64(i%4), float64(i%2))
 	}
-	// Disturb per-shard state: pop (sets nextReady) and claim.
 	q.PopDue(2)
-	_, claimedShard, ok := q.ClaimDue(3)
-	if !ok {
-		t.Fatal("claim failed")
-	}
 
 	r := NewSharded(4)
 	streamRestore(t, q, r)
 
-	if r.Politeness() != q.Politeness() {
-		t.Fatalf("politeness %v vs %v", r.Politeness(), q.Politeness())
-	}
 	if r.Len() != q.Len() {
 		t.Fatalf("Len %v vs %v", r.Len(), q.Len())
 	}
-	// The claimed shard must still be claimed: both queues' next claims
-	// agree and skip it.
-	qe2, qs2, qok2 := q.ClaimDue(3)
-	re2, rs2, rok2 := r.ClaimDue(3)
-	if qok2 != rok2 || qs2 != rs2 || (qok2 && qe2.URL != re2.URL) {
-		t.Fatalf("post-restore claim (%+v,%d,%v) vs (%+v,%d,%v)", re2, rs2, rok2, qe2, qs2, qok2)
-	}
-	if rok2 && rs2 == claimedShard {
-		t.Fatalf("restored queue re-claimed shard %d", rs2)
-	}
-	if qok2 {
-		q.Release(qs2, 0)
-		r.Release(rs2, 0)
-	}
-	// Pop sequences must agree from here on.
-	for now := 0.0; now < 20; now += 0.5 {
+	// Pop sequences must agree from the last pop's day on.
+	for now := 2.0; now < 20; now += 0.5 {
 		for {
 			qe, qok := q.PopDue(now)
 			re, rok := r.PopDue(now)
@@ -420,15 +394,11 @@ func TestShardedSnapshotRestore(t *testing.T) {
 }
 
 // TestShardedRestoreReshard: restoring a streamed snapshot into a
-// different shard count keeps every entry (re-hashed) and drops only
-// per-shard state.
+// different shard count keeps every entry, re-hashed.
 func TestShardedRestoreReshard(t *testing.T) {
 	q := NewSharded(4)
 	for i := 0; i < 20; i++ {
 		q.Push(urlOn(i%5, i), float64(i), 0)
-	}
-	if _, _, ok := q.ClaimDue(100); !ok { // sets a deadline and a claim
-		t.Fatal("claim failed")
 	}
 	r := NewSharded(16)
 	streamRestore(t, q, r)
@@ -440,39 +410,6 @@ func TestShardedRestoreReshard(t *testing.T) {
 		if qu[i] != ru[i] {
 			t.Fatalf("URLs diverge at %d", i)
 		}
-	}
-	_, states := r.SnapshotMeta()
-	for i, st := range states {
-		if st != (ShardState{}) {
-			t.Fatalf("shard %d kept state %+v across a re-shard", i, st)
-		}
-	}
-}
-
-// TestShardedClearClaims: claims are released, politeness deadlines and
-// entries untouched.
-func TestShardedClearClaims(t *testing.T) {
-	q := NewShardedPolite(4, 0)
-	for i := 0; i < 12; i++ {
-		q.Push(urlOn(i, i), 0, 0)
-	}
-	var held int
-	for {
-		_, _, ok := q.ClaimDue(10)
-		if !ok {
-			break
-		}
-		held++
-	}
-	if held == 0 {
-		t.Fatal("nothing claimed")
-	}
-	if _, _, ok := q.ClaimDue(10); ok {
-		t.Fatal("claim succeeded with all shards held")
-	}
-	q.ClearClaims()
-	if _, _, ok := q.ClaimDue(10); !ok {
-		t.Fatal("claim failed after ClearClaims")
 	}
 }
 

@@ -15,8 +15,11 @@ import "hash/fnv"
 // Contains, Peek, NextEvent — and the politeness gap and claims behind
 // it have no production caller. On cluster.RemoteShards the family is
 // retired: the wire carries only the round, and each method records a
-// sticky error naming itself (Err) and returns zero values. The
-// methods stay on the interface, and work on Sharded, while the
+// sticky error naming itself (Err) and returns zero values. A shard
+// server keeps no session state either: its clients' hello carries no
+// gap and clears no claims, and neither its WAL nor its snapshot
+// records them. The methods stay on the interface, and work on an
+// in-process Sharded (whose gap NewShardedPolite fixes), while the
 // benchmark's decorators forward them and its claim probe calls them
 // (bench/).
 //
@@ -63,9 +66,10 @@ type ShardSet interface {
 	// dispatch rounds' worth, as Rounds ships them — and returns pop
 	// candidates: an exact prefix of the queue holding the next peekMax
 	// entries or more (see Sharded.ApplyRound; RemoteShards asks each
-	// server for several rounds' worth). A queue with a politeness gap
-	// refuses the round with nothing applied: Sharded returns ok false,
-	// and RemoteShards records the server's refusal as its sticky error.
+	// server for several rounds' worth). A queue built with a
+	// politeness gap (NewShardedPolite) refuses the round with nothing
+	// applied: Sharded returns ok false, and RemoteShards records a
+	// server's refusal as its sticky error.
 	ApplyRound(pops, removes []string, pushes []Entry, peekMax int) (cands []Entry, bound Entry, boundOK, ok bool)
 }
 
