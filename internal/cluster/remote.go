@@ -793,8 +793,8 @@ func (rs *RemoteShards) URLs() []string {
 }
 
 // Reset empties every server's shards, so sequential experiments over
-// one cluster each start from a clean frontier. Not part of frontier.ShardSet: local frontiers
-// are simply rebuilt.
+// one cluster each start from a clean frontier. Not part of
+// frontier.ShardSet: local frontiers are simply rebuilt.
 func (rs *RemoteShards) Reset() error {
 	// One request ID serves the whole fan-out: IDs only key each
 	// server's own dedup cache.

@@ -53,7 +53,7 @@ const (
 	// Retired log record kinds: the politeness gap and the claim reset
 	// that builds before opShardHello logged at every hello. A shard
 	// server keeps no session state now, so replay refuses a log holding
-	// either by name (see OpenWAL's upgrade rule).
+	// either by name, as it does a retired op (replayWALLocked).
 	retiredWALSetPoliteness = byte(0xF8)
 	retiredWALClearClaims   = byte(0xF9)
 
@@ -119,8 +119,9 @@ func (w *wal) append(op byte, body []byte) error {
 // away — a torn final frame), and the recovered state is immediately
 // compacted into a fresh snapshot. A snapshot or log holding an intact
 // frame of another protocol version fails the open (errProtoVersion),
-// as does a log frame whose op this build does not replay, and the
-// directory is left as it was. Must be called before the server starts
+// as does a log frame whose op this build does not replay or a snapshot
+// of an older build holding a politeness gap, and the directory is left
+// as it was. Must be called before the server starts
 // serving.
 func (s *ShardServer) OpenWAL(dir string) error {
 	s.walMu.Lock()
@@ -255,7 +256,10 @@ func (s *ShardServer) loadSnapshotLocked(path string) (uint64, error) {
 		// build's next session cleared claims anyway — and a gap is
 		// refused below: a queue holding one refused every round.
 		gap = d.f64()
-		d.take(9 * int(d.u32()))
+		for n := d.u32(); n > 0 && d.finish() == nil; n-- {
+			d.f64()
+			d.bool()
+		}
 	}
 	if err := d.finish(); err != nil {
 		return corrupt(err)
