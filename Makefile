@@ -44,7 +44,9 @@ test:
 # scheduling. The last line is not about
 # timing: it is the revisit optimizer's bit-for-bit equivalence with
 # its reference, repeated because a crawl's digest hangs off it
-# (-short: 60 of the 240 random populations).
+# (-short: 60 of the 240 random populations). Before it, the crawl's
+# one URL table: concurrent interns beside the URL reads that take no
+# lock.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run 'TestPeekMatchesModel|TestSlotEchoMatchesModel|TestRoundsDeferralMatchesEagerCommits|TestApplyRoundBesideConcurrentUse' ./internal/frontier/
@@ -57,6 +59,7 @@ race:
 	$(GO) test -race -count=3 -run 'TestTopology|TestStaticRoutingGolden|TestParseTopology' ./internal/cluster/ ./internal/daemon/
 	$(GO) test -race -count=2 -run TestInvarianceMatrix ./internal/cluster/
 	$(GO) test -race -count=5 -run 'TestCrawlIdenticalAtAnyWorkerCount|TestPolitenessPerHost' ./cmd/webcrawl/
+	$(GO) test -race -count=5 -run 'TestConcurrentInternBesideLockFreeReads' ./internal/urlid/
 	$(GO) test -race -short -count=5 -run 'TestOptimalAllocationMatchesReference' ./internal/freshness/
 
 # Thirty seconds of fuzzing the optimizer's equivalence property, then

@@ -48,6 +48,10 @@ func main() {
 	metricsListen := flag.String("metrics-listen", "", "host:port for the debug listener serving /metrics, /debug/pprof and /debug/trace (empty disables)")
 	metricsAddrFile := flag.String("metrics-addr-file", "", "write the debug listener's bound address to this file (with -metrics-listen :0)")
 	flag.Parse()
+	if err := checkDays(*days); err != nil {
+		fmt.Fprintln(os.Stderr, "crawlsim:", err)
+		os.Exit(2)
+	}
 	topo, err := daemon.ParseTopology(*registryAddr, *shardServers, *storeServer)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crawlsim:", err)
@@ -91,6 +95,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "crawlsim:", err)
 		os.Exit(1)
 	}
+}
+
+// Every contender revisits its collection about once per cycle, and
+// freshness is averaged after a warm-up of two cycles.
+const (
+	cycleDays  = 10.0
+	warmupDays = 2 * cycleDays
+)
+
+// checkDays refuses a -days that leaves no time after the warm-up.
+func checkDays(days float64) error {
+	if days <= warmupDays {
+		return fmt.Errorf("-days %g: freshness is averaged after a %g-day warm-up, so -days must exceed %g", days, warmupDays, warmupDays)
+	}
+	return nil
 }
 
 // engine carries the crawl-engine concurrency knobs into every
@@ -170,7 +189,7 @@ func (e *engine) finish() error {
 // four Section 4 design points — the engine-measured counterpart of the
 // analytic Figures 7 and 8.
 func runCurves(seed int64, days float64, size int, eng *engine) error {
-	cycle := 10.0
+	cycle := cycleDays
 	fmt.Printf("== Measured freshness evolution (%d pages, %.0f-day cycle) ==\n\n", size, cycle)
 	var series []report.Series
 	for _, d := range []struct {
@@ -200,7 +219,7 @@ func runCurves(seed int64, days float64, size int, eng *engine) error {
 			return err
 		}
 		ev := &core.Evaluator{Web: w}
-		_, samples, err := ev.TimeAveragedFreshness(c, days, 2*cycle, 96, size)
+		_, samples, err := ev.TimeAveragedFreshness(c, days, warmupDays, 96, size)
 		if err != nil {
 			return err
 		}
@@ -238,7 +257,7 @@ type contender struct {
 
 func run(seed int64, days float64, size int, matrix bool, eng *engine) error {
 	// Bandwidth: revisit the whole collection every ~10 days on average.
-	cycle := 10.0
+	cycle := cycleDays
 	bandwidth := float64(size) / cycle
 
 	baseCfg := func(w *simweb.Web) core.Config {
@@ -297,8 +316,7 @@ func run(seed int64, days float64, size int, matrix bool, eng *engine) error {
 			return err
 		}
 		ev := &core.Evaluator{Web: w}
-		warm := 2 * cycle
-		avg, _, err := ev.TimeAveragedFreshness(r, days, warm, 24, size)
+		avg, _, err := ev.TimeAveragedFreshness(r, days, warmupDays, 24, size)
 		if err != nil {
 			return err
 		}

@@ -265,14 +265,16 @@ func (c Config) policy() (scheduler.Policy, *scheduler.Optimal, error) {
 }
 
 // estimator tracks one page's change history under the configured kind.
+// It holds the history in place, so a page's state is one allocation;
+// bayes is made under EB only.
 type estimator struct {
 	kind  EstimatorKind
-	hist  *changefreq.History
+	hist  changefreq.History
 	bayes *changefreq.Bayes
 }
 
 func newEstimator(kind EstimatorKind) (estimator, error) {
-	e := estimator{kind: kind, hist: &changefreq.History{}}
+	e := estimator{kind: kind}
 	if kind == EstimatorEB {
 		b, err := changefreq.NewBayes(changefreq.DefaultClasses)
 		if err != nil {
@@ -304,13 +306,13 @@ func (e *estimator) rate() float64 {
 		}
 		return e.bayes.Rate()
 	case EstimatorNaive:
-		est, err := changefreq.Naive(e.hist)
+		est, err := changefreq.Naive(&e.hist)
 		if err != nil {
 			return 0
 		}
 		return est.Rate
 	default:
-		est, err := changefreq.EPIrregular(e.hist)
+		est, err := changefreq.EPIrregular(&e.hist)
 		if err != nil {
 			return 0
 		}

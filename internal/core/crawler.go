@@ -57,16 +57,18 @@ type Crawler struct {
 	// DefaultDays outside it.
 	solveRate bool
 
-	// ids interns the URLs the engine schedules. It is written only on
-	// the engine goroutine (resolveJob, and the ranking pass's rate
-	// snapshot), which also owns pages: pages[id] is the crawl state of
-	// the URL with that ID, nil until its first pop and after its drop
-	// or eviction. The states are pointers, so a job's never moves.
-	// ranks is the last ranking pass's importance, read when a page's
-	// state is made.
-	ids   urlid.Table
+	// ids is the crawl's one URL table: AllUrls and the graph intern
+	// into it on the content goroutine, and the engine goroutine
+	// (resolveJob, the ranking pass) into it too. pages and ranks are
+	// the engine goroutine's, indexed by ID and grown to the table's
+	// length on demand: pages[id] is the crawl state of the URL with
+	// that ID, nil until its first pop and after its drop or eviction
+	// (the states are pointers, so a job's never moves); ranks[id] is
+	// its importance in the last ranking pass, read when a page's state
+	// is made, 0 past the slice's end.
+	ids   *urlid.Table
 	pages []*pageState
-	ranks map[string]float64
+	ranks []float64
 
 	day      float64
 	nextRank float64
@@ -129,14 +131,16 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 	if coll == nil {
 		coll = frontier.NewSharded(16) // pops in one queue's order at any count
 	}
+	ids := new(urlid.Table)
 	c := &Crawler{
 		cfg:      cfg,
 		fetcher:  f,
-		all:      frontier.NewAllUrls(),
+		all:      frontier.NewAllUrlsOn(ids),
 		coll:     coll,
 		rounds:   frontier.NewRounds(coll, cfg.DispatchBatch),
 		shadowed: sh,
-		graph:    webgraph.New(),
+		graph:    webgraph.NewOn(ids),
+		ids:      ids,
 		policy:   policy,
 		optimal:  opt,
 		nextRank: 0, // first pass immediately, to seed admissions
@@ -425,8 +429,9 @@ func (c *Crawler) swap() error {
 	// One URLs snapshot instead of a Contains per stored page: same
 	// answer, and one fan-out rather than N round trips on a remote
 	// frontier.
-	inColl := make(map[string]bool, c.coll.Len())
-	for _, u := range c.coll.URLs() {
+	urls := c.coll.URLs()
+	inColl := make(map[string]bool, len(urls))
+	for _, u := range urls {
 		inColl[u] = true
 	}
 	var carryErr error

@@ -79,7 +79,7 @@ type crawlJob struct {
 	day  float64
 
 	// Resolved on the engine goroutine at pop time, so workers never
-	// read shared maps. id is the page's ID in the engine's URL table.
+	// read shared maps. id is the page's ID in the crawl's URL table.
 	// prevSum and seen are the page state's as of the pop:
 	// applySchedule moves the state on while the content stage may
 	// still read the job.
@@ -96,10 +96,11 @@ type crawlJob struct {
 
 // pageState is the engine's per-URL crawl state, found once per fetch
 // (resolveJob) and carried by the job, so nothing later in the fetch
-// path looks the URL up again. est's fields are fixed when the state is
-// made (the workers write only what they point to); sum and seen are
-// the engine goroutine's; importance is the last ranking pass's,
-// written only while no round is in flight.
+// path looks the URL up again. est is written by the worker fetching
+// the page's job (a page is in at most one round in flight) and read
+// by the ranking pass while none is; sum and seen are the engine
+// goroutine's; importance is the last ranking pass's, written only
+// while no round is in flight.
 type pageState struct {
 	est        estimator
 	sum        uint64 // last crawled checksum, when seen
@@ -196,21 +197,30 @@ func (c *Crawler) resolveJob(j *crawlJob) error {
 		if err != nil {
 			return err
 		}
-		p = &pageState{est: est, importance: c.ranks[j.e.URL]}
+		p = &pageState{est: est, importance: c.rank(j.id)}
 		c.pages[j.id] = p
 	}
 	j.page, j.prevSum, j.seen = p, p.sum, p.seen
 	return nil
 }
 
-// intern returns url's ID in the engine's URL table, growing pages for
-// a new one.
+// intern returns url's ID in the crawl's URL table, growing pages to
+// the table's length if the ID lies past it.
 func (c *Crawler) intern(url string) int32 {
-	id, isNew := c.ids.Intern(url)
-	if isNew {
-		c.pages = append(c.pages, nil)
+	id, _ := c.ids.Intern(url)
+	if int(id) >= len(c.pages) {
+		c.pages = append(c.pages, make([]*pageState, c.ids.Len()-len(c.pages))...)
 	}
 	return id
+}
+
+// rank returns the importance the last ranking pass gave the URL with
+// the given ID: 0 if it was not in that pass's graph.
+func (c *Crawler) rank(id int32) float64 {
+	if int(id) < len(c.ranks) {
+		return c.ranks[id]
+	}
+	return 0
 }
 
 // popSteadyRound pops the next dispatch round of due URLs for the

@@ -13,6 +13,7 @@ import (
 	"webevolve/internal/obs"
 	"webevolve/internal/simweb"
 	"webevolve/internal/store"
+	"webevolve/internal/urlid"
 	"webevolve/internal/webgraph"
 )
 
@@ -45,7 +46,9 @@ func cpuTime() time.Duration {
 // network-bound). With a latency, ns/op is mostly the simulated waits,
 // so it also reports cpu_us/page: the process's CPU time over the
 // crawls (servers on loopback included) per page, which moves when the
-// engine's own work does. newFrontier and newStore, if non-nil, build a
+// engine's own work does, and live_B/page: the live heap after a GC at
+// the end of the timed crawls (the last crawl still held) over its
+// collection's pages. newFrontier and newStore, if non-nil, build a
 // remote frontier and a remote store per iteration; with a store the
 // pages carry their bodies, as a crawl that keeps a repository does.
 func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
@@ -54,6 +57,7 @@ func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 	var pages int64
 	var wireBytes int64
 	var elapsed, cpu time.Duration
+	var c *Crawler
 	exchanges, rounds := roundExchanges.Value(), engineRounds.Value()
 	for i := 0; i < b.N; i++ {
 		w := benchWeb(b)
@@ -85,8 +89,8 @@ func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 				b.Fatal(err)
 			}
 		}
-		c, err := NewWithStore(cfg, f, sh)
-		if err != nil {
+		var err error
+		if c, err = NewWithStore(cfg, f, sh); err != nil {
 			b.Fatal(err)
 		}
 		start, cpu0 := time.Now(), cpuTime()
@@ -95,6 +99,14 @@ func benchmarkEngine(b *testing.B, workers, shards int, delay time.Duration,
 		}
 		elapsed, cpu = elapsed+time.Since(start), cpu+cpuTime()-cpu0
 		pages += c.Metrics().Fetches
+		if i == b.N-1 {
+			b.StopTimer()
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(ms.HeapAlloc)/float64(c.Collection().Len()), "live_B/page")
+			b.StartTimer()
+		}
 		if err := sh.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -289,8 +301,9 @@ func BenchmarkRankingPass(b *testing.B) {
 // and AllUrls, as extendLinks feeds them — taking in the link list of
 // every window page of the paper-scale web (270 sites of 60 pages) on
 // each of five revisit days, in site and window order, into an empty
-// graph and table. heap_B_per_link is the live heap that state holds
-// after the last iteration, over the distinct (page, link) pairs fed.
+// graph and AllUrls on one URL table, as a crawler builds them.
+// heap_B_per_link is the live heap that state holds after the last
+// iteration, over the distinct (page, link) pairs fed.
 func BenchmarkCrawlLinkState(b *testing.B) {
 	pages, links := windowLinkLists(b)
 	var g *webgraph.Graph
@@ -302,7 +315,8 @@ func BenchmarkCrawlLinkState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, all = webgraph.New(), frontier.NewAllUrls()
+		ids := new(urlid.Table)
+		g, all = webgraph.NewOn(ids), frontier.NewAllUrlsOn(ids)
 		for _, p := range pages {
 			buf = extendLinks(g, all, p.url, p.links, p.day, buf)
 		}

@@ -87,7 +87,7 @@ func TestRateSolvedOnlyWhenPolicyReadsIt(t *testing.T) {
 					}
 					continue
 				}
-				hist := j.page.est.hist
+				hist := &j.page.est.hist
 				if last, ok := hist.Last(); !ok || last != day {
 					t.Fatalf("%s fetched at %v: history ends at %v (%v)", j.e.URL, day, last, ok)
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 
 	"webevolve/internal/pagerank"
 	"webevolve/internal/simweb"
@@ -160,7 +161,7 @@ func (e *Evaluator) TimeAveragedFreshness(r Runner, endDay, warmupDays float64, 
 	}
 	start := r.Day() + warmupDays
 	if endDay <= start {
-		return 0, nil, errors.New("core: end day before warmup end")
+		return 0, nil, fmt.Errorf("core: end day %g is not after the warm-up's end, day %g", endDay, start)
 	}
 	if warmupDays > 0 {
 		if err := r.RunUntil(start); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"webevolve/internal/store"
@@ -176,6 +177,12 @@ func TestTimeAveragedFreshness(t *testing.T) {
 	}
 	if _, _, err := ev.TimeAveragedFreshness(c, c.Day()-1, 0, 4, 0); err == nil {
 		t.Fatal("end before start accepted")
+	}
+	// The refusal names both days: the end asked for and the warm-up's.
+	_, _, err = ev.TimeAveragedFreshness(c, c.Day()+3, 5, 4, 0)
+	want := fmt.Sprintf("core: end day %g is not after the warm-up's end, day %g", c.Day()+3, c.Day()+5)
+	if err == nil || err.Error() != want {
+		t.Fatalf("end inside the warm-up: error %v, want %q", err, want)
 	}
 }
 

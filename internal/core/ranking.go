@@ -34,53 +34,67 @@ func (c *Crawler) rankingPass() error {
 	}
 	c.metrics.RankPasses++
 	snap := c.graph.Snapshot()
-	ranks, _, err := pagerank.Pages(snap, pagerank.Options{Damping: 0.9})
+	res, err := pagerank.Rows(snap, pagerank.Options{Damping: 0.9})
 	if err != nil {
 		return err
 	}
-	c.ranks = ranks
+	// A URL the graph does not hold ranks 0, like an ID minted after
+	// this pass (rank).
+	c.ranks = append(c.ranks[:0], make([]float64, c.ids.Len())...)
+	for i, id := range snap.URLIDs {
+		c.ranks[id] = res.Score[i]
+	}
 	for id, p := range c.pages {
 		if p != nil {
-			p.importance = ranks[c.ids.URL(int32(id))]
+			p.importance = c.rank(int32(id))
 		}
 	}
 
-	if c.optimal != nil {
-		// URLs arrive sorted, so the sort inside Rebuild is one pass.
-		urls := c.coll.URLs()
+	// The pass's one listing of the collection: the plan's rate snapshot
+	// and the refinement both read it, and nothing commits between them.
+	// URLs arrive sorted, so the sort inside Rebuild is one pass.
+	urls, ids := c.listCollection()
+	if c.optimal != nil && len(urls) > 0 {
 		pages := make([]scheduler.PageRate, len(urls))
 		prior := 1 / (4 * c.cfg.CycleDays) // the paper's ~4-month mean
 		for i, u := range urls {
-			id := c.intern(u)
 			r := prior
-			if p := c.pages[id]; p != nil {
+			if p := c.pages[ids[i]]; p != nil {
 				if er := p.est.rate(); er > 0 {
 					r = er
 				}
 			}
-			pages[i] = scheduler.PageRate{ID: id, URL: u, Rate: r}
+			pages[i] = scheduler.PageRate{ID: ids[i], URL: u, Rate: r}
 		}
-		if len(pages) > 0 {
-			// The rebuild (a Lagrange-multiplier search) runs concurrently
-			// with the post-rank rounds' fetches: nothing between here and
-			// the next applySchedule reads the revisit plan — the paper's
-			// point exactly, the UpdateModule never waits for the
-			// RankingModule. joinRebuild synchronizes before the plan is
-			// first consulted, and the result is a pure function of the
-			// rates snapshot taken above, so timing cannot change it.
-			done := make(chan error, 1)
-			c.rebuildDone = done
-			go func() {
-				start := time.Now()
-				err := c.optimal.Rebuild(pages)
-				engineRankRebuild.Observe(time.Since(start).Seconds())
-				obs.DefaultTrace.Span("rank_rebuild", 0, len(pages), start)
-				done <- err
-			}()
-		}
+		// The rebuild (a Lagrange-multiplier search) runs concurrently
+		// with the post-rank rounds' fetches: nothing between here and
+		// the next applySchedule reads the revisit plan — the paper's
+		// point exactly, the UpdateModule never waits for the
+		// RankingModule. joinRebuild synchronizes before the plan is
+		// first consulted, and the result is a pure function of the
+		// rates snapshot taken above, so timing cannot change it.
+		done := make(chan error, 1)
+		c.rebuildDone = done
+		go func() {
+			start := time.Now()
+			err := c.optimal.Rebuild(pages)
+			engineRankRebuild.Observe(time.Since(start).Seconds())
+			obs.DefaultTrace.Span("rank_rebuild", 0, len(pages), start)
+			done <- err
+		}()
 	}
 
-	return c.refine(ranks)
+	return c.refine(urls, ids)
+}
+
+// listCollection lists the collection's URLs, sorted, with their IDs.
+func (c *Crawler) listCollection() ([]string, []int32) {
+	urls := c.coll.URLs()
+	ids := make([]int32, len(urls))
+	for i, u := range urls {
+		ids[i] = c.intern(u)
+	}
+	return urls, ids
 }
 
 // joinRebuild waits out any in-flight revisit-plan rebuild. It must be
@@ -100,7 +114,8 @@ func (c *Crawler) joinRebuild() error {
 
 // refine implements the refinement decision (Section 5.2): replace
 // less-important collection pages with more-important discovered pages.
-func (c *Crawler) refine(ranks map[string]float64) error {
+// urls is the collection as the pass listed it, and ids their IDs.
+func (c *Crawler) refine(urls []string, ids []int32) error {
 	// admit and evict only stage their frontier changes; the refinement
 	// ships as one round once decided — one exchange per server and one
 	// WAL append, not one of each per URL. Admissions come from outside
@@ -110,9 +125,11 @@ func (c *Crawler) refine(ranks map[string]float64) error {
 		c.rounds.Commit(c.evicts, c.admits, false)
 		c.admits, c.evicts = c.admits[:0], c.evicts[:0]
 	}()
-	inColl := make(map[string]bool, c.coll.Len())
-	for _, u := range c.coll.URLs() {
-		inColl[u] = true
+	// The pass is quiesced and mints no ID, so every AllUrls record's ID
+	// is below the table's length now.
+	inColl := make([]bool, c.ids.Len())
+	for _, id := range ids {
+		inColl[id] = true
 	}
 
 	// Candidates: discovered URLs not in the collection, best first.
@@ -126,10 +143,10 @@ func (c *Crawler) refine(ranks map[string]float64) error {
 	}
 	var cands []cand
 	c.all.Scan(func(info frontier.URLInfo) bool {
-		if inColl[info.URL] {
+		if inColl[info.ID] {
 			return true
 		}
-		imp := ranks[info.URL]
+		imp := c.rank(info.ID)
 		if imp == 0 {
 			// Unranked discovery: score by in-link count so fresh URLs
 			// can still enter a non-full collection.
@@ -146,7 +163,7 @@ func (c *Crawler) refine(ranks map[string]float64) error {
 	})
 
 	// Fill free slots first.
-	free := c.cfg.CollectionSize - len(inColl)
+	free := c.cfg.CollectionSize - len(urls)
 	idx := 0
 	for free > 0 && idx < len(cands) {
 		c.admit(cands[idx].url, cands[idx].imp)
@@ -160,11 +177,12 @@ func (c *Crawler) refine(ranks map[string]float64) error {
 	// Replacement: worst collection members vs best remaining candidates.
 	type member struct {
 		url string
+		id  int32
 		imp float64
 	}
-	members := make([]member, 0, len(inColl))
-	for u := range inColl {
-		members = append(members, member{url: u, imp: ranks[u]})
+	members := make([]member, len(urls))
+	for i, u := range urls {
+		members[i] = member{url: u, id: ids[i], imp: c.rank(ids[i])}
 	}
 	sort.Slice(members, func(i, j int) bool {
 		if members[i].imp != members[j].imp {
@@ -184,7 +202,7 @@ func (c *Crawler) refine(ranks map[string]float64) error {
 		if cd.imp <= mb.imp {
 			break // best candidate cannot beat the worst member
 		}
-		if err := c.evict(mb.url); err != nil {
+		if err := c.evict(mb.url, mb.id); err != nil {
 			return err
 		}
 		c.admit(cd.url, cd.imp)
@@ -204,17 +222,16 @@ func (c *Crawler) admit(url string, imp float64) {
 	c.admits = append(c.admits, frontier.Entry{URL: url, Due: c.day, Priority: imp}) // due now = front of the queue
 }
 
-// evict discards a page from the collection (Figure 11 steps [7]-[8]).
-// The frontier removal is staged in c.evicts for refine to commit.
-func (c *Crawler) evict(url string) error {
+// evict discards a page, whose ID is id, from the collection (Figure 11
+// steps [7]-[8]). The frontier removal is staged in c.evicts for refine
+// to commit.
+func (c *Crawler) evict(url string, id int32) error {
 	c.metrics.Evictions++
 	c.evicts = append(c.evicts, url)
 	if err := c.deletePage(url); err != nil {
 		return err
 	}
-	if id, ok := c.ids.Lookup(url); ok {
-		c.pages[id] = nil
-	}
+	c.pages[id] = nil
 	// The page's link structure stays in the graph: AllUrls remembers
 	// everything discovered, and the page may be re-admitted later.
 	return nil

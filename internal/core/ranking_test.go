@@ -107,6 +107,17 @@ func refineRanks(c *Crawler, memberImp, candImp float64) (ranks map[string]float
 	return ranks, members, cands
 }
 
+// refineWith makes ranks the last ranking pass's scores and runs the
+// refinement over the collection as it stands.
+func refineWith(c *Crawler, ranks map[string]float64) error {
+	c.ranks = make([]float64, c.ids.Len())
+	for u, r := range ranks {
+		id, _ := c.ids.Lookup(u)
+		c.ranks[id] = r
+	}
+	return c.refine(c.listCollection())
+}
+
 // TestRefineNeedsAStrictlyMoreImportantCandidate: a candidate replaces
 // a collection member only when its importance is strictly higher. A
 // tie evicts nothing, and the next float up is enough.
@@ -114,7 +125,7 @@ func TestRefineNeedsAStrictlyMoreImportantCandidate(t *testing.T) {
 	c, rf := settledCrawl(t, 15)
 	before := c.Metrics()
 	ranks, _, _ := refineRanks(c, 1, 1)
-	if err := c.refine(ranks); err != nil {
+	if err := refineWith(c, ranks); err != nil {
 		t.Fatal(err)
 	}
 	if m := c.Metrics(); m.Evictions != before.Evictions || m.Admissions != before.Admissions {
@@ -126,7 +137,7 @@ func TestRefineNeedsAStrictlyMoreImportantCandidate(t *testing.T) {
 
 	up := math.Nextafter(1, 2)
 	ranks, _, _ = refineRanks(c, 1, up)
-	if err := c.refine(ranks); err != nil {
+	if err := refineWith(c, ranks); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Metrics().Evictions - before.Evictions; got != 1 {
@@ -150,7 +161,7 @@ func TestRefineReplacesAtMostOneTwentiethPerPass(t *testing.T) {
 	if len(cands) <= k {
 		t.Fatalf("%d candidates: the test needs more than %d", len(cands), k)
 	}
-	if err := c.refine(ranks); err != nil {
+	if err := refineWith(c, ranks); err != nil {
 		t.Fatal(err)
 	}
 	var wantEvicted []string
@@ -193,7 +204,7 @@ func TestRefineConsidersFourCandidatesPerSlot(t *testing.T) {
 			}
 			best := cands[tc.at]
 			ranks[best] = 3
-			if err := c.refine(ranks); err != nil {
+			if err := refineWith(c, ranks); err != nil {
 				t.Fatal(err)
 			}
 			want := cands[0] // the first in scan order among the ties
@@ -296,5 +307,79 @@ func TestRunUntilIdempotentAtHorizon(t *testing.T) {
 	}
 	if c.Day() != day || c.Metrics().Fetches != fetches {
 		t.Fatal("re-running to a past horizon did work")
+	}
+}
+
+// listingFrontier is an in-process frontier that counts the crawl's
+// listings and length queries: against shard servers each is a
+// fan-out to every server.
+type listingFrontier struct {
+	*frontier.Sharded
+	urls, lens int
+}
+
+func (l *listingFrontier) URLs() []string { l.urls++; return l.Sharded.URLs() }
+
+func (l *listingFrontier) Len() int { l.lens++; return l.Sharded.Len() }
+
+// TestRankingPassListsTheFrontierOnce: under the variable-frequency
+// plan a ranking pass lists the frontier once, for the plan's rate
+// snapshot and the refinement both, and never asks for its length.
+func TestRankingPassListsTheFrontierOnce(t *testing.T) {
+	w, f := testWeb(t, 50)
+	lf := &listingFrontier{Sharded: frontier.NewSharded(4)}
+	cfg := baseConfig(w)
+	cfg.Freq = VariableFreq
+	cfg.Frontier = lf
+	c, err := New(cfg, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunUntil(30); err != nil {
+		t.Fatal(err)
+	}
+	passes := c.Metrics().RankPasses
+	if passes < 10 || c.optimal.PlanSize() == 0 {
+		t.Fatalf("%d passes, plan of %d pages: the test exercises no plan", passes, c.optimal.PlanSize())
+	}
+	if lf.urls != int(passes) || lf.lens != 0 {
+		t.Fatalf("%d passes listed the frontier %d times and asked its length %d times, want once each and never",
+			passes, lf.urls, lf.lens)
+	}
+}
+
+// TestOneURLIDSpace: AllUrls, the page graph and the engine resolve
+// every URL to the same ID, in the one table the crawler built them on.
+func TestOneURLIDSpace(t *testing.T) {
+	w, f := testWeb(t, 51)
+	c, err := New(baseConfig(w), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunUntil(10); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.graph.Snapshot()
+	graphID := make(map[string]int32, len(snap.IDs))
+	for i, u := range snap.IDs {
+		graphID[u] = snap.URLIDs[i]
+	}
+	checked, crawled := 0, 0
+	c.all.Scan(func(info frontier.URLInfo) bool {
+		if gid, ok := graphID[info.URL]; ok && gid != info.ID {
+			t.Fatalf("%s: AllUrls ID %d, graph ID %d", info.URL, info.ID, gid)
+		}
+		if eid := c.intern(info.URL); eid != info.ID {
+			t.Fatalf("%s: AllUrls ID %d, engine ID %d", info.URL, info.ID, eid)
+		}
+		if c.pages[info.ID] != nil {
+			crawled++
+		}
+		checked++
+		return true
+	})
+	if len(graphID) == 0 || crawled == 0 || checked != c.all.Len() {
+		t.Fatalf("checked %d of %d AllUrls records, %d graph nodes, %d crawled pages",
+			checked, c.all.Len(), len(graphID), crawled)
 	}
 }

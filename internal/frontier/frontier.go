@@ -24,6 +24,8 @@ import (
 // URLInfo is the AllUrls record for one discovered URL.
 type URLInfo struct {
 	URL string
+	// ID is the URL's ID in the urlid.Table AllUrls interns into.
+	ID int32
 	// FirstSeen is the discovery time (days).
 	FirstSeen float64
 	// InLinks counts distinct discovered pages linking here; a cheap
@@ -34,33 +36,49 @@ type URLInfo struct {
 // AllUrls records every URL discovered, with metadata. Safe for
 // concurrent use: CrawlModules add URLs while the RankingModule scans.
 //
-// Inside, a URL is a dense ID from a urlid.Table of its own, guarded by
-// its lock; records and link lists are slices indexed by that ID.
-// Nothing is ever forgotten, so neither is an ID.
+// Inside, a URL is a dense ID from the urlid.Table AllUrls was built on
+// — a crawl's one table, shared with its page graph and engine, or a
+// fresh one — and records and link lists are slices indexed by that ID,
+// guarded by AllUrls' lock and grown to the table's length when an ID
+// past their end turns up. A record holds no URL: Get and Scan fill it
+// in from the table. Nothing is ever forgotten, so neither is an ID.
 type AllUrls struct {
 	mu  sync.RWMutex
-	ids urlid.Table
-	// recs[id] is the record of the URL with that ID where known[id]; a
-	// URL seen only as a link's source has an ID but no record.
-	recs  []URLInfo
-	known []bool
-	n     int // records
+	ids *urlid.Table
+	// recs[id] is the record of the URL with that ID where known; a URL
+	// seen only as a link's source, or interned by another user of the
+	// table, has no record.
+	recs []urlRec
+	n    int // records
 	// reported[id] lists, each once, every target the URL with that ID
 	// has reported a link to, so that a (from, to) pair counts toward
 	// InLinks once however often the link leaves the page and returns.
 	reported [][]int32
 }
 
-// NewAllUrls returns an empty URL table.
-func NewAllUrls() *AllUrls { return &AllUrls{} }
+// urlRec is a URLInfo without the URL and its ID, which its index in
+// AllUrls.recs names.
+type urlRec struct {
+	firstSeen float64
+	inLinks   int32
+	known     bool
+}
 
-// intern returns url's ID, growing the per-ID slices for a new one.
+// NewAllUrls returns an empty URL table on a urlid.Table of its own.
+func NewAllUrls() *AllUrls { return NewAllUrlsOn(new(urlid.Table)) }
+
+// NewAllUrlsOn returns an empty URL table that interns into ids, which
+// other users may share.
+func NewAllUrlsOn(ids *urlid.Table) *AllUrls { return &AllUrls{ids: ids} }
+
+// intern returns url's ID, growing the per-ID slices to the table's
+// length if it lies past them.
 func (a *AllUrls) intern(url string) int32 {
-	id, isNew := a.ids.Intern(url)
-	if isNew {
-		a.recs = append(a.recs, URLInfo{})
-		a.known = append(a.known, false)
-		a.reported = append(a.reported, nil)
+	id, _ := a.ids.Intern(url)
+	if int(id) >= len(a.recs) {
+		n := a.ids.Len()
+		a.recs = append(a.recs, make([]urlRec, n-len(a.recs))...)
+		a.reported = append(a.reported, make([][]int32, n-len(a.reported))...)
 	}
 	return id
 }
@@ -69,11 +87,10 @@ func (a *AllUrls) intern(url string) int32 {
 // it has none, and reports whether it did.
 func (a *AllUrls) add(url string, now float64) (int32, bool) {
 	id := a.intern(url)
-	if a.known[id] {
+	if a.recs[id].known {
 		return id, false
 	}
-	a.known[id] = true
-	a.recs[id] = URLInfo{URL: url, FirstSeen: now}
+	a.recs[id] = urlRec{firstSeen: now, known: true}
 	a.n++
 	return id, true
 }
@@ -97,25 +114,25 @@ func (a *AllUrls) AddLink(from, to string, now float64) {
 	f := a.intern(from)
 	if !slices.Contains(a.reported[f], t) {
 		a.reported[f] = append(a.reported[f], t)
-		a.recs[t].InLinks++
+		a.recs[t].inLinks++
 	}
 }
 
-// record returns url's ID if url has a record.
-func (a *AllUrls) record(url string) (int32, bool) {
-	id, ok := a.ids.Lookup(url)
-	return id, ok && a.known[id]
+// info returns the record of the known URL with the given ID.
+func (a *AllUrls) info(id int32) URLInfo {
+	r := a.recs[id]
+	return URLInfo{URL: a.ids.URL(id), ID: id, FirstSeen: r.firstSeen, InLinks: int(r.inLinks)}
 }
 
 // Get returns a copy of the record for url.
 func (a *AllUrls) Get(url string) (URLInfo, bool) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	id, ok := a.record(url)
-	if !ok {
+	id, ok := a.ids.Lookup(url)
+	if !ok || int(id) >= len(a.recs) || !a.recs[id].known {
 		return URLInfo{}, false
 	}
-	return a.recs[id], true
+	return a.info(id), true
 }
 
 // Len returns the number of discovered URLs.
@@ -132,16 +149,16 @@ func (a *AllUrls) Len() int {
 func (a *AllUrls) Scan(fn func(URLInfo) bool) {
 	a.mu.RLock()
 	ids := make([]int32, 0, a.n)
-	for id, ok := range a.known {
-		if ok {
+	for id, r := range a.recs {
+		if r.known {
 			ids = append(ids, int32(id))
 		}
 	}
-	slices.SortFunc(ids, func(x, y int32) int { return strings.Compare(a.ids.URL(x), a.ids.URL(y)) })
 	a.mu.RUnlock()
+	slices.SortFunc(ids, func(x, y int32) int { return strings.Compare(a.ids.URL(x), a.ids.URL(y)) })
 	for _, id := range ids {
 		a.mu.RLock()
-		info := a.recs[id]
+		info := a.info(id)
 		a.mu.RUnlock()
 		if !fn(info) {
 			return

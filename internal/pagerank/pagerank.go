@@ -114,10 +114,15 @@ func solve(out [][]int32, n int, opt Options) (Result, error) {
 	return res, nil
 }
 
-// Pages computes PageRank over a page-graph snapshot. The returned map
-// keys are page IDs.
+// Rows computes PageRank over a page-graph snapshot, scored by row:
+// Score[i] is the rank of snap.IDs[i], whose table ID is snap.URLIDs[i].
+func Rows(snap *webgraph.Snapshot, opt Options) (Result, error) {
+	return solve(snap.Out, len(snap.IDs), opt)
+}
+
+// Pages is Rows keyed by page URL.
 func Pages(snap *webgraph.Snapshot, opt Options) (map[string]float64, Result, error) {
-	res, err := solve(snap.Out, len(snap.IDs), opt)
+	res, err := Rows(snap, opt)
 	if err != nil {
 		return nil, Result{}, err
 	}

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"webevolve/internal/urlid"
 )
 
 // mapGraph is the graph as it was kept before pages had IDs: one
@@ -127,9 +129,12 @@ var modelNames = func() []PageID {
 	return names
 }()
 
-// modelRun counts what an op sequence exercised.
+// modelRun counts what an op sequence exercised. foreignInside and
+// foreignPast count pages the graph was first given under an ID the
+// second owner had minted, inside its per-ID slices and past their end.
 type modelRun struct {
 	ops, repeats, selfLinks, reentered, revived int
+	foreignInside, foreignPast                  int
 }
 
 // runGraphOps decodes ops from data and applies each to a Graph and to
@@ -137,11 +142,29 @@ type modelRun struct {
 // the links SetLinks reports as added, Snapshot (deeply equal), the
 // page and link counts, and every name's presence and in- and
 // out-sets. A byte picks the op, then one byte names each page; a
-// SetLinks list's length is its own byte.
+// SetLinks list's length is its own byte. The graph shares its
+// urlid.Table with a second owner, as a crawl's graph shares it with
+// AllUrls and the engine: an op byte with bit 4 set first has that
+// owner intern the page its top three bits name and a URL the graph
+// never uses, so the graph meets IDs it did not mint, inside its slices
+// and past them.
 func runGraphOps(t testing.TB, data []byte) modelRun {
 	t.Helper()
-	g, m := New(), newMapGraph()
+	ids := new(urlid.Table)
+	g, m := NewOn(ids), newMapGraph()
 	var run modelRun
+	byOther := map[PageID]bool{} // pages the second owner interned first
+	met := map[PageID]bool{}     // pages the graph has been given
+	meet := func(p PageID) {
+		if byOther[p] && !met[p] {
+			if id, _ := ids.Lookup(p); int(id) < len(g.live) {
+				run.foreignInside++
+			} else {
+				run.foreignPast++
+			}
+		}
+		met[p] = true
+	}
 	var gotAdded, wantAdded []PageID
 	left := map[[2]PageID]bool{} // links SetLinks deleted
 	removed := map[PageID]bool{} // pages RemovePage deleted
@@ -166,6 +189,14 @@ func runGraphOps(t testing.TB, data []byte) modelRun {
 		if !ok {
 			return run
 		}
+		if op&16 != 0 {
+			p := modelNames[(op>>5)%len(modelNames)]
+			if _, isNew := ids.Intern(p); isNew {
+				byOther[p] = true
+			}
+			ids.Intern(fmt.Sprintf("http://other.com/%d", ids.Len()))
+		}
+		meet(from)
 		var desc string
 		switch op % 8 {
 		case 0:
@@ -178,6 +209,7 @@ func runGraphOps(t testing.TB, data []byte) modelRun {
 				return run
 			}
 			desc = "AddLink " + from + " " + to
+			meet(to)
 			if from == to {
 				run.selfLinks++
 			}
@@ -201,6 +233,9 @@ func runGraphOps(t testing.TB, data []byte) modelRun {
 				tos = append(tos, to)
 			}
 			desc = fmt.Sprintf("SetLinks %s %v", from, tos)
+			for _, to := range tos {
+				meet(to)
+			}
 			for i, to := range tos {
 				if slices.Contains(tos[:i], to) {
 					run.repeats++
@@ -247,7 +282,12 @@ func compareWithMapModel(g *Graph, m *mapGraph) error {
 		return fmt.Errorf("%d pages %d links, map model %d pages %d links",
 			g.NumPages(), g.NumLinks(), len(m.out), m.NumLinks())
 	}
-	if gs, ms := g.Snapshot(), m.Snapshot(); !reflect.DeepEqual(gs, ms) {
+	ms := m.Snapshot()
+	ms.URLIDs = make([]int32, len(ms.IDs))
+	for i, p := range ms.IDs {
+		ms.URLIDs[i], _ = g.ids.Lookup(p)
+	}
+	if gs := g.Snapshot(); !reflect.DeepEqual(gs, ms) {
 		return fmt.Errorf("snapshot %v %v, map model %v %v", gs.IDs, gs.Out, ms.IDs, ms.Out)
 	}
 	if !slices.Equal(g.Pages(), sortedKeys(m.out)) {
@@ -271,7 +311,9 @@ func compareWithMapModel(g *Graph, m *mapGraph) error {
 // TestGraphMatchesMapModel drives random op sequences through the Graph
 // and the map model and requires them to agree after every op, then
 // checks that the sequences did exercise repeated links, self-links,
-// links that left a page and came back, and removed pages linked again.
+// links that left a page and came back, removed pages linked again, and
+// pages first met under another owner's IDs, inside the graph's slices
+// and past them.
 func TestGraphMatchesMapModel(t *testing.T) {
 	var total modelRun
 	for seed := int64(1); seed <= 20; seed++ {
@@ -284,9 +326,12 @@ func TestGraphMatchesMapModel(t *testing.T) {
 		total.selfLinks += run.selfLinks
 		total.reentered += run.reentered
 		total.revived += run.revived
+		total.foreignInside += run.foreignInside
+		total.foreignPast += run.foreignPast
 	}
 	t.Logf("%+v", total)
-	if total.repeats < 100 || total.selfLinks < 100 || total.reentered < 100 || total.revived < 20 {
+	if total.repeats < 100 || total.selfLinks < 100 || total.reentered < 100 || total.revived < 20 ||
+		total.foreignInside < 5 || total.foreignPast < 5 {
 		t.Fatalf("ops too tame: %+v", total)
 	}
 }

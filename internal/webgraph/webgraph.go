@@ -4,10 +4,13 @@
 // when any page of one links to any page of the other.
 //
 // A Graph takes and returns URLs but keeps pages by dense int32 ID: it
-// interns every URL into its own urlid.Table, private to the graph and
-// guarded by its lock, and indexes each page's liveness and link lists
-// by that ID. The table is append-only and IDs are never reused: a
-// removed page keeps its ID, and linking to it again revives it.
+// interns every URL into the urlid.Table it was built on — a crawl's
+// one table, which AllUrls and the engine share, or a fresh one for a
+// standalone graph — and indexes each page's liveness and link lists by
+// that ID. The table is append-only and IDs are never reused: a removed
+// page keeps its ID, and linking to it again revives it. IDs the graph
+// did not mint are normal; its per-ID slices grow to the table's length
+// when it first meets one past their end.
 package webgraph
 
 import (
@@ -29,7 +32,7 @@ type PageID = string
 // use: crawler modules add links while the ranking module scans.
 type Graph struct {
 	mu  sync.RWMutex
-	ids urlid.Table
+	ids *urlid.Table
 	// live[id] reports whether the page is a node; out[id] and in[id]
 	// are its neighbours, each once. out[id] is in the order SetLinks
 	// was last given them, AddLink appending; in[id] is unordered.
@@ -44,8 +47,12 @@ type Graph struct {
 	stamp uint32
 }
 
-// New returns an empty graph.
-func New() *Graph { return &Graph{} }
+// New returns an empty graph on a table of its own.
+func New() *Graph { return NewOn(new(urlid.Table)) }
+
+// NewOn returns an empty graph that interns into ids, which other users
+// may share.
+func NewOn(ids *urlid.Table) *Graph { return &Graph{ids: ids} }
 
 // AddPage ensures the page exists as a node.
 func (g *Graph) AddPage(p PageID) {
@@ -56,18 +63,24 @@ func (g *Graph) AddPage(p PageID) {
 
 // ensure makes p a node and returns its ID.
 func (g *Graph) ensure(p PageID) int32 {
-	id, isNew := g.ids.Intern(p)
-	if isNew {
-		g.live = append(g.live, false)
-		g.out = append(g.out, nil)
-		g.in = append(g.in, nil)
-		g.mark = append(g.mark, 0)
+	id, _ := g.ids.Intern(p)
+	if int(id) >= len(g.live) {
+		g.grow()
 	}
 	if !g.live[id] {
 		g.live[id] = true
 		g.pages++
 	}
 	return id
+}
+
+// grow extends the per-ID slices to the table's length.
+func (g *Graph) grow() {
+	n := g.ids.Len()
+	g.live = append(g.live, make([]bool, n-len(g.live))...)
+	g.out = append(g.out, make([][]int32, n-len(g.out))...)
+	g.in = append(g.in, make([][]int32, n-len(g.in))...)
+	g.mark = append(g.mark, make([]uint32, n-len(g.mark))...)
 }
 
 // AddLink records a directed link from -> to, creating nodes as needed.
@@ -169,8 +182,8 @@ func swapRemove(s []int32, i int) []int32 {
 func (g *Graph) RemovePage(p PageID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	id, ok := g.ids.Lookup(p)
-	if !ok || !g.live[id] {
+	id, ok := g.node(p)
+	if !ok {
 		return
 	}
 	for _, t := range g.out[id] {
@@ -193,7 +206,7 @@ func (g *Graph) RemovePage(p PageID) {
 // node returns p's ID if p is a node.
 func (g *Graph) node(p PageID) (int32, bool) {
 	id, ok := g.ids.Lookup(p)
-	return id, ok && g.live[id]
+	return id, ok && int(id) < len(g.live) && g.live[id]
 }
 
 // HasPage reports whether p is a node.
@@ -273,11 +286,13 @@ func (g *Graph) Pages() []PageID {
 
 // Snapshot returns an immutable adjacency view suitable for iterative
 // algorithms (PageRank). Node order is deterministic: IDs holds the
-// pages sorted by URL, and Out[i] the sorted positions in IDs of page
-// i's out-neighbours, self-links left out.
+// pages sorted by URL, URLIDs their IDs in the graph's table, and Out[i]
+// the sorted positions in IDs of page i's out-neighbours, self-links
+// left out. The row order never depends on how IDs were handed out.
 type Snapshot struct {
-	IDs []PageID
-	Out [][]int32
+	IDs    []PageID
+	URLIDs []int32
+	Out    [][]int32
 }
 
 // Snapshot captures the current graph.
@@ -303,7 +318,7 @@ func (g *Graph) Snapshot() *Snapshot {
 		slices.Sort(row)
 		out[i] = row
 	}
-	return &Snapshot{IDs: g.urls(order), Out: out}
+	return &Snapshot{IDs: g.urls(order), URLIDs: order, Out: out}
 }
 
 // SiteOf extracts the site (host) component of a URL-like page ID. It
