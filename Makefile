@@ -76,8 +76,8 @@ race:
 # under both tags, damaged and raw: checkValue accepts exactly what
 # DecodeValue decodes, and AppendValue after DecodeValue gives back the
 # bytes AppendValue wrote. Then fifteen of the page graph's op
-# sequences against the map-of-sets graph it replaced: added links,
-# snapshot, counts and every in- and out-set must agree after each op.
+# sequences against the map-of-sets graph it replaced: snapshot,
+# counts and every in- and out-set must agree after each op.
 # (The seed corpora already run under plain `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimalAllocation -fuzztime 30s ./internal/freshness/

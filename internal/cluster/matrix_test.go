@@ -28,8 +28,10 @@ import (
 // axes (workers, frontier, store, style, event); every valid cell must
 // equal its style's oracle, the sequential crawl (one worker, one
 // shard, one-URL rounds) on in-process memory shards and a memory
-// collection pair. Each cell compares the metrics, the AllUrls size,
-// every collection record with its body, and the final revisit plan.
+// collection pair. Each cell compares the metrics, the crawl's URL
+// table (AllUrls: every URL by ID, so IDs are part of the crawl's
+// outcome), every collection record with its body, and the final
+// revisit plan.
 //
 // Subtests are named by their coordinates; a named cell also carries
 // its label, so `go test -run 'TestInvarianceMatrix/KillRestart'`
@@ -249,7 +251,7 @@ func cells() []cell {
 // outcome is everything a crawl leaves behind that the matrix compares.
 type outcome struct {
 	metrics core.Metrics
-	allUrls int
+	urls    []string           // the URL table, by ID
 	records []store.PageRecord // the collection, in URL order
 	plan    []planned          // the frontier's final queue, in pop order
 }
@@ -264,10 +266,8 @@ func diff(got, want outcome) string {
 	if got.metrics != want.metrics {
 		return fmt.Sprintf("metrics diverge\n got: %+v\nwant: %+v", got.metrics, want.metrics)
 	}
-	if got.allUrls != want.allUrls {
-		return fmt.Sprintf("AllUrls holds %d URLs, want %d", got.allUrls, want.allUrls)
-	}
 	return cmp.Or(
+		firstDiff("URL table", got.urls, want.urls, func(u string) string { return u }),
 		firstDiff("collection", got.records, want.records, func(r store.PageRecord) string {
 			return fmt.Sprintf("%s sum=%x at=%v v=%d imp=%v links=%d body=%dB",
 				r.URL, r.Checksum, r.FetchedAt, r.Version, r.Importance, len(r.Links), len(r.Content))
@@ -333,7 +333,11 @@ func runCell(t *testing.T, c cell) outcome {
 	}
 
 	var out outcome
-	out.metrics, out.allUrls = cr.Metrics(), cr.AllUrls().Len()
+	out.metrics = cr.Metrics()
+	all := cr.AllUrls()
+	for id := range int32(all.Len()) {
+		out.urls = append(out.urls, all.URL(id))
+	}
 	if err := cr.Collection().Scan(func(rec store.PageRecord) bool {
 		out.records = append(out.records, rec)
 		return true

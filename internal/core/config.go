@@ -20,6 +20,12 @@
 //   - CrawlModules fetch pages and forward extracted links to AllUrls.
 //     Multiple CrawlModules can run in parallel.
 //
+// Of the three structures, CollUrls is the frontier (package frontier)
+// and the Collection the shadowed store pair. AllUrls is the crawl's URL
+// table (urlid.Table, Crawler.AllUrls), and the links it was given are
+// the page graph (webgraph.Graph, Crawler.Graph), which the
+// RankingModule scans.
+//
 // The same engine also runs in batch mode and/or with a shadowed
 // collection, so the four design points of Section 4 (and the periodic
 // crawler baseline) are all configurations of one implementation.

@@ -7,7 +7,7 @@ import (
 
 // The content stage is the third stage of the round pipeline (pop and
 // fetch, schedule, content): one goroutine that applies the scheduled
-// rounds' content — store PutBatch, AllUrls, web graph — in the order
+// rounds' content — store PutBatch, web graph — in the order
 // the engine hands them over, which is pop order. It exists so the two
 // exchanges of a round over a cluster, the frontier commit and the
 // store write, overlap: neither depends on the other, and run in series
@@ -22,7 +22,7 @@ import (
 // one round at a time (applyContent).
 //
 // The one rule is the barrier: while the stage has work outstanding,
-// nothing else may touch AllUrls, the graph or the collection pair.
+// nothing else may touch the graph or the collection pair.
 // quiesce is that barrier; the ranking pass (with the batch cycle's
 // URL snapshot right behind it) and the shadow swap begin with it, and
 // RunUntil stops the stage before it returns, so callers between runs
@@ -101,7 +101,7 @@ func (c *Crawler) startContent() *contentStage {
 				if err := c.applyContent(rounds); err != nil {
 					st.fail(err)
 				}
-				engineURLsKnown.Set(int64(c.all.Len()))
+				engineURLsKnown.Set(int64(c.ids.Len()))
 				engineGraphLinks.Set(int64(c.graph.NumLinks()))
 			}
 			for _, r := range rounds {
@@ -173,7 +173,7 @@ func (st *contentStage) stop() error {
 }
 
 // quiesce is the barrier before anything outside the round pipeline
-// reads or writes the frontier, AllUrls, the graph or the collection:
+// reads or writes the frontier, the graph or the collection:
 // pending pops and waiting commits are shipped and the candidate cache
 // dropped (frontier.Rounds), and the content stage is idle.
 func (c *Crawler) quiesce() error {

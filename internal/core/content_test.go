@@ -457,7 +457,7 @@ func scribbleFree(st *contentStage) {
 // TestContentBarrier checks the barrier in the three engine shapes: a
 // crawl into a slow store, advanced in several RunUntil steps, must be
 // indistinguishable at every step from the same crawl into a fast one.
-// The ranking pass reads the graph and AllUrls, the swap reads the
+// The ranking pass reads the graph and the URL table, the swap reads the
 // shadow collection, and the caller reads the collection right after
 // RunUntil — a write still in the content stage at any of those points
 // changes the comparison (and, under -race, is reported as a race).

@@ -42,7 +42,6 @@ type Crawler struct {
 	cfg     Config
 	fetcher fetch.Fetcher
 
-	all      *frontier.AllUrls
 	coll     frontier.ShardSet
 	rounds   *frontier.Rounds
 	shadowed *store.Shadowed
@@ -57,15 +56,20 @@ type Crawler struct {
 	// DefaultDays outside it.
 	solveRate bool
 
-	// ids is the crawl's one URL table: AllUrls and the graph intern
-	// into it on the content goroutine, and the engine goroutine
-	// (resolveJob, the ranking pass) into it too. pages and ranks are
-	// the engine goroutine's, indexed by ID and grown to the table's
-	// length on demand: pages[id] is the crawl state of the URL with
-	// that ID, nil until its first pop and after its drop or eviction
-	// (the states are pointers, so a job's never moves); ranks[id] is
-	// its importance in the last ranking pass, read when a page's state
-	// is made, 0 past the slice's end.
+	// ids is the crawl's one URL table and the paper's AllUrls: every
+	// URL the crawl has discovered, by ID in order of discovery. New
+	// interns the seeds, in seed order; after that the graph's SetLinks
+	// mints IDs on the content goroutine, in pop order. The engine
+	// goroutine (resolveJob, the ranking pass) interns the URLs it pops
+	// and lists, which the crawl discovered before it queued them, so
+	// the table is a function of the crawl, not of goroutine timing
+	// (TestInvarianceMatrix compares it across engine shapes). pages and
+	// ranks are the engine goroutine's, indexed by ID and grown to the
+	// table's length on demand: pages[id] is the crawl state of the URL
+	// with that ID, nil until its first pop and after its drop or
+	// eviction (the states are pointers, so a job's never moves);
+	// ranks[id] is its importance in the last ranking pass, read when a
+	// page's state is made, 0 past the slice's end.
 	ids   *urlid.Table
 	pages []*pageState
 	ranks []float64
@@ -83,7 +87,7 @@ type Crawler struct {
 
 	// Dispatch-pipeline state: the worker pool and the content stage
 	// (both alive for the duration of one RunUntil) and the reusable
-	// round/apply scratch buffers. recs and added belong to the content
+	// round/apply scratch buffers. recs belongs to the content
 	// goroutine, pushes and removes to the engine's.
 	pool      *dispatchPool
 	content   *contentStage
@@ -91,7 +95,6 @@ type Crawler struct {
 	pushes    []frontier.Entry
 	removes   []string
 	recs      []store.PageRecord
-	added     []string // extendLinks' links new to a page
 	// admits and evicts stage the ranking pass's frontier changes, which
 	// it commits as one round (ranking.go).
 	admits []frontier.Entry
@@ -135,7 +138,6 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 	c := &Crawler{
 		cfg:      cfg,
 		fetcher:  f,
-		all:      frontier.NewAllUrlsOn(ids),
 		coll:     coll,
 		rounds:   frontier.NewRounds(coll, cfg.DispatchBatch),
 		shadowed: sh,
@@ -148,7 +150,7 @@ func NewWithStore(cfg Config, f fetch.Fetcher, sh *store.Shadowed) (*Crawler, er
 	}
 	_, c.solveRate = policy.(scheduler.Proportional)
 	for _, s := range cfg.Seeds {
-		c.all.Add(s, 0)
+		ids.Intern(s)
 		c.admit(s, 0)
 	}
 	// admit only stages the pushes; the seeds ship as the first round.
@@ -222,8 +224,10 @@ func (c *Crawler) Metrics() Metrics { return c.metrics }
 // "current collection" of Section 4).
 func (c *Crawler) Collection() store.Collection { return c.shadowed.Current() }
 
-// AllUrls exposes the discovered-URL table.
-func (c *Crawler) AllUrls() *frontier.AllUrls { return c.all }
+// AllUrls exposes the paper's AllUrls, the crawl's URL table: every
+// URL discovered so far, by ID. The links it was given are the page
+// graph (Graph).
+func (c *Crawler) AllUrls() *urlid.Table { return c.ids }
 
 // CollUrls exposes the revisit queue: the sharded frontier the workers
 // drain (in-process or remote, per Config).
@@ -254,8 +258,8 @@ func (c *Crawler) RunUntil(until float64) error {
 		err = cerr
 	}
 	c.pool = nil
-	// The caller may read the collection, AllUrls and the graph as soon
-	// as this returns: every scheduled round's content lands first.
+	// The caller may read the collection, the URL table and the graph as
+	// soon as this returns: every scheduled round's content lands first.
 	if cerr := c.content.stop(); err == nil {
 		err = cerr
 	}

@@ -59,7 +59,7 @@ import (
 //     runs on the engine goroutine and folds the round into everything
 //     the next pop depends on — metrics, page states, drops,
 //     reschedule commits — sequentially in pop order. applyContent
-//     (store PutBatch, link extraction into AllUrls, web-graph updates)
+//     (store PutBatch, link extraction into the web graph)
 //     only feeds the ranking pass and readers of the collection, so it
 //     is the pipeline's third stage: one content goroutine (content.go)
 //     takes the scheduled rounds in pop order, and round N's store
@@ -302,7 +302,7 @@ func (c *Crawler) dispatchRound(r *roundState) {
 // reports whether any round was dispatched.
 //
 // Rounds may still be in the content stage when this returns; callers
-// that are about to touch AllUrls, the graph or the collection go
+// that are about to touch the graph or the collection go
 // through quiesce first.
 func (c *Crawler) pipelineRounds(depth int, popNext func(r *roundState, windowFloor float64)) (bool, error) {
 	st := c.content
@@ -451,13 +451,13 @@ func (c *Crawler) dropSchedule(j *crawlJob) {
 }
 
 // applyContent is the heavy phase the content stage runs: store
-// writes, link extraction into AllUrls, and web-graph updates for the
-// rounds' outcomes, still in pop order. Nothing here is read by popping
+// writes and link extraction into the web graph for the rounds'
+// outcomes, still in pop order. Nothing here is read by popping
 // or scheduling, only by the ranking pass, the swap and readers of the
 // collection — all behind quiesce — so this phase overlaps the next
 // rounds' frontier commits and fetches. It runs on the content
-// goroutine: c.recs is that goroutine's, and everything else it touches
-// (AllUrls, the graph, the collection pair, the jobs' importance) is
+// goroutine: c.recs is that goroutine's, and everything else it
+// touches (the graph, the collection pair, the jobs' importance) is
 // written elsewhere only while the stage is idle.
 //
 // Each round's deletes run as its pages come up and its puts go to the
@@ -504,17 +504,18 @@ func (c *Crawler) applyContent(rounds []*roundState) error {
 			}
 			c.recs = append(c.recs, rec)
 
-			// Figure 11 steps [11]-[12]: extract URLs, extend AllUrls; also
-			// feed the link structure the RankingModule scans. A revisit
+			// Figure 11 steps [11]-[12]: extract URLs, extend AllUrls —
+			// the graph interns every link into the crawl's URL table —
+			// and the link structure the RankingModule scans. A revisit
 			// with an unchanged checksum is skipped: its links are taken
-			// to be the ones already in the graph and AllUrls. That is
+			// to be the ones already in the graph. That is
 			// the premise of a checksum over the whole body, not a fact
 			// of every source: simweb's checksum hashes only the page's
 			// URL and version, while its links follow the site's current
 			// window, so such a revisit can carry links the graph never
 			// sees until the page next changes.
 			if j.changed || !j.seen {
-				c.added = extendLinks(c.graph, c.all, j.e.URL, j.res.Links, j.day, c.added)
+				c.graph.SetLinks(j.e.URL, j.res.Links)
 			}
 		}
 	}
@@ -535,19 +536,6 @@ func (c *Crawler) deletePage(url string) error {
 		}
 	}
 	return nil
-}
-
-// extendLinks makes links the page's out-set in the graph and extends
-// AllUrls by the links that entered it, returning buf's storage for
-// reuse. AllUrls needs no more: it never forgets a URL or a (from, to)
-// pair, and every link in a page's out-set went through AddLink when it
-// entered, so AddLink on a link that stayed would change nothing.
-func extendLinks(g *webgraph.Graph, all *frontier.AllUrls, url string, links []string, day float64, buf []string) []string {
-	buf = g.SetLinks(url, links, buf[:0])
-	for _, l := range buf {
-		all.AddLink(url, l, day)
-	}
-	return buf
 }
 
 // storeRecs writes the records the last rounds gathered, if any, in one

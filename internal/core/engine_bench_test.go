@@ -13,7 +13,6 @@ import (
 	"webevolve/internal/obs"
 	"webevolve/internal/simweb"
 	"webevolve/internal/store"
-	"webevolve/internal/urlid"
 	"webevolve/internal/webgraph"
 )
 
@@ -298,27 +297,25 @@ func BenchmarkRankingPass(b *testing.B) {
 }
 
 // BenchmarkCrawlLinkState times the crawl's link state — the page graph
-// and AllUrls, as extendLinks feeds them — taking in the link list of
-// every window page of the paper-scale web (270 sites of 60 pages) on
-// each of five revisit days, in site and window order, into an empty
-// graph and AllUrls on one URL table, as a crawler builds them.
-// heap_B_per_link is the live heap that state holds after the last
-// iteration, over the distinct (page, link) pairs fed.
+// and the URL table it interns into, which is the paper's AllUrls, as
+// the content stage feeds them — taking in the link list of every
+// window page of the paper-scale web (270 sites of 60 pages) on each of
+// five revisit days, in site and window order, into an empty graph on a
+// fresh URL table, as a crawler builds them. heap_B_per_link is the
+// live heap that state holds after the last iteration, over the
+// distinct (page, link) pairs fed.
 func BenchmarkCrawlLinkState(b *testing.B) {
 	pages, links := windowLinkLists(b)
 	var g *webgraph.Graph
-	var all *frontier.AllUrls
-	var buf []string
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ids := new(urlid.Table)
-		g, all = webgraph.NewOn(ids), frontier.NewAllUrlsOn(ids)
+		g = webgraph.New()
 		for _, p := range pages {
-			buf = extendLinks(g, all, p.url, p.links, p.day, buf)
+			g.SetLinks(p.url, p.links)
 		}
 	}
 	b.StopTimer()
@@ -327,14 +324,12 @@ func BenchmarkCrawlLinkState(b *testing.B) {
 	b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/float64(links), "heap_B_per_link")
 	runtime.KeepAlive(pages)
 	runtime.KeepAlive(g)
-	runtime.KeepAlive(all)
 }
 
-// fetchedLinks is one page's links as a fetch on day found them.
+// fetchedLinks is one page's links as a fetch found them.
 type fetchedLinks struct {
 	url   string
 	links []string
-	day   float64
 }
 
 // windowLinkLists fetches every window page of the paper-scale web on
@@ -354,7 +349,7 @@ func windowLinkLists(b *testing.B) ([]fetchedLinks, int) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				pages = append(pages, fetchedLinks{u, snap.Links, day})
+				pages = append(pages, fetchedLinks{u, snap.Links})
 				for _, l := range snap.Links {
 					pairs[[2]string{u, l}] = struct{}{}
 				}

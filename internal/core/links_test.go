@@ -1,73 +1,17 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"webevolve/internal/fetch"
-	"webevolve/internal/frontier"
 	"webevolve/internal/simweb"
-	"webevolve/internal/webgraph"
 )
 
-// TestExtendLinksMatchesAddingEveryLink: AllUrls fed only the links
-// SetLinks reports as new ends every step with the same URLInfo —
-// FirstSeen and InLinks, for every URL — as AllUrls fed
-// every link of every fetch, as applyContent did before it diffed. The
-// history drops pages (the graph forgets them, AllUrls does not) and
-// re-links pages so that links leave a page and later come back, and
-// the test checks that both happened.
-func TestExtendLinksMatchesAddingEveryLink(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	page := func() string { return fmt.Sprintf("http://s%d.com/p%d", rng.Intn(3), rng.Intn(12)) }
-	g := webgraph.New()
-	diffed, full := frontier.NewAllUrls(), frontier.NewAllUrls()
-	var buf []string
-	left := map[[2]string]bool{}
-	returned := 0
-	for step := 0; step < 3000; step++ {
-		day := float64(step) / 10
-		url := page()
-		if rng.Intn(12) == 0 {
-			g.RemovePage(url)
-			continue
-		}
-		links := make([]string, rng.Intn(24))
-		for i := range links {
-			links[i] = page()
-		}
-		for _, old := range g.OutLinks(url) {
-			if !slices.Contains(links, old) {
-				left[[2]string{url, old}] = true
-			}
-		}
-		for _, l := range links {
-			if left[[2]string{url, l}] {
-				delete(left, [2]string{url, l})
-				returned++
-			}
-		}
-		buf = extendLinks(g, diffed, url, links, day, buf)
-		for _, l := range links {
-			full.AddLink(url, l, day)
-		}
-		var a, b []frontier.URLInfo
-		diffed.Scan(func(u frontier.URLInfo) bool { a = append(a, u); return true })
-		full.Scan(func(u frontier.URLInfo) bool { b = append(b, u); return true })
-		if !slices.Equal(a, b) {
-			t.Fatalf("step %d: AllUrls from added links\n%v\nfrom every link\n%v", step, a, b)
-		}
-	}
-	if returned < 100 {
-		t.Fatalf("only %d links left a page and came back", returned)
-	}
-}
-
 // TestLinkStateGauges: after every RunUntil of a crawl, the link-state
-// gauges the content stage sets equal AllUrls' size and the graph's
-// edge count, counted page by page.
+// gauges the content stage sets equal the URL table's size and the
+// graph's edge count, counted page by page.
 func TestLinkStateGauges(t *testing.T) {
 	w, err := simweb.New(simweb.SmallConfig(5))
 	if err != nil {
@@ -90,10 +34,100 @@ func TestLinkStateGauges(t *testing.T) {
 			t.Fatalf("day %v: %d links, %d URLs: the crawl found nothing", until, links, urls)
 		}
 		if got := engineURLsKnown.Value(); got != int64(urls) {
-			t.Fatalf("day %v: urls_known %d, AllUrls holds %d", until, got, urls)
+			t.Fatalf("day %v: urls_known %d, the URL table holds %d", until, got, urls)
 		}
 		if got := engineGraphLinks.Value(); got != int64(links) {
 			t.Fatalf("day %v: graph_links %d, the graph holds %d", until, got, links)
 		}
+	}
+}
+
+// vanishingFetcher serves a two-page web: the seed, and a page x that
+// exists, and that the seed links to, before day gone and again from
+// day back on. The seed's checksum changes with its links. Every fetch
+// of x is logged.
+type vanishingFetcher struct {
+	seed, x    string
+	gone, back float64
+
+	mu  sync.Mutex
+	log []fetch.Result
+}
+
+func (f *vanishingFetcher) present(day float64) bool { return day < f.gone || day >= f.back }
+
+func (f *vanishingFetcher) Fetch(url string, day float64) (fetch.Result, error) {
+	res := fetch.Result{URL: url, Day: day, Size: 100}
+	switch {
+	case url == f.seed && f.present(day):
+		res.Checksum, res.Links = 1, []string{f.x}
+	case url == f.seed:
+		res.Checksum = 2
+	case url == f.x && f.present(day):
+		res.Checksum = 3
+	default:
+		res = fetch.Result{URL: url, Day: day, NotFound: true}
+	}
+	if url == f.x {
+		f.mu.Lock()
+		f.log = append(f.log, res)
+		f.mu.Unlock()
+	}
+	return res, nil
+}
+
+// xFetches returns the log of x's fetches so far.
+func (f *vanishingFetcher) xFetches() []fetch.Result {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.log)
+}
+
+// TestVanishedPageIsNoCandidate: a page that vanished and that nothing
+// links to any more is no refinement candidate, even with free slots in
+// the collection; it was discovered, but it is no node of the graph the
+// ranking pass ranks. Once a fetched page links to it again, the graph
+// holds it again and the next pass admits it.
+func TestVanishedPageIsNoCandidate(t *testing.T) {
+	f := &vanishingFetcher{seed: "http://s.com/", x: "http://s.com/x", gone: 3, back: 10}
+	c, err := New(Config{
+		Seeds:          []string{f.seed},
+		CollectionSize: 10,
+		PagesPerDay:    60,
+		CycleDays:      4,
+		BatchDays:      1,
+		RankEveryDays:  2,
+		Estimator:      EstimatorEP,
+	}, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The seed links to x on day 0, a pass admits x on day 2, and the
+	// seed drops the link on its day-4 revisit: x's day-6 revisit finds
+	// it gone.
+	if err := c.RunUntil(f.back); err != nil {
+		t.Fatal(err)
+	}
+	log := f.xFetches()
+	if len(log) < 2 || log[0].NotFound || !log[1].NotFound {
+		t.Fatalf("x's fetches %+v: want it found, then gone", log)
+	}
+	if len(log) != 2 || c.Metrics().NotFound != 1 {
+		t.Fatalf("x fetched again while gone and unlinked: %+v (%d not found)", log[2:], c.Metrics().NotFound)
+	}
+	if slices.Contains(c.CollUrls().URLs(), f.x) || c.Graph().HasPage(f.x) {
+		t.Fatal("x is still queued or in the graph after it vanished")
+	}
+	// The seed links to x again from day 10, which its day-12 revisit
+	// sees; the day-14 pass admits x, which is back.
+	if err := c.RunUntil(16); err != nil {
+		t.Fatal(err)
+	}
+	log = f.xFetches()
+	if len(log) != 3 || log[2].NotFound || log[2].Day < f.back {
+		t.Fatalf("x's fetches %+v: want one more, found, once the seed links to it again", log)
+	}
+	if _, ok, err := c.Collection().Get(f.x); err != nil || !ok {
+		t.Fatalf("x not back in the collection (err %v)", err)
 	}
 }

@@ -26,7 +26,7 @@ var (
 	engineContentBacklog = obs.Default.Gauge("webevolve_engine_content_backlog",
 		"rounds scheduled and not yet applied by the content stage (being applied, queued, or blocking the engine's hand-off)")
 	engineURLsKnown = obs.Default.Gauge("webevolve_engine_urls_known",
-		"URLs in AllUrls, every URL the crawl has discovered; set by the content stage after each apply")
+		"URLs in the crawl's URL table (AllUrls), every URL the crawl has discovered; set by the content stage after each apply")
 	engineGraphLinks = obs.Default.Gauge("webevolve_engine_graph_links",
 		"links in the page graph the ranking pass reads; set by the content stage after each apply")
 	engineContentRoundsPerWrite = obs.Default.Histogram("webevolve_engine_content_rounds_per_write",

@@ -11,11 +11,11 @@ import (
 )
 
 // rankingPass is the RankingModule of Figure 12: recompute importance
-// over the captured link structure, refresh AllUrls scores, rebuild the
-// variable-frequency plan, and make the refinement decision — admit
-// important new pages (at the front of CollUrls, so they are crawled
-// immediately) and discard the least important pages to keep the
-// collection at its target size.
+// over the captured link structure, refresh the crawled pages' scores,
+// rebuild the variable-frequency plan, and make the refinement
+// decision — admit important new pages (at the front of CollUrls, so
+// they are crawled immediately) and discard the least important pages
+// to keep the collection at its target size.
 //
 // The paper stresses that this pass is expensive (PageRank scans the
 // whole collection) and therefore must run on its own cadence, decoupled
@@ -23,7 +23,7 @@ import (
 // Config.RankEveryDays.
 func (c *Crawler) rankingPass() error {
 	// The pass reads and rewrites what rounds in flight also touch —
-	// the frontier, AllUrls, the graph, the collection: settle them.
+	// the frontier, the graph, the collection: settle them.
 	if err := c.quiesce(); err != nil {
 		return err
 	}
@@ -84,7 +84,7 @@ func (c *Crawler) rankingPass() error {
 		}()
 	}
 
-	return c.refine(urls, ids)
+	return c.refine(urls, ids, snap.URLIDs)
 }
 
 // listCollection lists the collection's URLs, sorted, with their IDs.
@@ -114,8 +114,10 @@ func (c *Crawler) joinRebuild() error {
 
 // refine implements the refinement decision (Section 5.2): replace
 // less-important collection pages with more-important discovered pages.
-// urls is the collection as the pass listed it, and ids their IDs.
-func (c *Crawler) refine(urls []string, ids []int32) error {
+// urls is the collection as the pass listed it, ids their IDs, and
+// ranked the IDs of the pass's graph nodes in URL order, whose scores
+// c.ranks holds.
+func (c *Crawler) refine(urls []string, ids, ranked []int32) error {
 	// admit and evict only stage their frontier changes; the refinement
 	// ships as one round once decided — one exchange per server and one
 	// WAL append, not one of each per URL. Admissions come from outside
@@ -125,36 +127,34 @@ func (c *Crawler) refine(urls []string, ids []int32) error {
 		c.rounds.Commit(c.evicts, c.admits, false)
 		c.admits, c.evicts = c.admits[:0], c.evicts[:0]
 	}()
-	// The pass is quiesced and mints no ID, so every AllUrls record's ID
-	// is below the table's length now.
+	// The pass is quiesced, so every ID it holds is below the table's
+	// length now.
 	inColl := make([]bool, c.ids.Len())
 	for _, id := range ids {
 		inColl[id] = true
 	}
 
-	// Candidates: discovered URLs not in the collection, best first.
-	// Importance for never-crawled pages comes from the same PageRank
-	// solve — they are graph nodes via their in-links (footnote 2). The
-	// scan stops at four candidates per collection slot, which bounds
-	// the pass's sort on a large AllUrls.
+	// Candidates: ranked pages not in the collection, best first.
+	// Never-crawled pages are graph nodes via their in-links (footnote
+	// 2), so the same PageRank solve scores them; a discovered page that
+	// nothing links to any more, such as one that vanished, is no node
+	// and no candidate until a link to it returns. The scan stops at
+	// four candidates per collection slot, which bounds the pass's sort
+	// on a large graph.
 	type cand struct {
 		url string
 		imp float64
 	}
 	var cands []cand
-	c.all.Scan(func(info frontier.URLInfo) bool {
-		if inColl[info.ID] {
-			return true
+	for _, id := range ranked {
+		if inColl[id] {
+			continue
 		}
-		imp := c.rank(info.ID)
-		if imp == 0 {
-			// Unranked discovery: score by in-link count so fresh URLs
-			// can still enter a non-full collection.
-			imp = 0.1 * float64(info.InLinks)
+		cands = append(cands, cand{url: c.ids.URL(id), imp: c.rank(id)})
+		if len(cands) >= 4*c.cfg.CollectionSize {
+			break
 		}
-		cands = append(cands, cand{url: info.URL, imp: imp})
-		return len(cands) < 4*c.cfg.CollectionSize
-	})
+	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].imp != cands[j].imp {
 			return cands[i].imp > cands[j].imp
@@ -232,8 +232,8 @@ func (c *Crawler) evict(url string, id int32) error {
 		return err
 	}
 	c.pages[id] = nil
-	// The page's link structure stays in the graph: AllUrls remembers
-	// everything discovered, and the page may be re-admitted later.
+	// The page stays in the graph and the URL table, so it may be
+	// re-admitted later.
 	return nil
 }
 

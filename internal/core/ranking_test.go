@@ -88,7 +88,7 @@ func settledCrawl(t *testing.T, size int) (*Crawler, *recordingFrontier) {
 }
 
 // refineRanks scores every collection member memberImp and every other
-// discovered URL candImp. It returns the ranks, the members in URL
+// page of the graph candImp. It returns the ranks, the members in URL
 // order and the candidates in the order refine scans them.
 func refineRanks(c *Crawler, memberImp, candImp float64) (ranks map[string]float64, members, cands []string) {
 	ranks = make(map[string]float64)
@@ -97,25 +97,25 @@ func refineRanks(c *Crawler, memberImp, candImp float64) (ranks map[string]float
 	for _, u := range members {
 		ranks[u] = memberImp
 	}
-	c.all.Scan(func(info frontier.URLInfo) bool {
-		if _, ok := ranks[info.URL]; !ok {
-			ranks[info.URL] = candImp
-			cands = append(cands, info.URL)
+	for _, u := range c.graph.Pages() {
+		if _, ok := ranks[u]; !ok {
+			ranks[u] = candImp
+			cands = append(cands, u)
 		}
-		return true
-	})
+	}
 	return ranks, members, cands
 }
 
 // refineWith makes ranks the last ranking pass's scores and runs the
-// refinement over the collection as it stands.
+// refinement over the collection and the graph as they stand.
 func refineWith(c *Crawler, ranks map[string]float64) error {
 	c.ranks = make([]float64, c.ids.Len())
 	for u, r := range ranks {
 		id, _ := c.ids.Lookup(u)
 		c.ranks[id] = r
 	}
-	return c.refine(c.listCollection())
+	urls, ids := c.listCollection()
+	return c.refine(urls, ids, c.graph.Snapshot().URLIDs)
 }
 
 // TestRefineNeedsAStrictlyMoreImportantCandidate: a candidate replaces
@@ -348,38 +348,43 @@ func TestRankingPassListsTheFrontierOnce(t *testing.T) {
 	}
 }
 
-// TestOneURLIDSpace: AllUrls, the page graph and the engine resolve
-// every URL to the same ID, in the one table the crawler built them on.
+// TestOneURLIDSpace: the crawl's URL table, the paper's AllUrls, is
+// the one ID space. The seeds hold its first IDs, in seed order; every
+// graph node is in it under its graph ID; and the engine resolves every
+// URL to its ID there, minting none.
 func TestOneURLIDSpace(t *testing.T) {
 	w, f := testWeb(t, 51)
-	c, err := New(baseConfig(w), f)
+	cfg := baseConfig(w)
+	c, err := New(cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
-	snap := c.graph.Snapshot()
-	graphID := make(map[string]int32, len(snap.IDs))
-	for i, u := range snap.IDs {
-		graphID[u] = snap.URLIDs[i]
+	all := c.AllUrls()
+	for i, s := range cfg.Seeds {
+		if u := all.URL(int32(i)); u != s {
+			t.Fatalf("ID %d is %s, want seed %d %s", i, u, i, s)
+		}
 	}
-	checked, crawled := 0, 0
-	c.all.Scan(func(info frontier.URLInfo) bool {
-		if gid, ok := graphID[info.URL]; ok && gid != info.ID {
-			t.Fatalf("%s: AllUrls ID %d, graph ID %d", info.URL, info.ID, gid)
+	snap := c.graph.Snapshot()
+	for i, gid := range snap.URLIDs {
+		if id, ok := all.Lookup(snap.URL(i)); !ok || id != gid {
+			t.Fatalf("%s: graph ID %d, table ID %d (found %v)", snap.URL(i), gid, id, ok)
 		}
-		if eid := c.intern(info.URL); eid != info.ID {
-			t.Fatalf("%s: AllUrls ID %d, engine ID %d", info.URL, info.ID, eid)
+	}
+	n, crawled := all.Len(), 0
+	for id := int32(0); id < int32(n); id++ {
+		if eid := c.intern(all.URL(id)); eid != id {
+			t.Fatalf("%s: table ID %d, engine ID %d", all.URL(id), id, eid)
 		}
-		if c.pages[info.ID] != nil {
+		if c.pages[id] != nil {
 			crawled++
 		}
-		checked++
-		return true
-	})
-	if len(graphID) == 0 || crawled == 0 || checked != c.all.Len() {
-		t.Fatalf("checked %d of %d AllUrls records, %d graph nodes, %d crawled pages",
-			checked, c.all.Len(), len(graphID), crawled)
+	}
+	if len(snap.URLIDs) == 0 || crawled == 0 || all.Len() != n {
+		t.Fatalf("%d URLs (%d after the engine's lookups), %d graph nodes, %d crawled pages",
+			n, all.Len(), len(snap.URLIDs), crawled)
 	}
 }

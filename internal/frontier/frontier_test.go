@@ -7,97 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestAllUrlsAdd(t *testing.T) {
-	a := NewAllUrls()
-	if !a.Add("http://x.com/", 1) {
-		t.Fatal("first add not new")
-	}
-	if a.Add("http://x.com/", 2) {
-		t.Fatal("second add reported new")
-	}
-	info, ok := a.Get("http://x.com/")
-	if !ok || info.FirstSeen != 1 {
-		t.Fatalf("info %+v ok=%v", info, ok)
-	}
-	if a.Len() != 1 {
-		t.Fatalf("len %d", a.Len())
-	}
-}
-
-func TestAllUrlsAddLinkCountsDistinctSources(t *testing.T) {
-	a := NewAllUrls()
-	a.AddLink("http://s1.com/", "http://t.com/", 0)
-	a.AddLink("http://s1.com/", "http://t.com/", 1) // duplicate pair
-	a.AddLink("http://s2.com/", "http://t.com/", 2)
-	info, ok := a.Get("http://t.com/")
-	if !ok || info.InLinks != 2 {
-		t.Fatalf("in-links %d, want 2", info.InLinks)
-	}
-	if info.FirstSeen != 0 {
-		t.Fatalf("first seen %v", info.FirstSeen)
-	}
-}
-
-func TestAllUrlsScanSortedAndStoppable(t *testing.T) {
-	a := NewAllUrls()
-	for _, u := range []string{"http://c.com/", "http://a.com/", "http://b.com/"} {
-		a.Add(u, 0)
-	}
-	var seen []string
-	a.Scan(func(i URLInfo) bool {
-		seen = append(seen, i.URL)
-		return len(seen) < 2
-	})
-	if len(seen) != 2 || seen[0] != "http://a.com/" || seen[1] != "http://b.com/" {
-		t.Fatalf("scan %v", seen)
-	}
-}
-
-// TestAllUrlsLinkReenteringCountsOnce: a (from, to) pair counts toward
-// InLinks once, however often the link leaves the page and comes back.
-func TestAllUrlsLinkReenteringCountsOnce(t *testing.T) {
-	a := NewAllUrls()
-	a.Add("http://s.com/", 0)
-	a.AddLink("http://s.com/", "http://t.com/", 1)
-	a.AddLink("http://s.com/", "http://u.com/", 2) // t left the page
-	a.AddLink("http://s.com/", "http://t.com/", 3) // and came back
-	a.AddLink("http://u.com/", "http://t.com/", 4)
-	if info, _ := a.Get("http://t.com/"); info.InLinks != 2 || info.FirstSeen != 1 {
-		t.Fatalf("t %+v, want 2 in-links first seen at 1", info)
-	}
-	if info, _ := a.Get("http://u.com/"); info.InLinks != 1 {
-		t.Fatalf("u %+v, want 1 in-link", info)
-	}
-}
-
-// TestAllUrlsSourceOnlyIsNotARecord: a URL that only ever reported
-// links, and was never added or linked to, has no record.
-func TestAllUrlsSourceOnlyIsNotARecord(t *testing.T) {
-	a := NewAllUrls()
-	a.AddLink("http://src.com/", "http://t.com/", 1)
-	if _, ok := a.Get("http://src.com/"); ok {
-		t.Fatal("source-only URL has a record")
-	}
-	if a.Len() != 1 {
-		t.Fatalf("len %d, want 1", a.Len())
-	}
-	var seen []string
-	a.Scan(func(i URLInfo) bool { seen = append(seen, i.URL); return true })
-	if len(seen) != 1 || seen[0] != "http://t.com/" {
-		t.Fatalf("scan %v", seen)
-	}
-	// Adding it later makes it a record from then on, with no in-links.
-	if !a.Add("http://src.com/", 5) {
-		t.Fatal("add of a source-only URL not new")
-	}
-	if info, ok := a.Get("http://src.com/"); !ok || info.FirstSeen != 5 || info.InLinks != 0 {
-		t.Fatalf("src %+v ok=%v", info, ok)
-	}
-	if a.Len() != 2 {
-		t.Fatalf("len %d, want 2", a.Len())
-	}
-}
-
 func TestQueuePopOrder(t *testing.T) {
 	q := NewSharded(1)
 	q.Push("http://b.com/", 5, 0)

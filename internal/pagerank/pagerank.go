@@ -115,9 +115,9 @@ func solve(out [][]int32, n int, opt Options) (Result, error) {
 }
 
 // Rows computes PageRank over a page-graph snapshot, scored by row:
-// Score[i] is the rank of snap.IDs[i], whose table ID is snap.URLIDs[i].
+// Score[i] is the rank of snap.URL(i), whose table ID is snap.URLIDs[i].
 func Rows(snap *webgraph.Snapshot, opt Options) (Result, error) {
-	return solve(snap.Out, len(snap.IDs), opt)
+	return solve(snap.Out, len(snap.URLIDs), opt)
 }
 
 // Pages is Rows keyed by page URL.
@@ -126,9 +126,9 @@ func Pages(snap *webgraph.Snapshot, opt Options) (map[string]float64, Result, er
 	if err != nil {
 		return nil, Result{}, err
 	}
-	m := make(map[string]float64, len(snap.IDs))
-	for i, id := range snap.IDs {
-		m[id] = res.Score[i]
+	m := make(map[string]float64, len(snap.URLIDs))
+	for i := range snap.URLIDs {
+		m[snap.URL(i)] = res.Score[i]
 	}
 	return m, res, nil
 }

@@ -2,13 +2,14 @@
 // per URL can live in flat slices indexed by ID instead of maps keyed by
 // the URL string.
 //
-// A crawl keeps one Table and three users share it: the page graph
-// (webgraph.Graph), AllUrls (frontier.AllUrls) and the crawl engine
-// (core.Crawler), whose page states, ranking scores and revisit plan are
-// indexed by the same IDs. Each user keeps its per-ID slices behind its
-// own lock and grows them to the table's length when it meets an ID past
-// their end, whoever minted it. Standalone graphs and tables get a table
-// of their own.
+// A crawl keeps one Table, and it is the paper's AllUrls: every URL the
+// crawl has discovered. Two users share it: the page graph
+// (webgraph.Graph), which holds the links AllUrls was given, and the
+// crawl engine (core.Crawler), whose page states, ranking scores and
+// revisit plan are indexed by the same IDs. Each user keeps its per-ID
+// slices behind its own lock and grows them to the table's length when
+// it meets an ID past their end, whoever minted it. Standalone graphs
+// get a table of their own.
 //
 // Concurrency: Intern and Lookup take the table's mutex, a leaf lock
 // that is never held while calling out, so a caller may hold its own

@@ -5,9 +5,9 @@
 //
 // A Graph takes and returns URLs but keeps pages by dense int32 ID: it
 // interns every URL into the urlid.Table it was built on — a crawl's
-// one table, which AllUrls and the engine share, or a fresh one for a
-// standalone graph — and indexes each page's liveness and link lists by
-// that ID. The table is append-only and IDs are never reused: a removed
+// one table, the paper's AllUrls, which the engine shares, or a fresh
+// one for a standalone graph — and indexes each page's liveness and
+// link lists by that ID. The table is append-only and IDs are never reused: a removed
 // page keeps its ID, and linking to it again revives it. IDs the graph
 // did not mint are normal; its per-ID slices grow to the table's length
 // when it first meets one past their end.
@@ -100,24 +100,22 @@ func (g *Graph) link(f, t int32) {
 	g.links++
 }
 
-// SetLinks replaces the out-links of a page with tos and appends to
-// added, in input order, each link that was not already an out-link
-// (once, however often tos repeats it). The crawler calls this when a
-// page's new version is fetched. The page's out-list keeps tos' order,
-// each link once, so a call that repeats the page's last links in the
-// same order — most revisits of a changed page — is recognized by
-// comparing URLs position by position and returns without looking up a
-// single link. Otherwise it applies the difference: links in both sets
-// keep their in-edges, only links that left lose theirs and only new
-// ones gain one, so a revisit that changed nothing touches no list but
-// the page's own.
-func (g *Graph) SetLinks(from PageID, tos, added []PageID) []PageID {
+// SetLinks replaces the out-links of a page with tos. The crawler calls
+// this when a page's new version is fetched. The page's out-list keeps
+// tos' order, each link once, so a call that repeats the page's last
+// links in the same order — most revisits of a changed page — is
+// recognized by comparing URLs position by position and returns without
+// looking up a single link. Otherwise it applies the difference: links
+// in both sets keep their in-edges, only links that left lose theirs and
+// only new ones gain one, so a revisit that changed nothing touches no
+// list but the page's own.
+func (g *Graph) SetLinks(from PageID, tos []PageID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	f := g.ensure(from)
 	old := g.out[f]
 	if g.sameURLs(old, tos) {
-		return added
+		return
 	}
 	ids := g.tos[:0]
 	for _, to := range tos {
@@ -134,7 +132,7 @@ func (g *Graph) SetLinks(from PageID, tos, added []PageID) []PageID {
 		g.mark[t] = inOld
 	}
 	next := ids[:0] // never passes the link being read
-	for i, t := range ids {
+	for _, t := range ids {
 		switch g.mark[t] {
 		case inNew:
 			continue // a repeat
@@ -142,7 +140,6 @@ func (g *Graph) SetLinks(from PageID, tos, added []PageID) []PageID {
 		default:
 			g.in[t] = append(g.in[t], f)
 			g.links++
-			added = append(added, tos[i])
 		}
 		g.mark[t] = inNew
 		next = append(next, t)
@@ -154,7 +151,6 @@ func (g *Graph) SetLinks(from PageID, tos, added []PageID) []PageID {
 		}
 	}
 	g.out[f] = append(old[:0], next...)
-	return added
 }
 
 // sameURLs reports whether ids names exactly urls, position by
@@ -285,15 +281,18 @@ func (g *Graph) Pages() []PageID {
 }
 
 // Snapshot returns an immutable adjacency view suitable for iterative
-// algorithms (PageRank). Node order is deterministic: IDs holds the
-// pages sorted by URL, URLIDs their IDs in the graph's table, and Out[i]
-// the sorted positions in IDs of page i's out-neighbours, self-links
-// left out. The row order never depends on how IDs were handed out.
+// algorithms (PageRank). Node order is deterministic: row i is the i-th
+// page by URL, URLIDs[i] its ID in the graph's table and Out[i] the
+// sorted rows of its out-neighbours, self-links left out. The row order
+// never depends on how IDs were handed out.
 type Snapshot struct {
-	IDs    []PageID
 	URLIDs []int32
 	Out    [][]int32
+	ids    *urlid.Table
 }
+
+// URL returns the URL of row i.
+func (s *Snapshot) URL(i int) PageID { return s.ids.URL(s.URLIDs[i]) }
 
 // Snapshot captures the current graph.
 func (g *Graph) Snapshot() *Snapshot {
@@ -318,7 +317,7 @@ func (g *Graph) Snapshot() *Snapshot {
 		slices.Sort(row)
 		out[i] = row
 	}
-	return &Snapshot{IDs: g.urls(order), URLIDs: order, Out: out}
+	return &Snapshot{URLIDs: order, Out: out, ids: g.ids}
 }
 
 // SiteOf extracts the site (host) component of a URL-like page ID. It
