@@ -348,6 +348,30 @@ func TestRankingPassListsTheFrontierOnce(t *testing.T) {
 	}
 }
 
+// TestAllUrlsStartsAsTheSeeds: before anything is fetched, the crawl's
+// AllUrls holds exactly the seeds, under IDs 0, 1, … in seed order, and
+// the graph holds no node: every later ID is minted as content lands.
+func TestAllUrlsStartsAsTheSeeds(t *testing.T) {
+	w, f := testWeb(t, 53)
+	cfg := baseConfig(w)
+	c, err := New(cfg, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := c.AllUrls()
+	if all.Len() != len(cfg.Seeds) {
+		t.Fatalf("AllUrls holds %d URLs, want the %d seeds", all.Len(), len(cfg.Seeds))
+	}
+	for i, s := range cfg.Seeds {
+		if id, ok := all.Lookup(s); !ok || id != int32(i) {
+			t.Fatalf("seed %d %s: ID %d (found %v)", i, s, id, ok)
+		}
+	}
+	if n := c.Graph().NumPages(); n != 0 {
+		t.Fatalf("the graph holds %d pages before any fetch", n)
+	}
+}
+
 // TestOneURLIDSpace: the crawl's URL table, the paper's AllUrls, is
 // the one ID space. The seeds hold its first IDs, in seed order; every
 // graph node is in it under its graph ID; and the engine resolves every

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"webevolve/internal/urlid"
 	"webevolve/internal/webgraph"
 )
 
@@ -80,6 +81,42 @@ func TestDanglingNodesHandled(t *testing.T) {
 		if math.IsNaN(r) || r <= 0 {
 			t.Fatalf("node %s rank %v", n, r)
 		}
+	}
+}
+
+// TestPagesKeysRowsByURL: Pages is Rows keyed by each row's URL, also
+// on a shared table whose IDs run in neither URL nor row order and that
+// holds a URL the graph does not.
+func TestPagesKeysRowsByURL(t *testing.T) {
+	tab := new(urlid.Table)
+	tab.Intern("http://other.com/")
+	g := webgraph.NewOn(tab)
+	g.AddLink("http://c.com/", "http://a.com/")
+	g.AddLink("http://b.com/", "http://a.com/")
+	g.AddLink("http://a.com/", "http://c.com/")
+	snap := g.Snapshot()
+	opt := Options{Damping: 0.9}
+	ranks, _, err := Pages(snap, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Rows(snap, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ranks) != len(snap.URLIDs) || len(ranks) != 3 {
+		t.Fatalf("%d ranks for %d rows, want 3", len(ranks), len(snap.URLIDs))
+	}
+	for i := range snap.URLIDs {
+		if got, ok := ranks[snap.URL(i)]; !ok || got != res.Score[i] {
+			t.Fatalf("%s: Pages %v (found %v), Rows %v", snap.URL(i), got, ok, res.Score[i])
+		}
+	}
+	if _, ok := ranks["http://other.com/"]; ok {
+		t.Fatal("a URL the graph does not hold is ranked")
+	}
+	if ranks["http://a.com/"] <= ranks["http://b.com/"] {
+		t.Fatalf("a, linked twice, ranks %v; b, never linked, %v", ranks["http://a.com/"], ranks["http://b.com/"])
 	}
 }
 

@@ -26,6 +26,23 @@ func TestTableInternsDenseAndStable(t *testing.T) {
 	}
 }
 
+// TestLookupMintsNothing: a Lookup of a URL the table has not seen
+// reports it absent and hands out no ID, so the next Intern still gets
+// the next one.
+func TestLookupMintsNothing(t *testing.T) {
+	var tab Table
+	tab.Intern("a")
+	if id, ok := tab.Lookup("b"); ok {
+		t.Fatalf("Lookup(b) = %d before b was interned", id)
+	}
+	if n := tab.Len(); n != 1 {
+		t.Fatalf("Len %d after a Lookup, want 1", n)
+	}
+	if id, isNew := tab.Intern("b"); id != 1 || !isNew {
+		t.Fatalf("Intern(b) = %d, %v; want 1, true", id, isNew)
+	}
+}
+
 // TestConcurrentInternBesideLockFreeReads interns from several
 // goroutines while readers walk every published ID through URL, which
 // takes no lock: under -race this checks that a published ID's URL is

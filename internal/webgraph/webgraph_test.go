@@ -8,6 +8,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"webevolve/internal/urlid"
 )
 
 func TestAddLinkCreatesNodes(t *testing.T) {
@@ -181,6 +183,82 @@ func TestDuplicateLinksCountOnce(t *testing.T) {
 	g.AddLink("a", "b")
 	if g.NumLinks() != 1 {
 		t.Fatalf("links = %d", g.NumLinks())
+	}
+}
+
+// TestInLinksCountDistinctSources: a page's in-links name each page
+// that links to it once, however often that link was added or listed.
+func TestInLinksCountDistinctSources(t *testing.T) {
+	g := New()
+	g.AddLink("s1", "t")
+	g.AddLink("s1", "t")
+	g.SetLinks("s1", []PageID{"t", "t"})
+	g.AddLink("s2", "t")
+	if got := g.InLinks("t"); !slices.Equal(got, []PageID{"s1", "s2"}) {
+		t.Fatalf("InLinks(t) = %v, want [s1 s2]", got)
+	}
+	if g.NumLinks() != 2 {
+		t.Fatalf("links = %d, want 2", g.NumLinks())
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLinkReenteringCountsOnce: a link that leaves a page and comes
+// back is one in-link again, and its target keeps the ID it was given
+// when first seen: the table forgets no URL the graph lets go of.
+func TestLinkReenteringCountsOnce(t *testing.T) {
+	tab := new(urlid.Table)
+	g := NewOn(tab)
+	g.SetLinks("s", []PageID{"t"})
+	tid, _ := tab.Lookup("t")
+	g.SetLinks("s", []PageID{"u"}) // t left the page
+	if got := g.InLinks("t"); len(got) != 0 {
+		t.Fatalf("t still linked from %v", got)
+	}
+	g.SetLinks("s", []PageID{"t", "u"}) // and came back
+	g.AddLink("u", "t")
+	if got := g.InLinks("t"); !slices.Equal(got, []PageID{"s", "u"}) {
+		t.Fatalf("InLinks(t) = %v, want [s u]", got)
+	}
+	if got := g.InLinks("u"); !slices.Equal(got, []PageID{"s"}) {
+		t.Fatalf("InLinks(u) = %v, want [s]", got)
+	}
+	if id, ok := tab.Lookup("t"); !ok || id != tid || tab.Len() != 3 {
+		t.Fatalf("t has ID %d (found %v), first %d; the table holds %d URLs, want 3", id, ok, tid, tab.Len())
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotOnSharedTable: on a table another user also interns
+// into, a snapshot's rows are the graph's own nodes in URL order, never
+// a URL only the other user gave or a removed page, and each row's ID
+// is its URL's in the table.
+func TestSnapshotOnSharedTable(t *testing.T) {
+	tab := new(urlid.Table)
+	for _, u := range []string{"z", "y", "x"} {
+		tab.Intern(u)
+	}
+	g := NewOn(tab)
+	g.AddLink("m", "c")
+	g.AddLink("c", "x")
+	g.AddLink("x", "m")
+	g.AddLink("a", "gone")
+	g.RemovePage("gone")
+	snap := g.Snapshot()
+	if got := snapURLs(snap); !slices.Equal(got, []PageID{"a", "c", "m", "x"}) {
+		t.Fatalf("rows %v, want [a c m x]", got)
+	}
+	for i, id := range snap.URLIDs {
+		if tid, ok := tab.Lookup(snap.URL(i)); !ok || tid != id {
+			t.Fatalf("row %d (%s): ID %d, table ID %d (found %v)", i, snap.URL(i), id, tid, ok)
+		}
+	}
+	if got := fmt.Sprint(snap.Out); got != "[[] [3] [1] [2]]" {
+		t.Fatalf("rows' out-links %s, want [[] [3] [1] [2]]", got)
 	}
 }
 
