@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz test-names bench bench-smoke bench-check bench-pairs fmt vet loc smoke-cluster smoke-store smoke-serve smoke-tools ci
+.PHONY: build test race fuzz test-names bench bench-smoke bench-check bench-pairs layer-pairs fmt vet loc smoke-cluster smoke-store smoke-serve smoke-tools ci
 
 build:
 	$(GO) build ./...
@@ -177,6 +177,16 @@ PAIRS ?= 10
 SEED ?= 1999
 bench-pairs:
 	./scripts/bench_pairs.sh HEAD~1 HEAD -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
+
+# The last commit against its parent on one package's Go benchmarks, the
+# layer rows of BENCH_engine.json, in alternating pairs of -benchmem runs
+# (scripts/layer_pairs.sh): per benchmark row and unit both medians, the
+# parent's IQR, B/A and the pairs won.
+# `make layer-pairs PKG=./internal/core BENCH=BenchmarkCrawlLinkState PAIRS=5`.
+PKG ?= ./internal/cluster
+BENCH ?= BenchmarkStore
+layer-pairs:
+	./scripts/layer_pairs.sh HEAD~1 HEAD -pkg $(PKG) -bench '$(BENCH)' -pairs $(PAIRS)
 
 fmt:
 	@out="$$(gofmt -l .)"; \

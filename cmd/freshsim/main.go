@@ -92,24 +92,26 @@ const (
 	hot    = 4.0      // high change rate for the Figure 7/8 trend plots
 )
 
+// series is a curve's points as a named chart series.
+func series(name string, pts []freshness.Point) report.Series {
+	s := report.Series{Name: name}
+	for _, p := range pts {
+		s.X = append(s.X, p.T)
+		s.Y = append(s.Y, p.F)
+	}
+	return s
+}
+
 func fig7() error {
 	fmt.Println("== Figure 7: freshness evolution, batch-mode vs steady (in-place) ==")
 	batch, steady, err := freshness.Figure7Series(hot, cycle, week, 3, 40)
 	if err != nil {
 		return err
 	}
-	toSeries := func(name string, pts []freshness.Point) report.Series {
-		s := report.Series{Name: name}
-		for _, p := range pts {
-			s.X = append(s.X, p.T)
-			s.Y = append(s.Y, p.F)
-		}
-		return s
-	}
 	fmt.Println("(a) batch-mode crawler (crawl occupies the first week of each month)")
-	fmt.Println(report.Lines([]report.Series{toSeries("batch", batch)}, 72, 14))
+	fmt.Println(report.Lines([]report.Series{series("batch", batch)}, 72, 14))
 	fmt.Println("(b) steady crawler")
-	fmt.Println(report.Lines([]report.Series{toSeries("steady", steady)}, 72, 14))
+	fmt.Println(report.Lines([]report.Series{series("steady", steady)}, 72, 14))
 	fmt.Printf("time-averaged freshness is identical for both: %s\n\n",
 		report.F(freshness.SteadyInPlace(hot, cycle)))
 	return nil
@@ -121,18 +123,10 @@ func fig8() error {
 	if err != nil {
 		return err
 	}
-	toSeries := func(name string, pts []freshness.Point) report.Series {
-		s := report.Series{Name: name}
-		for _, p := range pts {
-			s.X = append(s.X, p.T)
-			s.Y = append(s.Y, p.F)
-		}
-		return s
-	}
 	fmt.Println("(a) steady crawler with shadowing")
-	fmt.Println(report.Lines([]report.Series{toSeries("crawler's", sc), toSeries("current", scur)}, 72, 14))
+	fmt.Println(report.Lines([]report.Series{series("crawler's", sc), series("current", scur)}, 72, 14))
 	fmt.Println("(b) batch-mode crawler with shadowing")
-	fmt.Println(report.Lines([]report.Series{toSeries("crawler's", bc), toSeries("current", bcur)}, 72, 14))
+	fmt.Println(report.Lines([]report.Series{series("crawler's", bc), series("current", bcur)}, 72, 14))
 	return nil
 }
 
@@ -203,12 +197,7 @@ func fig9() error {
 	if err != nil {
 		return err
 	}
-	s := report.Series{Name: "f* (optimal revisit frequency)"}
-	for _, p := range pts {
-		s.X = append(s.X, p.T)
-		s.Y = append(s.Y, p.F)
-	}
-	fmt.Println(report.Lines([]report.Series{s}, 72, 16))
+	fmt.Println(report.Lines([]report.Series{series("f* (optimal revisit frequency)", pts)}, 72, 16))
 	fmt.Println("note the unimodal shape: revisit frequency rises with change")
 	fmt.Println("frequency up to a point, then falls — very fast pages are not")
 	fmt.Println("worth refreshing (the paper's p1/p2 example).")

@@ -47,18 +47,21 @@ func TestStickyErrIdentifiesServerAndOp(t *testing.T) {
 	}
 }
 
-// foreignFrames are intact frames of the versions either side of ours:
-// a version-5 hello (two-byte header, want byte) and our shard hello
-// tagged 7.
+// foreignFrames are intact frames of other builds, by the version they
+// carry: a version-5 hello (two-byte header, want byte), our shard
+// hello tagged 7, and a round an earlier build of our version sent
+// compressed.
 var foreignFrames = map[byte][]byte{
 	5:                rawFrame([]byte{5, retiredHello, 0, 1, ProtoVersion}),
+	ProtoVersion:     parentFrame(opRound, walRoundBody(9, testURLs(16, 24))),
 	ProtoVersion + 1: rawFrame([]byte{ProtoVersion + 1, opShardHello, 0}),
 }
 
 // TestServerAnswersVersionMismatch: a server that reads an intact frame
-// of a version it does not speak must say so — one statusError frame
-// naming the received and the supported version — before hanging up.
-// Dropping the connection silently leaves the peer retrying a bare EOF.
+// of a version it does not speak, or a compressed one, must say so —
+// one statusError frame naming the received and the supported version,
+// and the flag — before hanging up. Dropping the connection silently
+// leaves the peer retrying a bare EOF.
 func TestServerAnswersVersionMismatch(t *testing.T) {
 	shard, st := NewShardServer(frontier.NewSharded(2)), NewMemStoreServer()
 	defer shard.Close()
@@ -74,6 +77,9 @@ func TestServerAnswersVersionMismatch(t *testing.T) {
 			status, resp, _, err := readFrame(conn)
 			if err != nil || status != statusError || !namesVersions(string(resp), ver) {
 				t.Errorf("v%d frame answered (%d, %q, %v), want a statusError naming both versions", ver, status, resp, err)
+			}
+			if ver == ProtoVersion && !namesCompressed(string(resp)) {
+				t.Errorf("compressed frame answered %q, want the flag named", resp)
 			}
 			if _, _, _, err := readFrame(conn); err != io.EOF {
 				t.Errorf("connection left open after the answer: %v", err)
@@ -100,8 +106,9 @@ func foreignServer(frame []byte) Dialer {
 }
 
 // TestStickyErrNamesVersions: a client whose server speaks another
-// version — at dial, or at the reconnect after the server was swapped
-// for another build — must fail with errProtoVersion carrying both
+// version, or answers in an earlier build's compressed frames — at
+// dial, or at the reconnect after the server was swapped for another
+// build — must fail with errProtoVersion carrying both
 // numbers, and at once: no retry changes the answer, and an EOF after
 // the whole backoff budget says nothing about why.
 func TestStickyErrNamesVersions(t *testing.T) {

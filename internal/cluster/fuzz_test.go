@@ -96,7 +96,8 @@ func seedBodies() map[byte][][]byte {
 
 // corruptFrames are byte streams readFrame must refuse: damaged above
 // the checksum (truncated, bit-flipped, oversized) and, CRC-valid,
-// below it (flags, compression headers).
+// below it (flags, and compressed bodies with lying headers, which are
+// refused as another build's before their headers are read).
 func corruptFrames(t testing.TB) map[string][]byte {
 	whole := validFrame(t, opRound, seedBodies()[opRound][0])
 	flipped := append([]byte(nil), whole...)
@@ -123,14 +124,14 @@ func corruptFrames(t testing.TB) map[string][]byte {
 // flipped bits, oversized lengths, truncated varints, front-coding
 // lies, hostile compression headers, other versions' frames and
 // unknown ops must all surface as errors (or error responses), never
-// as panics or hangs.
+// as panics or hangs. A compressed frame is another build's, refused.
 func FuzzDecodeFrame(f *testing.F) {
 	for op, bodies := range seedBodies() {
 		for _, body := range bodies {
 			f.Add(validFrame(f, op, body))
 		}
 	}
-	// A compressed frame, as earlier builds wrote a large round.
+	// A compressed frame, as earlier builds wrote a large round: refused.
 	f.Add(parentFrame(opRound, walRoundBody(9, testURLs(16, 24))))
 	for _, b := range corruptFrames(f) {
 		f.Add(b)

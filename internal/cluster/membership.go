@@ -64,24 +64,19 @@ func dialShards(src MembershipSource, ms registry.Membership, dialFor func(m reg
 	if len(shard) == 0 {
 		return nil, fmt.Errorf("cluster: no shard servers in the membership (epoch %d)", ms.Epoch)
 	}
-	rs := &RemoteShards{
-		reqBase: randomReqBase(),
-		opts:    opts,
-		src:     src,
-		dialFor: dialFor,
-	}
+	rs := &RemoteShards{opts: opts, src: src, dialFor: dialFor}
+	rs.reqBase = randomReqBase()
 	names := make([]string, len(shard))
 	servers := make([]*serverConns, len(shard))
 	sort.Slice(shard, func(i, j int) bool { return shard[i].Addr < shard[j].Addr })
 	for i, m := range shard {
 		sc := rs.newShardMember(m)
 		if err := sc.dialEager("member " + m.Addr + " (%v)"); err != nil {
-			rs.closeAll()
+			rs.Close()
 			return nil, fmt.Errorf("cluster: member %s: %w", m.Addr, err)
 		}
 		names[i] = m.Addr
 		servers[i] = sc
-		rs.track(sc)
 	}
 	rs.installTopology(ms.Epoch, NewRing(names, 0), servers)
 	registry.EpochGauge.Set(int64(ms.Epoch))
@@ -94,16 +89,17 @@ func dialShards(src MembershipSource, ms registry.Membership, dialFor func(m reg
 		err := rs.migrateLocked(rs.t(), ms)
 		rs.rebalMu.Unlock()
 		if err != nil {
-			rs.closeAll()
+			rs.Close()
 			return nil, err
 		}
 	}
 	return rs, nil
 }
 
-// newShardMember builds the (undialed) pool for one registry member.
+// newShardMember builds and registers the (undialed) pool for one
+// registry member.
 func (rs *RemoteShards) newShardMember(m registry.Member) *serverConns {
-	sc := newServerConns("member "+m.Addr, rs.dialFor(m), rs.opts, &rs.closed)
+	sc := rs.newServerConns("member "+m.Addr, rs.dialFor(m), rs.opts)
 	sc.helloOp = opShardHello
 	sc.checkHello = sc.checkShardHello
 	return sc
@@ -159,10 +155,7 @@ func (rs *RemoteShards) Rebalance() error {
 		if len(ms.Shard()) == 0 {
 			return nil // never install an empty ring; keep last-known
 		}
-		if err := rs.installMembersLocked(t, ms.Epoch, ms.Shard()); err != nil {
-			rs.fail(err)
-			return err
-		}
+		rs.installMembersLocked(t, ms.Epoch, ms.Shard())
 	}
 	return nil
 }
@@ -199,7 +192,6 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 			sc := rs.newShardMember(m)
 			sc.primeLazy()
 			pools[m.Addr] = sc
-			rs.track(sc)
 		}
 	}
 
@@ -221,7 +213,7 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 		imp := func(addr string, entries []frontier.Entry) error {
 			sc, ok := pools[addr]
 			if !ok {
-				return fmt.Errorf("cluster: migration: no pool for new owner %s", addr)
+				return rs.fail(fmt.Errorf("cluster: migration: no pool for new owner %s", addr))
 			}
 			pending := dedups[dedupSent[addr]:]
 			var e enc
@@ -231,7 +223,7 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 			for _, de := range pending {
 				e.fix64(de.id).u8(de.status).bytes(de.resp)
 			}
-			if _, err := sc.roundTrip(opShardImport, e.b); err != nil {
+			if _, err := rs.call(sc, opShardImport, e.b); err != nil {
 				return err
 			}
 			dedupSent[addr] = len(dedups)
@@ -249,9 +241,8 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 					e.u32(uint32(p))
 				}
 				e.str(after).u32(uint32(exportChunk))
-				resp, err := sc.roundTrip(opShardExport, e.b)
+				resp, err := rs.call(sc, opShardExport, e.b)
 				if err != nil {
-					rs.fail(err)
 					return err
 				}
 				d := newDec(resp)
@@ -264,9 +255,7 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 					}
 				}
 				more := d.bool()
-				if d.finish() != nil {
-					err := fmt.Errorf("cluster: %s: bad export response", sc.name)
-					rs.fail(err)
+				if err := rs.check(sc, opShardExport, d); err != nil {
 					return err
 				}
 				groups := map[string][]frontier.Entry{}
@@ -276,7 +265,6 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 				}
 				for _, gaddr := range sortedKeys(groups) {
 					if err := imp(gaddr, groups[gaddr]); err != nil {
-						rs.fail(err)
 						return err
 					}
 				}
@@ -291,7 +279,6 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 		for _, addr := range sortedKeys(dedupSent) {
 			if dedupSent[addr] < len(dedups) {
 				if err := imp(addr, nil); err != nil {
-					rs.fail(err)
 					return err
 				}
 			}
@@ -328,7 +315,7 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 
 // installMembersLocked re-resolves the topology against an active
 // member set with no migration to drive (rebalMu held).
-func (rs *RemoteShards) installMembersLocked(t *shardTopology, epoch uint64, shard []registry.Member) error {
+func (rs *RemoteShards) installMembersLocked(t *shardTopology, epoch uint64, shard []registry.Member) {
 	sort.Slice(shard, func(i, j int) bool { return shard[i].Addr < shard[j].Addr })
 	pools := map[string]*serverConns{}
 	for i, name := range t.ring.Members() {
@@ -341,7 +328,6 @@ func (rs *RemoteShards) installMembersLocked(t *shardTopology, epoch uint64, sha
 		if !ok {
 			sc = rs.newShardMember(m)
 			sc.primeLazy()
-			rs.track(sc)
 		}
 		servers[i] = sc
 		keep[m.Addr] = true
@@ -352,7 +338,6 @@ func (rs *RemoteShards) installMembersLocked(t *shardTopology, epoch uint64, sha
 			sc.drainClose()
 		}
 	}
-	return nil
 }
 
 func memberAddrs(members []registry.Member) []string {

@@ -4,18 +4,16 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"errors"
-	"net"
 	"os"
-	"sync/atomic"
+	"strings"
 	"testing"
 )
 
 // Earlier builds deflated frame bodies; this one writes every body raw
-// and only reads the compressed form. The helpers below produce that
-// form byte for byte, so the read path keeps being exercised: by the
-// WAL and snapshot replay tests, the frame fuzzers, and a client
-// connection that speaks as an earlier build's did.
+// and refuses the compressed form as another build's (errProtoVersion).
+// The helpers below produce that form byte for byte, so the refusal
+// keeps being exercised: by the WAL, snapshot and server refusal tests,
+// the foreign-build tables and the frame fuzzers.
 
 // parentCompressMin is the body size from which earlier builds tried
 // deflate; a body deflate could not shrink still went raw.
@@ -58,41 +56,7 @@ func compressedFrames(t *testing.T, path string) int {
 	return count
 }
 
-// parentConn rewrites each frame the client writes as an earlier build
-// would have sent it: a body of at least parentCompressMin that deflate
-// shrinks goes compressed. Every frame arrives in one Write call
-// (writeFrame's contract). deflated counts the frames rewritten.
-type parentConn struct {
-	net.Conn
-	deflated *atomic.Int64
-}
-
-func (c parentConn) Write(p []byte) (int, error) {
-	n := int(binary.LittleEndian.Uint32(p[0:4]))
-	if len(p) != 8+n || n < frameHdr || p[10] != 0 {
-		return 0, errors.New("parentConn: a write that is not one raw frame")
-	}
-	kind, body := p[9], p[8+frameHdr:]
-	if len(body) >= parentCompressMin {
-		if comp := parentDeflate(body); len(comp) < len(body) {
-			c.deflated.Add(1)
-			frame := rawFrame(append([]byte{ProtoVersion, kind, flagCompressed}, comp...))
-			if _, err := c.Conn.Write(frame); err != nil {
-				return 0, err
-			}
-			return len(p), nil
-		}
-	}
-	return c.Conn.Write(p)
-}
-
-// parentDialer wraps d's connections in parentConn.
-func parentDialer(d Dialer, deflated *atomic.Int64) Dialer {
-	return func() (net.Conn, error) {
-		conn, err := d()
-		if err != nil {
-			return nil, err
-		}
-		return parentConn{conn, deflated}, nil
-	}
+// namesCompressed reports whether a refusal names the compressed flag.
+func namesCompressed(msg string) bool {
+	return strings.Contains(msg, "flagCompressed")
 }

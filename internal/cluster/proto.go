@@ -20,8 +20,6 @@
 package cluster
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,15 +32,14 @@ import (
 
 // ProtoVersion is the one wire and log format this build speaks: every
 // frame written — on a connection, in a WAL, in a snapshot — carries
-// it, and readFrame rejects a frame carrying anything else with
-// errProtoVersion. There is no negotiation and no older decoder; the
-// byte exists so that a peer or a file of another build is refused by
-// name instead of being misparsed.
+// it, and readFrame rejects a frame carrying anything else, or carrying
+// it with a compressed body, with errProtoVersion. There is no
+// negotiation and no older decoder; the byte exists so that a peer or a
+// file of another build is refused by name instead of being misparsed.
 const ProtoVersion = 6
 
 // maxFrame bounds a frame payload; anything larger is treated as a
-// corrupt or hostile stream. A compressed body must also declare an
-// inflated size within this bound.
+// corrupt or hostile stream.
 const maxFrame = 64 << 20
 
 // Frame layout (little endian):
@@ -52,9 +49,9 @@ const maxFrame = 64 << 20
 //
 // For requests, kind is the opcode; for responses it is a status
 // (statusOK with an op-specific body, or statusError with a message).
-// This build writes flags as 0. Bit 0 set (flagCompressed, written by
-// earlier builds) means the body is deflate-compressed, prefixed with
-// its inflated length as a uvarint; all other flag bits must be zero.
+// Flags are 0: every body travels raw. Bit 0 (flagCompressed) marks
+// the deflated body of an earlier build, which is refused as another
+// build's frame (errProtoVersion); any other bit set is corruption.
 const (
 	// retiredHello carried a politeness gap and a clear-claims flag,
 	// session state a shard server no longer keeps; opShardHello
@@ -182,10 +179,11 @@ var (
 	errBadFrame = errors.New("cluster: corrupt frame")
 	errShort    = errors.New("cluster: truncated body")
 	// errProtoVersion marks an intact (length- and CRC-valid) frame of
-	// another protocol version. It is kept apart from errBadFrame because
-	// the two call for opposite reactions: a corrupt WAL tail is swept
-	// away and a broken connection redialed, but another build's frames
-	// must be left alone and reported.
+	// another build: another protocol version, or a compressed body. It
+	// is kept apart from errBadFrame because the two call for opposite
+	// reactions: a corrupt WAL tail is swept away and a broken connection
+	// redialed, but another build's frames must be left alone and
+	// reported.
 	errProtoVersion = errors.New("cluster: unsupported protocol version")
 )
 
@@ -200,62 +198,11 @@ var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // frameBufPoolMax caps the capacity of buffers returned to the pool.
 const frameBufPoolMax = 64 << 10
 
-// flateReaderPool recycles inflate state, which is expensive to
-// allocate (a 32 KiB window) relative to the frames it decodes.
-var flateReaderPool sync.Pool
-
-// maxInflateRatio is the most deflate can expand its input: a
-// 258-byte match costs at least two bits (one-bit length and distance
-// codes), so no stream inflates past 1032 times its length.
-const maxInflateRatio = 1032
-
-// inflateBody decodes a compressed frame body into dst's storage
-// (growing it when too small): a uvarint declaring the inflated size
-// followed by the deflate stream, which must inflate to exactly that
-// size. The declared size is checked against maxFrame and against what
-// the stream's length could possibly produce before anything is
-// allocated, so a few bytes cannot claim megabytes.
-func inflateBody(dst, comp []byte) ([]byte, error) {
-	rawLen, n := binary.Uvarint(comp)
-	if n <= 0 || rawLen > maxFrame || rawLen > maxInflateRatio*uint64(len(comp)-n) {
-		return nil, errBadFrame
-	}
-	br := bytes.NewReader(comp[n:])
-	var fr io.ReadCloser
-	if v := flateReaderPool.Get(); v != nil {
-		fr = v.(io.ReadCloser)
-		if err := fr.(flate.Resetter).Reset(br, nil); err != nil {
-			return nil, err
-		}
-	} else {
-		fr = flate.NewReader(br)
-	}
-	out := dst[:0]
-	if uint64(cap(out)) < rawLen {
-		out = make([]byte, rawLen)
-	} else {
-		out = out[:rawLen]
-	}
-	_, err := io.ReadFull(fr, out)
-	if err == nil {
-		var extra [1]byte
-		if k, _ := fr.Read(extra[:]); k != 0 {
-			err = errBadFrame // inflates past its declared size
-		}
-	}
-	fr.Close()
-	flateReaderPool.Put(fr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: corrupt compressed frame: %w", err)
-	}
-	return out, nil
-}
-
-// flagCompressed marks a deflate-compressed frame body. No frame is
-// written with it: bodies travel raw, since deflating them cost more CPU
-// than the loopback bytes it saved. Frames of earlier builds carry it,
-// in WAL segments and snapshots and from their peers, so readers still
-// inflate it.
+// flagCompressed marks a deflate-compressed frame body, which earlier
+// builds wrote in WAL segments and snapshots and sent as peers.
+// This build writes bodies raw, since deflating them cost more CPU
+// than the loopback bytes it saved, and it has no inflater: a frame
+// carrying the flag is refused as another build's, by name.
 const flagCompressed = 0x01
 
 // frameHdr is the payload's fixed prefix: version, kind, flags.
@@ -291,13 +238,13 @@ func writeFrame(w io.Writer, kind byte, body []byte) (int, error) {
 	return n, err
 }
 
-// readFrame reads one frame, verifying length, CRC and version, and
-// inflating a compressed body. wire is the bytes consumed from r — the
-// wire size, which differs from len(body) for compressed frames. A
-// frame that is intact but of another version fails with an error that
-// Is errProtoVersion and names both versions; the frame has been
-// consumed whole, so the stream stays aligned for a reply. The body is
-// the caller's to keep.
+// readFrame reads one frame, verifying length, CRC, version and flags.
+// wire is the bytes consumed from r: len(body) plus the 11-byte header.
+// A frame that is intact but of another version, or of this version
+// with a compressed body, fails with an error that Is errProtoVersion
+// and names both versions (and the flag); the frame has been consumed
+// whole, so the stream stays aligned for a reply. The body is the
+// caller's to keep.
 func readFrame(r io.Reader) (kind byte, body []byte, wire int, err error) {
 	var fr frameReader
 	return fr.next(r)
@@ -315,22 +262,18 @@ func readFrame(r io.Reader) (kind byte, body []byte, wire int, err error) {
 type frameReader struct {
 	hdr     [8]byte
 	payload []byte // the last frame's payload, as read
-	raw     []byte // the last compressed body, inflated
 }
 
-// frameReaderKeep caps the buffers a frameReader carries from one frame
+// frameReaderKeep caps the buffer a frameReader carries from one frame
 // to the next: a rare large frame (a snapshot-sized round, a big
 // page) must not pin its size per connection.
 const frameReaderKeep = 1 << 20
 
-// release drops buffers grown past frameReaderKeep. Call it once the
+// release drops a buffer grown past frameReaderKeep. Call it once the
 // body of the last frame is no longer used.
 func (fr *frameReader) release() {
 	if cap(fr.payload) > frameReaderKeep {
 		fr.payload = nil
-	}
-	if cap(fr.raw) > frameReaderKeep {
-		fr.raw = nil
 	}
 }
 
@@ -387,18 +330,15 @@ func (fr *frameReader) next(r io.Reader) (kind byte, body []byte, wire int, err 
 	if n < frameHdr {
 		return 0, nil, 0, errBadFrame
 	}
-	flags := payload[2]
-	if flags&^flagCompressed != 0 {
+	switch payload[2] {
+	case 0:
+	case flagCompressed:
+		return 0, nil, 0, fmt.Errorf("%w %d with a compressed body (flagCompressed, 0x01), which this build cannot read "+
+			"(it speaks only raw frames of version %d)", errProtoVersion, ProtoVersion, ProtoVersion)
+	default:
 		return 0, nil, 0, errBadFrame
 	}
-	body = payload[frameHdr:]
-	if flags&flagCompressed != 0 {
-		if fr.raw, err = inflateBody(fr.raw, body); err != nil {
-			return 0, nil, 0, err
-		}
-		body = fr.raw
-	}
-	return payload[1], body, 8 + int(n), nil
+	return payload[1], payload[frameHdr:], 8 + int(n), nil
 }
 
 // enc is an append-only body encoder; the zero value is ready to use.

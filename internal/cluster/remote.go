@@ -91,9 +91,11 @@ func tcpDialers(addrs []string) []Dialer {
 // see mutatingOp). Only after the retry budget is spent does the error
 // become sticky: every later operation is a no-op returning zero
 // values (the engine winds down as if the frontier drained), and
-// callers check Err when the crawl ends. A cluster is owned by one
-// client at a time; the servers keep no session state, so a client's
-// hello changes nothing on them.
+// callers check Err when the crawl ends. Request IDs, that sticky
+// error, the wire accounting and Close are the core it shares with
+// RemoteStore (client). A cluster is owned by one client at a time;
+// the servers keep no session state, so a client's hello changes
+// nothing on them.
 type RemoteShards struct {
 	// topo is the routing topology of the current membership epoch: the
 	// consistent-hash ring plus the per-member connection pools, swapped
@@ -110,12 +112,13 @@ type RemoteShards struct {
 	rebalMu  sync.Mutex // serializes Rebalance; guards lastPoll
 	lastPoll time.Time
 
-	// all tracks every server pool ever dialed, across topology swaps,
-	// so wire accounting survives migrations and Close closes pools a
-	// swap retired.
-	allMu sync.Mutex
-	all   []*serverConns
+	client
+}
 
+// client is the transport bookkeeping RemoteShards and RemoteStore
+// share: request IDs, the closed flag every pool checks, the first
+// error, and every pool ever dialed.
+type client struct {
 	// reqBase ^ a per-client counter generates request IDs unique
 	// across clients of one cluster with overwhelming probability.
 	reqBase uint64
@@ -123,8 +126,105 @@ type RemoteShards struct {
 
 	closed atomic.Bool
 
-	failMu sync.Mutex
+	mu     sync.Mutex // guards failed and pools
 	failed error
+	// pools holds every server pool ever dialed, across topology swaps,
+	// so wire accounting survives migrations and Close closes pools a
+	// swap retired.
+	pools []*serverConns
+}
+
+func (c *client) allPools() []*serverConns {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]*serverConns(nil), c.pools...)
+}
+
+// nextReq returns a fresh request ID (never zero).
+func (c *client) nextReq() uint64 {
+	id := c.reqBase + c.reqSeq.Add(1)
+	if id == 0 {
+		id = c.reqBase + c.reqSeq.Add(1)
+	}
+	return id
+}
+
+// fail records err as the sticky error if none is recorded yet, and
+// returns err.
+func (c *client) fail(err error) error {
+	c.mu.Lock()
+	if c.failed == nil {
+		c.failed = err
+	}
+	c.mu.Unlock()
+	return err
+}
+
+// broken reports whether an error has been recorded.
+func (c *client) broken() bool { return c.Err() != nil }
+
+// Err returns the first error this client recorded, if any: a
+// transport failure, an undecodable reply, or a call of a retired
+// method. Calls whose signatures cannot carry an error (the
+// frontier.ShardSet methods, a collection's Len and URLs) return zero
+// values after one, so check Err when a crawl winds down.
+func (c *client) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.failed
+}
+
+// call sends one request to sc and returns its reply, recording a
+// transport failure as the sticky error.
+func (c *client) call(sc *serverConns, op byte, body []byte) ([]byte, error) {
+	resp, err := sc.roundTrip(op, body)
+	if err != nil {
+		return nil, c.fail(err)
+	}
+	return resp, nil
+}
+
+// check records a reply from sc to op that d could not decode as the
+// sticky error, naming the server and the op, and returns it; nil when
+// the reply decoded.
+func (c *client) check(sc *serverConns, op byte, d *dec) error {
+	if err := d.finish(); err != nil {
+		return c.fail(fmt.Errorf("cluster: %s: %s: bad reply: %w", sc.name, opName(op), err))
+	}
+	return nil
+}
+
+// RoundTrips returns the request frames sent to every server this
+// client has dialed (retries included): the unit the round protocol's
+// exchange window is measured in.
+func (c *client) RoundTrips() int64 {
+	var n int64
+	for _, sc := range c.allPools() {
+		n += sc.trips.Load()
+	}
+	return n
+}
+
+// WireBytes returns the total bytes this client has received from and
+// sent to its servers, frame overhead included; the remote engine
+// benchmarks report it per crawled page.
+func (c *client) WireBytes() (in, out int64) {
+	for _, sc := range c.allPools() {
+		in += sc.bytesIn.Load()
+		out += sc.bytesOut.Load()
+	}
+	return in, out
+}
+
+// Close closes every pooled connection. The servers keep their state:
+// closing the client of a persistent frontier or store must not
+// destroy it.
+func (c *client) Close() error {
+	c.closed.Store(true)
+	for _, sc := range c.allPools() {
+		sc.drainClose()
+	}
+	return nil
 }
 
 // shardTopology is one membership epoch's immutable routing state.
@@ -147,19 +247,6 @@ func (t *shardTopology) serverOf(url string) int {
 
 // t snapshots the current topology.
 func (rs *RemoteShards) t() *shardTopology { return rs.topo.Load() }
-
-// track registers a pool in the lifetime accounting list.
-func (rs *RemoteShards) track(sc *serverConns) {
-	rs.allMu.Lock()
-	rs.all = append(rs.all, sc)
-	rs.allMu.Unlock()
-}
-
-func (rs *RemoteShards) allServers() []*serverConns {
-	rs.allMu.Lock()
-	defer rs.allMu.Unlock()
-	return append([]*serverConns(nil), rs.all...)
-}
 
 // installTopology swaps in a new epoch's routing. servers must be
 // aligned with ring.Members().
@@ -390,21 +477,26 @@ func (sc *serverConns) backoffFor(n int) time.Duration {
 }
 
 // newServerConns builds one server's connection pool over the shared
-// transport; the caller fills in the handshake fields.
-func newServerConns(name string, dial Dialer, opts Options, closed *atomic.Bool) *serverConns {
+// transport and registers it with the client, whose closed flag it
+// checks; the caller fills in the handshake fields.
+func (c *client) newServerConns(name string, dial Dialer, opts Options) *serverConns {
 	t := opts.t
 	backoff := cmp.Or(t.backoff, retryBackoff)
-	return &serverConns{
+	sc := &serverConns{
 		name:       name,
 		dial:       dial,
 		pool:       make(chan *clientConn, cmp.Or(t.conns, connsPerServer)),
 		maxRetries: max(cmp.Or(t.retries, maxRetries), 0),
 		backoff:    backoff,
 		backoffMax: max(cmp.Or(t.backoffMax, maxRetryBackoff), backoff),
-		closed:     closed,
+		closed:     &c.closed,
 		trips:      new(atomic.Int64),
 		sleep:      time.Sleep,
 	}
+	c.mu.Lock()
+	c.pools = append(c.pools, sc)
+	c.mu.Unlock()
+	return sc
 }
 
 // dialEager dials the pool's first connection — failing fast on a
@@ -467,15 +559,6 @@ func randomReqBase() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// nextReq returns a fresh request ID (never zero).
-func (rs *RemoteShards) nextReq() uint64 {
-	id := rs.reqBase + rs.reqSeq.Add(1)
-	if id == 0 {
-		id = rs.reqBase + rs.reqSeq.Add(1)
-	}
-	return id
-}
-
 // DialTCP connects to shard servers at the given host:port addresses.
 func DialTCP(addrs []string, opts Options) (*RemoteShards, error) {
 	return Dial(tcpDialers(addrs), opts)
@@ -490,63 +573,6 @@ func Loopback(servers []*ShardServer, opts Options) (*RemoteShards, error) {
 		dialers[i] = s.Pipe
 	}
 	return Dial(dialers, opts)
-}
-
-// fail records the first transport error; later operations no-op.
-func (rs *RemoteShards) fail(err error) {
-	rs.failMu.Lock()
-	if rs.failed == nil {
-		rs.failed = err
-	}
-	rs.failMu.Unlock()
-}
-
-// broken reports whether a transport error has been recorded.
-func (rs *RemoteShards) broken() bool { return rs.Err() != nil }
-
-// Err returns the sticky transport error, if any. Check it when a
-// crawl winds down: after a failure the ShardSet methods return zero
-// values, which the engines read as a drained frontier.
-func (rs *RemoteShards) Err() error {
-	rs.failMu.Lock()
-	defer rs.failMu.Unlock()
-	return rs.failed
-}
-
-// RoundTrips returns the total request frames sent across all servers
-// (retries included) — the unit the round protocol's exchange window is
-// measured in.
-func (rs *RemoteShards) RoundTrips() int64 {
-	var n int64
-	for _, sc := range rs.allServers() {
-		n += sc.trips.Load()
-	}
-	return n
-}
-
-// WireBytes returns the total bytes this client has sent to and
-// received from its servers (frame overhead included) — the unit the
-// ROADMAP's "shrink the wire" item is measured in; the remote engine
-// benchmarks report it per crawled page.
-func (rs *RemoteShards) WireBytes() (in, out int64) {
-	for _, sc := range rs.allServers() {
-		in += sc.bytesIn.Load()
-		out += sc.bytesOut.Load()
-	}
-	return in, out
-}
-
-func (rs *RemoteShards) closeAll() {
-	rs.closed.Store(true)
-	for _, sc := range rs.allServers() {
-		sc.drainClose()
-	}
-}
-
-// Close closes every pooled connection.
-func (rs *RemoteShards) Close() error {
-	rs.closeAll()
-	return nil
 }
 
 // NumShards returns the total shard count across the current epoch's
@@ -650,10 +676,9 @@ func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Ent
 	}
 
 	type svrResp struct {
-		cands    []frontier.Entry
-		complete bool
-		err      error
-		sent     bool
+		resp []byte
+		err  error
+		sent bool
 	}
 	resps := make([]svrResp, n)
 	var wg sync.WaitGroup
@@ -666,27 +691,14 @@ func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Ent
 		wg.Add(1)
 		go func(si int, r *svrRound) {
 			defer wg.Done()
-			sc := t.servers[si]
 			e := getEnc()
 			e.fix64(rs.nextReq())
 			encodeStrings(e, "", r.pops)
 			encodeStrings(e, "", r.removes)
 			encodeEntries(e, r.pushes)
 			e.u32(uint32(peekMax * exchangeRounds))
-			resp, err := sc.roundTrip(opRound, e.b)
+			resps[si].resp, resps[si].err = t.servers[si].roundTrip(opRound, e.b)
 			putEnc(e)
-			if err != nil {
-				resps[si].err = err
-				return
-			}
-			d := newDec(resp)
-			list := decodeEntries(d)
-			complete := d.bool()
-			if d.finish() != nil {
-				resps[si].err = fmt.Errorf("cluster: %s: bad round response", sc.name)
-				return
-			}
-			resps[si].cands, resps[si].complete = list, complete
 		}(si, r)
 	}
 	wg.Wait()
@@ -697,22 +709,30 @@ func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Ent
 			return nil, frontier.Entry{}, false, true
 		}
 	}
-	if peekMax <= 0 {
-		return nil, frontier.Entry{}, false, true
+	var lists [][]frontier.Entry // the candidates, when a peek asked for them
+	if peekMax > 0 {
+		lists = make([][]frontier.Entry, 0, n)
 	}
-	lists := make([][]frontier.Entry, 0, n)
 	for si := range resps {
-		sr := &resps[si]
-		if !sr.sent {
+		if !resps[si].sent {
 			continue
 		}
-		lists = append(lists, sr.cands)
-		if !sr.complete && len(sr.cands) > 0 {
-			last := sr.cands[len(sr.cands)-1]
+		d := newDec(resps[si].resp)
+		cands := decodeEntries(d)
+		complete := d.bool()
+		if rs.check(t.servers[si], opRound, d) != nil {
+			return nil, frontier.Entry{}, false, true
+		}
+		lists = append(lists, cands)
+		if !complete && len(cands) > 0 {
+			last := cands[len(cands)-1]
 			if !boundOK || frontier.EntryBefore(last, bound) {
 				bound, boundOK = last, true
 			}
 		}
+	}
+	if peekMax <= 0 {
+		return nil, frontier.Entry{}, false, true
 	}
 	return mergeCands(lists), bound, boundOK, true
 }
@@ -771,9 +791,12 @@ func (rs *RemoteShards) fan(t *shardTopology, op byte, body []byte) [][]byte {
 
 // Len implements frontier.ShardSet.
 func (rs *RemoteShards) Len() int {
+	t := rs.t()
 	n := 0
-	for _, resp := range rs.fan(rs.t(), opLen, nil) {
-		if !rs.decodeReply(opLen, resp, func(d *dec) { n += int(d.u32()) }) {
+	for si, resp := range rs.fan(t, opLen, nil) {
+		d := newDec(resp)
+		n += int(d.u32())
+		if rs.check(t.servers[si], opLen, d) != nil {
 			return 0
 		}
 	}
@@ -782,9 +805,12 @@ func (rs *RemoteShards) Len() int {
 
 // URLs implements frontier.ShardSet.
 func (rs *RemoteShards) URLs() []string {
+	t := rs.t()
 	var out []string
-	for _, resp := range rs.fan(rs.t(), opURLs, nil) {
-		if !rs.decodeReply(opURLs, resp, func(d *dec) { out = append(out, decodeStrings(d, "")...) }) {
+	for si, resp := range rs.fan(t, opURLs, nil) {
+		d := newDec(resp)
+		out = append(out, decodeStrings(d, "")...)
+		if rs.check(t.servers[si], opURLs, d) != nil {
 			return nil
 		}
 	}
@@ -802,19 +828,4 @@ func (rs *RemoteShards) Reset() error {
 	e.fix64(rs.nextReq())
 	rs.fan(rs.t(), opReset, e.b)
 	return rs.Err()
-}
-
-// decodeReply runs read over one server's reply and records a reply
-// that does not decode as the sticky error (see Err), reporting whether
-// it decoded. Len and URLs, which cannot return an error, decode
-// through it, so a truncated or garbled reply is never read as an empty
-// queue or a short list.
-func (rs *RemoteShards) decodeReply(op byte, resp []byte, read func(d *dec)) bool {
-	d := newDec(resp)
-	read(d)
-	if err := d.finish(); err != nil {
-		rs.fail(fmt.Errorf("cluster: bad %s response: %w", opName(op), err))
-		return false
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"webevolve/internal/frontier"
 	"webevolve/internal/store"
@@ -407,31 +409,35 @@ func truncatingServer(hello, body []byte) Dialer {
 // TestTruncatedStoreRepliesSurface: a reply the client cannot decode is
 // an error, recorded for Err — including from Len, whose signature
 // cannot return one, and from a Get that would otherwise read as a
-// miss.
+// miss — and, like a transport failure, it names the server and the op.
 func TestTruncatedStoreRepliesSurface(t *testing.T) {
 	var hello enc
 	hello.u32(storeHelloMagic).bool(true).fix64(1)
 	for name, tc := range map[string]struct {
 		body []byte
+		op   byte
 		call func(c store.Collection) error
 	}{
-		"len, empty reply": {nil, func(c store.Collection) error { c.Len(); return nil }},
-		"get, empty reply": {nil, func(c store.Collection) error { _, _, err := c.Get("http://a.com/"); return err }},
-		"get, pair missing": {[]byte{1}, func(c store.Collection) error {
+		"len, empty reply": {nil, opStoreLen, func(c store.Collection) error { c.Len(); return nil }},
+		"get, empty reply": {nil, opStoreGetValue, func(c store.Collection) error { _, _, err := c.Get("http://a.com/"); return err }},
+		"get, pair missing": {[]byte{1}, opStoreGetValue, func(c store.Collection) error {
 			_, _, err := c.Get("http://a.com/")
 			return err
 		}},
-		"scan, pair missing": {[]byte{1}, func(c store.Collection) error {
+		"scan, pair missing": {[]byte{1}, opStoreScanValues, func(c store.Collection) error {
 			return c.Scan(func(store.PageRecord) bool { return true })
 		}},
+		"urls, done missing": {[]byte{0}, opStoreURLs, func(c store.Collection) error { c.URLs(); return nil }},
 	} {
 		rs, err := DialStore(truncatingServer(hello.b, tc.body), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		err = tc.call(rs.Collection("pages"))
-		if rs.Err() == nil {
+		if serr := rs.Err(); serr == nil {
 			t.Errorf("%s: Err() is nil after a truncated reply (call returned %v)", name, err)
+		} else if server := rs.members[0].name; !strings.Contains(serr.Error(), server) || !strings.Contains(serr.Error(), opName(tc.op)) {
+			t.Errorf("%s: sticky error %q does not name the server %q and the op %s", name, serr, server, opName(tc.op))
 		}
 		rs.Close()
 	}
@@ -439,28 +445,31 @@ func TestTruncatedStoreRepliesSurface(t *testing.T) {
 
 // TestTruncatedShardRepliesSurface is the frontier client's half: the
 // ShardSet methods return no error, so a reply they cannot decode must
-// be recorded for Err rather than read as an empty queue, a drained
-// frontier or a short list.
+// be recorded for Err, naming the server and the op, rather than read
+// as an empty queue, a drained frontier or a short list.
 func TestTruncatedShardRepliesSurface(t *testing.T) {
 	var hello enc
 	hello.u32(8) // the server's shard count
 	for name, tc := range map[string]struct {
 		body []byte
+		op   byte
 		call func(rs *RemoteShards)
 	}{
-		"len, empty reply":            {nil, func(rs *RemoteShards) { rs.Len() }},
-		"urls, list cut short":        {[]byte{2}, func(rs *RemoteShards) { rs.URLs() }},
-		"round, empty reply":          {nil, func(rs *RemoteShards) { rs.ApplyRound(nil, nil, nil, 1) }},
-		"round, candidates cut short": {[]byte{2, 0}, func(rs *RemoteShards) { rs.ApplyRound(nil, []string{"http://a.com/"}, nil, 1) }},
-		"round, completeness missing": {[]byte{0}, func(rs *RemoteShards) { rs.ApplyRound(nil, nil, nil, 1) }},
+		"len, empty reply":            {nil, opLen, func(rs *RemoteShards) { rs.Len() }},
+		"urls, list cut short":        {[]byte{2}, opURLs, func(rs *RemoteShards) { rs.URLs() }},
+		"round, empty reply":          {nil, opRound, func(rs *RemoteShards) { rs.ApplyRound(nil, nil, nil, 1) }},
+		"round, candidates cut short": {[]byte{2, 0}, opRound, func(rs *RemoteShards) { rs.ApplyRound(nil, []string{"http://a.com/"}, nil, 1) }},
+		"round, completeness missing": {[]byte{0}, opRound, func(rs *RemoteShards) { rs.ApplyRound(nil, nil, nil, 1) }},
 	} {
 		rs, err := Dial([]Dialer{truncatingServer(hello.b, tc.body)}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tc.call(rs)
-		if rs.Err() == nil {
+		if serr := rs.Err(); serr == nil {
 			t.Errorf("%s: Err() is nil after a truncated reply", name)
+		} else if server := rs.t().servers[0].name; !strings.Contains(serr.Error(), server) || !strings.Contains(serr.Error(), opName(tc.op)) {
+			t.Errorf("%s: sticky error %q does not name the server %q and the op %s", name, serr, server, opName(tc.op))
 		}
 		rs.Close()
 	}
@@ -584,12 +593,14 @@ func sameSegments(t *testing.T, want, got string) {
 	}
 }
 
-// TestParentCompressedPutMatchesRaw hands two disk store servers the
-// same put-batches: one as an earlier build sent them, deflated, the
-// other raw, as this build sends them. The segment files must be
-// byte-identical, so a collection written through either build's
-// client is the same collection.
-func TestParentCompressedPutMatchesRaw(t *testing.T) {
+// TestStoreRefusesParentCompressedPut hands two disk store servers the
+// same put-batches, raw, as this build sends them; the second first
+// gets each put of parentCompressMin or more as an earlier build sent
+// it, deflated, on a connection of its own. A deflated put must be
+// answered once with errProtoVersion naming the flag, the connection
+// hung up, and nothing written; resent raw it is applied, so the two
+// servers' segment files end byte-identical.
+func TestStoreRefusesParentCompressedPut(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	urls := testURLs(6, 30)
 	words := []string{"<p>", "crawl ", "fresh ", "page ", "</a>", "\n"}
@@ -619,12 +630,28 @@ func TestParentCompressedPutMatchesRaw(t *testing.T) {
 		}
 		deflated := 0
 		for _, body := range bodies {
-			frame := validFrame(t, opStorePutValues, body)
 			if i == 1 && len(body) >= parentCompressMin {
-				frame = parentFrame(opStorePutValues, body)
 				deflated++
+				before := dirBytes(t, filepath.Join(dir, "c"))
+				old, err := srv.Pipe()
+				if err != nil {
+					t.Fatal(err)
+				}
+				old.SetDeadline(time.Now().Add(5 * time.Second))
+				old.Write(parentFrame(opStorePutValues, body))
+				if st, resp, _, err := readFrame(old); err != nil || st != statusError ||
+					!namesVersions(string(resp), ProtoVersion) || !namesCompressed(string(resp)) {
+					t.Fatalf("deflated put answered (%d, %q, %v), want a statusError naming the version and the flag", st, resp, err)
+				}
+				if _, _, _, err := readFrame(old); err != io.EOF {
+					t.Fatalf("connection left open after the refusal: %v", err)
+				}
+				old.Close()
+				if !reflect.DeepEqual(dirBytes(t, filepath.Join(dir, "c")), before) {
+					t.Fatal("a refused deflated put changed the collection")
+				}
 			}
-			if _, err := conn.Write(frame); err != nil {
+			if _, err := conn.Write(validFrame(t, opStorePutValues, body)); err != nil {
 				t.Fatal(err)
 			}
 			if st, resp, _, err := readFrame(conn); err != nil || st != statusOK {
@@ -632,7 +659,7 @@ func TestParentCompressedPutMatchesRaw(t *testing.T) {
 			}
 		}
 		if i == 1 && deflated < len(bodies)/2 {
-			t.Fatalf("only %d of %d puts went deflated", deflated, len(bodies))
+			t.Fatalf("only %d of %d puts were large enough to go deflated", deflated, len(bodies))
 		}
 		conn.Close()
 		if err := srv.Close(); err != nil {

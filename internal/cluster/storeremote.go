@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"webevolve/internal/registry"
 	"webevolve/internal/store"
@@ -14,10 +12,11 @@ import (
 
 // RemoteStore is the client for one or more store servers (StoreServer
 // / storerd): it hands out store.Collection implementations whose
-// every operation is a wire round trip, reusing the shard client's
-// pooled connections and redial/retry/backoff machinery. Mutating ops
-// carry request IDs the server dedups, so a retry after a broken
-// connection is applied exactly once.
+// every operation is a wire round trip. It shares the shard client's
+// core (request IDs, the sticky first error, wire accounting and Close)
+// and its pooled connections and redial/retry/backoff machinery.
+// Mutating ops carry request IDs the server dedups, so a retry after a
+// broken connection is applied exactly once.
 //
 // With several members (a registry's store members, see Topology), each
 // collection is pinned to one member — the consistent-hash owner of
@@ -30,20 +29,15 @@ import (
 // out to every member.
 //
 // Unlike the frontier's error-free ShardSet, store.Collection returns
-// errors, so transport failures surface directly from each call; the
-// first one is also recorded and available from Err for the two
-// methods (Len, URLs) whose signatures cannot carry it.
+// errors, so transport failures and undecodable replies surface
+// directly from each call; the first one is also recorded and
+// available from Err for the two methods (Len, URLs) whose signatures
+// cannot carry it.
 type RemoteStore struct {
 	members []*serverConns
 	ring    *Ring
 
-	reqBase uint64
-	reqSeq  atomic.Uint64
-
-	closed atomic.Bool
-
-	failMu sync.Mutex
-	failed error
+	client
 }
 
 // DialStore connects to a single store server.
@@ -56,13 +50,14 @@ func DialStore(dial Dialer, opts Options) (*RemoteStore, error) {
 // doc). The member set is fixed at dial time: stores are not migrated,
 // so a client keeps the pinning it resolved (re-dial to pick up joins).
 func dialStores(members []registry.Member, dialFor func(m registry.Member) Dialer, opts Options) (*RemoteStore, error) {
-	rs := &RemoteStore{reqBase: randomReqBase(), ring: NewRing(memberAddrs(members), 0)}
+	rs := &RemoteStore{ring: NewRing(memberAddrs(members), 0)}
+	rs.reqBase = randomReqBase()
 	byName := make(map[string]registry.Member, len(members))
 	for _, m := range members {
 		byName[m.Addr] = m
 	}
 	for _, name := range rs.ring.Members() {
-		sc := newServerConns(name, dialFor(byName[name]), opts, &rs.closed)
+		sc := rs.newServerConns(name, dialFor(byName[name]), opts)
 		sc.helloOp = opStoreHello
 		sc.checkHello = sc.checkStoreHello
 		if err := sc.dialEager(name + " (%v)"); err != nil {
@@ -90,84 +85,26 @@ func LoopbackStore(srv *StoreServer, opts Options) (*RemoteStore, error) {
 	return DialStore(srv.Pipe, opts)
 }
 
-// nextReq returns a fresh request ID (never zero).
-func (rs *RemoteStore) nextReq() uint64 {
-	id := rs.reqBase + rs.reqSeq.Add(1)
-	if id == 0 {
-		id = rs.reqBase + rs.reqSeq.Add(1)
-	}
-	return id
-}
-
-// fail records the first transport error for Err.
-func (rs *RemoteStore) fail(err error) error {
-	rs.failMu.Lock()
-	if rs.failed == nil {
-		rs.failed = err
-	}
-	rs.failMu.Unlock()
-	return err
-}
-
-// Err returns the first transport error, if any. Collection calls
-// return their errors directly; Err additionally catches failures in
-// Len and URLs, whose signatures cannot.
-func (rs *RemoteStore) Err() error {
-	rs.failMu.Lock()
-	defer rs.failMu.Unlock()
-	return rs.failed
-}
-
-// RoundTrips returns the request frames sent (retries included),
-// summed across members.
-func (rs *RemoteStore) RoundTrips() int64 {
-	var n int64
-	for _, sc := range rs.members {
-		n += sc.trips.Load()
-	}
-	return n
-}
-
-// WireBytes returns the total bytes sent to and received from the
-// store servers (frame overhead included) — see RemoteShards.WireBytes.
-func (rs *RemoteStore) WireBytes() (in, out int64) {
-	for _, sc := range rs.members {
-		in += sc.bytesIn.Load()
-		out += sc.bytesOut.Load()
-	}
-	return in, out
-}
-
-// Close closes the pooled connections. Server-side collections stay
-// open (and, for a disk backend, durable): closing the client of a
-// persistent store must not destroy the store.
-func (rs *RemoteStore) Close() error {
-	rs.closed.Store(true)
-	for _, sc := range rs.members {
-		sc.drainClose()
-	}
-	return nil
-}
-
 // ListCollections returns the names of every collection on every
 // member (open or on disk), merged and sorted.
 func (rs *RemoteStore) ListCollections() ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
 	for _, sc := range rs.members {
-		resp, err := sc.roundTrip(opStoreList, nil)
+		resp, err := rs.call(sc, opStoreList, nil)
 		if err != nil {
-			return nil, rs.fail(err)
+			return nil, err
 		}
 		d := newDec(resp)
-		for _, name := range decodeStrings(d, "") {
+		names := decodeStrings(d, "")
+		if err := rs.check(sc, opStoreList, d); err != nil {
+			return nil, err
+		}
+		for _, name := range names {
 			if !seen[name] {
 				seen[name] = true
 				out = append(out, name)
 			}
-		}
-		if err := d.finish(); err != nil {
-			return nil, rs.fail(fmt.Errorf("cluster: bad list response: %w", err))
 		}
 	}
 	sort.Strings(out)
@@ -183,8 +120,8 @@ func (rs *RemoteStore) DropCollection(name string) error {
 	var e enc
 	e.fix64(rs.nextReq()).str(name)
 	for _, sc := range rs.members {
-		if _, err := sc.roundTrip(opStoreDrop, e.b); err != nil {
-			return rs.fail(err)
+		if _, err := rs.call(sc, opStoreDrop, e.b); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -197,8 +134,8 @@ func (rs *RemoteStore) Reset() error {
 	var e enc
 	e.fix64(rs.nextReq())
 	for _, sc := range rs.members {
-		if _, err := sc.roundTrip(opStoreReset, e.b); err != nil {
-			return rs.fail(err)
+		if _, err := rs.call(sc, opStoreReset, e.b); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -303,10 +240,8 @@ func (c *remoteColl) PutBatch(recs []store.PageRecord) error {
 		e.fix64(c.rs.nextReq()).str(c.name).u32(uint32(n))
 		e.b = append(e.b, pairs.b...)
 		pairs.b, n, prev = pairs.b[:0], 0, ""
-		if _, err := c.sc.roundTrip(opStorePutValues, e.b); err != nil {
-			return c.rs.fail(err)
-		}
-		return nil
+		_, err := c.rs.call(c.sc, opStorePutValues, e.b)
+		return err
 	}
 	for i := range recs {
 		val.b = store.AppendValue(val.b[:0], &recs[i])
@@ -328,9 +263,9 @@ func (c *remoteColl) PutBatch(recs []store.PageRecord) error {
 func (c *remoteColl) Get(url string) (store.PageRecord, bool, error) {
 	var e enc
 	e.str(c.name).str(url)
-	resp, err := c.sc.roundTrip(opStoreGetValue, e.b)
+	resp, err := c.rs.call(c.sc, opStoreGetValue, e.b)
 	if err != nil {
-		return store.PageRecord{}, false, c.rs.fail(err)
+		return store.PageRecord{}, false, err
 	}
 	// The reply body is this call's own (readFrame reads each into a
 	// fresh buffer), so the record may alias it.
@@ -340,11 +275,11 @@ func (c *remoteColl) Get(url string) (store.PageRecord, bool, error) {
 	if n == 1 {
 		got, val = d.pair(url)
 	}
-	if err := d.finish(); err != nil {
-		return store.PageRecord{}, false, c.rs.fail(fmt.Errorf("cluster: bad get response: %w", err))
+	if d.err == nil && (n > 1 || got != url) {
+		d.err = fmt.Errorf("%d records for %s", n, url)
 	}
-	if n > 1 || got != url {
-		return store.PageRecord{}, false, c.rs.fail(fmt.Errorf("cluster: bad get response: %d records for %s", n, url))
+	if err := c.rs.check(c.sc, opStoreGetValue, d); err != nil {
+		return store.PageRecord{}, false, err
 	}
 	if n == 0 {
 		return store.PageRecord{}, false, nil
@@ -360,10 +295,8 @@ func (c *remoteColl) Get(url string) (store.PageRecord, bool, error) {
 func (c *remoteColl) Delete(url string) error {
 	var e enc
 	e.fix64(c.rs.nextReq()).str(c.name).str(url)
-	if _, err := c.sc.roundTrip(opStoreDelete, e.b); err != nil {
-		return c.rs.fail(err)
-	}
-	return nil
+	_, err := c.rs.call(c.sc, opStoreDelete, e.b)
+	return err
 }
 
 // Len implements store.Collection; transport failures are recorded in
@@ -371,15 +304,13 @@ func (c *remoteColl) Delete(url string) error {
 func (c *remoteColl) Len() int {
 	var e enc
 	e.str(c.name)
-	resp, err := c.sc.roundTrip(opStoreLen, e.b)
+	resp, err := c.rs.call(c.sc, opStoreLen, e.b)
 	if err != nil {
-		c.rs.fail(err)
 		return 0
 	}
 	d := newDec(resp)
 	n := d.u32()
-	if err := d.finish(); err != nil {
-		c.rs.fail(fmt.Errorf("cluster: bad len response: %w", err))
+	if c.rs.check(c.sc, opStoreLen, d) != nil {
 		return 0
 	}
 	return int(n)
@@ -394,16 +325,14 @@ func (c *remoteColl) URLs() []string {
 	for {
 		var e enc
 		e.str(c.name).str(after).u32(storeURLsChunk)
-		resp, err := c.sc.roundTrip(opStoreURLs, e.b)
+		resp, err := c.rs.call(c.sc, opStoreURLs, e.b)
 		if err != nil {
-			c.rs.fail(err)
 			return nil
 		}
 		d := newDec(resp)
 		chunk := decodeStrings(d, after)
 		done := d.bool()
-		if d.finish() != nil {
-			c.rs.fail(errors.New("cluster: bad URLs response"))
+		if c.rs.check(c.sc, opStoreURLs, d) != nil {
 			return nil
 		}
 		out = append(out, chunk...)
@@ -430,17 +359,17 @@ func (c *remoteColl) ScanFrom(after string, fn func(store.PageRecord) bool) erro
 	for {
 		var e enc
 		e.str(c.name).str(after).u32(storeScanChunk)
-		resp, err := c.sc.roundTrip(opStoreScanValues, e.b)
+		resp, err := c.rs.call(c.sc, opStoreScanValues, e.b)
 		if err != nil {
-			return c.rs.fail(err)
+			return err
 		}
 		// A fresh body per exchange, as in Get: records alias it.
 		d := newDec(resp)
 		n := int(d.u32())
 		for i := 0; i < n; i++ {
 			url, val := d.pair(after)
-			if err := d.finish(); err != nil {
-				return c.rs.fail(fmt.Errorf("cluster: bad scan response: %w", err))
+			if err := c.rs.check(c.sc, opStoreScanValues, d); err != nil {
+				return err
 			}
 			rec, err := store.DecodeValue(url, val)
 			if err != nil {
@@ -452,8 +381,8 @@ func (c *remoteColl) ScanFrom(after string, fn func(store.PageRecord) bool) erro
 			after = url
 		}
 		done := d.bool()
-		if err := d.finish(); err != nil {
-			return c.rs.fail(fmt.Errorf("cluster: bad scan response: %w", err))
+		if err := c.rs.check(c.sc, opStoreScanValues, d); err != nil {
+			return err
 		}
 		if done {
 			return nil
@@ -470,8 +399,6 @@ func (c *remoteColl) Close() error {
 	}
 	var e enc
 	e.fix64(c.rs.nextReq()).str(c.name)
-	if _, err := c.sc.roundTrip(opStoreDrop, e.b); err != nil {
-		return c.rs.fail(err)
-	}
-	return nil
+	_, err := c.rs.call(c.sc, opStoreDrop, e.b)
+	return err
 }

@@ -197,10 +197,12 @@ func walRoundBody(reqID uint64, urls []string) []byte {
 	return roundBody(reqID, nil, nil, ents, 0)
 }
 
-// TestWALReplaysCompressedFrames: a log in which an earlier build
-// wrote a round compressed, between frames of this build, must replay
-// exactly after a crash (no CloseWAL, no snapshot).
-func TestWALReplaysCompressedFrames(t *testing.T) {
+// TestWALRefusesCompressedFrames: a log in which an earlier build wrote
+// a round compressed, between frames of this build, holds that build's
+// acknowledged work, which this build cannot read. After a crash (no
+// CloseWAL, no snapshot) OpenWAL must fail naming the file, the frame's
+// offset and the flag, and leave the log byte for byte as it was.
+func TestWALRefusesCompressedFrames(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 4)
 	pushVia(t, srv, 1, "http://site100.com/a", 1, 0)
@@ -209,12 +211,15 @@ func TestWALReplaysCompressedFrames(t *testing.T) {
 		t.Fatalf("no wal files: %v", err)
 	}
 	active := walFilePath(dir, seqs[len(seqs)-1])
-	urls := testURLs(16, 24)
+	offset, err := os.Stat(active)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(active, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(parentFrame(opRound, walRoundBody(900, urls))); err != nil {
+	if _, err := f.Write(parentFrame(opRound, walRoundBody(900, testURLs(16, 24)))); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -223,14 +228,14 @@ func TestWALReplaysCompressedFrames(t *testing.T) {
 		t.Fatalf("%d compressed frames in the log, want 1", n)
 	}
 
-	srv2 := newWALServer(t, dir, 4)
-	if got := srv2.Shards().Len(); got != len(urls)+2 {
-		t.Fatalf("recovered Len = %d, want %d", got, len(urls)+2)
+	before := dirBytes(t, dir)
+	err = NewShardServer(frontier.NewSharded(4)).OpenWAL(dir)
+	if !errors.Is(err, errProtoVersion) || !namesCompressed(err.Error()) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("%s: frame at offset %d", active, offset.Size())) {
+		t.Fatalf("OpenWAL = %v, want errProtoVersion naming %s, offset %d and the flag", err, active, offset.Size())
 	}
-	for _, u := range append(urls, "http://site100.com/a", "http://site101.com/b") {
-		if !srv2.Shards().Contains(u) {
-			t.Fatalf("entry %s lost replaying a compressed WAL", u)
-		}
+	if !reflect.DeepEqual(dirBytes(t, dir), before) {
+		t.Fatal("the refused open changed the directory")
 	}
 }
 
@@ -443,14 +448,16 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 // versions and leave every file byte-identical — truncating at the
 // foreign frame (what replay did with any readFrame error) silently
 // erases it and all that follows. The v5 records are the hello records
-// the last multi-version build logged on every client connect.
+// the last multi-version build logged on every client connect; the v6
+// round is one an earlier build of this version wrote compressed.
 func TestWALRefusesOtherVersions(t *testing.T) {
 	var gap enc
 	gap.f64(0.5)
 	for name, frame := range map[string][]byte{
-		"v5 set-politeness": rawFrame(append([]byte{5, retiredWALSetPoliteness}, gap.b...)),
-		"v5 clear-claims":   rawFrame([]byte{5, retiredWALClearClaims}),
-		"v7 round":          rawFrame(append([]byte{ProtoVersion + 1, opRound, 0}, gap.b...)),
+		"v5 set-politeness":   rawFrame(append([]byte{5, retiredWALSetPoliteness}, gap.b...)),
+		"v5 clear-claims":     rawFrame([]byte{5, retiredWALClearClaims}),
+		"v7 round":            rawFrame(append([]byte{ProtoVersion + 1, opRound, 0}, gap.b...)),
+		"v6 compressed round": parentFrame(opRound, walRoundBody(3, testURLs(16, 24))),
 	} {
 		for _, inSnapshot := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/snapshot=%v", name, inSnapshot), func(t *testing.T) {
@@ -478,6 +485,9 @@ func TestWALRefusesOtherVersions(t *testing.T) {
 				err := NewShardServer(frontier.NewSharded(4)).OpenWAL(dir)
 				if !errors.Is(err, errProtoVersion) || !strings.Contains(err.Error(), file) || !namesVersions(err.Error(), frame[8]) {
 					t.Fatalf("OpenWAL = %v, want errProtoVersion naming %s and both versions", err, file)
+				}
+				if frame[8] == ProtoVersion && !namesCompressed(err.Error()) {
+					t.Fatalf("OpenWAL = %v, want the compressed flag named", err)
 				}
 				if !inSnapshot && !strings.Contains(err.Error(), fmt.Sprintf("offset %d", len(old))) {
 					t.Errorf("error %q does not give the frame's offset %d", err, len(old))

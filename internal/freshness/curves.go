@@ -82,6 +82,31 @@ func CurveShadowCurrent(lambda, buildDur, t float64) float64 {
 	return math.Exp(-lambda*t) * FBar(lambda*buildDur)
 }
 
+// CurveBatchShadowCrawler returns the expected freshness of a batch
+// crawler's shadow collection at phase t of a cycle whose crawl occupies
+// [0, crawlDur): the build curve inside the window, 0 outside it, where
+// the shadow has been swapped in and the next build has not started.
+// t is not wrapped: callers pass a phase in [0, cycle].
+func CurveBatchShadowCrawler(lambda, crawlDur, t float64) float64 {
+	if t >= crawlDur {
+		return 0
+	}
+	return CurveShadowCrawler(lambda, crawlDur, t)
+}
+
+// CurveBatchShadowCurrent returns the expected freshness of a batch
+// crawler's current collection at phase t of a cycle whose crawl
+// occupies [0, crawlDur): the shadow swapped in at crawlDur, decaying
+// from the swap; before it, the previous cycle's shadow, swapped in
+// cycle-crawlDur+t ago. t is not wrapped: callers pass a phase in
+// [0, cycle].
+func CurveBatchShadowCurrent(lambda, cycle, crawlDur, t float64) float64 {
+	if t >= crawlDur {
+		return CurveShadowCurrent(lambda, crawlDur, t-crawlDur)
+	}
+	return CurveShadowCurrent(lambda, crawlDur, t+cycle-crawlDur)
+}
+
 // Figure7Series returns the batch-mode (a) and steady (b) freshness
 // evolution curves over the given number of cycles, sampled at
 // samplesPerCycle points per cycle. The paper plots several monthly
@@ -123,20 +148,8 @@ func Figure8Series(lambda, cycle, crawlDur float64, cycles, samplesPerCycle int)
 		phase := math.Mod(t, cycle)
 		steadyCrawler[i] = Point{T: t, F: CurveShadowCrawler(lambda, cycle, phase)}
 		steadyCurrent[i] = Point{T: t, F: CurveShadowCurrent(lambda, cycle, phase)}
-		if phase < crawlDur {
-			batchCrawler[i] = Point{T: t, F: CurveShadowCrawler(lambda, crawlDur, phase)}
-		} else {
-			batchCrawler[i] = Point{T: t, F: 0}
-		}
-		// The batch current collection was swapped in at phase crawlDur;
-		// before that, it is the previous cycle's shadow still decaying.
-		var since float64
-		if phase >= crawlDur {
-			since = phase - crawlDur
-		} else {
-			since = phase + cycle - crawlDur
-		}
-		batchCurrent[i] = Point{T: t, F: CurveShadowCurrent(lambda, crawlDur, since)}
+		batchCrawler[i] = Point{T: t, F: CurveBatchShadowCrawler(lambda, crawlDur, phase)}
+		batchCurrent[i] = Point{T: t, F: CurveBatchShadowCurrent(lambda, cycle, crawlDur, phase)}
 	}
 	return steadyCrawler, steadyCurrent, batchCrawler, batchCurrent, nil
 }

@@ -606,16 +606,10 @@ func (s *Server) freshness(w http.ResponseWriter, r *http.Request) {
 			return freshness.CurveShadowCurrent(lambda, cycle, t)
 		}),
 		BatchShadowerCurve: curve(func(t float64) float64 {
-			if t >= crawl {
-				return 0
-			}
-			return freshness.CurveShadowCrawler(lambda, crawl, t)
+			return freshness.CurveBatchShadowCrawler(lambda, crawl, t)
 		}),
 		BatchShadowCurve: curve(func(t float64) float64 {
-			if t >= crawl {
-				return freshness.CurveShadowCurrent(lambda, crawl, t-crawl)
-			}
-			return freshness.CurveShadowCurrent(lambda, crawl, t+cycle-crawl)
+			return freshness.CurveBatchShadowCurrent(lambda, cycle, crawl, t)
 		}),
 	}
 	s.writeJSON(w, rep)

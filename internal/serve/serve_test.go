@@ -372,6 +372,37 @@ func TestFreshness(t *testing.T) {
 		}
 	})
 
+	t.Run("curves match the freshness package", func(t *testing.T) {
+		lambda, cycle, crawl, samples := 0.7, 3.0, 1.25, 9
+		resp, body := get(t, ts.URL+fmt.Sprintf("/v1/freshness?lambda=%g&cycle=%g&crawl=%g&samples=%d", lambda, cycle, crawl, samples), nil)
+		if resp.StatusCode != 200 {
+			t.Fatalf("status %d (%s)", resp.StatusCode, body)
+		}
+		var rep FreshnessReport
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]struct {
+			got  []CurvePoint
+			want func(t float64) float64
+		}{
+			"batch in-place":        {rep.BatchInPlaceCurve, func(t float64) float64 { return freshness.CurveBatchInPlace(lambda, cycle, crawl, t) }},
+			"steady shadow crawler": {rep.SteadyShadowerCur, func(t float64) float64 { return freshness.CurveShadowCrawler(lambda, cycle, t) }},
+			"steady shadow current": {rep.SteadyShadowCurve, func(t float64) float64 { return freshness.CurveShadowCurrent(lambda, cycle, t) }},
+			"batch shadow crawler":  {rep.BatchShadowerCurve, func(t float64) float64 { return freshness.CurveBatchShadowCrawler(lambda, crawl, t) }},
+			"batch shadow current":  {rep.BatchShadowCurve, func(t float64) float64 { return freshness.CurveBatchShadowCurrent(lambda, cycle, crawl, t) }},
+		} {
+			if len(c.got) != samples {
+				t.Fatalf("%s: %d samples, want %d", name, len(c.got), samples)
+			}
+			for i, p := range c.got {
+				if phase := cycle * float64(i) / float64(samples-1); p.T != phase || p.F != c.want(phase) {
+					t.Errorf("%s: sample %d is (%g, %g), want (%g, %g)", name, i, p.T, p.F, phase, c.want(phase))
+				}
+			}
+		}
+	})
+
 	t.Run("validation", func(t *testing.T) {
 		for _, q := range []string{
 			"", "?lambda=0.5", "?cycle=1", "?lambda=-1&cycle=1", "?lambda=x&cycle=1",
