@@ -86,6 +86,7 @@ awk '
         for (i = 2; i <= n; i++)
             for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
     }
+    function num(x) { return sprintf(x >= 1e5 || x <= -1e5 ? "%.0f" : "%.6g", x) }
     {
         key = $3 SUBSEP $4
         if (!(key in seen)) { seen[key] = 1; order[++nkeys] = key }
@@ -104,7 +105,7 @@ awk '
             if (n == 0) continue
             sort(a, n); sort(b, n)
             ma = q(a, n, 0.5); mb = q(b, n, 0.5)
-            printf "%-44s %-16s %12.6g %12.6g – %-12.6g %12.6g %7.3f %4d/%d\n", nu[1], nu[2], ma,
-                q(a, n, 0.25), q(a, n, 0.75), mb, ma == 0 ? (mb == 0) : mb / ma, wins, n
+            printf "%-44s %-16s %12s %12s – %-12s %12s %7.3f %4d/%d\n", nu[1], nu[2], num(ma),
+                num(q(a, n, 0.25)), num(q(a, n, 0.75)), num(mb), ma == 0 ? (mb == 0) : mb / ma, wins, n
         }
     }' "$tmp/rows"
