@@ -134,6 +134,7 @@ type client struct {
 	pools []*serverConns
 }
 
+// allPools snapshots every pool dialed so far.
 func (c *client) allPools() []*serverConns {
 	c.mu.Lock()
 	defer c.mu.Unlock()
