@@ -677,9 +677,11 @@ func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Ent
 	}
 
 	type svrResp struct {
-		resp []byte
-		err  error
-		sent bool
+		d        dec // the reply, read in the goroutine; checked after the fan-in
+		cands    []frontier.Entry
+		complete bool
+		err      error
+		sent     bool
 	}
 	resps := make([]svrResp, n)
 	var wg sync.WaitGroup
@@ -698,42 +700,49 @@ func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Ent
 			encodeStrings(e, "", r.removes)
 			encodeEntries(e, r.pushes)
 			e.u32(uint32(peekMax * exchangeRounds))
-			resps[si].resp, resps[si].err = t.servers[si].roundTrip(opRound, e.b)
+			sr := &resps[si]
+			resp, err := t.servers[si].roundTrip(opRound, e.b)
 			putEnc(e)
+			if err != nil {
+				sr.err = err
+				return
+			}
+			// Each server's reply decodes in its own goroutine, as the
+			// replies arrive; the first failure in server order is the
+			// one recorded.
+			sr.d = dec{b: resp}
+			sr.cands = decodeEntries(&sr.d)
+			sr.complete = sr.d.bool()
 		}(si, r)
 	}
 	wg.Wait()
 
 	for si := range resps {
-		if resps[si].err != nil {
-			rs.fail(resps[si].err)
+		sr := &resps[si]
+		if sr.err != nil {
+			rs.fail(sr.err)
 			return nil, frontier.Entry{}, false, true
 		}
-	}
-	var lists [][]frontier.Entry // the candidates, when a peek asked for them
-	if peekMax > 0 {
-		lists = make([][]frontier.Entry, 0, n)
-	}
-	for si := range resps {
-		if !resps[si].sent {
-			continue
-		}
-		d := newDec(resps[si].resp)
-		cands := decodeEntries(d)
-		complete := d.bool()
-		if rs.check(t.servers[si], opRound, d) != nil {
+		if sr.sent && rs.check(t.servers[si], opRound, &sr.d) != nil {
 			return nil, frontier.Entry{}, false, true
-		}
-		lists = append(lists, cands)
-		if !complete && len(cands) > 0 {
-			last := cands[len(cands)-1]
-			if !boundOK || frontier.EntryBefore(last, bound) {
-				bound, boundOK = last, true
-			}
 		}
 	}
 	if peekMax <= 0 {
 		return nil, frontier.Entry{}, false, true
+	}
+	lists := make([][]frontier.Entry, 0, n)
+	for si := range resps {
+		sr := &resps[si]
+		if !sr.sent {
+			continue
+		}
+		lists = append(lists, sr.cands)
+		if !sr.complete && len(sr.cands) > 0 {
+			last := sr.cands[len(sr.cands)-1]
+			if !boundOK || frontier.EntryBefore(last, bound) {
+				bound, boundOK = last, true
+			}
+		}
 	}
 	return mergeCands(lists), bound, boundOK, true
 }
